@@ -153,11 +153,6 @@ impl OfferTable {
         }
         self.present &= keep;
     }
-
-    /// Empties the table without releasing its backing storage.
-    fn clear(&mut self) {
-        self.retain_inside(NodeSet::EMPTY);
-    }
 }
 
 /// The simulated bus medium.
@@ -205,16 +200,6 @@ impl Medium {
     /// The bus configuration.
     pub fn config(&self) -> &BusConfig {
         &self.config
-    }
-
-    /// Returns the bus to its power-on state — no pending offers, an
-    /// empty trace — while keeping the offer table and trace storage
-    /// allocated. The arena path of campaign workers reuses one medium
-    /// across many runs through this.
-    pub fn reset(&mut self, config: BusConfig) {
-        self.config = config;
-        self.offers.clear();
-        self.trace.clear();
     }
 
     /// Registers (or replaces) `node`'s pending transmission, queued

@@ -101,11 +101,6 @@ impl BusTrace {
         self.records.push(record);
     }
 
-    /// Empties the trace without releasing its storage (arena reuse).
-    pub fn clear(&mut self) {
-        self.records.clear();
-    }
-
     /// Number of recorded transactions.
     pub fn len(&self) -> usize {
         self.records.len()

@@ -303,16 +303,6 @@ impl Controller {
         self.confinement.reset();
         self.queue.clear();
     }
-
-    /// Arena reuse: rewinds the controller to the just-constructed
-    /// state (counters, retry budget and limit cleared) while keeping
-    /// the transmit queue's storage.
-    pub fn recycle(&mut self) {
-        self.queue.clear();
-        self.confinement = FaultConfinement::default();
-        self.retry_limit = None;
-        self.consecutive_errors = 0;
-    }
 }
 
 #[cfg(test)]

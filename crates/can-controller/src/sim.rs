@@ -184,59 +184,6 @@ impl Simulator {
         std::mem::take(&mut self.stats)
     }
 
-    /// Arena reuse: rewinds the simulator to a pristine time-zero state
-    /// for a fresh run while keeping the world's heap allocations — the
-    /// bus offer table and transaction-trace storage, the timer wheel,
-    /// the controller transmit queues and the per-node application
-    /// boxes.
-    ///
-    /// Nodes in `keep` that exist survive into the next run: their
-    /// controllers are rewound in place, their applications are handed
-    /// to `reset_app` for in-place re-initialization, and they power on
-    /// at time zero (as with [`Simulator::add_node`]). All other nodes
-    /// are dropped. Returns the set of nodes actually kept, so callers
-    /// can [`Simulator::add_node`] the missing ones.
-    pub fn recycle(
-        &mut self,
-        config: BusConfig,
-        faults: FaultPlan,
-        keep: NodeSet,
-        mut reset_app: impl FnMut(NodeId, &mut dyn Application),
-    ) -> NodeSet {
-        self.medium.reset(config);
-        self.faults = faults;
-        self.timers.clear();
-        self.journal.clear();
-        self.now = BitTime::ZERO;
-        self.bus_free_at = BitTime::ZERO;
-        self.alive = NodeSet::EMPTY;
-        self.crash_schedule.clear();
-        self.poweron_schedule.clear();
-        self.guardian_wake.clear();
-        self.restart_schedule.clear();
-        self.crash_log.clear();
-        self.profiler.pause();
-        self.stats = StepStats::default();
-        let mut kept = NodeSet::EMPTY;
-        for idx in 0..MAX_NODES {
-            let node = NodeId::new(idx as u8);
-            if !keep.contains(node) {
-                self.slots[idx] = None;
-                continue;
-            }
-            if let Some(slot) = self.slots[idx].as_mut() {
-                slot.controller.recycle();
-                slot.guardian = None;
-                slot.powered = false;
-                slot.crashed = false;
-                reset_app(node, slot.app.as_mut());
-                self.poweron_schedule.push(Reverse((BitTime::ZERO, node)));
-                kept.insert(node);
-            }
-        }
-        kept
-    }
-
     /// Schedules a power-cycle of `node` at `at`: the node must be
     /// crashed by then; it restarts with a *fresh* controller and the
     /// given application (all volatile protocol state lost, as after a

@@ -119,14 +119,6 @@ impl TimerWheel {
         })
     }
 
-    /// Arena reuse: drops every pending timer and rewinds the handle
-    /// counter, keeping the heap and table storage.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-        self.live.clear();
-        self.next_id = 0;
-    }
-
     /// Number of pending timers.
     pub fn len(&self) -> usize {
         self.live.len()

@@ -69,7 +69,7 @@ pub mod spec;
 pub mod telemetry;
 
 pub use oracle::{check, check_global, GatewayFinal, GlobalOracleInput, InvariantKind, NodeFinal, OracleInput, Violation};
-pub use run::{execute, execute_in, latency_samples, RunOutcome, WorldArena};
+pub use run::{execute, latency_samples, RunOutcome};
 pub use runner::{
     run_campaign, run_campaign_analytics, run_campaign_with, CampaignOptions, CampaignReport,
     CampaignResult, Counterexample, ProgressOptions, ProgressSink, RunLatency,

@@ -2,19 +2,17 @@
 //! horizon, and judge the trace with the oracle.
 //!
 //! A run is fully self-contained and single-threaded (the shared
-//! [`ObsLog`] is `Rc`-based by design), so the campaign runner can
-//! execute many runs concurrently by giving each its own thread-local
-//! world — determinism comes from the spec, not from scheduling.
+//! `ObsLog` is `Rc`-based by design) and builds and drops its own
+//! world, so the campaign runner can execute many runs concurrently —
+//! determinism comes from the spec, not from scheduling or run order.
 
 use crate::oracle::{self, GatewayFinal, GlobalOracleInput, NodeFinal, OracleInput, Violation};
-use crate::spec::{segment_seed, RunSpec};
+use crate::spec::{segment_seed, FederationSpec, RunSpec};
 use crate::telemetry::{RunTelemetry, RP_OBS, RP_ORACLE, RP_SETUP};
-use can_bus::{BusConfig, FaultPlan};
-use can_controller::Simulator;
+use can_bus::FaultPlan;
 use can_types::{BitTime, MsgType, NodeId, NodeSet};
-use canely::obs::{export_jsonl, ObsLog, ProtocolEvent};
-use canely::{CanelyStack, TrafficConfig};
-use canely_federation::{quorum, FederationConfig, FederationSim, Gateway};
+use canely::obs::ProtocolEvent;
+use canely_federation::{quorum, FederationConfig, FederationSim};
 
 /// The judged result of one run.
 #[derive(Debug, Clone)]
@@ -120,210 +118,30 @@ pub fn false_suspicion_count(events: &[canely::obs::TimedEvent]) -> u64 {
         .count() as u64
 }
 
-/// A reusable simulation world: one allocated simulator plus one
-/// observation log that a sequence of runs executes in, instead of
-/// rebuilding bus, controllers, stacks and log buffers per run.
-///
-/// The campaign runner keeps one arena per worker thread; each run
-/// rewinds the world via [`Simulator::recycle`] /
-/// [`CanelyStack::reset_for_run`] / [`ObsLog::reset`], all of which
-/// restore exactly the freshly-constructed state while keeping the
-/// backing storage — so outcomes (and traces) are byte-identical to a
-/// cold [`execute`].
-#[derive(Default)]
-pub struct WorldArena {
-    sim: Option<Simulator>,
-    log: ObsLog,
-    telemetry: RunTelemetry,
-}
-
-impl WorldArena {
-    /// An empty arena; the first run populates it. Telemetry is
-    /// disabled: every would-be metric bump costs one branch.
-    pub fn new() -> Self {
-        WorldArena::default()
-    }
-
-    /// An arena whose runs stream telemetry into `registry`: campaign
-    /// and detector counters, latency histograms, and — volatile —
-    /// per-phase wall-time attribution (the simulator's own
-    /// [`SIM_PHASES`](can_controller::SIM_PHASES) profiler is switched
-    /// on for the arena's runs).
-    ///
-    /// None of this changes a run's outcome or trace: the counters
-    /// mirror quantities already derived deterministically from the
-    /// simulation, and the profiler only *reads* the clock.
-    pub fn with_registry(registry: &canely_metrics::Registry) -> Self {
-        WorldArena {
-            telemetry: RunTelemetry::new(registry),
-            ..WorldArena::default()
-        }
-    }
-
-    /// The arena's telemetry handle bundle.
-    pub fn telemetry(&self) -> &RunTelemetry {
-        &self.telemetry
-    }
-}
-
 /// Builds, runs and judges one simulation in a fresh world.
 ///
 /// With `capture_trace` the full JSONL document (bus transactions
 /// merged with protocol events, time-ordered, byte-deterministic) is
-/// returned for counterexample emission; campaigns leave it off to
-/// keep the hot path allocation-light.
+/// returned for counterexample emission; campaigns leave it off.
 pub fn execute(spec: &RunSpec, capture_trace: bool) -> RunOutcome {
-    execute_in(&mut WorldArena::new(), spec, capture_trace)
+    execute_on(&mut RunTelemetry::disabled(), spec, capture_trace)
 }
 
-/// Like [`execute`], but reuses the arena's simulator and log
-/// allocations across calls (the campaign hot path).
+/// [`execute`], streaming the run's counters and phase profile into a
+/// campaign worker's telemetry handles.
 ///
-/// Federated runs build their own multi-segment world each time — the
-/// arena's single recycled simulator cannot host K buses — so they
-/// bypass (and leave untouched) the arena.
-pub fn execute_in(arena: &mut WorldArena, spec: &RunSpec, capture_trace: bool) -> RunOutcome {
-    if spec.federation.is_some() {
-        let outcome = execute_federated(&mut arena.telemetry, spec, capture_trace);
-        arena.telemetry.flush_outcome(&outcome);
-        arena.telemetry.flush_run_phases();
-        return outcome;
-    }
-    arena.telemetry.profiler.enter(RP_SETUP);
-    let config = spec.config();
-    let mut faults = FaultPlan::seeded(spec.seed)
-        .with_consistent_rate(spec.consistent_rate)
-        .with_inconsistent_rate(spec.inconsistent_rate)
-        .with_omission_bound(spec.omission_degree, BitTime::new(100_000))
-        .with_inconsistent_bound(spec.inconsistent_degree);
-    for &(from, until) in &spec.inaccessibility {
-        faults.push_inaccessibility(from, until);
-    }
-
-    arena.log.reset();
-    let log = &arena.log;
-    let wanted = NodeSet::first_n(usize::from(spec.nodes));
-    let kept = if let Some(sim) = arena.sim.as_mut() {
-        sim.recycle(BusConfig::default(), faults, wanted, |_, app| {
-            app.as_any_mut()
-                .downcast_mut::<CanelyStack>()
-                .expect("arena worlds host CanelyStack applications")
-                .reset_for_run(config.clone());
-        })
-    } else {
-        arena.sim = Some(Simulator::new(BusConfig::default(), faults));
-        NodeSet::EMPTY
-    };
-    let sim = arena.sim.as_mut().expect("installed above");
-    sim.set_profiling(arena.telemetry.enabled());
-    for id in 0..spec.nodes {
-        let node = NodeId::new(id);
-        if kept.contains(node) {
-            let stack = sim.app_mut::<CanelyStack>(node);
-            stack.set_obs(log.sink());
-            stack.set_detector_metrics(arena.telemetry.detector_handles());
-            if let Some(period) = spec.traffic {
-                stack.set_traffic(
-                    TrafficConfig::periodic(period, 8)
-                        .with_offset(BitTime::new(u64::from(id) * 131 + 17)),
-                );
-            }
-        } else {
-            let mut stack = CanelyStack::new(config.clone()).with_obs(log.sink());
-            if let Some(period) = spec.traffic {
-                stack = stack.with_traffic(
-                    TrafficConfig::periodic(period, 8)
-                        .with_offset(BitTime::new(u64::from(id) * 131 + 17)),
-                );
-            }
-            stack.set_detector_metrics(arena.telemetry.detector_handles());
-            sim.add_node(node, stack);
-        }
-    }
-    for &(node, at) in &spec.crashes {
-        sim.schedule_crash(NodeId::new(node), at);
-    }
-    // The step loop's own profiler owns the run window; pause the
-    // worker-side profiler so no nanosecond is attributed twice.
-    arena.telemetry.profiler.pause();
-    sim.run_until(spec.until);
-    arena.telemetry.profiler.enter(RP_OBS);
-
-    // Ground-truth crash markers come from the simulator's own crash
-    // funnel (covers scheduled *and* fault-induced crashes), so the
-    // oracle never trusts the schedule alone.
-    for &(t, node) in sim.crash_times() {
-        log.record(t, node, ProtocolEvent::NodeCrashed);
-    }
-
-    let finals: Vec<NodeFinal> = (0..spec.nodes)
-        .map(|id| {
-            let node = NodeId::new(id);
-            let alive = sim.alive().contains(node);
-            let stack = sim.app::<CanelyStack>(node);
-            NodeFinal {
-                node,
-                alive,
-                in_service: alive && !stack.is_out_of_service(),
-                view: stack.view(),
-            }
-        })
-        .collect();
-
-    // Detector bandwidth, from the wire itself: the life-sign and
-    // ping share of actual bus occupancy over the whole run.
-    let bus = sim.trace().stats(BitTime::ZERO, spec.until);
-    let (detector_frames, detector_busy) = [MsgType::Els, MsgType::Ping]
-        .into_iter()
-        .map(|t| bus.of_type(t))
-        .fold((0u64, 0u64), |(frames, busy), s| {
-            (frames + s.frames as u64, busy + s.busy.as_u64())
-        });
-
-    let outcome = log.with_events(|events| {
-        let input = OracleInput {
-            events,
-            finals: &finals,
-            horizon: spec.until,
-            members: spec.members(),
-            quiescent: spec.statically_quiescent(),
-            operational_from: spec.operational_from(),
-            detection_bound: spec.detection_bound(),
-            view_change_bound: spec.view_change_bound(),
-        };
-        arena.telemetry.profiler.enter(RP_ORACLE);
-        let violations = oracle::check(&input);
-        arena.telemetry.profiler.enter(RP_OBS);
-        let trace_jsonl = capture_trace.then(|| export_jsonl(events, Some(sim.trace())));
-        let (detection, view_change) = latency_samples(events);
-
-        RunOutcome {
-            id: spec.id,
-            violations,
-            events: events.len(),
-            detection,
-            view_change,
-            false_suspicions: false_suspicion_count(events),
-            detector_frames,
-            detector_busy,
-            trace_jsonl,
-        }
-    });
-    arena.telemetry.profiler.pause();
-    arena.telemetry.flush_sim(sim.take_step_stats(), &sim.take_profile());
-    arena.telemetry.flush_run_phases();
-    arena.telemetry.flush_outcome(&outcome);
-    outcome
-}
-
-/// Builds, runs and judges one *federated* simulation: K bridged
-/// segments in a [`FederationSim`], the per-segment invariant oracle
-/// applied to each segment's trace, plus the global hierarchical-
-/// membership checks over the gateways' installed views.
-fn execute_federated(tel: &mut RunTelemetry, spec: &RunSpec, capture_trace: bool) -> RunOutcome {
+/// There is one world shape: K bridged segments in a
+/// [`FederationSim`], each an unmodified single-bus CANELy world
+/// judged by the per-segment invariant oracle. A plain run is the
+/// K = 1 case — one segment, no bridge, bare stacks, one stride to the
+/// horizon; only K > 1 has gateways, and with them the global
+/// hierarchical-membership checks and segment-qualified verdicts.
+pub(crate) fn execute_on(tel: &mut RunTelemetry, spec: &RunSpec, capture: bool) -> RunOutcome {
     tel.profiler.enter(RP_SETUP);
-    let fed_spec = spec.federation.as_ref().expect("caller checked");
+    let single = FederationSpec::default();
+    let fed_spec = spec.federation.as_ref().unwrap_or(&single);
     let segments = fed_spec.segments;
+    let federated = segments > 1;
     let config = FederationConfig::new(spec.config(), segments, spec.nodes)
         .with_topology(fed_spec.topology)
         .with_gateway(fed_spec.gateway)
@@ -346,22 +164,11 @@ fn execute_federated(tel: &mut RunTelemetry, spec: &RunSpec, capture_trace: bool
         plan_of,
     );
     fed.set_metrics(tel.fed_handles());
-    let gateway = fed.gateway();
+    fed.set_detector_metrics(tel.detector_handles());
     for seg in 0..segments {
-        let sim = fed.sim_mut(seg);
-        sim.set_profiling(tel.enabled());
-        for id in 0..spec.nodes {
-            let node = NodeId::new(id);
-            // Every federated node wraps its stack in a `Gateway`
-            // (active or standby); detector counters cover the plain
-            // members, mirroring the single-bus model where the acting
-            // representative's detector traffic is its own.
-            if node != gateway {
-                sim.app_mut::<Gateway>(node)
-                    .set_detector_metrics(tel.detector_handles());
-            }
-        }
+        fed.sim_mut(seg).set_profiling(tel.enabled());
     }
+    let gateway = fed.gateway();
     for &(node, at) in &spec.crashes {
         fed.sim_mut(0).schedule_crash(NodeId::new(node), at);
     }
@@ -380,28 +187,35 @@ fn execute_federated(tel: &mut RunTelemetry, spec: &RunSpec, capture_trace: bool
     for &(from_seg, to_seg, from, until) in &fed_spec.asymmetric {
         fed.schedule_asymmetric(from_seg, to_seg, from, until);
     }
+    // The step loops' own profilers own the run window; pause the
+    // worker-side profiler so no nanosecond is attributed twice.
     tel.profiler.pause();
     fed.run_until(spec.until);
     tel.profiler.enter(RP_OBS);
 
+    // Ground-truth crash markers come from the simulator's own crash
+    // funnel (covers scheduled *and* fault-induced crashes), so the
+    // oracle never trusts the schedule alone.
     for seg in 0..segments {
-        let markers: Vec<(BitTime, NodeId)> = fed.sim(seg).crash_times().to_vec();
-        for (t, node) in markers {
+        for &(t, node) in fed.sim(seg).crash_times() {
             fed.log(seg).record(t, node, ProtocolEvent::NodeCrashed);
         }
     }
     for &(seg, at) in &fed_spec.gateway_restarts {
-        fed.log(seg)
-            .record(at, gateway, ProtocolEvent::NodeRestarted);
+        fed.log(seg).record(at, gateway, ProtocolEvent::NodeRestarted);
     }
 
-    let mut violations = Vec::new();
-    let mut events = 0;
-    let mut detection = Vec::new();
-    let mut view_change = Vec::new();
-    let mut false_suspicions = 0;
-    let mut detector_frames = 0;
-    let mut detector_busy = 0;
+    let mut outcome = RunOutcome {
+        id: spec.id,
+        violations: Vec::new(),
+        events: 0,
+        detection: Vec::new(),
+        view_change: Vec::new(),
+        false_suspicions: 0,
+        detector_frames: 0,
+        detector_busy: 0,
+        trace_jsonl: None,
+    };
     let mut gateway_finals = Vec::new();
     let mut expected_views = Vec::new();
 
@@ -411,7 +225,7 @@ fn execute_federated(tel: &mut RunTelemetry, spec: &RunSpec, capture_trace: bool
             .map(|id| {
                 let node = NodeId::new(id);
                 let alive = sim.alive().contains(node);
-                let stack = sim.app::<Gateway>(node).stack();
+                let stack = fed.stack(seg, node);
                 NodeFinal {
                     node,
                     alive,
@@ -420,34 +234,38 @@ fn execute_federated(tel: &mut RunTelemetry, spec: &RunSpec, capture_trace: bool
                 }
             })
             .collect();
-        let mut crashed_here = NodeSet::EMPTY;
-        for &(_, node) in sim.crash_times() {
-            crashed_here.insert(node);
+        if federated {
+            let mut crashed_here = NodeSet::EMPTY;
+            for &(_, node) in sim.crash_times() {
+                crashed_here.insert(node);
+            }
+            // A restarted gateway is back up and, by quiescence,
+            // re-integrated: it belongs in the segment's expected view.
+            if fed_spec.gateway_restarts.iter().any(|&(s, _)| s == seg)
+                && sim.alive().contains(gateway)
+            {
+                crashed_here.remove(gateway);
+            }
+            expected_views.push(spec.members() - crashed_here);
+            // The segment's representative at the horizon: the acting
+            // gateway (configured or elected successor), or — headless —
+            // the configured one's frozen state for the agreement check.
+            let rep = fed.active_gateway(seg);
+            let gw = fed.node_app(seg, rep.unwrap_or(gateway));
+            gateway_finals.push(GatewayFinal {
+                seg,
+                alive: rep.is_some(),
+                installed: gw.installed_views(),
+                install_log: gw.install_log().to_vec(),
+            });
         }
-        // A restarted gateway is back up and, by quiescence,
-        // re-integrated: it belongs in the segment's expected view.
-        if fed_spec.gateway_restarts.iter().any(|&(s, _)| s == seg)
-            && sim.alive().contains(gateway)
-        {
-            crashed_here.remove(gateway);
-        }
-        expected_views.push(spec.members() - crashed_here);
-        // The segment's representative at the horizon: the acting
-        // gateway (configured or elected successor), or — headless —
-        // the configured one's frozen state for the agreement check.
-        let rep = fed.active_gateway(seg);
-        let gw = sim.app::<Gateway>(rep.unwrap_or(gateway));
-        gateway_finals.push(GatewayFinal {
-            seg,
-            alive: rep.is_some(),
-            installed: gw.installed_views(),
-            install_log: gw.install_log().to_vec(),
-        });
 
+        // Detector bandwidth, from the wire itself: the life-sign and
+        // ping share of actual bus occupancy over the whole run.
         let bus = sim.trace().stats(BitTime::ZERO, spec.until);
         for stats in [MsgType::Els, MsgType::Ping].map(|t| bus.of_type(t)) {
-            detector_frames += stats.frames as u64;
-            detector_busy += stats.busy.as_u64();
+            outcome.detector_frames += stats.frames as u64;
+            outcome.detector_busy += stats.busy.as_u64();
         }
 
         fed.log(seg).with_events(|seg_events| {
@@ -462,51 +280,53 @@ fn execute_federated(tel: &mut RunTelemetry, spec: &RunSpec, capture_trace: bool
                 view_change_bound: spec.view_change_bound(),
             };
             tel.profiler.enter(RP_ORACLE);
-            violations.extend(oracle::check(&input).into_iter().map(|mut v| {
-                v.detail = format!("segment {seg}: {}", v.detail);
+            let found = oracle::check(&input).into_iter().map(|mut v| {
+                if federated {
+                    v.detail = format!("segment {seg}: {}", v.detail);
+                }
                 v
-            }));
+            });
+            outcome.violations.extend(found);
             tel.profiler.enter(RP_OBS);
-            events += seg_events.len();
-            let (d, vc) = latency_samples(seg_events);
-            detection.extend(d);
-            view_change.extend(vc);
-            false_suspicions += false_suspicion_count(seg_events);
+            outcome.events += seg_events.len();
+            let (detection, view_change) = latency_samples(seg_events);
+            outcome.detection.extend(detection);
+            outcome.view_change.extend(view_change);
+            outcome.false_suspicions += false_suspicion_count(seg_events);
         });
     }
 
-    tel.profiler.enter(RP_ORACLE);
-    violations.extend(oracle::check_global(&GlobalOracleInput {
-        gateways: &gateway_finals,
-        expected: &expected_views,
-        quiescent: spec.statically_quiescent(),
-        quorum: quorum(usize::from(segments)),
-        gateway_losses: &fed_spec.gateway_crashes,
-        rejoin_bound: spec.rejoin_bound(),
-        horizon: spec.until,
-    }));
-    violations.sort_by_key(|v| (v.invariant, v.node.map(NodeId::as_u8), v.time));
+    if federated {
+        tel.profiler.enter(RP_ORACLE);
+        outcome.violations.extend(oracle::check_global(&GlobalOracleInput {
+            gateways: &gateway_finals,
+            expected: &expected_views,
+            quiescent: spec.statically_quiescent(),
+            quorum: quorum(usize::from(segments)),
+            gateway_losses: &fed_spec.gateway_crashes,
+            rejoin_bound: spec.rejoin_bound(),
+            horizon: spec.until,
+        }));
+        outcome
+            .violations
+            .sort_by_key(|v| (v.invariant, v.node.map(NodeId::as_u8), v.time));
+        tel.profiler.enter(RP_OBS);
+    }
 
-    tel.profiler.enter(RP_OBS);
-    let trace_jsonl = capture_trace.then(|| fed.export_jsonl());
-    tel.profiler.pause();
+    outcome.trace_jsonl = capture.then(|| fed.export_jsonl());
     for seg in 0..segments {
         let sim = fed.sim_mut(seg);
         let (stats, profile) = (sim.take_step_stats(), sim.take_profile());
         tel.flush_sim(stats, &profile);
     }
+    // Tearing the world down is the other half of building it.
+    tel.profiler.enter(RP_SETUP);
+    drop(fed);
+    tel.profiler.pause();
 
-    RunOutcome {
-        id: spec.id,
-        violations,
-        events,
-        detection,
-        view_change,
-        false_suspicions,
-        detector_frames,
-        detector_busy,
-        trace_jsonl,
-    }
+    tel.flush_run_phases();
+    tel.flush_outcome(&outcome);
+    outcome
 }
 
 #[cfg(test)]
@@ -554,31 +374,35 @@ mod tests {
     }
 
     #[test]
-    fn arena_reuse_is_byte_identical_to_fresh_worlds() {
-        // Runs with different node counts, crash schedules and fault
-        // rates executed back-to-back in ONE arena must produce the
-        // exact traces a fresh world produces — growing, shrinking and
-        // re-seeding the recycled world in every combination.
+    fn back_to_back_runs_on_one_worker_equal_isolated_runs() {
+        // A worker keeps nothing between runs but its telemetry
+        // handles: runs of different node counts, crash schedules and
+        // fault rates, one- and two-segment worlds alternating, executed
+        // back to back on ONE live handle bundle must produce exactly
+        // what each produces in isolation.
         let spec = CampaignSpec {
-            seeds: (3, 6),
+            seeds: (3, 5),
             nodes: vec![3, 5, 4],
             crash_budgets: vec![0, 1],
             consistent_rates: vec![0.0, 0.02],
+            segments: vec![1, 2],
             ..CampaignSpec::default()
         };
         let runs = spec.expand();
-        assert!(runs.len() >= 8, "matrix too small to exercise reuse");
-        let mut arena = WorldArena::new();
+        let bridged = runs.iter().filter(|r| r.federation.is_some()).count();
+        assert!(bridged >= 8 && runs.len() - bridged >= 8, "matrix must mix shapes");
+        let registry = canely_metrics::Registry::new();
+        let mut worker = RunTelemetry::new(&registry);
         for run in &runs {
-            let warm = execute_in(&mut arena, run, true);
-            let cold = execute(run, true);
-            assert_eq!(warm.trace_jsonl, cold.trace_jsonl, "run {}", run.id);
-            assert_eq!(warm.events, cold.events);
-            assert_eq!(warm.detection, cold.detection);
-            assert_eq!(warm.view_change, cold.view_change);
+            let shared = execute_on(&mut worker, run, true);
+            let isolated = execute(run, true);
+            assert_eq!(shared.trace_jsonl, isolated.trace_jsonl, "run {}", run.id);
+            assert_eq!(shared.events, isolated.events);
+            assert_eq!(shared.detection, isolated.detection);
+            assert_eq!(shared.view_change, isolated.view_change);
             assert_eq!(
-                format!("{:?}", warm.violations),
-                format!("{:?}", cold.violations)
+                format!("{:?}", shared.violations),
+                format!("{:?}", isolated.violations)
             );
         }
     }

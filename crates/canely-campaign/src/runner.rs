@@ -10,10 +10,11 @@
 //! campaign run --workers N` relies on).
 
 use crate::oracle::Violation;
-use crate::run::{self, RunOutcome, WorldArena};
+use crate::run::{self, RunOutcome};
 use crate::shootout::ShootoutReport;
 use crate::shrink;
 use crate::spec::{CampaignSpec, RunSpec};
+use crate::telemetry::RunTelemetry;
 use canely_metrics::Registry;
 use canely_trace::{CampaignAnalytics, PhaseProfile, RunAnalytics, Summary, TraceModel};
 use std::cell::UnsafeCell;
@@ -325,7 +326,7 @@ pub fn run_campaign_with(spec: &CampaignSpec, options: &CampaignOptions) -> Camp
 /// latency histograms plus measured-vs-bound headroom per run.
 pub fn run_campaign_analytics(spec: &CampaignSpec, workers: usize) -> CampaignAnalytics {
     let runs = spec.expand();
-    let outcomes = execute_all(&runs, workers, true);
+    let outcomes = execute_all_with(&runs, &CampaignOptions::new(workers), true);
     let mut analytics = CampaignAnalytics::default();
     for outcome in &outcomes {
         let run = &runs[outcome.id];
@@ -399,7 +400,7 @@ impl OutcomeSlots {
 struct ProgressState {
     completed: AtomicUsize,
     violations: AtomicU64,
-    /// Per-worker wall nanos spent inside `execute_in`.
+    /// Per-worker wall nanos spent executing runs.
     busy: Vec<AtomicU64>,
 }
 
@@ -444,22 +445,18 @@ impl ProgressState {
     }
 }
 
-/// Executes every run via [`execute_all_with`] under plain options.
-fn execute_all(runs: &[RunSpec], workers: usize, capture_trace: bool) -> Vec<RunOutcome> {
-    execute_all_with(runs, &CampaignOptions::new(workers), capture_trace)
-}
-
 /// Executes every run, fanning out over `options.workers` threads,
 /// and returns the outcomes in matrix order.
 ///
 /// `workers` is clamped to the run count (spawning idle threads for a
 /// tiny matrix only buys startup latency), and `workers == 1` runs
 /// inline without spawning at all — unless progress streaming is on,
-/// which needs the ticker thread. Each worker reuses one
-/// [`WorldArena`] across all its runs and claims run indices in small
-/// batches to keep cursor traffic off the hot path. Outcomes land in
-/// pre-sized per-index slots, so the result order — and therefore the
-/// campaign summary — is byte-identical for any worker count.
+/// which needs the ticker thread. Each worker registers its
+/// [`RunTelemetry`] handles once — the only state it keeps between
+/// runs — and claims run indices in small batches to keep cursor
+/// traffic off the hot path. Outcomes land in pre-sized per-index
+/// slots, so the result order — and therefore the campaign summary —
+/// is byte-identical for any worker count.
 fn execute_all_with(
     runs: &[RunSpec],
     options: &CampaignOptions,
@@ -467,10 +464,10 @@ fn execute_all_with(
 ) -> Vec<RunOutcome> {
     let workers = options.workers.clamp(1, 64).min(runs.len().max(1));
     if workers == 1 && options.progress.is_none() {
-        let mut arena = WorldArena::with_registry(&options.registry);
+        let mut telemetry = RunTelemetry::new(&options.registry);
         return runs
             .iter()
-            .map(|spec| run::execute_in(&mut arena, spec, capture_trace))
+            .map(|spec| run::execute_on(&mut telemetry, spec, capture_trace))
             .collect();
     }
     // Batched claims amortize the shared fetch_add; small enough that
@@ -487,7 +484,7 @@ fn execute_all_with(
             let cursor = &cursor;
             let slots = &slots;
             scope.spawn(move || {
-                let mut arena = WorldArena::with_registry(&options.registry);
+                let mut telemetry = RunTelemetry::new(&options.registry);
                 loop {
                     let first = cursor.0.fetch_add(batch, Ordering::Relaxed);
                     if first >= runs.len() {
@@ -495,7 +492,7 @@ fn execute_all_with(
                     }
                     for (i, spec) in runs.iter().enumerate().skip(first).take(batch) {
                         let started = timing.then(Instant::now);
-                        let outcome = run::execute_in(&mut arena, spec, capture_trace);
+                        let outcome = run::execute_on(&mut telemetry, spec, capture_trace);
                         if let Some(started) = started {
                             let nanos = started.elapsed().as_nanos() as u64;
                             state.busy[w].fetch_add(nanos, Ordering::Relaxed);

@@ -914,7 +914,7 @@ impl CampaignSpec {
 /// segment 0 and [`FederationSpec::seg_crashes`] to the rest.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FederationSpec {
-    /// Number of bridged segments (≥ 2).
+    /// Number of segments (≥ 2; 1 only in the default, a plain run).
     pub segments: u8,
     /// Local node id of every segment's gateway.
     pub gateway: u8,
@@ -937,6 +937,24 @@ pub struct FederationSpec {
     /// Asymmetric windows `(from_seg, to_seg, from, until)` — one
     /// direction of one bridge.
     pub asymmetric: Vec<(u8, u8, BitTime, BitTime)>,
+}
+
+impl Default for FederationSpec {
+    /// The single segment a plain run executes in: no bridge, nothing
+    /// to relay, no bridge-level fault.
+    fn default() -> Self {
+        FederationSpec {
+            segments: 1,
+            gateway: 0,
+            topology: BridgeKind::Ring,
+            relay: RelayFilter::none(),
+            seg_crashes: Vec::new(),
+            gateway_crashes: Vec::new(),
+            gateway_restarts: Vec::new(),
+            partitions: Vec::new(),
+            asymmetric: Vec::new(),
+        }
+    }
 }
 
 /// One fully scheduled simulation: everything needed to reproduce the

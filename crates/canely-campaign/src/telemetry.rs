@@ -16,13 +16,13 @@ use canely_federation::FedMetrics;
 use canely_metrics::{Counter, Hist, PhaseProfiler, PhaseReport, Registry, Stability};
 
 /// The campaign-worker phases surrounding the simulator's own
-/// [`SIM_PHASES`]: world (re)construction,
+/// [`SIM_PHASES`]: world construction and teardown,
 /// observation-log folding (markers, finals, trace export, latency
 /// extraction) and invariant judging. Together the two phase sets
 /// account for a run's wall time end to end.
 pub const RUN_PHASES: &[&str] = &["world-setup", "obs-emit", "oracle"];
 
-/// [`RUN_PHASES`] index: building or recycling the world.
+/// [`RUN_PHASES`] index: building the world, and dropping it.
 pub(crate) const RP_SETUP: usize = 0;
 /// [`RUN_PHASES`] index: folding markers/finals/trace out of the log.
 pub(crate) const RP_OBS: usize = 1;
@@ -37,10 +37,10 @@ pub const LATENCY_BUCKETS: &[u64] = &[
 ];
 
 /// Every registry handle a campaign worker touches, pre-registered
-/// once per arena so the run hot path never takes the registry lock.
+/// once per worker so the run hot path never takes the registry lock.
 ///
-/// The `Default` value is the fully disabled telemetry: every handle
-/// is inert and the profiler reads no clock, so un-instrumented
+/// [`RunTelemetry::disabled`] is the fully disabled telemetry: every
+/// handle is inert and the profiler reads no clock, so un-instrumented
 /// campaigns pay one branch per would-be bump.
 pub struct RunTelemetry {
     /// Runs executed.
@@ -72,12 +72,6 @@ pub struct RunTelemetry {
     fed: FedMetrics,
     /// The worker-side profiler over [`RUN_PHASES`].
     pub(crate) profiler: PhaseProfiler,
-}
-
-impl Default for RunTelemetry {
-    fn default() -> Self {
-        RunTelemetry::disabled()
-    }
 }
 
 impl RunTelemetry {

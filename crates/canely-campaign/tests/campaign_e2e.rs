@@ -97,3 +97,22 @@ fn weakened_mutant_shrinks_to_a_replayable_counterexample() {
         "replayed counterexample must still violate"
     );
 }
+
+#[test]
+fn plain_runs_go_to_forty_nodes_and_bridged_ones_stay_capped() {
+    // The 32-node cap is the digest wire encoding's, so it binds
+    // bridged segments only; one segment goes to `MAX_NODES`.
+    let text = "name wide\nnodes 40\ntm 30ms\nth 25ms\nseeds 0..1\ncrash-budget 1\n\
+                traffic 12ms\nuntil 600ms\nsettle 300ms\n";
+    let run = CampaignSpec::parse(text).unwrap().expand().remove(0);
+    assert_eq!(run.nodes, 40);
+    let outcome = execute(&run, false);
+    assert!(outcome.events > 0);
+    assert!(!outcome.detection.is_empty(), "the crash must be detected");
+    let err = CampaignSpec::parse(&format!("{text}segments 2\n")).unwrap_err();
+    assert!(
+        err.to_string()
+            .contains("federated segment populations cap at 32 nodes"),
+        "{err}"
+    );
+}

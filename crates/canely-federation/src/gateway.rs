@@ -32,17 +32,16 @@
 //! tables and promotes itself (see [`crate::election`]) when the
 //! segment's membership expels the acting gateway.
 //!
-//! A gateway with no bridges (the 1-segment degenerate federation)
-//! arms no timer, emits no event and relays nothing — whatever its
-//! role: its observable behaviour is byte-identical to a plain
-//! [`CanelyStack`].
+//! A gateway exists only where a bridge does: a single-segment world
+//! has nothing to represent or relay, so [`crate::FederationSim`]
+//! hosts bare [`CanelyStack`]s there and never builds this wrapper.
 
 use crate::election::{successor, GatewayRole};
 use can_controller::{Application, Ctx, DriverEvent, TimerId};
 use can_types::{BitTime, Mid, MsgType, NodeId, NodeSet, Payload};
 use canely::obs::{EventSink, ProtocolEvent};
 use canely::tags::{digest_mid, digest_mid_segments, TimerOwner, MAX_SEGMENTS};
-use canely::{CanelyConfig, CanelyStack, DetectorMetrics, TrafficConfig};
+use canely::{CanelyStack, DetectorMetrics};
 use canely_metrics::Counter;
 use std::any::Any;
 
@@ -145,9 +144,6 @@ pub struct Gateway {
     segments: u8,
     filter: RelayFilter,
     digest_period: BitTime,
-    /// Set once the federation attaches at least one bridge; an
-    /// unbridged gateway is behaviourally a plain stack.
-    bridged: bool,
     last_view: NodeSet,
     /// `claims[reporter][subject]`; own row doubles as "what I will
     /// gossip next tick".
@@ -180,28 +176,29 @@ pub struct Gateway {
 }
 
 impl Gateway {
-    /// A gateway for segment `seg` of a `segments`-wide federation.
+    /// A gateway for segment `seg` of a `segments`-wide federation,
+    /// wrapping the node's fully configured `stack`. Gateway events go
+    /// to the stack's own observability sink.
     ///
     /// # Panics
     ///
     /// Panics if `seg >= segments` or `segments` exceeds
     /// [`MAX_SEGMENTS`].
-    pub fn new(config: CanelyConfig, seg: u8, segments: u8, filter: RelayFilter) -> Self {
+    pub fn new(stack: CanelyStack, seg: u8, segments: u8, filter: RelayFilter) -> Self {
         assert!((segments as usize) <= MAX_SEGMENTS, "too many segments");
         assert!(seg < segments, "segment index out of range");
         Gateway {
-            stack: CanelyStack::new(config),
+            obs: stack.obs().clone(),
+            stack,
             seg,
             segments,
             filter,
             digest_period: BitTime::new(10_000),
-            bridged: false,
             last_view: NodeSet::EMPTY,
             claims: [[None; MAX_SEGMENTS]; MAX_SEGMENTS],
             installed: [None; MAX_SEGMENTS],
             relayed: [[0; MAX_SEGMENTS]; MAX_SEGMENTS],
             outbox: Vec::new(),
-            obs: EventSink::disabled(),
             role: GatewayRole::Active,
             digest_timer_armed: false,
             leader: None,
@@ -242,32 +239,11 @@ impl Gateway {
         self.stack.set_detector_metrics(metrics);
     }
 
-    /// Attaches the observability sink (gateway events and the
-    /// delegated stack share it).
-    pub fn with_obs(mut self, sink: EventSink) -> Self {
-        self.obs = sink.clone();
-        self.stack = self.stack.with_obs(sink);
-        self
-    }
-
-    /// Adds cyclic application traffic, exactly as on a plain stack.
-    pub fn with_traffic(mut self, traffic: TrafficConfig) -> Self {
-        self.stack = self.stack.with_traffic(traffic);
-        self
-    }
-
     /// Overrides the digest gossip period (default 10 ms).
     pub fn with_digest_period(mut self, period: BitTime) -> Self {
         assert!(!period.is_zero(), "digest period must be positive");
         self.digest_period = period;
         self
-    }
-
-    /// Marks the gateway as bridged: arms the gossip machinery. Called
-    /// by the federation harness while wiring topologies; never called
-    /// in the 1-segment degenerate case.
-    pub fn attach_bridge(&mut self) {
-        self.bridged = true;
     }
 
     /// The wrapped per-segment stack.
@@ -650,7 +626,7 @@ fn decode_digest(payload: &Payload) -> Option<Claim> {
 impl Application for Gateway {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         self.stack.on_start(ctx);
-        if self.bridged && self.role == GatewayRole::Active {
+        if self.role == GatewayRole::Active {
             self.track_view(ctx);
             self.arm_digest_timer(ctx);
         }
@@ -658,9 +634,6 @@ impl Application for Gateway {
 
     fn on_event(&mut self, ctx: &mut Ctx<'_>, event: &DriverEvent) {
         self.stack.on_event(ctx, event);
-        if !self.bridged {
-            return;
-        }
         self.after_stack(ctx);
         if let DriverEvent::DataInd { mid, payload } = event {
             if mid.msg_type() == MsgType::Digest {
@@ -683,7 +656,7 @@ impl Application for Gateway {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, id: TimerId, tag: u64) {
-        if self.bridged && TimerOwner::decode(tag) == Some(TimerOwner::FederationDigest) {
+        if TimerOwner::decode(tag) == Some(TimerOwner::FederationDigest) {
             self.digest_timer_armed = false;
             // A timer armed before a demotion is swallowed un-rearmed:
             // only the active gateway gossips.
@@ -693,9 +666,7 @@ impl Application for Gateway {
             return;
         }
         self.stack.on_timer(ctx, id, tag);
-        if self.bridged {
-            self.after_stack(ctx);
-        }
+        self.after_stack(ctx);
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -710,6 +681,7 @@ impl Application for Gateway {
 mod tests {
     use super::*;
     use can_types::NodeId;
+    use canely::CanelyConfig;
 
     #[test]
     fn digest_payload_round_trips() {
@@ -749,8 +721,8 @@ mod tests {
         // Regression for the drains-but-drops hole: a gateway that
         // yields the active role must not leave frames queued under
         // its deposed tenure for the pump to ship (or leak) later.
-        let mut gw = Gateway::new(CanelyConfig::default(), 0, 4, RelayFilter::none());
-        gw.attach_bridge();
+        let stack = CanelyStack::new(CanelyConfig::default());
+        let mut gw = Gateway::new(stack, 0, 4, RelayFilter::none());
         assert!(gw.is_active());
         gw.outbox.push(BridgeFrame {
             mid: Mid::new(MsgType::AppData, 1, NodeId::new(3)),
@@ -769,7 +741,8 @@ mod tests {
     fn promotion_requires_an_expelled_leader() {
         // A standby whose leader is unknown (a restarted former
         // gateway) never ranks itself, whatever the view does.
-        let gw = Gateway::new(CanelyConfig::default(), 0, 4, RelayFilter::none())
+        let stack = CanelyStack::new(CanelyConfig::default());
+        let gw = Gateway::new(stack, 0, 4, RelayFilter::none())
             .with_role(crate::GatewayRole::Standby)
             .with_leader(None);
         assert!(!gw.is_active());

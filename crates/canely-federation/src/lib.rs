@@ -20,7 +20,8 @@
 //!   lockstep quanta with bridge pumps in between, plus bridge-level
 //!   fault injection (gateway crashes, inter-segment partitions,
 //!   asymmetric one-way windows) and a merged segment-qualified trace
-//!   export.
+//!   export. It is the one world every campaign run executes in: the
+//!   paper's single bus is its K = 1 case.
 //!
 //! The federation is **self-healing**: the gateway is a role, not a
 //! node. Every member of a federated segment runs the [`Gateway`]
@@ -33,9 +34,10 @@
 //! headless segment) back off exponentially through a bounded retry
 //! queue instead of dropping frames on the floor.
 //!
-//! The single-segment degenerate case is exact: one segment, no
-//! bridges, a pass-through gateway — byte-identical traces to the
-//! non-federated stack (enforced by a differential property test).
+//! The single-segment case is exact: one segment has no bridge, so it
+//! hosts bare stacks, advances in one stride and produces traces
+//! byte-identical to a hand-built single-bus simulator (enforced by a
+//! differential property test).
 
 pub mod election;
 pub mod gateway;

@@ -19,12 +19,17 @@
 //! inconsistent channel. A **gateway restart** power-cycles the
 //! configured gateway node back as a fresh standby.
 //!
-//! The harness is failover-aware: every node hosts a [`Gateway`]
-//! wrapper, the pump drains and injects at whichever node currently
-//! holds the active role (see [`crate::election`]), and delivery
-//! attempts that fail — blocked direction, or a destination segment
-//! between representatives — back off through a bounded deterministic
-//! retry queue instead of being dropped.
+//! The harness is failover-aware: every node of a bridged world hosts
+//! a [`Gateway`] wrapper, the pump drains and injects at whichever
+//! node currently holds the active role (see [`crate::election`]), and
+//! delivery attempts that fail — blocked direction, or a destination
+//! segment between representatives — back off through a bounded
+//! deterministic retry queue instead of being dropped.
+//!
+//! One segment *is* the paper's single bus: with no bridge there is
+//! nothing to represent, relay or pump, so such a world hosts bare
+//! [`CanelyStack`]s and advances to the deadline in one stride.
+//! [`FederationSim::stack`] hides the difference from callers.
 
 use crate::election::GatewayRole;
 use crate::gateway::{BridgeFrame, Gateway, RelayFilter};
@@ -33,7 +38,7 @@ use can_controller::Simulator;
 use can_types::{BitTime, NodeId};
 use canely::obs::ObsLog;
 use canely::tags::MAX_SEGMENTS;
-use canely::{CanelyConfig, TrafficConfig};
+use canely::{CanelyConfig, CanelyStack, DetectorMetrics, TrafficConfig};
 
 /// How the segments' bridges are wired.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,7 +114,7 @@ pub struct FederationConfig {
     /// Number of segments `K`.
     pub segments: u8,
     /// Population of every segment (local ids `0..nodes`); at most 32
-    /// so segment views fit the digest wire encoding.
+    /// when bridged, so segment views fit the digest wire encoding.
     pub nodes: u8,
     /// Local id of each segment's gateway.
     pub gateway: u8,
@@ -135,8 +140,8 @@ impl FederationConfig {
             "the digest encoding addresses at most {MAX_SEGMENTS} segments"
         );
         assert!(
-            (2..=32).contains(&nodes),
-            "segment populations must be 2..=32 (digest views are 32-bit)"
+            segments == 1 || (2..=32).contains(&nodes),
+            "bridged segment populations must be 2..=32 (digest views are 32-bit)"
         );
         FederationConfig {
             config,
@@ -294,66 +299,25 @@ pub struct FederationSim {
 
 impl FederationSim {
     /// Builds the federation: every segment gets a fresh simulator
-    /// seeded from `seed_of(segment)` and a population of [`Gateway`]
-    /// wrappers — the configured gateway id starts
+    /// seeded from `seed_of(segment)`. In a bridged world every node
+    /// hosts a [`Gateway`] wrapper — the configured gateway id starts
     /// [`GatewayRole::Active`], everyone else a warm standby ready to
-    /// take over. `traffic` mirrors the campaign's per-node cyclic
-    /// traffic model.
+    /// take over; a single segment hosts the bare stacks. `traffic`
+    /// mirrors the campaign's per-node cyclic traffic model.
     pub fn new(
         fed: &FederationConfig,
         traffic: Option<BitTime>,
         seed_of: impl Fn(u8) -> u64,
         plan_of: impl Fn(u64) -> FaultPlan,
     ) -> Self {
-        let bridges = if fed.segments > 1 {
-            fed.topology.bridges(fed.segments)
-        } else {
-            Vec::new()
-        };
-        let mut sims = Vec::with_capacity(fed.segments as usize);
-        let mut logs = Vec::with_capacity(fed.segments as usize);
-        for seg in 0..fed.segments {
-            let log = ObsLog::default();
-            let mut sim = Simulator::new(BusConfig::default(), plan_of(seed_of(seg)));
-            for id in 0..fed.nodes {
-                let node = NodeId::new(id);
-                let node_traffic = traffic.map(|period| {
-                    TrafficConfig::periodic(period, 8)
-                        .with_offset(BitTime::new(u64::from(id) * 131 + 17))
-                });
-                let role = if id == fed.gateway {
-                    GatewayRole::Active
-                } else {
-                    GatewayRole::Standby
-                };
-                let mut gw = Gateway::new(
-                    fed.config.clone(),
-                    seg,
-                    fed.segments,
-                    fed.filter.clone(),
-                )
-                .with_role(role)
-                .with_leader((role == GatewayRole::Standby).then(|| NodeId::new(fed.gateway)))
-                .with_obs(log.sink())
-                .with_digest_period(fed.digest_period);
-                if let Some(t) = node_traffic {
-                    gw = gw.with_traffic(t);
-                }
-                if !bridges.is_empty() {
-                    gw.attach_bridge();
-                }
-                sim.add_node(node, gw);
-            }
-            sims.push(sim);
-            logs.push(log);
-        }
+        let bridges = fed.topology.bridges(fed.segments);
         let health = bridges
             .iter()
             .flat_map(|&(a, b)| [((a, b), BridgeHealth::default()), ((b, a), BridgeHealth::default())])
             .collect();
-        FederationSim {
-            sims,
-            logs,
+        let mut this = FederationSim {
+            sims: Vec::with_capacity(fed.segments as usize),
+            logs: (0..fed.segments).map(|_| ObsLog::default()).collect(),
             bridges,
             gateway: NodeId::new(fed.gateway),
             segments: fed.segments,
@@ -370,21 +334,84 @@ impl FederationSim {
             backoff_seed: seed_of(0),
             retries: Vec::new(),
             health,
+        };
+        for seg in 0..fed.segments {
+            let mut sim = Simulator::new(BusConfig::default(), plan_of(seed_of(seg)));
+            for id in 0..fed.nodes {
+                let node = NodeId::new(id);
+                if !this.bridged() {
+                    sim.add_node(node, this.node_stack(seg, id));
+                } else if node == this.gateway {
+                    sim.add_node(node, this.node_gateway(seg, id, GatewayRole::Active, None));
+                } else {
+                    let leader = Some(this.gateway);
+                    sim.add_node(node, this.node_gateway(seg, id, GatewayRole::Standby, leader));
+                }
+            }
+            this.sims.push(sim);
         }
+        this
+    }
+
+    /// Whether any bridge exists, i.e. whether nodes host [`Gateway`]
+    /// wrappers and the pump has work.
+    fn bridged(&self) -> bool {
+        !self.bridges.is_empty()
+    }
+
+    /// One node's unmodified protocol stack, wired to its segment's
+    /// log and loaded with the harness's cyclic traffic.
+    fn node_stack(&self, seg: u8, id: u8) -> CanelyStack {
+        let stack =
+            CanelyStack::new(self.config.clone()).with_obs(self.logs[seg as usize].sink());
+        match self.traffic {
+            Some(period) => stack.with_traffic(TrafficConfig::staggered(period, id)),
+            None => stack,
+        }
+    }
+
+    /// The gateway wrapper around [`FederationSim::node_stack`] that a
+    /// node of a bridged world hosts.
+    fn node_gateway(&self, seg: u8, id: u8, role: GatewayRole, leader: Option<NodeId>) -> Gateway {
+        let mut gateway =
+            Gateway::new(self.node_stack(seg, id), seg, self.segments, self.filter.clone())
+                .with_role(role)
+                .with_leader(leader)
+                .with_digest_period(self.digest_period);
+        gateway.set_fed_counters(self.metrics.elections.clone(), self.metrics.rejoins.clone());
+        gateway
     }
 
     /// Installs live-telemetry counters on the bridge pump and the
     /// election machinery (see [`FedMetrics`]).
     pub fn set_metrics(&mut self, metrics: FedMetrics) {
-        for sim in &mut self.sims {
-            for id in 0..self.nodes {
-                sim.app_mut::<Gateway>(NodeId::new(id)).set_fed_counters(
-                    metrics.elections.clone(),
-                    metrics.rejoins.clone(),
-                );
+        if self.bridged() {
+            for sim in &mut self.sims {
+                for id in 0..self.nodes {
+                    sim.app_mut::<Gateway>(NodeId::new(id))
+                        .set_fed_counters(metrics.elections.clone(), metrics.rejoins.clone());
+                }
             }
         }
         self.metrics = metrics;
+    }
+
+    /// Installs failure-detector counters on the plain members'
+    /// stacks: every node of a single segment; in a bridged world
+    /// every node but the configured gateway, whose detector traffic
+    /// is booked to the representative role rather than to a member.
+    pub fn set_detector_metrics(&mut self, metrics: DetectorMetrics) {
+        let (bridged, gateway) = (self.bridged(), self.gateway);
+        for sim in &mut self.sims {
+            for node in (0..self.nodes).map(NodeId::new) {
+                let metrics = metrics.clone();
+                if !bridged {
+                    sim.app_mut::<CanelyStack>(node).set_detector_metrics(metrics);
+                } else if node != gateway {
+                    sim.app_mut::<Gateway>(node).set_detector_metrics(metrics);
+                }
+            }
+        }
     }
 
     /// Number of segments.
@@ -412,13 +439,24 @@ impl FederationSim {
         &self.logs[seg as usize]
     }
 
+    /// Any node's protocol stack: bare in a single segment, inside
+    /// its [`Gateway`] wrapper in a bridged world.
+    pub fn stack(&self, seg: u8, node: NodeId) -> &CanelyStack {
+        let sim = &self.sims[seg as usize];
+        if self.bridged() {
+            sim.app::<Gateway>(node).stack()
+        } else {
+            sim.app::<CanelyStack>(node)
+        }
+    }
+
     /// The *configured* gateway slot's application (stale after a
     /// failover — see [`FederationSim::active_gateway_app`]).
     pub fn gateway_app(&self, seg: u8) -> &Gateway {
-        self.sims[seg as usize].app::<Gateway>(self.gateway)
+        self.node_app(seg, self.gateway)
     }
 
-    /// Any node's gateway wrapper in one segment.
+    /// Any node's gateway wrapper (bridged worlds only).
     pub fn node_app(&self, seg: u8, node: NodeId) -> &Gateway {
         self.sims[seg as usize].app::<Gateway>(node)
     }
@@ -460,32 +498,14 @@ impl FederationSim {
     /// to whichever successor was promoted in the meantime (it only
     /// learns the acting gateway — and any fresher epoch — from the
     /// digests it then hears).
+    ///
+    /// # Panics
+    ///
+    /// Panics in a single-segment world, which has no gateway.
     pub fn schedule_gateway_restart(&mut self, seg: u8, at: BitTime) {
+        assert!(self.bridged(), "a single segment has no gateway to restart");
         let gw = self.gateway;
-        let node_traffic = self.traffic.map(|period| {
-            TrafficConfig::periodic(period, 8)
-                .with_offset(BitTime::new(u64::from(gw.as_u8()) * 131 + 17))
-        });
-        let mut app = Gateway::new(
-            self.config.clone(),
-            seg,
-            self.segments,
-            self.filter.clone(),
-        )
-        .with_role(GatewayRole::Standby)
-        .with_leader(None)
-        .with_obs(self.logs[seg as usize].sink())
-        .with_digest_period(self.digest_period);
-        if let Some(t) = node_traffic {
-            app = app.with_traffic(t);
-        }
-        if !self.bridges.is_empty() {
-            app.attach_bridge();
-        }
-        app.set_fed_counters(
-            self.metrics.elections.clone(),
-            self.metrics.rejoins.clone(),
-        );
+        let app = self.node_gateway(seg, gw.as_u8(), GatewayRole::Standby, None);
         self.sims[seg as usize].schedule_restart(gw, at, app);
     }
 
@@ -522,16 +542,22 @@ impl FederationSim {
     }
 
     /// Advances every segment to `deadline`, pumping the bridges once
-    /// per quantum.
+    /// per quantum. A single segment has nothing to pump: it runs to
+    /// the deadline in one stride, and no quantum is counted.
     pub fn run_until(&mut self, deadline: BitTime) {
+        let bridged = self.bridged();
         while self.now < deadline {
-            let next = (self.now + self.quantum).min(deadline);
+            let next = if bridged {
+                (self.now + self.quantum).min(deadline)
+            } else {
+                deadline
+            };
             for sim in &mut self.sims {
                 sim.run_until(next);
             }
             self.now = next;
-            self.metrics.quanta.inc();
-            if !self.bridges.is_empty() {
+            if bridged {
+                self.metrics.quanta.inc();
                 self.pump();
             }
         }
@@ -588,7 +614,7 @@ impl FederationSim {
                 Some(gw) if open => self.sims[to_seg as usize].drive(gw, |app, ctx| {
                     app.as_any_mut()
                         .downcast_mut::<Gateway>()
-                        .expect("every federated node hosts a Gateway")
+                        .expect("every node of a bridged world hosts a Gateway")
                         .inject(ctx, &frame);
                 }),
                 _ => false,
@@ -721,6 +747,7 @@ mod tests {
         assert_eq!(BridgeKind::Line.bridges(3), vec![(0, 1), (1, 2)]);
         assert_eq!(BridgeKind::Ring.bridges(3), vec![(0, 1), (1, 2), (0, 2)]);
         assert_eq!(BridgeKind::Ring.bridges(2), vec![(0, 1)]);
+        assert!(BridgeKind::Ring.bridges(1).is_empty(), "one segment, no bridge");
         assert_eq!(BridgeKind::Star.bridges(4), vec![(0, 1), (0, 2), (0, 3)]);
         assert_eq!(BridgeKind::Full.bridges(3).len(), 3);
         assert_eq!(BridgeKind::Full.bridges(4).len(), 6);

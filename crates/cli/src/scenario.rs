@@ -102,6 +102,9 @@ impl Scenario {
             nodes: 4,
             ..Scenario::default()
         };
+        // `(line, node)` of every scripted fault, checked against the
+        // population once the whole document (`nodes`, `join`) is read.
+        let mut victims: Vec<(usize, u8)> = Vec::new();
         for (idx, raw) in text.lines().enumerate() {
             let line_no = idx + 1;
             let line = raw.split('#').next().unwrap_or("").trim();
@@ -213,10 +216,16 @@ impl Scenario {
                         .ok_or_else(|| ArgError(format!("line {line_no}: bad duration")))?;
                 }
                 "traffic" => scenario.traffic.push(node_time(line_no, &rest)?),
-                "crash" => scenario.crashes.push(node_time(line_no, &rest)?),
                 "join" => scenario.joins.push(node_time(line_no, &rest)?),
-                "leave" => scenario.leaves.push(node_time(line_no, &rest)?),
-                "restart" => scenario.restarts.push(node_time(line_no, &rest)?),
+                "crash" | "leave" | "restart" => {
+                    let event = node_time(line_no, &rest)?;
+                    victims.push((line_no, event.0));
+                    match keyword {
+                        "crash" => scenario.crashes.push(event),
+                        "leave" => scenario.leaves.push(event),
+                        _ => scenario.restarts.push(event),
+                    }
+                }
                 "expect-view" => {
                     let spec = rest.join("");
                     let inner = spec
@@ -238,6 +247,13 @@ impl Scenario {
                     scenario.expect_view = Some(view);
                 }
                 other => return err(line_no, format_args!("unknown keyword `{other}`")),
+            }
+        }
+        let nodes = scenario.nodes;
+        for (line_no, node) in victims {
+            if node >= nodes && !scenario.joins.iter().any(|&(n, _)| n == node) {
+                let msg = format!("node {node} is neither in 0..{nodes} nor a `join`");
+                return err(line_no, msg);
             }
         }
         Ok(scenario)
@@ -310,10 +326,7 @@ impl Scenario {
         let build_stack = |id: u8| {
             let mut stack = CanelyStack::new(config.clone());
             if let Some(&(_, period)) = self.traffic.iter().find(|&&(n, _)| n == id) {
-                stack = stack.with_traffic(
-                    TrafficConfig::periodic(period, 8)
-                        .with_offset(BitTime::new(u64::from(id) * 131 + 17)),
-                );
+                stack = stack.with_traffic(TrafficConfig::staggered(period, id));
             }
             if let Some(&(_, at)) = self.leaves.iter().find(|&&(n, _)| n == id) {
                 stack = stack.with_leave_at(at);
@@ -439,6 +452,9 @@ expect-view {0,1,2,3,9}
         for (text, needle) in [
             ("nodes zero", "line 1"),
             ("nodes 3\ncrash 99 10ms", "line 2"),
+            ("crash 9 10ms\nnodes 4", "line 1: node 9 is neither"),
+            ("nodes 4\njoin 9 5ms\nleave 8 10ms", "line 3: node 8 is neither"),
+            ("nodes 4\nrestart 9 10ms", "line 2: node 9 is neither"),
             ("frobnicate 1", "unknown keyword"),
             ("crash 1", "expected"),
             ("expect-view 0,1", "expected {"),

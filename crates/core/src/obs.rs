@@ -644,17 +644,6 @@ impl ObsLog {
         inner.cause = ambient;
     }
 
-    /// Rewinds the log to its just-created state — events, ambient
-    /// cause and the timer-arming map are emptied — while keeping the
-    /// backing storage, so one log allocation serves many runs
-    /// (arena reuse). Existing [`EventSink`] handles remain attached.
-    pub fn reset(&self) {
-        let mut inner = self.log.borrow_mut();
-        inner.events.clear();
-        inner.cause = Cause::Boot;
-        inner.armed.clear();
-    }
-
     /// A snapshot of all recorded events.
     pub fn events(&self) -> Vec<TimedEvent> {
         self.log.borrow().events.clone()

@@ -124,55 +124,24 @@ impl CanelyStack {
     /// the sink. Pass a clone of the same [`crate::obs::ObsLog`] sink
     /// to every node of a simulation to obtain one merged trace.
     pub fn with_obs(mut self, sink: EventSink) -> Self {
-        self.set_obs(sink);
-        self
-    }
-
-    /// In-place form of [`CanelyStack::with_obs`], for stacks reused
-    /// across runs (see [`CanelyStack::reset_for_run`]).
-    pub fn set_obs(&mut self, sink: EventSink) {
         self.fda.set_sink(sink.clone());
         self.rha.set_sink(sink.clone());
         self.fd.set_sink(sink.clone());
         self.msh.set_sink(sink.clone());
         self.obs = sink;
+        self
     }
 
     /// Installs live-telemetry counters on the failure-detector
-    /// backend (see [`crate::DetectorMetrics`]). Like the event sink,
-    /// this is cleared by [`CanelyStack::reset_for_run`] and must be
-    /// re-applied per run.
+    /// backend (see [`crate::DetectorMetrics`]).
     pub fn set_detector_metrics(&mut self, metrics: crate::DetectorMetrics) {
         self.fd.set_metrics(metrics);
     }
 
     /// Adds cyclic application traffic (implicit heartbeats).
     pub fn with_traffic(mut self, traffic: TrafficConfig) -> Self {
-        self.set_traffic(traffic);
-        self
-    }
-
-    /// In-place form of [`CanelyStack::with_traffic`], for stacks
-    /// reused across runs.
-    pub fn set_traffic(&mut self, traffic: TrafficConfig) {
         self.traffic = Some(TrafficGenerator::new(traffic));
-    }
-
-    /// Arena reuse: rewinds this stack to exactly the state
-    /// [`CanelyStack::new`]`(config)` would produce, keeping the
-    /// recorded-notification buffer's storage (and, when the stack
-    /// lives in a `Box<dyn Application>`, the box allocation itself).
-    /// Builder options — sink, traffic, join/leave scripting — are
-    /// cleared and must be re-applied via the `set_*` methods.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is invalid.
-    pub fn reset_for_run(&mut self, config: CanelyConfig) {
-        let mut events = std::mem::take(&mut self.events);
-        events.clear();
-        *self = CanelyStack::new(config);
-        self.events = events;
+        self
     }
 
     /// Defers the join request to the given absolute instant instead
@@ -198,6 +167,13 @@ impl CanelyStack {
     /// The stack configuration.
     pub fn config(&self) -> &CanelyConfig {
         &self.config
+    }
+
+    /// The structured-event sink installed by [`CanelyStack::with_obs`]
+    /// (disabled by default). Layers wrapped around the stack emit
+    /// their own events through a clone of it.
+    pub fn obs(&self) -> &EventSink {
+        &self.obs
     }
 
     /// The current site membership view `Vs`.

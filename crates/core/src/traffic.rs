@@ -49,6 +49,18 @@ impl TrafficConfig {
         }
     }
 
+    /// The cyclic load every harness (campaigns, federation, CLI)
+    /// puts on node `node`: an 8-byte frame per `period`, the first
+    /// one phase-shifted by `131·node + 17` bit-times so a population
+    /// does not start transmitting in lock-step.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `period` is zero.
+    pub fn staggered(period: BitTime, node: u8) -> Self {
+        TrafficConfig::periodic(period, 8).with_offset(BitTime::new(u64::from(node) * 131 + 17))
+    }
+
     /// Sets the phase offset of the first message.
     pub fn with_offset(mut self, offset: BitTime) -> Self {
         self.offset = offset;

@@ -1,18 +1,14 @@
 #!/usr/bin/env sh
 # Benchmark runner: executes the Criterion benches for the trace
-# analysis pipeline and the campaign engine and distils their stdout
-# into machine-readable summaries:
+# analysis pipeline and the federation engine and distils their
+# stdout into machine-readable summaries:
 #
 #   BENCH_trace.json     — parse / chain / phases / chrome / reexport
-#   BENCH_campaign.json  — worker scaling + per-run / oracle cost
-#   BENCH_sim.json       — 64-run scaling, warm-world stepping,
-#                          zero-copy parse of a ≥1 MiB trace
-#   BENCH_detectors.json — warm per-run cost of each failure-detector
-#                          backend (surveillance / swim / add-phi)
 #   BENCH_federation.json — federated run cost at 1/2/4 bridged
 #                          segments plus the merged seg-tagged export
-#   BENCH_metrics.json   — telemetry-plane cost: handle bumps on/off,
-#                          an instrumented campaign run, exposition
+#
+# Per-run, per-backend, runner-scaling and telemetry costs are rows of
+# the perf ledger instead (`benchmark/run.sh`, see benchmark/README.md).
 #
 # Everything runs --offline against the vendored criterion harness.
 #
@@ -58,8 +54,4 @@ run_bench() {
 }
 
 run_bench trace
-run_bench campaign
-run_bench sim
-run_bench detectors
 run_bench federation
-run_bench metrics

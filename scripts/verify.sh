@@ -16,6 +16,18 @@ run() {
     "$@"
 }
 
+# golden NAME SUMMARY: a checked-in campaign's `--json` output must
+# equal tests/golden/NAME.summary.json byte for byte (the behaviour
+# contract refactors are held to; regenerate with `campaign run --spec
+# scenarios/NAME.campaign --workers 1 --json` only when campaign
+# behaviour is meant to change).
+golden() {
+    if ! printf '%s\n' "$2" | cmp -s - "tests/golden/$1.summary.json"; then
+        echo "verify: $1 campaign summary diverged from tests/golden/$1.summary.json" >&2
+        exit 1
+    fi
+}
+
 run cargo build --release --workspace --offline
 run cargo test --workspace --offline -q
 run env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline -q
@@ -40,6 +52,7 @@ if [ "$summary" != "$resummary" ]; then
     echo "verify: campaign summary differs across worker counts" >&2
     exit 1
 fi
+golden smoke "$summary"
 
 # Telemetry gates (docs/METRICS.md): streaming progress must change
 # no summary byte, must actually stream (progress lines with a [done]
@@ -109,6 +122,7 @@ if [ "$shootout" != "$reshootout" ]; then
     echo "verify: shootout summary differs across worker counts" >&2
     exit 1
 fi
+golden shootout "$shootout"
 
 # Federation smoke gate: four bridged 32-node segments under node
 # crashes, gateway crashes and an inter-segment partition/heal. The
@@ -130,6 +144,7 @@ if [ "$federation" != "$refederation" ]; then
     echo "verify: federation summary differs across worker counts" >&2
     exit 1
 fi
+golden federation "$federation"
 
 # Self-healing failover gate: four bridged 16-node segments whose
 # gateway crashes mid-run and powers back on 60 ms later. The oracle
@@ -152,6 +167,7 @@ if [ "$failover" != "$refailover" ]; then
     echo "verify: failover summary differs between 1 and 8 workers" >&2
     exit 1
 fi
+golden failover "$failover"
 
 # Campaign scaling smoke gate: fanning the same matrix out to 8
 # workers must never be *slower* than running it on 1. On a multi-core

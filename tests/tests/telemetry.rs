@@ -151,3 +151,21 @@ fn federated_runs_feed_the_federation_counters() {
     assert!(quanta > 0, "the bridge pump must advance quanta");
     assert!(relayed > 0, "digest gossip must cross the bridge");
 }
+
+#[test]
+fn plain_runs_leave_every_federation_counter_at_zero() {
+    // A plain run is a one-segment world: no bridge, so no quantum is
+    // pumped, nothing relayed, nobody elected.
+    let registry = Registry::new();
+    let result = run_campaign_with(&large_spec(), &options(2, &registry));
+    assert!(result.report.clean(), "{}", result.report.render());
+    let export = registry.to_prometheus(true);
+    let fed: Vec<&str> = export
+        .lines()
+        .filter(|line| line.starts_with("canely_fed_"))
+        .collect();
+    assert!(fed.len() >= 9, "federation series missing from\n{export}");
+    for line in fed {
+        assert!(line.ends_with(" 0"), "{line}");
+    }
+}
