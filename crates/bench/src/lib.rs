@@ -9,8 +9,8 @@
 //! | Related-work latency comparison | Sec. 6.6 | `sec66_related_latency` |
 //! | Design-choice ablations | Sec. 6 design notes | `ablations` |
 //!
-//! The Criterion benches (`benches/`) measure the protocols and the
-//! simulator itself.
+//! Performance is measured by the perf ledger (`benchmark/`), not
+//! here; `tests/` keeps the two allocation-overhead gates.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

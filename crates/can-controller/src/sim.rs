@@ -163,20 +163,10 @@ impl Simulator {
         self.profiler.set_enabled(enabled);
     }
 
-    /// Whether the self-profiler is recording.
-    pub fn profiling(&self) -> bool {
-        self.profiler.enabled()
-    }
-
     /// Drains the accumulated per-phase wall-time profile, resetting
     /// the profiler for the next run (the enabled flag is kept).
     pub fn take_profile(&mut self) -> PhaseReport {
         self.profiler.take()
-    }
-
-    /// The deterministic step-loop counters accumulated so far.
-    pub fn step_stats(&self) -> StepStats {
-        self.stats
     }
 
     /// Drains the step-loop counters, resetting them to zero.

@@ -60,9 +60,11 @@
 //! assert!(result.report.clean());
 //! ```
 
+pub mod grammar;
 pub mod oracle;
 pub mod run;
 pub mod runner;
+pub mod scenario;
 pub mod shootout;
 pub mod shrink;
 pub mod spec;
@@ -76,4 +78,5 @@ pub use runner::{
 };
 pub use telemetry::{RunTelemetry, LATENCY_BUCKETS, RUN_PHASES};
 pub use shootout::{BackendQoS, ShootoutReport};
+pub use scenario::Scenario;
 pub use spec::{CampaignSpec, FederationSpec, RunSpec};

@@ -9,7 +9,6 @@
 use crate::oracle::{self, GatewayFinal, GlobalOracleInput, NodeFinal, OracleInput, Violation};
 use crate::spec::{segment_seed, FederationSpec, RunSpec};
 use crate::telemetry::{RunTelemetry, RP_OBS, RP_ORACLE, RP_SETUP};
-use can_bus::FaultPlan;
 use can_types::{BitTime, MsgType, NodeId, NodeSet};
 use canely::obs::ProtocolEvent;
 use canely_federation::{quorum, FederationConfig, FederationSim};
@@ -146,22 +145,11 @@ pub(crate) fn execute_on(tel: &mut RunTelemetry, spec: &RunSpec, capture: bool) 
         .with_topology(fed_spec.topology)
         .with_gateway(fed_spec.gateway)
         .with_filter(fed_spec.relay.clone());
-    let plan_of = |seed: u64| {
-        let mut faults = FaultPlan::seeded(seed)
-            .with_consistent_rate(spec.consistent_rate)
-            .with_inconsistent_rate(spec.inconsistent_rate)
-            .with_omission_bound(spec.omission_degree, BitTime::new(100_000))
-            .with_inconsistent_bound(spec.inconsistent_degree);
-        for &(from, until) in &spec.inaccessibility {
-            faults.push_inaccessibility(from, until);
-        }
-        faults
-    };
     let mut fed = FederationSim::new(
         &config,
         spec.traffic,
         |seg| segment_seed(spec.seed, seg),
-        plan_of,
+        |seed| spec.fault_plan(seed),
     );
     fed.set_metrics(tel.fed_handles());
     fed.set_detector_metrics(tel.detector_handles());

@@ -28,14 +28,17 @@
 //! same spec always yields byte-identical run schedules — on any
 //! machine, with any worker count.
 
-use can_types::{BitTime, NodeId, NodeSet, MAX_NODES};
-use canely::tags::MAX_SEGMENTS;
+use crate::grammar::{
+    self, bridge, detector, federated_population, gateway_in_segment, kw, node_count, number,
+    parse_duration, probability, relay, segment_count, Doc, Keyword,
+};
+use can_bus::FaultPlan;
+use can_types::{BitTime, NodeId, NodeSet};
 use canely::{CanelyConfig, DetectorKind};
 use canely_analysis::ProtocolBounds;
 use canely_federation::{BridgeKind, FederationConfig, RelayFilter};
 use rand::rngs::SmallRng;
 use rand::{Rng as _, SeedableRng as _};
-use std::fmt::Write as _;
 
 /// One federated fault combo of the expansion matrix: `(segments,
 /// gateway-crash budget, restart delay, partition len, asymmetric
@@ -61,34 +64,12 @@ pub(crate) fn segment_seed(seed: u64, seg: u8) -> u64 {
     }
 }
 
-/// Parses `30ms` / `2500us` / raw bit-times (1 µs = 1 bit-time at the
-/// simulated 1 Mbps).
-fn parse_duration(word: &str) -> Option<BitTime> {
-    let (digits, scale) = if let Some(d) = word.strip_suffix("ms") {
-        (d, 1_000)
-    } else if let Some(d) = word.strip_suffix("us") {
-        (d, 1)
-    } else {
-        (word, 1)
-    };
-    digits.parse::<u64>().ok().map(|v| BitTime::new(v * scale))
-}
-
 /// When a population booted at `t = 0` with `join_wait = 2·Tm + 10 ms`
 /// is fully operational: views bootstrapped, every surveillance timer
 /// armed. Faults scheduled before this instant probe the boot sequence
 /// rather than the failure-detection protocol.
 fn operational_from(tm: BitTime) -> BitTime {
     tm * 2 + BitTime::new(20_000)
-}
-
-fn fmt_duration(t: BitTime) -> String {
-    let us = t.as_u64();
-    if us >= 1_000 && us.is_multiple_of(1_000) {
-        format!("{}ms", us / 1_000)
-    } else {
-        format!("{us}us")
-    }
 }
 
 /// A declarative fault-injection campaign: the matrix dimensions and
@@ -205,42 +186,65 @@ impl Default for CampaignSpec {
     }
 }
 
-fn err<T>(line_no: usize, msg: impl std::fmt::Display) -> Result<T, String> {
-    Err(format!("line {line_no}: {msg}"))
+/// The most runs a matrix may expand into: what the eager
+/// `Vec<RunSpec>` of [`CampaignSpec::expand`] should hold at once.
+pub const MAX_RUNS: usize = 1 << 20;
+
+/// The smallest population the oracle judges (agreement needs a peer).
+pub(crate) const MIN_JUDGED_NODES: u8 = 2;
+
+fn seed_range(word: &str) -> Result<(u64, u64), String> {
+    let (start, end) = word
+        .split_once("..")
+        .and_then(|(a, b)| Some((a.parse().ok()?, b.parse().ok()?)))
+        .ok_or_else(|| format!("expected `start..end`, got `{word}`"))?;
+    if end <= start {
+        return Err(format!("empty seed range `{word}`"));
+    }
+    Ok((start, end))
 }
 
-/// Prefixes a parse diagnostic with the source file's name, turning
-/// `line 12: bad duration` into `smoke.campaign:12: bad duration` (the
-/// `file:line:` shape editors and CI annotate). Diagnostics without a
-/// line anchor get a plain `name: ` prefix.
-fn locate(name: &str, diagnostic: String) -> String {
-    if let Some((line, msg)) = diagnostic
-        .strip_prefix("line ")
-        .and_then(|rest| rest.split_once(": "))
-    {
-        if !line.is_empty() && line.bytes().all(|b| b.is_ascii_digit()) {
-            return format!("{name}:{line}: {msg}");
-        }
-    }
-    format!("{name}: {diagnostic}")
-}
-
-fn parse_relay(rest: &[&str]) -> Option<RelayFilter> {
-    match rest {
-        ["none"] => Some(RelayFilter::none()),
-        ["all"] => Some(RelayFilter::pass_through()),
-        ["below", bound] => bound.parse().ok().map(RelayFilter::app_below),
-        _ => None,
-    }
-}
-
-fn fmt_relay(filter: &RelayFilter) -> String {
-    match (filter.app_data, filter.reference_below) {
-        (false, _) => "none".to_string(),
-        (true, None) => "all".to_string(),
-        (true, Some(bound)) => format!("below {bound}"),
-    }
-}
+/// The `.campaign` dialect: every keyword, its argument shape, and how
+/// it lands in the spec. `docs/CAMPAIGN_SPEC.md` is gated against this
+/// table.
+#[rustfmt::skip] // one keyword per line
+pub const KEYWORDS: &[Keyword<CampaignSpec>] = &[
+    kw("name", "WORD…", |s, l| {
+        let mut words = Vec::new();
+        l.each(&mut words, |w| Ok(w.to_string()))?;
+        s.name = words.join("-");
+        Ok(())
+    }),
+    kw("nodes", "N…", |s, l| l.each(&mut s.nodes, |w| node_count(w, MIN_JUDGED_NODES))),
+    kw("tm", "DUR…", |s, l| l.each(&mut s.tm, parse_duration)),
+    kw("th", "DUR", |s, l| l.one(&mut s.th, parse_duration)),
+    kw("seeds", "A..B", |s, l| l.one(&mut s.seeds, seed_range)),
+    kw("error-rate", "P…", |s, l| l.each(&mut s.consistent_rates, probability)),
+    kw("inconsistent-rate", "P…", |s, l| l.each(&mut s.inconsistent_rates, probability)),
+    kw("crash-budget", "F…", |s, l| l.each(&mut s.crash_budgets, number)),
+    kw("inaccessibility", "DUR…", |s, l| l.each(&mut s.inaccessibility_lens, parse_duration)),
+    kw("detector", "KEY…", |s, l| l.each(&mut s.detectors, detector)),
+    kw("omission-degree", "K", |s, l| l.one(&mut s.omission_degree, number)),
+    kw("inconsistent-degree", "J", |s, l| l.one(&mut s.inconsistent_degree, number)),
+    kw("traffic", "DUR|none", |s, l| {
+        l.one(&mut s.traffic, |w| if w == "none" { Ok(None) } else { parse_duration(w).map(Some) })
+    }),
+    kw("until", "DUR", |s, l| l.one(&mut s.until, parse_duration)),
+    kw("settle", "DUR", |s, l| l.one(&mut s.settle, parse_duration)),
+    kw("latency-slack", "DUR", |s, l| l.one(&mut s.latency_slack, parse_duration)),
+    kw("weaken-fda", "", |s, _| { s.weaken_fda = true; Ok(()) }),
+    kw("segments", "K…", |s, l| l.each(&mut s.segments, segment_count)),
+    kw("gateway", "N", |s, l| l.one(&mut s.gateway, number)),
+    kw("bridge", "KEY", |s, l| l.one(&mut s.bridge, bridge)),
+    kw("relay", "FILTER", |s, l| relay(l).map(|filter| s.relay = filter)),
+    kw("gateway-crash", "G…", |s, l| l.each(&mut s.gateway_crash_budgets, number)),
+    kw("segment-partition", "DUR…", |s, l| l.each(&mut s.partition_lens, parse_duration)),
+    kw("asymmetric-inaccessibility", "DUR…", |s, l| {
+        l.each(&mut s.asymmetric_lens, parse_duration)
+    }),
+    kw("gateway-restart", "DUR…", |s, l| l.each(&mut s.gateway_restart_delays, parse_duration)),
+    kw("rejoin-slack", "DUR", |s, l| l.one(&mut s.rejoin_slack, parse_duration)),
+];
 
 impl CampaignSpec {
     /// Parses a `.campaign` document read from the named file,
@@ -250,7 +254,7 @@ impl CampaignSpec {
     ///
     /// Returns a diagnostic naming the file and offending line.
     pub fn parse_named(name: &str, text: &str) -> Result<CampaignSpec, String> {
-        Self::parse(text).map_err(|e| locate(name, e))
+        Self::read(&Doc::named(name, text))
     }
 
     /// Parses a `.campaign` document.
@@ -259,217 +263,55 @@ impl CampaignSpec {
     ///
     /// Returns a diagnostic naming the offending line.
     pub fn parse(text: &str) -> Result<CampaignSpec, String> {
+        Self::read(&Doc::new(text))
+    }
+
+    fn read(doc: &Doc<'_>) -> Result<CampaignSpec, String> {
         let mut spec = CampaignSpec::default();
-        // Where the `gateway` keyword appeared, so the out-of-range
-        // diagnostic below can anchor to the offending line (the
-        // default gateway 0 always fits the ≥ 2-node populations, so
-        // the check can only trip when the keyword was written).
-        let mut gateway_line = 0usize;
-        for (idx, raw) in text.lines().enumerate() {
-            let line_no = idx + 1;
-            let line = raw.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
-                continue;
-            }
-            let mut words = line.split_whitespace();
-            let keyword = words.next().expect("non-empty line");
-            let rest: Vec<&str> = words.collect();
-            let durations = |rest: &[&str]| -> Result<Vec<BitTime>, String> {
-                if rest.is_empty() {
-                    return err(line_no, "expected at least one duration");
-                }
-                rest.iter()
-                    .map(|w| {
-                        parse_duration(w)
-                            .ok_or_else(|| format!("line {line_no}: bad duration `{w}`"))
-                    })
-                    .collect()
-            };
-            let duration = |rest: &[&str]| -> Result<BitTime, String> {
-                rest.first()
-                    .and_then(|w| parse_duration(w))
-                    .ok_or_else(|| format!("line {line_no}: bad duration"))
-            };
-            match keyword {
-                "name" => {
-                    spec.name = rest.join("-");
-                    if spec.name.is_empty() {
-                        return err(line_no, "empty name");
-                    }
-                }
-                "nodes" => {
-                    spec.nodes = rest
-                        .iter()
-                        .map(|w| {
-                            w.parse::<u8>()
-                                .ok()
-                                .filter(|&n| n >= 2 && (n as usize) <= MAX_NODES)
-                                .ok_or_else(|| format!("line {line_no}: bad node count `{w}`"))
-                        })
-                        .collect::<Result<_, _>>()?;
-                    if spec.nodes.is_empty() {
-                        return err(line_no, "expected at least one node count");
-                    }
-                }
-                "tm" => spec.tm = durations(&rest)?,
-                "th" => spec.th = duration(&rest)?,
-                "seeds" => {
-                    let range = rest
-                        .first()
-                        .ok_or_else(|| format!("line {line_no}: expected `start..end`"))?;
-                    let (start, end) = range
-                        .split_once("..")
-                        .and_then(|(a, b)| Some((a.parse().ok()?, b.parse().ok()?)))
-                        .ok_or_else(|| format!("line {line_no}: expected `start..end`"))?;
-                    if end <= start {
-                        return err(line_no, "empty seed range");
-                    }
-                    spec.seeds = (start, end);
-                }
-                "error-rate" | "inconsistent-rate" => {
-                    let rates: Vec<f64> = rest
-                        .iter()
-                        .map(|w| {
-                            w.parse::<f64>()
-                                .ok()
-                                .filter(|r| (0.0..=1.0).contains(r))
-                                .ok_or_else(|| format!("line {line_no}: bad probability `{w}`"))
-                        })
-                        .collect::<Result<_, _>>()?;
-                    if rates.is_empty() {
-                        return err(line_no, "expected at least one probability");
-                    }
-                    if keyword == "error-rate" {
-                        spec.consistent_rates = rates;
-                    } else {
-                        spec.inconsistent_rates = rates;
-                    }
-                }
-                "crash-budget" => {
-                    spec.crash_budgets = rest
-                        .iter()
-                        .map(|w| {
-                            w.parse::<u32>()
-                                .map_err(|_| format!("line {line_no}: bad crash budget `{w}`"))
-                        })
-                        .collect::<Result<_, _>>()?;
-                    if spec.crash_budgets.is_empty() {
-                        return err(line_no, "expected at least one crash budget");
-                    }
-                }
-                "inaccessibility" => spec.inaccessibility_lens = durations(&rest)?,
-                "omission-degree" => {
-                    spec.omission_degree = rest
-                        .first()
-                        .and_then(|w| w.parse().ok())
-                        .ok_or_else(|| format!("line {line_no}: bad degree"))?;
-                }
-                "inconsistent-degree" => {
-                    spec.inconsistent_degree = rest
-                        .first()
-                        .and_then(|w| w.parse().ok())
-                        .ok_or_else(|| format!("line {line_no}: bad degree"))?;
-                }
-                "traffic" => {
-                    spec.traffic = match rest.first() {
-                        Some(&"none") => None,
-                        _ => Some(duration(&rest)?),
-                    };
-                }
-                "until" => spec.until = duration(&rest)?,
-                "settle" => spec.settle = duration(&rest)?,
-                "latency-slack" => spec.latency_slack = duration(&rest)?,
-                "weaken-fda" => spec.weaken_fda = true,
-                "segments" => {
-                    spec.segments = rest
-                        .iter()
-                        .map(|w| {
-                            w.parse::<u8>()
-                                .ok()
-                                .filter(|&k| k >= 1 && usize::from(k) <= MAX_SEGMENTS)
-                                .ok_or_else(|| {
-                                    format!("line {line_no}: bad segment count `{w}`")
-                                })
-                        })
-                        .collect::<Result<_, _>>()?;
-                    if spec.segments.is_empty() {
-                        return err(line_no, "expected at least one segment count");
-                    }
-                }
-                "gateway" => {
-                    spec.gateway = rest
-                        .first()
-                        .and_then(|w| w.parse().ok())
-                        .ok_or_else(|| format!("line {line_no}: bad gateway node id"))?;
-                    gateway_line = line_no;
-                }
-                "bridge" => {
-                    spec.bridge = rest
-                        .first()
-                        .and_then(|w| BridgeKind::from_key(w))
-                        .ok_or_else(|| {
-                            format!(
-                                "line {line_no}: unknown bridge topology \
-                                 (expected line/ring/star/full)"
-                            )
-                        })?;
-                }
-                "relay" => {
-                    spec.relay = parse_relay(&rest).ok_or_else(|| {
-                        format!(
-                            "line {line_no}: bad relay filter \
-                             (expected `none`, `all` or `below <ref>`)"
-                        )
-                    })?;
-                }
-                "gateway-crash" => {
-                    spec.gateway_crash_budgets = rest
-                        .iter()
-                        .map(|w| {
-                            w.parse::<u32>().map_err(|_| {
-                                format!("line {line_no}: bad gateway-crash budget `{w}`")
-                            })
-                        })
-                        .collect::<Result<_, _>>()?;
-                    if spec.gateway_crash_budgets.is_empty() {
-                        return err(line_no, "expected at least one gateway-crash budget");
-                    }
-                }
-                "segment-partition" => spec.partition_lens = durations(&rest)?,
-                "asymmetric-inaccessibility" => spec.asymmetric_lens = durations(&rest)?,
-                "gateway-restart" => spec.gateway_restart_delays = durations(&rest)?,
-                "rejoin-slack" => spec.rejoin_slack = duration(&rest)?,
-                "detector" => {
-                    spec.detectors = rest
-                        .iter()
-                        .map(|w| {
-                            DetectorKind::from_key(w).ok_or_else(|| {
-                                format!("line {line_no}: unknown detector backend `{w}`")
-                            })
-                        })
-                        .collect::<Result<_, _>>()?;
-                    if spec.detectors.is_empty() {
-                        return err(line_no, "expected at least one detector backend");
-                    }
-                }
-                other => return err(line_no, format_args!("unknown keyword `{other}`")),
-            }
-        }
-        // Check the gateway id against every federated population
-        // *here*, where the offending line is still known: an
-        // out-of-range id must surface as a `file:line:` diagnostic,
-        // not as the downstream `FederationConfig::with_gateway`
-        // assertion (or a line-less validate message).
+        let seen = grammar::read(doc, KEYWORDS, &mut spec)?;
+        // The two whole-document checks that can name a line do so
+        // here, where the lines are still known; `validate` repeats
+        // them line-less for specs built in code.
         if spec.segments.iter().any(|&k| k > 1) {
-            if let Some(&n) = spec.nodes.iter().find(|&&n| spec.gateway >= n) {
-                return err(
-                    gateway_line,
-                    format_args!("gateway node {} outside a {n}-node segment", spec.gateway),
-                );
+            for &n in &spec.nodes {
+                gateway_in_segment(spec.gateway, n)
+                    .map_err(|msg| doc.at(seen.line("gateway"), msg))?;
             }
         }
-        spec.validate().map_err(|e| format!("invalid campaign: {e}"))?;
+        spec.check_size()
+            .map_err(|msg| doc.at(seen.line("seeds"), msg))?;
+        spec.validate()
+            .map_err(|e| doc.whole(format_args!("invalid campaign: {e}")))?;
         Ok(spec)
+    }
+
+    /// The run count of the matrix, if it is representable.
+    fn checked_run_count(&self) -> Option<usize> {
+        let seeds = usize::try_from(self.seeds.1.checked_sub(self.seeds.0)?).ok()?;
+        let federation = self
+            .segments
+            .iter()
+            .try_fold(0usize, |sum, &k| sum.checked_add(self.federation_combos(k)))?;
+        [
+            self.detectors.len(),
+            self.nodes.len(),
+            self.tm.len(),
+            self.consistent_rates.len(),
+            self.inconsistent_rates.len(),
+            self.crash_budgets.len(),
+            self.inaccessibility_lens.len(),
+            federation,
+            seeds,
+        ]
+        .into_iter()
+        .try_fold(1usize, usize::checked_mul)
+    }
+
+    fn check_size(&self) -> Result<(), String> {
+        match self.checked_run_count() {
+            Some(runs) if runs <= MAX_RUNS => Ok(()),
+            _ => Err(format!("the matrix expands to more than {MAX_RUNS} runs")),
+        }
     }
 
     /// Validates the spec's dimensional coherence.
@@ -478,6 +320,7 @@ impl CampaignSpec {
     ///
     /// Returns a description of the first violated constraint.
     pub fn validate(&self) -> Result<(), String> {
+        self.check_size()?;
         if self.until <= self.settle {
             return Err("horizon (until) must exceed the settle margin".into());
         }
@@ -501,15 +344,8 @@ impl CampaignSpec {
                      operational system"
                 ));
             }
-            for &len in &self.inaccessibility_lens {
-                if !len.is_zero() && operational + len >= active {
-                    return Err(format!(
-                        "inaccessibility window {len} does not fit the active \
-                         phase after bootstrap ({operational} at tm={tm})"
-                    ));
-                }
-            }
             for (label, lens) in [
+                ("inaccessibility", &self.inaccessibility_lens),
                 ("segment-partition", &self.partition_lens),
                 ("asymmetric-inaccessibility", &self.asymmetric_lens),
                 ("gateway-restart", &self.gateway_restart_delays),
@@ -530,18 +366,8 @@ impl CampaignSpec {
         let federated = self.segments.iter().any(|&k| k > 1);
         if federated {
             for &n in &self.nodes {
-                if n > 32 {
-                    return Err(format!(
-                        "federated segment populations cap at 32 nodes \
-                         (digest views are 32-bit), got {n}"
-                    ));
-                }
-                if self.gateway >= n {
-                    return Err(format!(
-                        "gateway node {} outside a {n}-node segment",
-                        self.gateway
-                    ));
-                }
+                federated_population(n)?;
+                gateway_in_segment(self.gateway, n)?;
             }
         } else {
             let fed_faults = self.gateway_crash_budgets.iter().any(|&g| g > 0)
@@ -570,14 +396,12 @@ impl CampaignSpec {
             );
         }
         for &tm in &self.tm {
-            let config = CanelyConfig::default()
-                .with_membership_cycle(tm)
-                .with_heartbeat_period(self.th);
-            let config = CanelyConfig {
-                join_wait: tm * 2 + BitTime::new(10_000),
-                ..config
+            let probe = RunSpec {
+                tm,
+                th: self.th,
+                ..RunSpec::default()
             };
-            config.validate()?;
+            probe.checked_config()?;
         }
         Ok(())
     }
@@ -587,43 +411,30 @@ impl CampaignSpec {
     /// zero-fault combo (validated to exist), federated combos take
     /// the full product.
     fn federation_combos(&self, segments: u8) -> usize {
-        if segments > 1 {
-            // The restart-delay dimension only multiplies combos that
-            // actually crash a gateway; budget-0 combos collapse to
-            // the single zero-delay value.
-            self.gateway_crash_budgets
-                .iter()
-                .map(|&g| {
-                    if g == 0 {
-                        1
-                    } else {
-                        self.gateway_restart_delays.len()
-                    }
-                })
-                .sum::<usize>()
-                * self.partition_lens.len()
-                * self.asymmetric_lens.len()
-        } else {
-            1
+        if segments == 1 {
+            return 1;
         }
+        // The restart-delay dimension only multiplies combos that
+        // actually crash a gateway; budget-0 combos collapse to the
+        // single zero-delay value.
+        let delays = self.gateway_restart_delays.len();
+        let budgets = self.gateway_crash_budgets.iter();
+        let crash_restart: usize = budgets.map(|&g| if g == 0 { 1 } else { delays }).sum();
+        crash_restart
+            .saturating_mul(self.partition_lens.len())
+            .saturating_mul(self.asymmetric_lens.len())
     }
 
     /// Number of runs the spec expands into, without materializing
     /// them.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a spec [`CampaignSpec::validate`] would refuse for
+    /// expanding past [`MAX_RUNS`].
     pub fn run_count(&self) -> usize {
-        self.detectors.len()
-            * self.nodes.len()
-            * self.tm.len()
-            * self.consistent_rates.len()
-            * self.inconsistent_rates.len()
-            * self.crash_budgets.len()
-            * self.inaccessibility_lens.len()
-            * self
-                .segments
-                .iter()
-                .map(|&k| self.federation_combos(k))
-                .sum::<usize>()
-            * (self.seeds.1 - self.seeds.0) as usize
+        self.checked_run_count()
+            .expect("a validated spec expands to at most MAX_RUNS runs")
     }
 
     /// Expands the matrix into concrete, fully scheduled runs.
@@ -1002,14 +813,52 @@ pub struct RunSpec {
     pub federation: Option<FederationSpec>,
 }
 
+impl Default for RunSpec {
+    /// The run an empty `.canely` file describes: four silent nodes,
+    /// no fault, the paper's `Tm` / `Th`.
+    fn default() -> Self {
+        RunSpec {
+            id: 0,
+            detector: DetectorKind::Surveillance,
+            nodes: 4,
+            tm: BitTime::new(30_000),
+            th: BitTime::new(5_000),
+            until: BitTime::new(600_000),
+            settle: BitTime::new(150_000),
+            seed: 0,
+            consistent_rate: 0.0,
+            inconsistent_rate: 0.0,
+            omission_degree: 16,
+            inconsistent_degree: 2,
+            traffic: None,
+            crashes: Vec::new(),
+            inaccessibility: Vec::new(),
+            weaken_fda: false,
+            latency_slack: BitTime::new(4_000),
+            rejoin_slack: BitTime::new(30_000),
+            federation: None,
+        }
+    }
+}
+
 impl RunSpec {
     /// The stack configuration of every node in this run.
     ///
     /// # Panics
     ///
-    /// Panics if the derived configuration is invalid (prevented by
-    /// [`CampaignSpec::validate`]).
+    /// Panics if the derived configuration is invalid — which no run
+    /// that came out of a reader is (see [`RunSpec::checked_config`]).
     pub fn config(&self) -> CanelyConfig {
+        self.checked_config().expect("run config must validate")
+    }
+
+    /// [`RunSpec::config`] for parameters not validated yet: every
+    /// reader (`.campaign`, `.canely`, CLI flags) goes through this.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first violated timing constraint.
+    pub fn checked_config(&self) -> Result<CanelyConfig, String> {
         let mut config = CanelyConfig::default()
             .with_membership_cycle(self.tm)
             .with_heartbeat_period(self.th)
@@ -1019,20 +868,31 @@ impl RunSpec {
         if self.weaken_fda {
             config = config.with_weakened_fda();
         }
-        config.validate().expect("run config must validate");
-        config
+        config.validate()?;
+        Ok(config)
+    }
+
+    /// The bus fault plan of this run, drawing from `seed` (the run
+    /// seed on a single bus; a derived one per federated segment).
+    pub fn fault_plan(&self, seed: u64) -> FaultPlan {
+        let mut faults = FaultPlan::seeded(seed)
+            .with_consistent_rate(self.consistent_rate)
+            .with_inconsistent_rate(self.inconsistent_rate)
+            .with_omission_bound(self.omission_degree, BitTime::new(100_000))
+            .with_inconsistent_bound(self.inconsistent_degree);
+        for &(from, until) in &self.inaccessibility {
+            faults.push_inaccessibility(from, until);
+        }
+        faults
     }
 
     /// The closed-form bounds of the *correct* protocol at this run's
     /// parameters — the oracle judges even mutant runs against these.
     pub fn bounds(&self) -> ProtocolBounds {
-        let config = CanelyConfig::default()
-            .with_membership_cycle(self.tm)
-            .with_heartbeat_period(self.th);
         ProtocolBounds::for_params(
             self.th,
             self.tm,
-            config.rha_timeout,
+            CanelyConfig::default().rha_timeout,
             self.inconsistent_degree,
             // Conservative for federated runs: count every crash in
             // the federation even though each lands in one segment —
@@ -1139,429 +999,6 @@ impl RunSpec {
         }
         last + self.settle <= self.until
     }
-
-    /// Renders the run as a replayable `.canely` scenario document —
-    /// the exchange format for counterexamples. `canelyctl run`
-    /// replays the schedule; `canelyctl campaign replay` additionally
-    /// re-applies the oracle.
-    pub fn to_scenario(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "# canely-campaign run {} (seed {})",
-            self.id, self.seed
-        );
-        let _ = writeln!(out, "nodes {}", self.nodes);
-        let _ = writeln!(out, "tm {}", fmt_duration(self.tm));
-        let _ = writeln!(out, "th {}", fmt_duration(self.th));
-        let _ = writeln!(out, "seed {}", self.seed);
-        if self.consistent_rate > 0.0 {
-            let _ = writeln!(out, "error-rate {}", self.consistent_rate);
-        }
-        if self.inconsistent_rate > 0.0 {
-            let _ = writeln!(out, "inconsistent-rate {}", self.inconsistent_rate);
-        }
-        let _ = writeln!(out, "omission-degree {}", self.omission_degree);
-        let _ = writeln!(out, "inconsistent-degree {}", self.inconsistent_degree);
-        if let Some(period) = self.traffic {
-            for id in 0..self.nodes {
-                let _ = writeln!(out, "traffic {id} {}", fmt_duration(period));
-            }
-        }
-        for &(node, at) in &self.crashes {
-            let _ = writeln!(out, "crash {node} {}", fmt_duration(at));
-        }
-        for &(from, until) in &self.inaccessibility {
-            let _ = writeln!(
-                out,
-                "inaccessible {} {}",
-                fmt_duration(from),
-                fmt_duration(until)
-            );
-        }
-        if let Some(fed) = &self.federation {
-            let _ = writeln!(out, "segments {}", fed.segments);
-            let _ = writeln!(out, "gateway {}", fed.gateway);
-            let _ = writeln!(out, "bridge {}", fed.topology.key());
-            let _ = writeln!(out, "relay {}", fmt_relay(&fed.relay));
-            for &(seg, node, at) in &fed.seg_crashes {
-                let _ = writeln!(out, "seg-crash {seg} {node} {}", fmt_duration(at));
-            }
-            for &(seg, at) in &fed.gateway_crashes {
-                let _ = writeln!(out, "gateway-crash {seg} {}", fmt_duration(at));
-            }
-            for &(seg, at) in &fed.gateway_restarts {
-                let _ = writeln!(out, "gateway-restart {seg} {}", fmt_duration(at));
-            }
-            for &(from, until) in &fed.partitions {
-                let _ = writeln!(
-                    out,
-                    "segment-partition {} {}",
-                    fmt_duration(from),
-                    fmt_duration(until)
-                );
-            }
-            for &(from_seg, to_seg, from, until) in &fed.asymmetric {
-                let _ = writeln!(
-                    out,
-                    "asymmetric {from_seg} {to_seg} {} {}",
-                    fmt_duration(from),
-                    fmt_duration(until)
-                );
-            }
-        }
-        if self.weaken_fda {
-            let _ = writeln!(out, "weaken-fda");
-        }
-        if self.detector != DetectorKind::Surveillance {
-            let _ = writeln!(out, "detector {}", self.detector);
-        }
-        let _ = writeln!(out, "until {}", fmt_duration(self.until));
-        let _ = writeln!(out, "settle {}", fmt_duration(self.settle));
-        let _ = writeln!(out, "latency-slack {}", fmt_duration(self.latency_slack));
-        let _ = writeln!(out, "rejoin-slack {}", fmt_duration(self.rejoin_slack));
-        out
-    }
-
-    /// Parses a `.canely` scenario document back into a run spec (the
-    /// inverse of [`RunSpec::to_scenario`]).
-    ///
-    /// Only the campaign subset of the scenario language is accepted:
-    /// `join`/`leave`/`restart` schedules have no oracle model and are
-    /// rejected; `expect-view` lines are ignored (the oracle computes
-    /// the expectation itself).
-    ///
-    /// Like [`RunSpec::from_scenario`], but reports errors as
-    /// `name:line: message` for scenarios read from a named file.
-    ///
-    /// # Errors
-    ///
-    /// Returns a diagnostic naming the file and offending line.
-    pub fn from_scenario_named(name: &str, text: &str) -> Result<RunSpec, String> {
-        Self::from_scenario(text).map_err(|e| locate(name, e))
-    }
-
-    /// # Errors
-    ///
-    /// Returns a diagnostic naming the offending line.
-    pub fn from_scenario(text: &str) -> Result<RunSpec, String> {
-        let mut spec = RunSpec {
-            id: 0,
-            detector: DetectorKind::Surveillance,
-            nodes: 4,
-            tm: BitTime::new(30_000),
-            th: BitTime::new(5_000),
-            until: BitTime::new(300_000),
-            settle: BitTime::new(150_000),
-            seed: 0,
-            consistent_rate: 0.0,
-            inconsistent_rate: 0.0,
-            omission_degree: 16,
-            inconsistent_degree: 2,
-            traffic: None,
-            crashes: Vec::new(),
-            inaccessibility: Vec::new(),
-            weaken_fda: false,
-            latency_slack: BitTime::new(4_000),
-            rejoin_slack: BitTime::new(30_000),
-            federation: None,
-        };
-        let mut traffic_periods: Vec<BitTime> = Vec::new();
-        let mut segments: u8 = 1;
-        let mut gateway: u8 = 0;
-        let mut topology = BridgeKind::Ring;
-        let mut relay = RelayFilter::none();
-        let mut seg_crashes: Vec<(u8, u8, BitTime)> = Vec::new();
-        let mut gateway_crashes: Vec<(u8, BitTime)> = Vec::new();
-        let mut gateway_restarts: Vec<(u8, BitTime)> = Vec::new();
-        let mut partitions: Vec<(BitTime, BitTime)> = Vec::new();
-        let mut asymmetric: Vec<(u8, u8, BitTime, BitTime)> = Vec::new();
-        let mut gateway_line = 0usize;
-        for (idx, raw) in text.lines().enumerate() {
-            let line_no = idx + 1;
-            let line = raw.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
-                continue;
-            }
-            let mut words = line.split_whitespace();
-            let keyword = words.next().expect("non-empty line");
-            let rest: Vec<&str> = words.collect();
-            let duration = |rest: &[&str]| -> Result<BitTime, String> {
-                rest.first()
-                    .and_then(|w| parse_duration(w))
-                    .ok_or_else(|| format!("line {line_no}: bad duration"))
-            };
-            let node_time = |rest: &[&str]| -> Result<(u8, BitTime), String> {
-                if rest.len() != 2 {
-                    return err(line_no, "expected `<node> <time>`");
-                }
-                let node: u8 = rest[0]
-                    .parse()
-                    .map_err(|_| format!("line {line_no}: bad node id"))?;
-                let time = parse_duration(rest[1])
-                    .ok_or_else(|| format!("line {line_no}: bad duration"))?;
-                Ok((node, time))
-            };
-            match keyword {
-                "nodes" => {
-                    spec.nodes = rest
-                        .first()
-                        .and_then(|w| w.parse::<u8>().ok())
-                        .filter(|&n| n >= 2 && (n as usize) <= MAX_NODES)
-                        .ok_or_else(|| format!("line {line_no}: bad node count"))?;
-                }
-                "tm" => spec.tm = duration(&rest)?,
-                "th" => spec.th = duration(&rest)?,
-                "until" => spec.until = duration(&rest)?,
-                "settle" => spec.settle = duration(&rest)?,
-                "latency-slack" => spec.latency_slack = duration(&rest)?,
-                "rejoin-slack" => spec.rejoin_slack = duration(&rest)?,
-                "seed" => {
-                    spec.seed = rest
-                        .first()
-                        .and_then(|w| w.parse().ok())
-                        .ok_or_else(|| format!("line {line_no}: bad seed"))?;
-                }
-                "error-rate" => {
-                    spec.consistent_rate = rest
-                        .first()
-                        .and_then(|w| w.parse().ok())
-                        .filter(|r| (0.0..=1.0).contains(r))
-                        .ok_or_else(|| format!("line {line_no}: bad probability"))?;
-                }
-                "inconsistent-rate" => {
-                    spec.inconsistent_rate = rest
-                        .first()
-                        .and_then(|w| w.parse().ok())
-                        .filter(|r| (0.0..=1.0).contains(r))
-                        .ok_or_else(|| format!("line {line_no}: bad probability"))?;
-                }
-                "omission-degree" => {
-                    spec.omission_degree = rest
-                        .first()
-                        .and_then(|w| w.parse().ok())
-                        .ok_or_else(|| format!("line {line_no}: bad degree"))?;
-                }
-                "inconsistent-degree" => {
-                    spec.inconsistent_degree = rest
-                        .first()
-                        .and_then(|w| w.parse().ok())
-                        .ok_or_else(|| format!("line {line_no}: bad degree"))?;
-                }
-                "traffic" => {
-                    let (_, period) = node_time(&rest)?;
-                    traffic_periods.push(period);
-                }
-                "crash" => spec.crashes.push(node_time(&rest)?),
-                "inaccessible" => {
-                    if rest.len() != 2 {
-                        return err(line_no, "expected `<from> <until>`");
-                    }
-                    let from = parse_duration(rest[0])
-                        .ok_or_else(|| format!("line {line_no}: bad duration"))?;
-                    let until = parse_duration(rest[1])
-                        .ok_or_else(|| format!("line {line_no}: bad duration"))?;
-                    if until <= from {
-                        return err(line_no, "empty inaccessibility window");
-                    }
-                    spec.inaccessibility.push((from, until));
-                }
-                "weaken-fda" => spec.weaken_fda = true,
-                "detector" => {
-                    spec.detector = rest
-                        .first()
-                        .and_then(|w| DetectorKind::from_key(w))
-                        .ok_or_else(|| format!("line {line_no}: unknown detector backend"))?;
-                }
-                "segments" => {
-                    segments = rest
-                        .first()
-                        .and_then(|w| w.parse::<u8>().ok())
-                        .filter(|&k| k >= 1 && usize::from(k) <= MAX_SEGMENTS)
-                        .ok_or_else(|| format!("line {line_no}: bad segment count"))?;
-                }
-                "gateway" => {
-                    gateway = rest
-                        .first()
-                        .and_then(|w| w.parse().ok())
-                        .ok_or_else(|| format!("line {line_no}: bad gateway node id"))?;
-                    gateway_line = line_no;
-                }
-                "bridge" => {
-                    topology = rest
-                        .first()
-                        .and_then(|w| BridgeKind::from_key(w))
-                        .ok_or_else(|| {
-                            format!(
-                                "line {line_no}: unknown bridge topology \
-                                 (expected line/ring/star/full)"
-                            )
-                        })?;
-                }
-                "relay" => {
-                    relay = parse_relay(&rest).ok_or_else(|| {
-                        format!(
-                            "line {line_no}: bad relay filter \
-                             (expected `none`, `all` or `below <ref>`)"
-                        )
-                    })?;
-                }
-                "seg-crash" => {
-                    if rest.len() != 3 {
-                        return err(line_no, "expected `<segment> <node> <time>`");
-                    }
-                    let seg: u8 = rest[0]
-                        .parse()
-                        .map_err(|_| format!("line {line_no}: bad segment index"))?;
-                    let node: u8 = rest[1]
-                        .parse()
-                        .map_err(|_| format!("line {line_no}: bad node id"))?;
-                    let at = parse_duration(rest[2])
-                        .ok_or_else(|| format!("line {line_no}: bad duration"))?;
-                    seg_crashes.push((seg, node, at));
-                }
-                "gateway-crash" => {
-                    let (seg, at) = node_time(&rest)?;
-                    gateway_crashes.push((seg, at));
-                }
-                "gateway-restart" => {
-                    let (seg, at) = node_time(&rest)?;
-                    gateway_restarts.push((seg, at));
-                }
-                "segment-partition" => {
-                    if rest.len() != 2 {
-                        return err(line_no, "expected `<from> <until>`");
-                    }
-                    let from = parse_duration(rest[0])
-                        .ok_or_else(|| format!("line {line_no}: bad duration"))?;
-                    let until = parse_duration(rest[1])
-                        .ok_or_else(|| format!("line {line_no}: bad duration"))?;
-                    if until <= from {
-                        return err(line_no, "empty partition window");
-                    }
-                    partitions.push((from, until));
-                }
-                "asymmetric" => {
-                    if rest.len() != 4 {
-                        return err(line_no, "expected `<from_seg> <to_seg> <from> <until>`");
-                    }
-                    let from_seg: u8 = rest[0]
-                        .parse()
-                        .map_err(|_| format!("line {line_no}: bad segment index"))?;
-                    let to_seg: u8 = rest[1]
-                        .parse()
-                        .map_err(|_| format!("line {line_no}: bad segment index"))?;
-                    let from = parse_duration(rest[2])
-                        .ok_or_else(|| format!("line {line_no}: bad duration"))?;
-                    let until = parse_duration(rest[3])
-                        .ok_or_else(|| format!("line {line_no}: bad duration"))?;
-                    if until <= from {
-                        return err(line_no, "empty asymmetric window");
-                    }
-                    asymmetric.push((from_seg, to_seg, from, until));
-                }
-                "expect-view" => {} // oracle computes the expectation
-                "join" | "leave" | "restart" => {
-                    return err(
-                        line_no,
-                        format_args!("`{keyword}` schedules have no campaign-oracle model"),
-                    );
-                }
-                other => return err(line_no, format_args!("unknown keyword `{other}`")),
-            }
-        }
-        // The campaign model drives every node with the same period.
-        if let Some(&period) = traffic_periods.first() {
-            spec.traffic = Some(period);
-        }
-        for &(node, _) in &spec.crashes {
-            if node >= spec.nodes {
-                return Err(format!("crash victim {node} outside population"));
-            }
-        }
-        if segments > 1 {
-            if spec.nodes > 32 {
-                return Err(format!(
-                    "federated segment populations cap at 32 nodes, got {}",
-                    spec.nodes
-                ));
-            }
-            if gateway >= spec.nodes {
-                return err(
-                    gateway_line,
-                    format_args!(
-                        "gateway node {gateway} outside a {}-node segment",
-                        spec.nodes
-                    ),
-                );
-            }
-            for &(seg, node, _) in &seg_crashes {
-                if seg == 0 || seg >= segments {
-                    return Err(format!(
-                        "seg-crash segment {seg} outside 1..{segments} \
-                         (segment-0 crashes use plain `crash` lines)"
-                    ));
-                }
-                if node >= spec.nodes || node == gateway {
-                    return Err(format!("seg-crash victim {node} invalid"));
-                }
-            }
-            for &(seg, _) in &gateway_crashes {
-                if seg >= segments {
-                    return Err(format!("gateway-crash segment {seg} outside population"));
-                }
-            }
-            for &(seg, at) in &gateway_restarts {
-                if seg >= segments {
-                    return Err(format!("gateway-restart segment {seg} outside population"));
-                }
-                if !gateway_crashes.iter().any(|&(s, tc)| s == seg && tc < at) {
-                    return Err(format!(
-                        "gateway-restart of segment {seg} has no earlier \
-                         gateway-crash to restart from"
-                    ));
-                }
-            }
-            let bridged = topology.bridges(segments);
-            for &(from_seg, to_seg, ..) in &asymmetric {
-                let key = (from_seg.min(to_seg), from_seg.max(to_seg));
-                if from_seg == to_seg || !bridged.contains(&key) {
-                    return Err(format!(
-                        "asymmetric window names unbridged segments {from_seg} {to_seg}"
-                    ));
-                }
-            }
-            for &(node, _) in &spec.crashes {
-                if node == gateway {
-                    return Err(format!(
-                        "crash victim {node} is the gateway \
-                         (use `gateway-crash 0 <time>` instead)"
-                    ));
-                }
-            }
-            spec.federation = Some(FederationSpec {
-                segments,
-                gateway,
-                topology,
-                relay,
-                seg_crashes,
-                gateway_crashes,
-                gateway_restarts,
-                partitions,
-                asymmetric,
-            });
-        } else if !seg_crashes.is_empty()
-            || !gateway_crashes.is_empty()
-            || !gateway_restarts.is_empty()
-            || !partitions.is_empty()
-            || !asymmetric.is_empty()
-        {
-            return Err(
-                "federation fault lines need a `segments` line with a value > 1".into(),
-            );
-        }
-        Ok(spec)
-    }
 }
 
 #[cfg(test)]
@@ -1617,14 +1054,20 @@ settle 150ms
         }
     }
 
-    #[test]
-    fn scenario_round_trip() {
-        let spec = CampaignSpec::parse(SMOKE).unwrap();
-        for run in spec.expand() {
+    /// Every run of the campaign `text` survives `.canely` and back.
+    fn assert_round_trips(text: &str) -> Vec<RunSpec> {
+        let runs = CampaignSpec::parse(text).unwrap().expand();
+        for run in &runs {
             let mut back = RunSpec::from_scenario(&run.to_scenario()).unwrap();
             back.id = run.id; // ids are not serialized state
-            assert_eq!(back, run, "round-trip of run {}", run.id);
+            assert_eq!(back, *run, "round-trip of run {}", run.id);
         }
+        runs
+    }
+
+    #[test]
+    fn scenario_round_trip() {
+        assert_round_trips(SMOKE);
     }
 
     #[test]
@@ -1669,18 +1112,12 @@ settle 150ms
 
     #[test]
     fn detector_widens_detection_bound_and_round_trips() {
-        let shootout =
-            CampaignSpec::parse(&format!("{SMOKE}detector swim add-phi\n")).unwrap();
-        let runs = shootout.expand();
-        for run in &runs {
+        for run in assert_round_trips(&format!("{SMOKE}detector swim add-phi\n")) {
             let baseline = RunSpec {
                 detector: DetectorKind::Surveillance,
                 ..run.clone()
             };
             assert!(run.detection_bound() > baseline.detection_bound());
-            let mut back = RunSpec::from_scenario(&run.to_scenario()).unwrap();
-            back.id = run.id;
-            assert_eq!(back, *run, "round-trip of run {}", run.id);
         }
     }
 
@@ -1717,7 +1154,7 @@ settle 150ms
         assert_eq!(e, "bad.campaign:2: bad node count `1`");
         let e =
             RunSpec::from_scenario_named("repro.canely", "nodes 4\ncrash x 10ms\n").unwrap_err();
-        assert_eq!(e, "repro.canely:2: bad node id");
+        assert_eq!(e, "repro.canely:2: bad node id `x`");
         // Diagnostics without a line anchor keep a plain file prefix.
         let e = CampaignSpec::parse_named("geo.campaign", "until 100ms\nsettle 100ms\n")
             .unwrap_err();
@@ -1794,12 +1231,7 @@ settle 150ms
 
     #[test]
     fn federated_scenario_round_trip() {
-        let spec = CampaignSpec::parse(FED).unwrap();
-        for run in spec.expand() {
-            let mut back = RunSpec::from_scenario(&run.to_scenario()).unwrap();
-            back.id = run.id;
-            assert_eq!(back, run, "round-trip of run {}", run.id);
-        }
+        assert_round_trips(FED);
     }
 
     #[test]
@@ -1906,13 +1338,7 @@ settle 150ms
 
     #[test]
     fn restart_scenarios_round_trip() {
-        let spec =
-            CampaignSpec::parse(&format!("{FED}gateway-restart 0 40ms\n")).unwrap();
-        for run in spec.expand() {
-            let mut back = RunSpec::from_scenario(&run.to_scenario()).unwrap();
-            back.id = run.id;
-            assert_eq!(back, run, "round-trip of run {}", run.id);
-        }
+        assert_round_trips(&format!("{FED}gateway-restart 0 40ms\n"));
     }
 
     #[test]

@@ -90,7 +90,10 @@ fn weakened_mutant_shrinks_to_a_replayable_counterexample() {
     // Replayability: the emitted .canely document reproduces the
     // violation after a parse round-trip.
     assert!(cx.scenario.contains("weaken-fda"), "{}", cx.scenario);
-    let replayed = RunSpec::from_scenario(&cx.scenario).expect("scenario parses back");
+    let mut replayed = RunSpec::from_scenario(&cx.scenario).expect("scenario parses back");
+    replayed.id = cx.minimal.id; // ids are not serialized state
+    assert_eq!(replayed, cx.minimal, "a shrunk run round-trips");
+    assert_eq!(replayed.to_scenario(), cx.scenario);
     let outcome = execute(&replayed, false);
     assert!(
         !outcome.violations.is_empty(),

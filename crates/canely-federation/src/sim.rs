@@ -414,11 +414,6 @@ impl FederationSim {
         }
     }
 
-    /// Number of segments.
-    pub fn segments(&self) -> u8 {
-        self.segments
-    }
-
     /// The gateway's local node id (same in every segment).
     pub fn gateway(&self) -> NodeId {
         self.gateway
@@ -682,11 +677,6 @@ impl FederationSim {
             due: self.now + delay,
         });
         self.metrics.retry_queued.inc();
-    }
-
-    /// The current federated instant.
-    pub fn now(&self) -> BitTime {
-        self.now
     }
 
     /// The merged, segment-qualified JSONL trace: each segment's

@@ -1,7 +1,9 @@
 //! Hand-rolled argument parsing: `--name value` options, flags, and
 //! `node@time` event specifications.
 
-use can_types::{BitRate, BitTime, NodeId};
+use can_types::BitTime;
+use canely_campaign::grammar;
+pub use canely_campaign::grammar::parse_duration;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -19,15 +21,6 @@ impl std::error::Error for ArgError {}
 
 fn err<T>(msg: impl Into<String>) -> Result<T, ArgError> {
     Err(ArgError(msg.into()))
-}
-
-/// A scheduled event: `node@time`, e.g. `3@250ms`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Event {
-    /// The node concerned.
-    pub node: NodeId,
-    /// The instant.
-    pub at: BitTime,
 }
 
 /// Parsed command line.
@@ -107,54 +100,6 @@ impl Args {
         values
     }
 
-    /// A `usize` option with a default.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the value does not parse.
-    pub fn usize_opt(&mut self, name: &str, default: usize) -> Result<usize, ArgError> {
-        match self.take(name) {
-            None => Ok(default),
-            Some(values) => values
-                .last()
-                .expect("non-empty")
-                .parse()
-                .map_err(|_| ArgError(format!("--{name} expects an integer"))),
-        }
-    }
-
-    /// An `f64` option with a default.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the value does not parse.
-    pub fn f64_opt(&mut self, name: &str, default: f64) -> Result<f64, ArgError> {
-        match self.take(name) {
-            None => Ok(default),
-            Some(values) => values
-                .last()
-                .expect("non-empty")
-                .parse()
-                .map_err(|_| ArgError(format!("--{name} expects a number"))),
-        }
-    }
-
-    /// A `u64` seed option with a default.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the value does not parse.
-    pub fn u64_opt(&mut self, name: &str, default: u64) -> Result<u64, ArgError> {
-        match self.take(name) {
-            None => Ok(default),
-            Some(values) => values
-                .last()
-                .expect("non-empty")
-                .parse()
-                .map_err(|_| ArgError(format!("--{name} expects an integer"))),
-        }
-    }
-
     /// A free-form string option (e.g. a file path); `None` when the
     /// option was not given.
     pub fn str_opt(&mut self, name: &str) -> Option<String> {
@@ -162,36 +107,49 @@ impl Args {
             .map(|values| values.last().expect("non-empty").clone())
     }
 
-    /// A duration option (`30ms`, `2500us`, or raw bit-times).
+    /// Option `name` read by one of the grammar's scalar parsers, or
+    /// `default` when the option was not given.
     ///
     /// # Errors
     ///
-    /// Returns an error if the value does not parse.
-    pub fn duration_opt(&mut self, name: &str, default: BitTime) -> Result<BitTime, ArgError> {
-        match self.take(name) {
-            None => Ok(default),
-            Some(values) => parse_duration(values.last().expect("non-empty"))
-                .ok_or_else(|| ArgError(format!("--{name} expects a duration like 30ms"))),
-        }
+    /// Returns `--name expects WHAT (why)` if the value does not parse.
+    pub fn opt<T>(
+        &mut self,
+        name: &str,
+        default: T,
+        what: &str,
+        parse: impl FnOnce(&str) -> Result<T, String>,
+    ) -> Result<T, ArgError> {
+        let Some(value) = self.str_opt(name) else {
+            return Ok(default);
+        };
+        parse(&value).map_err(|why| ArgError(format!("--{name} expects {what} ({why})")))
     }
 
-    /// All `node@time` events of a repeatable option.
+    /// A `usize` option with a default; errors as [`Args::opt`].
+    pub fn usize_opt(&mut self, name: &str, default: usize) -> Result<usize, ArgError> {
+        self.opt(name, default, "an integer", grammar::number)
+    }
+
+    /// A duration option (`30ms`, `2500us`, or raw bit-times, up to one
+    /// simulated hour); errors as [`Args::opt`].
+    pub fn duration_opt(&mut self, name: &str, default: BitTime) -> Result<BitTime, ArgError> {
+        self.opt(name, default, "a duration like 30ms", parse_duration)
+    }
+
+    /// All `node@time` events of a repeatable option, as `(node, at)`.
     ///
     /// # Errors
     ///
     /// Returns an error if any value does not parse.
-    pub fn events(&mut self, name: &str) -> Result<Vec<Event>, ArgError> {
-        let Some(values) = self.take(name) else {
-            return Ok(Vec::new());
-        };
-        values
-            .iter()
-            .map(|v| {
-                parse_event(v).ok_or_else(|| {
-                    ArgError(format!("--{name} expects NODE@TIME (e.g. 3@250ms), got `{v}`"))
-                })
+    pub fn events(&mut self, name: &str) -> Result<Vec<(u8, BitTime)>, ArgError> {
+        let values = self.take(name).unwrap_or_default();
+        let event = |v: &String| {
+            parse_event(v).ok_or_else(|| {
+                ArgError(format!("--{name} expects NODE@TIME (e.g. 3@250ms), got `{v}`"))
             })
-            .collect()
+        };
+        values.iter().map(event).collect()
     }
 
     /// Fails on unrecognized leftovers so typos surface.
@@ -210,29 +168,9 @@ impl Args {
     }
 }
 
-/// Parses `30ms`, `2500us` or raw bit-times at 1 Mbps.
-pub fn parse_duration(text: &str) -> Option<BitTime> {
-    let rate = BitRate::MBPS_1;
-    if let Some(ms) = text.strip_suffix("ms") {
-        return ms.parse::<u64>().ok().map(|v| BitTime::from_ms(v, rate));
-    }
-    if let Some(us) = text.strip_suffix("us") {
-        return us.parse::<u64>().ok().map(|v| BitTime::from_us(v, rate));
-    }
-    text.parse::<u64>().ok().map(BitTime::new)
-}
-
-/// Parses `node@time`, e.g. `3@250ms`.
-pub fn parse_event(text: &str) -> Option<Event> {
-    let (node, time) = text.split_once('@')?;
-    let node: u8 = node.parse().ok()?;
-    if node as usize >= can_types::MAX_NODES {
-        return None;
-    }
-    Some(Event {
-        node: NodeId::new(node),
-        at: parse_duration(time)?,
-    })
+/// Parses `node@time`, e.g. `3@250ms`, as `(node, at)`.
+pub fn parse_event(text: &str) -> Option<(u8, BitTime)> {
+    grammar::event(text).ok()
 }
 
 #[cfg(test)]
@@ -254,10 +192,7 @@ mod tests {
         assert_eq!(args.usize_opt("nodes", 4).unwrap(), 16);
         assert_eq!(
             args.events("crash").unwrap(),
-            vec![Event {
-                node: NodeId::new(3),
-                at: BitTime::new(250_000)
-            }]
+            vec![(3, BitTime::new(250_000))]
         );
         assert!(args.flag("journal"));
         assert!(args.reject_unused().is_ok());
@@ -270,16 +205,16 @@ mod tests {
                 .unwrap();
         let events = args.events("crash").unwrap();
         assert_eq!(events.len(), 2);
-        assert_eq!(events[1].at, BitTime::new(20_000));
+        assert_eq!(events[1].1, BitTime::new(20_000));
     }
 
     #[test]
     fn durations_accept_all_forms() {
-        assert_eq!(parse_duration("30ms"), Some(BitTime::new(30_000)));
-        assert_eq!(parse_duration("2500us"), Some(BitTime::new(2_500)));
-        assert_eq!(parse_duration("1234"), Some(BitTime::new(1_234)));
-        assert_eq!(parse_duration("abc"), None);
-        assert_eq!(parse_duration("3.5ms"), None, "fractional not supported");
+        assert_eq!(parse_duration("30ms"), Ok(BitTime::new(30_000)));
+        assert_eq!(parse_duration("2500us"), Ok(BitTime::new(2_500)));
+        assert_eq!(parse_duration("1234"), Ok(BitTime::new(1_234)));
+        assert!(parse_duration("abc").is_err());
+        assert!(parse_duration("3.5ms").is_err(), "fractional not supported");
     }
 
     #[test]

@@ -1,12 +1,14 @@
 //! The CLI commands: scenario construction and execution.
 
-use crate::args::{ArgError, Args, Event};
+use crate::args::{ArgError, Args};
 use crate::render;
+use crate::scenario::{build, report, run_with_obs, Scenario};
 use can_bus::{BusConfig, FaultPlan};
 use can_controller::Simulator;
 use can_types::{BitTime, NodeId, NodeSet};
 use canely::obs::{ObsLog, SnapshotFold};
-use canely::{CanelyConfig, CanelyStack, DetectorMetrics, ProtocolEvent, TrafficConfig};
+use canely::DetectorMetrics;
+use canely_campaign::{grammar, RunSpec};
 use canely_analysis::{BandwidthModel, InaccessibilityModel, ProtocolBounds, ReliabilityModel};
 use canely_metrics::{Registry, Stability};
 use canely_baselines::{CanopenMaster, CanopenSlave, HeartbeatNode, OsekNode, TtpNode};
@@ -19,169 +21,80 @@ fn fail(e: ArgError) -> String {
     e.to_string()
 }
 
-/// Common membership scenario options.
-struct MembershipScenario {
-    nodes: usize,
-    config: CanelyConfig,
-    until: BitTime,
-    crashes: Vec<Event>,
-    joins: Vec<Event>,
-    leaves: Vec<Event>,
-    restarts: Vec<Event>,
-    traffic: Option<BitTime>,
-    error_rate: f64,
-    seed: u64,
-    journal: bool,
+fn read_file(path: &str) -> Result<String, String> {
+    std::fs::read_to_string(path).map_err(|e| format!("error: cannot read `{path}`: {e}"))
 }
 
-impl MembershipScenario {
-    fn from_args(args: &mut Args) -> Result<Self, ArgError> {
-        let nodes = args.usize_opt("nodes", 4)?;
-        if nodes == 0 || nodes > can_types::MAX_NODES {
-            return Err(ArgError(format!(
-                "--nodes must be in 1..={}",
-                can_types::MAX_NODES
-            )));
-        }
-        let mut config = CanelyConfig::default()
-            .with_membership_cycle(args.duration_opt("tm", BitTime::new(30_000))?)
-            .with_heartbeat_period(args.duration_opt("th", BitTime::new(5_000))?);
-        config.join_wait = config.membership_cycle * 2 + BitTime::new(10_000);
-        config
-            .validate()
-            .map_err(|e| ArgError(format!("invalid configuration: {e}")))?;
-        let joins = args.events("join")?;
-        let crashes = args.events("crash")?;
-        let leaves = args.events("leave")?;
-        let restarts = args.events("restart")?;
-        // A scripted fault can only hit a node the scenario creates.
-        for (option, events) in [("crash", &crashes), ("leave", &leaves), ("restart", &restarts)] {
-            for event in events {
-                let node = event.node;
-                if node.as_usize() >= nodes && !joins.iter().any(|join| join.node == node) {
-                    return Err(ArgError(format!(
-                        "--{option} names node {node}, neither in 0..{nodes} nor a --join"
-                    )));
-                }
-            }
-        }
-        Ok(MembershipScenario {
-            nodes,
-            config,
-            until: args.duration_opt("until", BitTime::new(600_000))?,
-            crashes,
-            joins,
-            leaves,
-            restarts,
-            traffic: match args.duration_opt("traffic", BitTime::ZERO)? {
-                t if t.is_zero() => None,
-                t => Some(t),
-            },
-            error_rate: args.f64_opt("error-rate", 0.0)?,
-            seed: args.u64_opt("seed", 0)?,
-            journal: args.flag("journal"),
-        })
-    }
+/// A reader diagnostic (`file:line: …`), as the CLI prints it.
+fn diagnostic(e: String) -> String {
+    format!("error: {e}")
+}
 
-    fn faults(&self) -> Result<FaultPlan, ArgError> {
-        if !(0.0..=1.0).contains(&self.error_rate) {
-            return Err(ArgError("--error-rate must be a probability".into()));
-        }
-        Ok(FaultPlan::seeded(self.seed).with_consistent_rate(self.error_rate))
+/// The single-bus scenario the membership-family options describe —
+/// the same model a `.canely` file parses to — plus `--journal`.
+fn scenario_from_args(args: &mut Args) -> Result<(Scenario, bool), ArgError> {
+    // The options default to what an empty `.canely` file describes.
+    let base = RunSpec::default();
+    let population = format!("a node count in 1..={}", can_types::MAX_NODES);
+    let nodes = args.opt("nodes", base.nodes, &population, |w| grammar::node_count(w, 1))?;
+    let run = RunSpec {
+        nodes,
+        tm: args.duration_opt("tm", base.tm)?,
+        th: args.duration_opt("th", base.th)?,
+        until: args.duration_opt("until", base.until)?,
+        crashes: args.events("crash")?,
+        consistent_rate: args.opt("error-rate", 0.0, "a probability", grammar::probability)?,
+        seed: args.opt("seed", base.seed, "an integer", grammar::number)?,
+        ..base
+    };
+    run.checked_config()
+        .map_err(|e| ArgError(format!("invalid configuration: {e}")))?;
+    let joins = args.events("join")?;
+    // `--traffic` drives every node the scenario creates, joiners too.
+    let period = args.duration_opt("traffic", BitTime::ZERO)?;
+    let late = joins.iter().map(|&(id, _)| id).filter(|&id| id >= nodes);
+    let traffic = (0..nodes)
+        .chain(late)
+        .filter(|_| !period.is_zero())
+        .map(|id| (id, period))
+        .collect();
+    let scenario = Scenario {
+        run,
+        traffic,
+        joins,
+        leaves: args.events("leave")?,
+        restarts: args.events("restart")?,
+        expect_view: None,
+    };
+    // A scripted fault can only hit a node the scenario creates.
+    if let Some((option, _, node)) = scenario.stray_victim() {
+        return Err(ArgError(format!(
+            "--{option} names node n{node}, neither in 0..{nodes} nor a --join"
+        )));
     }
-
-    fn stack(
-        &self,
-        id: u8,
-        obs: Option<&ObsLog>,
-        detector: Option<&DetectorMetrics>,
-    ) -> CanelyStack {
-        let mut stack = CanelyStack::new(self.config.clone());
-        if let Some(period) = self.traffic {
-            stack = stack.with_traffic(TrafficConfig::staggered(period, id));
-        }
-        if let Some(leave) = self.leaves.iter().find(|e| e.node.as_u8() == id) {
-            stack = stack.with_leave_at(leave.at);
-        }
-        if let Some(log) = obs {
-            stack = stack.with_obs(log.sink());
-        }
-        if let Some(metrics) = detector {
-            stack.set_detector_metrics(metrics.clone());
-        }
-        stack
-    }
-
-    /// Builds the simulator. With an [`ObsLog`], every stack shares
-    /// its sink and the scripted crash/restart markers are pre-seeded
-    /// into the log (anchoring the latency metrics).
-    fn build(&self, obs: Option<&ObsLog>) -> Result<Simulator, ArgError> {
-        self.build_with(obs, None)
-    }
-
-    /// [`MembershipScenario::build`] with live detector counters
-    /// installed into every stack (including late joiners and
-    /// restarted nodes).
-    fn build_with(
-        &self,
-        obs: Option<&ObsLog>,
-        detector: Option<&DetectorMetrics>,
-    ) -> Result<Simulator, ArgError> {
-        let mut sim = Simulator::new(BusConfig::default(), self.faults()?);
-        sim.set_journal(self.journal);
-        let joiner_ids: Vec<u8> = self.joins.iter().map(|e| e.node.as_u8()).collect();
-        for id in 0..self.nodes as u8 {
-            if joiner_ids.contains(&id) {
-                continue; // added later at its join time
-            }
-            sim.add_node(NodeId::new(id), self.stack(id, obs, detector));
-        }
-        for event in &self.joins {
-            sim.add_node_at(
-                event.node,
-                self.stack(event.node.as_u8(), obs, detector),
-                event.at,
-            );
-        }
-        for event in &self.crashes {
-            sim.schedule_crash(event.node, event.at);
-            if let Some(log) = obs {
-                log.record(event.at, event.node, ProtocolEvent::NodeCrashed);
-            }
-        }
-        for event in &self.restarts {
-            sim.schedule_restart(
-                event.node,
-                event.at,
-                self.stack(event.node.as_u8(), obs, detector),
-            );
-            if let Some(log) = obs {
-                log.record(event.at, event.node, ProtocolEvent::NodeRestarted);
-            }
-        }
-        Ok(sim)
-    }
+    Ok((scenario, args.flag("journal")))
 }
 
 /// `canely membership …`
 pub fn membership(args: &mut Args) -> CmdResult {
-    let scenario = MembershipScenario::from_args(args).map_err(fail)?;
-    let mut sim = scenario.build(None).map_err(fail)?;
-    sim.run_until(scenario.until);
+    let (scenario, journal) = scenario_from_args(args).map_err(fail)?;
+    let run = &scenario.run;
+    let mut sim = build(&scenario, None, None);
+    sim.set_journal(journal);
+    sim.run_until(run.until);
 
     let mut out = String::new();
     let _ = writeln!(
         out,
         "CANELy membership: {} nodes, Tm {}, Th {}, horizon {}",
-        scenario.nodes,
-        render::ms(scenario.config.membership_cycle),
-        render::ms(scenario.config.heartbeat_period),
-        render::ms(scenario.until),
+        run.nodes,
+        render::ms(run.tm),
+        render::ms(run.th),
+        render::ms(run.until),
     );
-    let restarted: Vec<u8> = scenario.restarts.iter().map(|e| e.node.as_u8()).collect();
-    for id in 0..scenario.nodes as u8 {
+    for id in 0..run.nodes {
         if sim.alive().contains(NodeId::new(id)) {
-            if restarted.contains(&id) {
+            if scenario.restarts.iter().any(|&(n, _)| n == id) {
                 let _ = writeln!(out, "node n{id}: (power-cycled)");
             }
             render::stack_history(&mut out, &sim, NodeId::new(id));
@@ -189,8 +102,8 @@ pub fn membership(args: &mut Args) -> CmdResult {
             let _ = writeln!(out, "node n{id}: crashed");
         }
     }
-    render::bus_summary(&mut out, &sim, BitTime::ZERO, scenario.until);
-    if scenario.journal {
+    render::bus_summary(&mut out, &sim, BitTime::ZERO, run.until);
+    if journal {
         render::journal(&mut out, &sim);
     }
     Ok(out)
@@ -199,23 +112,24 @@ pub fn membership(args: &mut Args) -> CmdResult {
 /// `canely groups …`
 pub fn groups(args: &mut Args) -> CmdResult {
     let group_joins = args.events("group-join").map_err(fail)?;
-    let scenario = MembershipScenario::from_args(args).map_err(fail)?;
-    let mut sim = Simulator::new(BusConfig::default(), scenario.faults().map_err(fail)?);
-    for id in 0..scenario.nodes as u8 {
-        let mut stack = GroupStack::new(scenario.config.clone());
-        for event in group_joins.iter().filter(|e| e.node.as_u8() == id) {
-            stack = stack.with_group_join_at(GroupId::new(1), event.at);
+    let (scenario, _) = scenario_from_args(args).map_err(fail)?;
+    let run = &scenario.run;
+    let mut sim = Simulator::new(BusConfig::default(), run.fault_plan(run.seed));
+    for id in 0..run.nodes {
+        let mut stack = GroupStack::new(run.config());
+        for &(_, at) in group_joins.iter().filter(|&&(node, _)| node == id) {
+            stack = stack.with_group_join_at(GroupId::new(1), at);
         }
         sim.add_node(NodeId::new(id), stack);
     }
-    for event in &scenario.crashes {
-        sim.schedule_crash(event.node, event.at);
+    for &(node, at) in &run.crashes {
+        sim.schedule_crash(NodeId::new(node), at);
     }
-    sim.run_until(scenario.until);
+    sim.run_until(run.until);
 
     let mut out = String::new();
-    let _ = writeln!(out, "CANELy process groups: {} nodes", scenario.nodes);
-    for id in 0..scenario.nodes as u8 {
+    let _ = writeln!(out, "CANELy process groups: {} nodes", run.nodes);
+    for id in 0..run.nodes {
         let node = NodeId::new(id);
         if !sim.alive().contains(node) {
             let _ = writeln!(out, "node {node}: crashed");
@@ -288,8 +202,8 @@ pub fn baseline(args: &mut Args) -> CmdResult {
         }
         other => return Err(format!("error: unknown baseline `{other}`")),
     }
-    for event in &crashes {
-        sim.schedule_crash(event.node, event.at);
+    for &(node, at) in &crashes {
+        sim.schedule_crash(NodeId::new(node), at);
     }
     sim.run_until(until);
 
@@ -389,7 +303,7 @@ pub fn analyze(args: &mut Args) -> CmdResult {
             );
         }
         "reliability" => {
-            let ber = args.f64_opt("ber", 1e-9).map_err(fail)?;
+            let ber = args.opt("ber", 1e-9, "a number", grammar::number).map_err(fail)?;
             let model = ReliabilityModel::paper_operating_point(ber);
             let _ = writeln!(out, "inconsistency-rate estimate at BER {ber}:");
             let _ = writeln!(
@@ -438,13 +352,12 @@ pub fn trace(args: &mut Args) -> CmdResult {
     if usize::from(csv) + usize::from(jsonl) + usize::from(chrome) > 1 {
         return Err("error: --csv, --jsonl and --chrome are mutually exclusive".into());
     }
-    let scenario = MembershipScenario::from_args(args).map_err(fail)?;
+    let (scenario, _) = scenario_from_args(args).map_err(fail)?;
+    let until = scenario.run.until;
     if jsonl || chrome {
         // Merged protocol + bus trace, one JSON object per line (see
         // docs/TRACE_SCHEMA.md).
-        let log = ObsLog::new();
-        let mut sim = scenario.build(Some(&log)).map_err(fail)?;
-        sim.run_until(scenario.until);
+        let (sim, log) = run_with_obs(&scenario);
         let doc = log.export_jsonl(Some(sim.trace()));
         if chrome {
             // Chrome/Perfetto trace-event JSON: per-node instant
@@ -454,8 +367,8 @@ pub fn trace(args: &mut Args) -> CmdResult {
         }
         return Ok(doc);
     }
-    let mut sim = scenario.build(None).map_err(fail)?;
-    sim.run_until(scenario.until);
+    let mut sim = build(&scenario, None, None);
+    sim.run_until(until);
     if csv {
         return Ok(render::trace_csv(&sim));
     }
@@ -473,7 +386,7 @@ pub fn trace(args: &mut Args) -> CmdResult {
             if rec.errored { "ERROR" } else { "ok" },
         );
     }
-    render::bus_summary(&mut out, &sim, BitTime::ZERO, scenario.until);
+    render::bus_summary(&mut out, &sim, BitTime::ZERO, until);
     Ok(out)
 }
 
@@ -495,7 +408,8 @@ pub fn metrics(args: &mut Args) -> CmdResult {
     let live = args.flag("live");
     let json = args.flag("json");
     let profile = args.flag("profile");
-    let scenario = MembershipScenario::from_args(args).map_err(fail)?;
+    let (scenario, _) = scenario_from_args(args).map_err(fail)?;
+    let run = &scenario.run;
     let log = ObsLog::new();
 
     let registry = if live {
@@ -520,9 +434,7 @@ pub fn metrics(args: &mut Args) -> CmdResult {
             Stability::Stable,
         ),
     };
-    let mut sim = scenario
-        .build_with(Some(&log), live.then_some(&detector))
-        .map_err(fail)?;
+    let mut sim = build(&scenario, Some(&log), live.then_some(&detector));
     sim.set_profiling(live || profile);
 
     // Advance in chunks, folding only the events each chunk appended:
@@ -532,11 +444,11 @@ pub fn metrics(args: &mut Args) -> CmdResult {
     let mut cursor = 0;
     const CHUNKS: u64 = 8;
     for k in 1..=CHUNKS {
-        sim.run_until(BitTime::new(scenario.until.as_u64() * k / CHUNKS));
+        sim.run_until(BitTime::new(run.until.as_u64() * k / CHUNKS));
         cursor = log.fold_new(&mut fold, cursor);
     }
     debug_assert_eq!(cursor, log.len());
-    let snapshot = fold.finish(Some((sim.trace(), scenario.until)));
+    let snapshot = fold.finish(Some((sim.trace(), run.until)));
 
     if live {
         let stats = sim.take_step_stats();
@@ -608,10 +520,10 @@ pub fn metrics(args: &mut Args) -> CmdResult {
     let _ = writeln!(
         out,
         "CANELy metrics: {} nodes, Tm {}, Th {}, horizon {} ({} protocol events)",
-        scenario.nodes,
-        render::ms(scenario.config.membership_cycle),
-        render::ms(scenario.config.heartbeat_period),
-        render::ms(scenario.until),
+        run.nodes,
+        render::ms(run.tm),
+        render::ms(run.th),
+        render::ms(run.until),
         log.len(),
     );
     render::metrics_report(&mut out, &snapshot);
@@ -629,12 +541,17 @@ pub fn metrics(args: &mut Args) -> CmdResult {
 /// [`canely_trace::TraceModel`] over it.
 fn tq_source(args: &mut Args) -> Result<String, String> {
     if let Some(path) = args.str_opt("trace") {
-        std::fs::read_to_string(&path).map_err(|e| format!("error: cannot read `{path}`: {e}"))
+        read_file(&path)
     } else if let Some(path) = args.str_opt("scenario") {
-        let text = std::fs::read_to_string(&path)
-            .map_err(|e| format!("error: cannot read `{path}`: {e}"))?;
-        let scenario = crate::scenario::Scenario::parse(&text).map_err(|e| e.to_string())?;
-        let (sim, _until, log) = scenario.run_with_obs().map_err(fail)?;
+        let text = read_file(&path)?;
+        let (scenario, _) =
+            Scenario::read(&grammar::Doc::named(&path, &text)).map_err(diagnostic)?;
+        if scenario.run.federation.is_some() {
+            return Err(format!(
+                "error: `{path}` bridges segments; `tq --scenario` traces a single bus"
+            ));
+        }
+        let (sim, log) = run_with_obs(&scenario);
         Ok(log.export_jsonl(Some(sim.trace())))
     } else {
         Err("error: tq requires --scenario <file.canely> or --trace <file.jsonl>".into())
@@ -753,9 +670,7 @@ fn campaign_spec(args: &mut Args) -> Result<canely_campaign::CampaignSpec, Strin
     let path = args
         .str_opt("spec")
         .ok_or("error: --spec <file.campaign> is required")?;
-    let text = std::fs::read_to_string(&path)
-        .map_err(|e| format!("error: cannot read `{path}`: {e}"))?;
-    canely_campaign::CampaignSpec::parse_named(&path, &text).map_err(|e| format!("error: {e}"))
+    canely_campaign::CampaignSpec::parse_named(&path, &read_file(&path)?).map_err(diagnostic)
 }
 
 fn campaign_run(args: &mut Args) -> CmdResult {
@@ -897,21 +812,21 @@ fn campaign_report(args: &mut Args) -> CmdResult {
     Ok(out)
 }
 
-/// Executes a federated (multi-segment) scenario file for `canelyctl
-/// run`. The single-bus [`crate::scenario::Scenario`] engine cannot
-/// host bridged segments, so these delegate to the campaign replay
-/// engine and are judged by the invariant oracle — including
-/// global-view agreement across the gateways.
-pub fn run_federated_scenario(path: &str, text: &str) -> CmdResult {
-    let run = canely_campaign::RunSpec::from_scenario_named(path, text)
-        .map_err(|e| format!("error: {e}"))?;
-    // `segments 1` is legal federation vocabulary for a plain run.
-    let fed = run.federation.clone().unwrap_or_default();
-    let outcome = canely_campaign::execute(&run, false);
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "federated scenario: {} segments × {} nodes, bridge {}, gateway n{}, tm {}, seed {}",
+/// `canelyctl run FILE` — executes a scenario file. A single bus runs
+/// in the CLI's own world and reports each node's view; `segments`
+/// above 1 needs bridged buses, which the campaign engine's executor
+/// owns, so those files are judged by the invariant oracle —
+/// including global-view agreement across the gateways.
+pub fn run_file(path: &str) -> CmdResult {
+    let text = read_file(path)?;
+    let doc = grammar::Doc::named(path, &text);
+    let (scenario, seen) = Scenario::read(&doc).map_err(diagnostic)?;
+    let Some(fed) = scenario.run.federation.clone() else {
+        return report(&scenario).map_err(fail);
+    };
+    let run = scenario.judged(&seen, &doc).map_err(diagnostic)?;
+    let header = format!(
+        "federated scenario: {} segments × {} nodes, bridge {}, gateway n{}, tm {}, seed {}\n",
         fed.segments,
         run.nodes,
         fed.topology,
@@ -919,18 +834,13 @@ pub fn run_federated_scenario(path: &str, text: &str) -> CmdResult {
         render::ms(run.tm),
         run.seed,
     );
-    // Only bridged segments have a global view to agree on.
-    let scope = if fed.segments > 1 {
-        " (including global-view agreement)"
-    } else {
-        ""
-    };
-    verdict(out, &outcome, scope)
+    verdict(header, &run, " (including global-view agreement)")
 }
 
-/// Appends the oracle's verdict on one judged run to its report; a
-/// violating run makes the command fail.
-fn verdict(mut out: String, outcome: &canely_campaign::RunOutcome, scope: &str) -> CmdResult {
+/// Judges `run` under the invariant oracle and appends the verdict to
+/// its report `out`; a violating run makes the command fail.
+fn verdict(mut out: String, run: &RunSpec, scope: &str) -> CmdResult {
+    let outcome = canely_campaign::execute(run, false);
     if outcome.violations.is_empty() {
         let _ = writeln!(out, "verdict: clean — every invariant held{scope}");
         Ok(out)
@@ -947,15 +857,9 @@ fn campaign_replay(args: &mut Args) -> CmdResult {
     let path = args
         .str_opt("scenario")
         .ok_or("error: --scenario <file.canely> is required")?;
-    let text = std::fs::read_to_string(&path)
-        .map_err(|e| format!("error: cannot read `{path}`: {e}"))?;
-    let run = canely_campaign::RunSpec::from_scenario_named(&path, &text)
-        .map_err(|e| format!("error: {e}"))?;
-    let outcome = canely_campaign::execute(&run, false);
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "replay: {} nodes, tm {}, seed {}, horizon {}, detector {}{}",
+    let run = RunSpec::from_scenario_named(&path, &read_file(&path)?).map_err(diagnostic)?;
+    let header = format!(
+        "replay: {} nodes, tm {}, seed {}, horizon {}, detector {}{}\n",
         run.nodes,
         render::ms(run.tm),
         run.seed,
@@ -967,7 +871,7 @@ fn campaign_replay(args: &mut Args) -> CmdResult {
             ""
         },
     );
-    verdict(out, &outcome, "")
+    verdict(header, &run, "")
 }
 
 #[cfg(test)]

@@ -24,7 +24,7 @@ pub mod commands;
 pub mod render;
 pub mod scenario;
 
-pub use args::{ArgError, Args, Event};
+pub use args::{ArgError, Args};
 
 /// Entry point shared by the binary and the tests: parses `argv`
 /// (without the program name) and runs the selected command, returning
@@ -49,17 +49,7 @@ pub fn run(argv: &[String]) -> Result<String, String> {
             let path = args
                 .subcommand()
                 .ok_or("error: run requires a scenario file path")?;
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| format!("error: cannot read `{path}`: {e}"))?;
-            if scenario::is_federated(&text) {
-                // Multi-segment scenarios need K bridged buses; the
-                // campaign replay engine owns that topology and the
-                // global-view oracle.
-                commands::run_federated_scenario(path, &text)
-            } else {
-                let parsed = scenario::Scenario::parse(&text).map_err(|e| e.to_string())?;
-                parsed.execute().map_err(|e| e.to_string())
-            }
+            commands::run_file(path)
         }
         "help" | "--help" | "-h" => return Ok(usage()),
         other => return Err(format!("unknown command `{other}`\n\n{}", usage())),
@@ -158,11 +148,12 @@ COMMANDS:
                  th, traffic, crash, join, leave, restart, until,
                  seed, error-rate, inconsistent-rate, omission-degree,
                  inconsistent-degree, inaccessible, weaken-fda,
-                 expect-view — see the `scenario` module docs);
-                 `expect-view` turns the file into an executable
-                 regression test; federated scenarios (segments,
-                 bridge, gateway-crash, segment-partition, …) run on
-                 K bridged buses via the campaign replay engine
+                 expect-view — the full table is in
+                 docs/CAMPAIGN_SPEC.md); `expect-view` turns the file
+                 into an executable regression test; a file with
+                 `segments` above 1 (plus bridge, gateway-crash,
+                 segment-partition, …) runs on K bridged buses in the
+                 campaign engine and is judged by its invariant oracle
 
   campaign <run|report|replay>   deterministic parallel fault-injection
                  campaigns with an invariant oracle (canely-campaign)

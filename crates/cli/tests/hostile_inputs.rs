@@ -1,6 +1,6 @@
-//! Inputs that used to panic or be silently accepted: each must yield
-//! a report or a named diagnostic, never exit 101 or a trace of a node
-//! that does not exist.
+//! Inputs that used to panic, hang or be silently re-interpreted: each
+//! must yield a report or a named diagnostic, never exit 101, a spin,
+//! or a trace of a node that does not exist.
 
 use canely_cli::run;
 
@@ -8,17 +8,45 @@ fn argv(parts: &[&str]) -> Vec<String> {
     parts.iter().map(|s| s.to_string()).collect()
 }
 
-#[test]
-fn single_segment_scenario_file_reports_instead_of_panicking() {
-    // `segments 1` is federation vocabulary, so `run` hands the file
-    // to the campaign engine — where it parses to a plain run.
+/// Writes `text` to a scratch file named `name` and returns its path.
+fn file(name: &str, text: &str) -> String {
     let dir = std::env::temp_dir().join("canelyctl-hostile-inputs");
     std::fs::create_dir_all(&dir).unwrap();
-    let file = dir.join("seg1.canely");
-    std::fs::write(&file, "nodes 4\nsegments 1\nuntil 300ms\nsettle 150ms\n").unwrap();
-    let out = run(&argv(&["run", &file.to_string_lossy()])).unwrap();
-    assert!(out.contains("1 segments × 4 nodes"), "{out}");
-    assert!(out.contains("verdict: clean"), "{out}");
+    let path = dir.join(name);
+    std::fs::write(&path, text).unwrap();
+    path.to_string_lossy().into_owned()
+}
+
+/// `command… <file>` must fail with `error: <file>:<line>: …<needle>…`.
+fn assert_refused(command: &[&str], name: &str, text: &str, line: usize, needle: &str) {
+    let path = file(name, text);
+    let mut args = argv(command);
+    args.push(path.clone());
+    let err = run(&args).expect_err(text);
+    let anchor = format!("error: {path}:{line}: ");
+    assert!(err.starts_with(&anchor), "{command:?} {text:?}: {err}");
+    assert!(err.contains(needle), "{command:?} {text:?}: {err}");
+}
+
+const RUN: &[&str] = &["run"];
+const REPLAY: &[&str] = &["campaign", "replay", "--scenario"];
+const CAMPAIGN: &[&str] = &["campaign", "run", "--spec"];
+
+#[test]
+fn single_segment_scenario_file_reports_instead_of_panicking() {
+    // `segments 1` is the plain single bus: a no-op line, so `run`
+    // prints the single-bus report — even next to a `join`, which the
+    // judged path would refuse.
+    let path = file(
+        "seg1.canely",
+        "nodes 4\nsegments 1\njoin 9 100ms\nuntil 300ms\nsettle 150ms\n",
+    );
+    let out = run(&argv(&["run", &path])).unwrap();
+    assert!(
+        out.starts_with("scenario: 4 nodes, horizon 300.00ms\n"),
+        "{out}"
+    );
+    assert!(out.contains("node n9: view {0,1,2,3,9}"), "{out}");
 }
 
 #[test]
@@ -34,9 +62,143 @@ fn faults_on_nodes_that_never_exist_are_rejected() {
     }
     // A late joiner is a node of the scenario like any other.
     let out = run(&argv(&[
-        "membership", "--nodes", "4", "--join", "9@100ms", "--crash", "9@300ms", "--until",
+        "membership",
+        "--nodes",
+        "4",
+        "--join",
+        "9@100ms",
+        "--crash",
+        "9@300ms",
+        "--until",
         "400ms",
     ]))
     .unwrap();
     assert!(out.contains("CANELy membership"), "{out}");
+}
+
+#[test]
+fn a_matrix_too_large_to_hold_is_refused_at_parse_time() {
+    // Used to panic with `capacity overflow` in `expand()`.
+    let text = "nodes 4\nseeds 0..18446744073709551615\n";
+    assert_refused(
+        CAMPAIGN,
+        "seeds.campaign",
+        text,
+        2,
+        "more than 1048576 runs",
+    );
+    // Without a `seeds` line the last directive takes the blame.
+    let wide = format!("nodes{}\ntm{}\n", " 4".repeat(1100), " 30ms".repeat(1100));
+    assert_refused(
+        CAMPAIGN,
+        "wide.campaign",
+        &wide,
+        2,
+        "more than 1048576 runs",
+    );
+}
+
+#[test]
+fn a_wrapping_horizon_is_an_overflow_not_a_short_run() {
+    // 18446744073709552 ms × 1000 wraps u64 to a 0.38 ms horizon.
+    let text = "nodes 4\nuntil 18446744073709552ms\n";
+    assert_refused(RUN, "wrap.canely", text, 2, "duration overflows");
+    assert_refused(REPLAY, "wrap.canely", text, 2, "duration overflows");
+    assert_refused(CAMPAIGN, "wrap.campaign", text, 2, "duration overflows");
+    let err = run(&argv(&["membership", "--until", "18446744073709552ms"])).unwrap_err();
+    assert!(
+        err.starts_with("error: --until") && err.contains("duration overflows"),
+        "{err}"
+    );
+}
+
+#[test]
+fn a_horizon_past_one_simulated_hour_is_refused_not_spun_on() {
+    // 18446744073709551 ms fits u64 and used to simulate until killed.
+    let text = "until 18446744073709551ms\n";
+    assert_refused(RUN, "spin.canely", text, 1, "exceeds one simulated hour");
+    assert_refused(REPLAY, "spin.canely", text, 1, "exceeds one simulated hour");
+    assert_refused(
+        CAMPAIGN,
+        "spin.campaign",
+        text,
+        1,
+        "exceeds one simulated hour",
+    );
+    let err = run(&argv(&["trace", "--until", "3600001ms"])).unwrap_err();
+    assert!(
+        err.starts_with("error: --until") && err.contains("one simulated hour"),
+        "{err}"
+    );
+}
+
+#[test]
+fn a_cycle_too_short_for_the_stack_is_a_diagnostic_under_every_reader() {
+    // `tm 1us` used to panic (`run config must validate`) under
+    // `replay` and under a federated `run`.
+    let plain = "nodes 4\ntm 1us\nuntil 300ms\nsettle 150ms\n";
+    assert_refused(RUN, "tm.canely", plain, 2, "RHA timeout");
+    assert_refused(REPLAY, "tm.canely", plain, 2, "RHA timeout");
+    let federated = "nodes 4\nsegments 2\ntm 1us\nuntil 300ms\nsettle 150ms\n";
+    assert_refused(RUN, "tmfed.canely", federated, 3, "RHA timeout");
+}
+
+#[test]
+fn range_errors_under_replay_name_the_offending_line() {
+    // `run` anchored these to a line; `replay` reported them line-less.
+    let head = "nodes 4\nsegments 3\nbridge line\n";
+    for (tail, needle) in [
+        ("crash 9 10ms\n", "node 9 is neither"),
+        ("seg-crash 3 1 10ms\n", "seg-crash segment 3 outside 0..3"),
+        (
+            "seg-crash 0 1 10ms\n",
+            "seg-crash segment 0: its crashes use plain `crash` lines",
+        ),
+        ("seg-crash 1 0 10ms\n", "seg-crash victim 0 is the gateway"),
+        (
+            "gateway-restart 1 10ms\n",
+            "gateway-restart of segment 1 has no earlier gateway-crash",
+        ),
+        ("crash 0 10ms\n", "crash victim is the gateway"),
+        (
+            "gateway-crash 3 10ms\n",
+            "gateway-crash segment 3 outside 0..3",
+        ),
+        ("asymmetric 0 2 10ms 20ms\n", "unbridged segments 0 2"),
+    ] {
+        let text = format!("{head}{tail}");
+        assert_refused(REPLAY, "range.canely", &text, 4, needle);
+        assert_refused(RUN, "range.canely", &text, 4, needle);
+    }
+}
+
+#[test]
+fn replay_refuses_what_it_would_have_re_interpreted() {
+    // `traffic 0 2ms` alone drives node 0 under `run`; `replay` used to
+    // silently drive every node with it. The judged subset is one
+    // period on each of `0..nodes`, in any order, or no traffic.
+    const ONE_PERIOD: &str = "one period on every node or none";
+    for (text, line, needle) in [
+        ("nodes 4\ntraffic 0 2ms\n", 2, ONE_PERIOD),
+        ("nodes 2\ntraffic 0 2ms\ntraffic 1 4ms\n", 3, ONE_PERIOD),
+        ("nodes 2\ntraffic 1 2ms\n\ntraffic 1 2ms\n", 4, ONE_PERIOD),
+        ("tm 30ms\nnodes 1\n", 2, "needs at least 2 nodes"),
+        (
+            "nodes 4\n\nleave 1 10ms\njoin 9 5ms\n",
+            3,
+            "`leave` schedules have no campaign-oracle",
+        ),
+    ] {
+        assert_refused(REPLAY, "subset.canely", text, line, needle);
+        let out = run(&argv(&["run", &file("subset.canely", text)])).unwrap();
+        assert!(out.starts_with("scenario: "), "`run` takes {text:?}: {out}");
+    }
+    let uniform = file(
+        "uniform.canely",
+        "nodes 2\ntraffic 1 2ms\ntraffic 0 2ms\nsettle 150ms\n",
+    );
+    let out = run(&argv(&["campaign", "replay", "--scenario", &uniform])).unwrap();
+    // One reader, one set of defaults: `until` is `run`'s 600 ms.
+    assert!(out.contains("horizon 600.00ms"), "{out}");
+    assert!(out.contains("verdict: clean"), "{out}");
 }

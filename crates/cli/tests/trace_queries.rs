@@ -9,7 +9,7 @@
 //! * `tq` renders are byte-deterministic across invocations.
 
 use canely_cli::run;
-use canely_cli::scenario::Scenario;
+use canely_cli::scenario::{run_with_obs, Scenario};
 use canely_trace::{CauseRef, TraceModel};
 use proptest::prelude::*;
 
@@ -24,8 +24,7 @@ fn scenario_path(name: &str) -> String {
 /// Runs a checked-in scenario file and returns its JSONL trace.
 fn scenario_trace(name: &str) -> String {
     let text = std::fs::read_to_string(scenario_path(name)).unwrap();
-    let scenario = Scenario::parse(&text).unwrap();
-    let (sim, _until, log) = scenario.run_with_obs().unwrap();
+    let (sim, log) = run_with_obs(&Scenario::parse(&text).unwrap());
     log.export_jsonl(Some(sim.trace()))
 }
 

@@ -2,8 +2,8 @@
 # Full verification gate: build, test, docs, lints.
 #
 # Everything runs --offline: the workspace vendors its few external
-# dependencies (vendor/{rand,proptest,criterion}) so no network access
-# is needed — or allowed — to verify.
+# dependencies (vendor/{rand,proptest}) so no network access is needed
+# — or allowed — to verify.
 #
 # Usage: scripts/verify.sh  (from the repository root or anywhere)
 
@@ -168,6 +168,54 @@ if [ "$failover" != "$refailover" ]; then
     exit 1
 fi
 golden failover "$failover"
+
+# Scenario-file gates, against the release binary: every checked-in
+# `.canely` file must hold its own `expect-view` under `run`, and
+# `partition_heal` must come back clean under the invariant oracle.
+echo "==> canelyctl run scenarios/*.canely"
+for scenario in scenarios/*.canely; do
+    case "$(target/release/canelyctl run "$scenario")" in
+    *'expect-view: ok'*) ;;
+    *)
+        echo "verify: $scenario did not meet its expect-view" >&2
+        exit 1
+        ;;
+    esac
+done
+case "$(target/release/canelyctl campaign replay --scenario scenarios/partition_heal.canely)" in
+*'verdict: clean'*) ;;
+*)
+    echo "verify: partition_heal.canely is not clean under the oracle" >&2
+    exit 1
+    ;;
+esac
+
+# Hostile-file smoke: inputs that used to panic (exit 101), wrap or
+# spin (`timeout` exit 124) must die at the readers with a diagnostic
+# and exit 1 — nothing else.
+echo "==> hostile-file smoke"
+hostile="target/verify-hostile"
+mkdir -p "$hostile"
+printf 'seeds 0..18446744073709551615\n' > "$hostile/seeds.campaign"
+printf 'until 18446744073709552ms\n' > "$hostile/wrap.canely"
+printf 'until 18446744073709551ms\n' > "$hostile/spin.canely"
+printf 'nodes 4\ntm 1us\n' > "$hostile/tm.canely"
+printf 'nodes 4\nsegments 2\ntm 1us\n' > "$hostile/tm-fed.canely"
+printf 'nodes 4\ncrash 9 10ms\n' > "$hostile/crash.canely"
+refused() {
+    status=0
+    timeout 10 target/release/canelyctl "$@" > /dev/null 2>&1 || status=$?
+    if [ "$status" -ne 1 ]; then
+        echo "verify: canelyctl $* exited $status, expected a diagnostic and 1" >&2
+        exit 1
+    fi
+}
+refused campaign run --spec "$hostile/seeds.campaign"
+refused run "$hostile/wrap.canely"
+refused run "$hostile/spin.canely"
+refused campaign replay --scenario "$hostile/tm.canely"
+refused run "$hostile/tm-fed.canely"
+refused campaign replay --scenario "$hostile/crash.canely"
 
 # Campaign scaling smoke gate: fanning the same matrix out to 8
 # workers must never be *slower* than running it on 1. On a multi-core

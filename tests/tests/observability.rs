@@ -13,7 +13,7 @@
 
 use can_types::BitTime;
 use canely::ProtocolEvent;
-use canely_cli::scenario::Scenario;
+use canely_cli::scenario::{run_with_obs, Scenario};
 use integration::n;
 
 fn lifecycle() -> Scenario {
@@ -26,7 +26,7 @@ fn lifecycle() -> Scenario {
 /// 300 ms, as seen by observer node 0 (plus the global crash marker).
 #[test]
 fn golden_trace_crash_to_view_change() {
-    let (_sim, _until, log) = lifecycle().run_with_obs().expect("scenario runs");
+    let (_sim, log) = run_with_obs(&lifecycle());
 
     let watched = [
         "node.crashed",
@@ -81,7 +81,9 @@ fn golden_trace_crash_to_view_change() {
 /// is a property of the export, not of `events()`.)
 #[test]
 fn trace_is_time_ordered_with_markers() {
-    let (sim, until, log) = lifecycle().run_with_obs().expect("scenario runs");
+    let scenario = lifecycle();
+    let until = scenario.run.until;
+    let (sim, log) = run_with_obs(&scenario);
     let events = log.events();
     assert!(!events.is_empty());
     let times: Vec<u64> = log
@@ -111,8 +113,8 @@ fn trace_is_time_ordered_with_markers() {
 #[test]
 fn identical_runs_export_identical_jsonl() {
     let scenario = lifecycle();
-    let (sim_a, _, log_a) = scenario.run_with_obs().expect("first run");
-    let (sim_b, _, log_b) = scenario.run_with_obs().expect("second run");
+    let (sim_a, log_a) = run_with_obs(&scenario);
+    let (sim_b, log_b) = run_with_obs(&scenario);
     let a = log_a.export_jsonl(Some(sim_a.trace()));
     let b = log_b.export_jsonl(Some(sim_b.trace()));
     assert!(!a.is_empty());

@@ -6,8 +6,7 @@
 //! boundary must produce no false suspicion and leave the crash of
 //! node 3 detected within the analytical bounds.
 
-use canely_campaign::RunSpec;
-use canely_cli::scenario::Scenario;
+use canely_campaign::{RunSpec, Scenario};
 
 fn scenario_dir() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../scenarios")
@@ -30,8 +29,7 @@ fn every_checked_in_scenario_passes_its_expectation() {
         let text = std::fs::read_to_string(&path).expect("scenario file");
         let scenario =
             Scenario::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        let out = scenario
-            .execute()
+        let out = canely_cli::scenario::report(&scenario)
             .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
         assert!(
             out.contains("expect-view: ok"),
