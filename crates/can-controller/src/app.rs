@@ -104,6 +104,17 @@ impl<'a> Ctx<'a> {
         self.timers.start(self.node, self.now + delay, tag)
     }
 
+    /// `cancel_alarm(old)` followed by `start_alarm(delay, tag)`, as
+    /// one step (see [`TimerWheel::restart`]). With no `old` handle,
+    /// or one that already fired or was cancelled, a plain start.
+    pub fn restart_alarm(&mut self, old: Option<TimerId>, delay: BitTime, tag: u64) -> TimerId {
+        let deadline = self.now + delay;
+        match old {
+            Some(old) => self.timers.restart(old, self.node, deadline, tag),
+            None => self.timers.start(self.node, deadline, tag),
+        }
+    }
+
     /// `cancel_alarm`: cancels a pending timer.
     pub fn cancel_alarm(&mut self, id: TimerId) -> bool {
         self.timers.cancel(id)

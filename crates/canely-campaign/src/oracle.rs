@@ -149,6 +149,32 @@ pub struct OracleInput<'a> {
     pub view_change_bound: BitTime,
 }
 
+/// The event kinds the judge reads: exactly those [`check`],
+/// [`crate::latency_samples`] and [`crate::run::false_suspicion_count`]
+/// match on. Each of the three returns the same on a stream and on the
+/// stream's judged subset (relative order kept), so a run nobody
+/// exports need not store anything else — this is the retention
+/// predicate the executor installs on the logs of a non-capturing run.
+pub fn judged(event: &ProtocolEvent) -> bool {
+    matches!(
+        event,
+        ProtocolEvent::NodeCrashed
+            | ProtocolEvent::NodeRestarted
+            | ProtocolEvent::LeaveRequested
+            | ProtocolEvent::SuspectRaised { .. }
+            | ProtocolEvent::FailureNotified { .. }
+            | ProtocolEvent::ViewInstalled { .. }
+            | ProtocolEvent::ViewChanged { .. }
+    )
+}
+
+/// The [`judged`] events of a stream, in stream order: one pass, so
+/// the judge's per-crash and per-suspicion rescans walk only what they
+/// can match.
+pub fn judged_subset(events: &[TimedEvent]) -> Vec<TimedEvent> {
+    events.iter().filter(|e| judged(&e.event)).copied().collect()
+}
+
 /// Checks every invariant and returns all violations, ordered by
 /// (invariant, node, time).
 pub fn check(input: &OracleInput<'_>) -> Vec<Violation> {

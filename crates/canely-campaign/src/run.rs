@@ -20,7 +20,8 @@ pub struct RunOutcome {
     pub id: usize,
     /// Oracle verdicts (empty = all invariants held).
     pub violations: Vec<Violation>,
-    /// Number of protocol events recorded.
+    /// Number of protocol events the run emitted — whether or not the
+    /// run stored them (only a capturing run stores them all).
     pub events: usize,
     /// Measured crash-to-notification latencies (bit-times), one per
     /// crash × surviving observer.
@@ -121,7 +122,10 @@ pub fn false_suspicion_count(events: &[canely::obs::TimedEvent]) -> u64 {
 ///
 /// With `capture_trace` the full JSONL document (bus transactions
 /// merged with protocol events, time-ordered, byte-deterministic) is
-/// returned for counterexample emission; campaigns leave it off.
+/// returned for counterexample emission; campaigns leave it off, and
+/// the run then stores only the events the judge reads
+/// ([`oracle::judged`]). Every other field of the outcome is the same
+/// either way.
 pub fn execute(spec: &RunSpec, capture_trace: bool) -> RunOutcome {
     execute_on(&mut RunTelemetry::disabled(), spec, capture_trace)
 }
@@ -141,10 +145,13 @@ pub(crate) fn execute_on(tel: &mut RunTelemetry, spec: &RunSpec, capture: bool) 
     let fed_spec = spec.federation.as_ref().unwrap_or(&single);
     let segments = fed_spec.segments;
     let federated = segments > 1;
-    let config = FederationConfig::new(spec.config(), segments, spec.nodes)
+    let mut config = FederationConfig::new(spec.config(), segments, spec.nodes)
         .with_topology(fed_spec.topology)
         .with_gateway(fed_spec.gateway)
         .with_filter(fed_spec.relay.clone());
+    if !capture {
+        config = config.with_retention(oracle::judged);
+    }
     let mut fed = FederationSim::new(
         &config,
         spec.traffic,
@@ -256,32 +263,34 @@ pub(crate) fn execute_on(tel: &mut RunTelemetry, spec: &RunSpec, capture: bool) 
             outcome.detector_busy += stats.busy.as_u64();
         }
 
-        fed.log(seg).with_events(|seg_events| {
-            let input = OracleInput {
-                events: seg_events,
-                finals: &finals,
-                horizon: spec.until,
-                members: spec.members(),
-                quiescent: spec.statically_quiescent(),
-                operational_from: spec.operational_from(),
-                detection_bound: spec.detection_bound(),
-                view_change_bound: spec.view_change_bound(),
-            };
-            tel.profiler.enter(RP_ORACLE);
-            let found = oracle::check(&input).into_iter().map(|mut v| {
-                if federated {
-                    v.detail = format!("segment {seg}: {}", v.detail);
-                }
-                v
-            });
-            outcome.violations.extend(found);
-            tel.profiler.enter(RP_OBS);
-            outcome.events += seg_events.len();
-            let (detection, view_change) = latency_samples(seg_events);
-            outcome.detection.extend(detection);
-            outcome.view_change.extend(view_change);
-            outcome.false_suspicions += false_suspicion_count(seg_events);
+        // Both modes judge the same stream: a capture's full log is
+        // filtered once, a retaining log already holds nothing else.
+        let log = fed.log(seg);
+        outcome.events += log.emitted() as usize;
+        let seg_events = log.with_events(oracle::judged_subset);
+        let input = OracleInput {
+            events: &seg_events,
+            finals: &finals,
+            horizon: spec.until,
+            members: spec.members(),
+            quiescent: spec.statically_quiescent(),
+            operational_from: spec.operational_from(),
+            detection_bound: spec.detection_bound(),
+            view_change_bound: spec.view_change_bound(),
+        };
+        tel.profiler.enter(RP_ORACLE);
+        let found = oracle::check(&input).into_iter().map(|mut v| {
+            if federated {
+                v.detail = format!("segment {seg}: {}", v.detail);
+            }
+            v
         });
+        outcome.violations.extend(found);
+        tel.profiler.enter(RP_OBS);
+        let (detection, view_change) = latency_samples(&seg_events);
+        outcome.detection.extend(detection);
+        outcome.view_change.extend(view_change);
+        outcome.false_suspicions += false_suspicion_count(&seg_events);
     }
 
     if federated {

@@ -43,7 +43,7 @@ pub struct CampaignReport {
     pub name: String,
     /// Number of runs executed.
     pub runs: usize,
-    /// Total protocol events recorded across all runs.
+    /// Total protocol events emitted across all runs.
     pub events: u64,
     /// Violating runs, by matrix index: `(run id, violations)`.
     pub violating: Vec<(usize, Vec<Violation>)>,

@@ -45,7 +45,7 @@ pub const LATENCY_BUCKETS: &[u64] = &[
 pub struct RunTelemetry {
     /// Runs executed.
     runs: Counter,
-    /// Protocol events recorded across runs.
+    /// Protocol events emitted across runs.
     events: Counter,
     /// Oracle violations across runs.
     violations: Counter,

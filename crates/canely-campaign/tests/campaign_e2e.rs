@@ -87,6 +87,27 @@ fn weakened_mutant_shrinks_to_a_replayable_counterexample() {
     assert!(!cx.violations.is_empty());
     assert!(!cx.trace_jsonl.is_empty(), "offending trace ships along");
 
+    // The exact counterexample, pinned: the campaign judges from the
+    // retained kinds and the shrinker from full captures, and both
+    // must keep landing on these bytes.
+    assert_eq!(
+        cx.scenario,
+        "# canely-campaign run 1 (seed 1)\nnodes 2\ntm 30ms\nth 5ms\nseed 1\n\
+         omission-degree 16\ninconsistent-degree 2\ninaccessible 89843us 93843us\n\
+         weaken-fda\nuntil 300ms\nsettle 150ms\nlatency-slack 4ms\nrejoin-slack 30ms\n"
+    );
+    assert_eq!(cx.violations.len(), 4, "{:?}", cx.violations);
+    let fnv1a = cx
+        .trace_jsonl
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+        });
+    assert_eq!(
+        (cx.trace_jsonl.len(), fnv1a),
+        (11_013, 0xcc6d_30b9_c144_df38)
+    );
+
     // Replayability: the emitted .canely document reproduces the
     // violation after a parse round-trip.
     assert!(cx.scenario.contains("weaken-fda"), "{}", cx.scenario);

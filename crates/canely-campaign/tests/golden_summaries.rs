@@ -2,8 +2,8 @@
 //! must reproduce `tests/golden/<name>.summary.json` — the exact
 //! stdout of `canelyctl campaign run --spec scenarios/<name>.campaign
 //! --workers 1 --json` — byte for byte. `scripts/verify.sh` `cmp`s the
-//! same files (plus the slower `federation` one) against the release
-//! binary; this test catches a drift without leaving `cargo test`.
+//! same files against the release binary; this test catches a drift
+//! without leaving `cargo test`.
 //!
 //! A golden only changes in a PR whose purpose is to change campaign
 //! behaviour; regenerate it with the command above.
@@ -32,7 +32,7 @@ fn summary_document(name: &str) -> String {
 
 #[test]
 fn checked_in_campaigns_reproduce_their_golden_summaries() {
-    for name in ["smoke", "shootout", "failover"] {
+    for name in ["smoke", "shootout", "failover", "federation"] {
         let golden = repo_file(&format!("tests/golden/{name}.summary.json"));
         let actual = summary_document(name);
         assert!(

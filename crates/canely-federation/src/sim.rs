@@ -36,7 +36,7 @@ use crate::gateway::{BridgeFrame, Gateway, RelayFilter};
 use can_bus::{BusConfig, FaultPlan};
 use can_controller::Simulator;
 use can_types::{BitTime, NodeId};
-use canely::obs::ObsLog;
+use canely::obs::{ObsLog, Retention};
 use canely::tags::MAX_SEGMENTS;
 use canely::{CanelyConfig, CanelyStack, DetectorMetrics, TrafficConfig};
 
@@ -128,6 +128,9 @@ pub struct FederationConfig {
     /// Bounds the extra cross-segment propagation delay a bridge hop
     /// adds on top of arbitration.
     pub quantum: BitTime,
+    /// Which events the segment logs store ([`ObsLog::retaining`]);
+    /// `None` stores them all.
+    pub retention: Option<Retention>,
 }
 
 impl FederationConfig {
@@ -152,6 +155,7 @@ impl FederationConfig {
             filter: RelayFilter::none(),
             digest_period: BitTime::new(10_000),
             quantum: BitTime::new(1_000),
+            retention: None,
         }
     }
 
@@ -164,6 +168,12 @@ impl FederationConfig {
     /// Sets the relay filter.
     pub fn with_filter(mut self, filter: RelayFilter) -> Self {
         self.filter = filter;
+        self
+    }
+
+    /// Makes the segment logs store only the events `keep` accepts.
+    pub fn with_retention(mut self, keep: Retention) -> Self {
+        self.retention = Some(keep);
         self
     }
 
@@ -317,7 +327,9 @@ impl FederationSim {
             .collect();
         let mut this = FederationSim {
             sims: Vec::with_capacity(fed.segments as usize),
-            logs: (0..fed.segments).map(|_| ObsLog::default()).collect(),
+            logs: (0..fed.segments)
+                .map(|_| fed.retention.map_or_else(ObsLog::new, ObsLog::retaining))
+                .collect(),
             bridges,
             gateway: NodeId::new(fed.gateway),
             segments: fed.segments,

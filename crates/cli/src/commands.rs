@@ -481,8 +481,9 @@ pub fn metrics(args: &mut Args) -> CmdResult {
                 )
                 .add(nanos);
         }
-        let (detection, view_change) =
-            log.with_events(canely_campaign::latency_samples);
+        let (detection, view_change) = canely_campaign::latency_samples(
+            &log.with_events(canely_campaign::oracle::judged_subset),
+        );
         let hist = |name: &str, help: &'static str, samples: &[u64]| {
             let h = registry.histogram(
                 name,

@@ -32,8 +32,7 @@ use crate::fd::{els_mid, DetectorMetrics, DetectorTimer, FailureDetector, FdActi
 use crate::obs::{EventSink, ObsTimer, ProtocolEvent};
 use crate::tags::{detector_skew as skew, ping_mid, TimerOwner, PING_DIRECT, PING_REQ, SWIM_HELPERS};
 use can_controller::{Ctx, TimerId};
-use can_types::{BitTime, Mid, NodeId, NodeSet};
-use std::collections::HashMap;
+use can_types::{BitTime, Mid, NodeId, NodeSet, MAX_NODES};
 
 /// Phase of an in-flight SWIM probe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,7 +45,7 @@ enum ProbePhase {
 }
 
 /// An in-flight probe of one monitored node.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 struct Probe {
     phase: ProbePhase,
     tid: TimerId,
@@ -81,9 +80,9 @@ pub struct SwimDetector {
     /// The set of nodes this detector watches.
     monitored: NodeSet,
     /// Last time any frame of each monitored node was observed.
-    last_heard: HashMap<NodeId, BitTime>,
-    /// In-flight probes, keyed by target.
-    probes: HashMap<NodeId, Probe>,
+    last_heard: [BitTime; MAX_NODES],
+    /// In-flight probes, by target.
+    probes: [Option<Probe>; MAX_NODES],
     /// The protocol period timer.
     period: Option<TimerId>,
     /// Life-signs issued (all in answer to probes).
@@ -104,8 +103,8 @@ impl SwimDetector {
             th,
             ttd,
             monitored: NodeSet::EMPTY,
-            last_heard: HashMap::new(),
-            probes: HashMap::new(),
+            last_heard: [BitTime::ZERO; MAX_NODES],
+            probes: [None; MAX_NODES],
             period: None,
             els_sent: 0,
             pings_sent: 0,
@@ -133,11 +132,11 @@ impl SwimDetector {
                 deadline: ctx.now() + duration,
             },
         );
-        self.probes.insert(target, Probe { phase, tid });
+        self.probes[target.as_usize()] = Some(Probe { phase, tid });
     }
 
     fn cancel_probe(&mut self, ctx: &mut Ctx<'_>, target: NodeId) {
-        if let Some(probe) = self.probes.remove(&target) {
+        if let Some(probe) = self.probes[target.as_usize()].take() {
             ctx.cancel_alarm(probe.tid);
         }
     }
@@ -168,7 +167,7 @@ impl FailureDetector for SwimDetector {
 
     fn start(&mut self, ctx: &mut Ctx<'_>, r: NodeId) {
         self.monitored.insert(r);
-        self.last_heard.insert(r, ctx.now());
+        self.last_heard[r.as_usize()] = ctx.now();
         if self.period.is_none() {
             // First period staggered per node rank so the fleet's
             // probe rounds do not tick in lock-step.
@@ -179,26 +178,24 @@ impl FailureDetector for SwimDetector {
 
     fn stop(&mut self, ctx: &mut Ctx<'_>, r: NodeId) {
         self.monitored.remove(r);
-        self.last_heard.remove(&r);
         self.cancel_probe(ctx, r);
     }
 
     fn stop_all(&mut self, ctx: &mut Ctx<'_>) {
-        for (_, probe) in self.probes.drain() {
+        for probe in self.probes.iter_mut().filter_map(Option::take) {
             ctx.cancel_alarm(probe.tid);
         }
         if let Some(tid) = self.period.take() {
             ctx.cancel_alarm(tid);
         }
         self.monitored = NodeSet::EMPTY;
-        self.last_heard.clear();
     }
 
     fn on_activity(&mut self, ctx: &mut Ctx<'_>, r: NodeId) {
         if !self.monitored.contains(r) {
             return;
         }
-        self.last_heard.insert(r, ctx.now());
+        self.last_heard[r.as_usize()] = ctx.now();
         // Any sign of life acquits an in-flight probe of `r`.
         self.cancel_probe(ctx, r);
     }
@@ -211,11 +208,10 @@ impl FailureDetector for SwimDetector {
                 let me = ctx.me();
                 let now = ctx.now();
                 for r in self.monitored.iter().filter(|&r| r != me) {
-                    let heard = self.last_heard.get(&r).copied().unwrap_or(BitTime::ZERO);
-                    if now.saturating_sub(heard) < self.th {
+                    if now.saturating_sub(self.last_heard[r.as_usize()]) < self.th {
                         continue;
                     }
-                    match self.probes.get(&r).map(|p| p.phase) {
+                    match self.probes[r.as_usize()].map(|p| p.phase) {
                         None => {
                             self.send_ping(ctx, PING_DIRECT, r);
                             self.arm_probe(ctx, r, ProbePhase::Direct);
@@ -231,10 +227,10 @@ impl FailureDetector for SwimDetector {
             }
             DetectorTimer::Node(r) => {
                 if !self.monitored.contains(r) {
-                    self.probes.remove(&r);
+                    self.probes[r.as_usize()] = None;
                     return None;
                 }
-                let probe = self.probes.remove(&r)?;
+                let probe = self.probes[r.as_usize()].take()?;
                 match probe.phase {
                     ProbePhase::Direct => {
                         // Escalate: enlist helpers via ping-req.
@@ -261,7 +257,6 @@ impl FailureDetector for SwimDetector {
 
     fn on_fda_nty(&mut self, ctx: &mut Ctx<'_>, r: NodeId) -> FdAction {
         self.monitored.remove(r);
-        self.last_heard.remove(&r);
         self.cancel_probe(ctx, r);
         FdAction::Notify(r)
     }
@@ -289,7 +284,7 @@ impl FailureDetector for SwimDetector {
             PING_REQ
                 if prober != me
                     && self.monitored.contains(target)
-                    && !self.probes.contains_key(&target)
+                    && self.probes[target.as_usize()].is_none()
                     && self.is_helper(me, prober, target) =>
             {
                 // Helper relay: re-probe the target on the prober's
@@ -338,11 +333,11 @@ pub struct AddPhiDetector {
     /// `Ttd`: transmission-delay margin.
     ttd: BitTime,
     /// Armed per-node timers (local heartbeat + remote timeouts).
-    timers: HashMap<NodeId, TimerId>,
-    /// Last observed activity per remote node.
-    last_heard: HashMap<NodeId, BitTime>,
-    /// Worst observed inter-arrival gap per remote node.
-    max_gap: HashMap<NodeId, BitTime>,
+    timers: [Option<TimerId>; MAX_NODES],
+    /// Last observed activity per monitored remote node.
+    last_heard: [BitTime; MAX_NODES],
+    /// Worst observed inter-arrival gap per monitored remote node.
+    max_gap: [BitTime; MAX_NODES],
     /// The set of nodes this detector watches.
     monitored: NodeSet,
     /// Life-signs issued.
@@ -360,9 +355,9 @@ impl AddPhiDetector {
         AddPhiDetector {
             th,
             ttd,
-            timers: HashMap::new(),
-            last_heard: HashMap::new(),
-            max_gap: HashMap::new(),
+            timers: [None; MAX_NODES],
+            last_heard: [BitTime::ZERO; MAX_NODES],
+            max_gap: [BitTime::ZERO; MAX_NODES],
             monitored: NodeSet::EMPTY,
             els_sent: 0,
             obs: EventSink::disabled(),
@@ -374,20 +369,18 @@ impl AddPhiDetector {
     /// `clamp(worst observed gap + Ttd, Th + Ttd, 2·(Th + Ttd))`.
     pub fn timeout_for(&self, r: NodeId) -> BitTime {
         let floor = self.th + self.ttd;
-        let adaptive = self.max_gap.get(&r).copied().unwrap_or(BitTime::ZERO) + self.ttd;
+        let adaptive = self.max_gap[r.as_usize()] + self.ttd;
         adaptive.max(floor).min(floor * 2)
     }
 
     fn arm(&mut self, ctx: &mut Ctx<'_>, r: NodeId) {
-        if let Some(old) = self.timers.remove(&r) {
-            ctx.cancel_alarm(old);
-        }
         let duration = if r == ctx.me() {
             self.th
         } else {
             self.timeout_for(r) + skew(ctx.me())
         };
-        let tid = ctx.start_alarm(duration, TimerOwner::Surveillance(r).encode());
+        let tid = &mut self.timers[r.as_usize()];
+        *tid = Some(ctx.restart_alarm(*tid, duration, TimerOwner::Surveillance(r).encode()));
         self.obs.emit(
             ctx.now(),
             ctx.me(),
@@ -396,7 +389,16 @@ impl AddPhiDetector {
                 deadline: ctx.now() + duration,
             },
         );
-        self.timers.insert(r, tid);
+    }
+
+    /// Stops watching `r`: cancels its timer and forgets the gaps
+    /// observed so far.
+    fn release(&mut self, ctx: &mut Ctx<'_>, r: NodeId) {
+        self.monitored.remove(r);
+        self.max_gap[r.as_usize()] = BitTime::ZERO;
+        if let Some(tid) = self.timers[r.as_usize()].take() {
+            ctx.cancel_alarm(tid);
+        }
     }
 }
 
@@ -411,27 +413,19 @@ impl FailureDetector for AddPhiDetector {
 
     fn start(&mut self, ctx: &mut Ctx<'_>, r: NodeId) {
         self.monitored.insert(r);
-        self.last_heard.insert(r, ctx.now());
-        self.max_gap.insert(r, BitTime::ZERO);
+        self.last_heard[r.as_usize()] = ctx.now();
+        self.max_gap[r.as_usize()] = BitTime::ZERO;
         self.arm(ctx, r);
     }
 
     fn stop(&mut self, ctx: &mut Ctx<'_>, r: NodeId) {
-        self.monitored.remove(r);
-        self.last_heard.remove(&r);
-        self.max_gap.remove(&r);
-        if let Some(tid) = self.timers.remove(&r) {
-            ctx.cancel_alarm(tid);
-        }
+        self.release(ctx, r);
     }
 
     fn stop_all(&mut self, ctx: &mut Ctx<'_>) {
-        for (_, tid) in self.timers.drain() {
-            ctx.cancel_alarm(tid);
+        for r in self.monitored {
+            self.release(ctx, r);
         }
-        self.monitored = NodeSet::EMPTY;
-        self.last_heard.clear();
-        self.max_gap.clear();
     }
 
     fn on_activity(&mut self, ctx: &mut Ctx<'_>, r: NodeId) {
@@ -441,9 +435,9 @@ impl FailureDetector for AddPhiDetector {
             return;
         }
         let now = ctx.now();
-        let gap = now.saturating_sub(self.last_heard.get(&r).copied().unwrap_or(now));
-        self.last_heard.insert(r, now);
-        let worst = self.max_gap.entry(r).or_insert(BitTime::ZERO);
+        let gap = now.saturating_sub(self.last_heard[r.as_usize()]);
+        self.last_heard[r.as_usize()] = now;
+        let worst = &mut self.max_gap[r.as_usize()];
         *worst = (*worst).max(gap);
         self.arm(ctx, r);
     }
@@ -455,7 +449,7 @@ impl FailureDetector for AddPhiDetector {
         if !self.monitored.contains(r) {
             return None;
         }
-        self.timers.remove(&r);
+        self.timers[r.as_usize()] = None;
         if r == ctx.me() {
             ctx.can_rtr_req(els_mid(r));
             self.els_sent += 1;
@@ -478,12 +472,7 @@ impl FailureDetector for AddPhiDetector {
     }
 
     fn on_fda_nty(&mut self, ctx: &mut Ctx<'_>, r: NodeId) -> FdAction {
-        self.monitored.remove(r);
-        self.last_heard.remove(&r);
-        self.max_gap.remove(&r);
-        if let Some(tid) = self.timers.remove(&r) {
-            ctx.cancel_alarm(tid);
-        }
+        self.release(ctx, r);
         FdAction::Notify(r)
     }
 

@@ -29,8 +29,7 @@
 use crate::obs::{EventSink, ObsTimer, ProtocolEvent};
 use crate::tags::TimerOwner;
 use can_controller::{Ctx, TimerId};
-use can_types::{BitTime, Mid, NodeId, NodeSet};
-use std::collections::HashMap;
+use can_types::{BitTime, Mid, NodeId, NodeSet, MAX_NODES};
 
 /// Actions the failure detector hands back to the enclosing stack.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -245,8 +244,8 @@ pub struct SurveillanceDetector {
     th: BitTime,
     /// `Ttd`: network transmission delay bound added for remote nodes.
     ttd: BitTime,
-    /// `tid(r)`: the armed surveillance timers.
-    timers: HashMap<NodeId, TimerId>,
+    /// `tid(r)`: the armed surveillance timers, by monitored node.
+    timers: [Option<TimerId>; MAX_NODES],
     /// The set of nodes this detector watches (`fd-can.req(START)`ed).
     monitored: NodeSet,
     /// Explicit life-signs issued (introspection / bandwidth studies).
@@ -264,7 +263,7 @@ impl SurveillanceDetector {
         SurveillanceDetector {
             th,
             ttd,
-            timers: HashMap::new(),
+            timers: [None; MAX_NODES],
             monitored: NodeSet::EMPTY,
             els_sent: 0,
             obs: EventSink::disabled(),
@@ -280,9 +279,6 @@ impl SurveillanceDetector {
     /// `fd-alarm-start(r)` (lines a00–a06): (re)arms the surveillance
     /// timer — `Th` for the local node, `Th + Ttd` for remote nodes.
     fn arm(&mut self, ctx: &mut Ctx<'_>, r: NodeId) {
-        if let Some(old) = self.timers.remove(&r) {
-            ctx.cancel_alarm(old);
-        }
         let duration = if r == ctx.me() {
             self.th // a02
         } else {
@@ -298,7 +294,8 @@ impl SurveillanceDetector {
             // under a partition.)
             self.th + self.ttd + BitTime::new(u64::from(ctx.me().as_u8()) * 512)
         };
-        let tid = ctx.start_alarm(duration, TimerOwner::Surveillance(r).encode());
+        let tid = &mut self.timers[r.as_usize()];
+        *tid = Some(ctx.restart_alarm(*tid, duration, TimerOwner::Surveillance(r).encode()));
         self.obs.emit(
             ctx.now(),
             ctx.me(),
@@ -307,7 +304,13 @@ impl SurveillanceDetector {
                 deadline: ctx.now() + duration,
             },
         );
-        self.timers.insert(r, tid);
+    }
+
+    /// Cancels the surveillance timer of `r`, if one is armed.
+    fn disarm(&mut self, ctx: &mut Ctx<'_>, r: NodeId) {
+        if let Some(tid) = self.timers[r.as_usize()].take() {
+            ctx.cancel_alarm(tid);
+        }
     }
 }
 
@@ -329,13 +332,11 @@ impl FailureDetector for SurveillanceDetector {
     /// `fd-can.req(STOP, r)` (lines f17–f19).
     fn stop(&mut self, ctx: &mut Ctx<'_>, r: NodeId) {
         self.monitored.remove(r);
-        if let Some(tid) = self.timers.remove(&r) {
-            ctx.cancel_alarm(tid); // f18
-        }
+        self.disarm(ctx, r); // f18
     }
 
     fn stop_all(&mut self, ctx: &mut Ctx<'_>) {
-        for (_, tid) in self.timers.drain() {
+        for tid in self.timers.iter_mut().filter_map(Option::take) {
             ctx.cancel_alarm(tid);
         }
         self.monitored = NodeSet::EMPTY;
@@ -359,7 +360,7 @@ impl FailureDetector for SurveillanceDetector {
         if !self.monitored.contains(r) {
             return None; // stale expiry after STOP
         }
-        self.timers.remove(&r);
+        self.timers[r.as_usize()] = None;
         if r == ctx.me() {
             ctx.can_rtr_req(els_mid(r)); // f08
             self.els_sent += 1;
@@ -378,9 +379,7 @@ impl FailureDetector for SurveillanceDetector {
 
     fn on_fda_nty(&mut self, ctx: &mut Ctx<'_>, r: NodeId) -> FdAction {
         self.monitored.remove(r);
-        if let Some(tid) = self.timers.remove(&r) {
-            ctx.cancel_alarm(tid); // f14
-        }
+        self.disarm(ctx, r); // f14
         FdAction::Notify(r) // f15
     }
 

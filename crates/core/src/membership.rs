@@ -239,10 +239,11 @@ impl Membership {
             ctx.journal(format_args!("MSH: bootstrap view {}", self.vs));
         }
         // s21: restart the cycle timer.
-        if let Some(old) = self.tid.take() {
-            ctx.cancel_alarm(old);
-        }
-        self.tid = Some(ctx.start_alarm(self.tm, TimerOwner::MembershipCycle.encode()));
+        self.tid = Some(ctx.restart_alarm(
+            self.tid,
+            self.tm,
+            TimerOwner::MembershipCycle.encode(),
+        ));
         self.obs.emit(
             ctx.now(),
             me,

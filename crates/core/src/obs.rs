@@ -302,6 +302,108 @@ impl ProtocolEvent {
         }
     }
 
+    /// One sample of every variant, in declaration order — for tests
+    /// that must hold over *all* kinds (the trace renderer's, and the
+    /// campaign judge's retention predicate).
+    pub fn one_of_each() -> Vec<ProtocolEvent> {
+        let view = NodeSet::from_bits(0b11);
+        vec![
+            ProtocolEvent::TimerArmed {
+                timer: ObsTimer::Surveillance(NodeId::new(3)),
+                deadline: BitTime::new(10),
+            },
+            ProtocolEvent::TimerExpired {
+                timer: ObsTimer::MembershipCycle,
+            },
+            ProtocolEvent::LifeSignSent,
+            ProtocolEvent::LifeSignObserved { of: NodeId::new(1) },
+            ProtocolEvent::SuspectRaised {
+                suspect: NodeId::new(1),
+            },
+            ProtocolEvent::FailureNotified {
+                failed: NodeId::new(1),
+            },
+            ProtocolEvent::FdaInvoked {
+                failed: NodeId::new(1),
+            },
+            ProtocolEvent::FdaSignSent {
+                failed: NodeId::new(1),
+                diffusion: false,
+            },
+            ProtocolEvent::FdaSignReceived {
+                failed: NodeId::new(1),
+                duplicate: false,
+            },
+            ProtocolEvent::FdaDelivered {
+                failed: NodeId::new(1),
+            },
+            ProtocolEvent::RhaStarted {
+                proposal: view,
+                full_member: true,
+            },
+            ProtocolEvent::RhvSent { vector: view },
+            ProtocolEvent::RhvReceived {
+                from: NodeId::new(2),
+                vector: view,
+            },
+            ProtocolEvent::RhaNarrowed {
+                vector: NodeSet::from_bits(0b01),
+            },
+            ProtocolEvent::RhaQuenched {
+                vector: NodeSet::from_bits(0b01),
+            },
+            ProtocolEvent::RhaSettled {
+                vector: NodeSet::from_bits(0b01),
+                broadcasts: 2,
+            },
+            ProtocolEvent::JoinRequested,
+            ProtocolEvent::LeaveRequested,
+            ProtocolEvent::JoinObserved {
+                subject: NodeId::new(9),
+            },
+            ProtocolEvent::LeaveObserved {
+                subject: NodeId::new(9),
+            },
+            ProtocolEvent::CycleStarted {
+                index: 4,
+                idle: true,
+            },
+            ProtocolEvent::ViewBootstrapped { view },
+            ProtocolEvent::ViewInstalled { view },
+            ProtocolEvent::ViewChanged {
+                view,
+                failed: NodeSet::EMPTY,
+            },
+            ProtocolEvent::Expelled,
+            ProtocolEvent::LeftService,
+            ProtocolEvent::NodeCrashed,
+            ProtocolEvent::NodeRestarted,
+            ProtocolEvent::FedDigest {
+                reporter: 0,
+                subject: 1,
+                epoch: 2,
+                view,
+            },
+            ProtocolEvent::FedInstall {
+                subject: 1,
+                epoch: 2,
+                view,
+            },
+            ProtocolEvent::FedRelay {
+                mid: Mid::new(can_types::MsgType::Els, 0, NodeId::new(1)),
+                from_seg: 1,
+            },
+            ProtocolEvent::FedElect {
+                leader: NodeId::new(0),
+                epoch: 3,
+            },
+            ProtocolEvent::FedRejoin {
+                subject: 1,
+                epoch: 3,
+            },
+        ]
+    }
+
     /// Appends the variant-specific JSON fields (each preceded by a
     /// comma) to a JSON object under construction.
     fn write_json_fields(&self, out: &mut String) {
@@ -512,43 +614,68 @@ impl TimedEvent {
     }
 }
 
+/// Which emitted events a log stores (see [`ObsLog::retaining`]).
+pub type Retention = fn(&ProtocolEvent) -> bool;
+
 /// The shared state behind [`ObsLog`] / enabled [`EventSink`]s: the
 /// event vector plus the causal-threading bookkeeping.
 #[derive(Debug, Default)]
 struct LogInner {
     events: Vec<TimedEvent>,
+    /// Events emitted so far, stored or not: the next event's `seq`.
+    emitted: u64,
+    /// Stores only the events it accepts; `None` stores everything
+    /// (and an event's `seq` is then its index).
+    retain: Option<Retention>,
     /// Ambient cause stamped onto subsequently emitted events (set by
     /// the stack's dispatch layer at every bus delivery / timer fire).
     cause: Cause,
-    /// Last `timer.armed` sequence number per (node, timer), so a
-    /// `timer.expired` links back to the arming that scheduled it.
-    armed: HashMap<(u8, u8, u8), u64>,
+    /// Last stored `timer.armed` sequence number per (node, timer), so
+    /// a `timer.expired` links back to the arming that scheduled it.
+    /// Dense, indexed by [`timer_index`], grown on demand.
+    armed: Vec<u64>,
 }
 
-/// Key of the timer-arming map: (owning node, timer class, timer arg).
-fn timer_key(node: NodeId, timer: ObsTimer) -> (u8, u8, u8) {
-    match timer {
-        ObsTimer::Surveillance(r) => (node.as_u8(), 0, r.as_u8()),
-        ObsTimer::RhaTermination => (node.as_u8(), 1, 0),
-        ObsTimer::MembershipCycle => (node.as_u8(), 2, 0),
-    }
+/// `LogInner::armed` entry of a timer with no stored arming.
+const NOT_ARMED: u64 = u64::MAX;
+
+/// Index into the timer-arming table: one row per owning node, holding
+/// a surveillance timer per monitored node, then the RHA termination
+/// and membership cycle alarms.
+fn timer_index(node: NodeId, timer: ObsTimer) -> usize {
+    let column = match timer {
+        ObsTimer::Surveillance(r) => r.as_usize(),
+        ObsTimer::RhaTermination => MAX_NODES,
+        ObsTimer::MembershipCycle => MAX_NODES + 1,
+    };
+    node.as_usize() * (MAX_NODES + 2) + column
 }
 
 impl LogInner {
-    /// Appends one event, resolving its cause: timer expiries link to
-    /// their arming, everything else carries the ambient cause.
-    /// Returns the event's sequence number.
+    /// Numbers one event and, if it is retained, appends it with its
+    /// cause resolved: timer expiries link to their arming, everything
+    /// else carries the ambient cause. Returns the event's sequence
+    /// number.
     fn push(&mut self, time: BitTime, node: NodeId, event: ProtocolEvent) -> u64 {
-        let seq = self.events.len() as u64;
+        let seq = self.emitted;
+        self.emitted += 1;
+        if self.retain.is_some_and(|keep| !keep(&event)) {
+            return seq;
+        }
         let cause = match event {
             ProtocolEvent::TimerExpired { timer } => self
                 .armed
-                .get(&timer_key(node, timer))
+                .get(timer_index(node, timer))
+                .filter(|&&armed_seq| armed_seq != NOT_ARMED)
                 .map_or(self.cause, |&armed_seq| Cause::Event { seq: armed_seq }),
             _ => self.cause,
         };
         if let ProtocolEvent::TimerArmed { timer, .. } = event {
-            self.armed.insert(timer_key(node, timer), seq);
+            let index = timer_index(node, timer);
+            if index >= self.armed.len() {
+                self.armed.resize(index + 1, NOT_ARMED);
+            }
+            self.armed[index] = seq;
         }
         self.events.push(TimedEvent {
             time,
@@ -582,7 +709,8 @@ impl EventSink {
     }
 
     /// Records one event. A no-op (and allocation-free) when disabled.
-    /// Returns the event's log sequence number when recorded, so the
+    /// Returns the event's log sequence number when the sink is
+    /// enabled (whether or not the log retains the event), so the
     /// dispatcher can chain downstream causes onto it.
     #[inline]
     pub fn emit(&self, time: BitTime, node: NodeId, event: ProtocolEvent) -> Option<u64> {
@@ -619,9 +747,22 @@ pub struct ObsLog {
 }
 
 impl ObsLog {
-    /// An empty log.
+    /// An empty log that stores every event.
     pub fn new() -> Self {
         ObsLog::default()
+    }
+
+    /// An empty log that *numbers* every emitted event but *stores*
+    /// only those `keep` accepts — for a consumer that reads a few
+    /// kinds and would otherwise pay for materialising all of them.
+    /// Sequence numbers, [`ObsLog::emitted`] and the causes stamped on
+    /// the stored events are exactly those of a full log; a stored
+    /// `timer.expired` links to its arming only if that was stored
+    /// too.
+    pub fn retaining(keep: Retention) -> Self {
+        let log = ObsLog::default();
+        log.log.borrow_mut().retain = Some(keep);
+        log
     }
 
     /// A sink handle appending to this log.
@@ -644,30 +785,45 @@ impl ObsLog {
         inner.cause = ambient;
     }
 
-    /// A snapshot of all recorded events.
+    /// A snapshot of all stored events.
     pub fn events(&self) -> Vec<TimedEvent> {
         self.log.borrow().events.clone()
     }
 
-    /// Runs `f` over the recorded events without cloning them.
+    /// Runs `f` over the stored events without cloning them.
     pub fn with_events<R>(&self, f: impl FnOnce(&[TimedEvent]) -> R) -> R {
         f(&self.log.borrow().events)
     }
 
-    /// Number of recorded events.
+    /// Number of *stored* events: equal to [`ObsLog::emitted`] unless
+    /// the log was built with [`ObsLog::retaining`].
     pub fn len(&self) -> usize {
         self.log.borrow().events.len()
     }
 
-    /// Whether the log is empty.
+    /// Whether no event is stored.
     pub fn is_empty(&self) -> bool {
         self.log.borrow().events.is_empty()
     }
 
+    /// Number of events emitted into the log, stored or not — one more
+    /// than the highest sequence number handed out.
+    pub fn emitted(&self) -> u64 {
+        self.log.borrow().emitted
+    }
+
     /// Renders the log — merged with a bus trace, if given — as one
     /// time-ordered JSONL document (see [`export_jsonl`]).
+    ///
+    /// # Panics
+    ///
+    /// If the log was built with [`ObsLog::retaining`]: it holds no
+    /// complete trace, and the stored events' positions are not their
+    /// sequence numbers.
     pub fn export_jsonl(&self, bus: Option<&BusTrace>) -> String {
-        export_jsonl(&self.log.borrow().events, bus)
+        let inner = self.log.borrow();
+        assert!(inner.retain.is_none(), "a retaining log has no trace to export");
+        export_jsonl(&inner.events, bus)
     }
 
     /// Incrementally folds the events recorded since position `from`
@@ -1256,6 +1412,43 @@ mod tests {
     }
 
     #[test]
+    fn retaining_log_numbers_everything_and_stores_what_it_keeps() {
+        fn keep(event: &ProtocolEvent) -> bool {
+            matches!(
+                event,
+                ProtocolEvent::TimerExpired { .. } | ProtocolEvent::SuspectRaised { .. }
+            )
+        }
+        let timer = ObsTimer::Surveillance(n(2));
+        let armed = ProtocolEvent::TimerArmed {
+            timer,
+            deadline: t(5_100),
+        };
+        let stream = [
+            (t(100), armed),
+            (t(5_100), ProtocolEvent::TimerExpired { timer }),
+            (t(5_100), ProtocolEvent::SuspectRaised { suspect: n(2) }),
+            (t(5_200), ProtocolEvent::LifeSignSent),
+        ];
+        let (full, kept) = (ObsLog::new(), ObsLog::retaining(keep));
+        for log in [&full, &kept] {
+            let sink = log.sink();
+            for (i, &(at, event)) in stream.iter().enumerate() {
+                sink.set_cause(Cause::Bus { deliver_at: at });
+                assert_eq!(sink.emit(at, n(0), event), Some(i as u64));
+            }
+            assert_eq!(log.emitted(), 4);
+        }
+        assert_eq!((full.len(), kept.len()), (4, 2));
+        // The stored events are the full log's, but for the expiry's
+        // link to an arming the retaining log never stored.
+        let (full, stored) = (full.events(), kept.events());
+        assert_eq!(full[1].cause, Cause::Event { seq: 0 });
+        assert_eq!(stored[0].cause, Cause::Bus { deliver_at: t(5_100) });
+        assert_eq!(stored[1], full[2]);
+    }
+
+    #[test]
     fn harness_markers_are_boot_caused() {
         let log = ObsLog::new();
         let sink = log.sink();
@@ -1273,72 +1466,11 @@ mod tests {
 
     #[test]
     fn every_variant_renders_with_its_kind() {
-        let variants = [
-            ProtocolEvent::TimerArmed {
-                timer: ObsTimer::Surveillance(n(3)),
-                deadline: t(10),
-            },
-            ProtocolEvent::TimerExpired {
-                timer: ObsTimer::MembershipCycle,
-            },
-            ProtocolEvent::LifeSignSent,
-            ProtocolEvent::LifeSignObserved { of: n(1) },
-            ProtocolEvent::SuspectRaised { suspect: n(1) },
-            ProtocolEvent::FailureNotified { failed: n(1) },
-            ProtocolEvent::FdaInvoked { failed: n(1) },
-            ProtocolEvent::FdaSignSent {
-                failed: n(1),
-                diffusion: false,
-            },
-            ProtocolEvent::FdaSignReceived {
-                failed: n(1),
-                duplicate: false,
-            },
-            ProtocolEvent::FdaDelivered { failed: n(1) },
-            ProtocolEvent::RhaStarted {
-                proposal: NodeSet::from_bits(0b11),
-                full_member: true,
-            },
-            ProtocolEvent::RhvSent {
-                vector: NodeSet::from_bits(0b11),
-            },
-            ProtocolEvent::RhvReceived {
-                from: n(2),
-                vector: NodeSet::from_bits(0b11),
-            },
-            ProtocolEvent::RhaNarrowed {
-                vector: NodeSet::from_bits(0b01),
-            },
-            ProtocolEvent::RhaQuenched {
-                vector: NodeSet::from_bits(0b01),
-            },
-            ProtocolEvent::RhaSettled {
-                vector: NodeSet::from_bits(0b01),
-                broadcasts: 2,
-            },
-            ProtocolEvent::JoinRequested,
-            ProtocolEvent::LeaveRequested,
-            ProtocolEvent::JoinObserved { subject: n(9) },
-            ProtocolEvent::LeaveObserved { subject: n(9) },
-            ProtocolEvent::CycleStarted {
-                index: 4,
-                idle: true,
-            },
-            ProtocolEvent::ViewBootstrapped {
-                view: NodeSet::from_bits(0b11),
-            },
-            ProtocolEvent::ViewInstalled {
-                view: NodeSet::from_bits(0b11),
-            },
-            ProtocolEvent::ViewChanged {
-                view: NodeSet::from_bits(0b11),
-                failed: NodeSet::EMPTY,
-            },
-            ProtocolEvent::Expelled,
-            ProtocolEvent::LeftService,
-            ProtocolEvent::NodeCrashed,
-            ProtocolEvent::NodeRestarted,
-        ];
+        let variants = ProtocolEvent::one_of_each();
+        let mut kinds: Vec<_> = variants.iter().map(ProtocolEvent::kind).collect();
+        kinds.sort_unstable();
+        kinds.dedup();
+        assert_eq!(kinds.len(), variants.len(), "one sample per kind");
         for event in variants {
             let line = TimedEvent::new(t(1), n(0), event).to_json();
             assert!(

@@ -146,6 +146,22 @@ if [ "$federation" != "$refederation" ]; then
 fi
 golden federation "$federation"
 
+# Counted, not stored: a campaign keeps only the events its judge
+# reads, so the summary's `events` is a count taken at emission. The
+# registry counts the same runs on its own path; the last streamed
+# snapshot must agree with the summary.
+echo "==> campaign events: summary vs registry"
+fed_err="target/verify-federation.stderr"
+target/release/canelyctl campaign run --spec scenarios/federation.campaign \
+    --workers 2 --json --progress --metrics-json 2>"$fed_err" >/dev/null
+counted="$(printf '%s\n' "$federation" | grep -o '"events":[0-9]*' | head -n 1 | sed 's/.*://')"
+registered="$(grep -o '"name":"canely_campaign_events_total"[^}]*' "$fed_err" \
+    | tail -n 1 | sed 's/.*"value"://')"
+if [ -z "$counted" ] || [ "$counted" != "$registered" ]; then
+    echo "verify: summary reports ${counted:-no} events, the registry ${registered:-none}" >&2
+    exit 1
+fi
+
 # Self-healing failover gate: four bridged 16-node segments whose
 # gateway crashes mid-run and powers back on 60 ms later. The oracle
 # must come back clean — including the rejoin-latency invariant (a
