@@ -185,6 +185,19 @@ if [ "$failover" != "$refailover" ]; then
 fi
 golden failover "$failover"
 
+# Figure goldens: the paper-reproduction binaries are deterministic
+# and read frame durations off the wire, so a change that bends a
+# figure (a wire-length, stuffing or bandwidth-accounting slip) fails
+# here. Regenerate with `target/release/BIN > tests/golden/figures/BIN.txt`
+# only when a figure is meant to change.
+echo "==> figure goldens"
+for figure in fig01_ttp_vs_can fig10_bandwidth fig11_comparison sec66_related_latency ablations; do
+    if ! "target/release/$figure" | cmp -s - "tests/golden/figures/$figure.txt"; then
+        echo "verify: $figure diverged from tests/golden/figures/$figure.txt" >&2
+        exit 1
+    fi
+done
+
 # Scenario-file gates, against the release binary: every checked-in
 # `.canely` file must hold its own `expect-view` under `run`, and
 # `partition_heal` must come back clean under the invariant oracle.
