@@ -6,7 +6,10 @@
 //! * a campaign run nobody exports must not materialise its trace: it
 //!   requests a fraction of the bytes the same run requests with
 //!   capture on;
-//! * re-arming a surveillance timer on a warm wheel is a store.
+//! * re-arming a surveillance timer on a warm wheel is a store;
+//! * a frame's exact wire duration is arithmetic: the bus asks for it
+//!   once per transaction, and building the bit stream to answer cost
+//!   over half of an everyday campaign.
 //!
 //! The counters are per thread and the harness runs every `#[test]` on
 //! a thread of its own, so the tests do not disturb each other.
@@ -15,7 +18,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use can_controller::{Controller, Ctx, TimerWheel};
-use can_types::{BitTime, NodeId};
+use can_types::{BitTime, CanId, Frame, FrameFormat, NodeId, Payload};
 use canely::obs::{Cause, ObsLog};
 use canely::{EventSink, FailureDetector, ProtocolEvent, SurveillanceDetector};
 use canely_campaign::{execute, CampaignSpec};
@@ -172,4 +175,25 @@ fn surveillance_rearm_on_a_warm_wheel_allocates_nothing() {
         "{allocations} allocations in 100 000 re-arms"
     );
     assert_eq!(timers.len(), usize::from(NODES));
+}
+
+#[test]
+fn exact_frame_duration_allocates_nothing() {
+    let mut total = BitTime::ZERO;
+    let (allocations, _, ()) = measured(|| {
+        for format in [FrameFormat::Standard, FrameFormat::Extended] {
+            for len in 0..=8usize {
+                let payload = Payload::from_slice(&[0xA5; 8][..len]).expect("at most 8 bytes");
+                let data = Frame::data(CanId::new(0x2AA), payload).with_format(format);
+                total += data.duration_exact();
+            }
+            let remote = Frame::remote(CanId::new(0x2AA)).with_format(format);
+            total += remote.duration_exact();
+        }
+    });
+    assert_eq!(
+        allocations, 0,
+        "{allocations} allocations in 20 exact frame durations"
+    );
+    assert!(total > BitTime::ZERO);
 }

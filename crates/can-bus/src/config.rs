@@ -5,9 +5,10 @@ use can_types::{BitRate, BitTime, Frame};
 /// How frame durations are charged on the simulated wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TimingModel {
-    /// Build the real bit stream and count genuinely inserted stuff
-    /// bits ([`Frame::duration_exact`]). The default: measured
-    /// bandwidth reflects actual frame contents.
+    /// Charge every frame the length of its real bit stream,
+    /// genuinely inserted stuff bits included
+    /// ([`Frame::duration_exact`]). The default: measured bandwidth
+    /// reflects actual frame contents.
     #[default]
     Exact,
     /// Charge every frame its worst-case stuffed length

@@ -8,8 +8,8 @@
 //!
 //! Two timing modes are provided:
 //!
-//! * [`Frame::duration_exact`] — builds the actual bit stream (CRC-15
-//!   and all) and counts the genuinely inserted stuff bits;
+//! * [`Frame::duration_exact`] — the length of the actual bit stream
+//!   (CRC-15 and all) plus the genuinely inserted stuff bits;
 //! * [`Frame::duration_worst_case`] — the closed-form worst case used
 //!   by analytic models (a stuff bit every four bits of the stuffable
 //!   region).
@@ -303,9 +303,9 @@ impl Frame {
         }
     }
 
-    /// Exact wire duration of this frame in bit-times: the real bit
-    /// stream is constructed (arbitration and control fields, data,
-    /// CRC-15) and the stuff bits genuinely inserted are counted.
+    /// Exact wire duration of this frame in bit-times: the length of
+    /// the real bit stream (arbitration and control fields, data,
+    /// CRC-15) plus the stuff bits genuinely inserted into it.
     pub fn duration_exact(&self) -> BitTime {
         BitTime::new(wire::exact_frame_bits(self))
     }

@@ -1,6 +1,6 @@
 //! Property-based tests for the foundational types.
 
-use can_types::wire::{count_stuff_bits, crc15, exact_frame_bits};
+use can_types::wire::{count_stuff_bits, crc15, exact_frame_bits, stuffable_region};
 use can_types::{BitRate, BitTime, CanId, Frame, FrameFormat, Mid, MsgType, NodeId, NodeSet, Payload};
 use proptest::prelude::*;
 
@@ -19,6 +19,26 @@ fn arb_msg_type() -> impl Strategy<Value = MsgType> {
 fn arb_payload() -> impl Strategy<Value = Payload> {
     prop::collection::vec(any::<u8>(), 0..=8)
         .prop_map(|v| Payload::from_slice(&v).expect("bounded length"))
+}
+
+/// Any frame the wire can carry: either format, data (DLC 0..=8) or
+/// remote, any identifier the format admits.
+fn arb_frame() -> impl Strategy<Value = Frame> {
+    (any::<bool>(), 0u32..(1 << 29), arb_payload(), any::<bool>()).prop_map(
+        |(standard, raw_id, payload, remote)| {
+            let (format, raw_id) = if standard {
+                (FrameFormat::Standard, raw_id & 0x7FF)
+            } else {
+                (FrameFormat::Extended, raw_id)
+            };
+            let frame = if remote {
+                Frame::remote(CanId::new(raw_id))
+            } else {
+                Frame::data(CanId::new(raw_id), payload)
+            };
+            frame.with_format(format)
+        },
+    )
 }
 
 proptest! {
@@ -92,20 +112,20 @@ proptest! {
     }
 
     #[test]
-    fn exact_duration_within_analytic_bounds(
-        raw_id in 0u32..(1 << 29),
-        payload in arb_payload(),
-        remote in any::<bool>(),
-    ) {
-        let frame = if remote {
-            Frame::remote(CanId::new(raw_id))
-        } else {
-            Frame::data(CanId::new(raw_id), payload)
-        };
-        let len = if remote { 0 } else { frame.payload().len() };
+    fn exact_duration_within_analytic_bounds(frame in arb_frame()) {
+        let len = frame.payload().len();
         let exact = frame.duration_exact().as_u64();
-        prop_assert!(exact >= FrameFormat::Extended.unstuffed_bits(len));
-        prop_assert!(exact <= FrameFormat::Extended.worst_case_bits(len));
+        prop_assert!(exact >= frame.format().unstuffed_bits(len));
+        prop_assert!(exact <= frame.format().worst_case_bits(len));
+    }
+
+    #[test]
+    fn exact_bits_match_the_bit_serial_definition(frame in arb_frame()) {
+        let region = stuffable_region(&frame);
+        prop_assert_eq!(
+            exact_frame_bits(&frame),
+            region.len() as u64 + count_stuff_bits(&region) + 10
+        );
     }
 
     #[test]

@@ -191,9 +191,10 @@ golden failover "$failover"
 # here. Regenerate with `target/release/BIN > tests/golden/figures/BIN.txt`
 # only when a figure is meant to change.
 echo "==> figure goldens"
-for figure in fig01_ttp_vs_can fig10_bandwidth fig11_comparison sec66_related_latency ablations; do
-    if ! "target/release/$figure" | cmp -s - "tests/golden/figures/$figure.txt"; then
-        echo "verify: $figure diverged from tests/golden/figures/$figure.txt" >&2
+for golden in tests/golden/figures/*.txt; do
+    figure="$(basename "$golden" .txt)"
+    if ! "target/release/$figure" | cmp -s - "$golden"; then
+        echo "verify: $figure diverged from $golden" >&2
         exit 1
     fi
 done
