@@ -18,7 +18,6 @@ use can_bus::{BusConfig, FaultEffect, FaultMatcher, FaultPlan, ScriptedFault};
 use can_controller::{Application, Ctx, DriverEvent, Simulator};
 use can_types::{BitTime, Frame, Mid, MsgType, NodeId, NodeSet, Payload};
 use canely_baselines::TtpNode;
-use std::any::Any;
 
 /// Plain CAN node: sends one message, counts receptions. No services.
 #[derive(Default)]
@@ -40,12 +39,6 @@ impl Application for PlainCan {
         if matches!(event, DriverEvent::DataInd { .. }) {
             self.received += 1;
         }
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

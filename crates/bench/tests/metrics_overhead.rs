@@ -3,50 +3,11 @@
 //! stronger — the *enabled* hot path (counter adds, histogram
 //! records) is allocation-free too once the handles exist, so workers
 //! can bump freely from the campaign hot loop.
-//!
-//! This test owns the whole process (one `#[test]` per file) so the
-//! allocation counter is not disturbed by concurrent tests.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+mod common;
 
 use canely_metrics::{Registry, Stability};
-
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAllocator = CountingAllocator;
-
-fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
-}
-
-/// Measures the allocations of `f` over a few windows and returns the
-/// cleanest one: the counter is process-global, so a one-shot lazy
-/// allocation elsewhere (TLS init, output capture) can land inside a
-/// window, but a path that truly allocates does so in *every* window.
-fn best_of_5(mut f: impl FnMut()) -> u64 {
-    let mut best = u64::MAX;
-    for _ in 0..5 {
-        let before = allocations();
-        f();
-        best = best.min(allocations() - before);
-    }
-    best
-}
+use common::measured;
 
 #[test]
 fn metric_bumps_never_allocate() {
@@ -55,7 +16,7 @@ fn metric_bumps_never_allocate() {
     let d_counter = disabled.counter("x_total", "x", Stability::Stable);
     let d_gauge = disabled.gauge("g", "g", Stability::Volatile);
     let d_hist = disabled.histogram("h", "h", Stability::Stable, &[10, 100, 1_000]);
-    let clean = best_of_5(|| {
+    let (clean, _, ()) = measured(|| {
         for i in 0..100_000u64 {
             d_counter.add(i & 1);
             d_gauge.set(i);
@@ -68,12 +29,15 @@ fn metric_bumps_never_allocate() {
     // Enabled handles: registration allocates (cells, the name map),
     // but every subsequent bump is a relaxed atomic — nothing else.
     let enabled = Registry::new();
-    let before = allocations();
-    let e_counter = enabled.counter("x_total", "x", Stability::Stable);
-    let e_gauge = enabled.gauge("g", "g", Stability::Volatile);
-    let e_hist = enabled.histogram("h", "h", Stability::Stable, &[10, 100, 1_000]);
-    assert!(allocations() > before, "registration allocates the cells");
-    let clean = best_of_5(|| {
+    let (registering, _, (e_counter, e_gauge, e_hist)) = measured(|| {
+        (
+            enabled.counter("x_total", "x", Stability::Stable),
+            enabled.gauge("g", "g", Stability::Volatile),
+            enabled.histogram("h", "h", Stability::Stable, &[10, 100, 1_000]),
+        )
+    });
+    assert!(registering > 0, "registration allocates the cells");
+    let (clean, _, ()) = measured(|| {
         for i in 0..100_000u64 {
             e_counter.add(i & 1);
             e_gauge.set(i);
@@ -81,7 +45,7 @@ fn metric_bumps_never_allocate() {
         }
     });
     assert_eq!(clean, 0, "the enabled hot path must be allocation-free");
-    assert_eq!(e_counter.get(), 5 * 50_000);
+    assert_eq!(e_counter.get(), 50_000);
     let (_, count, _) = e_hist.snapshot().expect("enabled");
-    assert_eq!(count, 5 * 100_000);
+    assert_eq!(count, 100_000);
 }

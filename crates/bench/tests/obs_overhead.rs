@@ -10,51 +10,15 @@
 //! * a frame's exact wire duration is arithmetic: the bus asks for it
 //!   once per transaction, and building the bit stream to answer cost
 //!   over half of an everyday campaign.
-//!
-//! The counters are per thread and the harness runs every `#[test]` on
-//! a thread of its own, so the tests do not disturb each other.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+mod common;
 
-use can_controller::{Controller, Ctx, TimerWheel};
+use can_controller::Rig;
 use can_types::{BitTime, CanId, Frame, FrameFormat, NodeId, Payload};
 use canely::obs::{Cause, ObsLog};
 use canely::{EventSink, FailureDetector, ProtocolEvent, SurveillanceDetector};
 use canely_campaign::{execute, CampaignSpec};
-
-struct CountingAllocator;
-
-thread_local! {
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-    static BYTES: Cell<u64> = const { Cell::new(0) };
-}
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // `try_with`: a thread may still allocate while it is torn down.
-        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-        let _ = BYTES.try_with(|n| n.set(n.get() + layout.size() as u64));
-        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract,
-        // which is `System.alloc`'s.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAllocator = CountingAllocator;
-
-/// Allocations and bytes requested by this thread while `f` ran.
-fn measured<R>(f: impl FnOnce() -> R) -> (u64, u64, R) {
-    let before = (ALLOCATIONS.get(), BYTES.get());
-    let result = f();
-    (ALLOCATIONS.get() - before.0, BYTES.get() - before.1, result)
-}
+use common::measured;
 
 #[test]
 fn disabled_sink_is_allocation_free() {
@@ -145,36 +109,28 @@ fn uncaptured_run_does_not_materialise_its_trace() {
 #[test]
 fn surveillance_rearm_on_a_warm_wheel_allocates_nothing() {
     const NODES: u8 = 32;
-    let me = NodeId::new(0);
-    let (mut ctl, mut timers, mut journal) = (Controller::new(), TimerWheel::new(), Vec::new());
+    let mut rig = Rig::new(0);
     let mut fd = SurveillanceDetector::new(BitTime::new(5_000), BitTime::new(2_500));
-    let mut ctx = Ctx::new(
-        BitTime::ZERO,
-        me,
-        &mut ctl,
-        &mut timers,
-        &mut journal,
-        false,
-    );
-    for r in 0..NODES {
-        fd.start(&mut ctx, NodeId::new(r));
-    }
+    rig.ctx(|ctx| {
+        for r in 0..NODES {
+            fd.start(ctx, NodeId::new(r));
+        }
+    });
     let (allocations, _, ()) = measured(|| {
         // Ten seconds of a frame every 100 µs: every timer's carrier
         // surfaces and is re-keyed many times over.
         for frame in 1..=100_000u64 {
-            let now = BitTime::new(frame * 100);
-            let mut ctx = Ctx::new(now, me, &mut ctl, &mut timers, &mut journal, false);
-            fd.on_activity(&mut ctx, NodeId::new((frame % u64::from(NODES)) as u8));
+            rig.now = BitTime::new(frame * 100);
+            rig.ctx(|ctx| fd.on_activity(ctx, NodeId::new((frame % u64::from(NODES)) as u8)));
             // The step loop polls the wheel after every callback.
-            timers.next_deadline();
+            rig.timers.next_deadline();
         }
     });
     assert_eq!(
         allocations, 0,
         "{allocations} allocations in 100 000 re-arms"
     );
-    assert_eq!(timers.len(), usize::from(NODES));
+    assert_eq!(rig.timers.len(), usize::from(NODES));
 }
 
 #[test]

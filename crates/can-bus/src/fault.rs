@@ -18,7 +18,7 @@
 //! scenarios for tests and benchmarks) and/or from seeded per-
 //! transmission probabilities (fault campaigns).
 
-use can_types::{BitTime, Frame, Mid, MsgType, NodeId, NodeSet};
+use can_types::{mix64, BitTime, Frame, Mid, MsgType, NodeId, NodeSet, GOLDEN};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
@@ -491,12 +491,6 @@ impl FaultPlan {
     /// attempts get statistically independent streams while the same
     /// attempt under the same seed always draws identically.
     fn attempt_stream(&self, attempt: &TxAttempt<'_>) -> SmallRng {
-        const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
-        fn mix64(mut z: u64) -> u64 {
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        }
         let mut h = mix64(self.seed ^ GOLDEN);
         for word in [
             attempt.now.as_u64(),

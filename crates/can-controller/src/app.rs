@@ -46,12 +46,9 @@ pub struct Ctx<'a> {
 }
 
 impl<'a> Ctx<'a> {
-    /// Creates a standalone context.
-    ///
-    /// Used by the simulator to frame every application callback, and
-    /// by protocol unit tests to drive an entity without a full
-    /// simulation.
-    pub fn new(
+    /// Frames one application callback: the simulator's `with_app`
+    /// and [`crate::Rig::ctx`] are the only two callers.
+    pub(crate) fn new(
         now: BitTime,
         node: NodeId,
         controller: &'a mut Controller,
@@ -141,10 +138,11 @@ impl<'a> Ctx<'a> {
 
 /// A protocol entity running on one node.
 ///
-/// All callbacks are optional except [`Application::as_any`] /
-/// [`Application::as_any_mut`], which allow tests and benchmarks to
-/// recover the concrete type after a run.
-pub trait Application {
+/// All callbacks are optional. `Any` is a supertrait so that
+/// [`crate::Simulator::app`] and [`crate::Simulator::drive`] recover
+/// the concrete type by upcasting `dyn Application` to `dyn Any`; an
+/// implementor writes nothing for it.
+pub trait Application: Any {
     /// Called once when the simulation starts (or when the node is
     /// powered on, if it is added later).
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
@@ -160,121 +158,62 @@ pub trait Application {
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, id: TimerId, tag: u64) {
         let _ = (ctx, id, tag);
     }
-
-    /// Upcast for post-run inspection.
-    fn as_any(&self) -> &dyn Any;
-
-    /// Mutable upcast for post-run inspection.
-    fn as_any_mut(&mut self) -> &mut dyn Any;
 }
+
+// The upcast `Simulator::app` relies on, checked where the trait is
+// declared (stable since Rust 1.86; the workspace `rust-version` covers it).
+const _: fn(&Box<dyn Application>) -> &dyn Any = |app| &**app;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Rig;
     use can_types::MsgType;
 
     struct Probe;
-    impl Application for Probe {
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
-    }
+    impl Application for Probe {}
 
     #[test]
     fn ctx_requests_reach_controller() {
-        let mut ctl = Controller::new();
-        let mut timers = TimerWheel::new();
-        let mut journal = Vec::new();
-        let mut ctx = Ctx::new(
-            BitTime::new(5),
-            NodeId::new(1),
-            &mut ctl,
-            &mut timers,
-            &mut journal,
-            true,
-        );
+        let mut rig = Rig::new(1);
         let mid = Mid::new(MsgType::Els, 0, NodeId::new(1));
-        ctx.can_rtr_req(mid);
-        assert_eq!(ctx.controller().queue_len(), 1);
-        assert_eq!(ctx.can_abort_req(mid), 1);
-        assert_eq!(ctx.controller().queue_len(), 0);
+        rig.ctx(|ctx| {
+            ctx.can_rtr_req(mid);
+            assert_eq!(ctx.controller().queue_len(), 1);
+            assert_eq!(ctx.can_abort_req(mid), 1);
+            assert_eq!(ctx.controller().queue_len(), 0);
+        });
     }
 
     #[test]
     fn ctx_timers_are_relative_to_now() {
-        let mut ctl = Controller::new();
-        let mut timers = TimerWheel::new();
-        let mut journal = Vec::new();
-        let mut ctx = Ctx::new(
-            BitTime::new(100),
-            NodeId::new(1),
-            &mut ctl,
-            &mut timers,
-            &mut journal,
-            false,
-        );
-        ctx.start_alarm(BitTime::new(50), 9);
-        assert_eq!(timers.next_deadline(), Some(BitTime::new(150)));
+        let mut rig = Rig::new(1);
+        rig.now = BitTime::new(100);
+        rig.ctx(|ctx| ctx.start_alarm(BitTime::new(50), 9));
+        assert_eq!(rig.timers.next_deadline(), Some(BitTime::new(150)));
     }
 
     #[test]
     fn journal_respects_enable_flag() {
-        let mut ctl = Controller::new();
-        let mut timers = TimerWheel::new();
-        let mut journal = Vec::new();
-        {
-            let mut ctx = Ctx::new(
-                BitTime::ZERO,
-                NodeId::new(0),
-                &mut ctl,
-                &mut timers,
-                &mut journal,
-                false,
-            );
-            ctx.journal("dropped");
-        }
-        assert!(journal.is_empty());
-        {
-            let mut ctx = Ctx::new(
-                BitTime::ZERO,
-                NodeId::new(0),
-                &mut ctl,
-                &mut timers,
-                &mut journal,
-                true,
-            );
-            ctx.journal("kept");
-        }
-        assert_eq!(journal.len(), 1);
-        assert_eq!(journal[0].text, "kept");
+        let mut rig = Rig::new(0);
+        rig.ctx(|ctx| ctx.journal("dropped"));
+        assert!(rig.journal.is_empty());
+        rig.journal_enabled = true;
+        rig.ctx(|ctx| ctx.journal("kept"));
+        assert_eq!(rig.journal.len(), 1);
+        assert_eq!(rig.journal[0].text, "kept");
     }
 
     #[test]
     fn default_callbacks_are_no_ops() {
         let mut probe = Probe;
-        let mut ctl = Controller::new();
-        let mut timers = TimerWheel::new();
-        let mut journal = Vec::new();
-        let mut ctx = Ctx::new(
-            BitTime::ZERO,
-            NodeId::new(0),
-            &mut ctl,
-            &mut timers,
-            &mut journal,
-            true,
-        );
-        probe.on_start(&mut ctx);
-        probe.on_timer(&mut ctx, TimerId::default_for_test(), 0);
-        assert_eq!(ctl.queue_len(), 0);
-    }
-
-    impl TimerId {
-        fn default_for_test() -> TimerId {
-            let mut wheel = TimerWheel::new();
-            wheel.start(NodeId::new(0), BitTime::ZERO, 0)
-        }
+        let mut rig = Rig::new(0);
+        rig.journal_enabled = true;
+        let id = TimerWheel::new().start(NodeId::new(0), BitTime::ZERO, 0);
+        rig.ctx(|ctx| {
+            probe.on_start(ctx);
+            probe.on_timer(ctx, id, 0);
+        });
+        assert_eq!(rig.ctl.queue_len(), 0);
     }
 }

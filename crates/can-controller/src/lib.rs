@@ -17,6 +17,8 @@
 //! * [`Application`] / [`Ctx`] — the protocol-entity abstraction: a
 //!   state machine driven by driver events and timers, issuing
 //!   `can-data.req`, `can-rtr.req` and `can-abort.req`;
+//! * [`Rig`] — one node's controller, timers, journal and clock, for
+//!   driving an entity callback by callback without a simulator;
 //! * [`Simulator`] — the deterministic event loop tying applications,
 //!   controllers, timers, node crashes and the shared [`can_bus::Medium`]
 //!   together.
@@ -28,6 +30,7 @@ pub mod app;
 pub mod controller;
 pub mod driver;
 pub mod guardian;
+pub mod rig;
 pub mod sim;
 pub mod timer;
 
@@ -35,5 +38,6 @@ pub use app::{Application, Ctx, JournalEntry};
 pub use controller::{Controller, FaultConfinement, FaultState};
 pub use driver::DriverEvent;
 pub use guardian::{Guardian, GuardianPolicy};
+pub use rig::Rig;
 pub use sim::{Simulator, StepStats, SIM_PHASES};
 pub use timer::{TimerId, TimerWheel};

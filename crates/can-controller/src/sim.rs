@@ -25,6 +25,7 @@ use crate::timer::TimerWheel;
 use can_bus::{BusConfig, FaultPlan, Medium, Transaction, TxOutcome};
 use can_types::{BitTime, Frame, FrameKind, Mid, NodeId, NodeSet, MAX_NODES};
 use canely_metrics::{PhaseProfiler, PhaseReport};
+use std::any::Any;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -63,6 +64,11 @@ pub struct StepStats {
     pub lifecycle_events: u64,
 }
 
+fn downcast_mut<T: 'static>(app: &mut dyn Application) -> &mut T {
+    let app: &mut dyn Any = app;
+    app.downcast_mut().expect("application type mismatch")
+}
+
 struct Slot {
     controller: Controller,
     app: Box<dyn Application>,
@@ -82,7 +88,6 @@ struct Slot {
 /// use can_bus::{BusConfig, FaultPlan};
 /// use can_controller::{Application, Ctx, DriverEvent, Simulator};
 /// use can_types::{BitTime, Mid, MsgType, NodeId};
-/// use std::any::Any;
 ///
 /// #[derive(Default)]
 /// struct Sender;
@@ -90,8 +95,6 @@ struct Slot {
 ///     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
 ///         ctx.can_rtr_req(Mid::new(MsgType::Els, 0, ctx.me()));
 ///     }
-///     fn as_any(&self) -> &dyn Any { self }
-///     fn as_any_mut(&mut self) -> &mut dyn Any { self }
 /// }
 ///
 /// #[derive(Default)]
@@ -100,8 +103,6 @@ struct Slot {
 ///     fn on_event(&mut self, _ctx: &mut Ctx<'_>, event: &DriverEvent) {
 ///         if matches!(event, DriverEvent::RtrInd { .. }) { self.heard += 1; }
 ///     }
-///     fn as_any(&self) -> &dyn Any { self }
-///     fn as_any_mut(&mut self) -> &mut dyn Any { self }
 /// }
 ///
 /// let mut sim = Simulator::new(BusConfig::default(), FaultPlan::none());
@@ -190,10 +191,7 @@ impl Simulator {
         app: impl Application + 'static,
     ) {
         assert!(at >= self.now, "cannot restart a node in the past");
-        assert!(
-            self.slots[node.as_usize()].is_some(),
-            "node {node} does not exist"
-        );
+        self.slot(node); // panics unless the node was added
         self.restart_schedule.push((at, node, Box::new(app)));
         self.restart_schedule.sort_by_key(|&(t, n, _)| (t, n));
     }
@@ -214,10 +212,7 @@ impl Simulator {
     ///
     /// Panics if the node does not exist.
     pub fn set_guardian(&mut self, node: NodeId, policy: GuardianPolicy) {
-        let slot = self.slots[node.as_usize()]
-            .as_mut()
-            .unwrap_or_else(|| panic!("node {node} does not exist"));
-        slot.guardian = Some(Guardian::new(node, policy));
+        self.slot_mut(node).guardian = Some(Guardian::new(node, policy));
     }
 
     /// Enables bounded retransmission on `node`'s controller (the
@@ -229,11 +224,7 @@ impl Simulator {
     ///
     /// Panics if the node does not exist.
     pub fn set_retry_limit(&mut self, node: NodeId, limit: Option<u32>) {
-        self.slots[node.as_usize()]
-            .as_mut()
-            .unwrap_or_else(|| panic!("node {node} does not exist"))
-            .controller
-            .set_retry_limit(limit);
+        self.slot_mut(node).controller.set_retry_limit(limit);
     }
 
     /// Diagnostics: how many transmissions the guardian of `node` has
@@ -243,9 +234,7 @@ impl Simulator {
     ///
     /// Panics if the node does not exist.
     pub fn guardian_throttled(&self, node: NodeId) -> u64 {
-        self.slots[node.as_usize()]
-            .as_ref()
-            .unwrap_or_else(|| panic!("node {node} does not exist"))
+        self.slot(node)
             .guardian
             .as_ref()
             .map_or(0, Guardian::throttled)
@@ -340,13 +329,8 @@ impl Simulator {
     ///
     /// Panics if the node does not exist or its application is not a `T`.
     pub fn app<T: 'static>(&self, node: NodeId) -> &T {
-        self.slots[node.as_usize()]
-            .as_ref()
-            .unwrap_or_else(|| panic!("node {node} does not exist"))
-            .app
-            .as_any()
-            .downcast_ref::<T>()
-            .expect("application type mismatch")
+        let app: &dyn Any = self.slot(node).app.as_ref();
+        app.downcast_ref().expect("application type mismatch")
     }
 
     /// Mutable access to a node's application, downcast to `T`.
@@ -355,38 +339,31 @@ impl Simulator {
     ///
     /// Panics if the node does not exist or its application is not a `T`.
     pub fn app_mut<T: 'static>(&mut self, node: NodeId) -> &mut T {
-        self.slots[node.as_usize()]
-            .as_mut()
-            .unwrap_or_else(|| panic!("node {node} does not exist"))
-            .app
-            .as_any_mut()
-            .downcast_mut::<T>()
-            .expect("application type mismatch")
+        downcast_mut(self.slot_mut(node).app.as_mut())
     }
 
-    /// Runs an external callback against a node's application with a
-    /// live [`Ctx`] handle, exactly as a driver callback would — used
-    /// by harnesses that compose simulators (e.g. a federation layer
-    /// injecting frames relayed from another segment). Returns `false`
-    /// without invoking the callback if the node is dead, so injected
-    /// work naturally stops at a crashed gateway.
+    /// Runs an external callback against a node's application,
+    /// downcast to `T`, with a live [`Ctx`] handle, exactly as a driver
+    /// callback would — used by harnesses that compose simulators
+    /// (e.g. a federation layer injecting frames relayed from another
+    /// segment). Returns `false` without invoking the callback if the
+    /// node is dead, so injected work naturally stops at a crashed
+    /// gateway.
     ///
     /// # Panics
     ///
-    /// Panics if the node was never added.
-    pub fn drive(
+    /// Panics if the node was never added, or is alive and its
+    /// application is not a `T`.
+    pub fn drive<T: 'static>(
         &mut self,
         node: NodeId,
-        f: impl FnOnce(&mut dyn Application, &mut Ctx<'_>),
+        f: impl FnOnce(&mut T, &mut Ctx<'_>),
     ) -> bool {
-        assert!(
-            self.slots[node.as_usize()].is_some(),
-            "node {node} does not exist"
-        );
+        self.slot(node); // panics unless the node was added
         if !self.alive.contains(node) {
             return false;
         }
-        self.with_app(node, f);
+        self.with_app(node, |app, ctx| f(downcast_mut(app), ctx));
         true
     }
 
@@ -396,10 +373,19 @@ impl Simulator {
     ///
     /// Panics if the node does not exist.
     pub fn controller(&self, node: NodeId) -> &Controller {
-        &self.slots[node.as_usize()]
+        &self.slot(node).controller
+    }
+
+    fn slot(&self, node: NodeId) -> &Slot {
+        self.slots[node.as_usize()]
             .as_ref()
             .unwrap_or_else(|| panic!("node {node} does not exist"))
-            .controller
+    }
+
+    fn slot_mut(&mut self, node: NodeId) -> &mut Slot {
+        self.slots[node.as_usize()]
+            .as_mut()
+            .unwrap_or_else(|| panic!("node {node} does not exist"))
     }
 
     /// Runs the simulation for `duration` from the current instant.
@@ -779,7 +765,6 @@ mod tests {
     use super::*;
     use can_bus::{AccepterSpec, FaultEffect, FaultMatcher, ScriptedFault};
     use can_types::{MsgType, Payload};
-    use std::any::Any;
 
     /// Records every event and timer with its timestamp.
     #[derive(Default)]
@@ -826,12 +811,6 @@ mod tests {
                 return;
             }
             self.timers.push((ctx.now(), tag));
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 
@@ -1304,5 +1283,32 @@ mod tests {
         let mut sim = Simulator::new(BusConfig::default(), FaultPlan::none());
         sim.add_node(n(0), Recorder::default());
         sim.add_node(n(0), Recorder::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "application type mismatch")]
+    fn app_of_the_wrong_type_is_refused() {
+        struct Wrong;
+        let mut sim = Simulator::new(BusConfig::default(), FaultPlan::none());
+        sim.add_node(n(0), Recorder::default());
+        sim.app::<Wrong>(n(0));
+    }
+
+    #[test]
+    fn drive_hands_the_concrete_app_a_live_ctx_and_skips_the_dead() {
+        let mut sim = Simulator::new(BusConfig::default(), FaultPlan::none());
+        sim.add_node(n(0), Recorder::default());
+        sim.add_node(n(1), Recorder::default());
+        sim.schedule_crash(n(1), BitTime::new(10));
+        sim.run_until(BitTime::new(20));
+        let inject = |app: &mut Recorder, ctx: &mut Ctx<'_>| {
+            app.timers.push((ctx.now(), 0));
+            issue(ctx, &els(0));
+        };
+        assert!(sim.drive(n(0), inject));
+        assert!(!sim.drive(n(1), inject));
+        assert_eq!(sim.controller(n(0)).queue_len(), 1);
+        assert_eq!(sim.app::<Recorder>(n(0)).timers, [(sim.now(), 0)]);
+        assert!(sim.app::<Recorder>(n(1)).timers.is_empty());
     }
 }

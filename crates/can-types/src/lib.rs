@@ -14,6 +14,8 @@
 //! * [`Frame`] / [`FrameKind`] / [`FrameFormat`] — CAN data and remote
 //!   frames, together with exact and worst-case frame timing
 //!   (bit-stuffing included).
+//! * [`mix64`] / [`GOLDEN`] — the integer mixer every seeded stream is
+//!   keyed with.
 //!
 //! # Examples
 //!
@@ -36,11 +38,13 @@
 
 pub mod frame;
 pub mod id;
+pub mod mix;
 pub mod node;
 pub mod time;
 pub mod wire;
 
 pub use frame::{Frame, FrameFormat, FrameKind, Payload, MAX_PAYLOAD};
 pub use id::{CanId, Mid, MsgType};
+pub use mix::{mix64, GOLDEN};
 pub use node::{NodeId, NodeSet, MAX_NODES};
 pub use time::{BitRate, BitTime};

@@ -14,7 +14,6 @@
 
 use can_controller::{Application, Ctx, DriverEvent, TimerId};
 use can_types::{BitTime, Mid, MsgType, NodeId, NodeSet, Payload};
-use std::any::Any;
 use std::collections::HashMap;
 
 const TAG_GUARD_TICK: u64 = 1;
@@ -120,13 +119,6 @@ impl Application for CanopenMaster {
             self.tick(ctx);
         }
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 /// A node-guarding **slave**: answers each poll with a status data
@@ -163,13 +155,6 @@ impl Application for CanopenSlave {
                 );
             }
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -273,13 +258,6 @@ impl Application for HeartbeatNode {
             }
         }
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 #[cfg(test)]
@@ -333,27 +311,15 @@ mod tests {
     fn slave_toggles_its_response_bit() {
         let mut slave = CanopenSlave::new();
         assert!(!slave.toggle);
-        let mut ctl = can_controller::Controller::new();
-        let mut timers = can_controller::TimerWheel::new();
-        let mut journal = Vec::new();
+        let mut rig = can_controller::Rig::new(1);
+        let guard = DriverEvent::RtrInd {
+            mid: Mid::new(MsgType::NodeGuard, 0, n(1)),
+        };
         for _ in 0..2 {
-            let mut ctx = Ctx::new(
-                BitTime::ZERO,
-                n(1),
-                &mut ctl,
-                &mut timers,
-                &mut journal,
-                false,
-            );
-            slave.on_event(
-                &mut ctx,
-                &DriverEvent::RtrInd {
-                    mid: Mid::new(MsgType::NodeGuard, 0, n(1)),
-                },
-            );
+            rig.ctx(|ctx| slave.on_event(ctx, &guard));
         }
         assert_eq!(slave.responses(), 2);
-        assert_eq!(ctl.queue_len(), 2);
+        assert_eq!(rig.ctl.queue_len(), 2);
     }
 
     #[test]

@@ -29,7 +29,6 @@
 
 use can_controller::{Application, Ctx, DriverEvent, TimerId};
 use can_types::{BitTime, Mid, MsgType, NodeId, NodeSet, Payload};
-use std::any::Any;
 
 const TAG_TTYP: u64 = 1;
 const TAG_TMAX: u64 = 2;
@@ -203,13 +202,6 @@ impl Application for OsekNode {
             }
             _ => {}
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

@@ -21,7 +21,6 @@
 
 use can_controller::{Application, Ctx, DriverEvent, TimerId};
 use can_types::{BitTime, Mid, MsgType, NodeId, NodeSet, Payload};
-use std::any::Any;
 
 const TAG_SLOT: u64 = 1;
 const TAG_ROUND: u64 = 2;
@@ -151,13 +150,6 @@ impl Application for TtpNode {
             }
             _ => {}
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

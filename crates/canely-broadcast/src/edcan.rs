@@ -17,7 +17,6 @@
 use crate::common::{Delivery, MsgKey, ScheduledSend};
 use can_controller::{Application, Ctx, DriverEvent, TimerId};
 use can_types::{Mid, MsgType, Payload};
-use std::any::Any;
 use std::collections::HashMap;
 
 const TAG_SEND_BASE: u64 = 0x1000;
@@ -121,13 +120,6 @@ impl Application for Edcan {
                 self.broadcast(ctx, payload);
             }
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

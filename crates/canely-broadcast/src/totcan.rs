@@ -21,7 +21,6 @@
 use crate::common::{Delivery, MsgKey, ScheduledSend};
 use can_controller::{Application, Ctx, DriverEvent, TimerId};
 use can_types::{BitTime, Mid, MsgType, Payload};
-use std::any::Any;
 use std::collections::HashMap;
 
 const TAG_SEND_BASE: u64 = 0x1000;
@@ -202,13 +201,6 @@ impl Application for Totcan {
                 self.broadcast(ctx, payload);
             }
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

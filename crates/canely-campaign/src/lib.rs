@@ -60,6 +60,8 @@
 //! assert!(result.report.clean());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod grammar;
 pub mod oracle;
 pub mod run;

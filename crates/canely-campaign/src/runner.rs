@@ -2,12 +2,12 @@
 //! threads, aggregate deterministically, and minimize the first
 //! counterexample.
 //!
-//! Worker threads pull run indices from a shared atomic cursor, so
-//! load-balancing is dynamic — but every run is executed from its
-//! self-contained [`RunSpec`] and results are re-ordered by matrix
-//! index before aggregation, so the campaign summary is **identical
-//! for any worker count** (the acceptance property `canelyctl
-//! campaign run --workers N` relies on).
+//! Workers pull run indices one at a time from a shared atomic
+//! counter, so load-balancing is dynamic — but every run is executed
+//! from its self-contained [`RunSpec`] and results are re-ordered by
+//! matrix index before aggregation, so the campaign summary is
+//! **identical for any worker count** (the acceptance property
+//! `canelyctl campaign run --workers N` relies on).
 
 use crate::oracle::Violation;
 use crate::run::{self, RunOutcome};
@@ -17,11 +17,11 @@ use crate::spec::{CampaignSpec, RunSpec};
 use crate::telemetry::RunTelemetry;
 use canely_metrics::Registry;
 use canely_trace::{CampaignAnalytics, PhaseProfile, RunAnalytics, Summary, TraceModel};
-use std::cell::UnsafeCell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::panic::resume_unwind;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Per-run latency summary carried in the campaign report, so clean
@@ -345,54 +345,6 @@ pub fn run_campaign_analytics(spec: &CampaignSpec, workers: usize) -> CampaignAn
     analytics
 }
 
-/// The shared run cursor, alone on its cache line so that claim
-/// traffic does not false-share with the output slots or the spec
-/// slice living next to it on the runner's stack frame.
-#[repr(align(64))]
-struct PaddedCursor(AtomicUsize);
-
-/// Pre-sized sharded output: each worker writes an outcome directly
-/// into the slot of its run index. Indices are claimed exactly once
-/// from the atomic cursor, so all writes are disjoint, and the
-/// `thread::scope` join orders every write before the single-threaded
-/// read-back — no lock on the hot path.
-struct OutcomeSlots {
-    slots: Vec<UnsafeCell<Option<RunOutcome>>>,
-}
-
-// SAFETY: slot `i` is written only by the worker that claimed index
-// `i` from the cursor (claims are unique by `fetch_add`), and read
-// only after all workers joined.
-unsafe impl Sync for OutcomeSlots {}
-
-impl OutcomeSlots {
-    fn new(len: usize) -> Self {
-        OutcomeSlots {
-            slots: (0..len).map(|_| UnsafeCell::new(None)).collect(),
-        }
-    }
-
-    /// Writes the outcome of run `i` into its slot.
-    ///
-    /// # Safety
-    ///
-    /// Callers must hold the unique claim on index `i` (taken from the
-    /// runner's cursor), so no other thread accesses this slot.
-    unsafe fn write(&self, i: usize, outcome: RunOutcome) {
-        *self.slots[i].get() = Some(outcome);
-    }
-
-    fn into_outcomes(self) -> Vec<RunOutcome> {
-        self.slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("every claimed index wrote its slot")
-            })
-            .collect()
-    }
-}
-
 /// Shared observation point for the progress ticker: workers bump it
 /// after every completed run, the ticker only reads. Deliberately
 /// outside the summary data path — dropping every update would change
@@ -449,112 +401,82 @@ impl ProgressState {
 /// and returns the outcomes in matrix order.
 ///
 /// `workers` is clamped to the run count (spawning idle threads for a
-/// tiny matrix only buys startup latency), and `workers == 1` runs
-/// inline without spawning at all — unless progress streaming is on,
-/// which needs the ticker thread. Each worker registers its
-/// [`RunTelemetry`] handles once — the only state it keeps between
-/// runs — and claims run indices in small batches to keep cursor
-/// traffic off the hot path. Outcomes land in pre-sized per-index
-/// slots, so the result order — and therefore the campaign summary —
-/// is byte-identical for any worker count.
+/// tiny matrix only buys startup latency). Every worker runs the same
+/// claim loop — take the next index from a shared counter, execute
+/// that run, keep the `(index, outcome)` pair — with its
+/// [`RunTelemetry`] handles registered once as the only state it keeps
+/// between runs; the calling thread is one of the workers, so a
+/// one-worker campaign spawns nothing. The pairs come back through the
+/// joins and are ordered by index, so the result — and therefore the
+/// campaign summary — is byte-identical for any worker count. A
+/// worker's panic resumes on the caller once the others have finished.
 fn execute_all_with(
     runs: &[RunSpec],
     options: &CampaignOptions,
     capture_trace: bool,
 ) -> Vec<RunOutcome> {
     let workers = options.workers.clamp(1, 64).min(runs.len().max(1));
-    if workers == 1 && options.progress.is_none() {
-        let mut telemetry = RunTelemetry::new(&options.registry);
-        return runs
-            .iter()
-            .map(|spec| run::execute_on(&mut telemetry, spec, capture_trace))
-            .collect();
-    }
-    // Batched claims amortize the shared fetch_add; small enough that
-    // the tail stays balanced across workers.
-    let batch = (runs.len() / (workers * 8)).clamp(1, 8);
-    let cursor = PaddedCursor(AtomicUsize::new(0));
-    let slots = OutcomeSlots::new(runs.len());
+    let cursor = AtomicUsize::new(0);
     let state = ProgressState::new(workers);
     let timing = options.progress.is_some();
-    let stop_ticker = AtomicBool::new(false);
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let state = &state;
-            let cursor = &cursor;
-            let slots = &slots;
-            scope.spawn(move || {
-                let mut telemetry = RunTelemetry::new(&options.registry);
-                loop {
-                    let first = cursor.0.fetch_add(batch, Ordering::Relaxed);
-                    if first >= runs.len() {
-                        break;
-                    }
-                    for (i, spec) in runs.iter().enumerate().skip(first).take(batch) {
-                        let started = timing.then(Instant::now);
-                        let outcome = run::execute_on(&mut telemetry, spec, capture_trace);
-                        if let Some(started) = started {
-                            let nanos = started.elapsed().as_nanos() as u64;
-                            state.busy[w].fetch_add(nanos, Ordering::Relaxed);
-                        }
-                        state
-                            .violations
-                            .fetch_add(outcome.violations.len() as u64, Ordering::Relaxed);
-                        // SAFETY: index `i` belongs to this worker's
-                        // claimed batch; no other thread touches its
-                        // slot (see `OutcomeSlots`).
-                        unsafe { slots.write(i, outcome) };
-                        state.completed.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            });
+    let work = |w: usize| {
+        let mut telemetry = RunTelemetry::new(&options.registry);
+        let mut claimed = Vec::new();
+        loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(spec) = runs.get(i) else {
+                return claimed;
+            };
+            let started = timing.then(Instant::now);
+            let outcome = run::execute_on(&mut telemetry, spec, capture_trace);
+            if let Some(started) = started {
+                let nanos = started.elapsed().as_nanos() as u64;
+                state.busy[w].fetch_add(nanos, Ordering::Relaxed);
+            }
+            state
+                .violations
+                .fetch_add(outcome.violations.len() as u64, Ordering::Relaxed);
+            state.completed.fetch_add(1, Ordering::Relaxed);
+            claimed.push((i, outcome));
         }
+    };
+    let mut outcomes = std::thread::scope(|scope| {
+        // The ticker reports until this sender goes away — dropped when
+        // the closure returns *or unwinds*, so a panicking worker cannot
+        // leave the scope waiting on a ticker nobody will stop.
+        let (_done, done) = mpsc::channel::<()>();
         if let Some(progress) = &options.progress {
             let state = &state;
-            let stop = &stop_ticker;
             let registry = &options.registry;
             scope.spawn(move || {
                 let t0 = Instant::now();
-                let emit = |final_line: bool| {
+                loop {
+                    let finished = done.recv_timeout(progress.interval)
+                        != Err(mpsc::RecvTimeoutError::Timeout);
                     let mut line = state.line(runs.len(), t0);
-                    if final_line {
+                    if finished && state.completed.load(Ordering::Relaxed) == runs.len() {
                         line.push_str(" [done]");
                     }
                     progress.sink.emit(&line);
                     if progress.metrics_json {
                         progress.sink.emit(&registry.to_json(true));
                     }
-                };
-                loop {
-                    // Sleep in small slices so the final line lands
-                    // promptly however long the interval is.
-                    let tick = Instant::now();
-                    while tick.elapsed() < progress.interval {
-                        if stop.load(Ordering::Relaxed) {
-                            emit(true);
-                            return;
-                        }
-                        std::thread::sleep(Duration::from_millis(5).min(progress.interval));
-                    }
-                    if stop.load(Ordering::Relaxed) {
-                        emit(true);
+                    if finished {
                         return;
                     }
-                    emit(false);
                 }
             });
         }
-        // Joining the workers without holding the ticker hostage: the
-        // scope joins everything, so flag the ticker down as soon as
-        // every run has landed.
-        if options.progress.is_some() {
-            while state.completed.load(Ordering::Relaxed) < runs.len() {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            stop_ticker.store(true, Ordering::Relaxed);
+        let work = &work;
+        let spawned: Vec<_> = (1..workers).map(|w| scope.spawn(move || work(w))).collect();
+        let mut outcomes = work(0);
+        for worker in spawned {
+            outcomes.extend(worker.join().unwrap_or_else(|panic| resume_unwind(panic)));
         }
+        outcomes
     });
-    slots.into_outcomes()
+    outcomes.sort_unstable_by_key(|&(i, _)| i);
+    outcomes.into_iter().map(|(_, outcome)| outcome).collect()
 }
 
 #[cfg(test)]
@@ -688,5 +610,33 @@ mod tests {
         // reproduces a violation.
         let replayed = crate::spec::RunSpec::from_scenario(&cx.scenario).unwrap();
         assert!(!run::execute(&replayed, false).violations.is_empty());
+    }
+
+    #[test]
+    fn a_panicking_run_unwinds_the_campaign_even_under_progress() {
+        // `Th = 0` fails `RunSpec::config`'s validation: a run no
+        // reader lets through, standing in for any bug inside a run.
+        let bad = RunSpec {
+            th: can_types::BitTime::ZERO,
+            ..RunSpec::default()
+        };
+        let runs = [RunSpec::default(), bad];
+        let lines = Arc::new(Mutex::new(Vec::new()));
+        let options = CampaignOptions {
+            workers: 2,
+            progress: Some(ProgressOptions {
+                interval: Duration::from_secs(3_600),
+                metrics_json: false,
+                sink: ProgressSink::Collect(lines.clone()),
+            }),
+            ..CampaignOptions::default()
+        };
+        let t0 = Instant::now();
+        let result = std::panic::catch_unwind(|| execute_all_with(&runs, &options, false));
+        assert!(result.is_err(), "the run's panic must reach the caller");
+        assert!(t0.elapsed() < Duration::from_secs(1), "{:?}", t0.elapsed());
+        let lines = lines.lock().unwrap();
+        assert_eq!(lines.len(), 1, "{lines:?}");
+        assert!(!lines[0].contains("[done]"), "{lines:?}");
     }
 }

@@ -33,7 +33,7 @@ use crate::grammar::{
     parse_duration, probability, relay, segment_count, Doc, Keyword,
 };
 use can_bus::FaultPlan;
-use can_types::{BitTime, NodeId, NodeSet};
+use can_types::{mix64, BitTime, NodeId, NodeSet, GOLDEN};
 use canely::{CanelyConfig, DetectorKind};
 use canely_analysis::ProtocolBounds;
 use canely_federation::{BridgeKind, FederationConfig, RelayFilter};
@@ -44,14 +44,6 @@ use rand::{Rng as _, SeedableRng as _};
 /// gateway-crash budget, restart delay, partition len, asymmetric
 /// len)`.
 type FedCombo = (u8, u32, BitTime, BitTime, BitTime);
-
-const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
-
-fn mix64(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// The per-segment fault-plan seed of a federated run: segment 0 uses
 /// the run seed verbatim (so the 1-segment degenerate case replays the

@@ -30,7 +30,6 @@
 
 use can_controller::{Application, Ctx, DriverEvent, TimerId};
 use can_types::{BitTime, Mid, MsgType, NodeId, NodeSet, Payload};
-use std::any::Any;
 
 const TAG_SYNC_ROUND: u64 = 1;
 const TAG_TAKEOVER: u64 = 2;
@@ -231,13 +230,6 @@ impl Application for ClockSync {
             }
             _ => {}
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

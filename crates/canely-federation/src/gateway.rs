@@ -39,11 +39,10 @@
 use crate::election::{successor, GatewayRole};
 use can_controller::{Application, Ctx, DriverEvent, TimerId};
 use can_types::{BitTime, Mid, MsgType, NodeId, NodeSet, Payload};
-use canely::obs::{EventSink, ProtocolEvent};
+use canely::obs::ProtocolEvent;
 use canely::tags::{digest_mid, digest_mid_segments, TimerOwner, MAX_SEGMENTS};
 use canely::{CanelyStack, DetectorMetrics};
 use canely_metrics::Counter;
-use std::any::Any;
 
 /// Which non-control data frames a gateway relays across its bridges.
 ///
@@ -155,7 +154,6 @@ pub struct Gateway {
     /// topologies.
     relayed: [[u32; MAX_SEGMENTS]; MAX_SEGMENTS],
     outbox: Vec<BridgeFrame>,
-    obs: EventSink,
     /// Whether this node currently acts as the segment representative.
     role: GatewayRole,
     /// Whether a digest gossip alarm is pending — promotion after a
@@ -188,7 +186,6 @@ impl Gateway {
         assert!((segments as usize) <= MAX_SEGMENTS, "too many segments");
         assert!(seg < segments, "segment index out of range");
         Gateway {
-            obs: stack.obs().clone(),
             stack,
             seg,
             segments,
@@ -311,8 +308,8 @@ impl Gateway {
     /// happens to share a local id.
     pub fn inject(&mut self, ctx: &mut Ctx<'_>, frame: &BridgeFrame) {
         let mid = Mid::new(frame.mid.msg_type(), frame.mid.reference(), ctx.me());
-        self.obs.clear_cause();
-        self.obs.emit(
+        self.stack.obs().clear_cause();
+        self.stack.obs().emit(
             ctx.now(),
             ctx.me(),
             ProtocolEvent::FedRelay {
@@ -364,7 +361,7 @@ impl Gateway {
         if self.role != GatewayRole::Active {
             return;
         }
-        self.obs.emit(
+        self.stack.obs().emit(
             ctx.now(),
             ctx.me(),
             ProtocolEvent::FedInstall {
@@ -378,7 +375,7 @@ impl Gateway {
                 if candidate.0 >= pending {
                     self.rejoin_pending = None;
                     self.rejoins.inc();
-                    self.obs.emit(
+                    self.stack.obs().emit(
                         ctx.now(),
                         ctx.me(),
                         ProtocolEvent::FedRejoin {
@@ -431,7 +428,7 @@ impl Gateway {
         let fresh = self.adopt(reporter, subject, claim);
         if fresh {
             if self.role == GatewayRole::Active {
-                self.obs.emit(
+                self.stack.obs().emit(
                     ctx.now(),
                     ctx.me(),
                     ProtocolEvent::FedDigest {
@@ -492,7 +489,7 @@ impl Gateway {
             .map_or(0, |(e, _)| e)
             + 1;
         self.claims[self.seg as usize][self.seg as usize] = Some((epoch, view));
-        self.obs.emit(
+        self.stack.obs().emit(
             ctx.now(),
             ctx.me(),
             ProtocolEvent::FedDigest {
@@ -538,7 +535,7 @@ impl Gateway {
         self.claims[self.seg as usize][self.seg as usize] = Some((epoch, self.last_view));
         self.rejoin_pending = Some(epoch);
         self.elections.inc();
-        self.obs.emit(
+        self.stack.obs().emit(
             ctx.now(),
             ctx.me(),
             ProtocolEvent::FedElect {
@@ -546,7 +543,7 @@ impl Gateway {
                 epoch,
             },
         );
-        self.obs.emit(
+        self.stack.obs().emit(
             ctx.now(),
             ctx.me(),
             ProtocolEvent::FedDigest {
@@ -667,13 +664,6 @@ impl Application for Gateway {
         }
         self.stack.on_timer(ctx, id, tag);
         self.after_stack(ctx);
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

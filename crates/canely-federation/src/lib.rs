@@ -39,6 +39,8 @@
 //! byte-identical to a hand-built single-bus simulator (enforced by a
 //! differential property test).
 
+#![forbid(unsafe_code)]
+
 pub mod election;
 pub mod gateway;
 pub mod sim;

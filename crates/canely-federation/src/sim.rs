@@ -35,7 +35,7 @@ use crate::election::GatewayRole;
 use crate::gateway::{BridgeFrame, Gateway, RelayFilter};
 use can_bus::{BusConfig, FaultPlan};
 use can_controller::Simulator;
-use can_types::{BitTime, NodeId};
+use can_types::{mix64, BitTime, NodeId, GOLDEN};
 use canely::obs::{ObsLog, Retention};
 use canely::tags::MAX_SEGMENTS;
 use canely::{CanelyConfig, CanelyStack, DetectorMetrics, TrafficConfig};
@@ -258,15 +258,6 @@ const MAX_RETRY_ATTEMPTS: u32 = 6;
 const MAX_RETRY_QUEUE: usize = 64;
 /// Exponential backoff cap, in quanta.
 const BACKOFF_CAP_QUANTA: u64 = 16;
-
-/// The splitmix64 finalizer: the deterministic jitter source for the
-/// retry backoff (seeded per run, so summaries stay byte-stable).
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
 
 /// One direction of one bridge being blocked for a window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -618,12 +609,9 @@ impl FederationSim {
             let destination = self.active_gateway(to_seg);
             let open = !self.blocked(frame.from_seg, to_seg, self.now);
             let delivered = match destination {
-                Some(gw) if open => self.sims[to_seg as usize].drive(gw, |app, ctx| {
-                    app.as_any_mut()
-                        .downcast_mut::<Gateway>()
-                        .expect("every node of a bridged world hosts a Gateway")
-                        .inject(ctx, &frame);
-                }),
+                // Every node of a bridged world hosts a `Gateway`.
+                Some(gw) if open => self.sims[to_seg as usize]
+                    .drive(gw, |gateway: &mut Gateway, ctx| gateway.inject(ctx, &frame)),
                 _ => false,
             };
             if delivered {
@@ -680,7 +668,7 @@ impl FederationSim {
             ^ (u64::from(frame.from_seg) << 16)
             ^ (u64::from(to_seg) << 8)
             ^ u64::from(attempts);
-        let jitter = splitmix(key) % self.quantum.as_u64().max(1);
+        let jitter = mix64(key.wrapping_add(GOLDEN)) % self.quantum.as_u64().max(1);
         let delay = BitTime::new(self.quantum.as_u64() * exp + jitter);
         self.retries.push(Retry {
             frame,

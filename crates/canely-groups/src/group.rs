@@ -215,36 +215,7 @@ impl GroupManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use can_controller::{Controller, JournalEntry, TimerWheel};
-
-    struct Harness {
-        ctl: Controller,
-        timers: TimerWheel,
-        journal: Vec<JournalEntry>,
-        me: NodeId,
-    }
-
-    impl Harness {
-        fn new(me: u8) -> Self {
-            Harness {
-                ctl: Controller::new(),
-                timers: TimerWheel::new(),
-                journal: Vec::new(),
-                me: NodeId::new(me),
-            }
-        }
-        fn ctx<R>(&mut self, f: impl FnOnce(&mut Ctx<'_>) -> R) -> R {
-            let mut ctx = Ctx::new(
-                BitTime::ZERO,
-                self.me,
-                &mut self.ctl,
-                &mut self.timers,
-                &mut self.journal,
-                false,
-            );
-            f(&mut ctx)
-        }
-    }
+    use can_controller::Rig;
 
     fn g(id: u8) -> GroupId {
         GroupId::new(id)
@@ -252,7 +223,7 @@ mod tests {
 
     #[test]
     fn join_announces_once() {
-        let mut h = Harness::new(1);
+        let mut h = Rig::new(1);
         let mut mgr = GroupManager::new();
         h.ctx(|ctx| {
             mgr.join(ctx, g(3));
@@ -264,7 +235,7 @@ mod tests {
 
     #[test]
     fn leave_requires_membership() {
-        let mut h = Harness::new(1);
+        let mut h = Rig::new(1);
         let mut mgr = GroupManager::new();
         h.ctx(|ctx| mgr.leave(ctx, g(3)));
         assert_eq!(h.ctl.queue_len(), 0);
@@ -291,7 +262,7 @@ mod tests {
 
     #[test]
     fn first_copy_applies_and_rediffuses() {
-        let mut h = Harness::new(2);
+        let mut h = Rig::new(2);
         let mut mgr = GroupManager::new();
         let mid = GroupManager::announce_mid(NodeId::new(5), GroupOp::Join, g(1), 0);
         let payload = Payload::from_slice(&[1]).unwrap();
@@ -306,7 +277,7 @@ mod tests {
 
     #[test]
     fn own_announcement_not_rediffused() {
-        let mut h = Harness::new(5);
+        let mut h = Rig::new(5);
         let mut mgr = GroupManager::new();
         h.ctx(|ctx| mgr.join(ctx, g(1)));
         assert_eq!(h.ctl.queue_len(), 1);
@@ -319,7 +290,7 @@ mod tests {
 
     #[test]
     fn node_failure_purges_all_groups() {
-        let mut h = Harness::new(0);
+        let mut h = Rig::new(0);
         let mut mgr = GroupManager::new();
         let failed = NodeId::new(4);
         for group in [0u8, 1, 2] {

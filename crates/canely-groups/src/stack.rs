@@ -4,7 +4,6 @@ use crate::group::{GroupId, GroupManager};
 use can_controller::{Application, Ctx, DriverEvent, TimerId};
 use can_types::{BitTime, MsgType, NodeSet};
 use canely::{CanelyConfig, CanelyStack, TrafficConfig, UpperEvent};
-use std::any::Any;
 
 /// Tag space for scripted group operations, drawn from the registry's
 /// reserved wrapper range so it can never collide with a `TimerOwner`
@@ -149,13 +148,6 @@ impl Application for GroupStack {
         }
         self.site.on_timer(ctx, id, tag);
         self.sync_site_events(ctx.now());
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

@@ -192,6 +192,7 @@ pub(crate) struct Entry {
     pub(crate) value: Value,
 }
 
+#[derive(Clone)]
 pub(crate) enum Value {
     Counter(Arc<PaddedAtomicU64>),
     Gauge(Arc<PaddedAtomicU64>),
@@ -237,43 +238,42 @@ impl Registry {
         self.inner.is_some()
     }
 
-    /// Registers (or re-attaches to) a counter.
-    pub fn counter(&self, name: &str, help: &'static str, stability: Stability) -> Counter {
-        let Some(inner) = &self.inner else {
-            return Counter::default();
-        };
+    /// Registers `name` with the value `make` builds — or re-attaches
+    /// to the existing registration — and returns a handle on what the
+    /// name now holds (`None` on the disabled registry).
+    fn register(
+        &self,
+        name: &str,
+        help: &'static str,
+        stability: Stability,
+        make: impl FnOnce() -> Value,
+    ) -> Option<Value> {
+        let inner = self.inner.as_ref()?;
         let mut metrics = inner.metrics.lock().expect("metrics registry poisoned");
         let entry = metrics.entry(name.to_string()).or_insert_with(|| Entry {
             help,
             stability,
-            value: Value::Counter(Arc::new(PaddedAtomicU64::default())),
+            value: make(),
         });
         assert_eq!(entry.stability, stability, "stability mismatch for {name}");
-        match &entry.value {
-            Value::Counter(cell) => Counter {
-                cell: Some(Arc::clone(cell)),
-            },
-            _ => panic!("metric {name} already registered with a different kind"),
+        Some(entry.value.clone())
+    }
+
+    /// Registers (or re-attaches to) a counter.
+    pub fn counter(&self, name: &str, help: &'static str, stability: Stability) -> Counter {
+        match self.register(name, help, stability, || Value::Counter(Arc::default())) {
+            Some(Value::Counter(cell)) => Counter { cell: Some(cell) },
+            Some(_) => panic!("metric {name} already registered with a different kind"),
+            None => Counter::default(),
         }
     }
 
     /// Registers (or re-attaches to) a gauge.
     pub fn gauge(&self, name: &str, help: &'static str, stability: Stability) -> Gauge {
-        let Some(inner) = &self.inner else {
-            return Gauge::default();
-        };
-        let mut metrics = inner.metrics.lock().expect("metrics registry poisoned");
-        let entry = metrics.entry(name.to_string()).or_insert_with(|| Entry {
-            help,
-            stability,
-            value: Value::Gauge(Arc::new(PaddedAtomicU64::default())),
-        });
-        assert_eq!(entry.stability, stability, "stability mismatch for {name}");
-        match &entry.value {
-            Value::Gauge(cell) => Gauge {
-                cell: Some(Arc::clone(cell)),
-            },
-            _ => panic!("metric {name} already registered with a different kind"),
+        match self.register(name, help, stability, || Value::Gauge(Arc::default())) {
+            Some(Value::Gauge(cell)) => Gauge { cell: Some(cell) },
+            Some(_) => panic!("metric {name} already registered with a different kind"),
+            None => Gauge::default(),
         }
     }
 
@@ -287,24 +287,14 @@ impl Registry {
         stability: Stability,
         bounds: &[u64],
     ) -> Hist {
-        let Some(inner) = &self.inner else {
-            return Hist::default();
-        };
-        let mut metrics = inner.metrics.lock().expect("metrics registry poisoned");
-        let entry = metrics.entry(name.to_string()).or_insert_with(|| Entry {
-            help,
-            stability,
-            value: Value::Histogram(Arc::new(HistCell::new(bounds))),
-        });
-        assert_eq!(entry.stability, stability, "stability mismatch for {name}");
-        match &entry.value {
-            Value::Histogram(cell) => {
+        let make = || Value::Histogram(Arc::new(HistCell::new(bounds)));
+        match self.register(name, help, stability, make) {
+            Some(Value::Histogram(cell)) => {
                 assert_eq!(cell.bounds(), bounds, "bucket bounds mismatch for {name}");
-                Hist {
-                    cell: Some(Arc::clone(cell)),
-                }
+                Hist { cell: Some(cell) }
             }
-            _ => panic!("metric {name} already registered with a different kind"),
+            Some(_) => panic!("metric {name} already registered with a different kind"),
+            None => Hist::default(),
         }
     }
 

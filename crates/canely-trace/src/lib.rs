@@ -23,6 +23,7 @@
 //! statistics stay in integer bit-times so every report is
 //! byte-deterministic.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod analytics;

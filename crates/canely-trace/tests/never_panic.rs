@@ -1,0 +1,99 @@
+//! No document makes the JSONL reader panic or stall: arbitrary bytes,
+//! truncated exports, non-UTF-8, absurd nesting and records with
+//! duplicated or missing schema keys all come back from
+//! [`TraceModel::parse`] as a model or as a `line N: …` message — and
+//! a model built from a hostile document still profiles.
+
+use canely_trace::{PhaseProfile, TraceModel};
+use proptest::prelude::*;
+use std::time::{Duration, Instant};
+
+/// `Ok`, or an error that says where and what.
+fn parses_or_explains(text: &str) -> Result<(), TestCaseError> {
+    match TraceModel::parse(text) {
+        Ok(model) => {
+            let _ = PhaseProfile::of(&model);
+        }
+        Err(error) => {
+            prop_assert!(error.line >= 1 && error.line <= text.lines().count());
+            prop_assert!(error
+                .to_string()
+                .starts_with(&format!("line {}: ", error.line)));
+        }
+    }
+    Ok(())
+}
+
+/// Schema fields in every shape a damaged exporter could write them:
+/// right, mistyped, out of range, dangling.
+const FIELDS: &[&str] = &[
+    "\"t\":1200",
+    "\"t\":\"soon\"",
+    "\"t\":18446744073709551616",
+    "\"kind\":\"bus.tx\"",
+    "\"kind\":\"fd.suspect\"",
+    "\"kind\":\"view.installed\"",
+    "\"kind\":7",
+    "\"seq\":3",
+    "\"seq\":-3",
+    "\"node\":2",
+    "\"node\":300",
+    "\"seg\":1",
+    "\"seg\":70000",
+    "\"cause\":\"bus:1300\"",
+    "\"cause\":\"event:3\"",
+    "\"cause\":\"event:99999\"",
+    "\"cause\":\"because\"",
+    "\"bus_free\":1300",
+    "\"deliver\":1290",
+    "\"deliver\":1",
+    "\"queued\":5000",
+    "\"delivered\":true",
+    "\"delivered\":\"yes\"",
+    "\"errored\":true",
+    "\"transmitters\":\"{0,2,x,999}\"",
+    "\"mid\":\"FDA[0,n2]\"",
+    "\"suspect\":2",
+    "\"view\":\"{0,1\"",
+];
+
+fn arb_record() -> impl Strategy<Value = String> {
+    prop::collection::vec(0..FIELDS.len(), 0..10).prop_map(|picks| {
+        let fields: Vec<&str> = picks.into_iter().map(|i| FIELDS[i]).collect();
+        format!("{{{}}}", fields.join(","))
+    })
+}
+
+proptest! {
+    #[test]
+    fn arbitrary_bytes_never_panic(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
+        parses_or_explains(&String::from_utf8_lossy(&bytes))?;
+    }
+
+    /// Records assembled from schema fields with keys missing,
+    /// repeated and mistyped — whole, and cut anywhere.
+    #[test]
+    fn damaged_records_never_panic(
+        records in prop::collection::vec(arb_record(), 1..12),
+        cut in any::<prop::sample::Index>(),
+    ) {
+        let doc = records.join("\n");
+        parses_or_explains(&doc)?;
+        let cut = cut.index(doc.len() + 1);
+        parses_or_explains(&String::from_utf8_lossy(&doc.as_bytes()[..cut]))?;
+    }
+}
+
+/// Nesting is outside the flat schema, so depth is refused at the first
+/// inner bracket instead of being recursed into: 200 000 levels cost no
+/// more than reading the line.
+#[test]
+fn deep_nesting_is_refused_at_once() {
+    for open in ["{\"a\":", "["] {
+        let doc = format!("{{\"t\":1,\"v\":{}", open.repeat(200_000));
+        let t0 = Instant::now();
+        let error = TraceModel::parse(&doc).expect_err("nesting is outside the schema");
+        assert!(t0.elapsed() < Duration::from_secs(1), "{:?}", t0.elapsed());
+        assert_eq!(error.line, 1);
+    }
+}

@@ -6,7 +6,7 @@ use crate::scenario::{build, report, run_with_obs, Scenario};
 use can_bus::{BusConfig, FaultPlan};
 use can_controller::Simulator;
 use can_types::{BitTime, NodeId, NodeSet};
-use canely::obs::{ObsLog, SnapshotFold};
+use canely::obs::{ObsLog, Snapshot};
 use canely::DetectorMetrics;
 use canely_campaign::{grammar, RunSpec};
 use canely_analysis::{BandwidthModel, InaccessibilityModel, ProtocolBounds, ReliabilityModel};
@@ -395,11 +395,6 @@ pub fn trace(args: &mut Args) -> CmdResult {
 /// event counters plus the failure-detection-latency, view-change-
 /// latency and RHA-broadcast histograms.
 ///
-/// The event log is folded into the snapshot *incrementally* (one
-/// [`SnapshotFold`] fed after each simulation chunk) rather than
-/// recomputed from scratch at the horizon — the same code path a
-/// long-running scrape surface keeps a snapshot current with.
-///
 /// `--live` switches the output to the registry exposition formats
 /// (Prometheus text, or one JSON object with `--json`): the scrape
 /// surface for an external collector. `--profile` attributes the
@@ -437,18 +432,9 @@ pub fn metrics(args: &mut Args) -> CmdResult {
     let mut sim = build(&scenario, Some(&log), live.then_some(&detector));
     sim.set_profiling(live || profile);
 
-    // Advance in chunks, folding only the events each chunk appended:
-    // the scripted markers pre-seeded by `build` sit at the front of
-    // the log, so in-order folding meets `SnapshotFold`'s contract.
-    let mut fold = SnapshotFold::new();
-    let mut cursor = 0;
-    const CHUNKS: u64 = 8;
-    for k in 1..=CHUNKS {
-        sim.run_until(BitTime::new(run.until.as_u64() * k / CHUNKS));
-        cursor = log.fold_new(&mut fold, cursor);
-    }
-    debug_assert_eq!(cursor, log.len());
-    let snapshot = fold.finish(Some((sim.trace(), run.until)));
+    sim.run_until(run.until);
+    let snapshot =
+        log.with_events(|events| Snapshot::compute(events, Some((sim.trace(), run.until))));
 
     if live {
         let stats = sim.take_step_stats();

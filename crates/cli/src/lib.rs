@@ -130,8 +130,7 @@ COMMANDS:
   metrics        run a scenario with structured tracing on and report
                  derived metrics: per-node event counters plus
                  failure-detection-latency, view-change-latency and
-                 RHA-broadcast histograms (the event log is folded
-                 incrementally, chunk by chunk — see docs/METRICS.md)
+                 RHA-broadcast histograms (see docs/METRICS.md)
       (membership options, plus)
       --live              emit the live-telemetry registry instead:
                           Prometheus text exposition of detector

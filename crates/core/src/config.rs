@@ -78,8 +78,7 @@ pub struct CanelyConfig {
     /// and FDA stops eagerly rebroadcasting failure signs on first
     /// reception (Fig. 5, line r04). The campaign oracle uses this
     /// mutant to prove it can catch and shrink real protocol bugs.
-    /// Defaults to `false`; the `weakened-fda` cargo feature flips the
-    /// default for whole-tree mutation runs.
+    /// Defaults to `false`; set by [`CanelyConfig::with_weakened_fda`].
     pub weakened_fda: bool,
 }
 
@@ -99,7 +98,7 @@ impl CanelyConfig {
             rejoin_on_failed_join: true,
             expulsion_rejoin_delay: Some(BitTime::from_ms(240, rate)),
             detector: DetectorKind::Surveillance,
-            weakened_fda: cfg!(feature = "weakened-fda"),
+            weakened_fda: false,
         }
     }
 

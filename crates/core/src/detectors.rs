@@ -488,48 +488,7 @@ impl FailureDetector for AddPhiDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use can_controller::{Controller, JournalEntry, TimerWheel};
-
-    struct Harness {
-        ctl: Controller,
-        timers: TimerWheel,
-        journal: Vec<JournalEntry>,
-        me: NodeId,
-        now: BitTime,
-    }
-
-    impl Harness {
-        fn new(me: u8) -> Self {
-            Harness {
-                ctl: Controller::new(),
-                timers: TimerWheel::new(),
-                journal: Vec::new(),
-                me: NodeId::new(me),
-                now: BitTime::ZERO,
-            }
-        }
-
-        fn ctx<R>(&mut self, f: impl FnOnce(&mut Ctx<'_>) -> R) -> R {
-            let mut ctx = Ctx::new(
-                self.now,
-                self.me,
-                &mut self.ctl,
-                &mut self.timers,
-                &mut self.journal,
-                false,
-            );
-            f(&mut ctx)
-        }
-
-        fn drain_frames(&mut self) -> Vec<Mid> {
-            let mut mids = Vec::new();
-            while let Some(frame) = self.ctl.head().copied() {
-                mids.push(Mid::from_can_id(frame.id()).unwrap());
-                self.ctl.confirm(&frame);
-            }
-            mids
-        }
-    }
+    use can_controller::Rig;
 
     const TH: BitTime = BitTime::new(5_000);
     const TTD: BitTime = BitTime::new(2_500);
@@ -550,7 +509,7 @@ mod tests {
 
     #[test]
     fn swim_idle_healthy_network_sends_nothing() {
-        let mut h = Harness::new(0);
+        let mut h = Rig::new(0);
         let mut d = swim();
         h.ctx(|ctx| {
             d.start(ctx, n(0));
@@ -570,7 +529,7 @@ mod tests {
 
     #[test]
     fn swim_probes_stale_node_then_escalates_then_suspects() {
-        let mut h = Harness::new(0);
+        let mut h = Rig::new(0);
         let mut d = swim();
         h.ctx(|ctx| {
             d.start(ctx, n(0));
@@ -598,7 +557,7 @@ mod tests {
 
     #[test]
     fn swim_activity_acquits_inflight_probe() {
-        let mut h = Harness::new(0);
+        let mut h = Rig::new(0);
         let mut d = swim();
         h.ctx(|ctx| {
             d.start(ctx, n(0));
@@ -622,7 +581,7 @@ mod tests {
 
     #[test]
     fn swim_answers_pings_with_a_life_sign() {
-        let mut h = Harness::new(2);
+        let mut h = Rig::new(2);
         let mut d = swim();
         h.ctx(|ctx| {
             d.start(ctx, n(1));
@@ -641,7 +600,7 @@ mod tests {
     fn swim_helper_relays_ping_req() {
         // Node 1 hears node 0's ping-req for node 3 and, as one of the
         // lowest eligible ids, re-probes node 3 on its behalf.
-        let mut h = Harness::new(1);
+        let mut h = Rig::new(1);
         let mut d = swim();
         h.ctx(|ctx| {
             for id in 0..4 {
@@ -652,7 +611,7 @@ mod tests {
         h.ctx(|ctx| d.on_detector_frame(ctx, ping_mid(PING_REQ, n(0), n(3))));
         assert_eq!(h.drain_frames(), vec![ping_mid(PING_DIRECT, n(1), n(3))]);
         // A high-rank node (outside the helper set) stays quiet.
-        let mut h2 = Harness::new(9);
+        let mut h2 = Rig::new(9);
         let mut d2 = swim();
         h2.ctx(|ctx| {
             for id in [0, 1, 2, 3, 4, 9] {
@@ -666,7 +625,7 @@ mod tests {
 
     #[test]
     fn swim_stop_all_cancels_period_and_probes() {
-        let mut h = Harness::new(0);
+        let mut h = Rig::new(0);
         let mut d = swim();
         h.ctx(|ctx| {
             d.start(ctx, n(0));
@@ -685,7 +644,7 @@ mod tests {
 
     #[test]
     fn add_phi_heartbeat_is_unconditional() {
-        let mut h = Harness::new(0);
+        let mut h = Rig::new(0);
         let mut d = add_phi();
         h.ctx(|ctx| d.start(ctx, n(0)));
         assert_eq!(h.timers.next_deadline(), Some(TH));
@@ -707,7 +666,7 @@ mod tests {
 
     #[test]
     fn add_phi_timeout_adapts_to_observed_gaps_with_cap() {
-        let mut h = Harness::new(0);
+        let mut h = Rig::new(0);
         let mut d = add_phi();
         h.ctx(|ctx| d.start(ctx, n(2)));
         let floor = TH + TTD;
@@ -725,7 +684,7 @@ mod tests {
 
     #[test]
     fn add_phi_remote_expiry_suspects() {
-        let mut h = Harness::new(0);
+        let mut h = Rig::new(0);
         let mut d = add_phi();
         h.ctx(|ctx| d.start(ctx, n(2)));
         h.now = BitTime::new(7_500);
@@ -741,7 +700,7 @@ mod tests {
 
     #[test]
     fn add_phi_observer_skew_spreads_remote_deadlines() {
-        let mut h = Harness::new(3);
+        let mut h = Rig::new(3);
         let mut d = add_phi();
         h.ctx(|ctx| d.start(ctx, n(2)));
         assert_eq!(

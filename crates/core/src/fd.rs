@@ -395,39 +395,7 @@ impl FailureDetector for SurveillanceDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use can_controller::{Controller, JournalEntry, TimerWheel};
-
-    struct Harness {
-        ctl: Controller,
-        timers: TimerWheel,
-        journal: Vec<JournalEntry>,
-        me: NodeId,
-        now: BitTime,
-    }
-
-    impl Harness {
-        fn new(me: u8) -> Self {
-            Harness {
-                ctl: Controller::new(),
-                timers: TimerWheel::new(),
-                journal: Vec::new(),
-                me: NodeId::new(me),
-                now: BitTime::ZERO,
-            }
-        }
-
-        fn ctx<R>(&mut self, f: impl FnOnce(&mut Ctx<'_>) -> R) -> R {
-            let mut ctx = Ctx::new(
-                self.now,
-                self.me,
-                &mut self.ctl,
-                &mut self.timers,
-                &mut self.journal,
-                false,
-            );
-            f(&mut ctx)
-        }
-    }
+    use can_controller::Rig;
 
     fn fd() -> SurveillanceDetector {
         SurveillanceDetector::new(BitTime::new(5_000), BitTime::new(2_500))
@@ -439,11 +407,11 @@ mod tests {
 
     #[test]
     fn local_timer_uses_th_remote_uses_th_plus_ttd() {
-        let mut h = Harness::new(0);
+        let mut h = Rig::new(0);
         let mut d = fd();
         h.ctx(|ctx| d.start(ctx, NodeId::new(0)));
         assert_eq!(h.timers.next_deadline(), Some(BitTime::new(5_000)));
-        let mut h2 = Harness::new(0);
+        let mut h2 = Rig::new(0);
         let mut d2 = fd();
         h2.ctx(|ctx| d2.start(ctx, NodeId::new(1)));
         assert_eq!(h2.timers.next_deadline(), Some(BitTime::new(7_500)));
@@ -451,7 +419,7 @@ mod tests {
 
     #[test]
     fn activity_restarts_monitored_timer() {
-        let mut h = Harness::new(0);
+        let mut h = Rig::new(0);
         let mut d = fd();
         h.ctx(|ctx| d.start(ctx, NodeId::new(1)));
         h.now = BitTime::new(4_000);
@@ -463,7 +431,7 @@ mod tests {
 
     #[test]
     fn activity_of_unmonitored_node_is_ignored() {
-        let mut h = Harness::new(0);
+        let mut h = Rig::new(0);
         let mut d = fd();
         h.ctx(|ctx| d.on_activity(ctx, NodeId::new(9)));
         assert!(h.timers.is_empty());
@@ -472,7 +440,7 @@ mod tests {
 
     #[test]
     fn local_expiry_broadcasts_els() {
-        let mut h = Harness::new(3);
+        let mut h = Rig::new(3);
         let mut d = fd();
         h.ctx(|ctx| d.start(ctx, NodeId::new(3)));
         h.now = BitTime::new(5_000);
@@ -492,7 +460,7 @@ mod tests {
     fn own_els_reception_restarts_local_timer() {
         // The elegant loop of Fig. 8: the node's own ELS arrives back
         // (own transmissions included) and f03 restarts the timer.
-        let mut h = Harness::new(3);
+        let mut h = Rig::new(3);
         let mut d = fd();
         h.ctx(|ctx| d.start(ctx, NodeId::new(3)));
         h.now = BitTime::new(5_000);
@@ -510,7 +478,7 @@ mod tests {
 
     #[test]
     fn remote_expiry_suspects() {
-        let mut h = Harness::new(0);
+        let mut h = Rig::new(0);
         let mut d = fd();
         h.ctx(|ctx| d.start(ctx, NodeId::new(2)));
         h.now = BitTime::new(7_500);
@@ -524,7 +492,7 @@ mod tests {
     fn period_tick_is_inert() {
         // The paper detector is purely event-driven: a stray period
         // tick (e.g. after a backend swap) must be a no-op.
-        let mut h = Harness::new(0);
+        let mut h = Rig::new(0);
         let mut d = fd();
         h.ctx(|ctx| d.start(ctx, NodeId::new(2)));
         let action = h.ctx(|ctx| d.on_timer(ctx, DetectorTimer::Period));
@@ -534,7 +502,7 @@ mod tests {
 
     #[test]
     fn stop_cancels_and_squelches_stale_expiry() {
-        let mut h = Harness::new(0);
+        let mut h = Rig::new(0);
         let mut d = fd();
         h.ctx(|ctx| d.start(ctx, NodeId::new(2)));
         h.ctx(|ctx| d.stop(ctx, NodeId::new(2)));
@@ -546,7 +514,7 @@ mod tests {
 
     #[test]
     fn fda_notification_cancels_and_notifies() {
-        let mut h = Harness::new(0);
+        let mut h = Rig::new(0);
         let mut d = fd();
         h.ctx(|ctx| d.start(ctx, NodeId::new(2)));
         let action = h.ctx(|ctx| d.on_fda_nty(ctx, NodeId::new(2)));
@@ -557,7 +525,7 @@ mod tests {
 
     #[test]
     fn stop_all_clears_everything() {
-        let mut h = Harness::new(0);
+        let mut h = Rig::new(0);
         let mut d = fd();
         h.ctx(|ctx| {
             d.start(ctx, NodeId::new(0));
@@ -572,7 +540,7 @@ mod tests {
 
     #[test]
     fn restart_replaces_rather_than_accumulates_timers() {
-        let mut h = Harness::new(0);
+        let mut h = Rig::new(0);
         let mut d = fd();
         h.ctx(|ctx| d.start(ctx, NodeId::new(1)));
         for step in 1..=5u64 {

@@ -177,59 +177,44 @@ impl Fda {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use can_controller::{Controller, TimerWheel};
-    use can_types::BitTime;
-
-    fn with_ctx<R>(controller: &mut Controller, f: impl FnOnce(&mut Ctx<'_>) -> R) -> R {
-        let mut timers = TimerWheel::new();
-        let mut journal = Vec::new();
-        let mut ctx = Ctx::new(
-            BitTime::ZERO,
-            NodeId::new(0),
-            controller,
-            &mut timers,
-            &mut journal,
-            false,
-        );
-        f(&mut ctx)
-    }
+    use can_controller::Rig;
 
     #[test]
     fn invoke_issues_exactly_one_request() {
         let mut fda = Fda::new();
-        let mut ctl = Controller::new();
-        with_ctx(&mut ctl, |ctx| {
+        let mut rig = Rig::new(0);
+        rig.ctx(|ctx| {
             fda.invoke(ctx, NodeId::new(3));
             fda.invoke(ctx, NodeId::new(3)); // s02 guard
         });
-        assert_eq!(ctl.queue_len(), 1);
+        assert_eq!(rig.ctl.queue_len(), 1);
         assert!(fda.has_requested(NodeId::new(3)));
     }
 
     #[test]
     fn first_copy_delivers_and_diffuses() {
         let mut fda = Fda::new();
-        let mut ctl = Controller::new();
+        let mut rig = Rig::new(0);
         let mid = Fda::failure_sign_mid(NodeId::new(7));
-        let delivered = with_ctx(&mut ctl, |ctx| fda.on_rtr_ind(ctx, mid));
+        let delivered = rig.ctx(|ctx| fda.on_rtr_ind(ctx, mid));
         assert_eq!(delivered, Some(NodeId::new(7)));
         // The recipient joined the diffusion.
-        assert_eq!(ctl.queue_len(), 1);
+        assert_eq!(rig.ctl.queue_len(), 1);
     }
 
     #[test]
     fn duplicates_are_suppressed() {
         let mut fda = Fda::new();
-        let mut ctl = Controller::new();
+        let mut rig = Rig::new(0);
         let mid = Fda::failure_sign_mid(NodeId::new(7));
-        with_ctx(&mut ctl, |ctx| {
+        rig.ctx(|ctx| {
             assert!(fda.on_rtr_ind(ctx, mid).is_some());
             assert!(fda.on_rtr_ind(ctx, mid).is_none());
             assert!(fda.on_rtr_ind(ctx, mid).is_none());
         });
         assert_eq!(fda.duplicates(NodeId::new(7)), 3);
         // Only the first copy triggered a diffusion request.
-        assert_eq!(ctl.queue_len(), 1);
+        assert_eq!(rig.ctl.queue_len(), 1);
     }
 
     #[test]
@@ -237,23 +222,23 @@ mod tests {
         // A node that already invoked FDA for r does not request again
         // upon receiving the (possibly own) failure-sign (r05 guard).
         let mut fda = Fda::new();
-        let mut ctl = Controller::new();
+        let mut rig = Rig::new(0);
         let r = NodeId::new(9);
-        with_ctx(&mut ctl, |ctx| {
+        rig.ctx(|ctx| {
             fda.invoke(ctx, r);
             let delivered = fda.on_rtr_ind(ctx, Fda::failure_sign_mid(r));
             // First copy still delivers upstairs…
             assert_eq!(delivered, Some(r));
         });
         // …but no second transmit request was issued.
-        assert_eq!(ctl.queue_len(), 1);
+        assert_eq!(rig.ctl.queue_len(), 1);
     }
 
     #[test]
     fn independent_state_per_failed_node() {
         let mut fda = Fda::new();
-        let mut ctl = Controller::new();
-        with_ctx(&mut ctl, |ctx| {
+        let mut rig = Rig::new(0);
+        rig.ctx(|ctx| {
             assert!(fda
                 .on_rtr_ind(ctx, Fda::failure_sign_mid(NodeId::new(1)))
                 .is_some());
@@ -261,15 +246,15 @@ mod tests {
                 .on_rtr_ind(ctx, Fda::failure_sign_mid(NodeId::new(2)))
                 .is_some());
         });
-        assert_eq!(ctl.queue_len(), 2);
+        assert_eq!(rig.ctl.queue_len(), 2);
     }
 
     #[test]
     fn reset_allows_a_new_execution() {
         let mut fda = Fda::new();
-        let mut ctl = Controller::new();
+        let mut rig = Rig::new(0);
         let r = NodeId::new(4);
-        with_ctx(&mut ctl, |ctx| {
+        rig.ctx(|ctx| {
             assert!(fda.on_rtr_ind(ctx, Fda::failure_sign_mid(r)).is_some());
             fda.reset(r);
             assert!(fda.on_rtr_ind(ctx, Fda::failure_sign_mid(r)).is_some());

@@ -91,7 +91,7 @@ pub use fd::{
 };
 pub use fda::Fda;
 pub use membership::{Membership, MembershipEvent};
-pub use obs::{EventSink, ObsLog, ProtocolEvent, Snapshot, SnapshotFold, TimedEvent};
+pub use obs::{EventSink, ObsLog, ProtocolEvent, Snapshot, TimedEvent};
 pub use rha::{Rha, RhaNotification};
 pub use stack::{CanelyStack, UpperEvent};
 pub use traffic::TrafficConfig;

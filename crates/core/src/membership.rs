@@ -391,39 +391,7 @@ impl Membership {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use can_controller::{Controller, JournalEntry, TimerWheel};
-
-    struct Harness {
-        ctl: Controller,
-        timers: TimerWheel,
-        journal: Vec<JournalEntry>,
-        me: NodeId,
-        now: BitTime,
-    }
-
-    impl Harness {
-        fn new(me: u8) -> Self {
-            Harness {
-                ctl: Controller::new(),
-                timers: TimerWheel::new(),
-                journal: Vec::new(),
-                me: NodeId::new(me),
-                now: BitTime::ZERO,
-            }
-        }
-
-        fn ctx<R>(&mut self, f: impl FnOnce(&mut Ctx<'_>) -> R) -> R {
-            let mut ctx = Ctx::new(
-                self.now,
-                self.me,
-                &mut self.ctl,
-                &mut self.timers,
-                &mut self.journal,
-                false,
-            );
-            f(&mut ctx)
-        }
-    }
+    use can_controller::Rig;
 
     fn msh() -> Membership {
         Membership::new(BitTime::new(30_000), BitTime::new(60_000), true)
@@ -435,7 +403,7 @@ mod tests {
 
     #[test]
     fn join_request_arms_wait_timer_and_broadcasts() {
-        let mut h = Harness::new(2);
+        let mut h = Rig::new(2);
         let mut m = msh();
         h.ctx(|ctx| m.request_join(ctx));
         assert!(m.joining);
@@ -449,7 +417,7 @@ mod tests {
 
     #[test]
     fn member_does_not_rejoin() {
-        let mut h = Harness::new(2);
+        let mut h = Rig::new(2);
         let mut m = msh();
         m.vs = bits(0b0100);
         h.ctx(|ctx| m.request_join(ctx));
@@ -459,7 +427,7 @@ mod tests {
 
     #[test]
     fn leave_requires_membership() {
-        let mut h = Harness::new(2);
+        let mut h = Rig::new(2);
         let mut m = msh();
         h.ctx(|ctx| m.request_leave(ctx));
         assert_eq!(h.ctl.queue_len(), 0);
@@ -470,7 +438,7 @@ mod tests {
 
     #[test]
     fn failure_notification_is_immediate() {
-        let mut h = Harness::new(0);
+        let mut h = Rig::new(0);
         let mut m = msh();
         m.vs = bits(0b0111);
         let actions = h.ctx(|ctx| m.on_fd_nty(ctx, NodeId::new(2)));
@@ -489,7 +457,7 @@ mod tests {
 
     #[test]
     fn idle_cycle_skips_rha_pending_requests_invoke_it() {
-        let mut h = Harness::new(0);
+        let mut h = Rig::new(0);
         let mut m = msh();
         m.vs = bits(0b0011);
         let idle = h.ctx(|ctx| m.on_cycle_boundary(ctx, true));
@@ -501,7 +469,7 @@ mod tests {
 
     #[test]
     fn bootstrap_view_from_joiners() {
-        let mut h = Harness::new(0);
+        let mut h = Rig::new(0);
         let mut m = msh();
         h.ctx(|ctx| m.request_join(ctx));
         m.on_join_ind(NodeId::new(0));
@@ -514,7 +482,7 @@ mod tests {
 
     #[test]
     fn rha_end_settles_join_and_starts_fd() {
-        let mut h = Harness::new(0);
+        let mut h = Rig::new(0);
         let mut m = msh();
         m.vs = bits(0b0011);
         m.on_join_ind(NodeId::new(2));
@@ -530,7 +498,7 @@ mod tests {
 
     #[test]
     fn newly_integrated_node_starts_fd_for_every_member() {
-        let mut h = Harness::new(4);
+        let mut h = Rig::new(4);
         let mut m = msh();
         h.ctx(|ctx| m.request_join(ctx));
         m.on_join_ind(NodeId::new(4));
@@ -548,7 +516,7 @@ mod tests {
 
     #[test]
     fn rha_end_settles_leave_and_stops_fd() {
-        let mut h = Harness::new(0);
+        let mut h = Rig::new(0);
         let mut m = msh();
         m.vs = bits(0b0111);
         m.on_leave_ind(NodeId::new(2));
@@ -560,7 +528,7 @@ mod tests {
 
     #[test]
     fn leaving_node_gets_left_service() {
-        let mut h = Harness::new(2);
+        let mut h = Rig::new(2);
         let mut m = msh();
         m.vs = bits(0b0111);
         m.on_leave_ind(NodeId::new(2)); // own leave echoed back
@@ -574,7 +542,7 @@ mod tests {
 
     #[test]
     fn expulsion_when_declared_failed() {
-        let mut h = Harness::new(2);
+        let mut h = Rig::new(2);
         let mut m = msh();
         m.vs = bits(0b0111);
         let actions = h.ctx(|ctx| m.on_fd_nty(ctx, NodeId::new(2)));
@@ -584,7 +552,7 @@ mod tests {
 
     #[test]
     fn straggler_join_dropped_after_two_settlements() {
-        let mut h = Harness::new(0);
+        let mut h = Rig::new(0);
         let mut m = msh();
         m.vs = bits(0b0011);
         m.on_join_ind(NodeId::new(5));
@@ -598,7 +566,7 @@ mod tests {
 
     #[test]
     fn failed_join_is_retried() {
-        let mut h = Harness::new(3);
+        let mut h = Rig::new(3);
         let mut m = msh();
         h.ctx(|ctx| m.request_join(ctx));
         assert_eq!(h.ctl.queue_len(), 1);
@@ -611,7 +579,7 @@ mod tests {
 
     #[test]
     fn cycle_counter_advances() {
-        let mut h = Harness::new(0);
+        let mut h = Rig::new(0);
         let mut m = msh();
         m.vs = bits(0b1);
         for _ in 0..3 {

@@ -825,19 +825,6 @@ impl ObsLog {
         assert!(inner.retain.is_none(), "a retaining log has no trace to export");
         export_jsonl(&inner.events, bus)
     }
-
-    /// Incrementally folds the events recorded since position `from`
-    /// into `fold` and returns the new log length — the cursor for the
-    /// next call. Lets a long-running harness keep a [`Snapshot`]
-    /// current in O(new events) per refresh instead of re-scanning the
-    /// whole log (see [`SnapshotFold`] for the ordering contract).
-    pub fn fold_new(&self, fold: &mut SnapshotFold, from: usize) -> usize {
-        let inner = self.log.borrow();
-        for e in &inner.events[from..] {
-            fold.fold(e);
-        }
-        inner.events.len()
-    }
 }
 
 /// Renders protocol events and (optionally) the bus transaction trace
@@ -1137,12 +1124,15 @@ impl Snapshot {
     /// (recorded by the harness via [`ObsLog::record`]); without
     /// markers they stay empty.
     ///
-    /// This is the one-shot convenience over [`SnapshotFold`]: it
-    /// pre-loads the crash markers (so marker position in the log
-    /// never matters), folds every event, and finishes.
+    /// Every marker is registered before any event is folded, so where
+    /// a marker sits in the log never matters.
     pub fn compute(events: &[TimedEvent], bus: Option<(&BusTrace, BitTime)>) -> Self {
         let mut fold = SnapshotFold::new();
-        fold.preload_markers(events);
+        for e in events {
+            if matches!(e.event, ProtocolEvent::NodeCrashed) {
+                fold.register_crash(e.node, e.time);
+            }
+        }
         for e in events {
             fold.fold(e);
         }
@@ -1166,27 +1156,12 @@ struct ViewWindow {
     settled: Vec<Option<BitTime>>,
 }
 
-/// Incremental [`Snapshot`] builder: feed events as they are recorded
-/// (via [`SnapshotFold::fold`] or [`ObsLog::fold_new`]) and call
-/// [`SnapshotFold::finish`] at the end. Folding is O(1) per event
-/// (O(open crash windows) for view commits), so a long-running
-/// harness can keep metrics current without re-scanning the log —
-/// this is what `canelyctl metrics` and its `--live` exposition use.
-///
-/// # Ordering contract
-///
-/// Latency windows are anchored at `node.crashed` markers. A marker
-/// is registered when it is folded; events folded *before* it are
-/// never re-examined. The fold therefore matches
-/// [`Snapshot::compute`] exactly when either
-///
-/// * the markers were pre-registered with
-///   [`SnapshotFold::preload_markers`] (what `compute` itself does), or
-/// * markers appear in the stream no later than any event they anchor
-///   — true for the scenario harnesses, which record the scripted
-///   crash/restart markers into the log before the run starts.
-#[derive(Debug, Clone, Default)]
-pub struct SnapshotFold {
+/// The accumulator behind [`Snapshot::compute`]: O(1) per event
+/// (O(open crash windows) for view commits). Latency windows are
+/// anchored at `node.crashed` markers, which `compute` registers
+/// before it folds anything.
+#[derive(Default)]
+struct SnapshotFold {
     totals: Counters,
     per_node: Vec<Counters>,
     seen: Vec<bool>,
@@ -1194,30 +1169,15 @@ pub struct SnapshotFold {
     windows: Vec<ViewWindow>,
     detection_latency: Histogram,
     rha_broadcasts: Histogram,
-    preloaded: bool,
 }
 
 impl SnapshotFold {
-    /// An empty fold.
-    pub fn new() -> Self {
+    fn new() -> Self {
         SnapshotFold {
             per_node: vec![Counters::default(); MAX_NODES],
             seen: vec![false; MAX_NODES],
             ..SnapshotFold::default()
         }
-    }
-
-    /// Pre-registers every `node.crashed` marker in `events` so that
-    /// subsequent folding is position-independent. After this call the
-    /// fold ignores markers encountered inline (they still bump the
-    /// crash counters).
-    pub fn preload_markers(&mut self, events: &[TimedEvent]) {
-        for e in events {
-            if matches!(e.event, ProtocolEvent::NodeCrashed) {
-                self.register_crash(e.node, e.time);
-            }
-        }
-        self.preloaded = true;
     }
 
     fn register_crash(&mut self, victim: NodeId, at: BitTime) {
@@ -1229,17 +1189,13 @@ impl SnapshotFold {
         });
     }
 
-    /// Folds one event.
-    pub fn fold(&mut self, e: &TimedEvent) {
+    fn fold(&mut self, e: &TimedEvent) {
         let idx = e.node.as_usize();
         self.per_node[idx].bump(&e.event);
         self.seen[idx] = true;
         self.totals.bump(&e.event);
 
         match e.event {
-            ProtocolEvent::NodeCrashed if !self.preloaded => {
-                self.register_crash(e.node, e.time);
-            }
             ProtocolEvent::FailureNotified { failed } => {
                 if let Some(ct) = last_crash_before(&self.crash_times, failed, e.time) {
                     self.detection_latency.record((e.time - ct).as_u64());
@@ -1263,20 +1219,9 @@ impl SnapshotFold {
         }
     }
 
-    /// The running totals, usable for live gauges before the fold is
-    /// finished.
-    pub fn totals(&self) -> &Counters {
-        &self.totals
-    }
-
-    /// Detection-latency samples collected so far.
-    pub fn detection_samples(&self) -> usize {
-        self.detection_latency.count()
-    }
-
     /// Completes the fold into a [`Snapshot`], attaching bus figures
     /// when a trace and measurement horizon are supplied.
-    pub fn finish(self, bus: Option<(&BusTrace, BitTime)>) -> Snapshot {
+    fn finish(self, bus: Option<(&BusTrace, BitTime)>) -> Snapshot {
         let mut snapshot = Snapshot {
             totals: self.totals,
             detection_latency: self.detection_latency,
@@ -1627,71 +1572,21 @@ mod tests {
         ]
     }
 
-    fn sorted_samples(h: &Histogram) -> Vec<u64> {
-        let mut s = h.samples().to_vec();
-        s.sort_unstable();
-        s
-    }
-
-    fn assert_snapshots_equal(a: &Snapshot, b: &Snapshot) {
-        assert_eq!(a.totals, b.totals);
-        assert_eq!(a.per_node(), b.per_node());
-        assert_eq!(
-            sorted_samples(&a.detection_latency),
-            sorted_samples(&b.detection_latency)
-        );
-        assert_eq!(
-            sorted_samples(&a.view_change_latency),
-            sorted_samples(&b.view_change_latency)
-        );
-        assert_eq!(
-            sorted_samples(&a.rha_broadcasts),
-            sorted_samples(&b.rha_broadcasts)
-        );
-    }
-
     #[test]
-    fn incremental_fold_matches_one_shot_compute() {
-        let events = fold_fixture();
-        let reference = Snapshot::compute(&events, None);
-        // Markers lead the stream (the harness recording order), so
-        // inline registration must match the preloaded one-shot —
-        // folded one event at a time, as a live consumer would.
-        for chunk in [1, 3, events.len()] {
-            let mut fold = SnapshotFold::new();
-            for window in events.chunks(chunk) {
-                for e in window {
-                    fold.fold(e);
-                }
-            }
-            assert_snapshots_equal(&fold.finish(None), &reference);
-        }
-    }
-
-    #[test]
-    fn fold_new_drains_a_log_incrementally() {
-        let log = ObsLog::new();
-        let events = fold_fixture();
-        let mut fold = SnapshotFold::new();
-        let mut cursor = 0;
-        for e in &events {
-            log.record(e.time, e.node, e.event);
-            cursor = log.fold_new(&mut fold, cursor);
-        }
-        assert_eq!(cursor, events.len());
-        let reference = Snapshot::compute(&events, None);
-        assert_snapshots_equal(&fold.finish(None), &reference);
-    }
-
-    #[test]
-    fn fold_running_totals_track_the_stream() {
-        let events = fold_fixture();
-        let mut fold = SnapshotFold::new();
-        for e in &events {
-            fold.fold(e);
-        }
-        assert_eq!(fold.totals().crashes, 3);
-        assert_eq!(fold.totals().failures_notified, 3);
-        assert_eq!(fold.detection_samples(), 3);
+    fn snapshot_of_a_marker_rich_stream() {
+        let s = Snapshot::compute(&fold_fixture(), None);
+        assert_eq!(s.totals.crashes, 3);
+        assert_eq!(s.totals.failures_notified, 3);
+        let sorted = |h: &Histogram| {
+            let mut samples = h.samples().to_vec();
+            samples.sort_unstable();
+            samples
+        };
+        assert_eq!(sorted(&s.detection_latency), [4_000, 7_000, 7_500]);
+        assert_eq!(
+            sorted(&s.view_change_latency),
+            [8_000, 9_000, 11_000, 13_000, 13_000, 14_000]
+        );
+        assert_eq!(sorted(&s.rha_broadcasts), [3]);
     }
 }

@@ -250,39 +250,7 @@ impl Rha {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use can_controller::{Controller, TimerWheel};
-
-    struct Harness {
-        ctl: Controller,
-        timers: TimerWheel,
-        journal: Vec<can_controller::JournalEntry>,
-        me: NodeId,
-        now: BitTime,
-    }
-
-    impl Harness {
-        fn new(me: u8) -> Self {
-            Harness {
-                ctl: Controller::new(),
-                timers: TimerWheel::new(),
-                journal: Vec::new(),
-                me: NodeId::new(me),
-                now: BitTime::ZERO,
-            }
-        }
-
-        fn ctx<R>(&mut self, f: impl FnOnce(&mut Ctx<'_>) -> R) -> R {
-            let mut ctx = Ctx::new(
-                self.now,
-                self.me,
-                &mut self.ctl,
-                &mut self.timers,
-                &mut self.journal,
-                false,
-            );
-            f(&mut ctx)
-        }
-    }
+    use can_controller::Rig;
 
     fn sets(vs: u64, vj: u64, vl: u64) -> SharedSets {
         SharedSets {
@@ -302,7 +270,7 @@ mod tests {
 
     #[test]
     fn member_start_proposes_vs_plus_joiners_minus_leavers() {
-        let mut h = Harness::new(0);
+        let mut h = Rig::new(0);
         let mut rha = Rha::new(BitTime::new(5_000), 2);
         let nty = h.ctx(|ctx| rha.request(ctx, sets(0b0111, 0b1000, 0b0001)));
         assert_eq!(nty, Some(RhaNotification::Init));
@@ -314,7 +282,7 @@ mod tests {
 
     #[test]
     fn request_while_running_is_a_no_op() {
-        let mut h = Harness::new(0);
+        let mut h = Rig::new(0);
         let mut rha = Rha::new(BitTime::new(5_000), 2);
         h.ctx(|ctx| rha.request(ctx, sets(0b1, 0, 0)));
         let again = h.ctx(|ctx| rha.request(ctx, sets(0b1, 0, 0)));
@@ -324,7 +292,7 @@ mod tests {
 
     #[test]
     fn idle_non_member_adopts_received_vector() {
-        let mut h = Harness::new(5);
+        let mut h = Rig::new(5);
         let mut rha = Rha::new(BitTime::new(5_000), 2);
         let (mid, payload) = signal(1, 0b10_0111);
         let nty = h.ctx(|ctx| rha.on_data_ind(ctx, mid, &payload, false, sets(0, 0b10_0000, 0)));
@@ -335,7 +303,7 @@ mod tests {
 
     #[test]
     fn idle_member_intersects_with_received_vector() {
-        let mut h = Harness::new(0);
+        let mut h = Rig::new(0);
         let mut rha = Rha::new(BitTime::new(5_000), 2);
         // Local knowledge: view {0,1,2}, joiner {3}.
         // Remote vector excludes node 2.
@@ -347,7 +315,7 @@ mod tests {
 
     #[test]
     fn conflicting_vector_triggers_abort_intersect_rebroadcast() {
-        let mut h = Harness::new(0);
+        let mut h = Rig::new(0);
         let mut rha = Rha::new(BitTime::new(5_000), 99);
         h.ctx(|ctx| rha.request(ctx, sets(0b1111, 0, 0)));
         assert_eq!(h.ctl.queue_len(), 1);
@@ -365,7 +333,7 @@ mod tests {
 
     #[test]
     fn superset_vector_does_not_trigger_rebroadcast() {
-        let mut h = Harness::new(0);
+        let mut h = Rig::new(0);
         let mut rha = Rha::new(BitTime::new(5_000), 99);
         h.ctx(|ctx| rha.request(ctx, sets(0b0011, 0, 0)));
         let (mid, payload) = signal(2, 0b1111);
@@ -377,7 +345,7 @@ mod tests {
 
     #[test]
     fn duplicate_bound_aborts_pending_signal() {
-        let mut h = Harness::new(0);
+        let mut h = Rig::new(0);
         let mut rha = Rha::new(BitTime::new(5_000), 2);
         h.ctx(|ctx| rha.request(ctx, sets(0b0011, 0, 0)));
         assert_eq!(h.ctl.queue_len(), 1);
@@ -392,7 +360,7 @@ mod tests {
 
     #[test]
     fn timeout_delivers_end_and_resets() {
-        let mut h = Harness::new(0);
+        let mut h = Rig::new(0);
         let mut rha = Rha::new(BitTime::new(5_000), 2);
         h.ctx(|ctx| rha.request(ctx, sets(0b0101, 0, 0)));
         let nty = h.ctx(|ctx| rha.on_timeout(ctx));
@@ -407,7 +375,7 @@ mod tests {
 
     #[test]
     fn malformed_payload_ignored() {
-        let mut h = Harness::new(0);
+        let mut h = Rig::new(0);
         let mut rha = Rha::new(BitTime::new(5_000), 2);
         let mid = Rha::rhv_mid(NodeId::new(1), NodeSet::EMPTY);
         let bad = Payload::from_slice(&[1, 2, 3]).unwrap();
@@ -419,7 +387,7 @@ mod tests {
     #[test]
     fn vectors_shrink_monotonically() {
         // Convergence argument: every update is an intersection.
-        let mut h = Harness::new(0);
+        let mut h = Rig::new(0);
         let mut rha = Rha::new(BitTime::new(5_000), 99);
         h.ctx(|ctx| rha.request(ctx, sets(0xFF, 0, 0)));
         let mut previous = rha.current_vector();

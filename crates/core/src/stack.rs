@@ -27,7 +27,6 @@ use crate::tags::TimerOwner;
 use crate::traffic::{TrafficConfig, TrafficGenerator};
 use can_controller::{Application, Ctx, DriverEvent, TimerId};
 use can_types::{BitTime, MsgType, NodeId, NodeSet};
-use std::any::Any;
 
 const SCRIPT_JOIN: u32 = 0;
 const SCRIPT_LEAVE: u32 = 1;
@@ -495,14 +494,6 @@ impl Application for CanelyStack {
             // stack ignores them.
             TimerOwner::Scripted(_) | TimerOwner::Traffic | TimerOwner::FederationDigest => {}
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

@@ -115,8 +115,7 @@ impl TrafficGenerator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use can_controller::{Controller, JournalEntry, TimerWheel};
-    use can_types::NodeId;
+    use can_controller::Rig;
 
     #[test]
     fn config_validation() {
@@ -131,43 +130,24 @@ mod tests {
     #[test]
     fn generator_emits_and_rearms() {
         let mut gen = TrafficGenerator::new(TrafficConfig::periodic(BitTime::new(2_000), 4));
-        let mut ctl = Controller::new();
-        let mut timers = TimerWheel::new();
-        let mut journal: Vec<JournalEntry> = Vec::new();
-        let mut ctx = Ctx::new(
-            BitTime::new(100),
-            NodeId::new(1),
-            &mut ctl,
-            &mut timers,
-            &mut journal,
-            false,
-        );
-        gen.on_tick(&mut ctx);
+        let mut rig = Rig::new(1);
+        rig.now = BitTime::new(100);
+        rig.ctx(|ctx| gen.on_tick(ctx));
         assert_eq!(gen.sent(), 1);
-        assert_eq!(ctl.queue_len(), 1);
-        assert_eq!(timers.next_deadline(), Some(BitTime::new(2_100)));
+        assert_eq!(rig.ctl.queue_len(), 1);
+        assert_eq!(rig.timers.next_deadline(), Some(BitTime::new(2_100)));
     }
 
     #[test]
     fn sequence_numbers_advance() {
         let mut gen = TrafficGenerator::new(TrafficConfig::periodic(BitTime::new(1_000), 0));
-        let mut ctl = Controller::new();
-        let mut timers = TimerWheel::new();
-        let mut journal: Vec<JournalEntry> = Vec::new();
+        let mut rig = Rig::new(1);
         for expected in 0..3u16 {
-            let mut ctx = Ctx::new(
-                BitTime::ZERO,
-                NodeId::new(1),
-                &mut ctl,
-                &mut timers,
-                &mut journal,
-                false,
-            );
-            gen.on_tick(&mut ctx);
-            let id = ctl.head().unwrap().id();
+            rig.ctx(|ctx| gen.on_tick(ctx));
+            let id = rig.ctl.head().unwrap().id();
             let mid = can_types::Mid::from_can_id(id).unwrap();
             assert_eq!(mid.reference(), expected);
-            ctl.abort(id);
+            rig.ctl.abort(id);
         }
     }
 }

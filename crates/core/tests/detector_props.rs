@@ -10,7 +10,7 @@
 //! the seed implementation judged against the current code over
 //! proptest-generated inputs.
 
-use can_controller::{Controller, Ctx, JournalEntry, TimerId, TimerWheel};
+use can_controller::{Ctx, Rig, TimerId};
 use can_types::{BitTime, Mid, MsgType, NodeId, NodeSet};
 use canely::obs::{EventSink, ObsTimer, ProtocolEvent};
 use canely::tags::TimerOwner;
@@ -121,41 +121,6 @@ impl LegacyFailureDetector {
     }
 }
 
-/// One node's worth of simulator plumbing (controller + timer wheel),
-/// duplicated so the legacy and the refactored detector each drive
-/// their own world from the identical schedule.
-struct World {
-    ctl: Controller,
-    timers: TimerWheel,
-    journal: Vec<JournalEntry>,
-    me: NodeId,
-    now: BitTime,
-}
-
-impl World {
-    fn new(me: u8) -> Self {
-        World {
-            ctl: Controller::new(),
-            timers: TimerWheel::new(),
-            journal: Vec::new(),
-            me: NodeId::new(me),
-            now: BitTime::ZERO,
-        }
-    }
-
-    fn ctx<R>(&mut self, f: impl FnOnce(&mut Ctx<'_>) -> R) -> R {
-        let mut ctx = Ctx::new(
-            self.now,
-            self.me,
-            &mut self.ctl,
-            &mut self.timers,
-            &mut self.journal,
-            false,
-        );
-        f(&mut ctx)
-    }
-}
-
 /// A randomized protocol stimulus. Selector ranges instead of
 /// `prop_oneof!` (the vendored proptest has no such macro — same
 /// style as `medium_props.rs`).
@@ -188,8 +153,8 @@ proptest! {
     ) {
         let th = BitTime::new(5_000);
         let ttd = BitTime::new(2_500);
-        let mut old_world = World::new(me);
-        let mut new_world = World::new(me);
+        let mut old_world = Rig::new(me);
+        let mut new_world = Rig::new(me);
         let mut old = LegacyFailureDetector::new(th, ttd);
         let mut new = SurveillanceDetector::new(th, ttd);
 

@@ -2,41 +2,12 @@
 //! directly (no simulator): randomized input sequences must preserve
 //! the per-entity invariants regardless of ordering.
 
-use can_controller::{Controller, Ctx, JournalEntry, TimerWheel};
+use can_controller::Rig;
 use can_types::{BitTime, NodeId, NodeSet, Payload};
 use canely::fda::Fda;
 use canely::membership::Membership;
 use canely::rha::{Rha, RhaNotification, SharedSets};
 use proptest::prelude::*;
-
-struct Harness {
-    ctl: Controller,
-    timers: TimerWheel,
-    journal: Vec<JournalEntry>,
-    me: NodeId,
-}
-
-impl Harness {
-    fn new(me: u8) -> Self {
-        Harness {
-            ctl: Controller::new(),
-            timers: TimerWheel::new(),
-            journal: Vec::new(),
-            me: NodeId::new(me),
-        }
-    }
-    fn ctx<R>(&mut self, f: impl FnOnce(&mut Ctx<'_>) -> R) -> R {
-        let mut ctx = Ctx::new(
-            BitTime::ZERO,
-            self.me,
-            &mut self.ctl,
-            &mut self.timers,
-            &mut self.journal,
-            false,
-        );
-        f(&mut ctx)
-    }
-}
 
 fn arb_node() -> impl Strategy<Value = NodeId> {
     (0u8..64).prop_map(NodeId::new)
@@ -54,7 +25,7 @@ proptest! {
     fn fda_delivers_once_requests_once(
         ops in prop::collection::vec((any::<bool>(), arb_node()), 1..60),
     ) {
-        let mut h = Harness::new(0);
+        let mut h = Rig::new(0);
         let mut fda = Fda::new();
         let mut delivered: Vec<NodeId> = Vec::new();
         h.ctx(|ctx| {
@@ -87,7 +58,7 @@ proptest! {
         vs_bits in any::<u64>(),
         signals in prop::collection::vec((1u8..64, any::<u64>()), 1..30),
     ) {
-        let mut h = Harness::new(0);
+        let mut h = Rig::new(0);
         let mut rha = Rha::new(BitTime::new(5_000), 2);
         let sets = SharedSets {
             vs: NodeSet::from_bits(vs_bits | 1), // we are a member
@@ -122,7 +93,7 @@ proptest! {
         signals in prop::collection::vec(any::<u64>(), 2..12),
     ) {
         let run = |order: &[u64]| {
-            let mut h = Harness::new(0);
+            let mut h = Rig::new(0);
             let mut rha = Rha::new(BitTime::new(5_000), 2);
             let sets = SharedSets {
                 vs: NodeSet::from_bits(vs_bits | 1),
@@ -159,7 +130,7 @@ proptest! {
         initial in arb_set(),
         ops in prop::collection::vec((0u8..3, arb_node()), 1..40),
     ) {
-        let mut h = Harness::new(0);
+        let mut h = Rig::new(0);
         let mut msh = Membership::new(BitTime::new(30_000), BitTime::new(60_000), true);
         // Install an initial view via a settlement.
         h.ctx(|ctx| {
@@ -199,7 +170,7 @@ proptest! {
         agreed in arb_set(),
         victims in prop::collection::vec(arb_node(), 0..5),
     ) {
-        let mut h = Harness::new(0);
+        let mut h = Rig::new(0);
         let mut msh = Membership::new(BitTime::new(30_000), BitTime::new(60_000), true);
         h.ctx(|ctx| {
             msh.on_rha_end(ctx, NodeSet::ALL);

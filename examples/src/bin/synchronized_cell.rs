@@ -22,7 +22,6 @@ use canely_broadcast::common::ScheduledSend;
 use canely_broadcast::Totcan;
 use canely_clock::{ensemble_precision, ClockConfig, ClockSync};
 use examples::fmt_ms;
-use std::any::Any;
 
 /// A node hosting two protocol entities: membership stack + clock.
 struct DualStack {
@@ -48,12 +47,6 @@ impl Application for DualStack {
         } else {
             self.membership.on_timer(ctx, id, tag);
         }
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

@@ -33,26 +33,31 @@ run cargo test --workspace --offline -q
 run env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline -q
 run cargo clippy --workspace --all-targets --offline -q -- -D warnings
 
-# Bounded smoke campaign (fixed seeds, finishes in seconds): the
-# invariant oracle must come back clean, and the summary must be
-# byte-identical across worker counts (the engine's determinism
-# guarantee).
-echo "==> target/release/canelyctl campaign run --spec scenarios/smoke.campaign"
-summary="$(target/release/canelyctl campaign run --spec scenarios/smoke.campaign --workers 4 --json)"
-echo "$summary"
-case "$summary" in
-*'"violating_runs":[]'*) ;;
-*)
-    echo "verify: smoke campaign reported invariant violations" >&2
-    exit 1
-    ;;
-esac
-resummary="$(target/release/canelyctl campaign run --spec scenarios/smoke.campaign --workers 2 --json)"
-if [ "$summary" != "$resummary" ]; then
-    echo "verify: campaign summary differs across worker counts" >&2
-    exit 1
-fi
-golden smoke "$summary"
+# campaign_gate NAME W1 W2: the checked-in campaign must come back
+# clean from the invariant oracle at W1 workers, byte-identical at W2
+# (the engine's determinism guarantee) and equal to its golden. Leaves
+# the summary in $summary.
+campaign_gate() {
+    echo "==> target/release/canelyctl campaign run --spec scenarios/$1.campaign"
+    summary="$(target/release/canelyctl campaign run --spec "scenarios/$1.campaign" --workers "$2" --json)"
+    echo "$summary"
+    case "$summary" in
+    *'"violating_runs":[]'*) ;;
+    *)
+        echo "verify: $1 campaign reported invariant violations" >&2
+        exit 1
+        ;;
+    esac
+    resummary="$(target/release/canelyctl campaign run --spec "scenarios/$1.campaign" --workers "$3" --json)"
+    if [ "$summary" != "$resummary" ]; then
+        echo "verify: $1 summary differs between $2 and $3 workers" >&2
+        exit 1
+    fi
+    golden "$1" "$summary"
+}
+
+# Bounded smoke campaign (fixed seeds, finishes in seconds).
+campaign_gate smoke 4 2
 
 # Telemetry gates (docs/METRICS.md): streaming progress must change
 # no summary byte, must actually stream (progress lines with a [done]
@@ -100,51 +105,22 @@ fi
 # clean for every backend, emit the per-backend comparison, and stay
 # byte-identical across worker counts (docs/DETECTORS.md tells
 # readers to reproduce its table with exactly this command).
-echo "==> target/release/canelyctl campaign run --spec scenarios/shootout.campaign"
-shootout="$(target/release/canelyctl campaign run --spec scenarios/shootout.campaign --workers 4 --json)"
-echo "$shootout"
-case "$shootout" in
-*'"violating_runs":[]'*) ;;
-*)
-    echo "verify: shootout campaign reported invariant violations" >&2
-    exit 1
-    ;;
-esac
-case "$shootout" in
+campaign_gate shootout 4 2
+case "$summary" in
 *'"shootout":['*'"detector":"surveillance"'*'"detector":"swim"'*'"detector":"add-phi"'*) ;;
 *)
     echo "verify: shootout campaign did not emit the per-backend comparison" >&2
     exit 1
     ;;
 esac
-reshootout="$(target/release/canelyctl campaign run --spec scenarios/shootout.campaign --workers 2 --json)"
-if [ "$shootout" != "$reshootout" ]; then
-    echo "verify: shootout summary differs across worker counts" >&2
-    exit 1
-fi
-golden shootout "$shootout"
 
 # Federation smoke gate: four bridged 32-node segments under node
 # crashes, gateway crashes and an inter-segment partition/heal. The
 # oracle must come back clean — including the global-view agreement
 # and validity invariants across the surviving gateways — and the
 # summary must stay byte-identical across worker counts.
-echo "==> target/release/canelyctl campaign run --spec scenarios/federation.campaign"
-federation="$(target/release/canelyctl campaign run --spec scenarios/federation.campaign --workers 4 --json)"
-echo "$federation"
-case "$federation" in
-*'"violating_runs":[]'*) ;;
-*)
-    echo "verify: federation campaign reported invariant violations" >&2
-    exit 1
-    ;;
-esac
-refederation="$(target/release/canelyctl campaign run --spec scenarios/federation.campaign --workers 2 --json)"
-if [ "$federation" != "$refederation" ]; then
-    echo "verify: federation summary differs across worker counts" >&2
-    exit 1
-fi
-golden federation "$federation"
+campaign_gate federation 4 2
+federation="$summary"
 
 # Counted, not stored: a campaign keeps only the events its judge
 # reads, so the summary's `events` is a count taken at emission. The
@@ -168,22 +144,7 @@ fi
 # successor elects itself, bumps the epoch and re-converges the
 # global view within the analytic rejoin bound) — and the summary
 # must be byte-identical at 1 and 8 workers.
-echo "==> target/release/canelyctl campaign run --spec scenarios/failover.campaign"
-failover="$(target/release/canelyctl campaign run --spec scenarios/failover.campaign --workers 1 --json)"
-echo "$failover"
-case "$failover" in
-*'"violating_runs":[]'*) ;;
-*)
-    echo "verify: failover campaign reported invariant violations" >&2
-    exit 1
-    ;;
-esac
-refailover="$(target/release/canelyctl campaign run --spec scenarios/failover.campaign --workers 8 --json)"
-if [ "$failover" != "$refailover" ]; then
-    echo "verify: failover summary differs between 1 and 8 workers" >&2
-    exit 1
-fi
-golden failover "$failover"
+campaign_gate failover 1 8
 
 # Figure goldens: the paper-reproduction binaries are deterministic
 # and read frame durations off the wire, so a change that bends a

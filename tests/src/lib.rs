@@ -4,7 +4,6 @@
 
 use can_controller::{Application, Ctx, DriverEvent, TimerId};
 use can_types::{BitTime, Frame, FrameKind, Mid, NodeId};
-use std::any::Any;
 
 /// A transparent application that records every driver event with its
 /// timestamp and can send scheduled frames. Used to observe raw CAN
@@ -67,12 +66,6 @@ impl Application for Recorder {
             let frame = *frame;
             request(ctx, &frame);
         }
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

@@ -7,7 +7,6 @@ use can_controller::{Application, Ctx, DriverEvent, GuardianPolicy, Simulator, T
 use can_types::{BitTime, Mid, MsgType, NodeId, NodeSet, Payload};
 use canely::{CanelyConfig, CanelyStack, UpperEvent};
 use integration::n;
-use std::any::Any;
 
 /// An application gone mad: re-queues a high-priority frame the moment
 /// the previous one confirms (continuous transmission pressure).
@@ -40,12 +39,6 @@ impl Application for Babbler {
         }
     }
     fn on_timer(&mut self, _ctx: &mut Ctx<'_>, _id: TimerId, _tag: u64) {}
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 /// Without a guardian the babbler owns a huge share of the bus.
