@@ -9,7 +9,11 @@
 //! * re-arming a surveillance timer on a warm wheel is a store;
 //! * a frame's exact wire duration is arithmetic: the bus asks for it
 //!   once per transaction, and building the bit stream to answer cost
-//!   over half of an everyday campaign.
+//!   over half of an everyday campaign;
+//! * a trace is bytes in one buffer: capturing a run allocates for its
+//!   documents, not per event; reading one back builds an index over
+//!   the text, not an object per field; the renderers write into one
+//!   buffer of about the right size.
 
 mod common;
 
@@ -17,7 +21,8 @@ use can_controller::Rig;
 use can_types::{BitTime, CanId, Frame, FrameFormat, NodeId, Payload};
 use canely::obs::{Cause, ObsLog};
 use canely::{EventSink, FailureDetector, ProtocolEvent, SurveillanceDetector};
-use canely_campaign::{execute, CampaignSpec};
+use canely_campaign::{execute, CampaignSpec, RunSpec};
+use canely_trace::{chrome_trace, TraceModel};
 use common::measured;
 
 #[test]
@@ -152,4 +157,82 @@ fn exact_frame_duration_allocates_nothing() {
         "{allocations} allocations in 20 exact frame durations"
     );
     assert!(total > BitTime::ZERO);
+}
+
+/// A capture of the `trace-query` workload's shape (8 nodes, 2 ms
+/// traffic, a crash, 0.5 % omissions, 1.5 s): ≈ 5.4 MB, ≈ 42 k lines,
+/// seven in eight of them `timer.armed`.
+fn trace_query_capture() -> String {
+    let traffic: String = (0..8).map(|node| format!("traffic {node} 2ms\n")).collect();
+    let spec = RunSpec::from_scenario(&format!(
+        "nodes 8\n{traffic}crash 7 160ms\nerror-rate 0.005\nseed 0\nuntil 1500ms\nsettle 150ms\n"
+    ))
+    .expect("the capture scenario is in the judged subset");
+    execute(&spec, true).trace_jsonl.expect("capture was on")
+}
+
+#[test]
+fn reading_a_trace_builds_an_index_not_an_object_per_field() {
+    let doc = trace_query_capture();
+    assert!(doc.len() > 4 << 20 && doc.lines().count() > 30_000, "{} B", doc.len());
+
+    let (allocations, bytes, model) = measured(|| TraceModel::parse(&doc).unwrap());
+    // One allocation per bus record (its transmitter list) plus the
+    // model's own vectors. A `Vec` of fields per line made it 95 204
+    // allocations and 8.8 × the document.
+    assert!(
+        allocations <= model.bus.len() as u64 + 64,
+        "{allocations} allocations for {} bus records",
+        model.bus.len()
+    );
+    assert!(
+        bytes <= 2 * doc.len() as u64,
+        "parse requested {bytes} B for a {} B document",
+        doc.len()
+    );
+
+    let (allocations, bytes, chrome) = measured(|| chrome_trace(&model));
+    // A `String` per record made it 84 411 allocations and 5.9 × the
+    // result.
+    assert!(allocations <= 1_000, "{allocations} allocations in chrome_trace");
+    assert!(
+        bytes <= 2 * chrome.len() as u64,
+        "chrome_trace requested {bytes} B for a {} B result",
+        chrome.len()
+    );
+
+    let (_, bytes, jsonl) = measured(|| model.to_jsonl());
+    assert_eq!(jsonl, doc);
+    // Reserving `lines × 96` and regrowing made it 2.3 ×.
+    assert!(
+        bytes * 10 <= 11 * jsonl.len() as u64,
+        "to_jsonl requested {bytes} B for a {} B result",
+        jsonl.len()
+    );
+}
+
+#[test]
+fn capturing_a_run_allocates_for_its_documents_not_per_event() {
+    // One run of the everyday matrix's shape (`matrix-small`).
+    let spec = RunSpec::from_scenario(
+        "nodes 4\ntm 30ms\nth 5ms\ncrash 3 100ms\nerror-rate 0.01\nseed 7\n\
+         until 300ms\nsettle 150ms\n",
+    )
+    .expect("the run is in the judged subset");
+    let (lean, _, _) = measured(|| execute(&spec, false));
+    let (full, _, outcome) = measured(|| execute(&spec, true));
+    let doc = outcome.trace_jsonl.expect("capture was on");
+    let model = TraceModel::parse(&doc).unwrap();
+    assert!(model.events.len() > 5 * model.bus.len(), "events dominate the capture");
+    // The full log's growth, the sort keys, the document: 16 when the
+    // gate was set, and nothing that scales with the records. A
+    // `String` per line made the difference 2 747 allocations for
+    // these 1 457 lines.
+    let extra = full.saturating_sub(lean);
+    assert!(
+        extra <= 64,
+        "capturing {} lines ({} bus records) cost {extra} allocations",
+        model.lines.len(),
+        model.bus.len()
+    );
 }

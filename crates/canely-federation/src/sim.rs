@@ -679,44 +679,19 @@ impl FederationSim {
         self.metrics.retry_queued.inc();
     }
 
-    /// The merged, segment-qualified JSONL trace: each segment's
-    /// merged bus + protocol export tagged with a `seg` field, then
-    /// interleaved by time (ties: segment order). The single-segment
-    /// degenerate case emits segment 0's export verbatim — no `seg`
-    /// field — so it is byte-identical to the non-federated exporter.
+    /// The merged, segment-qualified JSONL trace: every segment's bus
+    /// and protocol records tagged with a `seg` field and interleaved
+    /// by time (ties: segment order). The single-segment degenerate
+    /// case carries no `seg` field, so it is byte-identical to the
+    /// non-federated exporter.
     pub fn export_jsonl(&self) -> String {
-        if self.segments == 1 {
-            return self.logs[0].export_jsonl(Some(self.sims[0].trace()));
-        }
-        // (t, seg, per-segment line index) is a total order because
-        // each per-segment export is already (t, class, seq)-sorted.
-        let mut tagged: Vec<(u64, u8, usize, String)> = Vec::new();
-        for seg in 0..self.segments {
-            let export = self.logs[seg as usize].export_jsonl(Some(self.sims[seg as usize].trace()));
-            for (idx, line) in export.lines().enumerate() {
-                let t: u64 = line
-                    .strip_prefix("{\"t\":")
-                    .and_then(|rest| {
-                        rest.split(|c: char| !c.is_ascii_digit())
-                            .next()?
-                            .parse()
-                            .ok()
-                    })
-                    .expect("exporter lines start with {\"t\":<num>");
-                let tagged_line = {
-                    let (head, tail) = line.split_at(line.find(',').expect("multi-field line"));
-                    format!("{head},\"seg\":{seg}{tail}")
-                };
-                tagged.push((t, seg, idx, tagged_line));
-            }
-        }
-        tagged.sort_by_key(|&(t, seg, idx, _)| (t, seg, idx));
-        let mut out = String::new();
-        for (_, _, _, line) in tagged {
-            out.push_str(&line);
-            out.push('\n');
-        }
-        out
+        let segments: Vec<_> = self
+            .logs
+            .iter()
+            .zip(&self.sims)
+            .map(|(log, sim)| (log, Some(sim.trace())))
+            .collect();
+        canely::obs::export_segments_jsonl(&segments)
     }
 }
 

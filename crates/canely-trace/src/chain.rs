@@ -117,7 +117,7 @@ fn relay_of<'m, 'a>(model: &'m TraceModel<'a>, tx: &BusTx<'_>) -> Option<&'m Eve
                 && e.seg == tx.seg
                 && e.t <= tx.start
                 && tx.transmitters.contains(&e.node)
-                && model.line_of(e).str("mid") == Some(tx.mid.as_ref())
+                && model.line_of(e).str("mid").as_deref() == Some(tx.mid.as_ref())
         })
         .max_by_key(|e| (e.t, e.seq))
 }
@@ -256,7 +256,7 @@ pub fn chain_for_in(
             && model
                 .line_of(e)
                 .str("view")
-                .is_some_and(|v| !parse_node_set(v).contains(&suspect))
+                .is_some_and(|v| !parse_node_set(&v).contains(&suspect))
     });
     if let Some(e) = install {
         chain.steps.push(event_step(model, e));

@@ -16,25 +16,44 @@
 
 use std::fmt::Write as _;
 
-use crate::json::escape_into;
+use crate::json::{escape_into, Value};
 use crate::model::TraceModel;
 use crate::phases::PhaseProfile;
 
-fn push_event(out: &mut String, first: &mut bool, body: &str) {
+/// Starts the next trace event: the separator after the previous one.
+fn next_event(out: &mut String, first: &mut bool) {
     if !*first {
         out.push_str(",\n");
     }
     *first = false;
-    out.push_str(body);
 }
 
-fn meta(pid: u64, tid: u64, kind: &str, name: &str) -> String {
-    let mut escaped = String::new();
-    escape_into(name, &mut escaped);
-    format!(
-        "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"name\":\"{kind}\",\
-         \"args\":{{\"name\":\"{escaped}\"}}}}"
-    )
+/// Appends `label` and `n` in decimal: an instant is two numbers
+/// between fixed labels, and `write!` spends more on its way to the
+/// digits than on them.
+fn push_num(out: &mut String, label: &str, mut n: u64) {
+    out.push_str(label);
+    let mut digits = [b'0'; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] += (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+}
+
+fn meta(out: &mut String, first: &mut bool, pid: u64, tid: u64, kind: &str, name: &str) {
+    next_event(out, first);
+    let _ = write!(
+        out,
+        "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"name\":\"{kind}\",\"args\":{{\"name\":\""
+    );
+    escape_into(name, out);
+    out.push_str("\"}}");
 }
 
 /// Renders the trace (plus its phase profile) as a Chrome trace-event
@@ -48,80 +67,84 @@ pub fn chrome_trace(model: &TraceModel<'_>) -> String {
     nodes.sort_unstable();
     nodes.dedup();
 
-    let mut out = String::from("{\"traceEvents\":[\n");
+    // The bulk records render straight into the one buffer, sized up
+    // front: a record comes out as its line plus a fixed frame.
+    let source: usize = model.lines.iter().map(|line| line.text().len() + 64).sum();
+    let mut out = String::with_capacity(source + 4096);
+    out.push_str("{\"traceEvents\":[\n");
     let mut first = true;
 
     // Process/thread naming metadata.
-    push_event(&mut out, &mut first, &meta(0, 0, "process_name", "bus"));
-    push_event(&mut out, &mut first, &meta(0, 0, "thread_name", "frames"));
-    push_event(&mut out, &mut first, &meta(0, 1, "thread_name", "phases"));
+    meta(&mut out, &mut first, 0, 0, "process_name", "bus");
+    meta(&mut out, &mut first, 0, 0, "thread_name", "frames");
+    meta(&mut out, &mut first, 0, 1, "thread_name", "phases");
     for &node in &nodes {
         let pid = u64::from(node) + 1;
-        push_event(
-            &mut out,
-            &mut first,
-            &meta(pid, 0, "process_name", &format!("node {node}")),
-        );
-        push_event(&mut out, &mut first, &meta(pid, 0, "thread_name", "events"));
-        push_event(&mut out, &mut first, &meta(pid, 1, "thread_name", "phases"));
+        meta(&mut out, &mut first, pid, 0, "process_name", &format!("node {node}"));
+        meta(&mut out, &mut first, pid, 0, "thread_name", "events");
+        meta(&mut out, &mut first, pid, 1, "thread_name", "phases");
     }
 
-    // Bus transactions: complete spans on the bus track. One scratch
-    // buffer serves every escaped name/value below.
-    let mut scratch = String::new();
+    // Bus transactions: complete spans on the bus track.
     for tx in &model.bus {
-        scratch.clear();
-        escape_into(&tx.mid, &mut scratch);
-        let name = &scratch;
-        let mut body = format!(
-            "{{\"ph\":\"X\",\"pid\":0,\"tid\":0,\"ts\":{},\"dur\":{},\
-             \"name\":\"{name}\",\"cat\":\"bus\",\"args\":{{",
+        next_event(&mut out, &mut first);
+        let _ = write!(
+            out,
+            "{{\"ph\":\"X\",\"pid\":0,\"tid\":0,\"ts\":{},\"dur\":{},\"name\":\"",
             tx.start,
             tx.bus_free.saturating_sub(tx.start),
         );
+        escape_into(&tx.mid, &mut out);
         let _ = write!(
-            body,
-            "\"queued\":{},\"deliver\":{},\"arb_losses\":{},\
+            out,
+            "\",\"cat\":\"bus\",\"args\":{{\
+             \"queued\":{},\"deliver\":{},\"arb_losses\":{},\
              \"delivered\":{},\"errored\":{}}}}}",
             tx.queued, tx.deliver, tx.arb_losses, tx.delivered, tx.errored
         );
-        push_event(&mut out, &mut first, &body);
     }
 
-    // Protocol events: instants on their node's event track.
+    // Protocol events: instants on their node's event track, the
+    // variant-specific fields as string arguments and the cause last.
     for event in &model.events {
-        let pid = u64::from(event.node) + 1;
+        next_event(&mut out, &mut first);
         let cat = event.kind.split('.').next().unwrap_or("event");
-        let mut body = format!(
-            "{{\"ph\":\"i\",\"pid\":{pid},\"tid\":0,\"ts\":{},\"s\":\"t\",\
-             \"name\":\"{}\",\"cat\":\"{cat}\",\"args\":{{",
-            event.t, event.kind
-        );
-        let mut first_arg = true;
-        for (key, value) in model.line_of(event).display_fields() {
-            if !first_arg {
-                body.push(',');
-            }
-            first_arg = false;
-            scratch.clear();
-            escape_into(value, &mut scratch);
-            let _ = write!(body, "\"{key}\":\"{scratch}\"");
+        push_num(&mut out, "{\"ph\":\"i\",\"pid\":", u64::from(event.node) + 1);
+        push_num(&mut out, ",\"tid\":0,\"ts\":", event.t);
+        let name: &str = &event.kind;
+        for part in [",\"s\":\"t\",\"name\":\"", name, "\",\"cat\":\"", cat, "\",\"args\":{"] {
+            out.push_str(part);
         }
-        if let Some(cause) = model.line_of(event).str("cause") {
-            if !first_arg {
-                body.push(',');
+        let args = out.len();
+        let mut cause = None;
+        for (key, value) in model.line_of(event).fields() {
+            match key.as_ref() {
+                "cause" => cause = cause.or(Some(value)),
+                "t" | "seq" | "node" | "kind" => {}
+                _ => {
+                    out.push_str(if out.len() > args { ",\"" } else { "\"" });
+                    out.push_str(&key);
+                    out.push_str("\":\"");
+                    escape_into(&value.into_display(), &mut out);
+                    out.push('"');
+                }
             }
-            let _ = write!(body, "\"cause\":\"{cause}\"");
         }
-        body.push_str("}}");
-        push_event(&mut out, &mut first, &body);
+        if let Some(Value::Str(cause)) = cause {
+            out.push_str(if out.len() > args { ",\"cause\":\"" } else { "\"cause\":\"" });
+            out.push_str(&cause);
+            out.push('"');
+        }
+        out.push_str("}}");
     }
 
     // Detection phases: spans on the owner's phase track.
     for detection in &profile.detections {
         for span in &detection.spans {
+            next_event(&mut out, &mut first);
             let pid = span.node.map_or(0, |n| u64::from(n) + 1);
-            let body = format!(
+            let _ = write!(
+                out,
                 "{{\"ph\":\"X\",\"pid\":{pid},\"tid\":1,\"ts\":{},\"dur\":{},\
                  \"name\":\"{}\",\"cat\":\"phase\",\
                  \"args\":{{\"suspect\":\"n{}\"}}}}",
@@ -130,7 +153,6 @@ pub fn chrome_trace(model: &TraceModel<'_>) -> String {
                 span.name,
                 detection.suspect
             );
-            push_event(&mut out, &mut first, &body);
         }
     }
 

@@ -1,15 +1,16 @@
 //! The in-memory trace model: parsed JSONL lines classified into bus
 //! transactions and protocol events, with cause references resolved.
 //!
-//! The model is zero-copy: it borrows the trace document it was
-//! parsed from (kinds, mids and keys are slices of the input), so
-//! building it costs one pass and the per-line index vectors, not a
-//! heap string per field.
+//! The model is an index over the document it was parsed from: one
+//! constant-size entry per line (its validated slice) plus one record
+//! per bus transaction / protocol event holding the envelope fields
+//! the queries join on (kinds and mids are slices of the input).
+//! Building it costs one pass; every other field is read from its
+//! line when a query asks for it.
 
 use std::borrow::Cow;
-use std::collections::HashMap;
 
-use crate::json::{Line, ParseError};
+use crate::json::{Line, ParseError, Value};
 
 /// A cause reference, as spelled in the `cause` field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -118,11 +119,21 @@ pub struct TraceModel<'a> {
     pub bus: Vec<BusTx<'a>>,
     /// Protocol events, in document order.
     pub events: Vec<Event<'a>>,
-    // Cause references are segment-local: each segment's log has its
-    // own sequence space and its own bus timeline, so both indexes
-    // are keyed by `(seg, …)`.
-    seq_index: HashMap<(Option<u8>, u64), usize>,
-    deliver_index: HashMap<(Option<u8>, u64), usize>,
+    // The two cause-reference look-ups, sorted: `((seg, seq), event)`
+    // and, of the delivered transactions, `((seg, deliver), tx)`.
+    // References are segment-local: each segment's log has its own
+    // sequence space and its own bus timeline.
+    by_seq: Vec<(CauseKey, usize)>,
+    by_deliver: Vec<(CauseKey, usize)>,
+}
+
+type CauseKey = (Option<u8>, u64);
+
+/// The record a sorted `index` holds for `key`: of several, the last
+/// in the document.
+fn last_of(index: &[(CauseKey, usize)], key: CauseKey) -> Option<usize> {
+    let end = index.partition_point(|&(k, _)| k <= key);
+    index[..end].last().filter(|&&(k, _)| k == key).map(|&(_, i)| i)
 }
 
 /// A line that failed to parse, with its 1-based line number.
@@ -172,6 +183,30 @@ pub fn parse_node_set(text: &str) -> Vec<u8> {
         .collect()
 }
 
+/// The slot of an envelope key — the fields [`TraceModel::parse`] reads
+/// into a record; every other field stays in its line and is read on
+/// demand.
+#[inline(always)]
+fn envelope_slot(name: &str) -> Option<usize> {
+    Some(match name {
+        "t" => 0,
+        "seg" => 1,
+        "seq" => 2,
+        "node" => 3,
+        "kind" => 4,
+        "cause" => 5,
+        "bus_free" => 6,
+        "deliver" => 7,
+        "queued" => 8,
+        "arb_losses" => 9,
+        "mid" => 10,
+        "transmitters" => 11,
+        "delivered" => 12,
+        "errored" => 13,
+        _ => return None,
+    })
+}
+
 impl<'a> TraceModel<'a> {
     /// Parses a JSONL trace document, borrowing `text`.
     ///
@@ -179,76 +214,104 @@ impl<'a> TraceModel<'a> {
     ///
     /// Returns the first malformed line.
     pub fn parse(text: &'a str) -> Result<TraceModel<'a>, TraceError> {
+        // Sized once: a record is a line, and no line that carries an
+        // instant is shorter than `{"t":1}` and its newline.
+        let newlines = text.matches('\n').count();
+        let records = (newlines + 1).min(text.len() / 8 + 1);
         let mut model = TraceModel {
-            lines: Vec::new(),
+            lines: Vec::with_capacity(records),
             bus: Vec::new(),
-            events: Vec::new(),
-            seq_index: HashMap::new(),
-            deliver_index: HashMap::new(),
+            events: Vec::with_capacity(records),
+            by_seq: Vec::with_capacity(records),
+            by_deliver: Vec::new(),
         };
         for (lineno, raw) in text.lines().enumerate() {
             if raw.trim().is_empty() {
                 continue;
             }
-            let line = Line::parse(raw).map_err(|error| TraceError {
+            // One pass validates the line and keeps the first value of
+            // each envelope key for the record under construction.
+            let mut envelope: [Option<Value<'a>>; 14] = Default::default();
+            let line = Line::parse_with(raw, |name, value, at| {
+                let Some(slot) = envelope_slot(name).filter(|&slot| envelope[slot].is_none()) else {
+                    return Ok(());
+                };
+                if let ("seg" | "node", Some(n @ 256..)) = (name, value.as_u64()) {
+                    return Err(ParseError {
+                        reason: format!("{name} {n} is out of range"),
+                        at,
+                    });
+                }
+                envelope[slot] = Some(value);
+                Ok(())
+            })
+            .map_err(|error| TraceError {
                 line: lineno + 1,
                 error,
             })?;
+            let field = |name| envelope[envelope_slot(name).expect("an envelope key")].as_ref();
+            let num = |name| field(name).and_then(Value::as_u64);
+            let flag = |name| field(name).and_then(Value::as_bool);
+            let string = |name| match field(name) {
+                Some(Value::Str(s)) => Some(s.clone()),
+                _ => None,
+            };
             let index = model.lines.len();
-            let seg = line.u64("seg").map(|s| s as u8);
-            if line.str("kind") == Some("bus.tx") {
-                let bus_free = line.u64("bus_free").unwrap_or(0);
+            let seg = num("seg").map(|s| s as u8); // in range: checked above
+            let t = num("t").unwrap_or(0);
+            let kind = string("kind");
+            if kind.as_deref() == Some("bus.tx") {
+                let bus_free = num("bus_free").unwrap_or(0);
                 let tx = BusTx {
                     line: index,
                     seg,
-                    start: line.u64("t").unwrap_or(0),
+                    start: t,
                     bus_free,
                     // Pre-profiling traces lack the deliver/queued
                     // fields; fall back to the closest older notion.
-                    deliver: line.u64("deliver").unwrap_or(bus_free),
-                    queued: line.u64("queued").unwrap_or_else(|| {
-                        line.u64("t").unwrap_or(0)
-                    }),
-                    arb_losses: line.u64("arb_losses").unwrap_or(0),
-                    mid: line.str_cow("mid").unwrap_or(Cow::Borrowed("-")),
-                    transmitters: line
-                        .str("transmitters")
-                        .map(parse_node_set)
+                    deliver: num("deliver").unwrap_or(bus_free),
+                    queued: num("queued").unwrap_or(t),
+                    arb_losses: num("arb_losses").unwrap_or(0),
+                    mid: string("mid").unwrap_or(Cow::Borrowed("-")),
+                    transmitters: string("transmitters")
+                        .map(|set| parse_node_set(&set))
                         .unwrap_or_default(),
-                    delivered: line.bool("delivered").unwrap_or(false),
-                    errored: line.bool("errored").unwrap_or(false),
+                    delivered: flag("delivered").unwrap_or(false),
+                    errored: flag("errored").unwrap_or(false),
                 };
                 if tx.delivered {
-                    model
-                        .deliver_index
-                        .insert((seg, tx.deliver), model.bus.len());
+                    model.by_deliver.push(((seg, tx.deliver), model.bus.len()));
                 }
                 model.bus.push(tx);
             } else {
                 let event = Event {
                     line: index,
                     seg,
-                    t: line.u64("t").unwrap_or(0),
-                    seq: line.u64("seq"),
-                    node: line.u64("node").unwrap_or(0) as u8,
-                    kind: line.str_cow("kind").unwrap_or(Cow::Borrowed("")),
-                    cause: line.str("cause").and_then(CauseRef::parse),
+                    t,
+                    seq: num("seq"),
+                    node: num("node").unwrap_or(0) as u8, // likewise
+                    kind: kind.unwrap_or(Cow::Borrowed("")),
+                    cause: string("cause").and_then(|cause| CauseRef::parse(&cause)),
                 };
                 if let Some(seq) = event.seq {
-                    model.seq_index.insert((seg, seq), model.events.len());
+                    model.by_seq.push(((seg, seq), model.events.len()));
                 }
                 model.events.push(event);
             }
             model.lines.push(line);
         }
+        // An export is all but sorted this way already.
+        model.by_seq.sort_unstable();
+        model.by_deliver.sort_unstable();
         Ok(model)
     }
 
     /// Re-renders the document (one canonical JSON object per line,
-    /// trailing newline) — byte-identical to a canonical export. One
-    /// output buffer serves every line; nothing else allocates.
+    /// trailing newline) — byte-identical to a canonical export, and
+    /// of its length: one output buffer, reserved once.
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::with_capacity(self.lines.len() * 96);
+        let bytes: usize = self.lines.iter().map(|line| line.text().len() + 1).sum();
+        let mut out = String::with_capacity(bytes);
         for line in &self.lines {
             line.render_into(&mut out);
             out.push('\n');
@@ -269,7 +332,7 @@ impl<'a> TraceModel<'a> {
 
     /// The event with log sequence number `seq` on segment `seg`.
     pub fn event_by_seq_in(&self, seg: Option<u8>, seq: u64) -> Option<&Event<'a>> {
-        self.seq_index.get(&(seg, seq)).map(|&i| &self.events[i])
+        last_of(&self.by_seq, (seg, seq)).map(|i| &self.events[i])
     }
 
     /// The delivered bus transaction with delivery instant `deliver`
@@ -281,7 +344,7 @@ impl<'a> TraceModel<'a> {
     /// The delivered bus transaction with delivery instant `deliver`
     /// on segment `seg`.
     pub fn bus_by_deliver_in(&self, seg: Option<u8>, deliver: u64) -> Option<&BusTx<'a>> {
-        self.deliver_index.get(&(seg, deliver)).map(|&i| &self.bus[i])
+        last_of(&self.by_deliver, (seg, deliver)).map(|i| &self.bus[i])
     }
 
     /// Resolves an event's causal parent, if it has one and the
@@ -362,6 +425,21 @@ mod tests {
             "escape-free mids are borrowed slices of the input"
         );
         assert!(model.events.iter().all(|e| matches!(e.kind, Cow::Borrowed(_))));
+    }
+
+    #[test]
+    fn ids_beyond_a_byte_are_refused_on_their_line() {
+        for (ids, refusal) in [
+            ("\"seg\":255,\"node\":255", None),
+            ("\"seg\":256,\"node\":0", Some("line 7: seg 256 is out of range (at byte 16)")),
+            ("\"seg\":0,\"node\":300", Some("line 7: node 300 is out of range (at byte 25)")),
+            // Only the value a look-up would find is an id.
+            ("\"node\":2,\"node\":300", None),
+        ] {
+            let doc = format!("{DOC}{{\"t\":1,{ids},\"kind\":\"fd.suspect\"}}\n");
+            let refused = TraceModel::parse(&doc).err().map(|e| e.to_string());
+            assert_eq!(refused.as_deref(), refusal, "{ids}");
+        }
     }
 
     #[test]

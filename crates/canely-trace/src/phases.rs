@@ -227,7 +227,7 @@ fn profile_one(
                 && model
                     .line_of(e)
                     .str("view")
-                    .is_some_and(|v| !parse_node_set(v).contains(&suspect))
+                    .is_some_and(|v| !parse_node_set(&v).contains(&suspect))
         });
         if let Some(install) = installed {
             d.view_change.push(install.t - crashed_at);

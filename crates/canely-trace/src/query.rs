@@ -43,7 +43,7 @@ pub fn filter(model: &TraceModel<'_>, filter: &Filter) -> String {
             }
         }
         if let Some(kind) = &filter.kind {
-            if !line.str("kind").unwrap_or("").starts_with(kind.as_str()) {
+            if !line.str("kind").unwrap_or_default().starts_with(kind.as_str()) {
                 continue;
             }
         }
@@ -51,19 +51,16 @@ pub fn filter(model: &TraceModel<'_>, filter: &Filter) -> String {
             let of_node = line.u64("node") == Some(u64::from(node))
                 || line
                     .str("transmitters")
-                    .is_some_and(|t| crate::model::parse_node_set(t).contains(&node));
+                    .is_some_and(|t| crate::model::parse_node_set(&t).contains(&node));
             if !of_node {
                 continue;
             }
         }
         if let Some(view) = &filter.view {
-            let mentions = line
-                .fields
-                .iter()
-                .any(|(k, v)| {
-                    matches!(k.as_ref(), "view" | "vector" | "proposal")
-                        && v.as_str() == Some(view.as_str())
-                });
+            let mentions = line.fields().any(|(k, v)| {
+                matches!(k.as_ref(), "view" | "vector" | "proposal")
+                    && v.as_str() == Some(view.as_str())
+            });
             if !mentions {
                 continue;
             }

@@ -97,3 +97,26 @@ fn deep_nesting_is_refused_at_once() {
         assert_eq!(error.line, 1);
     }
 }
+
+/// A segment or node id that does not fit the model's `u8` is refused
+/// on its line — it used to be truncated (`seg 256` read as segment 0,
+/// `node 300` as node 44) and the queries answered for the wrong node.
+#[test]
+fn out_of_range_ids_are_refused_not_truncated() {
+    for (record, message) in [
+        (
+            "{\"t\":1,\"seg\":256,\"seq\":0,\"node\":3,\"kind\":\"fd.suspect\",\"suspect\":2}",
+            "line 2: seg 256 is out of range (at byte 16)",
+        ),
+        (
+            "{\"t\":1,\"seg\":1,\"seq\":0,\"node\":300,\"kind\":\"fd.suspect\",\"suspect\":2}",
+            "line 2: node 300 is out of range (at byte 33)",
+        ),
+    ] {
+        let doc = format!(
+            "{{\"t\":0,\"seg\":255,\"node\":255,\"kind\":\"node.crashed\"}}\n{record}\n"
+        );
+        let error = TraceModel::parse(&doc).expect_err(record);
+        assert_eq!(error.to_string(), message);
+    }
+}

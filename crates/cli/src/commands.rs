@@ -524,7 +524,7 @@ pub fn metrics(args: &mut Args) -> CmdResult {
 /// Sources the JSONL document behind a `tq` query: a pre-recorded
 /// `--trace file.jsonl`, or `--scenario file.canely` run
 /// deterministically on the spot. The caller keeps the returned text
-/// alive and parses the (borrowing, zero-copy)
+/// alive and parses the (borrowing, index-only)
 /// [`canely_trace::TraceModel`] over it.
 fn tq_source(args: &mut Args) -> Result<String, String> {
     if let Some(path) = args.str_opt("trace") {

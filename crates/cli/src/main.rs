@@ -1,16 +1,24 @@
 //! The `canely` binary: scenario runner for the CANELy stack.
 
+use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    match canely_cli::run(&argv) {
-        Ok(output) => {
-            print!("{output}");
-            ExitCode::SUCCESS
-        }
+    let output = match canely_cli::run(&argv) {
+        Ok(output) => output,
         Err(message) => {
             eprintln!("{message}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let mut stdout = std::io::stdout().lock();
+    match stdout.write_all(output.as_bytes()).and_then(|()| stdout.flush()) {
+        Ok(()) => ExitCode::SUCCESS,
+        // The reader went away (`| head`): it has what it wanted.
+        Err(error) if error.kind() == ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(error) => {
+            eprintln!("error: writing to stdout: {error}");
             ExitCode::FAILURE
         }
     }

@@ -202,3 +202,28 @@ fn replay_refuses_what_it_would_have_re_interpreted() {
     assert!(out.contains("horizon 600.00ms"), "{out}");
     assert!(out.contains("verdict: clean"), "{out}");
 }
+
+#[test]
+fn a_reader_that_closes_the_pipe_early_ends_the_run_quietly() {
+    // `canelyctl trace … --jsonl | head -n 1` used to panic (`failed
+    // printing to stdout: Broken pipe`, exit 101): the document is a
+    // few pipe buffers long and `head` is gone after the first.
+    use std::io::{BufRead, BufReader};
+    use std::process::{Command, Stdio};
+    let mut child = Command::new(env!("CARGO_BIN_EXE_canelyctl"))
+        .args(["trace", "--nodes", "4", "--until", "400ms", "--jsonl"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut stdout = BufReader::with_capacity(256, child.stdout.take().unwrap());
+    let mut first = String::new();
+    stdout.read_line(&mut first).unwrap();
+    assert!(first.starts_with("{\"t\":0,"), "{first}");
+    drop(stdout);
+    let output = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!(stderr, "", "a closed pipe is not an error to report");
+    assert!(output.status.success(), "{:?}", output.status);
+}

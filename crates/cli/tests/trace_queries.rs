@@ -218,3 +218,73 @@ fn tq_renders_are_byte_deterministic() {
     .unwrap();
     assert_eq!(a, b, "tq chain differs across invocations");
 }
+
+/// The single-bus exporters' bytes on one small crash episode, against
+/// goldens written by the build before the trace path was rewritten
+/// (PR 24); `scripts/verify.sh` holds the release binary to the same
+/// two files.
+#[test]
+fn small_trace_exports_match_the_goldens() {
+    let flags = ["trace", "--nodes", "4", "--crash", "2@250ms", "--until", "400ms"];
+    for (format, golden) in [
+        ("--jsonl", include_str!("../../../tests/golden/trace_small.jsonl")),
+        ("--chrome", include_str!("../../../tests/golden/trace_small.chrome.json")),
+    ] {
+        let mut args = argv(&flags);
+        args.push(format.to_string());
+        let out = run(&args).unwrap();
+        assert!(out == golden, "trace {format} diverged from its golden");
+    }
+}
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The exporters' and the readers' bytes on a *federated* capture —
+/// two bridged 3-node segments, a crash on segment 1, made the way
+/// the campaign engine makes one — pinned as FNV-1a digests taken
+/// from the build before the trace path was rewritten (PR 24): the
+/// merged `seg`-tagged export, its Chrome rendering and every `tq`
+/// subcommand over it.
+#[test]
+fn federated_capture_and_every_query_over_it_are_pinned() {
+    let spec = canely_campaign::RunSpec::from_scenario(
+        "nodes 3\ntm 30ms\nseed 0\nsegments 2\ngateway 0\nbridge line\nrelay none\n\
+         seg-crash 1 2 100ms\nuntil 500ms\nsettle 200ms\n",
+    )
+    .unwrap();
+    let doc = canely_campaign::execute(&spec, true).trace_jsonl.unwrap();
+    let dir = std::env::temp_dir().join("canelyctl-trace-queries");
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("fed.trace.jsonl");
+    std::fs::write(&file, &doc).unwrap();
+    let path = file.to_string_lossy().to_string();
+    let tq = |rest: &[&str]| {
+        let mut args = argv(&["tq", rest[0], "--trace", &path]);
+        args.extend(argv(&rest[1..]));
+        run(&args).unwrap()
+    };
+    let model = TraceModel::parse(&doc).unwrap();
+    let outputs = [
+        ("capture", doc.clone(), 0x1b4d_8c1d_dff7_125c_u64),
+        ("chrome_trace(capture)", canely_trace::chrome_trace(&model), 0x8c80_4584_ce3b_1621),
+        ("tq chain", tq(&["chain", "--suspect", "s1:n2"]), 0xdf4a_70b0_3368_df20),
+        ("tq phases", tq(&["phases"]), 0x2c6c_25ce_03ac_d491),
+        ("tq filter", tq(&["filter", "--seg", "1", "--kind", "view"]), 0x93fa_182e_b2fe_3f7d),
+        ("tq summary", tq(&["summary"]), 0xcb0a_6a94_7a6f_98b7),
+        ("tq reexport", tq(&["reexport"]), 0x1b4d_8c1d_dff7_125c),
+    ];
+    for (name, text, pinned) in &outputs {
+        assert!(!text.is_empty(), "{name} rendered nothing");
+        assert_eq!(
+            fnv1a(text.as_bytes()),
+            *pinned,
+            "{name} ({} bytes) diverged from its parent-build digest {:#018x}",
+            text.len(),
+            fnv1a(text.as_bytes()),
+        );
+    }
+}

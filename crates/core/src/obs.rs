@@ -18,8 +18,8 @@
 //! * [`ObsLog`] / [`EventSink`] — the shared log and the per-entity
 //!   handle. All nodes of a simulation share **one** log, so a single
 //!   export captures the whole run.
-//! * [`export_jsonl`] — renders the protocol events, merged with the
-//!   bus-level [`BusTrace`], as one time-ordered
+//! * [`ObsLog::export_jsonl`] — renders the protocol events, merged
+//!   with the bus-level [`BusTrace`], as one time-ordered
 //!   JSON-Lines document (schema: `docs/TRACE_SCHEMA.md`).
 //! * [`Snapshot`] — metrics derived by folding over the event log:
 //!   per-node and global counters plus latency histograms
@@ -30,7 +30,7 @@
 //! from it, never counted separately, so the numbers reported by the
 //! CLI and the benches are exactly the numbers visible in the trace.
 
-use can_bus::{BusStats, BusTrace};
+use can_bus::{BusStats, BusTrace, TxRecord};
 use can_types::{BitTime, Mid, NodeId, NodeSet, MAX_NODES};
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -409,11 +409,8 @@ impl ProtocolEvent {
     fn write_json_fields(&self, out: &mut String) {
         match *self {
             ProtocolEvent::TimerArmed { timer, deadline } => {
-                let _ = write!(
-                    out,
-                    ",\"timer\":\"{timer}\",\"deadline\":{}",
-                    deadline.as_u64()
-                );
+                let _ = write!(out, ",\"timer\":\"{timer}\"");
+                push_field(out, ",\"deadline\":", deadline.as_u64());
             }
             ProtocolEvent::TimerExpired { timer } => {
                 let _ = write!(out, ",\"timer\":\"{timer}\"");
@@ -554,10 +551,12 @@ impl Cause {
         match *self {
             Cause::Boot => {}
             Cause::Bus { deliver_at } => {
-                let _ = write!(out, ",\"cause\":\"bus:{}\"", deliver_at.as_u64());
+                push_field(out, ",\"cause\":\"bus:", deliver_at.as_u64());
+                out.push('"');
             }
             Cause::Event { seq } => {
-                let _ = write!(out, ",\"cause\":\"event:{seq}\"");
+                push_field(out, ",\"cause\":\"event:", seq);
+                out.push('"');
             }
         }
     }
@@ -596,22 +595,47 @@ impl TimedEvent {
     /// Renders the event as one JSONL object, including its log
     /// sequence number (the target of `event:<seq>` cause references).
     pub fn to_json_seq(&self, seq: Option<u64>) -> String {
-        let mut out = String::with_capacity(96);
-        let _ = write!(out, "{{\"t\":{}", self.time.as_u64());
-        if let Some(seq) = seq {
-            let _ = write!(out, ",\"seq\":{seq}");
-        }
-        let _ = write!(
-            out,
-            ",\"node\":{},\"kind\":\"{}\"",
-            self.node.as_u8(),
-            self.event.kind()
-        );
-        self.event.write_json_fields(&mut out);
-        self.cause.write_json_field(&mut out);
-        out.push('}');
+        let mut out = String::with_capacity(128);
+        self.write_json_seq(None, seq, &mut out);
         out
     }
+
+    /// Appends the event as one JSONL object, with its segment tag and
+    /// log sequence number where given.
+    fn write_json_seq(&self, seg: Option<u8>, seq: Option<u64>, out: &mut String) {
+        push_field(out, "{\"t\":", self.time.as_u64());
+        if let Some(seg) = seg {
+            push_field(out, ",\"seg\":", seg.into());
+        }
+        if let Some(seq) = seq {
+            push_field(out, ",\"seq\":", seq);
+        }
+        push_field(out, ",\"node\":", self.node.as_u8().into());
+        out.push_str(",\"kind\":\"");
+        out.push_str(self.event.kind());
+        out.push('"');
+        self.event.write_json_fields(out);
+        self.cause.write_json_field(out);
+        out.push('}');
+    }
+}
+
+/// Appends `label` and `n` in decimal. Seven lines in eight of a trace
+/// are numbers between fixed labels, and `write!` spends more on its
+/// way to the digits than on them.
+fn push_field(out: &mut String, label: &str, mut n: u64) {
+    out.push_str(label);
+    let mut digits = [b'0'; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] += (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
 }
 
 /// Which emitted events a log stores (see [`ObsLog::retaining`]).
@@ -813,7 +837,7 @@ impl ObsLog {
     }
 
     /// Renders the log — merged with a bus trace, if given — as one
-    /// time-ordered JSONL document (see [`export_jsonl`]).
+    /// time-ordered JSONL document (see [`export_segments_jsonl`]).
     ///
     /// # Panics
     ///
@@ -821,82 +845,108 @@ impl ObsLog {
     /// complete trace, and the stored events' positions are not their
     /// sequence numbers.
     pub fn export_jsonl(&self, bus: Option<&BusTrace>) -> String {
-        let inner = self.log.borrow();
-        assert!(inner.retain.is_none(), "a retaining log has no trace to export");
-        export_jsonl(&inner.events, bus)
+        export_segments_jsonl(&[(self, bus)])
     }
 }
 
-/// Renders protocol events and (optionally) the bus transaction trace
-/// as one merged JSON-Lines document, one object per line, sorted by
-/// time.
+/// Renders the logs and (optionally) bus transaction traces of one or
+/// more bus segments as one merged JSON-Lines document, one object per
+/// line, sorted by time.
 ///
 /// Ordering guarantees (documented in `docs/TRACE_SCHEMA.md`):
 /// primary key is the event instant `t`; at equal instants bus
 /// transactions sort before protocol events (a frame *starts* before
 /// anything reacts to it), and events of the same class keep their
-/// recording order. The output is deterministic: two identical runs
-/// produce byte-identical documents.
-pub fn export_jsonl(events: &[TimedEvent], bus: Option<&BusTrace>) -> String {
-    // (time, class, sequence) — class 0 = bus, 1 = protocol.
-    let mut lines: Vec<(u64, u8, usize, String)> = Vec::with_capacity(
-        events.len() + bus.map_or(0, BusTrace::len),
-    );
-    if let Some(trace) = bus {
-        for (seq, rec) in trace.iter().enumerate() {
-            let mut line = String::with_capacity(160);
-            let mid = rec
-                .mid()
-                .map_or_else(|| "-".to_string(), |m| m.to_string());
-            let _ = write!(
-                line,
-                "{{\"t\":{},\"kind\":\"bus.tx\",\"mid\":\"{}\",\"frame\":\"{}\",\
-                 \"transmitters\":\"{}\",\"bus_free\":{},\"deliver\":{},\"queued\":{},\
-                 \"arb_losses\":{},\"delivered\":{},\"errored\":{}}}",
-                rec.start.as_u64(),
-                json_escape(&mid),
-                if rec.frame.is_remote() { "rtr" } else { "data" },
-                rec.transmitters,
-                rec.bus_free.as_u64(),
-                rec.deliver_at.as_u64(),
-                rec.queued_at.as_u64(),
-                rec.arb_losses,
-                rec.delivered,
-                rec.errored,
-            );
-            lines.push((rec.start.as_u64(), 0, seq, line));
+/// recording order. With more than one segment every record carries
+/// its segment's index as a `seg` field (after `t`), and records of
+/// equal instant sort by segment first. The output is deterministic:
+/// two identical runs produce byte-identical documents.
+///
+/// # Panics
+///
+/// If a log was built with [`ObsLog::retaining`]: it holds no
+/// complete trace, and the stored events' positions are not their
+/// sequence numbers.
+pub fn export_segments_jsonl(segments: &[(&ObsLog, Option<&BusTrace>)]) -> String {
+    let logs: Vec<_> = segments.iter().map(|(log, _)| log.log.borrow()).collect();
+    let buses: Vec<&[TxRecord]> = segments
+        .iter()
+        .map(|(_, bus)| bus.map_or(&[][..], |trace| trace.iter().as_slice()))
+        .collect();
+    // (time, segment, class, index) — class 0 = bus, 1 = protocol: a
+    // total order, so nothing is assumed of the order records were
+    // made in. As a rule each class of each segment is in time order
+    // already, and the stable sort merges such runs in one pass.
+    let events: usize = logs.iter().map(|log| log.events.len()).sum();
+    let txs: usize = buses.iter().map(|bus| bus.len()).sum();
+    let mut keys: Vec<(u64, u8, u8, usize)> = Vec::with_capacity(events + txs);
+    for (seg, (log, bus)) in logs.iter().zip(&buses).enumerate() {
+        assert!(log.retain.is_none(), "a retaining log has no trace to export");
+        let seg = u8::try_from(seg).expect("segments are indexed by a byte");
+        keys.extend(bus.iter().enumerate().map(|(i, rec)| (rec.start.as_u64(), seg, 0, i)));
+        keys.extend(log.events.iter().enumerate().map(|(i, e)| (e.time.as_u64(), seg, 1, i)));
+    }
+    keys.sort();
+    // Each record is written once, in key order, straight into the
+    // document, sized up front from what the records of either class
+    // come to (a `timer.armed` is ~120 bytes, a `bus.tx` ~190).
+    let mut out = String::with_capacity(events * 144 + txs * 208);
+    for (_, seg, class, index) in keys {
+        let tag = (segments.len() > 1).then_some(seg);
+        if class == 0 {
+            write_bus_json(&buses[usize::from(seg)][index], tag, &mut out);
+        } else {
+            logs[usize::from(seg)].events[index].write_json_seq(tag, Some(index as u64), &mut out);
         }
-    }
-    for (seq, event) in events.iter().enumerate() {
-        lines.push((
-            event.time.as_u64(),
-            1,
-            seq,
-            event.to_json_seq(Some(seq as u64)),
-        ));
-    }
-    lines.sort_by_key(|&(t, class, seq, _)| (t, class, seq));
-    let mut out = String::new();
-    for (_, _, _, line) in lines {
-        out.push_str(&line);
         out.push('\n');
     }
     out
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
+/// Appends one `bus.tx` record as a JSONL object.
+fn write_bus_json(rec: &TxRecord, seg: Option<u8>, out: &mut String) {
+    let _ = write!(out, "{{\"t\":{}", rec.start.as_u64());
+    if let Some(seg) = seg {
+        let _ = write!(out, ",\"seg\":{seg}");
     }
-    out
+    out.push_str(",\"kind\":\"bus.tx\",\"mid\":\"");
+    match rec.mid() {
+        Some(mid) => {
+            let _ = write!(Escaped(out), "{mid}");
+        }
+        None => out.push('-'),
+    }
+    let _ = write!(
+        out,
+        "\",\"frame\":\"{}\",\"transmitters\":\"{}\",\"bus_free\":{},\"deliver\":{},\
+         \"queued\":{},\"arb_losses\":{},\"delivered\":{},\"errored\":{}}}",
+        if rec.frame.is_remote() { "rtr" } else { "data" },
+        rec.transmitters,
+        rec.bus_free.as_u64(),
+        rec.deliver_at.as_u64(),
+        rec.queued_at.as_u64(),
+        rec.arb_losses,
+        rec.delivered,
+        rec.errored,
+    );
+}
+
+/// Writes through to a `String`, escaping what a JSON string must
+/// (quote, backslash, control characters).
+struct Escaped<'a>(&'a mut String);
+
+impl std::fmt::Write for Escaped<'_> {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        for c in s.chars() {
+            match c {
+                '"' => self.0.push_str("\\\""),
+                '\\' => self.0.push_str("\\\\"),
+                c if (c as u32) < 0x20 => write!(self.0, "\\u{:04x}", c as u32)?,
+                c => self.0.push(c),
+            }
+        }
+        Ok(())
+    }
 }
 
 /// A simple sample-keeping histogram over `u64` values (latencies in
@@ -1428,11 +1478,10 @@ mod tests {
 
     #[test]
     fn export_merges_and_sorts_by_time() {
-        let events = vec![
-            TimedEvent::new(t(300), n(1), ProtocolEvent::LifeSignSent),
-            TimedEvent::new(t(100), n(0), ProtocolEvent::NodeCrashed),
-        ];
-        let out = export_jsonl(&events, None);
+        let log = ObsLog::new();
+        log.record(t(300), n(1), ProtocolEvent::LifeSignSent);
+        log.record(t(100), n(0), ProtocolEvent::NodeCrashed);
+        let out = log.export_jsonl(None);
         let lines: Vec<&str> = out.lines().collect();
         assert_eq!(lines.len(), 2);
         assert!(lines[0].contains("node.crashed"), "{out}");
@@ -1508,7 +1557,9 @@ mod tests {
 
     #[test]
     fn json_escape_controls_and_quotes() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\u000ad");
+        let mut out = String::new();
+        Escaped(&mut out).write_str("a\"b\\c\nd").unwrap();
+        assert_eq!(out, "a\\\"b\\\\c\\u000ad");
     }
 
     /// A marker-rich stream exercising every fold path: two victims,

@@ -250,6 +250,34 @@ if ! cmp -s "$trace_dir/episode.trace.jsonl" "$trace_dir/episode.reexport.jsonl"
     exit 1
 fi
 
+# Exporter goldens: the JSONL export and its Chrome rendering of one
+# small crash episode, byte for byte, as the build before the
+# exporters were rewritten (PR 24) wrote them — held here as well as in
+# `cargo test`, against the release binary. Regenerate with the two
+# commands below only when the trace schema is meant to change.
+echo "==> trace export goldens"
+if ! target/release/canelyctl trace --nodes 4 --crash 2@250ms --until 400ms --jsonl \
+    | cmp -s - tests/golden/trace_small.jsonl; then
+    echo "verify: trace --jsonl diverged from tests/golden/trace_small.jsonl" >&2
+    exit 1
+fi
+if ! target/release/canelyctl trace --nodes 4 --crash 2@250ms --until 400ms --chrome \
+    | cmp -s - tests/golden/trace_small.chrome.json; then
+    echo "verify: trace --chrome diverged from tests/golden/trace_small.chrome.json" >&2
+    exit 1
+fi
+
+# Broken pipe gate: a reader that stops early (`| head`) ends the run
+# quietly — it used to panic with a backtrace and exit 101.
+echo "==> broken pipe gate"
+pipe_err="target/verify-pipe.stderr"
+target/release/canelyctl trace --nodes 4 --until 400ms --jsonl 2>"$pipe_err" | head -n 1 > /dev/null
+if grep -q panicked "$pipe_err"; then
+    echo "verify: canelyctl panicked when its reader closed the pipe:" >&2
+    cat "$pipe_err" >&2
+    exit 1
+fi
+
 # tq smoke queries against the checked-in scenarios: the causal chain
 # behind the partition_heal crash must resolve end to end, and the
 # phase profile must report measured-vs-bound headroom.
