@@ -6,7 +6,10 @@
 //! * a campaign run nobody exports must not materialise its trace: it
 //!   requests a fraction of the bytes the same run requests with
 //!   capture on;
-//! * re-arming a surveillance timer on a warm wheel is a store;
+//! * re-arming a surveillance timer on a warm wheel is a store, and a
+//!   warm wheel's starts, re-arms, re-keys, cascades and pops reuse its
+//!   pooled entries; a warm traffic-loaded world steps without the
+//!   allocator;
 //! * a frame's exact wire duration is arithmetic: the bus asks for it
 //!   once per transaction, and building the bit stream to answer cost
 //!   over half of an everyday campaign;
@@ -17,10 +20,14 @@
 
 mod common;
 
-use can_controller::Rig;
+use can_bus::{BusConfig, FaultPlan};
+use can_controller::{Rig, Simulator, TimerId, TimerWheel};
 use can_types::{BitTime, CanId, Frame, FrameFormat, NodeId, Payload};
 use canely::obs::{Cause, ObsLog};
-use canely::{EventSink, FailureDetector, ProtocolEvent, SurveillanceDetector};
+use canely::{
+    CanelyConfig, CanelyStack, EventSink, FailureDetector, ProtocolEvent, SurveillanceDetector,
+    TrafficConfig,
+};
 use canely_campaign::{execute, CampaignSpec, RunSpec};
 use canely_trace::{chrome_trace, TraceModel};
 use common::measured;
@@ -136,6 +143,60 @@ fn surveillance_rearm_on_a_warm_wheel_allocates_nothing() {
         "{allocations} allocations in 100 000 re-arms"
     );
     assert_eq!(rig.timers.len(), usize::from(NODES));
+}
+
+#[test]
+fn a_warm_wheel_allocates_nothing() {
+    const LIVE: u64 = 64;
+    let mut wheel = TimerWheel::new();
+    let mut ids: Vec<TimerId> = (0..LIVE)
+        .map(|i| wheel.start(NodeId::new((i % 32) as u8), BitTime::new(5_000 + 97 * i), i))
+        .collect();
+    // One round a millisecond: every timer re-armed later (its carrier
+    // is re-keyed when its bucket comes up), every eighth earlier (a
+    // new carrier), one cancelled and started afresh, and everything
+    // due popped through the cascades of three levels.
+    let mut round = |wheel: &mut TimerWheel, t: u64| {
+        for (i, id) in ids.iter_mut().enumerate() {
+            let i = i as u64;
+            let delay = if i.is_multiple_of(8) { 300 + i } else { 5_000 + 97 * i };
+            *id = wheel.restart(*id, NodeId::new((i % 32) as u8), BitTime::new(t + delay), i);
+        }
+        let victim = (t / 1_000 % LIVE) as usize;
+        wheel.cancel(ids[victim]);
+        ids[victim] = wheel.start(NodeId::new(0), BitTime::new(t + 70_000), 0);
+        while wheel.pop_due(BitTime::new(t)).is_some() {}
+        wheel.next_deadline();
+    };
+    for t in 1..=200 {
+        round(&mut wheel, t * 1_000);
+    }
+    let (allocations, _, ()) = measured(|| {
+        for t in 201..=10_200 {
+            round(&mut wheel, t * 1_000);
+        }
+    });
+    assert_eq!(allocations, 0, "{allocations} allocations in 10 000 rounds");
+}
+
+#[test]
+fn a_warm_traffic_loaded_world_allocates_nothing() {
+    let mut sim = Simulator::new(BusConfig::default(), FaultPlan::none());
+    for id in 0..4 {
+        let traffic = TrafficConfig::staggered(BitTime::new(2_000), id);
+        let stack = CanelyStack::new(CanelyConfig::default()).with_traffic(traffic);
+        sim.add_node(NodeId::new(id), stack);
+    }
+    sim.run_until(BitTime::new(300_000));
+    let before = sim.trace().len();
+    // 50 ms of ticks, frames, deliveries and re-arms. The bus trace is
+    // the one growing vector, and it regrows only on a power of two
+    // (past 1 024 records here, at ≈ 500 ms).
+    let (allocations, _, ()) = measured(|| sim.run_for(BitTime::new(50_000)));
+    let frames = sim.trace().len() - before;
+    assert!(frames >= 100, "{frames} transactions");
+    // A payload built as a `Vec` made it one allocation per frame.
+    assert_eq!(allocations, 0, "{allocations} allocations for {frames} transactions");
 }
 
 #[test]

@@ -163,6 +163,10 @@ pub struct Controller {
     /// this many consecutive errors the head frame is dropped.
     retry_limit: Option<u32>,
     consecutive_errors: u32,
+    /// Whether the simulator's bus offer for this node is still the
+    /// head: cleared by whatever may move the head (the queue, bus-off),
+    /// set by the simulator's offer sync.
+    pub(crate) synced: bool,
 }
 
 impl Controller {
@@ -190,6 +194,7 @@ impl Controller {
             .position(|f| frame.id().beats(f.id()))
             .unwrap_or(self.queue.len());
         self.queue.insert(pos, frame);
+        self.synced = false;
     }
 
     /// `can-abort.req`: drops every *pending* request whose identifier
@@ -198,6 +203,7 @@ impl Controller {
         let id = id.into();
         let before = self.queue.len();
         self.queue.retain(|f| f.id() != id);
+        self.synced = false;
         before - self.queue.len()
     }
 
@@ -224,6 +230,7 @@ impl Controller {
         if let Some(pos) = self.queue.iter().position(|f| f == frame) {
             self.queue.remove(pos);
             self.confinement.note_tx_success();
+            self.synced = false;
             true
         } else {
             false
@@ -249,6 +256,7 @@ impl Controller {
     pub fn note_tx_error(&mut self) -> FaultState {
         self.confinement.note_tx_error();
         self.consecutive_errors += 1;
+        self.synced = false;
         let state = self.confinement.state();
         if matches!(state, FaultState::BusOff) {
             self.queue.clear();
@@ -265,6 +273,7 @@ impl Controller {
             return None;
         }
         self.consecutive_errors = 0;
+        self.synced = false;
         Some(self.queue.remove(0))
     }
 
@@ -302,6 +311,7 @@ impl Controller {
     pub fn reset(&mut self) {
         self.confinement.reset();
         self.queue.clear();
+        self.synced = false;
     }
 }
 

@@ -69,6 +69,9 @@ fn downcast_mut<T: 'static>(app: &mut dyn Application) -> &mut T {
     app.downcast_mut().expect("application type mismatch")
 }
 
+/// Lifecycle instants per node, earliest first.
+type Schedule = BinaryHeap<Reverse<(BitTime, NodeId)>>;
+
 struct Slot {
     controller: Controller,
     app: Box<dyn Application>,
@@ -121,10 +124,13 @@ pub struct Simulator {
     now: BitTime,
     bus_free_at: BitTime,
     alive: NodeSet,
-    crash_schedule: BinaryHeap<Reverse<(BitTime, NodeId)>>,
-    poweron_schedule: BinaryHeap<Reverse<(BitTime, NodeId)>>,
-    guardian_wake: BinaryHeap<Reverse<(BitTime, NodeId)>>,
+    crash_schedule: Schedule,
+    poweron_schedule: Schedule,
+    guardian_wake: Schedule,
     restart_schedule: Vec<(BitTime, NodeId, Box<dyn Application>)>,
+    /// The earliest instant of the four schedules above, refreshed
+    /// whenever one of them is pushed or popped.
+    lifecycle_at: Option<BitTime>,
     crash_log: Vec<(BitTime, NodeId)>,
     profiler: PhaseProfiler,
     stats: StepStats,
@@ -149,6 +155,7 @@ impl Simulator {
             poweron_schedule: BinaryHeap::new(),
             guardian_wake: BinaryHeap::new(),
             restart_schedule: Vec::new(),
+            lifecycle_at: None,
             crash_log: Vec::new(),
             profiler: PhaseProfiler::new(SIM_PHASES),
             stats: StepStats::default(),
@@ -194,14 +201,15 @@ impl Simulator {
         self.slot(node); // panics unless the node was added
         self.restart_schedule.push((at, node, Box::new(app)));
         self.restart_schedule.sort_by_key(|&(t, n, _)| (t, n));
+        self.refresh_lifecycle();
     }
 
-    fn next_restart(&self) -> Option<BitTime> {
-        self.restart_schedule.first().map(|&(t, _, _)| t)
-    }
-
-    fn pop_restart(&mut self) -> (BitTime, NodeId, Box<dyn Application>) {
-        self.restart_schedule.remove(0)
+    fn refresh_lifecycle(&mut self) {
+        let first = |schedule: &Schedule| schedule.peek().map(|Reverse((t, _))| *t);
+        let (poweron, crash) = (first(&self.poweron_schedule), first(&self.crash_schedule));
+        let restart = self.restart_schedule.first().map(|&(t, _, _)| t);
+        let wake = first(&self.guardian_wake);
+        self.lifecycle_at = [poweron, crash, restart, wake].into_iter().flatten().min();
     }
 
     /// Installs a babbling-idiot bus guardian on `node` (extension
@@ -272,6 +280,7 @@ impl Simulator {
             crashed: false,
         });
         self.poweron_schedule.push(Reverse((start, node)));
+        self.refresh_lifecycle();
     }
 
     /// Schedules a fail-silent crash of `node` at `at`.
@@ -282,6 +291,7 @@ impl Simulator {
     pub fn schedule_crash(&mut self, node: NodeId, at: BitTime) {
         assert!(at >= self.now, "cannot crash a node in the past");
         self.crash_schedule.push(Reverse((at, node)));
+        self.refresh_lifecycle();
     }
 
     /// Enables/disables the human-readable protocol journal.
@@ -402,64 +412,30 @@ impl Simulator {
     pub fn run_until(&mut self, deadline: BitTime) {
         loop {
             self.profiler.enter(PH_SCHED);
-            let next_poweron = self.poweron_schedule.peek().map(|Reverse((t, _))| *t);
-            let next_crash = self.crash_schedule.peek().map(|Reverse((t, _))| *t);
-            let next_restart = self.next_restart();
-            let next_guardian = self.guardian_wake.peek().map(|Reverse((t, _))| *t);
             let next_timer = self.timers.next_deadline();
             let next_bus = self.next_bus_start();
-
-            let next = [
-                next_poweron,
-                next_crash,
-                next_restart,
-                next_guardian,
-                next_timer,
-                next_bus,
-            ]
-            .into_iter()
-            .flatten()
-            .min();
-            let Some(t) = next else {
-                self.now = self.now.max(deadline);
-                self.profiler.pause();
-                return;
-            };
-            if t > deadline {
+            let next = [self.lifecycle_at, next_timer, next_bus]
+                .into_iter()
+                .flatten()
+                .min();
+            let Some(t) = next.filter(|&t| t <= deadline) else {
                 // Never move the clock backwards: a frame completing
                 // past an earlier deadline may already have advanced
                 // `now` beyond this one.
                 self.now = self.now.max(deadline);
                 self.profiler.pause();
                 return;
-            }
+            };
             self.stats.steps += 1;
 
-            // Priority at equal instants: power-on, crash, timer, bus.
-            if next_poweron == Some(t) {
+            // Priority at equal instants: power-on, crash, restart,
+            // guardian wake, timer, bus.
+            if self.lifecycle_at == Some(t) {
                 self.profiler.enter(PH_LIFECYCLE);
                 self.stats.lifecycle_events += 1;
                 self.now = self.now.max(t);
-                let Reverse((_, node)) = self.poweron_schedule.pop().expect("peeked");
-                self.power_on(node);
-            } else if next_crash == Some(t) {
-                self.profiler.enter(PH_LIFECYCLE);
-                self.stats.lifecycle_events += 1;
-                self.now = self.now.max(t);
-                let Reverse((_, node)) = self.crash_schedule.pop().expect("peeked");
-                self.crash(node);
-            } else if next_restart == Some(t) {
-                self.profiler.enter(PH_LIFECYCLE);
-                self.stats.lifecycle_events += 1;
-                self.now = self.now.max(t);
-                let (_, node, app) = self.pop_restart();
-                self.restart(node, app);
-            } else if next_guardian == Some(t) {
-                self.profiler.enter(PH_LIFECYCLE);
-                self.stats.lifecycle_events += 1;
-                self.now = self.now.max(t);
-                let Reverse((_, node)) = self.guardian_wake.pop().expect("peeked");
-                self.sync_offer(node);
+                self.fire_lifecycle(t);
+                self.refresh_lifecycle();
             } else if next_timer == Some(t) && next_bus.is_none_or(|b| t <= b) {
                 self.profiler.enter(PH_TIMER);
                 self.now = self.now.max(t);
@@ -473,12 +449,39 @@ impl Simulator {
                     .medium
                     .resolve(start, self.alive, &mut self.faults)
                     .expect("offers were pending");
+                // The medium consumed or re-counted the transmitters'
+                // offers: their next callback re-syncs.
+                for node in tx.transmitters.iter() {
+                    if let Some(slot) = self.slots[node.as_usize()].as_mut() {
+                        slot.controller.synced = false;
+                    }
+                }
                 self.interleave_until(tx.deliver_at);
                 self.now = self.now.max(tx.deliver_at);
                 self.bus_free_at = tx.bus_free;
                 self.profiler.enter(PH_DISPATCH);
                 self.dispatch(&tx);
             }
+        }
+    }
+
+    /// Fires the lifecycle event due at `t`, the first of power-on,
+    /// crash, restart and guardian wake. (`lifecycle_at` is stale until
+    /// the caller refreshes it; nothing reads it in between.)
+    fn fire_lifecycle(&mut self, t: BitTime) {
+        let due = |schedule: &Schedule| schedule.peek().is_some_and(|Reverse((at, _))| *at == t);
+        if due(&self.poweron_schedule) {
+            let Reverse((_, node)) = self.poweron_schedule.pop().expect("peeked");
+            self.power_on(node);
+        } else if due(&self.crash_schedule) {
+            let Reverse((_, node)) = self.crash_schedule.pop().expect("peeked");
+            self.crash(node);
+        } else if self.restart_schedule.first().is_some_and(|&(at, _, _)| at == t) {
+            let (_, node, app) = self.restart_schedule.remove(0);
+            self.restart(node, app);
+        } else {
+            let Reverse((_, node)) = self.guardian_wake.pop().expect("the wake is due");
+            self.sync_offer(node);
         }
     }
 
@@ -505,6 +508,7 @@ impl Simulator {
                     self.stats.lifecycle_events += 1;
                     self.now = self.now.max(tc);
                     let Reverse((_, node)) = self.crash_schedule.pop().expect("peeked");
+                    self.refresh_lifecycle();
                     self.crash(node);
                     self.profiler.enter(PH_ARB);
                 }
@@ -593,7 +597,8 @@ impl Simulator {
     }
 
     /// Runs an application callback and resynchronizes the node's bus
-    /// offer with the controller's queue head afterwards.
+    /// offer with the controller's queue head afterwards — if the head
+    /// may have moved, or a guardian has to admit it.
     fn with_app(&mut self, node: NodeId, f: impl FnOnce(&mut dyn Application, &mut Ctx<'_>)) {
         let idx = node.as_usize();
         let slot = self.slots[idx].as_mut().expect("node exists");
@@ -606,7 +611,9 @@ impl Simulator {
             self.journal_enabled,
         );
         f(slot.app.as_mut(), &mut ctx);
-        self.sync_offer(node);
+        if !slot.controller.synced || slot.guardian.is_some() {
+            self.sync_offer(node);
+        }
     }
 
     fn sync_offer(&mut self, node: NodeId) {
@@ -614,21 +621,17 @@ impl Simulator {
             self.medium.withdraw(node);
             return;
         }
-        let head = self.slots[node.as_usize()]
-            .as_ref()
-            .and_then(|s| s.controller.head().copied());
+        let slot = self.slots[node.as_usize()].as_mut().expect("alive nodes exist");
+        slot.controller.synced = true;
+        let head = slot.controller.head().copied();
         // Bus-guardian gate: a rate-limited node must wait for its
         // budget before (re)offering.
-        if head.is_some() {
-            let now = self.now;
-            if let Some(slot) = self.slots[node.as_usize()].as_mut() {
-                if let Some(guardian) = slot.guardian.as_mut() {
-                    if let Err(free_at) = guardian.admit(now) {
-                        self.medium.withdraw(node);
-                        self.guardian_wake.push(Reverse((free_at, node)));
-                        return;
-                    }
-                }
+        if let (Some(_), Some(guardian)) = (head, slot.guardian.as_mut()) {
+            if let Err(free_at) = guardian.admit(self.now) {
+                self.medium.withdraw(node);
+                self.guardian_wake.push(Reverse((free_at, node)));
+                self.refresh_lifecycle();
+                return;
             }
         }
         match (head, self.medium.current_offer(node).copied()) {
@@ -822,6 +825,13 @@ mod tests {
         Frame::remote(Mid::new(MsgType::Els, 0, n(node)))
     }
 
+    fn sender(frames: Vec<Frame>) -> Recorder {
+        Recorder {
+            send_at_start: frames,
+            ..Recorder::default()
+        }
+    }
+
     fn data(node: u8, bytes: &[u8]) -> Frame {
         Frame::data(
             Mid::new(MsgType::AppData, 0, n(node)),
@@ -832,13 +842,7 @@ mod tests {
     #[test]
     fn remote_frame_reaches_everyone_including_sender() {
         let mut sim = Simulator::new(BusConfig::default(), FaultPlan::none());
-        sim.add_node(
-            n(0),
-            Recorder {
-                send_at_start: vec![els(0)],
-                ..Recorder::default()
-            },
-        );
+        sim.add_node(n(0), sender(vec![els(0)]));
         sim.add_node(n(1), Recorder::default());
         sim.run_until(BitTime::new(1_000));
 
@@ -854,13 +858,7 @@ mod tests {
     #[test]
     fn data_frame_delivers_nty_before_ind() {
         let mut sim = Simulator::new(BusConfig::default(), FaultPlan::none());
-        sim.add_node(
-            n(0),
-            Recorder {
-                send_at_start: vec![data(0, &[0xAA])],
-                ..Recorder::default()
-            },
-        );
+        sim.add_node(n(0), sender(vec![data(0, &[0xAA])]));
         sim.add_node(n(1), Recorder::default());
         sim.run_until(BitTime::new(1_000));
         let listener = sim.app::<Recorder>(n(1));
@@ -872,13 +870,7 @@ mod tests {
     fn delivery_time_matches_exact_frame_duration() {
         let mut sim = Simulator::new(BusConfig::default(), FaultPlan::none());
         let frame = els(0);
-        sim.add_node(
-            n(0),
-            Recorder {
-                send_at_start: vec![frame],
-                ..Recorder::default()
-            },
-        );
+        sim.add_node(n(0), sender(vec![frame]));
         sim.add_node(n(1), Recorder::default());
         sim.run_until(BitTime::new(1_000));
         let listener = sim.app::<Recorder>(n(1));
@@ -888,20 +880,8 @@ mod tests {
     #[test]
     fn arbitration_serializes_competing_frames() {
         let mut sim = Simulator::new(BusConfig::default(), FaultPlan::none());
-        sim.add_node(
-            n(0),
-            Recorder {
-                send_at_start: vec![data(0, &[1])],
-                ..Recorder::default()
-            },
-        );
-        sim.add_node(
-            n(1),
-            Recorder {
-                send_at_start: vec![els(1)],
-                ..Recorder::default()
-            },
-        );
+        sim.add_node(n(0), sender(vec![data(0, &[1])]));
+        sim.add_node(n(1), sender(vec![els(1)]));
         sim.add_node(n(2), Recorder::default());
         sim.run_until(BitTime::new(2_000));
         let observer = sim.app::<Recorder>(n(2));
@@ -951,13 +931,7 @@ mod tests {
     #[test]
     fn crashed_node_receives_nothing() {
         let mut sim = Simulator::new(BusConfig::default(), FaultPlan::none());
-        sim.add_node(
-            n(0),
-            Recorder {
-                send_at_start: vec![els(0)],
-                ..Recorder::default()
-            },
-        );
+        sim.add_node(n(0), sender(vec![els(0)]));
         sim.add_node(n(1), Recorder::default());
         sim.schedule_crash(n(1), BitTime::ZERO);
         sim.run_until(BitTime::new(1_000));
@@ -967,13 +941,7 @@ mod tests {
     #[test]
     fn late_poweron_misses_earlier_traffic() {
         let mut sim = Simulator::new(BusConfig::default(), FaultPlan::none());
-        sim.add_node(
-            n(0),
-            Recorder {
-                send_at_start: vec![els(0)],
-                ..Recorder::default()
-            },
-        );
+        sim.add_node(n(0), sender(vec![els(0)]));
         sim.add_node_at(n(1), Recorder::default(), BitTime::new(10_000));
         sim.run_until(BitTime::new(20_000));
         assert!(sim.app::<Recorder>(n(1)).events.is_empty());
@@ -989,13 +957,7 @@ mod tests {
             count: 1,
         });
         let mut sim = Simulator::new(BusConfig::default(), faults);
-        sim.add_node(
-            n(0),
-            Recorder {
-                send_at_start: vec![els(0)],
-                ..Recorder::default()
-            },
-        );
+        sim.add_node(n(0), sender(vec![els(0)]));
         sim.add_node(n(1), Recorder::default());
         sim.run_until(BitTime::new(5_000));
         let listener = sim.app::<Recorder>(n(1));
@@ -1016,13 +978,7 @@ mod tests {
             count: 1,
         });
         let mut sim = Simulator::new(BusConfig::default(), faults);
-        sim.add_node(
-            n(0),
-            Recorder {
-                send_at_start: vec![els(0)],
-                ..Recorder::default()
-            },
-        );
+        sim.add_node(n(0), sender(vec![els(0)]));
         sim.add_node(n(1), Recorder::default());
         sim.add_node(n(2), Recorder::default());
         sim.run_until(BitTime::new(5_000));
@@ -1044,13 +1000,7 @@ mod tests {
             count: 1,
         });
         let mut sim = Simulator::new(BusConfig::default(), faults);
-        sim.add_node(
-            n(0),
-            Recorder {
-                send_at_start: vec![els(0)],
-                ..Recorder::default()
-            },
-        );
+        sim.add_node(n(0), sender(vec![els(0)]));
         sim.add_node(n(1), Recorder::default());
         sim.add_node(n(2), Recorder::default());
         sim.run_until(BitTime::new(5_000));
@@ -1066,13 +1016,7 @@ mod tests {
         let mut sim = Simulator::new(BusConfig::default(), FaultPlan::none());
         let fda = Frame::remote(Mid::new(MsgType::Fda, 0, n(5)));
         for id in 0..2 {
-            sim.add_node(
-                n(id),
-                Recorder {
-                    send_at_start: vec![fda],
-                    ..Recorder::default()
-                },
-            );
+            sim.add_node(n(id), sender(vec![fda]));
         }
         sim.add_node(n(2), Recorder::default());
         sim.run_until(BitTime::new(2_000));
@@ -1095,13 +1039,7 @@ mod tests {
         let mut faults = FaultPlan::none();
         faults.push_inaccessibility(BitTime::ZERO, BitTime::new(2_000));
         let mut sim = Simulator::new(BusConfig::default(), faults);
-        sim.add_node(
-            n(0),
-            Recorder {
-                send_at_start: vec![els(0)],
-                ..Recorder::default()
-            },
-        );
+        sim.add_node(n(0), sender(vec![els(0)]));
         sim.add_node(n(1), Recorder::default());
         sim.run_until(BitTime::new(5_000));
         let listener = sim.app::<Recorder>(n(1));
@@ -1142,13 +1080,7 @@ mod tests {
                 FaultPlan::seeded(5).with_consistent_rate(0.2),
             );
             for id in 0..4 {
-                sim.add_node(
-                    n(id),
-                    Recorder {
-                        send_at_start: vec![data(id, &[id; 4])],
-                        ..Recorder::default()
-                    },
-                );
+                sim.add_node(n(id), sender(vec![data(id, &[id; 4])]));
             }
             sim.run_until(BitTime::new(50_000));
             (0..4)
@@ -1167,13 +1099,7 @@ mod tests {
             count: 10,
         });
         let mut sim = Simulator::new(BusConfig::default(), faults);
-        sim.add_node(
-            n(0),
-            Recorder {
-                send_at_start: vec![data(0, &[9])],
-                ..Recorder::default()
-            },
-        );
+        sim.add_node(n(0), sender(vec![data(0, &[9])]));
         sim.add_node(n(1), Recorder::default());
         sim.set_retry_limit(n(0), Some(3));
         sim.run_until(BitTime::new(50_000));
@@ -1199,13 +1125,7 @@ mod tests {
             count: 10,
         });
         let mut sim = Simulator::new(BusConfig::default(), faults);
-        sim.add_node(
-            n(0),
-            Recorder {
-                send_at_start: vec![data(0, &[9])],
-                ..Recorder::default()
-            },
-        );
+        sim.add_node(n(0), sender(vec![data(0, &[9])]));
         sim.add_node(n(1), Recorder::default());
         sim.run_until(BitTime::new(50_000));
         assert_eq!(sim.app::<Recorder>(n(1)).events.len(), 2, "nty + ind");
@@ -1259,13 +1179,7 @@ mod tests {
     #[test]
     fn run_until_never_rewinds_the_clock() {
         let mut sim = Simulator::new(BusConfig::default(), FaultPlan::none());
-        sim.add_node(
-            n(0),
-            Recorder {
-                send_at_start: vec![data(0, &[0; 8])],
-                ..Recorder::default()
-            },
-        );
+        sim.add_node(n(0), sender(vec![data(0, &[0; 8])]));
         sim.add_node(n(1), Recorder::default());
         // The frame starts before this deadline and completes after it,
         // so `now` legitimately ends past 50.

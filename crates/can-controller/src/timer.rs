@@ -8,8 +8,6 @@
 //! semantics matching the pseudo-code.
 
 use can_types::{BitTime, NodeId};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Handle of a started timer (the pseudo-code's `tid`).
 ///
@@ -35,6 +33,15 @@ type Key = (BitTime, u64);
 /// `Slot::seq` of a slot on the free list (live handles start at 1).
 const FREE: u64 = 0;
 
+/// The end of a bucket list or of the entry free list.
+const NIL: u32 = u32::MAX;
+
+/// Deadline bits one level of the wheel resolves (64 buckets a level).
+const BITS: u32 = 6;
+
+/// Levels: 11 × 6 bits cover every `u64` deadline.
+const LEVELS: usize = 11;
+
 /// One slab cell: a pending timer, or a free-list member.
 #[derive(Debug, Clone, Copy)]
 struct Slot {
@@ -43,11 +50,20 @@ struct Slot {
     deadline: BitTime,
     node: NodeId,
     tag: u64,
-    /// Key of the one heap entry that stands for this slot. It never
+    /// Key of the one wheel entry that stands for this slot. It never
     /// sorts after `(deadline, seq)`: a restart to a later deadline
-    /// leaves it where it is, and the entry is re-keyed when it
-    /// surfaces.
+    /// leaves it where it is, and the entry is re-keyed when its
+    /// bucket comes up.
     carrier: Key,
+}
+
+/// One pooled wheel entry: the key it is filed under, the slot it
+/// stands for, and the next entry of its bucket (or of the free list).
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    key: Key,
+    slot: u32,
+    next: u32,
 }
 
 /// A fired timer, as reported by [`TimerWheel::pop_due`].
@@ -69,10 +85,16 @@ pub struct FiredTimer {
 /// Timers firing at the same instant are delivered in start order
 /// (handles are monotonic), which keeps whole-system runs reproducible.
 ///
-/// Pending timers live in a slab; the heap holds one *carrier* entry
-/// per slot, so re-arming a timer to a later deadline
-/// ([`TimerWheel::restart`], the surveillance pattern) is a store into
-/// its slot and the heap does not grow.
+/// Pending timers live in a slab, and one *carrier* entry per slot
+/// lives in a hierarchical timing wheel (Varghese & Lauck): 11 levels
+/// of 64 buckets, an entry filed at the level of the highest 6-bit
+/// group in which its deadline differs from the wheel's `floor`, every
+/// bucket an intrusive list in one pooled entry vector. Re-arming a
+/// timer to a later deadline ([`TimerWheel::restart`], the
+/// surveillance pattern) is a store into its slot; the carrier moves
+/// to the new deadline's bucket when its own bucket comes up — one
+/// list push, not a heap sift. The earliest pending timer is cached,
+/// so [`TimerWheel::next_deadline`] is a load while it stays pending.
 ///
 /// # Examples
 ///
@@ -86,18 +108,53 @@ pub struct FiredTimer {
 /// wheel.cancel(id);
 /// assert_eq!(wheel.next_deadline(), None);
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct TimerWheel {
-    heap: BinaryHeap<Reverse<(Key, u32)>>,
     slots: Vec<Slot>,
     free: Vec<u32>,
     next_seq: u64,
+    /// Every entry ever filed, each in one bucket list or in the free
+    /// list headed by `spare`: a warm wheel never allocates.
+    entries: Vec<Entry>,
+    spare: u32,
+    /// Bucket list heads, `heads[level][bucket]`.
+    heads: [[u32; 64]; LEVELS],
+    /// Non-empty buckets, a bit per bucket of each level.
+    occupied: [u64; LEVELS],
+    /// Levels with a non-empty bucket, a bit per level.
+    busy: u16,
+    /// No filed key's deadline is before it: a level-`L` entry agrees
+    /// with it above group `L` and exceeds it in group `L`, so the
+    /// lowest occupied bucket of the lowest busy level holds the
+    /// earliest entries, and a level-0 bucket is one instant.
+    floor: u64,
+    /// The earliest pending timer and its slot, valid while the slot
+    /// still holds that timer; every live key and every carrier sorts
+    /// at or after it. `None` only while no entry is filed.
+    next: Option<(Key, u32)>,
+}
+
+impl Default for TimerWheel {
+    fn default() -> Self {
+        TimerWheel::new()
+    }
 }
 
 impl TimerWheel {
     /// An empty wheel.
     pub fn new() -> Self {
-        TimerWheel::default()
+        TimerWheel {
+            slots: Vec::new(),
+            free: Vec::new(),
+            next_seq: 0,
+            entries: Vec::new(),
+            spare: NIL,
+            heads: [[NIL; 64]; LEVELS],
+            occupied: [0; LEVELS],
+            busy: 0,
+            floor: 0,
+            next: None,
+        }
     }
 
     /// Starts a timer expiring at the *absolute* instant `deadline`,
@@ -123,7 +180,7 @@ impl TimerWheel {
                 slot
             }
         };
-        self.heap.push(Reverse((cell.carrier, slot)));
+        self.carry(cell.carrier, slot);
         TimerId { seq, slot }
     }
 
@@ -131,7 +188,7 @@ impl TimerWheel {
     /// handles, firing order and [`TimerWheel::len`] as
     /// [`TimerWheel::cancel`] followed by [`TimerWheel::start`], which
     /// is what it does when `old` is no longer pending. A pending
-    /// timer's slot is rewritten in place, and the heap is touched
+    /// timer's slot is rewritten in place, and the wheel is touched
     /// only if the new deadline is earlier than the slot's carrier.
     pub fn restart(&mut self, old: TimerId, node: NodeId, deadline: BitTime, tag: u64) -> TimerId {
         if !self.is_pending(old) {
@@ -143,7 +200,7 @@ impl TimerWheel {
         (cell.seq, cell.deadline, cell.node, cell.tag) = (seq, deadline, node, tag);
         if (deadline, seq) < cell.carrier {
             cell.carrier = (deadline, seq);
-            self.heap.push(Reverse((cell.carrier, old.slot)));
+            self.carry((deadline, seq), old.slot);
         }
         TimerId {
             seq,
@@ -173,18 +230,15 @@ impl TimerWheel {
 
     /// The earliest pending deadline, if any.
     pub fn next_deadline(&mut self) -> Option<BitTime> {
-        self.compact();
-        self.heap.peek().map(|Reverse(((t, _), _))| *t)
+        self.earliest().map(|((deadline, _), _)| deadline)
     }
 
     /// Pops the earliest timer if it is due at or before `now`.
     pub fn pop_due(&mut self, now: BitTime) -> Option<FiredTimer> {
-        self.compact();
-        let &Reverse(((deadline, seq), slot)) = self.heap.peek()?;
+        let ((deadline, seq), slot) = self.earliest()?;
         if deadline > now {
             return None;
         }
-        self.heap.pop();
         let Slot { node, tag, .. } = self.slots[slot as usize];
         self.release(slot);
         Some(FiredTimer {
@@ -212,30 +266,142 @@ impl TimerWheel {
     }
 
     /// Returns a pending slot to the free list. Its carrier stays in
-    /// the heap and is dropped when it surfaces.
+    /// the wheel and is dropped when its bucket comes up.
     fn release(&mut self, slot: u32) {
         self.slots[slot as usize].seq = FREE;
         self.free.push(slot);
     }
 
-    /// Brings a pending timer's own key to the top of the heap:
-    /// entries that carry nothing any more (their slot was freed, or
-    /// re-carried by an earlier restart or a new start) are dropped,
-    /// and a carrier whose slot was restarted to a later deadline is
-    /// re-pushed under the slot's current key. Keys only ever move
-    /// later this way, so the pop order is `(deadline, seq)`.
-    fn compact(&mut self) {
-        while let Some(&Reverse((key, slot))) = self.heap.peek() {
-            let cell = &mut self.slots[slot as usize];
-            if cell.seq == key.1 {
-                break;
+    /// The cached earliest pending timer, found afresh if it is gone.
+    fn earliest(&mut self) -> Option<(Key, u32)> {
+        match self.next {
+            Some(((_, seq), slot)) if self.slots[slot as usize].seq == seq => self.next,
+            _ => self.settle(),
+        }
+    }
+
+    /// Files a new carrier for `slot`; it is the earliest pending timer
+    /// if it sorts before the cached one.
+    fn carry(&mut self, key: Key, slot: u32) {
+        let entry = Entry {
+            key,
+            slot,
+            next: NIL,
+        };
+        let index = match self.spare {
+            NIL => {
+                self.entries.push(entry);
+                u32::try_from(self.entries.len() - 1).expect("fewer than 2^32 wheel entries")
             }
-            self.heap.pop();
-            if cell.seq != FREE && cell.carrier == key {
-                cell.carrier = (cell.deadline, cell.seq);
-                self.heap.push(Reverse((cell.carrier, slot)));
+            index => {
+                self.spare = std::mem::replace(&mut self.entries[index as usize], entry).next;
+                index
+            }
+        };
+        self.file(index);
+        if self.next.is_none_or(|(earliest, _)| key < earliest) {
+            self.next = Some((key, slot));
+        }
+    }
+
+    /// Links an entry into the bucket of its deadline. A deadline
+    /// before `floor` first lowers the floor to it.
+    fn file(&mut self, index: u32) {
+        let at = self.entries[index as usize].key.0.as_u64();
+        if at < self.floor {
+            self.lower_floor(at);
+        }
+        let level = (63 - ((at ^ self.floor) | 1).leading_zeros()) / BITS;
+        let bucket = (at >> (BITS * level)) & 63;
+        let (level, bucket) = (level as usize, bucket as usize);
+        self.entries[index as usize].next = self.heads[level][bucket];
+        self.heads[level][bucket] = index;
+        self.occupied[level] |= 1 << bucket;
+        self.busy |= 1 << level;
+    }
+
+    /// A start before `floor` — which no workload has reached: the
+    /// floor only rises to the start of the bucket holding the earliest
+    /// entry, and every protocol delay outlasts a bucket — re-files
+    /// every entry under a floor lowered to `at`.
+    fn lower_floor(&mut self, at: u64) {
+        self.floor = at;
+        for level in 0..LEVELS {
+            for bucket in 0..64 {
+                let mut index = self.take(level, bucket);
+                while index != NIL {
+                    let next = self.entries[index as usize].next;
+                    self.file(index);
+                    index = next;
+                }
             }
         }
+    }
+
+    /// Detaches a bucket's list.
+    fn take(&mut self, level: usize, bucket: usize) -> u32 {
+        self.occupied[level] &= !(1 << bucket);
+        if self.occupied[level] == 0 {
+            self.busy &= !(1 << level);
+        }
+        std::mem::replace(&mut self.heads[level][bucket], NIL)
+    }
+
+    /// Brings an entry up to date with its slot: `true` if it now
+    /// stands for the slot's pending timer under its current key (a
+    /// carrier of a timer restarted to a later deadline is re-keyed
+    /// here), `false` if it carries nothing any more (the slot was
+    /// freed, or re-carried by an earlier restart or a new start).
+    fn rekey(&mut self, index: u32) -> bool {
+        let entry = &mut self.entries[index as usize];
+        let cell = &mut self.slots[entry.slot as usize];
+        if cell.seq == entry.key.1 {
+            return true;
+        }
+        if cell.seq == FREE || cell.carrier != entry.key {
+            return false;
+        }
+        cell.carrier = (cell.deadline, cell.seq);
+        entry.key = cell.carrier;
+        true
+    }
+
+    /// Finds, caches and returns the earliest pending timer. The
+    /// lowest occupied bucket holds the earliest entries; above level 0
+    /// it spans many instants, and the floor rises to its start. Its
+    /// entries are re-filed — spread over the levels below, re-keyed
+    /// carriers moved on, dead ones returned to the pool — and the
+    /// least-`seq` live one due at the bucket's start, if any, is the
+    /// earliest timer.
+    fn settle(&mut self) -> Option<(Key, u32)> {
+        self.next = None;
+        while self.next.is_none() && self.busy != 0 {
+            let level = self.busy.trailing_zeros();
+            let bucket = self.occupied[level as usize].trailing_zeros();
+            let above = BITS * (level + 1);
+            let start = self.floor.checked_shr(above).map_or(0, |high| high << above)
+                | u64::from(bucket) << (BITS * level);
+            if level > 0 {
+                self.floor = start;
+            }
+            let mut index = self.take(level as usize, bucket as usize);
+            while index != NIL {
+                let next = self.entries[index as usize].next;
+                if self.rekey(index) {
+                    self.file(index);
+                    let Entry { key, slot, .. } = self.entries[index as usize];
+                    let due = key.0.as_u64() == start;
+                    if due && self.next.is_none_or(|(earliest, _)| key < earliest) {
+                        self.next = Some((key, slot));
+                    }
+                } else {
+                    self.entries[index as usize].next = self.spare;
+                    self.spare = index;
+                }
+                index = next;
+            }
+        }
+        self.next
     }
 }
 
@@ -245,6 +411,15 @@ mod tests {
 
     fn n(id: u8) -> NodeId {
         NodeId::new(id)
+    }
+
+    impl TimerWheel {
+        /// Entries filed in a bucket, live or not.
+        fn pooled(&self) -> usize {
+            let link = |index: u32| Some(index).filter(|&index| index != NIL);
+            let next = |&index: &u32| link(self.entries[index as usize].next);
+            self.entries.len() - std::iter::successors(link(self.spare), next).count()
+        }
     }
 
     #[test]
@@ -308,6 +483,26 @@ mod tests {
         assert_eq!(wheel.next_deadline(), Some(BitTime::new(80)));
     }
 
+    #[test]
+    fn a_start_below_the_floor_refiles_every_entry() {
+        let mut wheel = TimerWheel::new();
+        let first = wheel.start(n(0), BitTime::new(999_000), 0);
+        wheel.start(n(0), BitTime::new(1_000_000), 1);
+        wheel.start(n(0), BitTime::new(1_000_500), 2);
+        // With the cached earliest timer gone, settling cascades the
+        // next one down to level 0: the floor rises to its bucket.
+        wheel.cancel(first);
+        assert_eq!(wheel.next_deadline(), Some(BitTime::new(1_000_000)));
+        assert_eq!(wheel.floor, 1_000_000 >> BITS << BITS);
+        wheel.start(n(1), BitTime::new(5), 3);
+        assert_eq!(wheel.floor, 5);
+        let fired: Vec<_> = std::iter::from_fn(|| wheel.pop_due(BitTime::new(u64::MAX)))
+            .map(|f| f.tag)
+            .collect();
+        assert_eq!(fired, [3, 1, 2]);
+        assert_eq!(wheel.pooled(), 0);
+    }
+
     /// The reference the slab wheel is checked against: every pending
     /// timer in a `Vec`, scanned for its `(deadline, seq)` minimum.
     #[derive(Default)]
@@ -355,14 +550,20 @@ mod tests {
 
     fn op() -> impl proptest::strategy::Strategy<Value = Op> {
         use proptest::prelude::*;
-        // Few nodes and few instants: shared deadlines, slot reuse and
-        // restarts to earlier deadlines are the common case.
-        (0u8..15, any::<usize>(), 0u8..3, 0u64..12, 0u64..4).prop_map(
+        // Few nodes: slot reuse, restarts to earlier deadlines and
+        // crash-cancels between settles are the common case. Instants
+        // come on three scales: a handful (shared deadlines, level 0),
+        // a 300 ms run's worth (the protocol delays' cascades) and far
+        // apart (the top levels); at random, a start lands below a
+        // floor an earlier settle raised as often as not.
+        let scales = (0usize..3, any::<u64>());
+        let instant = scales.prop_map(|(scale, x)| [x % 12, x % 300_000, x >> 8][scale]);
+        (0u8..16, any::<usize>(), 0u8..3, instant, 0u64..4).prop_map(
             |(which, pick, node, at, tag)| match which {
                 0..=2 => Op::Start(node, at, tag),
                 3..=4 => Op::Cancel(pick),
                 5..=10 => Op::Restart(pick, node, at, tag),
-                11 => Op::CancelNode(node),
+                11..=12 => Op::CancelNode(node),
                 _ => Op::PopDue(at),
             },
         )
@@ -413,10 +614,12 @@ mod tests {
 
         /// The surveillance pattern: `live` timers re-armed over and
         /// over, each time to a later deadline, while the clock
-        /// advances and the step loop polls. One carrier per slot: the
-        /// heap never outgrows the live set, however long the churn.
+        /// advances and the step loop polls. A re-arm is a slot store
+        /// and a settle re-keys a carrier by moving it, so the pool
+        /// never holds more entries than there are live timers,
+        /// however long the churn.
         #[test]
-        fn restart_churn_keeps_one_heap_entry_per_live_timer(
+        fn restart_churn_pools_one_entry_per_live_timer(
             live in 1usize..12,
             steps in proptest::collection::vec((0usize..12, 0u64..40), 1..400),
         ) {
@@ -433,7 +636,8 @@ mod tests {
                 while wheel.pop_due(BitTime::new(now)).is_some() {}
                 let i = pick % live;
                 ids[i] = wheel.restart(ids[i], n(i as u8), BitTime::new(now + duration(i)), i as u64);
-                prop_assert!(wheel.heap.len() <= live, "{} entries for {live} timers", wheel.heap.len());
+                let pooled = wheel.pooled();
+                prop_assert!(pooled <= live, "{pooled} entries for {live} timers");
             }
         }
     }

@@ -190,6 +190,7 @@ impl NodeSet {
     }
 
     /// Iterates over the members in increasing identifier order.
+    #[inline]
     pub fn iter(self) -> Iter {
         Iter { bits: self.0 }
     }
@@ -282,6 +283,7 @@ impl Extend<NodeId> for NodeSet {
 impl IntoIterator for NodeSet {
     type Item = NodeId;
     type IntoIter = Iter;
+    #[inline]
     fn into_iter(self) -> Iter {
         self.iter()
     }
@@ -296,6 +298,7 @@ pub struct Iter {
 impl Iterator for Iter {
     type Item = NodeId;
 
+    #[inline]
     fn next(&mut self) -> Option<NodeId> {
         if self.bits == 0 {
             return None;

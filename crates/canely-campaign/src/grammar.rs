@@ -246,6 +246,15 @@ pub fn parse_duration(word: &str) -> Result<BitTime, String> {
     Ok(BitTime::new(bits))
 }
 
+/// A cyclic traffic period: a [`parse_duration`] that is not zero.
+pub fn traffic_period(word: &str) -> Result<BitTime, String> {
+    let period = parse_duration(word)?;
+    if period.is_zero() {
+        return Err("traffic period must be positive".to_string());
+    }
+    Ok(period)
+}
+
 /// Renders a duration the way [`parse_duration`] reads it back.
 pub fn fmt_duration(t: BitTime) -> String {
     let us = t.as_u64();

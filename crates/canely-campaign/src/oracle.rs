@@ -29,7 +29,7 @@
 //! exact verdicts.
 
 use can_types::{BitTime, NodeId, NodeSet};
-use canely::obs::{ProtocolEvent, TimedEvent};
+use canely::obs::{ProtocolEvent, Retention, TimedEvent};
 use canely_federation::InstallRecord;
 use std::collections::HashMap;
 
@@ -153,19 +153,24 @@ pub struct OracleInput<'a> {
 /// [`crate::latency_samples`] and [`crate::run::false_suspicion_count`]
 /// match on. Each of the three returns the same on a stream and on the
 /// stream's judged subset (relative order kept), so a run nobody
-/// exports need not store anything else — this is the retention
-/// predicate the executor installs on the logs of a non-capturing run.
+/// exports need not store anything else — this is the retention set
+/// the executor installs on the logs of a non-capturing run.
+pub const JUDGED: Retention = {
+    let (node, view) = (NodeId::new(0), NodeSet::EMPTY);
+    Retention::of(&[
+        ProtocolEvent::NodeCrashed,
+        ProtocolEvent::NodeRestarted,
+        ProtocolEvent::LeaveRequested,
+        ProtocolEvent::SuspectRaised { suspect: node },
+        ProtocolEvent::FailureNotified { failed: node },
+        ProtocolEvent::ViewInstalled { view },
+        ProtocolEvent::ViewChanged { view, failed: view },
+    ])
+};
+
+/// Whether the judge reads `event`'s kind ([`JUDGED`]).
 pub fn judged(event: &ProtocolEvent) -> bool {
-    matches!(
-        event,
-        ProtocolEvent::NodeCrashed
-            | ProtocolEvent::NodeRestarted
-            | ProtocolEvent::LeaveRequested
-            | ProtocolEvent::SuspectRaised { .. }
-            | ProtocolEvent::FailureNotified { .. }
-            | ProtocolEvent::ViewInstalled { .. }
-            | ProtocolEvent::ViewChanged { .. }
-    )
+    JUDGED.keeps(event)
 }
 
 /// The [`judged`] events of a stream, in stream order: one pass, so

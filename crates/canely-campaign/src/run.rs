@@ -124,7 +124,7 @@ pub fn false_suspicion_count(events: &[canely::obs::TimedEvent]) -> u64 {
 /// merged with protocol events, time-ordered, byte-deterministic) is
 /// returned for counterexample emission; campaigns leave it off, and
 /// the run then stores only the events the judge reads
-/// ([`oracle::judged`]). Every other field of the outcome is the same
+/// ([`oracle::JUDGED`]). Every other field of the outcome is the same
 /// either way.
 pub fn execute(spec: &RunSpec, capture_trace: bool) -> RunOutcome {
     execute_on(&mut RunTelemetry::disabled(), spec, capture_trace)
@@ -150,7 +150,7 @@ pub(crate) fn execute_on(tel: &mut RunTelemetry, spec: &RunSpec, capture: bool) 
         .with_gateway(fed_spec.gateway)
         .with_filter(fed_spec.relay.clone());
     if !capture {
-        config = config.with_retention(oracle::judged);
+        config = config.with_retention(oracle::JUDGED);
     }
     let mut fed = FederationSim::new(
         &config,

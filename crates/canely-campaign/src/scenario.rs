@@ -30,7 +30,7 @@
 use crate::grammar::{
     self, bridge, detector, federated_population, fmt_duration, fmt_relay, gateway_in_segment, kw,
     node_count, node_id, number, parse_duration, probability, relay, segment_count, segment_index,
-    window, Doc, Keyword, Line, Seen,
+    traffic_period, window, Doc, Keyword, Line, Seen,
 };
 use crate::spec::{FederationSpec, RunSpec, MIN_JUDGED_NODES};
 use can_types::{BitTime, NodeId, NodeSet};
@@ -96,7 +96,11 @@ pub const KEYWORDS: &[Keyword<Scenario>] = &[
     kw("inconsistent-rate", "P", |s, l| l.one(&mut s.run.inconsistent_rate, probability)),
     kw("omission-degree", "K", |s, l| l.one(&mut s.run.omission_degree, number)),
     kw("inconsistent-degree", "J", |s, l| l.one(&mut s.run.inconsistent_degree, number)),
-    kw("traffic", "NODE DUR", |s, l| l.node_time().map(|v| s.traffic.push(v))),
+    kw("traffic", "NODE DUR", |s, l| {
+        let [node, period] = l.exactly()?;
+        s.traffic.push((node_id(node)?, traffic_period(period)?));
+        Ok(())
+    }),
     kw("crash", "NODE AT", |s, l| l.node_time().map(|v| s.run.crashes.push(v))),
     kw("join", "NODE AT", |s, l| l.node_time().map(|v| s.joins.push(v))),
     kw("leave", "NODE AT", |s, l| l.node_time().map(|v| s.leaves.push(v))),

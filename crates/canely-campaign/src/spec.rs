@@ -30,7 +30,7 @@
 
 use crate::grammar::{
     self, bridge, detector, federated_population, gateway_in_segment, kw, node_count, number,
-    parse_duration, probability, relay, segment_count, Doc, Keyword,
+    parse_duration, probability, relay, segment_count, traffic_period, Doc, Keyword,
 };
 use can_bus::FaultPlan;
 use can_types::{mix64, BitTime, NodeId, NodeSet, GOLDEN};
@@ -219,7 +219,7 @@ pub const KEYWORDS: &[Keyword<CampaignSpec>] = &[
     kw("omission-degree", "K", |s, l| l.one(&mut s.omission_degree, number)),
     kw("inconsistent-degree", "J", |s, l| l.one(&mut s.inconsistent_degree, number)),
     kw("traffic", "DUR|none", |s, l| {
-        l.one(&mut s.traffic, |w| if w == "none" { Ok(None) } else { parse_duration(w).map(Some) })
+        l.one(&mut s.traffic, |w| if w == "none" { Ok(None) } else { traffic_period(w).map(Some) })
     }),
     kw("until", "DUR", |s, l| l.one(&mut s.until, parse_duration)),
     kw("settle", "DUR", |s, l| l.one(&mut s.settle, parse_duration)),

@@ -1,5 +1,5 @@
 //! Retention equivalence: a run that stores only the kinds the judge
-//! reads ([`oracle::judged`], what `execute(run, false)` installs) is
+//! reads ([`oracle::JUDGED`], what `execute(run, false)` installs) is
 //! judged exactly as one that stores every event.
 
 use can_types::{BitTime, NodeId, NodeSet};
@@ -50,6 +50,27 @@ fn captured_and_uncaptured_runs_are_judged_alike() {
             protocol_lines, full.events,
             "{context}: events counts the capture"
         );
+    }
+}
+
+#[test]
+fn the_judged_set_holds_the_kinds_the_old_predicate_kept() {
+    // The retention predicate `judged` was before it became a set.
+    fn kept(event: &ProtocolEvent) -> bool {
+        matches!(
+            event,
+            ProtocolEvent::NodeCrashed
+                | ProtocolEvent::NodeRestarted
+                | ProtocolEvent::LeaveRequested
+                | ProtocolEvent::SuspectRaised { .. }
+                | ProtocolEvent::FailureNotified { .. }
+                | ProtocolEvent::ViewInstalled { .. }
+                | ProtocolEvent::ViewChanged { .. }
+        )
+    }
+    for event in ProtocolEvent::one_of_each() {
+        assert_eq!(oracle::JUDGED.keeps(&event), kept(&event), "{}", event.kind());
+        assert_eq!(oracle::judged(&event), kept(&event), "{}", event.kind());
     }
 }
 

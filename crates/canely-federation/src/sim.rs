@@ -128,9 +128,8 @@ pub struct FederationConfig {
     /// Bounds the extra cross-segment propagation delay a bridge hop
     /// adds on top of arbitration.
     pub quantum: BitTime,
-    /// Which events the segment logs store ([`ObsLog::retaining`]);
-    /// `None` stores them all.
-    pub retention: Option<Retention>,
+    /// The event kinds the segment logs store ([`ObsLog::retaining`]).
+    pub retention: Retention,
 }
 
 impl FederationConfig {
@@ -155,7 +154,7 @@ impl FederationConfig {
             filter: RelayFilter::none(),
             digest_period: BitTime::new(10_000),
             quantum: BitTime::new(1_000),
-            retention: None,
+            retention: Retention::ALL,
         }
     }
 
@@ -171,9 +170,9 @@ impl FederationConfig {
         self
     }
 
-    /// Makes the segment logs store only the events `keep` accepts.
+    /// Makes the segment logs store only the events of `keep`'s kinds.
     pub fn with_retention(mut self, keep: Retention) -> Self {
-        self.retention = Some(keep);
+        self.retention = keep;
         self
     }
 
@@ -319,7 +318,7 @@ impl FederationSim {
         let mut this = FederationSim {
             sims: Vec::with_capacity(fed.segments as usize),
             logs: (0..fed.segments)
-                .map(|_| fed.retention.map_or_else(ObsLog::new, ObsLog::retaining))
+                .map(|_| ObsLog::retaining(fed.retention))
                 .collect(),
             bridges,
             gateway: NodeId::new(fed.gateway),

@@ -3,6 +3,7 @@
 //! options never panic on arbitrary input, and every file diagnostic
 //! names a line.
 
+use can_types::BitTime;
 use canely_campaign::{grammar, spec, CampaignSpec, RunSpec, Scenario};
 use canely_cli::args::{parse_duration, parse_event, Args};
 use proptest::prelude::*;
@@ -46,6 +47,8 @@ fn words() -> Vec<&'static str> {
         "1.5",
         "NaN",
         "inf",
+        "0us",
+        "0ms",
         "1us",
         "30ms",
         "150ms",
@@ -78,25 +81,31 @@ fn words() -> Vec<&'static str> {
 
 /// Both file readers plus the judged path must survive `text`; every
 /// `Err` is anchored to a line of `f` — except the `.campaign`
-/// geometry check, which judges the matrix as a whole.
+/// geometry check, which judges the matrix as a whole. What they
+/// accept carries no zero traffic period, which the traffic generator
+/// refuses with a panic.
 fn assert_readers_survive(text: &str) -> Result<(), TestCaseError> {
     let anchored = |e: &str| {
         let rest = e.strip_prefix("f:").unwrap_or("");
         let digits = rest.bytes().take_while(u8::is_ascii_digit).count();
         digits > 0 && rest[digits..].starts_with(": ")
     };
-    if let Err(e) = CampaignSpec::parse_named("f", text) {
-        prop_assert!(
+    let zero = Some(BitTime::ZERO);
+    match CampaignSpec::parse_named("f", text) {
+        Ok(spec) => prop_assert!(spec.traffic != zero, "{}", text),
+        Err(e) => prop_assert!(
             anchored(&e) || e.starts_with("f: invalid campaign: "),
             "{}",
             e
-        );
+        ),
     }
-    if let Err(e) = Scenario::read(&grammar::Doc::named("f", text)) {
-        prop_assert!(anchored(&e), "{}", e);
+    match Scenario::read(&grammar::Doc::named("f", text)) {
+        Ok((scenario, _)) => prop_assert!(scenario.traffic.iter().all(|t| !t.1.is_zero())),
+        Err(e) => prop_assert!(anchored(&e), "{}", e),
     }
-    if let Err(e) = RunSpec::from_scenario_named("f", text) {
-        prop_assert!(anchored(&e), "{}", e);
+    match RunSpec::from_scenario_named("f", text) {
+        Ok(run) => prop_assert!(run.traffic != zero, "{}", text),
+        Err(e) => prop_assert!(anchored(&e), "{}", e),
     }
     Ok(())
 }
@@ -129,7 +138,7 @@ proptest! {
     #[test]
     fn valid_events_round_trip(node in 0u8..64, us in 0u64..10_000_000) {
         let parsed = parse_event(&format!("{node}@{us}us")).expect("valid");
-        prop_assert_eq!(parsed, (node, can_types::BitTime::new(us)));
+        prop_assert_eq!(parsed, (node, BitTime::new(us)));
     }
 
     #[test]

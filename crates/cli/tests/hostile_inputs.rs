@@ -144,6 +144,20 @@ fn a_cycle_too_short_for_the_stack_is_a_diagnostic_under_every_reader() {
 }
 
 #[test]
+fn a_zero_traffic_period_is_refused_on_its_line() {
+    // Used to reach `TrafficConfig::periodic` and panic (`traffic
+    // period must be positive`, exit 101).
+    const ZERO: &str = "traffic period must be positive";
+    assert_refused(CAMPAIGN, "traffic.campaign", "nodes 4\ntraffic 0ms\n", 2, ZERO);
+    let text = "nodes 4\ntraffic 0 0ms\nuntil 300ms\nsettle 150ms\n";
+    assert_refused(RUN, "traffic.canely", text, 2, ZERO);
+    assert_refused(REPLAY, "traffic.canely", text, 2, ZERO);
+    // On the command line a zero period is how one says "none".
+    let out = run(&argv(&["membership", "--nodes", "3", "--traffic", "0ms", "--until", "100ms"]));
+    assert!(out.unwrap().contains("CANELy membership"));
+}
+
+#[test]
 fn range_errors_under_replay_name_the_offending_line() {
     // `run` anchored these to a line; `replay` reported them line-less.
     let head = "nodes 4\nsegments 3\nbridge line\n";

@@ -32,7 +32,7 @@
 
 use can_bus::{BusStats, BusTrace, TxRecord};
 use can_types::{BitTime, Mid, NodeId, NodeSet, MAX_NODES};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::rc::Rc;
@@ -59,6 +59,18 @@ impl std::fmt::Display for ObsTimer {
         }
     }
 }
+
+/// The JSONL label of every kind, by [`ProtocolEvent::kind_index`].
+#[rustfmt::skip]
+const KINDS: [&str; 33] = [
+    "timer.armed", "timer.expired", "fd.lifesign.tx", "fd.lifesign.rx", "fd.suspect",
+    "fd.notified", "fda.invoked", "fda.sign.tx", "fda.sign.rx", "fda.delivered",
+    "rha.started", "rha.rhv.tx", "rha.rhv.rx", "rha.narrowed", "rha.quenched", "rha.settled",
+    "msh.join.tx", "msh.leave.tx", "msh.join.rx", "msh.leave.rx", "msh.cycle",
+    "view.bootstrap", "view.installed", "view.changed", "msh.expelled", "msh.left",
+    "node.crashed", "node.restarted",
+    "fed.digest", "fed.install", "fed.relay", "fed.elect", "fed.rejoin",
+];
 
 /// One structured protocol occurrence, as emitted by the stack's
 /// entities. See `docs/TRACE_SCHEMA.md` for the wire (JSONL) schema of
@@ -265,40 +277,47 @@ pub enum ProtocolEvent {
 impl ProtocolEvent {
     /// The stable, dotted event-kind label used in the JSONL trace.
     pub fn kind(&self) -> &'static str {
+        KINDS[self.kind_index() as usize]
+    }
+
+    /// The kind's position in declaration order (`0..33`, the order of
+    /// [`ProtocolEvent::one_of_each`]): a [`Retention`] is a set of
+    /// these.
+    pub const fn kind_index(&self) -> u32 {
         match self {
-            ProtocolEvent::TimerArmed { .. } => "timer.armed",
-            ProtocolEvent::TimerExpired { .. } => "timer.expired",
-            ProtocolEvent::LifeSignSent => "fd.lifesign.tx",
-            ProtocolEvent::LifeSignObserved { .. } => "fd.lifesign.rx",
-            ProtocolEvent::SuspectRaised { .. } => "fd.suspect",
-            ProtocolEvent::FailureNotified { .. } => "fd.notified",
-            ProtocolEvent::FdaInvoked { .. } => "fda.invoked",
-            ProtocolEvent::FdaSignSent { .. } => "fda.sign.tx",
-            ProtocolEvent::FdaSignReceived { .. } => "fda.sign.rx",
-            ProtocolEvent::FdaDelivered { .. } => "fda.delivered",
-            ProtocolEvent::RhaStarted { .. } => "rha.started",
-            ProtocolEvent::RhvSent { .. } => "rha.rhv.tx",
-            ProtocolEvent::RhvReceived { .. } => "rha.rhv.rx",
-            ProtocolEvent::RhaNarrowed { .. } => "rha.narrowed",
-            ProtocolEvent::RhaQuenched { .. } => "rha.quenched",
-            ProtocolEvent::RhaSettled { .. } => "rha.settled",
-            ProtocolEvent::JoinRequested => "msh.join.tx",
-            ProtocolEvent::LeaveRequested => "msh.leave.tx",
-            ProtocolEvent::JoinObserved { .. } => "msh.join.rx",
-            ProtocolEvent::LeaveObserved { .. } => "msh.leave.rx",
-            ProtocolEvent::CycleStarted { .. } => "msh.cycle",
-            ProtocolEvent::ViewBootstrapped { .. } => "view.bootstrap",
-            ProtocolEvent::ViewInstalled { .. } => "view.installed",
-            ProtocolEvent::ViewChanged { .. } => "view.changed",
-            ProtocolEvent::Expelled => "msh.expelled",
-            ProtocolEvent::LeftService => "msh.left",
-            ProtocolEvent::NodeCrashed => "node.crashed",
-            ProtocolEvent::NodeRestarted => "node.restarted",
-            ProtocolEvent::FedDigest { .. } => "fed.digest",
-            ProtocolEvent::FedInstall { .. } => "fed.install",
-            ProtocolEvent::FedRelay { .. } => "fed.relay",
-            ProtocolEvent::FedElect { .. } => "fed.elect",
-            ProtocolEvent::FedRejoin { .. } => "fed.rejoin",
+            ProtocolEvent::TimerArmed { .. } => 0,
+            ProtocolEvent::TimerExpired { .. } => 1,
+            ProtocolEvent::LifeSignSent => 2,
+            ProtocolEvent::LifeSignObserved { .. } => 3,
+            ProtocolEvent::SuspectRaised { .. } => 4,
+            ProtocolEvent::FailureNotified { .. } => 5,
+            ProtocolEvent::FdaInvoked { .. } => 6,
+            ProtocolEvent::FdaSignSent { .. } => 7,
+            ProtocolEvent::FdaSignReceived { .. } => 8,
+            ProtocolEvent::FdaDelivered { .. } => 9,
+            ProtocolEvent::RhaStarted { .. } => 10,
+            ProtocolEvent::RhvSent { .. } => 11,
+            ProtocolEvent::RhvReceived { .. } => 12,
+            ProtocolEvent::RhaNarrowed { .. } => 13,
+            ProtocolEvent::RhaQuenched { .. } => 14,
+            ProtocolEvent::RhaSettled { .. } => 15,
+            ProtocolEvent::JoinRequested => 16,
+            ProtocolEvent::LeaveRequested => 17,
+            ProtocolEvent::JoinObserved { .. } => 18,
+            ProtocolEvent::LeaveObserved { .. } => 19,
+            ProtocolEvent::CycleStarted { .. } => 20,
+            ProtocolEvent::ViewBootstrapped { .. } => 21,
+            ProtocolEvent::ViewInstalled { .. } => 22,
+            ProtocolEvent::ViewChanged { .. } => 23,
+            ProtocolEvent::Expelled => 24,
+            ProtocolEvent::LeftService => 25,
+            ProtocolEvent::NodeCrashed => 26,
+            ProtocolEvent::NodeRestarted => 27,
+            ProtocolEvent::FedDigest { .. } => 28,
+            ProtocolEvent::FedInstall { .. } => 29,
+            ProtocolEvent::FedRelay { .. } => 30,
+            ProtocolEvent::FedElect { .. } => 31,
+            ProtocolEvent::FedRejoin { .. } => 32,
         }
     }
 
@@ -638,22 +657,72 @@ fn push_field(out: &mut String, label: &str, mut n: u64) {
     out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
 }
 
-/// Which emitted events a log stores (see [`ObsLog::retaining`]).
-pub type Retention = fn(&ProtocolEvent) -> bool;
+/// A set of event kinds: which emitted events a log stores (see
+/// [`ObsLog::retaining`]). One bit per [`ProtocolEvent::kind_index`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Retention(u64);
 
-/// The shared state behind [`ObsLog`] / enabled [`EventSink`]s: the
-/// event vector plus the causal-threading bookkeeping.
+impl Retention {
+    /// Every kind: what [`ObsLog::new`] stores.
+    pub const ALL: Retention = Retention(u64::MAX);
+
+    /// The kinds of the given sample events.
+    pub const fn of(samples: &[ProtocolEvent]) -> Self {
+        let (mut kinds, mut i) = (0, 0);
+        while i < samples.len() {
+            kinds |= 1 << samples[i].kind_index();
+            i += 1;
+        }
+        Retention(kinds)
+    }
+
+    /// Whether `event`'s kind is in the set.
+    #[inline]
+    pub const fn keeps(self, event: &ProtocolEvent) -> bool {
+        self.0 >> event.kind_index() & 1 == 1
+    }
+}
+
+/// The state behind [`ObsLog`] / enabled [`EventSink`]s. Numbering an
+/// event and testing its kind touch only the plain fields, so an event
+/// the log does not store costs a counter bump and a bit test.
+#[derive(Debug)]
+struct Shared {
+    /// Events emitted so far, stored or not: the next event's `seq`.
+    emitted: Cell<u64>,
+    /// The kinds stored; with [`Retention::ALL`] an event's `seq` is
+    /// its index.
+    retain: Retention,
+    /// Ambient cause stamped onto subsequently emitted events (set by
+    /// the stack's dispatch layer at every bus delivery / timer fire).
+    cause: Cell<Cause>,
+    stored: RefCell<LogInner>,
+}
+
+impl Shared {
+    /// Numbers one event and stores it if its kind is retained.
+    #[inline]
+    fn emit(&self, time: BitTime, node: NodeId, event: ProtocolEvent) -> u64 {
+        let seq = self.emitted.get();
+        self.emitted.set(seq + 1);
+        if self.retain.keeps(&event) {
+            self.store(seq, time, node, event);
+        }
+        seq
+    }
+
+    /// Out of line, so the test in [`Shared::emit`] inlines alone.
+    #[inline(never)]
+    fn store(&self, seq: u64, time: BitTime, node: NodeId, event: ProtocolEvent) {
+        let cause = self.cause.get();
+        self.stored.borrow_mut().push(seq, cause, time, node, event);
+    }
+}
+
+/// The stored events plus the causal-threading bookkeeping.
 #[derive(Debug, Default)]
 struct LogInner {
     events: Vec<TimedEvent>,
-    /// Events emitted so far, stored or not: the next event's `seq`.
-    emitted: u64,
-    /// Stores only the events it accepts; `None` stores everything
-    /// (and an event's `seq` is then its index).
-    retain: Option<Retention>,
-    /// Ambient cause stamped onto subsequently emitted events (set by
-    /// the stack's dispatch layer at every bus delivery / timer fire).
-    cause: Cause,
     /// Last stored `timer.armed` sequence number per (node, timer), so
     /// a `timer.expired` links back to the arming that scheduled it.
     /// Dense, indexed by [`timer_index`], grown on demand.
@@ -676,23 +745,16 @@ fn timer_index(node: NodeId, timer: ObsTimer) -> usize {
 }
 
 impl LogInner {
-    /// Numbers one event and, if it is retained, appends it with its
-    /// cause resolved: timer expiries link to their arming, everything
-    /// else carries the ambient cause. Returns the event's sequence
-    /// number.
-    fn push(&mut self, time: BitTime, node: NodeId, event: ProtocolEvent) -> u64 {
-        let seq = self.emitted;
-        self.emitted += 1;
-        if self.retain.is_some_and(|keep| !keep(&event)) {
-            return seq;
-        }
+    /// Appends event `seq` with its cause resolved: timer expiries link
+    /// to their arming, everything else carries the ambient cause.
+    fn push(&mut self, seq: u64, ambient: Cause, at: BitTime, node: NodeId, event: ProtocolEvent) {
         let cause = match event {
             ProtocolEvent::TimerExpired { timer } => self
                 .armed
                 .get(timer_index(node, timer))
                 .filter(|&&armed_seq| armed_seq != NOT_ARMED)
-                .map_or(self.cause, |&armed_seq| Cause::Event { seq: armed_seq }),
-            _ => self.cause,
+                .map_or(ambient, |&armed_seq| Cause::Event { seq: armed_seq }),
+            _ => ambient,
         };
         if let ProtocolEvent::TimerArmed { timer, .. } = event {
             let index = timer_index(node, timer);
@@ -702,12 +764,11 @@ impl LogInner {
             self.armed[index] = seq;
         }
         self.events.push(TimedEvent {
-            time,
+            time: at,
             node,
             event,
             cause,
         });
-        seq
     }
 }
 
@@ -718,7 +779,7 @@ impl LogInner {
 /// Handles produced by [`ObsLog::sink`] append to the shared log.
 #[derive(Debug, Clone, Default)]
 pub struct EventSink {
-    log: Option<Rc<RefCell<LogInner>>>,
+    log: Option<Rc<Shared>>,
 }
 
 impl EventSink {
@@ -738,9 +799,7 @@ impl EventSink {
     /// dispatcher can chain downstream causes onto it.
     #[inline]
     pub fn emit(&self, time: BitTime, node: NodeId, event: ProtocolEvent) -> Option<u64> {
-        self.log
-            .as_ref()
-            .map(|log| log.borrow_mut().push(time, node, event))
+        self.log.as_ref().map(|log| log.emit(time, node, event))
     }
 
     /// Sets the ambient cause stamped onto subsequently emitted
@@ -748,7 +807,7 @@ impl EventSink {
     #[inline]
     pub fn set_cause(&self, cause: Cause) {
         if let Some(log) = &self.log {
-            log.borrow_mut().cause = cause;
+            log.cause.set(cause);
         }
     }
 
@@ -765,9 +824,15 @@ impl EventSink {
 /// Create one log per run, hand [`ObsLog::sink`] clones to every
 /// stack (via `CanelyStack::with_obs`), and read the merged record
 /// back with [`ObsLog::events`] / [`ObsLog::export_jsonl`].
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct ObsLog {
-    log: Rc<RefCell<LogInner>>,
+    log: Rc<Shared>,
+}
+
+impl Default for ObsLog {
+    fn default() -> Self {
+        ObsLog::retaining(Retention::ALL)
+    }
 }
 
 impl ObsLog {
@@ -777,16 +842,20 @@ impl ObsLog {
     }
 
     /// An empty log that *numbers* every emitted event but *stores*
-    /// only those `keep` accepts — for a consumer that reads a few
-    /// kinds and would otherwise pay for materialising all of them.
+    /// only those of the kinds in `keep` — for a consumer that reads a
+    /// few kinds and would otherwise pay for materialising all of them.
     /// Sequence numbers, [`ObsLog::emitted`] and the causes stamped on
     /// the stored events are exactly those of a full log; a stored
     /// `timer.expired` links to its arming only if that was stored
     /// too.
     pub fn retaining(keep: Retention) -> Self {
-        let log = ObsLog::default();
-        log.log.borrow_mut().retain = Some(keep);
-        log
+        let log = Rc::new(Shared {
+            emitted: Cell::new(0),
+            retain: keep,
+            cause: Cell::new(Cause::Boot),
+            stored: RefCell::default(),
+        });
+        ObsLog { log }
     }
 
     /// A sink handle appending to this log.
@@ -802,38 +871,36 @@ impl ObsLog {
     /// that anchor the latency metrics. Recorded with [`Cause::Boot`]:
     /// scripted actions have no in-protocol trigger.
     pub fn record(&self, time: BitTime, node: NodeId, event: ProtocolEvent) {
-        let mut inner = self.log.borrow_mut();
-        let ambient = inner.cause;
-        inner.cause = Cause::Boot;
-        inner.push(time, node, event);
-        inner.cause = ambient;
+        let ambient = self.log.cause.replace(Cause::Boot);
+        self.log.emit(time, node, event);
+        self.log.cause.set(ambient);
     }
 
     /// A snapshot of all stored events.
     pub fn events(&self) -> Vec<TimedEvent> {
-        self.log.borrow().events.clone()
+        self.log.stored.borrow().events.clone()
     }
 
     /// Runs `f` over the stored events without cloning them.
     pub fn with_events<R>(&self, f: impl FnOnce(&[TimedEvent]) -> R) -> R {
-        f(&self.log.borrow().events)
+        f(&self.log.stored.borrow().events)
     }
 
     /// Number of *stored* events: equal to [`ObsLog::emitted`] unless
-    /// the log was built with [`ObsLog::retaining`].
+    /// the log retains fewer than all kinds ([`ObsLog::retaining`]).
     pub fn len(&self) -> usize {
-        self.log.borrow().events.len()
+        self.log.stored.borrow().events.len()
     }
 
     /// Whether no event is stored.
     pub fn is_empty(&self) -> bool {
-        self.log.borrow().events.is_empty()
+        self.log.stored.borrow().events.is_empty()
     }
 
     /// Number of events emitted into the log, stored or not — one more
     /// than the highest sequence number handed out.
     pub fn emitted(&self) -> u64 {
-        self.log.borrow().emitted
+        self.log.emitted.get()
     }
 
     /// Renders the log — merged with a bus trace, if given — as one
@@ -841,9 +908,9 @@ impl ObsLog {
     ///
     /// # Panics
     ///
-    /// If the log was built with [`ObsLog::retaining`]: it holds no
-    /// complete trace, and the stored events' positions are not their
-    /// sequence numbers.
+    /// If the log does not store every kind ([`ObsLog::retaining`]): it
+    /// holds no complete trace, and the stored events' positions are
+    /// not their sequence numbers.
     pub fn export_jsonl(&self, bus: Option<&BusTrace>) -> String {
         export_segments_jsonl(&[(self, bus)])
     }
@@ -864,11 +931,17 @@ impl ObsLog {
 ///
 /// # Panics
 ///
-/// If a log was built with [`ObsLog::retaining`]: it holds no
-/// complete trace, and the stored events' positions are not their
-/// sequence numbers.
+/// If a log does not store every kind ([`ObsLog::retaining`]): it
+/// holds no complete trace, and the stored events' positions are not
+/// their sequence numbers.
 pub fn export_segments_jsonl(segments: &[(&ObsLog, Option<&BusTrace>)]) -> String {
-    let logs: Vec<_> = segments.iter().map(|(log, _)| log.log.borrow()).collect();
+    let logs: Vec<_> = segments
+        .iter()
+        .map(|(log, _)| {
+            assert!(log.log.retain == Retention::ALL, "a retaining log has no trace to export");
+            log.log.stored.borrow()
+        })
+        .collect();
     let buses: Vec<&[TxRecord]> = segments
         .iter()
         .map(|(_, bus)| bus.map_or(&[][..], |trace| trace.iter().as_slice()))
@@ -881,7 +954,6 @@ pub fn export_segments_jsonl(segments: &[(&ObsLog, Option<&BusTrace>)]) -> Strin
     let txs: usize = buses.iter().map(|bus| bus.len()).sum();
     let mut keys: Vec<(u64, u8, u8, usize)> = Vec::with_capacity(events + txs);
     for (seg, (log, bus)) in logs.iter().zip(&buses).enumerate() {
-        assert!(log.retain.is_none(), "a retaining log has no trace to export");
         let seg = u8::try_from(seg).expect("segments are indexed by a byte");
         keys.extend(bus.iter().enumerate().map(|(i, rec)| (rec.start.as_u64(), seg, 0, i)));
         keys.extend(log.events.iter().enumerate().map(|(i, e)| (e.time.as_u64(), seg, 1, i)));
@@ -1408,13 +1480,11 @@ mod tests {
 
     #[test]
     fn retaining_log_numbers_everything_and_stores_what_it_keeps() {
-        fn keep(event: &ProtocolEvent) -> bool {
-            matches!(
-                event,
-                ProtocolEvent::TimerExpired { .. } | ProtocolEvent::SuspectRaised { .. }
-            )
-        }
         let timer = ObsTimer::Surveillance(n(2));
+        let keep = Retention::of(&[
+            ProtocolEvent::TimerExpired { timer },
+            ProtocolEvent::SuspectRaised { suspect: n(0) },
+        ]);
         let armed = ProtocolEvent::TimerArmed {
             timer,
             deadline: t(5_100),
@@ -1457,6 +1527,18 @@ mod tests {
             Cause::Bus { deliver_at: t(9) },
             "ambient cause survives the marker"
         );
+    }
+
+    #[test]
+    fn kind_indices_are_declaration_order_and_fit_a_set() {
+        let variants = ProtocolEvent::one_of_each();
+        assert!(variants.len() <= 64, "a `Retention` is one `u64`");
+        for (i, event) in variants.iter().enumerate() {
+            assert_eq!(event.kind_index() as usize, i, "{}", event.kind());
+            assert!(Retention::ALL.keeps(event));
+            let alone = Retention::of(std::slice::from_ref(event));
+            assert_eq!(variants.iter().filter(|e| alone.keeps(e)).count(), 1);
+        }
     }
 
     #[test]

@@ -100,8 +100,8 @@ impl TrafficGenerator {
         let mid = Mid::new(MsgType::AppData, self.seq, ctx.me());
         self.seq = self.seq.wrapping_add(1);
         self.sent += 1;
-        let bytes = vec![0x5A; self.config.size];
-        let payload = Payload::from_slice(&bytes).expect("size validated at construction");
+        let bytes = &[0x5A; 8][..self.config.size];
+        let payload = Payload::from_slice(bytes).expect("size validated at construction");
         ctx.can_data_req(mid, payload);
         ctx.start_alarm(self.config.period, TimerOwner::Traffic.encode());
     }

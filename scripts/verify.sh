@@ -193,6 +193,8 @@ printf 'until 18446744073709551ms\n' > "$hostile/spin.canely"
 printf 'nodes 4\ntm 1us\n' > "$hostile/tm.canely"
 printf 'nodes 4\nsegments 2\ntm 1us\n' > "$hostile/tm-fed.canely"
 printf 'nodes 4\ncrash 9 10ms\n' > "$hostile/crash.canely"
+printf 'nodes 4\ntraffic 0ms\n' > "$hostile/traffic.campaign"
+printf 'nodes 4\ntraffic 0 0ms\n' > "$hostile/traffic.canely"
 refused() {
     status=0
     timeout 10 target/release/canelyctl "$@" > /dev/null 2>&1 || status=$?
@@ -207,6 +209,27 @@ refused run "$hostile/spin.canely"
 refused campaign replay --scenario "$hostile/tm.canely"
 refused run "$hostile/tm-fed.canely"
 refused campaign replay --scenario "$hostile/crash.canely"
+refused campaign run --spec "$hostile/traffic.campaign"
+refused run "$hostile/traffic.canely"
+
+# Sampling profile smoke: `scripts/profile.sh` (docs/PERF.md,
+# "Measurement notes") must build with frame pointers, sample and
+# symbolise in one command — its tables name the step loop.
+echo "==> sampling profile smoke"
+if command -v cc > /dev/null 2>&1 && command -v nm > /dev/null 2>&1 \
+    && [ "$(uname -m)" = x86_64 ]; then
+    profile="$(scripts/profile.sh -n 40 campaign run --spec scenarios/smoke.campaign --workers 1)"
+    case "$profile" in
+    *'Simulator::run_until'*) ;;
+    *)
+        echo "verify: the sampling profile does not name Simulator::run_until:" >&2
+        echo "$profile" >&2
+        exit 1
+        ;;
+    esac
+else
+    echo "    skipped: the sampler needs cc, nm and an x86-64 host"
+fi
 
 # Campaign scaling smoke gate: fanning the same matrix out to 8
 # workers must never be *slower* than running it on 1. On a multi-core
