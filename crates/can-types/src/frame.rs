@@ -120,6 +120,16 @@ impl TryFrom<&[u8]> for Payload {
     }
 }
 
+/// A full-length payload: an array cannot be too long.
+impl From<[u8; MAX_PAYLOAD]> for Payload {
+    fn from(bytes: [u8; MAX_PAYLOAD]) -> Payload {
+        Payload {
+            bytes,
+            len: MAX_PAYLOAD as u8,
+        }
+    }
+}
+
 /// Error returned when constructing a [`Payload`] from more than
 /// [`MAX_PAYLOAD`] bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -336,19 +336,19 @@ pub fn bridge(word: &str) -> Result<BridgeKind, String> {
 /// A relay filter: `none`, `all` or `below REF`.
 pub fn relay(line: &Line<'_>) -> Result<RelayFilter, String> {
     match line.words.as_slice() {
-        ["none"] => Ok(RelayFilter::none()),
-        ["all"] => Ok(RelayFilter::pass_through()),
-        ["below", bound] => number(bound).map(RelayFilter::app_below),
+        ["none"] => Ok(RelayFilter::None),
+        ["all"] => Ok(RelayFilter::All),
+        ["below", bound] => number(bound).map(RelayFilter::Below),
         _ => Err("bad relay filter (expected `none`, `all` or `below <ref>`)".into()),
     }
 }
 
 /// Renders a relay filter the way [`relay`] reads it back.
-pub fn fmt_relay(filter: &RelayFilter) -> String {
-    match (filter.app_data, filter.reference_below) {
-        (false, _) => "none".to_string(),
-        (true, None) => "all".to_string(),
-        (true, Some(bound)) => format!("below {bound}"),
+pub fn fmt_relay(filter: RelayFilter) -> String {
+    match filter {
+        RelayFilter::None => "none".to_string(),
+        RelayFilter::All => "all".to_string(),
+        RelayFilter::Below(bound) => format!("below {bound}"),
     }
 }
 

@@ -148,7 +148,7 @@ pub(crate) fn execute_on(tel: &mut RunTelemetry, spec: &RunSpec, capture: bool) 
     let mut config = FederationConfig::new(spec.config(), segments, spec.nodes)
         .with_topology(fed_spec.topology)
         .with_gateway(fed_spec.gateway)
-        .with_filter(fed_spec.relay.clone());
+        .with_filter(fed_spec.relay);
     if !capture {
         config = config.with_retention(oracle::JUDGED);
     }

@@ -292,6 +292,20 @@ impl Scenario {
             let msg = format_args!("`{keyword}` schedules have no campaign-oracle model");
             return Err(doc.at(line, msg));
         }
+        // The oracle judges detection from observers that booted before
+        // the crash; a node crashed at 0ms never boots.
+        let single_bus = FederationSpec::default();
+        let fed = self.run.federation.as_ref().unwrap_or(&single_bus);
+        let at_zero = [
+            ("crash", self.run.crashes.iter().position(|c| c.1.is_zero())),
+            ("seg-crash", fed.seg_crashes.iter().position(|c| c.2.is_zero())),
+            ("gateway-crash", fed.gateway_crashes.iter().position(|c| c.1.is_zero())),
+        ];
+        let lines = at_zero.into_iter().filter_map(|(kw, i)| Some((seen.nth(kw, i?), kw)));
+        if let Some((line, keyword)) = lines.min() {
+            let msg = format_args!("`{keyword}` at 0ms has no campaign-oracle model: crash after boot");
+            return Err(doc.at(line, msg));
+        }
         let nodes = self.run.nodes;
         if nodes < MIN_JUDGED_NODES {
             let msg = format_args!("the campaign oracle needs at least {MIN_JUDGED_NODES} nodes");
@@ -361,7 +375,7 @@ impl Scenario {
             let _ = writeln!(out, "segments {}", fed.segments);
             let _ = writeln!(out, "gateway {}", fed.gateway);
             let _ = writeln!(out, "bridge {}", fed.topology.key());
-            let _ = writeln!(out, "relay {}", fmt_relay(&fed.relay));
+            let _ = writeln!(out, "relay {}", fmt_relay(fed.relay));
             for &(seg, node, at) in &fed.seg_crashes {
                 let _ = writeln!(out, "seg-crash {seg} {node} {}", fmt_duration(at));
             }

@@ -36,7 +36,7 @@ use can_bus::FaultPlan;
 use can_types::{mix64, BitTime, NodeId, NodeSet, GOLDEN};
 use canely::{CanelyConfig, DetectorKind};
 use canely_analysis::ProtocolBounds;
-use canely_federation::{BridgeKind, FederationConfig, RelayFilter};
+use canely_federation::{BridgeKind, RelayFilter, DIGEST_PERIOD, QUANTUM};
 use rand::rngs::SmallRng;
 use rand::{Rng as _, SeedableRng as _};
 
@@ -168,7 +168,7 @@ impl Default for CampaignSpec {
             segments: vec![1],
             gateway: 0,
             bridge: BridgeKind::Ring,
-            relay: RelayFilter::none(),
+            relay: RelayFilter::None,
             gateway_crash_budgets: vec![0],
             partition_lens: vec![BitTime::ZERO],
             asymmetric_lens: vec![BitTime::ZERO],
@@ -653,7 +653,7 @@ impl CampaignSpec {
                 segments,
                 gateway: self.gateway,
                 topology: self.bridge,
-                relay: self.relay.clone(),
+                relay: self.relay,
                 seg_crashes,
                 gateway_crashes,
                 gateway_restarts,
@@ -750,7 +750,7 @@ impl Default for FederationSpec {
             segments: 1,
             gateway: 0,
             topology: BridgeKind::Ring,
-            relay: RelayFilter::none(),
+            relay: RelayFilter::None,
             seg_crashes: Vec::new(),
             gateway_crashes: Vec::new(),
             gateway_restarts: Vec::new(),
@@ -936,8 +936,7 @@ impl RunSpec {
         let Some(fed) = &self.federation else {
             return BitTime::ZERO;
         };
-        let probe = FederationConfig::new(self.config(), fed.segments, self.nodes);
-        let round = probe.digest_period + probe.quantum;
+        let round = DIGEST_PERIOD + QUANTUM;
         let mut bound = self.view_change_bound()
             + round * (u64::from(fed.segments) + 1)
             + self.rejoin_slack;
@@ -1171,7 +1170,7 @@ settle 150ms
         for run in runs.iter().filter(|r| r.federation.is_some()) {
             let fed = run.federation.as_ref().unwrap();
             assert_eq!(fed.segments, 3);
-            assert_eq!(fed.relay, RelayFilter::app_below(8));
+            assert_eq!(fed.relay, RelayFilter::Below(8));
             // The generic crash budget never hits a gateway.
             assert!(run.crashes.iter().all(|&(n, _)| n != fed.gateway));
             assert!(fed.seg_crashes.iter().all(|&(s, n, _)| {

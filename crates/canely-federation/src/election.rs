@@ -28,17 +28,105 @@
 //! same epoch from a lower id) yields: it demotes to standby and
 //! clears its bridge outbox — a restarted former gateway can therefore
 //! never fork the representative role.
+//!
+//! The role is a pure machine: [`GatewayRole::step`] maps one
+//! [`RoleInput`] to at most one [`RoleOutput`], with no stack, no
+//! context and no allocation, so a test can enumerate it without a
+//! simulator. The gateway only carries out the outputs' effects.
 
 use can_types::{NodeId, NodeSet};
 
 /// The role a [`Gateway`](crate::Gateway) currently plays for its
-/// segment. See the module docs for the state machine.
+/// segment, and what that role knows. See the module docs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GatewayRole {
     /// The acting representative: gossips, installs, relays.
-    Active,
+    /// `rejoin_pending` is the promotion epoch still awaiting the
+    /// own-segment install (`None` once reached, or never promoted).
+    Active { rejoin_pending: Option<u32> },
     /// A warm spare: tracks digest state silently, ready to promote.
-    Standby,
+    /// `leader` is who it believes acts (`None` until the next
+    /// own-segment digest names one).
+    Standby { leader: Option<NodeId> },
+}
+
+/// One event the role machine reacts to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RoleInput {
+    /// The segment membership replaced view `prev` with `view`.
+    ViewInstalled { prev: NodeSet, view: NodeSet },
+    /// `transmitter` put an own-segment digest under `epoch` on the bus.
+    DigestHeard { transmitter: NodeId, epoch: u32 },
+    /// The global view installed the own segment at `epoch`.
+    InstallReached { epoch: u32 },
+    /// The node power-cycled: it forgets the role and the leader.
+    Restarted,
+}
+
+/// What a role transition asks the gateway to carry out.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RoleOutput {
+    /// This node took the role from `expelled` and announces `epoch`.
+    Promote { expelled: NodeId, epoch: u32 },
+    /// This node yielded the role: its bridge outbox is void.
+    Demote,
+    /// The promotion epoch reached the global view (the *rejoin*).
+    Rejoined,
+}
+
+impl GatewayRole {
+    /// Whether this is the acting representative.
+    pub fn is_active(self) -> bool {
+        matches!(self, GatewayRole::Active { .. })
+    }
+
+    /// Applies one input at node `me`, whose highest own-segment epoch
+    /// is `known`; returns the effect the gateway must carry out.
+    pub fn step(&mut self, me: NodeId, known: u32, input: RoleInput) -> Option<RoleOutput> {
+        use GatewayRole::{Active, Standby};
+        match (*self, input) {
+            (_, RoleInput::Restarted) => *self = Standby { leader: None },
+            (
+                Standby {
+                    leader: Some(expelled),
+                },
+                RoleInput::ViewInstalled { prev, view },
+            ) if prev.contains(expelled) && !view.contains(expelled) => {
+                // The membership expelled the acting gateway: the
+                // successor promotes, every other survivor forgets it.
+                *self = Standby { leader: None };
+                if successor(view) == Some(me) {
+                    let (epoch, rejoin_pending) = (known + 1, Some(known + 1));
+                    *self = Active { rejoin_pending };
+                    return Some(RoleOutput::Promote { expelled, epoch });
+                }
+            }
+            (_, RoleInput::DigestHeard { transmitter, epoch }) if transmitter != me => {
+                let leader = Some(transmitter);
+                match *self {
+                    Standby { .. } if epoch >= known => *self = Standby { leader },
+                    Active { .. } if epoch > known || (epoch == known && transmitter < me) => {
+                        *self = Standby { leader };
+                        return Some(RoleOutput::Demote);
+                    }
+                    _ => {}
+                }
+            }
+            (
+                Active {
+                    rejoin_pending: Some(pending),
+                },
+                RoleInput::InstallReached { epoch },
+            ) if epoch >= pending => {
+                *self = Active {
+                    rejoin_pending: None,
+                };
+                return Some(RoleOutput::Rejoined);
+            }
+            _ => {}
+        }
+        None
+    }
 }
 
 /// The deterministic successor for a segment view: the lowest node id

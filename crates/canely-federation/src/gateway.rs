@@ -36,9 +36,10 @@
 //! has nothing to represent or relay, so [`crate::FederationSim`]
 //! hosts bare [`CanelyStack`]s there and never builds this wrapper.
 
-use crate::election::{successor, GatewayRole};
+use crate::election::{GatewayRole, RoleInput, RoleOutput};
+use crate::FederationConfig;
 use can_controller::{Application, Ctx, DriverEvent, TimerId};
-use can_types::{BitTime, Mid, MsgType, NodeId, NodeSet, Payload};
+use can_types::{BitTime, Mid, MsgType, NodeSet, Payload};
 use canely::obs::ProtocolEvent;
 use canely::tags::{digest_mid, digest_mid_segments, TimerOwner, MAX_SEGMENTS};
 use canely::{CanelyStack, DetectorMetrics};
@@ -48,56 +49,35 @@ use canely_metrics::Counter;
 ///
 /// Membership control traffic (every remote-frame micro-protocol plus
 /// RHA data frames) is categorically excluded — the filter only
-/// selects among application frames. Digest frames are the
+/// selects among [`MsgType::AppData`] frames. Digest frames are the
 /// federation's own control plane and always cross.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RelayFilter {
-    /// Relay [`MsgType::AppData`] frames.
-    pub app_data: bool,
-    /// If set, only app frames whose mid `reference` is strictly below
-    /// this bound are relayed (the "ID-filtered subset": low
-    /// references name the segment-spanning streams).
-    pub reference_below: Option<u16>,
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RelayFilter {
+    /// Relay nothing but the digest control plane.
+    None,
+    /// Relay every application data frame.
+    All,
+    /// Relay only app frames whose mid `reference` is strictly below
+    /// the bound (the "ID-filtered subset": low references name the
+    /// segment-spanning streams).
+    Below(u16),
 }
 
 impl RelayFilter {
-    /// Relay nothing but the digest control plane.
-    pub fn none() -> Self {
-        RelayFilter {
-            app_data: false,
-            reference_below: None,
-        }
-    }
-
-    /// Relay every application data frame.
-    pub fn pass_through() -> Self {
-        RelayFilter {
-            app_data: true,
-            reference_below: None,
-        }
-    }
-
-    /// Relay only app frames with `reference < bound`.
-    pub fn app_below(bound: u16) -> Self {
-        RelayFilter {
-            app_data: true,
-            reference_below: Some(bound),
-        }
-    }
-
     /// Whether an application frame with this mid crosses the bridge.
     /// Digest frames are decided separately (they always cross).
-    fn passes(&self, mid: Mid) -> bool {
-        if mid.msg_type() != MsgType::AppData || !self.app_data {
-            return false;
-        }
-        self.reference_below
-            .is_none_or(|bound| mid.reference() < bound)
+    fn passes(self, mid: Mid) -> bool {
+        mid.msg_type() == MsgType::AppData
+            && match self {
+                RelayFilter::None => false,
+                RelayFilter::All => true,
+                RelayFilter::Below(bound) => mid.reference() < bound,
+            }
     }
 }
 
 /// A data frame in flight across a bridge.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BridgeFrame {
     /// The frame's mid as captured on the originating bus.
     pub mid: Mid,
@@ -110,6 +90,9 @@ pub struct BridgeFrame {
 /// One digest claim: what some representative reports a segment's
 /// membership to be.
 pub type Claim = (u32, NodeSet);
+
+/// The digest gossip period of an active gateway.
+pub const DIGEST_PERIOD: BitTime = BitTime::new(10_000);
 
 /// The number of consistent reporters required to install a segment
 /// digest globally.
@@ -142,7 +125,6 @@ pub struct Gateway {
     seg: u8,
     segments: u8,
     filter: RelayFilter,
-    digest_period: BitTime,
     last_view: NodeSet,
     /// `claims[reporter][subject]`; own row doubles as "what I will
     /// gossip next tick".
@@ -153,18 +135,14 @@ pub struct Gateway {
     /// flood-dedup that terminates digest propagation on cyclic
     /// topologies.
     relayed: [[u32; MAX_SEGMENTS]; MAX_SEGMENTS],
-    outbox: Vec<BridgeFrame>,
-    /// Whether this node currently acts as the segment representative.
+    /// Frames queued for every bridge of this segment.
+    outbox: Vec<(Mid, Payload)>,
+    /// The role machine ([`crate::election`]); this type carries out
+    /// its outputs.
     role: GatewayRole,
     /// Whether a digest gossip alarm is pending — promotion after a
     /// demotion must not stack a second one.
     digest_timer_armed: bool,
-    /// The node this gateway believes holds the active role; `None`
-    /// until the next own-segment digest names one (or when active).
-    leader: Option<NodeId>,
-    /// Set at promotion to the announced epoch; cleared — with a
-    /// `fed.rejoin` event — once the own-segment install catches up.
-    rejoin_pending: Option<u32>,
     /// Install history for the oracle's rejoin-latency check.
     install_log: Vec<InstallRecord>,
     /// Promotions performed by this node (live telemetry).
@@ -174,54 +152,36 @@ pub struct Gateway {
 }
 
 impl Gateway {
-    /// A gateway for segment `seg` of a `segments`-wide federation,
-    /// wrapping the node's fully configured `stack`. Gateway events go
-    /// to the stack's own observability sink.
+    /// A gateway for segment `seg` of the federation `fed`, wrapping
+    /// the node's fully configured `stack`, starting in `role`. Gateway
+    /// events go to the stack's own observability sink.
     ///
     /// # Panics
     ///
-    /// Panics if `seg >= segments` or `segments` exceeds
-    /// [`MAX_SEGMENTS`].
-    pub fn new(stack: CanelyStack, seg: u8, segments: u8, filter: RelayFilter) -> Self {
-        assert!((segments as usize) <= MAX_SEGMENTS, "too many segments");
-        assert!(seg < segments, "segment index out of range");
+    /// Panics unless `seg < fed.segments`: the harness builds one
+    /// gateway per segment of a shape [`FederationConfig::new`] checked.
+    pub fn new(stack: CanelyStack, seg: u8, fed: &FederationConfig, role: GatewayRole) -> Self {
+        let (segments, filter) = (fed.segments, fed.filter);
+        assert!(
+            seg < segments && usize::from(segments) <= MAX_SEGMENTS,
+            "segment {seg} of {segments}: FederationConfig::new refuses the shape"
+        );
         Gateway {
             stack,
             seg,
             segments,
             filter,
-            digest_period: BitTime::new(10_000),
             last_view: NodeSet::EMPTY,
             claims: [[None; MAX_SEGMENTS]; MAX_SEGMENTS],
             installed: [None; MAX_SEGMENTS],
             relayed: [[0; MAX_SEGMENTS]; MAX_SEGMENTS],
             outbox: Vec::new(),
-            role: GatewayRole::Active,
+            role,
             digest_timer_armed: false,
-            leader: None,
-            rejoin_pending: None,
             install_log: Vec::new(),
             elections: Counter::default(),
             rejoins: Counter::default(),
         }
-    }
-
-    /// Sets the starting role (the constructor default is `Active`,
-    /// matching the configured gateway; every other member of a
-    /// federated segment starts `Standby`).
-    pub fn with_role(mut self, role: GatewayRole) -> Self {
-        self.role = role;
-        self
-    }
-
-    /// Seeds the standby's belief about who currently holds the active
-    /// role — the configured gateway at construction time. A restarted
-    /// former gateway is built with no leader: it only learns the
-    /// promoted successor from its digests, so it can never trigger an
-    /// election against it.
-    pub fn with_leader(mut self, leader: Option<NodeId>) -> Self {
-        self.leader = leader;
-        self
     }
 
     /// Installs the federation-level election/rejoin counters (shared
@@ -236,21 +196,9 @@ impl Gateway {
         self.stack.set_detector_metrics(metrics);
     }
 
-    /// Overrides the digest gossip period (default 10 ms).
-    pub fn with_digest_period(mut self, period: BitTime) -> Self {
-        assert!(!period.is_zero(), "digest period must be positive");
-        self.digest_period = period;
-        self
-    }
-
     /// The wrapped per-segment stack.
     pub fn stack(&self) -> &CanelyStack {
         &self.stack
-    }
-
-    /// This gateway's segment index.
-    pub fn segment(&self) -> u8 {
-        self.seg
     }
 
     /// The current role.
@@ -258,37 +206,9 @@ impl Gateway {
         self.role
     }
 
-    /// Whether this node currently acts as the segment representative.
-    pub fn is_active(&self) -> bool {
-        self.role == GatewayRole::Active
-    }
-
-    /// Who this gateway believes holds the active role (standbys only;
-    /// `None` while unknown or while active itself).
-    pub fn leader(&self) -> Option<NodeId> {
-        self.leader
-    }
-
-    /// The promotion epoch still awaiting global convergence, if any.
-    pub fn rejoin_pending(&self) -> Option<u32> {
-        self.rejoin_pending
-    }
-
     /// Every global-view install this node decided, in order.
     pub fn install_log(&self) -> &[InstallRecord] {
         &self.install_log
-    }
-
-    /// Test/diagnostic access: how many frames sit in the bridge
-    /// outbox right now.
-    pub fn outbox_len(&self) -> usize {
-        self.outbox.len()
-    }
-
-    /// The globally installed view of one subject segment, if a quorum
-    /// ever agreed on it.
-    pub fn installed(&self, subject: u8) -> Option<Claim> {
-        self.installed[subject as usize]
     }
 
     /// All installed views, indexed by subject segment.
@@ -297,7 +217,7 @@ impl Gateway {
     }
 
     /// Drains the frames queued for bridge relay.
-    pub fn take_outbox(&mut self) -> Vec<BridgeFrame> {
+    pub fn take_outbox(&mut self) -> Vec<(Mid, Payload)> {
         std::mem::take(&mut self.outbox)
     }
 
@@ -308,16 +228,15 @@ impl Gateway {
     /// happens to share a local id.
     pub fn inject(&mut self, ctx: &mut Ctx<'_>, frame: &BridgeFrame) {
         let mid = Mid::new(frame.mid.msg_type(), frame.mid.reference(), ctx.me());
+        let from_seg = frame.from_seg;
         self.stack.obs().clear_cause();
-        self.stack.obs().emit(
-            ctx.now(),
-            ctx.me(),
-            ProtocolEvent::FedRelay {
-                mid,
-                from_seg: frame.from_seg,
-            },
-        );
+        self.emit(ctx, ProtocolEvent::FedRelay { mid, from_seg });
         ctx.can_data_req(mid, frame.payload);
+    }
+
+    /// Emits a federation event from this node at the current instant.
+    fn emit(&self, ctx: &Ctx<'_>, event: ProtocolEvent) {
+        self.stack.obs().emit(ctx.now(), ctx.me(), event);
     }
 
     /// Adopts a digest claim into the table; returns `true` if it was
@@ -338,106 +257,90 @@ impl Gateway {
     /// if it was awaiting its own promotion epoch, the rejoin.
     fn try_install(&mut self, ctx: &mut Ctx<'_>, subject: u8) {
         let s = subject as usize;
-        let candidate = (0..self.segments as usize)
+        let reporters = || 0..self.segments as usize;
+        let candidate = reporters()
             .filter_map(|r| self.claims[r][s])
-            .max_by_key(|&(epoch, _)| epoch);
-        let Some(candidate) = candidate else { return };
-        let votes = (0..self.segments as usize)
-            .filter(|&r| self.claims[r][s] == Some(candidate))
-            .count();
-        if votes < quorum(self.segments as usize) {
+            .max_by_key(|c| c.0);
+        let Some(candidate @ (epoch, view)) = candidate else {
             return;
-        }
-        if self.installed[s].is_some_and(|(epoch, _)| epoch >= candidate.0) {
+        };
+        let votes = reporters().filter(|&r| self.claims[r][s] == Some(candidate));
+        if votes.count() < quorum(self.segments as usize)
+            || self.installed[s].is_some_and(|(installed, _)| installed >= epoch)
+        {
             return;
         }
         self.installed[s] = Some(candidate);
-        self.install_log.push(InstallRecord {
+        let at = ctx.now();
+        let record = InstallRecord {
             subject,
-            epoch: candidate.0,
-            view: candidate.1,
-            at: ctx.now(),
-        });
-        if self.role != GatewayRole::Active {
+            epoch,
+            view,
+            at,
+        };
+        self.install_log.push(record);
+        if !self.role.is_active() {
             return;
         }
-        self.stack.obs().emit(
-            ctx.now(),
-            ctx.me(),
+        self.emit(
+            ctx,
             ProtocolEvent::FedInstall {
                 subject,
-                epoch: candidate.0,
-                view: candidate.1,
+                epoch,
+                view,
             },
         );
-        if subject == self.seg {
-            if let Some(pending) = self.rejoin_pending {
-                if candidate.0 >= pending {
-                    self.rejoin_pending = None;
-                    self.rejoins.inc();
-                    self.stack.obs().emit(
-                        ctx.now(),
-                        ctx.me(),
-                        ProtocolEvent::FedRejoin {
-                            subject,
-                            epoch: candidate.0,
-                        },
-                    );
-                }
-            }
+        let reached = RoleInput::InstallReached { epoch };
+        if subject == self.seg
+            && self
+                .role
+                .step(ctx.me(), self.own_epoch(), reached)
+                .is_some()
+        {
+            self.rejoins.inc();
+            self.emit(ctx, ProtocolEvent::FedRejoin { subject, epoch });
         }
+    }
+
+    /// The highest own-segment epoch this node holds.
+    fn own_epoch(&self) -> u32 {
+        let s = self.seg as usize;
+        self.claims[s][s].map_or(0, |(epoch, _)| epoch)
     }
 
     /// Reacts to a digest frame observed on the local bus: adopt,
     /// endorse, re-check the install rule, and queue the frame for
     /// onward flooding if it was news. Standbys run the same table
     /// updates *silently* — no event, no outbox — which is what makes
-    /// a later promotion warm; they additionally track the digest's
-    /// transmitter as the acting leader. An active gateway that hears
-    /// a rival own-segment announcement under a fresher epoch yields
-    /// (see [`crate::election`]).
+    /// a later promotion warm; an own-segment digest also feeds the
+    /// role machine (see [`crate::election`]).
     fn on_digest(&mut self, ctx: &mut Ctx<'_>, mid: Mid, payload: &Payload) {
-        let Some((reporter, subject)) = digest_mid_segments(mid) else {
-            return;
-        };
-        let Some(claim) = decode_digest(payload) else {
+        let decoded = digest_mid_segments(mid).zip(decode_digest(payload));
+        let Some(((reporter, subject), claim @ (epoch, view))) = decoded else {
             return;
         };
         if reporter >= self.segments || subject >= self.segments {
             return;
         }
-        // Election bookkeeping: an own-segment digest from another
-        // local transmitter names that transmitter as the acting
-        // representative of this segment.
-        if reporter == self.seg && subject == self.seg && mid.node() != ctx.me() {
-            let transmitter = mid.node();
-            let known = self.claims[self.seg as usize][self.seg as usize].map_or(0, |(e, _)| e);
-            match self.role {
-                GatewayRole::Standby if claim.0 >= known => {
-                    self.leader = Some(transmitter);
-                }
-                GatewayRole::Active
-                    if claim.0 > known
-                        || (claim.0 == known && transmitter.as_u8() < ctx.me().as_u8()) =>
-                {
-                    self.demote(transmitter);
-                }
-                _ => {}
+        if (reporter, subject) == (self.seg, self.seg) {
+            let (me, transmitter) = (ctx.me(), mid.node());
+            let heard = RoleInput::DigestHeard { transmitter, epoch };
+            if self.role.step(me, self.own_epoch(), heard) == Some(RoleOutput::Demote) {
+                // A demoted relay must never ship frames queued under
+                // its deposed tenure.
+                self.outbox.clear();
             }
         }
-        let fresh = self.adopt(reporter, subject, claim);
-        if fresh {
-            if self.role == GatewayRole::Active {
-                self.stack.obs().emit(
-                    ctx.now(),
-                    ctx.me(),
-                    ProtocolEvent::FedDigest {
-                        reporter,
-                        subject,
-                        epoch: claim.0,
-                        view: claim.1,
-                    },
-                );
+        let active = self.role.is_active();
+        if self.adopt(reporter, subject, claim) {
+            if active {
+                let event = ProtocolEvent::FedDigest {
+                    reporter,
+                    subject,
+                    epoch,
+                    view,
+                };
+                self.emit(ctx, event);
             }
             // Endorse: our own row now carries the freshest claim we
             // know for this subject, so the next gossip tick spreads
@@ -453,121 +356,53 @@ impl Gateway {
         // only advance the dedup watermark, so a promotion does not
         // re-flood claims the old gateway already spread.
         let seen = &mut self.relayed[reporter as usize][subject as usize];
-        if claim.0 > *seen {
-            *seen = claim.0;
-            if self.role == GatewayRole::Active {
-                self.outbox.push(BridgeFrame {
-                    mid,
-                    payload: *payload,
-                    from_seg: self.seg,
-                });
+        if epoch > *seen {
+            *seen = epoch;
+            if active {
+                self.outbox.push((mid, *payload));
             }
         }
     }
 
-    /// Reacts to the wrapped stack's view after a delegated callback,
-    /// according to role: the active gateway announces view changes
-    /// ([`Gateway::track_view`]); a standby watches for the expulsion
-    /// of the acting gateway ([`Gateway::observe_view`]).
+    /// Feeds a change of the wrapped stack's view to the role machine
+    /// after a delegated callback: a standby may promote; the active
+    /// gateway announces the new view under a bumped epoch.
     fn after_stack(&mut self, ctx: &mut Ctx<'_>) {
-        match self.role {
-            GatewayRole::Active => self.track_view(ctx),
-            GatewayRole::Standby => self.observe_view(ctx),
-        }
-    }
-
-    /// Tracks the wrapped stack's view after a delegated callback: a
-    /// change bumps the segment epoch and refreshes the own-segment
-    /// claim.
-    fn track_view(&mut self, ctx: &mut Ctx<'_>) {
         let view = self.stack.view();
         if view == self.last_view {
             return;
         }
-        self.last_view = view;
-        let epoch = self.claims[self.seg as usize][self.seg as usize]
-            .map_or(0, |(e, _)| e)
-            + 1;
-        self.claims[self.seg as usize][self.seg as usize] = Some((epoch, view));
-        self.stack.obs().emit(
-            ctx.now(),
-            ctx.me(),
-            ProtocolEvent::FedDigest {
-                reporter: self.seg,
-                subject: self.seg,
-                epoch,
-                view,
-            },
-        );
-        self.try_install(ctx, self.seg);
-    }
-
-    /// Standby view tracking: when the installed view expels the node
-    /// believed to hold the active role, the deterministic successor
-    /// (lowest live id) promotes itself; every other survivor forgets
-    /// the leader and waits for the successor's first digest.
-    fn observe_view(&mut self, ctx: &mut Ctx<'_>) {
-        let view = self.stack.view();
-        if view == self.last_view {
-            return;
-        }
-        let prev = self.last_view;
-        self.last_view = view;
-        let Some(leader) = self.leader else { return };
-        if !prev.contains(leader) || view.contains(leader) {
-            return;
-        }
-        // The membership expelled the acting gateway.
-        self.leader = None;
-        if view.contains(ctx.me()) && successor(view) == Some(ctx.me()) {
-            self.promote(ctx, leader);
+        let prev = std::mem::replace(&mut self.last_view, view);
+        let known = self.own_epoch();
+        let installed = RoleInput::ViewInstalled { prev, view };
+        match self.role.step(ctx.me(), known, installed) {
+            Some(RoleOutput::Promote { expelled, epoch }) => {
+                self.elections.inc();
+                let leader = expelled;
+                self.emit(ctx, ProtocolEvent::FedElect { leader, epoch });
+                self.announce(ctx, epoch);
+                // Re-announce at once (gossip also arms the digest
+                // timer the standby never carried).
+                self.on_gossip_tick(ctx);
+            }
+            _ if self.role.is_active() => self.announce(ctx, known + 1),
+            _ => {}
         }
     }
 
-    /// Promotion: assume the active role, announce the segment under a
-    /// bumped epoch on the local bus and across every bridge, and mark
-    /// the rejoin as pending until the stable cut catches up.
-    fn promote(&mut self, ctx: &mut Ctx<'_>, expelled: NodeId) {
-        self.role = GatewayRole::Active;
-        let epoch = self.claims[self.seg as usize][self.seg as usize]
-            .map_or(0, |(e, _)| e)
-            + 1;
-        self.claims[self.seg as usize][self.seg as usize] = Some((epoch, self.last_view));
-        self.rejoin_pending = Some(epoch);
-        self.elections.inc();
-        self.stack.obs().emit(
-            ctx.now(),
-            ctx.me(),
-            ProtocolEvent::FedElect {
-                leader: expelled,
-                epoch,
-            },
-        );
-        self.stack.obs().emit(
-            ctx.now(),
-            ctx.me(),
-            ProtocolEvent::FedDigest {
-                reporter: self.seg,
-                subject: self.seg,
-                epoch,
-                view: self.last_view,
-            },
-        );
-        self.try_install(ctx, self.seg);
-        // Re-announce immediately (gossip also arms the digest timer
-        // the standby never carried).
-        self.on_gossip_tick(ctx);
-    }
-
-    /// Demotion: yield the active role to `new_leader`. The bridge
-    /// outbox is voided — a demoted relay must never ship frames
-    /// queued under its deposed tenure.
-    fn demote(&mut self, new_leader: NodeId) {
-        self.role = GatewayRole::Standby;
-        self.leader = Some(new_leader);
-        self.rejoin_pending = None;
-        self.outbox.clear();
-        debug_assert!(self.outbox.is_empty(), "demotion leaves a stale outbox");
+    /// Claims the current view for the own segment under `epoch`.
+    fn announce(&mut self, ctx: &mut Ctx<'_>, epoch: u32) {
+        let (seg, view) = (self.seg, self.last_view);
+        self.claims[seg as usize][seg as usize] = Some((epoch, view));
+        let (reporter, subject) = (seg, seg);
+        let event = ProtocolEvent::FedDigest {
+            reporter,
+            subject,
+            epoch,
+            view,
+        };
+        self.emit(ctx, event);
+        self.try_install(ctx, seg);
     }
 
     /// Gossip tick: broadcast every claim of the own row as a digest
@@ -577,17 +412,14 @@ impl Gateway {
     /// re-crosses on the first tick after heal, while the `relayed`
     /// dedup still keeps the reactive flood from echoing stale claims.
     fn on_gossip_tick(&mut self, ctx: &mut Ctx<'_>) {
+        let seg = self.seg as usize;
         for subject in 0..self.segments {
-            if let Some(claim) = self.claims[self.seg as usize][subject as usize] {
+            if let Some(claim) = self.claims[seg][subject as usize] {
                 let mid = digest_mid(self.seg, subject, ctx.me());
                 let payload = encode_digest(claim);
                 ctx.can_data_req(mid, payload);
-                self.outbox.push(BridgeFrame {
-                    mid,
-                    payload,
-                    from_seg: self.seg,
-                });
-                let seen = &mut self.relayed[self.seg as usize][subject as usize];
+                self.outbox.push((mid, payload));
+                let seen = &mut self.relayed[seg][subject as usize];
                 *seen = (*seen).max(claim.0);
             }
         }
@@ -598,7 +430,7 @@ impl Gateway {
     fn arm_digest_timer(&mut self, ctx: &mut Ctx<'_>) {
         if !self.digest_timer_armed {
             self.digest_timer_armed = true;
-            ctx.start_alarm(self.digest_period, TimerOwner::FederationDigest.encode());
+            ctx.start_alarm(DIGEST_PERIOD, TimerOwner::FederationDigest.encode());
         }
     }
 }
@@ -610,7 +442,7 @@ fn encode_digest((epoch, view): Claim) -> Payload {
     let mut bytes = [0u8; 8];
     bytes[..4].copy_from_slice(&(view.bits() as u32).to_le_bytes());
     bytes[4..].copy_from_slice(&epoch.to_le_bytes());
-    Payload::from_slice(&bytes).expect("8 bytes fit a CAN frame")
+    Payload::from(bytes)
 }
 
 fn decode_digest(payload: &Payload) -> Option<Claim> {
@@ -623,8 +455,8 @@ fn decode_digest(payload: &Payload) -> Option<Claim> {
 impl Application for Gateway {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         self.stack.on_start(ctx);
-        if self.role == GatewayRole::Active {
-            self.track_view(ctx);
+        if self.role.is_active() {
+            self.after_stack(ctx);
             self.arm_digest_timer(ctx);
         }
     }
@@ -635,19 +467,12 @@ impl Application for Gateway {
         if let DriverEvent::DataInd { mid, payload } = event {
             if mid.msg_type() == MsgType::Digest {
                 self.on_digest(ctx, *mid, payload);
-            } else if self.role == GatewayRole::Active
-                && self.filter.passes(*mid)
-                && mid.node() != ctx.me()
-            {
+            } else if self.role.is_active() && self.filter.passes(*mid) && mid.node() != ctx.me() {
                 // Own transmissions never cross: the gateway's
                 // injections would otherwise ping-pong between
                 // segments forever. App relay is thus single-hop,
                 // neighbour-to-neighbour; the digest plane floods.
-                self.outbox.push(BridgeFrame {
-                    mid: *mid,
-                    payload: *payload,
-                    from_seg: self.seg,
-                });
+                self.outbox.push((*mid, *payload));
             }
         }
     }
@@ -657,7 +482,7 @@ impl Application for Gateway {
             self.digest_timer_armed = false;
             // A timer armed before a demotion is swallowed un-rearmed:
             // only the active gateway gossips.
-            if self.role == GatewayRole::Active {
+            if self.role.is_active() {
                 self.on_gossip_tick(ctx);
             }
             return;
@@ -670,6 +495,7 @@ impl Application for Gateway {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use can_controller::Rig;
     use can_types::NodeId;
     use canely::CanelyConfig;
 
@@ -690,20 +516,20 @@ mod tests {
 
     #[test]
     fn filter_never_passes_control_traffic() {
-        let filter = RelayFilter::pass_through();
         let app = Mid::new(MsgType::AppData, 3, NodeId::new(1));
-        assert!(filter.passes(app));
+        assert!(RelayFilter::All.passes(app));
         for control in [
             Mid::new(MsgType::Els, 0, NodeId::new(1)),
             Mid::new(MsgType::Fda, 0, NodeId::new(1)),
             Mid::new(MsgType::Rha, 0, NodeId::new(1)),
             Mid::new(MsgType::Join, 0, NodeId::new(1)),
         ] {
-            assert!(!filter.passes(control));
+            assert!(!RelayFilter::All.passes(control));
+            assert!(!RelayFilter::Below(u16::MAX).passes(control));
         }
-        assert!(!RelayFilter::none().passes(app));
-        assert!(RelayFilter::app_below(4).passes(app));
-        assert!(!RelayFilter::app_below(3).passes(app));
+        assert!(!RelayFilter::None.passes(app));
+        assert!(RelayFilter::Below(4).passes(app));
+        assert!(!RelayFilter::Below(3).passes(app));
     }
 
     #[test]
@@ -711,31 +537,20 @@ mod tests {
         // Regression for the drains-but-drops hole: a gateway that
         // yields the active role must not leave frames queued under
         // its deposed tenure for the pump to ship (or leak) later.
-        let stack = CanelyStack::new(CanelyConfig::default());
-        let mut gw = Gateway::new(stack, 0, 4, RelayFilter::none());
-        assert!(gw.is_active());
-        gw.outbox.push(BridgeFrame {
-            mid: Mid::new(MsgType::AppData, 1, NodeId::new(3)),
-            payload: Payload::from_slice(&[1, 2, 3]).unwrap(),
-            from_seg: 0,
-        });
-        assert_eq!(gw.outbox_len(), 1);
-        gw.demote(NodeId::new(2));
-        assert_eq!(gw.outbox_len(), 0, "demotion must void the outbox");
-        assert!(!gw.is_active());
-        assert_eq!(gw.leader(), Some(NodeId::new(2)));
-        assert_eq!(gw.rejoin_pending(), None);
-    }
-
-    #[test]
-    fn promotion_requires_an_expelled_leader() {
-        // A standby whose leader is unknown (a restarted former
-        // gateway) never ranks itself, whatever the view does.
-        let stack = CanelyStack::new(CanelyConfig::default());
-        let gw = Gateway::new(stack, 0, 4, RelayFilter::none())
-            .with_role(crate::GatewayRole::Standby)
-            .with_leader(None);
-        assert!(!gw.is_active());
-        assert_eq!(gw.leader(), None);
+        let config = CanelyConfig::default();
+        let fed = FederationConfig::new(config.clone(), 4, 4);
+        let rejoin_pending = None;
+        let active = GatewayRole::Active { rejoin_pending };
+        let mut gw = Gateway::new(CanelyStack::new(config), 0, &fed, active);
+        let payload = Payload::from_slice(&[1, 2, 3]).unwrap();
+        gw.outbox
+            .push((Mid::new(MsgType::AppData, 1, NodeId::new(3)), payload));
+        // Node 2 announces the own segment under a fresher epoch.
+        let rival = digest_mid(0, 0, NodeId::new(2));
+        let claim = encode_digest((1, NodeSet::first_n(4)));
+        Rig::new(0).ctx(|ctx| gw.on_digest(ctx, rival, &claim));
+        assert!(gw.outbox.is_empty(), "demotion must void the outbox");
+        let leader = Some(NodeId::new(2));
+        assert_eq!(gw.role(), GatewayRole::Standby { leader });
     }
 }

@@ -30,9 +30,11 @@
 //! the active gateway, the deterministic [`election`] promotes the
 //! lowest-ranked survivor, which bumps the segment epoch and
 //! re-announces until the global view re-converges (the *rejoin*).
-//! Bridge delivery failures (partition windows, a mid-failover
-//! headless segment) back off exponentially through a bounded retry
-//! queue instead of dropping frames on the floor.
+//!
+//! Both federation decisions are pure machines the harness drives: the
+//! role ([`GatewayRole::step`]) and bridge delivery ([`Bridges`]), whose
+//! failed attempts (partition windows, a mid-failover headless segment)
+//! back off through a bounded retry queue instead of being dropped.
 //!
 //! The single-segment case is exact: one segment has no bridge, so it
 //! hosts bare stacks, advances in one stride and produces traces
@@ -41,10 +43,12 @@
 
 #![forbid(unsafe_code)]
 
+pub mod bridge;
 pub mod election;
 pub mod gateway;
 pub mod sim;
 
-pub use election::{successor, GatewayRole};
-pub use gateway::{quorum, BridgeFrame, Claim, Gateway, InstallRecord, RelayFilter};
-pub use sim::{BridgeHealth, BridgeKind, FedMetrics, FederationConfig, FederationSim};
+pub use bridge::{Attempt, Bridges, Verdict, QUANTUM};
+pub use election::{successor, GatewayRole, RoleInput, RoleOutput};
+pub use gateway::{quorum, BridgeFrame, Claim, Gateway, InstallRecord, RelayFilter, DIGEST_PERIOD};
+pub use sim::{BridgeKind, FedMetrics, FederationConfig, FederationSim};

@@ -20,22 +20,22 @@
 //! configured gateway node back as a fresh standby.
 //!
 //! The harness is failover-aware: every node of a bridged world hosts
-//! a [`Gateway`] wrapper, the pump drains and injects at whichever
-//! node currently holds the active role (see [`crate::election`]), and
-//! delivery attempts that fail — blocked direction, or a destination
-//! segment between representatives — back off through a bounded
-//! deterministic retry queue instead of being dropped.
+//! a [`Gateway`] wrapper, and the pump drains and injects at whichever
+//! node currently holds the active role (see [`crate::election`]).
+//! Whether a frame crosses, waits or is lost is the delivery machine's
+//! decision ([`crate::bridge`]); the harness only carries it out.
 //!
 //! One segment *is* the paper's single bus: with no bridge there is
 //! nothing to represent, relay or pump, so such a world hosts bare
 //! [`CanelyStack`]s and advances to the deadline in one stride.
 //! [`FederationSim::stack`] hides the difference from callers.
 
-use crate::election::GatewayRole;
-use crate::gateway::{BridgeFrame, Gateway, RelayFilter};
+use crate::bridge::{Bridges, Verdict, QUANTUM};
+use crate::election::{GatewayRole, RoleInput};
+use crate::gateway::{Gateway, RelayFilter};
 use can_bus::{BusConfig, FaultPlan};
 use can_controller::Simulator;
-use can_types::{mix64, BitTime, NodeId, GOLDEN};
+use can_types::{BitTime, NodeId};
 use canely::obs::{ObsLog, Retention};
 use canely::tags::MAX_SEGMENTS;
 use canely::{CanelyConfig, CanelyStack, DetectorMetrics, TrafficConfig};
@@ -66,13 +66,10 @@ impl BridgeKind {
 
     /// Parses a scenario keyword.
     pub fn from_key(word: &str) -> Option<BridgeKind> {
-        match word {
-            "line" => Some(BridgeKind::Line),
-            "ring" => Some(BridgeKind::Ring),
-            "star" => Some(BridgeKind::Star),
-            "full" => Some(BridgeKind::Full),
-            _ => None,
-        }
+        use BridgeKind::{Full, Line, Ring, Star};
+        [Line, Ring, Star, Full]
+            .into_iter()
+            .find(|kind| kind.key() == word)
     }
 
     /// The bridge set for `k` segments, as ordered pairs `(a, b)` with
@@ -88,13 +85,7 @@ impl BridgeKind {
                 }
             }
             BridgeKind::Star => out.extend((1..k).map(|i| (0, i))),
-            BridgeKind::Full => {
-                for a in 0..k {
-                    for b in (a + 1)..k {
-                        out.push((a, b));
-                    }
-                }
-            }
+            BridgeKind::Full => out.extend((0..k).flat_map(|a| (a + 1..k).map(move |b| (a, b)))),
         }
         out
     }
@@ -122,12 +113,6 @@ pub struct FederationConfig {
     pub topology: BridgeKind,
     /// What crosses the bridges besides digests.
     pub filter: RelayFilter,
-    /// Digest gossip period.
-    pub digest_period: BitTime,
-    /// Lockstep quantum: how far segments run between bridge pumps.
-    /// Bounds the extra cross-segment propagation delay a bridge hop
-    /// adds on top of arbitration.
-    pub quantum: BitTime,
     /// The event kinds the segment logs store ([`ObsLog::retaining`]).
     pub retention: Retention,
 }
@@ -135,15 +120,22 @@ pub struct FederationConfig {
 impl FederationConfig {
     /// A federation of `segments × nodes` with defaults matching the
     /// single-bus campaign model.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a shape the readers refuse on its line:
+    /// `grammar::segment_count` bounds `segments` to
+    /// `1..=MAX_SEGMENTS`; `grammar::federated_population` caps a
+    /// bridged population at 32, and `Scenario::judged` and the
+    /// campaign `nodes` reader hold every judged one to at least 2.
     pub fn new(config: CanelyConfig, segments: u8, nodes: u8) -> Self {
-        assert!(segments >= 1, "a federation has at least one segment");
         assert!(
-            (segments as usize) <= MAX_SEGMENTS,
-            "the digest encoding addresses at most {MAX_SEGMENTS} segments"
+            (1..=MAX_SEGMENTS).contains(&usize::from(segments)),
+            "{segments} segments: grammar::segment_count refuses it"
         );
         assert!(
             segments == 1 || (2..=32).contains(&nodes),
-            "bridged segment populations must be 2..=32 (digest views are 32-bit)"
+            "{nodes} bridged nodes: grammar::federated_population and Scenario::judged refuse it"
         );
         FederationConfig {
             config,
@@ -151,9 +143,7 @@ impl FederationConfig {
             nodes,
             gateway: 0,
             topology: BridgeKind::Ring,
-            filter: RelayFilter::none(),
-            digest_period: BitTime::new(10_000),
-            quantum: BitTime::new(1_000),
+            filter: RelayFilter::None,
             retention: Retention::ALL,
         }
     }
@@ -177,8 +167,16 @@ impl FederationConfig {
     }
 
     /// Sets the gateway's local node id.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `gateway` is outside the population, which
+    /// `grammar::gateway_in_segment` refuses on its line.
     pub fn with_gateway(mut self, gateway: u8) -> Self {
-        assert!(gateway < self.nodes, "gateway outside the population");
+        assert!(
+            gateway < self.nodes,
+            "gateway outside the population: grammar::gateway_in_segment refuses it"
+        );
         self.gateway = gateway;
         self
     }
@@ -217,84 +215,19 @@ pub struct FedMetrics {
     pub bridge_health: canely_metrics::Gauge,
 }
 
-/// Per-direction delivery health of one bridge, maintained by the
-/// pump: a direction is *healthy* while its last attempt delivered.
-/// The counters make flaky bridges visible to tests and diagnostics
-/// without parsing the trace.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BridgeHealth {
-    /// Frames delivered in this direction.
-    pub delivered: u64,
-    /// Delivery attempts deferred into the retry queue.
-    pub deferred: u64,
-    /// Frames dropped for good in this direction.
-    pub dropped: u64,
-    /// Failed attempts since the last success.
-    pub consecutive_failures: u32,
-}
-
-impl BridgeHealth {
-    /// Whether the last attempt in this direction delivered.
-    pub fn healthy(self) -> bool {
-        self.consecutive_failures == 0
-    }
-}
-
-/// A bridge frame awaiting redelivery after a failed attempt. The
-/// queue preserves insertion order, so draining is deterministic FIFO.
-#[derive(Debug, Clone)]
-struct Retry {
-    frame: BridgeFrame,
-    to_seg: u8,
-    /// Attempts already made (≥ 1 once queued).
-    attempts: u32,
-    due: BitTime,
-}
-
-/// Retry attempts per frame before it is dropped for good.
-const MAX_RETRY_ATTEMPTS: u32 = 6;
-/// Bound on each direction's retry queue.
-const MAX_RETRY_QUEUE: usize = 64;
-/// Exponential backoff cap, in quanta.
-const BACKOFF_CAP_QUANTA: u64 = 16;
-
-/// One direction of one bridge being blocked for a window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct DirectedBlock {
-    from_seg: u8,
-    to_seg: u8,
-    from: BitTime,
-    until: BitTime,
-}
-
 /// K coupled per-segment simulators (see the module docs).
 pub struct FederationSim {
     sims: Vec<Simulator>,
     logs: Vec<ObsLog>,
-    bridges: Vec<(u8, u8)>,
-    gateway: NodeId,
-    segments: u8,
-    nodes: u8,
-    quantum: BitTime,
+    /// The delivery machine: bridges, blocked windows, retries.
+    bridges: Bridges,
+    /// The shape, kept so a gateway restart can build a fresh standby
+    /// identical to the original population's wrappers.
+    fed: FederationConfig,
+    traffic: Option<BitTime>,
     now: BitTime,
-    /// Inter-segment partitions: all bridges, both directions.
-    partitions: Vec<(BitTime, BitTime)>,
-    /// Asymmetric windows: one bridge, one direction.
-    asymmetric: Vec<DirectedBlock>,
     /// Live-telemetry counters (disabled by default).
     metrics: FedMetrics,
-    /// Construction parameters kept so a gateway restart can build a
-    /// fresh standby identical to the original population's wrappers.
-    config: CanelyConfig,
-    filter: RelayFilter,
-    digest_period: BitTime,
-    traffic: Option<BitTime>,
-    /// Seed for the deterministic retry-backoff jitter.
-    backoff_seed: u64,
-    /// Frames awaiting redelivery, in insertion (FIFO) order.
-    retries: Vec<Retry>,
-    /// Per-direction bridge health, in bridge order (a→b then b→a).
-    health: Vec<((u8, u8), BridgeHealth)>,
 }
 
 impl FederationSim {
@@ -310,44 +243,25 @@ impl FederationSim {
         seed_of: impl Fn(u8) -> u64,
         plan_of: impl Fn(u64) -> FaultPlan,
     ) -> Self {
-        let bridges = fed.topology.bridges(fed.segments);
-        let health = bridges
-            .iter()
-            .flat_map(|&(a, b)| [((a, b), BridgeHealth::default()), ((b, a), BridgeHealth::default())])
-            .collect();
         let mut this = FederationSim {
             sims: Vec::with_capacity(fed.segments as usize),
             logs: (0..fed.segments)
                 .map(|_| ObsLog::retaining(fed.retention))
                 .collect(),
-            bridges,
-            gateway: NodeId::new(fed.gateway),
-            segments: fed.segments,
-            nodes: fed.nodes,
-            quantum: fed.quantum,
-            now: BitTime::ZERO,
-            partitions: Vec::new(),
-            asymmetric: Vec::new(),
-            metrics: FedMetrics::default(),
-            config: fed.config.clone(),
-            filter: fed.filter.clone(),
-            digest_period: fed.digest_period,
+            bridges: Bridges::new(fed.topology.bridges(fed.segments), seed_of(0)),
+            fed: fed.clone(),
             traffic,
-            backoff_seed: seed_of(0),
-            retries: Vec::new(),
-            health,
+            now: BitTime::ZERO,
+            metrics: FedMetrics::default(),
         };
         for seg in 0..fed.segments {
             let mut sim = Simulator::new(BusConfig::default(), plan_of(seed_of(seg)));
             for id in 0..fed.nodes {
                 let node = NodeId::new(id);
-                if !this.bridged() {
-                    sim.add_node(node, this.node_stack(seg, id));
-                } else if node == this.gateway {
-                    sim.add_node(node, this.node_gateway(seg, id, GatewayRole::Active, None));
+                if this.bridged() {
+                    sim.add_node(node, this.node_gateway(seg, id, this.initial_role(node)));
                 } else {
-                    let leader = Some(this.gateway);
-                    sim.add_node(node, this.node_gateway(seg, id, GatewayRole::Standby, leader));
+                    sim.add_node(node, this.node_stack(seg, id));
                 }
             }
             this.sims.push(sim);
@@ -358,14 +272,25 @@ impl FederationSim {
     /// Whether any bridge exists, i.e. whether nodes host [`Gateway`]
     /// wrappers and the pump has work.
     fn bridged(&self) -> bool {
-        !self.bridges.is_empty()
+        !self.bridges.pairs().is_empty()
+    }
+
+    /// The role `node` boots in: the configured gateway acts, everyone
+    /// else is a standby that believes in it.
+    fn initial_role(&self, node: NodeId) -> GatewayRole {
+        let (leader, rejoin_pending) = (Some(self.gateway()), None);
+        if node == self.gateway() {
+            GatewayRole::Active { rejoin_pending }
+        } else {
+            GatewayRole::Standby { leader }
+        }
     }
 
     /// One node's unmodified protocol stack, wired to its segment's
     /// log and loaded with the harness's cyclic traffic.
     fn node_stack(&self, seg: u8, id: u8) -> CanelyStack {
         let stack =
-            CanelyStack::new(self.config.clone()).with_obs(self.logs[seg as usize].sink());
+            CanelyStack::new(self.fed.config.clone()).with_obs(self.logs[seg as usize].sink());
         match self.traffic {
             Some(period) => stack.with_traffic(TrafficConfig::staggered(period, id)),
             None => stack,
@@ -374,12 +299,9 @@ impl FederationSim {
 
     /// The gateway wrapper around [`FederationSim::node_stack`] that a
     /// node of a bridged world hosts.
-    fn node_gateway(&self, seg: u8, id: u8, role: GatewayRole, leader: Option<NodeId>) -> Gateway {
-        let mut gateway =
-            Gateway::new(self.node_stack(seg, id), seg, self.segments, self.filter.clone())
-                .with_role(role)
-                .with_leader(leader)
-                .with_digest_period(self.digest_period);
+    fn node_gateway(&self, seg: u8, id: u8, role: GatewayRole) -> Gateway {
+        let stack = self.node_stack(seg, id);
+        let mut gateway = Gateway::new(stack, seg, &self.fed, role);
         gateway.set_fed_counters(self.metrics.elections.clone(), self.metrics.rejoins.clone());
         gateway
     }
@@ -389,7 +311,7 @@ impl FederationSim {
     pub fn set_metrics(&mut self, metrics: FedMetrics) {
         if self.bridged() {
             for sim in &mut self.sims {
-                for id in 0..self.nodes {
+                for id in 0..self.fed.nodes {
                     sim.app_mut::<Gateway>(NodeId::new(id))
                         .set_fed_counters(metrics.elections.clone(), metrics.rejoins.clone());
                 }
@@ -403,12 +325,13 @@ impl FederationSim {
     /// every node but the configured gateway, whose detector traffic
     /// is booked to the representative role rather than to a member.
     pub fn set_detector_metrics(&mut self, metrics: DetectorMetrics) {
-        let (bridged, gateway) = (self.bridged(), self.gateway);
+        let (bridged, gateway) = (self.bridged(), self.gateway());
         for sim in &mut self.sims {
-            for node in (0..self.nodes).map(NodeId::new) {
+            for node in (0..self.fed.nodes).map(NodeId::new) {
                 let metrics = metrics.clone();
                 if !bridged {
-                    sim.app_mut::<CanelyStack>(node).set_detector_metrics(metrics);
+                    sim.app_mut::<CanelyStack>(node)
+                        .set_detector_metrics(metrics);
                 } else if node != gateway {
                     sim.app_mut::<Gateway>(node).set_detector_metrics(metrics);
                 }
@@ -418,7 +341,7 @@ impl FederationSim {
 
     /// The gateway's local node id (same in every segment).
     pub fn gateway(&self) -> NodeId {
-        self.gateway
+        NodeId::new(self.fed.gateway)
     }
 
     /// One segment's simulator.
@@ -447,12 +370,6 @@ impl FederationSim {
         }
     }
 
-    /// The *configured* gateway slot's application (stale after a
-    /// failover — see [`FederationSim::active_gateway_app`]).
-    pub fn gateway_app(&self, seg: u8) -> &Gateway {
-        self.node_app(seg, self.gateway)
-    }
-
     /// Any node's gateway wrapper (bridged worlds only).
     pub fn node_app(&self, seg: u8, node: NodeId) -> &Gateway {
         self.sims[seg as usize].app::<Gateway>(node)
@@ -464,28 +381,14 @@ impl FederationSim {
     pub fn active_gateway(&self, seg: u8) -> Option<NodeId> {
         let sim = &self.sims[seg as usize];
         let alive = sim.alive();
-        (0..self.nodes)
+        (0..self.fed.nodes)
             .map(NodeId::new)
-            .find(|&node| alive.contains(node) && sim.app::<Gateway>(node).is_active())
-    }
-
-    /// The acting representative's application, if the segment has one.
-    pub fn active_gateway_app(&self, seg: u8) -> Option<&Gateway> {
-        self.active_gateway(seg)
-            .map(|node| self.sims[seg as usize].app::<Gateway>(node))
-    }
-
-    /// Per-direction bridge health maintained by the pump.
-    pub fn bridge_health(&self, from_seg: u8, to_seg: u8) -> Option<BridgeHealth> {
-        self.health
-            .iter()
-            .find(|&&(dir, _)| dir == (from_seg, to_seg))
-            .map(|&(_, h)| h)
+            .find(|&node| alive.contains(node) && sim.app::<Gateway>(node).role().is_active())
     }
 
     /// Schedules a fail-silent crash of `seg`'s gateway.
     pub fn schedule_gateway_crash(&mut self, seg: u8, at: BitTime) {
-        let gw = self.gateway;
+        let gw = self.gateway();
         self.sims[seg as usize].schedule_crash(gw, at);
     }
 
@@ -498,44 +401,43 @@ impl FederationSim {
     ///
     /// # Panics
     ///
-    /// Panics in a single-segment world, which has no gateway.
+    /// Panics in a single-segment world, which has no gateway: the
+    /// readers refuse `gateway-restart` without `segments` above 1
+    /// (`scenario.rs::finish`, `spec.rs::validate`).
     pub fn schedule_gateway_restart(&mut self, seg: u8, at: BitTime) {
-        assert!(self.bridged(), "a single segment has no gateway to restart");
-        let gw = self.gateway;
-        let app = self.node_gateway(seg, gw.as_u8(), GatewayRole::Standby, None);
+        assert!(
+            self.bridged(),
+            "gateway restart in a single segment: the readers refuse it"
+        );
+        let gw = self.gateway();
+        let mut role = self.initial_role(gw);
+        role.step(gw, 0, RoleInput::Restarted);
+        let app = self.node_gateway(seg, gw.as_u8(), role);
         self.sims[seg as usize].schedule_restart(gw, at, app);
     }
 
-    /// Blocks every bridge in both directions during `[from, until)`.
+    /// Blocks every bridge in both directions during `[from, until)`,
+    /// a window [`Bridges::block`] requires to be non-empty.
     pub fn schedule_partition(&mut self, from: BitTime, until: BitTime) {
-        assert!(from < until, "empty partition window");
-        self.partitions.push((from, until));
+        self.bridges.block(None, from..until);
     }
 
     /// Blocks the `from_seg → to_seg` direction of that pair's bridge
-    /// during `[from, until)` (the pair must be bridged).
+    /// during `[from, until)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pair is not bridged — `scenario.rs::finish` refuses
+    /// such an `asymmetric` line, and campaign expansion draws the
+    /// pair from the topology's bridges — or the window is empty
+    /// ([`Bridges::block`]).
     pub fn schedule_asymmetric(&mut self, from_seg: u8, to_seg: u8, from: BitTime, until: BitTime) {
-        assert!(from < until, "empty asymmetric window");
-        let key = (from_seg.min(to_seg), from_seg.max(to_seg));
+        let pair = (from_seg.min(to_seg), from_seg.max(to_seg));
         assert!(
-            self.bridges.contains(&key),
-            "segments {from_seg} and {to_seg} are not bridged"
+            self.bridges.pairs().contains(&pair),
+            "unbridged asymmetric window: scenario.rs::finish refuses it"
         );
-        self.asymmetric.push(DirectedBlock {
-            from_seg,
-            to_seg,
-            from,
-            until,
-        });
-    }
-
-    fn blocked(&self, from_seg: u8, to_seg: u8, at: BitTime) -> bool {
-        self.partitions
-            .iter()
-            .any(|&(from, until)| at >= from && at < until)
-            || self.asymmetric.iter().any(|b| {
-                b.from_seg == from_seg && b.to_seg == to_seg && at >= b.from && at < b.until
-            })
+        self.bridges.block(Some((from_seg, to_seg)), from..until);
     }
 
     /// Advances every segment to `deadline`, pumping the bridges once
@@ -545,7 +447,7 @@ impl FederationSim {
         let bridged = self.bridged();
         while self.now < deadline {
             let next = if bridged {
-                (self.now + self.quantum).min(deadline)
+                (self.now + QUANTUM).min(deadline)
             } else {
                 deadline
             };
@@ -561,121 +463,50 @@ impl FederationSim {
     }
 
     /// One bridge pump: replay due retries, then drain every acting
-    /// gateway's outbox and fan frames out across that segment's
+    /// gateway's outbox and fan its frames out across that segment's
     /// bridges — all in fixed order (retry FIFO, then segment order),
-    /// so a federated run stays deterministic. An attempt that finds
-    /// its direction blocked or the destination without an acting
-    /// gateway (mid-failover) is deferred with exponential backoff
-    /// instead of dropped; the retry budget and queue bound cap the
-    /// memory a long partition can pin.
+    /// so a federated run stays deterministic — and carry out the
+    /// delivery machine's verdict on each attempt.
     fn pump(&mut self) {
-        // (frame, destination, attempts so far), in attempt order.
-        let mut candidates: Vec<(BridgeFrame, u8, u32)> = Vec::new();
-        let mut pending = Vec::new();
-        for retry in std::mem::take(&mut self.retries) {
-            if retry.due <= self.now {
-                candidates.push((retry.frame, retry.to_seg, retry.attempts));
-            } else {
-                pending.push(retry);
+        let mut attempts = self.bridges.due(self.now);
+        for seg in 0..self.fed.segments {
+            // No acting representative: nothing drains. The old
+            // gateway's queue died with it (and a demoted one clears
+            // its own), so nothing is silently leaked.
+            if let Some(src) = self.active_gateway(seg) {
+                let frames = self.sims[seg as usize]
+                    .app_mut::<Gateway>(src)
+                    .take_outbox();
+                self.bridges.fan_out(seg, &frames, &mut attempts);
             }
         }
-        self.retries = pending;
-        for seg in 0..self.segments {
-            let Some(src) = self.active_gateway(seg) else {
-                // No acting representative: nothing drains. The old
-                // gateway's queue died with it (and a demoted one
-                // clears its own), so nothing is silently leaked.
-                continue;
-            };
-            let frames = self.sims[seg as usize].app_mut::<Gateway>(src).take_outbox();
-            if frames.is_empty() {
-                continue;
-            }
-            for &(a, b) in &self.bridges {
-                let dest = if a == seg {
-                    b
-                } else if b == seg {
-                    a
-                } else {
-                    continue;
-                };
-                for frame in &frames {
-                    candidates.push((frame.clone(), dest, 0));
+        for attempt in attempts {
+            let to_seg = attempt.to_seg;
+            match self
+                .bridges
+                .attempt(self.now, attempt, self.active_gateway(to_seg))
+            {
+                Verdict::Deliver(at) => {
+                    let frame = &attempt.frame;
+                    let sim = &mut self.sims[to_seg as usize];
+                    sim.drive(at, |gateway: &mut Gateway, ctx| gateway.inject(ctx, frame));
+                    self.metrics.relayed.inc();
+                    if attempt.attempts > 0 {
+                        self.metrics.retry_delivered.inc();
+                    }
+                }
+                Verdict::Deferred => {
+                    self.metrics.blocked.inc();
+                    self.metrics.retry_queued.inc();
+                }
+                Verdict::Dropped => {
+                    self.metrics.blocked.inc();
+                    self.metrics.retry_dropped.inc();
                 }
             }
         }
-        for (frame, to_seg, attempts) in candidates {
-            let destination = self.active_gateway(to_seg);
-            let open = !self.blocked(frame.from_seg, to_seg, self.now);
-            let delivered = match destination {
-                // Every node of a bridged world hosts a `Gateway`.
-                Some(gw) if open => self.sims[to_seg as usize]
-                    .drive(gw, |gateway: &mut Gateway, ctx| gateway.inject(ctx, &frame)),
-                _ => false,
-            };
-            if delivered {
-                self.metrics.relayed.inc();
-                if attempts > 0 {
-                    self.metrics.retry_delivered.inc();
-                }
-                if let Some(health) = self.health_mut(frame.from_seg, to_seg) {
-                    health.delivered += 1;
-                    health.consecutive_failures = 0;
-                }
-            } else {
-                self.defer(frame, to_seg, attempts);
-            }
-        }
-        let healthy = self.health.iter().filter(|&&(_, h)| h.healthy()).count();
-        self.metrics.bridge_health.set(healthy as u64);
-    }
-
-    fn health_mut(&mut self, from_seg: u8, to_seg: u8) -> Option<&mut BridgeHealth> {
-        self.health
-            .iter_mut()
-            .find(|entry| entry.0 == (from_seg, to_seg))
-            .map(|entry| &mut entry.1)
-    }
-
-    /// Books a failed delivery attempt: back the frame off into the
-    /// bounded retry queue, or drop it once the budget or the queue
-    /// bound is exhausted.
-    fn defer(&mut self, frame: BridgeFrame, to_seg: u8, attempts: u32) {
-        self.metrics.blocked.inc();
-        let queue_len = self
-            .retries
-            .iter()
-            .filter(|r| r.frame.from_seg == frame.from_seg && r.to_seg == to_seg)
-            .count();
-        if let Some(health) = self.health_mut(frame.from_seg, to_seg) {
-            health.deferred += 1;
-            health.consecutive_failures += 1;
-        }
-        if attempts >= MAX_RETRY_ATTEMPTS || queue_len >= MAX_RETRY_QUEUE {
-            self.metrics.retry_dropped.inc();
-            if let Some(health) = self.health_mut(frame.from_seg, to_seg) {
-                health.dropped += 1;
-            }
-            return;
-        }
-        // Deterministic exponential backoff in bit-times: quantum ·
-        // 2^attempts, capped, plus a seeded sub-quantum jitter so
-        // retry bursts from one outage de-correlate.
-        let exp = (1u64 << attempts.min(63)).min(BACKOFF_CAP_QUANTA);
-        let key = self.backoff_seed
-            ^ (u64::from(frame.mid.to_can_id().raw()) << 24)
-            ^ (u64::from(frame.from_seg) << 16)
-            ^ (u64::from(to_seg) << 8)
-            ^ u64::from(attempts);
-        let jitter = mix64(key.wrapping_add(GOLDEN)) % self.quantum.as_u64().max(1);
-        let delay = BitTime::new(self.quantum.as_u64() * exp + jitter);
-        self.retries.push(Retry {
-            frame,
-            to_seg,
-            attempts: attempts + 1,
-            due: self.now + delay,
-        });
-        self.metrics.retry_queued.inc();
+        let healthy = self.bridges.healthy() as u64;
+        self.metrics.bridge_health.set(healthy);
     }
 
     /// The merged, segment-qualified JSONL trace: every segment's bus
@@ -706,12 +537,27 @@ mod tests {
         })
     }
 
+    /// The view of `subject` that `seg`'s acting representative
+    /// installed globally.
+    fn installed(sim: &FederationSim, seg: u8, subject: usize) -> NodeSet {
+        let rep = sim
+            .active_gateway(seg)
+            .expect("the segment has a representative");
+        let claim = sim.node_app(seg, rep).installed_views()[subject];
+        claim
+            .unwrap_or_else(|| panic!("segment {seg} never installed {subject}"))
+            .1
+    }
+
     #[test]
     fn bridge_topologies() {
         assert_eq!(BridgeKind::Line.bridges(3), vec![(0, 1), (1, 2)]);
         assert_eq!(BridgeKind::Ring.bridges(3), vec![(0, 1), (1, 2), (0, 2)]);
         assert_eq!(BridgeKind::Ring.bridges(2), vec![(0, 1)]);
-        assert!(BridgeKind::Ring.bridges(1).is_empty(), "one segment, no bridge");
+        assert!(
+            BridgeKind::Ring.bridges(1).is_empty(),
+            "one segment, no bridge"
+        );
         assert_eq!(BridgeKind::Star.bridges(4), vec![(0, 1), (0, 2), (0, 3)]);
         assert_eq!(BridgeKind::Full.bridges(3).len(), 3);
         assert_eq!(BridgeKind::Full.bridges(4).len(), 6);
@@ -723,11 +569,8 @@ mod tests {
         sim.run_until(BitTime::new(300_000));
         let expected = NodeSet::first_n(4);
         for seg in 0..3 {
-            let gw = sim.gateway_app(seg);
             for subject in 0..3 {
-                let (_, view) = gw
-                    .installed(subject)
-                    .unwrap_or_else(|| panic!("segment {seg} never installed {subject}"));
+                let view = installed(&sim, seg, subject);
                 assert_eq!(view, expected, "segment {seg}, subject {subject}");
             }
         }
@@ -737,19 +580,15 @@ mod tests {
     fn segment_crash_updates_the_global_view() {
         let mut sim = fed(3, 4);
         // Crash a non-gateway node of segment 1.
-        sim.sim_mut(1).schedule_crash(NodeId::new(2), BitTime::new(150_000));
+        sim.sim_mut(1)
+            .schedule_crash(NodeId::new(2), BitTime::new(150_000));
         sim.run_until(BitTime::new(400_000));
         let full = NodeSet::first_n(4);
         let reduced = full - NodeSet::singleton(NodeId::new(2));
         for seg in 0..3 {
-            let gw = sim.gateway_app(seg);
-            assert_eq!(gw.installed(0).unwrap().1, full, "segment {seg} about 0");
-            assert_eq!(
-                gw.installed(1).unwrap().1,
-                reduced,
-                "segment {seg} about 1"
-            );
-            assert_eq!(gw.installed(2).unwrap().1, full, "segment {seg} about 2");
+            assert_eq!(installed(&sim, seg, 0), full, "segment {seg} about 0");
+            assert_eq!(installed(&sim, seg, 1), reduced, "segment {seg} about 1");
+            assert_eq!(installed(&sim, seg, 2), full, "segment {seg} about 2");
         }
     }
 
@@ -757,12 +596,13 @@ mod tests {
     fn healed_partition_converges() {
         let mut sim = fed(3, 4);
         sim.schedule_partition(BitTime::new(100_000), BitTime::new(180_000));
-        sim.sim_mut(1).schedule_crash(NodeId::new(3), BitTime::new(120_000));
+        sim.sim_mut(1)
+            .schedule_crash(NodeId::new(3), BitTime::new(120_000));
         sim.run_until(BitTime::new(450_000));
         let reduced = NodeSet::first_n(4) - NodeSet::singleton(NodeId::new(3));
         for seg in 0..3 {
             assert_eq!(
-                sim.gateway_app(seg).installed(1).unwrap().1,
+                installed(&sim, seg, 1),
                 reduced,
                 "segment {seg} must learn the post-partition view of 1"
             );
@@ -780,19 +620,23 @@ mod tests {
         sim.sim_mut(2)
             .schedule_crash(NodeId::new(3), BitTime::new(300_000));
         sim.run_until(BitTime::new(600_000));
-        let promoted = sim.active_gateway(2).expect("segment 2 must elect a successor");
+        let promoted = sim
+            .active_gateway(2)
+            .expect("segment 2 must elect a successor");
         assert_eq!(promoted, NodeId::new(1), "lowest surviving id takes over");
-        assert!(
-            sim.active_gateway_app(2).unwrap().rejoin_pending().is_none(),
+        assert_eq!(
+            sim.node_app(2, promoted).role(),
+            GatewayRole::Active {
+                rejoin_pending: None
+            },
             "the promoted gateway must see its own segment re-converge"
         );
         let expect_2 = NodeSet::first_n(4)
             - NodeSet::singleton(NodeId::new(0))
             - NodeSet::singleton(NodeId::new(3));
         for seg in [0u8, 1, 3] {
-            let gw = sim.gateway_app(seg);
             assert_eq!(
-                gw.installed(2).unwrap().1,
+                installed(&sim, seg, 2),
                 expect_2,
                 "segment {seg} must install 2's post-failover view"
             );
@@ -809,16 +653,18 @@ mod tests {
         // promoted successor keeps the role: ranking only runs when a
         // leader is expelled, and the reboot came back leaderless.
         assert!(sim.sim(1).alive().contains(NodeId::new(0)));
-        let active = sim.active_gateway(1).expect("segment 1 has a representative");
+        let active = sim
+            .active_gateway(1)
+            .expect("segment 1 has a representative");
         assert_eq!(active, NodeId::new(1), "no failback to the restarted node");
-        let restarted = sim.node_app(1, NodeId::new(0));
-        assert!(!restarted.is_active());
-        assert_eq!(restarted.leader(), Some(NodeId::new(1)));
+        let leader = Some(NodeId::new(1));
+        let restarted = sim.node_app(1, NodeId::new(0)).role();
+        assert_eq!(restarted, GatewayRole::Standby { leader });
         // The rejoined member reappears in the globally installed view.
         let full = NodeSet::first_n(4);
         for seg in 0..3 {
             assert_eq!(
-                sim.active_gateway_app(seg).unwrap().installed(1).unwrap().1,
+                installed(&sim, seg, 1),
                 full,
                 "segment {seg} must see the restarted member again"
             );
@@ -836,14 +682,15 @@ mod tests {
         let reduced = NodeSet::first_n(4) - NodeSet::singleton(NodeId::new(0));
         for seg in 0..3 {
             assert_eq!(
-                sim.active_gateway_app(seg).unwrap().installed(2).unwrap().1,
+                installed(&sim, seg, 2),
                 reduced,
                 "segment {seg} must converge on 2's post-crash view"
             );
         }
-        assert!(
-            sim.bridge_health(0, 1).unwrap().healthy(),
-            "bridges report healthy after the window heals"
+        assert_eq!(
+            sim.bridges.healthy(),
+            6,
+            "every direction of the 3-ring reports healthy after the window heals"
         );
     }
 

@@ -38,8 +38,8 @@ fn arb_schedule() -> impl Strategy<Value = Schedule> {
     (
         3u8..=8,
         any::<u64>(),
-        0u32..200,   // consistent rate, in 1/10_000ths
-        0u32..50,    // inconsistent rate, in 1/10_000ths
+        0u32..200, // consistent rate, in 1/10_000ths
+        0u32..50,  // inconsistent rate, in 1/10_000ths
         (any::<bool>(), 2_000u64..20_000).prop_map(|(on, p)| on.then_some(p)),
         prop::collection::vec((0u8..8, 40_000u64..UNTIL - 20_000), 0..3),
     )
@@ -89,8 +89,8 @@ fn plain_trace(s: &Schedule) -> String {
 }
 
 fn federated_trace(s: &Schedule) -> String {
-    let cfg = FederationConfig::new(CanelyConfig::default(), 1, s.nodes)
-        .with_filter(RelayFilter::pass_through());
+    let cfg =
+        FederationConfig::new(CanelyConfig::default(), 1, s.nodes).with_filter(RelayFilter::All);
     let mut fed = FederationSim::new(
         &cfg,
         s.traffic.map(BitTime::new),
@@ -98,7 +98,8 @@ fn federated_trace(s: &Schedule) -> String {
         |seed| plan(&Schedule { seed, ..s.clone() }),
     );
     for &(victim, at) in &s.crashes {
-        fed.sim_mut(0).schedule_crash(NodeId::new(victim), BitTime::new(at));
+        fed.sim_mut(0)
+            .schedule_crash(NodeId::new(victim), BitTime::new(at));
     }
     fed.run_until(BitTime::new(UNTIL));
     fed.export_jsonl()

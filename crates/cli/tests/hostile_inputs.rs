@@ -218,6 +218,31 @@ fn replay_refuses_what_it_would_have_re_interpreted() {
 }
 
 #[test]
+fn a_crash_at_zero_is_refused_where_the_oracle_judges() {
+    // The oracle assumes every crash victim booted first; a node
+    // crashed at 0ms never does, so a correct run read as 3
+    // `detection-latency` violations. The judged readers refuse the
+    // line; single-bus `run`, which has no oracle, still executes it.
+    const NEEDLE: &str = "at 0ms has no campaign-oracle model";
+    let single = "nodes 4\ncrash 1 0ms\nuntil 300ms\n";
+    assert_refused(REPLAY, "zero.canely", single, 2, NEEDLE);
+    let out = run(&argv(&["run", &file("zero.canely", single)])).unwrap();
+    assert!(out.starts_with("scenario: "), "{out}");
+    let head = "nodes 4\nsegments 2\nuntil 300ms\n";
+    for tail in ["seg-crash 1 1 0ms\n", "gateway-crash 0 0ms\n", "gateway-crash 1 0ms\n"] {
+        let text = format!("{head}{tail}");
+        assert_refused(RUN, "zero-fed.canely", &text, 4, NEEDLE);
+        assert_refused(REPLAY, "zero-fed.canely", &text, 4, NEEDLE);
+    }
+    // The first zero instant in document order is the one named.
+    let text = format!("{head}gateway-crash 1 10ms\ncrash 1 0ms\ngateway-crash 0 0ms\n");
+    assert_refused(REPLAY, "zero-order.canely", &text, 5, "`crash` at 0ms");
+    let later = file("later.canely", "nodes 4\ncrash 1 1ms\nuntil 300ms\n");
+    let out = run(&argv(&["campaign", "replay", "--scenario", &later])).unwrap();
+    assert!(out.contains("verdict: clean"), "{out}");
+}
+
+#[test]
 fn a_reader_that_closes_the_pipe_early_ends_the_run_quietly() {
     // `canelyctl trace … --jsonl | head -n 1` used to panic (`failed
     // printing to stdout: Broken pipe`, exit 101): the document is a

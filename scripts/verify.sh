@@ -32,6 +32,8 @@ run cargo build --release --workspace --offline
 run cargo test --workspace --offline -q
 run env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline -q
 run cargo clippy --workspace --all-targets --offline -q -- -D warnings
+# The federation crate is kept rustfmt-clean until the whole workspace is.
+run cargo fmt --check -p canely-federation
 
 # campaign_gate NAME W1 W2: the checked-in campaign must come back
 # clean from the invariant oracle at W1 workers, byte-identical at W2
@@ -195,6 +197,9 @@ printf 'nodes 4\nsegments 2\ntm 1us\n' > "$hostile/tm-fed.canely"
 printf 'nodes 4\ncrash 9 10ms\n' > "$hostile/crash.canely"
 printf 'nodes 4\ntraffic 0ms\n' > "$hostile/traffic.campaign"
 printf 'nodes 4\ntraffic 0 0ms\n' > "$hostile/traffic.canely"
+printf 'nodes 4\ncrash 1 0ms\n' > "$hostile/crash-zero.canely"
+printf 'nodes 4\nsegments 2\nseg-crash 1 1 0ms\n' > "$hostile/seg-crash-zero.canely"
+printf 'nodes 4\nsegments 2\ngateway-crash 1 0ms\n' > "$hostile/gateway-crash-zero.canely"
 refused() {
     status=0
     timeout 10 target/release/canelyctl "$@" > /dev/null 2>&1 || status=$?
@@ -202,6 +207,22 @@ refused() {
         echo "verify: canelyctl $* exited $status, expected a diagnostic and 1" >&2
         exit 1
     fi
+}
+# refused_on LINE ARGS…: refused with a diagnostic anchored to line
+# LINE of the file ending ARGS — a violation verdict also exits 1.
+refused_on() {
+    line="$1"
+    shift
+    for file; do :; done
+    status=0
+    out="$(timeout 10 target/release/canelyctl "$@" 2>&1)" || status=$?
+    case "$status:$out" in
+    "1:error: $file:$line: "*) ;;
+    *)
+        echo "verify: canelyctl $* did not refuse line $line ($status): $out" >&2
+        exit 1
+        ;;
+    esac
 }
 refused campaign run --spec "$hostile/seeds.campaign"
 refused run "$hostile/wrap.canely"
@@ -211,6 +232,9 @@ refused run "$hostile/tm-fed.canely"
 refused campaign replay --scenario "$hostile/crash.canely"
 refused campaign run --spec "$hostile/traffic.campaign"
 refused run "$hostile/traffic.canely"
+refused_on 2 campaign replay --scenario "$hostile/crash-zero.canely"
+refused_on 3 run "$hostile/seg-crash-zero.canely"
+refused_on 3 run "$hostile/gateway-crash-zero.canely"
 
 # Sampling profile smoke: `scripts/profile.sh` (docs/PERF.md,
 # "Measurement notes") must build with frame pointers, sample and
