@@ -52,12 +52,7 @@ fn implicit_heartbeats() {
                 .stats(from, to)
                 .utilization_of(&BusStats::MEMBERSHIP_SUITE)
         };
-        println!(
-            "   {:>8} {:>18} {:>18}",
-            n,
-            pct(run(true)),
-            pct(run(false))
-        );
+        println!("   {:>8} {:>18} {:>18}", n, pct(run(true)), pct(run(false)));
     }
     println!("   -> with implicit heartbeats the suite cost is ~0 for busy nodes;");
     println!("      ablated, every node pays one ELS per heartbeat period.\n");
@@ -140,8 +135,7 @@ fn idle_cycle_skip() {
     // An always-on design pays >= j RHV signals per cycle.
     let j = 2u64;
     let rhv_cost = can_types::FrameFormat::Extended.worst_case_bits(8) + 3;
-    let hypothetical =
-        suite + (j * rhv_cost * cycles) as f64 / (tm.as_u64() * cycles) as f64;
+    let hypothetical = suite + (j * rhv_cost * cycles) as f64 / (tm.as_u64() * cycles) as f64;
     println!(
         "   idle suite utilization with skip: {} (RHA frames: {})",
         pct(suite),
@@ -190,8 +184,14 @@ fn retry_limit() {
     let unlimited = run(None);
     let limited = run(Some(4));
     println!("   worst error-burst bus occupation:");
-    println!("   {:>28} {:>8} bit-times", "standard CAN (unbounded):", unlimited);
-    println!("   {:>28} {:>8} bit-times", "CANELy (retry limit 4):", limited);
+    println!(
+        "   {:>28} {:>8} bit-times",
+        "standard CAN (unbounded):", unlimited
+    );
+    println!(
+        "   {:>28} {:>8} bit-times",
+        "CANELy (retry limit 4):", limited
+    );
     println!("   -> bounding retransmissions caps the inaccessibility an");
     println!("      error burst can inflict (the 2880 -> 2160 improvement).\n");
 }

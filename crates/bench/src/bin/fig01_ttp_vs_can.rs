@@ -101,11 +101,7 @@ fn main() {
     };
     row("Parameter", "TTP", "Standard CAN");
     println!("{}", "-".repeat(92));
-    row(
-        "Error detection domains",
-        "value and time",
-        "value domain",
-    );
+    row("Error detection domains", "value and time", "value domain");
     row(
         "Omission handling",
         "masking (frame diffusion)",

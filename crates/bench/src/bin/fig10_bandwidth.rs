@@ -93,7 +93,5 @@ fn main() {
         "marginal cost per join/leave request at Tm = 30 ms: analytic {}",
         pct(model.marginal_request_cost(BitTime::new(30_000)))
     );
-    println!(
-        "(paper footnote: \"each join/leave request contributes with an increase of ~0.4%\")"
-    );
+    println!("(paper footnote: \"each join/leave request contributes with an increase of ~0.4%\")");
 }

@@ -159,7 +159,11 @@ fn a_warm_wheel_allocates_nothing() {
     let mut round = |wheel: &mut TimerWheel, t: u64| {
         for (i, id) in ids.iter_mut().enumerate() {
             let i = i as u64;
-            let delay = if i.is_multiple_of(8) { 300 + i } else { 5_000 + 97 * i };
+            let delay = if i.is_multiple_of(8) {
+                300 + i
+            } else {
+                5_000 + 97 * i
+            };
             *id = wheel.restart(*id, NodeId::new((i % 32) as u8), BitTime::new(t + delay), i);
         }
         let victim = (t / 1_000 % LIVE) as usize;
@@ -196,7 +200,10 @@ fn a_warm_traffic_loaded_world_allocates_nothing() {
     let frames = sim.trace().len() - before;
     assert!(frames >= 100, "{frames} transactions");
     // A payload built as a `Vec` made it one allocation per frame.
-    assert_eq!(allocations, 0, "{allocations} allocations for {frames} transactions");
+    assert_eq!(
+        allocations, 0,
+        "{allocations} allocations for {frames} transactions"
+    );
 }
 
 #[test]
@@ -235,7 +242,11 @@ fn trace_query_capture() -> String {
 #[test]
 fn reading_a_trace_builds_an_index_not_an_object_per_field() {
     let doc = trace_query_capture();
-    assert!(doc.len() > 4 << 20 && doc.lines().count() > 30_000, "{} B", doc.len());
+    assert!(
+        doc.len() > 4 << 20 && doc.lines().count() > 30_000,
+        "{} B",
+        doc.len()
+    );
 
     let (allocations, bytes, model) = measured(|| TraceModel::parse(&doc).unwrap());
     // One allocation per bus record (its transmitter list) plus the
@@ -255,7 +266,10 @@ fn reading_a_trace_builds_an_index_not_an_object_per_field() {
     let (allocations, bytes, chrome) = measured(|| chrome_trace(&model));
     // A `String` per record made it 84 411 allocations and 5.9 × the
     // result.
-    assert!(allocations <= 1_000, "{allocations} allocations in chrome_trace");
+    assert!(
+        allocations <= 1_000,
+        "{allocations} allocations in chrome_trace"
+    );
     assert!(
         bytes <= 2 * chrome.len() as u64,
         "chrome_trace requested {bytes} B for a {} B result",
@@ -284,7 +298,10 @@ fn capturing_a_run_allocates_for_its_documents_not_per_event() {
     let (full, _, outcome) = measured(|| execute(&spec, true));
     let doc = outcome.trace_jsonl.expect("capture was on");
     let model = TraceModel::parse(&doc).unwrap();
-    assert!(model.events.len() > 5 * model.bus.len(), "events dominate the capture");
+    assert!(
+        model.events.len() > 5 * model.bus.len(),
+        "events dominate the capture"
+    );
     // The full log's growth, the sort keys, the document: 16 when the
     // gate was set, and nothing that scales with the records. A
     // `String` per line made the difference 2 747 allocations for

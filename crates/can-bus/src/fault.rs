@@ -296,11 +296,11 @@ impl FaultPlan {
     /// Panics if the medium index is out of range or the window is
     /// empty.
     pub fn push_media_fault(&mut self, fault: MediaFault) {
+        assert!(fault.medium < self.media_count, "medium index out of range");
         assert!(
-            fault.medium < self.media_count,
-            "medium index out of range"
+            fault.from < fault.until,
+            "media fault window must be non-empty"
         );
-        assert!(fault.from < fault.until, "media fault window must be non-empty");
         self.media_faults.push(fault);
     }
 
@@ -308,12 +308,7 @@ impl FaultPlan {
     /// `now` physically reaches: a node is reachable if on *some*
     /// medium it sits on the same side of every active fault as the
     /// transmitter.
-    pub fn reachable_from(
-        &self,
-        now: BitTime,
-        from: NodeId,
-        candidates: NodeSet,
-    ) -> NodeSet {
+    pub fn reachable_from(&self, now: BitTime, from: NodeId, candidates: NodeSet) -> NodeSet {
         if self.media_faults.is_empty() {
             return candidates;
         }
@@ -431,11 +426,7 @@ impl FaultPlan {
                     accepters,
                     crash_sender,
                 } => {
-                    let accepters = Self::resolve_accepters(
-                        &mut rng,
-                        accepters,
-                        attempt.listeners,
-                    );
+                    let accepters = Self::resolve_accepters(&mut rng, accepters, attempt.listeners);
                     Disposition::InconsistentOmission {
                         accepters,
                         crash_sender: *crash_sender,
@@ -451,8 +442,7 @@ impl FaultPlan {
         if attempt.attempt >= self.omission_degree {
             return Disposition::Deliver;
         }
-        let omission_budget =
-            self.recent_omissions.len() < self.omission_degree as usize;
+        let omission_budget = self.recent_omissions.len() < self.omission_degree as usize;
         if omission_budget && self.inconsistent_rate > 0.0 {
             let inconsistent_budget =
                 self.recent_inconsistent.len() < self.inconsistent_degree as usize;
@@ -473,10 +463,7 @@ impl FaultPlan {
                 };
             }
         }
-        if omission_budget
-            && self.consistent_rate > 0.0
-            && rng.gen_bool(self.consistent_rate)
-        {
+        if omission_budget && self.consistent_rate > 0.0 && rng.gen_bool(self.consistent_rate) {
             self.recent_omissions.push_back(attempt.now);
             return Disposition::ConsistentOmission;
         }
@@ -505,11 +492,7 @@ impl FaultPlan {
 
     fn expire(&mut self, now: BitTime) {
         let horizon = now.saturating_sub(self.omission_window);
-        while self
-            .recent_omissions
-            .front()
-            .is_some_and(|&t| t < horizon)
-        {
+        while self.recent_omissions.front().is_some_and(|&t| t < horizon) {
             self.recent_omissions.pop_front();
         }
         while self
@@ -521,11 +504,7 @@ impl FaultPlan {
         }
     }
 
-    fn resolve_accepters(
-        rng: &mut SmallRng,
-        spec: &AccepterSpec,
-        listeners: NodeSet,
-    ) -> NodeSet {
+    fn resolve_accepters(rng: &mut SmallRng, spec: &AccepterSpec, listeners: NodeSet) -> NodeSet {
         match spec {
             AccepterSpec::Exactly(set) => *set & listeners,
             AccepterSpec::AllExcept(set) => listeners - *set,

@@ -25,13 +25,15 @@ fn arb_offer() -> impl Strategy<Value = OfferSpec> {
         any::<bool>(),
         any::<u8>(),
     )
-        .prop_map(|(node, type_code, reference, remote, payload_byte)| OfferSpec {
-            node,
-            type_code,
-            reference,
-            remote,
-            payload_byte,
-        })
+        .prop_map(
+            |(node, type_code, reference, remote, payload_byte)| OfferSpec {
+                node,
+                type_code,
+                reference,
+                remote,
+                payload_byte,
+            },
+        )
 }
 
 fn build(spec: &OfferSpec) -> Frame {
@@ -273,8 +275,16 @@ mod seed_medium {
             }
             let listeners = alive - transmitters;
             let duration = self.config.frame_duration(&winner_frame);
-            let attempt_no = if attempt_no == u32::MAX { 0 } else { attempt_no };
-            let queued_at = if transmitters.is_empty() { now } else { queued_at };
+            let attempt_no = if attempt_no == u32::MAX {
+                0
+            } else {
+                attempt_no
+            };
+            let queued_at = if transmitters.is_empty() {
+                now
+            } else {
+                queued_at
+            };
             for (node, offer) in self.offers.iter_mut() {
                 if !transmitters.contains(*node) && offer.not_before <= now {
                     offer.arb_losses += 1;

@@ -331,7 +331,10 @@ mod tests {
         ctl.request_rtr(mid(MsgType::Els, 1));
         ctl.request_rtr(mid(MsgType::Fda, 2));
         let head = ctl.head().unwrap();
-        assert_eq!(Mid::from_can_id(head.id()).unwrap().msg_type(), MsgType::Fda);
+        assert_eq!(
+            Mid::from_can_id(head.id()).unwrap().msg_type(),
+            MsgType::Fda
+        );
         assert_eq!(ctl.queue_len(), 3);
     }
 

@@ -191,12 +191,7 @@ impl Simulator {
     /// # Panics
     ///
     /// Panics if `at` is in the past or the node was never added.
-    pub fn schedule_restart(
-        &mut self,
-        node: NodeId,
-        at: BitTime,
-        app: impl Application + 'static,
-    ) {
+    pub fn schedule_restart(&mut self, node: NodeId, at: BitTime, app: impl Application + 'static) {
         assert!(at >= self.now, "cannot restart a node in the past");
         self.slot(node); // panics unless the node was added
         self.restart_schedule.push((at, node, Box::new(app)));
@@ -263,12 +258,7 @@ impl Simulator {
     ///
     /// Panics if the node identifier is already taken or `start` is in
     /// the past.
-    pub fn add_node_at(
-        &mut self,
-        node: NodeId,
-        app: impl Application + 'static,
-        start: BitTime,
-    ) {
+    pub fn add_node_at(&mut self, node: NodeId, app: impl Application + 'static, start: BitTime) {
         assert!(start >= self.now, "cannot power on a node in the past");
         let slot = &mut self.slots[node.as_usize()];
         assert!(slot.is_none(), "node {node} already exists");
@@ -476,7 +466,11 @@ impl Simulator {
         } else if due(&self.crash_schedule) {
             let Reverse((_, node)) = self.crash_schedule.pop().expect("peeked");
             self.crash(node);
-        } else if self.restart_schedule.first().is_some_and(|&(at, _, _)| at == t) {
+        } else if self
+            .restart_schedule
+            .first()
+            .is_some_and(|&(at, _, _)| at == t)
+        {
             let (_, node, app) = self.restart_schedule.remove(0);
             self.restart(node, app);
         } else {
@@ -621,7 +615,9 @@ impl Simulator {
             self.medium.withdraw(node);
             return;
         }
-        let slot = self.slots[node.as_usize()].as_mut().expect("alive nodes exist");
+        let slot = self.slots[node.as_usize()]
+            .as_mut()
+            .expect("alive nodes exist");
         slot.controller.synced = true;
         let head = slot.controller.head().copied();
         // Bus-guardian gate: a rate-limited node must wait for its
@@ -695,8 +691,7 @@ impl Simulator {
                     self.journal.push(JournalEntry {
                         time: self.now,
                         node,
-                        text: "controller bus-off (weak-fail-silence enforced)"
-                            .to_string(),
+                        text: "controller bus-off (weak-fail-silence enforced)".to_string(),
                     });
                 }
                 continue;

@@ -379,7 +379,10 @@ impl TimerWheel {
             let level = self.busy.trailing_zeros();
             let bucket = self.occupied[level as usize].trailing_zeros();
             let above = BITS * (level + 1);
-            let start = self.floor.checked_shr(above).map_or(0, |high| high << above)
+            let start = self
+                .floor
+                .checked_shr(above)
+                .map_or(0, |high| high << above)
                 | u64::from(bucket) << (BITS * level);
             if level > 0 {
                 self.floor = start;

@@ -5,7 +5,9 @@
 //! node's offer, or the node has a guardian: each test below walks one
 //! of those paths and checks the transaction that follows it.
 
-use can_bus::{BusConfig, FaultEffect, FaultMatcher, FaultPlan, MediaFault, ScriptedFault, TxRecord};
+use can_bus::{
+    BusConfig, FaultEffect, FaultMatcher, FaultPlan, MediaFault, ScriptedFault, TxRecord,
+};
 use can_controller::{Application, Ctx, GuardianPolicy, Simulator, TimerId};
 use can_types::{BitTime, Frame, FrameKind, Mid, MsgType, NodeId, NodeSet, Payload};
 
@@ -71,7 +73,11 @@ fn faults_on_node_0(effect: FaultEffect, count: u32) -> FaultPlan {
         sender: Some(n(0)),
         ..FaultMatcher::default()
     };
-    faults.push_scripted(ScriptedFault { matcher, effect, count });
+    faults.push_scripted(ScriptedFault {
+        matcher,
+        effect,
+        count,
+    });
     faults
 }
 
@@ -92,7 +98,13 @@ fn pair(faults: FaultPlan, apps: [Sender; 2], setup: impl FnOnce(&mut Simulator)
 fn offers(sim: &Simulator) -> Vec<(u64, u64, u32, u64, bool)> {
     let row = |r: &TxRecord| {
         let (start, queued) = (r.start.as_u64(), r.queued_at.as_u64());
-        (start, queued, r.frame.id().raw(), r.transmitters.bits(), r.errored)
+        (
+            start,
+            queued,
+            r.frame.id().raw(),
+            r.transmitters.bits(),
+            r.errored,
+        )
     };
     sim.trace().iter().map(row).collect()
 }
@@ -104,10 +116,16 @@ const DATA1: u32 = 0x1800_0001;
 
 #[test]
 fn a_confirm_offers_the_next_queued_frame() {
-    let apps = [sends(0, &[data(0, &[1]), els(0)]), sends(0, &[data(1, &[2])])];
+    let apps = [
+        sends(0, &[data(0, &[1]), els(0)]),
+        sends(0, &[data(1, &[2])]),
+    ];
     let sim = pair(FaultPlan::none(), apps, |_| {});
     let next = [(72, 69, DATA0, 1, false), (154, 0, DATA1, 2, false)];
-    assert_eq!(offers(&sim), [&[(0, 0, ELS0, 1, false)][..], &next].concat());
+    assert_eq!(
+        offers(&sim),
+        [&[(0, 0, ELS0, 1, false)][..], &next].concat()
+    );
 }
 
 #[test]
@@ -124,9 +142,22 @@ fn an_ack_error_keeps_the_offer_through_its_backoff() {
     let mut faults = FaultPlan::none();
     let (from, until) = (BitTime::ZERO, BitTime::new(400));
     let isolated = NodeSet::singleton(n(0));
-    faults.push_media_fault(MediaFault { medium: 0, isolated, from, until });
-    let sim = pair(faults, [sends(0, &[els(0)]), sends(100, &[data(1, &[3])])], |_| {});
-    let errors = [(0, 0, ELS0, 1, true), (100, 100, DATA1, 2, true), (348, 0, ELS0, 1, true)];
+    faults.push_media_fault(MediaFault {
+        medium: 0,
+        isolated,
+        from,
+        until,
+    });
+    let sim = pair(
+        faults,
+        [sends(0, &[els(0)]), sends(100, &[data(1, &[3])])],
+        |_| {},
+    );
+    let errors = [
+        (0, 0, ELS0, 1, true),
+        (100, 100, DATA1, 2, true),
+        (348, 0, ELS0, 1, true),
+    ];
     let next = [(457, 100, DATA1, 2, false), (952, 0, ELS0, 1, false)];
     assert_eq!(offers(&sim), [&errors[..], &next].concat());
 }
@@ -134,7 +165,10 @@ fn an_ack_error_keeps_the_offer_through_its_backoff() {
 #[test]
 fn bus_off_withdraws_the_offer_for_good() {
     let faults = faults_on_node_0(FaultEffect::ConsistentOmission, 100);
-    let apps = [sends(0, &[els(0), data(0, &[4])]), sends(0, &[data(1, &[5])])];
+    let apps = [
+        sends(0, &[els(0), data(0, &[4])]),
+        sends(0, &[data(1, &[5])]),
+    ];
     let sim = pair(faults, apps, |_| {});
     assert!(sim.controller(n(0)).is_bus_off());
     // The 32nd error takes node 0 off the bus; node 1 goes next.
@@ -154,22 +188,36 @@ fn a_retry_limit_drop_offers_the_next_queued_frame() {
 
 #[test]
 fn a_guardian_wake_re_offers_the_withheld_frame() {
-    let apps = [sends(0, &[els(0), data(0, &[7])]), sends(0, &[data(1, &[8])])];
+    let apps = [
+        sends(0, &[els(0), data(0, &[7])]),
+        sends(0, &[data(1, &[8])]),
+    ];
     let policy = GuardianPolicy::new(1, BitTime::new(1_000));
-    let sim = pair(FaultPlan::none(), apps, |sim| sim.set_guardian(n(0), policy));
+    let sim = pair(FaultPlan::none(), apps, |sim| {
+        sim.set_guardian(n(0), policy)
+    });
     let next = [(72, 0, DATA1, 2, false), (1069, 1069, DATA0, 1, false)];
-    assert_eq!(offers(&sim), [&[(0, 0, ELS0, 1, false)][..], &next].concat());
+    assert_eq!(
+        offers(&sim),
+        [&[(0, 0, ELS0, 1, false)][..], &next].concat()
+    );
     // `admit` counts: a guarded node syncs after every callback.
     assert_eq!(sim.guardian_throttled(n(0)), 4);
 }
 
 #[test]
 fn a_restart_offers_from_a_fresh_controller() {
-    let apps = [sends(300, &[data(0, &[9])]), sends(1_000, &[data(1, &[10])])];
+    let apps = [
+        sends(300, &[data(0, &[9])]),
+        sends(1_000, &[data(1, &[10])]),
+    ];
     let sim = pair(FaultPlan::none(), apps, |sim| {
         sim.schedule_crash(n(0), BitTime::new(310));
         sim.schedule_restart(n(0), BitTime::new(1_000), sends(0, &[els(0)]));
     });
     let next = [(1000, 1000, ELS0, 1, false), (1072, 1000, DATA1, 2, false)];
-    assert_eq!(offers(&sim), [&[(300, 300, DATA0, 1, false)][..], &next].concat());
+    assert_eq!(
+        offers(&sim),
+        [&[(300, 300, DATA0, 1, false)][..], &next].concat()
+    );
 }

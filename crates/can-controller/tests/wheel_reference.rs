@@ -35,15 +35,13 @@ fn instant() -> impl Strategy<Value = u64> {
 }
 
 fn op() -> impl Strategy<Value = Op> {
-    (0u8..16, any::<usize>(), 0u8..4, instant()).prop_map(|(which, pick, node, at)| {
-        match which {
-            0..=3 => Op::Start(node, at),
-            4..=8 => Op::Restart(pick, node, at),
-            9..=10 => Op::Cancel(pick),
-            11 => Op::CancelNode(node),
-            12 => Op::NextDeadline,
-            _ => Op::PopDue(at),
-        }
+    (0u8..16, any::<usize>(), 0u8..4, instant()).prop_map(|(which, pick, node, at)| match which {
+        0..=3 => Op::Start(node, at),
+        4..=8 => Op::Restart(pick, node, at),
+        9..=10 => Op::Cancel(pick),
+        11 => Op::CancelNode(node),
+        12 => Op::NextDeadline,
+        _ => Op::PopDue(at),
     })
 }
 

@@ -140,7 +140,11 @@ pub struct PayloadTooLong {
 
 impl fmt::Display for PayloadTooLong {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "payload of {} bytes exceeds the 8-byte CAN limit", self.len)
+        write!(
+            f,
+            "payload of {} bytes exceeds the 8-byte CAN limit",
+            self.len
+        )
     }
 }
 
@@ -403,7 +407,10 @@ mod tests {
     fn exact_never_exceeds_worst_case() {
         for len in 0..=8usize {
             let data: Vec<u8> = (0..len as u8).collect();
-            let f = Frame::data(mid(MsgType::AppData, 3), Payload::from_slice(&data).unwrap());
+            let f = Frame::data(
+                mid(MsgType::AppData, 3),
+                Payload::from_slice(&data).unwrap(),
+            );
             assert!(
                 f.duration_exact() <= f.duration_worst_case(),
                 "len {len}: exact {} > worst {}",

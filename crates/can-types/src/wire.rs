@@ -415,9 +415,7 @@ mod tests {
     fn stuff_bit_participates_in_next_run() {
         // 0000 0 1111 — five zeros stuff a one; together with the four
         // following ones that makes a run of five ones: second stuff.
-        let bits = [
-            false, false, false, false, false, true, true, true, true,
-        ];
+        let bits = [false, false, false, false, false, true, true, true, true];
         assert_eq!(count_stuff_bits(&bits), 2);
     }
 
@@ -463,10 +461,7 @@ mod tests {
         let d = Frame::data(CanId::new(0x123), Payload::EMPTY);
         // Same stuffable length (no payload either way), but the RTR
         // bit differs so the CRC — and possibly stuffing — differ.
-        assert_eq!(
-            stuffable_region(&r).len(),
-            stuffable_region(&d).len()
-        );
+        assert_eq!(stuffable_region(&r).len(), stuffable_region(&d).len());
         let rr = stuffable_region(&r);
         let dd = stuffable_region(&d);
         assert_ne!(rr, dd);
@@ -474,10 +469,7 @@ mod tests {
 
     #[test]
     fn all_dominant_payload_maximizes_stuffing() {
-        let zeros = Frame::data(
-            CanId::new(0),
-            Payload::from_slice(&[0u8; 8]).unwrap(),
-        );
+        let zeros = Frame::data(CanId::new(0), Payload::from_slice(&[0u8; 8]).unwrap());
         let mixed = Frame::data(
             CanId::new(0x0AAA_AAAA & 0x1FFF_FFFF),
             Payload::from_slice(&[0x55u8; 8]).unwrap(),

@@ -1,7 +1,9 @@
 //! Property-based tests for the foundational types.
 
 use can_types::wire::{count_stuff_bits, crc15, exact_frame_bits, stuffable_region};
-use can_types::{BitRate, BitTime, CanId, Frame, FrameFormat, Mid, MsgType, NodeId, NodeSet, Payload};
+use can_types::{
+    BitRate, BitTime, CanId, Frame, FrameFormat, Mid, MsgType, NodeId, NodeSet, Payload,
+};
 use proptest::prelude::*;
 
 fn arb_node() -> impl Strategy<Value = NodeId> {

@@ -204,19 +204,13 @@ mod tests {
         let single = m.with_join_leave(TM30, 1);
         assert!((0.045..=0.070).contains(&single), "single {single}");
         let multiple = m.with_join_leave(TM30, 20);
-        assert!(
-            (0.12..=0.15).contains(&multiple),
-            "multiple {multiple}"
-        );
+        assert!((0.12..=0.15).contains(&multiple), "multiple {multiple}");
     }
 
     #[test]
     fn utilization_decreases_with_cycle_period() {
         let m = BandwidthModel::paper_defaults();
-        for curve in [
-            BandwidthModel::no_changes,
-            BandwidthModel::with_crashes,
-        ] {
+        for curve in [BandwidthModel::no_changes, BandwidthModel::with_crashes] {
             assert!(curve(&m, TM30) > curve(&m, TM90));
         }
         assert!(m.with_join_leave(TM30, 20) > m.with_join_leave(TM90, 20));
@@ -240,10 +234,7 @@ mod tests {
         // "≈ 0.4 % per request at Tm = 30 ms."
         let m = BandwidthModel::paper_defaults();
         let marginal = m.marginal_request_cost(TM30);
-        assert!(
-            (0.003..=0.005).contains(&marginal),
-            "marginal {marginal}"
-        );
+        assert!((0.003..=0.005).contains(&marginal), "marginal {marginal}");
     }
 
     #[test]

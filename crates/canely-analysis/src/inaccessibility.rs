@@ -105,17 +105,12 @@ impl InaccessibilityModel {
             Scenario::IsolatedError => ERROR_FRAME_MIN_BITS,
             Scenario::Overload => ERROR_FRAME_MAX_BITS,
             Scenario::CorruptedFrame { payload } => {
-                self.format.worst_case_bits(payload)
-                    + ERROR_FRAME_MAX_BITS
-                    + INTERMISSION_BITS
+                self.format.worst_case_bits(payload) + ERROR_FRAME_MAX_BITS + INTERMISSION_BITS
             }
             Scenario::CrcError { payload } => {
                 // The CRC delimiter passes before the error flag rises:
                 // one extra bit of exposure.
-                self.format.worst_case_bits(payload)
-                    + 1
-                    + ERROR_FRAME_MAX_BITS
-                    + INTERMISSION_BITS
+                self.format.worst_case_bits(payload) + 1 + ERROR_FRAME_MAX_BITS + INTERMISSION_BITS
             }
             Scenario::Burst { omissions } => {
                 u64::from(omissions.min(self.omission_degree)) * self.per_omission_bits()
@@ -178,8 +173,7 @@ mod tests {
         let m = InaccessibilityModel::standard_can();
         assert!(m.duration(Scenario::IsolatedError) <= m.duration(Scenario::Overload));
         assert!(
-            m.duration(Scenario::Overload)
-                < m.duration(Scenario::CorruptedFrame { payload: 0 })
+            m.duration(Scenario::Overload) < m.duration(Scenario::CorruptedFrame { payload: 0 })
         );
         assert!(
             m.duration(Scenario::CorruptedFrame { payload: 8 })

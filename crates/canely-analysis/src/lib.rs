@@ -38,7 +38,7 @@ pub mod reliability;
 pub mod response_time;
 
 pub use bandwidth::{BandwidthModel, UtilizationBreakdown};
-pub use reliability::ReliabilityModel;
 pub use bounds::ProtocolBounds;
 pub use inaccessibility::{InaccessibilityModel, Scenario};
+pub use reliability::ReliabilityModel;
 pub use response_time::{MessageSpec, ResponseTimeAnalysis};

@@ -78,7 +78,11 @@ pub struct Unschedulable {
 
 impl fmt::Display for Unschedulable {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "message {} is unschedulable (busy period diverges)", self.id)
+        write!(
+            f,
+            "message {} is unschedulable (busy period diverges)",
+            self.id
+        )
     }
 }
 

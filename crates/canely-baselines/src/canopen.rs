@@ -391,7 +391,11 @@ mod tests {
         let mut sim = Simulator::new(BusConfig::default(), FaultPlan::none());
         sim.add_node(
             n(0),
-            HeartbeatNode::new(Some(BitTime::new(10_000)), BitTime::new(15_000), NodeSet::EMPTY),
+            HeartbeatNode::new(
+                Some(BitTime::new(10_000)),
+                BitTime::new(15_000),
+                NodeSet::EMPTY,
+            ),
         );
         sim.add_node(
             n(1),

@@ -87,10 +87,7 @@ impl OsekNode {
     /// The successor of `node` in the logical ring over `config`
     /// (wrapping; identifier order).
     fn successor(&self, node: NodeId) -> NodeId {
-        let mut after = self
-            .config
-            .iter()
-            .filter(|&m| m.as_u8() > node.as_u8());
+        let mut after = self.config.iter().filter(|&m| m.as_u8() > node.as_u8());
         if let Some(next) = after.next() {
             return next;
         }
@@ -160,7 +157,8 @@ impl Application for OsekNode {
                     // not the local node has been skipped: adopt removal.
                     let circulating = NodeSet::from_bytes(bytes);
                     let me = ctx.me();
-                    self.config = (self.config & circulating) | NodeSet::singleton(me)
+                    self.config = (self.config & circulating)
+                        | NodeSet::singleton(me)
                         | NodeSet::singleton(sender);
                 }
                 // The token moved: everyone's token-lost timer restarts.
@@ -231,7 +229,10 @@ mod tests {
             let node = sim.app::<OsekNode>(n(id));
             assert_eq!(node.config(), NodeSet::first_n(4), "node {id} config");
             assert!(node.detected().is_empty());
-            assert!(node.ring_messages_sent() > 5, "node {id} must hold the token");
+            assert!(
+                node.ring_messages_sent() > 5,
+                "node {id} must hold the token"
+            );
         }
     }
 

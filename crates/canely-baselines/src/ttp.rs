@@ -192,9 +192,7 @@ mod tests {
         sim.run_until(BitTime::new(100_000));
         // Every recorded transaction delivered on first attempt: a
         // collision or arbitration loss would show up as errors.
-        let stats = sim
-            .trace()
-            .stats(BitTime::ZERO, BitTime::new(100_000));
+        let stats = sim.trace().stats(BitTime::ZERO, BitTime::new(100_000));
         assert_eq!(stats.errors, 0);
     }
 

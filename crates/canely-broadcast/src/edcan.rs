@@ -126,9 +126,7 @@ impl Application for Edcan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use can_bus::{
-        AccepterSpec, BusConfig, FaultEffect, FaultMatcher, FaultPlan, ScriptedFault,
-    };
+    use can_bus::{AccepterSpec, BusConfig, FaultEffect, FaultMatcher, FaultPlan, ScriptedFault};
     use can_controller::Simulator;
     use can_types::{BitTime, NodeId, NodeSet};
 
@@ -143,10 +141,8 @@ mod tests {
     fn one_sender(sim: &mut Simulator, receivers: u8) {
         sim.add_node(
             n(0),
-            Edcan::new().with_schedule(vec![ScheduledSend::new(
-                BitTime::new(1_000),
-                payload(0xAA),
-            )]),
+            Edcan::new()
+                .with_schedule(vec![ScheduledSend::new(BitTime::new(1_000), payload(0xAA))]),
         );
         for id in 1..=receivers {
             sim.add_node(n(id), Edcan::new());
@@ -224,10 +220,8 @@ mod tests {
         for id in 0..4u8 {
             sim.add_node(
                 n(id),
-                Edcan::new().with_schedule(vec![ScheduledSend::new(
-                    BitTime::new(1_000),
-                    payload(id),
-                )]),
+                Edcan::new()
+                    .with_schedule(vec![ScheduledSend::new(BitTime::new(1_000), payload(id))]),
             );
         }
         sim.run_until(BitTime::new(100_000));

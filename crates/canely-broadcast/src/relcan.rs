@@ -58,7 +58,10 @@ impl Relcan {
     ///
     /// Panics if the timeout is zero.
     pub fn new(cnf_timeout: BitTime) -> Self {
-        assert!(!cnf_timeout.is_zero(), "confirmation timeout must be positive");
+        assert!(
+            !cnf_timeout.is_zero(),
+            "confirmation timeout must be positive"
+        );
         Relcan {
             cnf_timeout,
             schedule: Vec::new(),
@@ -193,9 +196,7 @@ impl Application for Relcan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use can_bus::{
-        AccepterSpec, BusConfig, FaultEffect, FaultMatcher, FaultPlan, ScriptedFault,
-    };
+    use can_bus::{AccepterSpec, BusConfig, FaultEffect, FaultMatcher, FaultPlan, ScriptedFault};
     use can_controller::Simulator;
     use can_types::{NodeId, NodeSet};
 
@@ -212,10 +213,8 @@ mod tests {
     fn one_sender(sim: &mut Simulator, receivers: u8) {
         sim.add_node(
             n(0),
-            Relcan::new(CNF_TIMEOUT).with_schedule(vec![ScheduledSend::new(
-                BitTime::new(1_000),
-                payload(0xBB),
-            )]),
+            Relcan::new(CNF_TIMEOUT)
+                .with_schedule(vec![ScheduledSend::new(BitTime::new(1_000), payload(0xBB))]),
         );
         for id in 1..=receivers {
             sim.add_node(n(id), Relcan::new(CNF_TIMEOUT));
@@ -243,26 +242,20 @@ mod tests {
             let mut sim = Simulator::new(BusConfig::default(), FaultPlan::none());
             sim.add_node(
                 n(0),
-                crate::edcan::Edcan::new().with_schedule(vec![ScheduledSend::new(
-                    BitTime::new(1_000),
-                    payload(1),
-                )]),
+                crate::edcan::Edcan::new()
+                    .with_schedule(vec![ScheduledSend::new(BitTime::new(1_000), payload(1))]),
             );
             for id in 1..4u8 {
                 sim.add_node(n(id), crate::edcan::Edcan::new());
             }
             sim.run_until(BitTime::new(50_000));
-            sim.trace()
-                .stats(BitTime::ZERO, BitTime::new(50_000))
-                .busy
+            sim.trace().stats(BitTime::ZERO, BitTime::new(50_000)).busy
         };
         let relcan_busy = {
             let mut sim = Simulator::new(BusConfig::default(), FaultPlan::none());
             one_sender(&mut sim, 3);
             sim.run_until(BitTime::new(50_000));
-            sim.trace()
-                .stats(BitTime::ZERO, BitTime::new(50_000))
-                .busy
+            sim.trace().stats(BitTime::ZERO, BitTime::new(50_000)).busy
         };
         assert!(
             relcan_busy < edcan_busy,

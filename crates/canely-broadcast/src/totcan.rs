@@ -207,9 +207,7 @@ impl Application for Totcan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use can_bus::{
-        AccepterSpec, BusConfig, FaultEffect, FaultMatcher, FaultPlan, ScriptedFault,
-    };
+    use can_bus::{AccepterSpec, BusConfig, FaultEffect, FaultMatcher, FaultPlan, ScriptedFault};
     use can_controller::Simulator;
     use can_types::{NodeId, NodeSet};
 
@@ -231,10 +229,8 @@ mod tests {
         for id in 0..3u8 {
             sim.add_node(
                 n(id),
-                Totcan::new(ABORT).with_schedule(vec![ScheduledSend::new(
-                    BitTime::new(1_000),
-                    payload(id),
-                )]),
+                Totcan::new(ABORT)
+                    .with_schedule(vec![ScheduledSend::new(BitTime::new(1_000), payload(id))]),
             );
         }
         sim.add_node(n(3), Totcan::new(ABORT));
@@ -273,10 +269,8 @@ mod tests {
         let mut sim = Simulator::new(BusConfig::default(), faults);
         sim.add_node(
             n(0),
-            Totcan::new(ABORT).with_schedule(vec![ScheduledSend::new(
-                BitTime::new(1_000),
-                payload(9),
-            )]),
+            Totcan::new(ABORT)
+                .with_schedule(vec![ScheduledSend::new(BitTime::new(1_000), payload(9))]),
         );
         for id in 1..=3u8 {
             sim.add_node(n(id), Totcan::new(ABORT));
@@ -309,10 +303,8 @@ mod tests {
         let mut sim = Simulator::new(BusConfig::default(), faults);
         sim.add_node(
             n(0),
-            Totcan::new(ABORT).with_schedule(vec![ScheduledSend::new(
-                BitTime::new(1_000),
-                payload(7),
-            )]),
+            Totcan::new(ABORT)
+                .with_schedule(vec![ScheduledSend::new(BitTime::new(1_000), payload(7))]),
         );
         for id in 1..=3u8 {
             sim.add_node(n(id), Totcan::new(ABORT));
@@ -332,10 +324,8 @@ mod tests {
         let mut sim = Simulator::new(BusConfig::default(), FaultPlan::none());
         sim.add_node(
             n(0),
-            Totcan::new(ABORT).with_schedule(vec![ScheduledSend::new(
-                BitTime::new(1_000),
-                payload(5),
-            )]),
+            Totcan::new(ABORT)
+                .with_schedule(vec![ScheduledSend::new(BitTime::new(1_000), payload(5))]),
         );
         sim.add_node(n(1), Totcan::new(ABORT));
         sim.run_until(BitTime::new(100_000));
@@ -346,10 +336,7 @@ mod tests {
         let data_end = sim
             .trace()
             .iter()
-            .find(|r| {
-                r.mid()
-                    .is_some_and(|m| m.msg_type() == MsgType::Totcan)
-            })
+            .find(|r| r.mid().is_some_and(|m| m.msg_type() == MsgType::Totcan))
             .map(|r| r.bus_free)
             .unwrap();
         assert!(receiver.deliveries()[0].time > data_end);
@@ -369,10 +356,8 @@ mod tests {
         let mut sim = Simulator::new(BusConfig::default(), faults);
         sim.add_node(
             n(0),
-            Totcan::new(ABORT).with_schedule(vec![ScheduledSend::new(
-                BitTime::new(1_000),
-                payload(3),
-            )]),
+            Totcan::new(ABORT)
+                .with_schedule(vec![ScheduledSend::new(BitTime::new(1_000), payload(3))]),
         );
         for id in 1..=2u8 {
             sim.add_node(n(id), Totcan::new(ABORT));

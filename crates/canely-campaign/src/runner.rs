@@ -95,9 +95,8 @@ impl CampaignReport {
             if i > 0 {
                 out.push(',');
             }
-            let json = |s: &Option<Summary>| {
-                s.as_ref().map_or("null".to_string(), Summary::to_json)
-            };
+            let json =
+                |s: &Option<Summary>| s.as_ref().map_or("null".to_string(), Summary::to_json);
             let _ = write!(
                 out,
                 "{{\"run\":{},\"detection\":{},\"view_change\":{}}}",
@@ -198,7 +197,10 @@ impl ProgressSink {
         match self {
             ProgressSink::Stderr => eprintln!("{line}"),
             ProgressSink::Collect(lines) => {
-                lines.lock().expect("progress sink poisoned").push(line.to_string());
+                lines
+                    .lock()
+                    .expect("progress sink poisoned")
+                    .push(line.to_string());
             }
         }
     }
@@ -330,8 +332,7 @@ pub fn run_campaign_analytics(spec: &CampaignSpec, workers: usize) -> CampaignAn
     let mut analytics = CampaignAnalytics::default();
     for outcome in &outcomes {
         let run = &runs[outcome.id];
-        let Ok(model) = TraceModel::parse(outcome.trace_jsonl.as_deref().unwrap_or(""))
-        else {
+        let Ok(model) = TraceModel::parse(outcome.trace_jsonl.as_deref().unwrap_or("")) else {
             continue; // our own export always parses
         };
         let profile = PhaseProfile::of(&model);

@@ -298,12 +298,21 @@ impl Scenario {
         let fed = self.run.federation.as_ref().unwrap_or(&single_bus);
         let at_zero = [
             ("crash", self.run.crashes.iter().position(|c| c.1.is_zero())),
-            ("seg-crash", fed.seg_crashes.iter().position(|c| c.2.is_zero())),
-            ("gateway-crash", fed.gateway_crashes.iter().position(|c| c.1.is_zero())),
+            (
+                "seg-crash",
+                fed.seg_crashes.iter().position(|c| c.2.is_zero()),
+            ),
+            (
+                "gateway-crash",
+                fed.gateway_crashes.iter().position(|c| c.1.is_zero()),
+            ),
         ];
-        let lines = at_zero.into_iter().filter_map(|(kw, i)| Some((seen.nth(kw, i?), kw)));
+        let lines = at_zero
+            .into_iter()
+            .filter_map(|(kw, i)| Some((seen.nth(kw, i?), kw)));
         if let Some((line, keyword)) = lines.min() {
-            let msg = format_args!("`{keyword}` at 0ms has no campaign-oracle model: crash after boot");
+            let msg =
+                format_args!("`{keyword}` at 0ms has no campaign-oracle model: crash after boot");
             return Err(doc.at(line, msg));
         }
         let nodes = self.run.nodes;

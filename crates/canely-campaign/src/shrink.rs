@@ -131,12 +131,7 @@ pub fn minimize(spec: &RunSpec) -> RunSpec {
 
         // Shrink the population, as long as no crash targets the
         // node being removed.
-        if current.nodes > 2
-            && current
-                .crashes
-                .iter()
-                .all(|&(n, _)| n < current.nodes - 1)
-        {
+        if current.nodes > 2 && current.crashes.iter().all(|&(n, _)| n < current.nodes - 1) {
             let mut candidate = current.clone();
             candidate.nodes -= 1;
             if violates(&candidate) {

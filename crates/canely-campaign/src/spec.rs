@@ -367,12 +367,10 @@ impl CampaignSpec {
                 || self.asymmetric_lens.iter().any(|l| !l.is_zero())
                 || self.gateway_restart_delays.iter().any(|l| !l.is_zero());
             if fed_faults {
-                return Err(
-                    "gateway-crash / gateway-restart / segment-partition / \
+                return Err("gateway-crash / gateway-restart / segment-partition / \
                      asymmetric-inaccessibility need a multi-segment combo \
                      (add `segments` with a value > 1)"
-                        .into(),
-                );
+                    .into());
             }
         }
         if self.segments.contains(&1)
@@ -537,8 +535,7 @@ impl CampaignSpec {
         ] {
             key = mix64(key.wrapping_add(GOLDEN) ^ word);
         }
-        if let Some((segments, gateway_crash, restart_delay, partition_len, asymmetric_len)) = fed
-        {
+        if let Some((segments, gateway_crash, restart_delay, partition_len, asymmetric_len)) = fed {
             let topology = match self.bridge {
                 BridgeKind::Line => 1,
                 BridgeKind::Ring => 2,
@@ -571,8 +568,7 @@ impl CampaignSpec {
         let mut crashes = Vec::new();
         let mut federation = None;
 
-        if let Some((segments, gateway_crash, restart_delay, partition_len, asymmetric_len)) = fed
-        {
+        if let Some((segments, gateway_crash, restart_delay, partition_len, asymmetric_len)) = fed {
             // Federated crashes: `f` distinct (segment, node) victims
             // anywhere in the federation, never a gateway — gateway
             // crashes are their own dimension with their own global
@@ -638,7 +634,11 @@ impl CampaignSpec {
             if !asymmetric_len.is_zero() {
                 let bridges = self.bridge.bridges(segments);
                 let (a, b) = bridges[(rng.next_u64() as usize) % bridges.len()];
-                let (from_seg, to_seg) = if rng.next_u64() % 2 == 0 { (a, b) } else { (b, a) };
+                let (from_seg, to_seg) = if rng.next_u64() % 2 == 0 {
+                    (a, b)
+                } else {
+                    (b, a)
+                };
                 let latest = hi.saturating_sub(asymmetric_len.as_u64());
                 let start = lo + rng.next_u64() % latest.saturating_sub(lo).max(1);
                 asymmetric.push((
@@ -890,9 +890,11 @@ impl RunSpec {
             // the federation even though each lands in one segment —
             // overcounting only loosens the bound.
             (self.crashes.len()
-                + self.federation.as_ref().map_or(0, |fed| {
-                    fed.seg_crashes.len() + fed.gateway_crashes.len()
-                })) as u32,
+                + self
+                    .federation
+                    .as_ref()
+                    .map_or(0, |fed| fed.seg_crashes.len() + fed.gateway_crashes.len()))
+                as u32,
         )
     }
 
@@ -937,9 +939,8 @@ impl RunSpec {
             return BitTime::ZERO;
         };
         let round = DIGEST_PERIOD + QUANTUM;
-        let mut bound = self.view_change_bound()
-            + round * (u64::from(fed.segments) + 1)
-            + self.rejoin_slack;
+        let mut bound =
+            self.view_change_bound() + round * (u64::from(fed.segments) + 1) + self.rejoin_slack;
         for &(from, until) in &fed.partitions {
             bound += until.saturating_sub(from);
         }
@@ -1063,8 +1064,12 @@ settle 150ms
 
     #[test]
     fn rejects_unmodelled_schedules() {
-        assert!(RunSpec::from_scenario("join 9 10ms").unwrap_err().contains("join"));
-        assert!(RunSpec::from_scenario("frobnicate").unwrap_err().contains("unknown"));
+        assert!(RunSpec::from_scenario("join 9 10ms")
+            .unwrap_err()
+            .contains("join"));
+        assert!(RunSpec::from_scenario("frobnicate")
+            .unwrap_err()
+            .contains("unknown"));
     }
 
     #[test]
@@ -1077,10 +1082,8 @@ settle 150ms
 
     #[test]
     fn detector_dimension_multiplies_runs_but_not_schedules() {
-        let shootout = CampaignSpec::parse(&format!(
-            "{SMOKE}detector surveillance swim add-phi\n"
-        ))
-        .unwrap();
+        let shootout =
+            CampaignSpec::parse(&format!("{SMOKE}detector surveillance swim add-phi\n")).unwrap();
         assert_eq!(shootout.run_count(), 72);
         let runs = shootout.expand();
         assert_eq!(runs.len(), 72);
@@ -1147,8 +1150,8 @@ settle 150ms
             RunSpec::from_scenario_named("repro.canely", "nodes 4\ncrash x 10ms\n").unwrap_err();
         assert_eq!(e, "repro.canely:2: bad node id `x`");
         // Diagnostics without a line anchor keep a plain file prefix.
-        let e = CampaignSpec::parse_named("geo.campaign", "until 100ms\nsettle 100ms\n")
-            .unwrap_err();
+        let e =
+            CampaignSpec::parse_named("geo.campaign", "until 100ms\nsettle 100ms\n").unwrap_err();
         assert_eq!(
             e,
             "geo.campaign: invalid campaign: horizon (until) must exceed the settle margin"
@@ -1173,9 +1176,10 @@ settle 150ms
             assert_eq!(fed.relay, RelayFilter::Below(8));
             // The generic crash budget never hits a gateway.
             assert!(run.crashes.iter().all(|&(n, _)| n != fed.gateway));
-            assert!(fed.seg_crashes.iter().all(|&(s, n, _)| {
-                (1..fed.segments).contains(&s) && n != fed.gateway
-            }));
+            assert!(fed
+                .seg_crashes
+                .iter()
+                .all(|&(s, n, _)| { (1..fed.segments).contains(&s) && n != fed.gateway }));
             assert_eq!(
                 run.crashes.len() + fed.seg_crashes.len(),
                 1,
@@ -1258,11 +1262,8 @@ settle 150ms
         )
         .unwrap_err();
         assert_eq!(e, "fed.campaign:4: gateway node 7 outside a 4-node segment");
-        let e = RunSpec::from_scenario_named(
-            "repro.canely",
-            "nodes 4\nsegments 2\ngateway 7\n",
-        )
-        .unwrap_err();
+        let e = RunSpec::from_scenario_named("repro.canely", "nodes 4\nsegments 2\ngateway 7\n")
+            .unwrap_err();
         assert_eq!(e, "repro.canely:3: gateway node 7 outside a 4-node segment");
         // In range for one population, out of range for another: the
         // diagnostic names the offending segment size.
@@ -1277,8 +1278,7 @@ settle 150ms
     #[test]
     fn gateway_restart_dimension_expands_and_keeps_keys_stable() {
         let base = CampaignSpec::parse(FED).unwrap();
-        let with =
-            CampaignSpec::parse(&format!("{FED}gateway-restart 0 40ms\n")).unwrap();
+        let with = CampaignSpec::parse(&format!("{FED}gateway-restart 0 40ms\n")).unwrap();
         // Budget-0 gateway-crash combos collapse to the single zero
         // restart delay, so only the budget-1 combos multiply: the
         // segment dimension goes 1 + (1 + 2)×2 = 7 combos × 2 seeds.
@@ -1295,9 +1295,7 @@ settle 150ms
         assert!(!restarted.is_empty(), "the restart delay must materialize");
         for fed in &restarted {
             assert_eq!(fed.gateway_restarts.len(), fed.gateway_crashes.len());
-            for (&(seg, tc), &(rseg, tr)) in
-                fed.gateway_crashes.iter().zip(&fed.gateway_restarts)
-            {
+            for (&(seg, tc), &(rseg, tr)) in fed.gateway_crashes.iter().zip(&fed.gateway_restarts) {
                 assert_eq!(seg, rseg);
                 assert_eq!(tr, tc + BitTime::new(40_000));
             }
@@ -1335,11 +1333,11 @@ settle 150ms
     #[test]
     fn rejects_orphan_gateway_restarts() {
         // A restart needs an earlier crash of the same segment.
-        assert!(RunSpec::from_scenario(
-            "nodes 4\nsegments 2\ngateway-restart 0 100ms"
-        )
-        .unwrap_err()
-        .contains("no earlier"));
+        assert!(
+            RunSpec::from_scenario("nodes 4\nsegments 2\ngateway-restart 0 100ms")
+                .unwrap_err()
+                .contains("no earlier")
+        );
         assert!(RunSpec::from_scenario(
             "nodes 4\nsegments 2\ngateway-crash 1 50ms\ngateway-restart 0 100ms"
         )

@@ -29,13 +29,15 @@ fn arb_matrix() -> impl Strategy<Value = Matrix> {
         (0usize..3).prop_map(|i| [0u64, 40_000, 80_000][i]),
         0u32..=1,
     )
-        .prop_map(|(nodes, segments, seed, restart_delay, crash_budget)| Matrix {
-            nodes,
-            segments,
-            seed,
-            restart_delay,
-            crash_budget,
-        })
+        .prop_map(
+            |(nodes, segments, seed, restart_delay, crash_budget)| Matrix {
+                nodes,
+                segments,
+                seed,
+                restart_delay,
+                crash_budget,
+            },
+        )
 }
 
 proptest! {

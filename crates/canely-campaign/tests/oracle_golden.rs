@@ -119,8 +119,22 @@ fn late_detection_is_flagged_at_the_late_observer_only() {
         // Observer 0 is on time; observer 1 notifies past the bound.
         ev(108_000, 0, ProtocolEvent::FailureNotified { failed: n(2) }),
         ev(125_000, 1, ProtocolEvent::FailureNotified { failed: n(2) }),
-        ev(130_000, 0, ProtocolEvent::ViewChanged { view, failed: fail_set }),
-        ev(130_000, 1, ProtocolEvent::ViewChanged { view, failed: fail_set }),
+        ev(
+            130_000,
+            0,
+            ProtocolEvent::ViewChanged {
+                view,
+                failed: fail_set,
+            },
+        ),
+        ev(
+            130_000,
+            1,
+            ProtocolEvent::ViewChanged {
+                view,
+                failed: fail_set,
+            },
+        ),
     ];
     let finals = finals(&[(0, view), (1, view)]);
     let verdicts = check(&base(&events, &finals));
@@ -138,8 +152,22 @@ fn never_notified_crash_is_flagged_without_a_timestamp() {
     let events = vec![
         ev(100_000, 2, ProtocolEvent::NodeCrashed),
         ev(108_000, 0, ProtocolEvent::FailureNotified { failed: n(2) }),
-        ev(130_000, 0, ProtocolEvent::ViewChanged { view, failed: fail_set }),
-        ev(130_000, 1, ProtocolEvent::ViewChanged { view, failed: fail_set }),
+        ev(
+            130_000,
+            0,
+            ProtocolEvent::ViewChanged {
+                view,
+                failed: fail_set,
+            },
+        ),
+        ev(
+            130_000,
+            1,
+            ProtocolEvent::ViewChanged {
+                view,
+                failed: fail_set,
+            },
+        ),
         // Observer 1 never emits fd.notified at all.
     ];
     let finals = finals(&[(0, view), (1, view)]);
@@ -222,8 +250,22 @@ fn detection_clock_starts_when_the_population_is_operational() {
         // 38 ms after the crash, but only 8 ms after operational_from.
         ev(88_000, 0, ProtocolEvent::FailureNotified { failed: n(2) }),
         ev(88_000, 1, ProtocolEvent::FailureNotified { failed: n(2) }),
-        ev(110_000, 0, ProtocolEvent::ViewChanged { view, failed: fail_set }),
-        ev(110_000, 1, ProtocolEvent::ViewChanged { view, failed: fail_set }),
+        ev(
+            110_000,
+            0,
+            ProtocolEvent::ViewChanged {
+                view,
+                failed: fail_set,
+            },
+        ),
+        ev(
+            110_000,
+            1,
+            ProtocolEvent::ViewChanged {
+                view,
+                failed: fail_set,
+            },
+        ),
     ];
     let finals = finals(&[(0, view), (1, view)]);
     assert_eq!(check(&base(&events, &finals)), vec![]);

@@ -191,9 +191,7 @@ impl Application for ClockSync {
                     );
                 }
             }
-            DriverEvent::DataInd { mid, payload }
-                if mid.msg_type() == MsgType::ClockFollowUp =>
-            {
+            DriverEvent::DataInd { mid, payload } if mid.msg_type() == MsgType::ClockFollowUp => {
                 let Ok(bytes) = <[u8; 8]>::try_from(payload.as_slice()) else {
                     return;
                 };
@@ -373,10 +371,16 @@ mod tests {
         sim.run_until(BitTime::new(1_200_000));
         sim.schedule_crash(n(1), sim.now() + BitTime::new(1));
         sim.run_until(BitTime::new(2_400_000));
-        assert!(sim.app::<ClockSync>(n(2)).syncs_mastered() > 0, "rank 2 took over");
+        assert!(
+            sim.app::<ClockSync>(n(2)).syncs_mastered() > 0,
+            "rank 2 took over"
+        );
         let clocks: Vec<&ClockSync> = (2..4).map(|id| sim.app::<ClockSync>(n(id))).collect();
         let precision = ensemble_precision(&clocks, sim.now());
-        assert!(precision <= 60, "precision after two takeovers: {precision}");
+        assert!(
+            precision <= 60,
+            "precision after two takeovers: {precision}"
+        );
     }
 
     #[test]
@@ -417,4 +421,3 @@ mod tests {
         assert_eq!(precision_at(&sim, 2, sim.now()), 0);
     }
 }
-

@@ -155,11 +155,9 @@ impl Application for GroupStack {
 mod tests {
     use super::*;
     use crate::group::GroupEvent;
-    use can_types::NodeId;
-    use can_bus::{
-        AccepterSpec, BusConfig, FaultEffect, FaultMatcher, FaultPlan, ScriptedFault,
-    };
+    use can_bus::{AccepterSpec, BusConfig, FaultEffect, FaultMatcher, FaultPlan, ScriptedFault};
     use can_controller::Simulator;
+    use can_types::NodeId;
 
     fn n(id: u8) -> NodeId {
         NodeId::new(id)
@@ -294,14 +292,12 @@ mod tests {
         // detector would never probe. With the reserved external tag
         // space the script and the period timer coexist: the crash is
         // still detected and the scripted join still happens.
-        let config =
-            CanelyConfig::default().with_detector(canely::DetectorKind::Swim);
+        let config = CanelyConfig::default().with_detector(canely::DetectorKind::Swim);
         let mut sim = Simulator::new(BusConfig::default(), FaultPlan::none());
         for id in 0..4u8 {
             sim.add_node(
                 n(id),
-                GroupStack::new(config.clone())
-                    .with_group_join_at(g(1), BitTime::new(200_000)),
+                GroupStack::new(config.clone()).with_group_join_at(g(1), BitTime::new(200_000)),
             );
         }
         sim.schedule_crash(n(2), BitTime::new(300_000));

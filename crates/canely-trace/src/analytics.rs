@@ -305,7 +305,10 @@ mod tests {
     fn headroom_is_bound_minus_worst() {
         let r = run("a", vec![4_000, 6_000], 10_000);
         assert_eq!(r.detection_headroom(), Some(4_000));
-        assert_eq!(run("b", vec![12_000], 10_000).detection_headroom(), Some(-2_000));
+        assert_eq!(
+            run("b", vec![12_000], 10_000).detection_headroom(),
+            Some(-2_000)
+        );
         assert_eq!(run("c", vec![], 10_000).detection_headroom(), None);
         assert_eq!(run("d", vec![1], 0).detection_headroom(), None);
     }
@@ -313,12 +316,17 @@ mod tests {
     #[test]
     fn json_report_has_runs_and_aggregate() {
         let analytics = CampaignAnalytics {
-            runs: vec![run("s1", vec![4_000], 10_000), run("s2", vec![6_000], 10_000)],
+            runs: vec![
+                run("s1", vec![4_000], 10_000),
+                run("s2", vec![6_000], 10_000),
+            ],
         };
         let json = analytics.to_json();
         assert!(json.contains("\"id\":\"s1\""));
         assert!(json.contains("\"bound\":10000,\"headroom\":6000"));
-        assert!(json.contains("\"detection_headroom\":{\"count\":2,\"min\":4000,\"p50\":4000,\"max\":6000}"));
+        assert!(json.contains(
+            "\"detection_headroom\":{\"count\":2,\"min\":4000,\"p50\":4000,\"max\":6000}"
+        ));
         assert!(json.contains("\"surveillance\":{\"summary\":"));
         assert!(json.contains("\"histogram\":["));
         // Deterministic.

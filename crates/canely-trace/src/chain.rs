@@ -163,10 +163,7 @@ pub fn chain_for_in(
             }
             Some(Parent::Bus(tx)) => {
                 let note = if tx.transmitters.contains(&suspect) {
-                    format!(
-                        "last activity of {} on the bus",
-                        seg_node(home, suspect)
-                    )
+                    format!("last activity of {} on the bus", seg_node(home, suspect))
                 } else {
                     String::new()
                 };
@@ -198,8 +195,7 @@ pub fn chain_for_in(
                 && e.seg == home
                 && e.node == node
                 && e.t >= from
-                && (!needs_failed
-                    || model.line_of(e).u64("failed") == Some(u64::from(suspect)))
+                && (!needs_failed || model.line_of(e).u64("failed") == Some(u64::from(suspect)))
         })
     };
     let mut from = suspicion.t;
@@ -274,9 +270,10 @@ pub fn chain_for_in(
         });
         if let Some(elect) = elect {
             chain.steps.push(event_step(model, elect));
-            let rejoin = model.events.iter().find(|e| {
-                e.kind == "fed.rejoin" && e.seg == home && e.t >= elect.t
-            });
+            let rejoin = model
+                .events
+                .iter()
+                .find(|e| e.kind == "fed.rejoin" && e.seg == home && e.t >= elect.t);
             if let Some(rejoin) = rejoin {
                 chain.steps.push(event_step(model, rejoin));
             }
@@ -376,7 +373,13 @@ mod tests {
         let labels: Vec<&str> = chain.steps.iter().map(|s| s.label.as_str()).collect();
         assert_eq!(
             labels,
-            vec!["fed.relay", "bus.tx", "timer.armed", "timer.expired", "fd.suspect"],
+            vec![
+                "fed.relay",
+                "bus.tx",
+                "timer.armed",
+                "timer.expired",
+                "fd.suspect"
+            ],
             "{chain:#?}"
         );
         assert!(

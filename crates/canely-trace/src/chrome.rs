@@ -80,7 +80,14 @@ pub fn chrome_trace(model: &TraceModel<'_>) -> String {
     meta(&mut out, &mut first, 0, 1, "thread_name", "phases");
     for &node in &nodes {
         let pid = u64::from(node) + 1;
-        meta(&mut out, &mut first, pid, 0, "process_name", &format!("node {node}"));
+        meta(
+            &mut out,
+            &mut first,
+            pid,
+            0,
+            "process_name",
+            &format!("node {node}"),
+        );
         meta(&mut out, &mut first, pid, 0, "thread_name", "events");
         meta(&mut out, &mut first, pid, 1, "thread_name", "phases");
     }
@@ -109,10 +116,20 @@ pub fn chrome_trace(model: &TraceModel<'_>) -> String {
     for event in &model.events {
         next_event(&mut out, &mut first);
         let cat = event.kind.split('.').next().unwrap_or("event");
-        push_num(&mut out, "{\"ph\":\"i\",\"pid\":", u64::from(event.node) + 1);
+        push_num(
+            &mut out,
+            "{\"ph\":\"i\",\"pid\":",
+            u64::from(event.node) + 1,
+        );
         push_num(&mut out, ",\"tid\":0,\"ts\":", event.t);
         let name: &str = &event.kind;
-        for part in [",\"s\":\"t\",\"name\":\"", name, "\",\"cat\":\"", cat, "\",\"args\":{"] {
+        for part in [
+            ",\"s\":\"t\",\"name\":\"",
+            name,
+            "\",\"cat\":\"",
+            cat,
+            "\",\"args\":{",
+        ] {
             out.push_str(part);
         }
         let args = out.len();
@@ -131,7 +148,11 @@ pub fn chrome_trace(model: &TraceModel<'_>) -> String {
             }
         }
         if let Some(Value::Str(cause)) = cause {
-            out.push_str(if out.len() > args { ",\"cause\":\"" } else { "\"cause\":\"" });
+            out.push_str(if out.len() > args {
+                ",\"cause\":\""
+            } else {
+                "\"cause\":\""
+            });
             out.push_str(&cause);
             out.push('"');
         }
@@ -177,9 +198,16 @@ mod tests {
         assert!(doc.ends_with("],\"displayTimeUnit\":\"ms\"}\n"));
         assert!(doc.contains("\"process_name\",\"args\":{\"name\":\"bus\"}"));
         assert!(doc.contains("\"args\":{\"name\":\"node 0\"}"));
-        assert!(doc.contains("\"args\":{\"name\":\"node 2\"}"), "transmitter-only node");
-        assert!(doc.contains("\"ph\":\"X\",\"pid\":0,\"tid\":0,\"ts\":0,\"dur\":58,\"name\":\"ELS[0,n2]\""));
-        assert!(doc.contains("\"ph\":\"i\",\"pid\":1,\"tid\":0,\"ts\":55,\"s\":\"t\",\"name\":\"fd.lifesign.rx\""));
+        assert!(
+            doc.contains("\"args\":{\"name\":\"node 2\"}"),
+            "transmitter-only node"
+        );
+        assert!(doc.contains(
+            "\"ph\":\"X\",\"pid\":0,\"tid\":0,\"ts\":0,\"dur\":58,\"name\":\"ELS[0,n2]\""
+        ));
+        assert!(doc.contains(
+            "\"ph\":\"i\",\"pid\":1,\"tid\":0,\"ts\":55,\"s\":\"t\",\"name\":\"fd.lifesign.rx\""
+        ));
         assert!(doc.contains("\"of\":\"2\""));
         assert!(doc.contains("\"cause\":\"bus:55\""));
     }

@@ -338,9 +338,7 @@ impl<'a> Fields<'a> {
             Some(b'"') => Some(Value::Str(self.string()?)),
             Some(b't') => self.keyword("true", Value::Bool(true)),
             Some(b'f') => self.keyword("false", Value::Bool(false)),
-            Some(b'{') | Some(b'[') => {
-                self.fail("nested values are outside the flat trace schema")
-            }
+            Some(b'{') | Some(b'[') => self.fail("nested values are outside the flat trace schema"),
             Some(b) if b.is_ascii_digit() || b == b'-' => {
                 let rest = &self.text.as_bytes()[self.pos..];
                 let len = rest
@@ -502,7 +500,10 @@ mod tests {
         for (key, _) in line.fields() {
             assert!(matches!(key, Cow::Borrowed(_)), "key {key:?} allocated");
         }
-        assert!(matches!(line.get("kind"), Some(Value::Str(Cow::Borrowed(_)))));
+        assert!(matches!(
+            line.get("kind"),
+            Some(Value::Str(Cow::Borrowed(_)))
+        ));
         assert!(matches!(line.str("note"), Some(Cow::Borrowed("plain"))));
     }
 
@@ -550,7 +551,10 @@ mod tests {
         assert!(Line::parse("{\"a\" 1}").is_err());
         assert!(Line::parse("{\"a\":1}x").is_err());
         assert!(Line::parse("{\"a\":\"unterminated}").is_err());
-        assert!(Line::parse("{\"a\":\"bad\\\\q\"}").is_ok(), "escaped backslash then q");
+        assert!(
+            Line::parse("{\"a\":\"bad\\\\q\"}").is_ok(),
+            "escaped backslash then q"
+        );
         assert!(Line::parse("{\"a\":\"bad\\u12\"}").is_err());
     }
 }

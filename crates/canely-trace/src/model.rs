@@ -133,7 +133,10 @@ type CauseKey = (Option<u8>, u64);
 /// in the document.
 fn last_of(index: &[(CauseKey, usize)], key: CauseKey) -> Option<usize> {
     let end = index.partition_point(|&(k, _)| k <= key);
-    index[..end].last().filter(|&&(k, _)| k == key).map(|&(_, i)| i)
+    index[..end]
+        .last()
+        .filter(|&&(k, _)| k == key)
+        .map(|&(_, i)| i)
 }
 
 /// A line that failed to parse, with its 1-based line number.
@@ -233,7 +236,8 @@ impl<'a> TraceModel<'a> {
             // each envelope key for the record under construction.
             let mut envelope: [Option<Value<'a>>; 14] = Default::default();
             let line = Line::parse_with(raw, |name, value, at| {
-                let Some(slot) = envelope_slot(name).filter(|&slot| envelope[slot].is_none()) else {
+                let Some(slot) = envelope_slot(name).filter(|&slot| envelope[slot].is_none())
+                else {
                     return Ok(());
                 };
                 if let ("seg" | "node", Some(n @ 256..)) = (name, value.as_u64()) {
@@ -424,15 +428,24 @@ mod tests {
             matches!(model.bus[0].mid, Cow::Borrowed(_)),
             "escape-free mids are borrowed slices of the input"
         );
-        assert!(model.events.iter().all(|e| matches!(e.kind, Cow::Borrowed(_))));
+        assert!(model
+            .events
+            .iter()
+            .all(|e| matches!(e.kind, Cow::Borrowed(_))));
     }
 
     #[test]
     fn ids_beyond_a_byte_are_refused_on_their_line() {
         for (ids, refusal) in [
             ("\"seg\":255,\"node\":255", None),
-            ("\"seg\":256,\"node\":0", Some("line 7: seg 256 is out of range (at byte 16)")),
-            ("\"seg\":0,\"node\":300", Some("line 7: node 300 is out of range (at byte 25)")),
+            (
+                "\"seg\":256,\"node\":0",
+                Some("line 7: seg 256 is out of range (at byte 16)"),
+            ),
+            (
+                "\"seg\":0,\"node\":300",
+                Some("line 7: node 300 is out of range (at byte 25)"),
+            ),
             // Only the value a look-up would find is an id.
             ("\"node\":2,\"node\":300", None),
         ] {
@@ -516,7 +529,10 @@ mod tests {
             };
             assert_eq!(tx.seg, event.seg, "parent must be segment-local");
         }
-        assert!(model.bus_by_deliver(55).is_none(), "no untagged record at 55");
+        assert!(
+            model.bus_by_deliver(55).is_none(),
+            "no untagged record at 55"
+        );
         assert!(model.bus_by_deliver_in(Some(1), 55).is_some());
     }
 }

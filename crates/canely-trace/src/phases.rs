@@ -124,19 +124,12 @@ impl PhaseProfile {
     pub fn summaries(&self) -> Vec<(&'static str, Summary)> {
         PHASE_NAMES
             .iter()
-            .filter_map(|&name| {
-                Summary::of(&self.samples_for(name)).map(|s| (name, s))
-            })
+            .filter_map(|&name| Summary::of(&self.samples_for(name)).map(|s| (name, s)))
             .collect()
     }
 }
 
-fn profile_one(
-    model: &TraceModel<'_>,
-    suspect: u8,
-    crashed_at: u64,
-    horizon: u64,
-) -> Detection {
+fn profile_one(model: &TraceModel<'_>, suspect: u8, crashed_at: u64, horizon: u64) -> Detection {
     let mut d = Detection {
         suspect,
         crashed_at,
@@ -162,10 +155,7 @@ fn profile_one(
 
     // The failure-sign transmission that diffuses the suspicion.
     let frame = model.bus.iter().find(|tx| {
-        tx.delivered
-            && tx.msg_type() == "FDA"
-            && tx.subject() == Some(suspect)
-            && window(tx.start)
+        tx.delivered && tx.msg_type() == "FDA" && tx.subject() == Some(suspect) && window(tx.start)
     });
     if let Some(tx) = frame {
         let wait = tx.start - tx.queued;

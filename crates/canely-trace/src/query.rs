@@ -43,7 +43,11 @@ pub fn filter(model: &TraceModel<'_>, filter: &Filter) -> String {
             }
         }
         if let Some(kind) = &filter.kind {
-            if !line.str("kind").unwrap_or_default().starts_with(kind.as_str()) {
+            if !line
+                .str("kind")
+                .unwrap_or_default()
+                .starts_with(kind.as_str())
+            {
                 continue;
             }
         }
@@ -149,9 +153,7 @@ pub fn render_chain(
         } else {
             let list: Vec<String> = all
                 .iter()
-                .map(|&(g, s, o, t)| {
-                    format!("{} by {} at t={t}", seg_node(g, s), seg_node(g, o))
-                })
+                .map(|&(g, s, o, t)| format!("{} by {} at t={t}", seg_node(g, s), seg_node(g, o)))
                 .collect();
             format!(
                 "no matching suspicion; the trace contains: {}",
@@ -261,7 +263,11 @@ mod tests {
                 ..Filter::default()
             },
         );
-        assert_eq!(only_node2.lines().count(), 1, "transmitter match:\n{only_node2}");
+        assert_eq!(
+            only_node2.lines().count(),
+            1,
+            "transmitter match:\n{only_node2}"
+        );
         let only_rha = filter(
             &model,
             &Filter {
@@ -336,9 +342,6 @@ mod tests {
     fn renders_are_deterministic() {
         let model = TraceModel::parse(DOC).unwrap();
         assert_eq!(summary(&model), summary(&model));
-        assert_eq!(
-            render_phases(&model, 0, 0),
-            render_phases(&model, 0, 0)
-        );
+        assert_eq!(render_phases(&model, 0, 0), render_phases(&model, 0, 0));
     }
 }

@@ -113,9 +113,8 @@ fn out_of_range_ids_are_refused_not_truncated() {
             "line 2: node 300 is out of range (at byte 33)",
         ),
     ] {
-        let doc = format!(
-            "{{\"t\":0,\"seg\":255,\"node\":255,\"kind\":\"node.crashed\"}}\n{record}\n"
-        );
+        let doc =
+            format!("{{\"t\":0,\"seg\":255,\"node\":255,\"kind\":\"node.crashed\"}}\n{record}\n");
         let error = TraceModel::parse(&doc).expect_err(record);
         assert_eq!(error.to_string(), message);
     }

@@ -9,8 +9,8 @@
 
 use canely_trace::json::escape_into;
 use canely_trace::model::{parse_node_set, CauseRef};
-use std::collections::HashMap;
 use std::borrow::Cow;
+use std::collections::HashMap;
 
 /// A JSON scalar as it appears in a trace line, borrowing from the
 /// parsed input where possible.
@@ -136,9 +136,7 @@ impl<'a> Line<'a> {
     pub fn display_fields(&self) -> impl Iterator<Item = (&str, &str)> {
         self.fields
             .iter()
-            .filter(|(k, _)| {
-                !matches!(k.as_ref(), "t" | "seq" | "node" | "kind" | "cause")
-            })
+            .filter(|(k, _)| !matches!(k.as_ref(), "t" | "seq" | "node" | "kind" | "cause"))
             .map(|(k, v)| {
                 let rendered = match v {
                     Value::Num(raw) => *raw,
@@ -250,10 +248,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn end(
-        &mut self,
-        fields: Vec<(Cow<'a, str>, Value<'a>)>,
-    ) -> Result<Line<'a>, ParseError> {
+    fn end(&mut self, fields: Vec<(Cow<'a, str>, Value<'a>)>) -> Result<Line<'a>, ParseError> {
         self.skip_ws();
         if self.pos != self.text.len() {
             return self.fail("trailing characters after object");
@@ -267,9 +262,7 @@ impl<'a> Parser<'a> {
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.keyword("true", Value::Bool(true)),
             Some(b'f') => self.keyword("false", Value::Bool(false)),
-            Some(b'{') | Some(b'[') => {
-                self.fail("nested values are outside the flat trace schema")
-            }
+            Some(b'{') | Some(b'[') => self.fail("nested values are outside the flat trace schema"),
             Some(b) if b.is_ascii_digit() || b == b'-' => {
                 let start = self.pos;
                 while self.peek().is_some_and(|b| {
@@ -353,10 +346,7 @@ impl<'a> Parser<'a> {
                 }
                 Some(_) => {
                     let run = self.pos;
-                    while self
-                        .peek()
-                        .is_some_and(|b| !matches!(b, b'"' | b'\\'))
-                    {
+                    while self.peek().is_some_and(|b| !matches!(b, b'"' | b'\\')) {
                         self.pos += 1;
                     }
                     out.push_str(&self.text[run..self.pos]);
@@ -430,9 +420,9 @@ impl<'a> Model<'a> {
                     start: line.u64("t").unwrap_or(0),
                     bus_free,
                     deliver: line.u64("deliver").unwrap_or(bus_free),
-                    queued: line.u64("queued").unwrap_or_else(|| {
-                        line.u64("t").unwrap_or(0)
-                    }),
+                    queued: line
+                        .u64("queued")
+                        .unwrap_or_else(|| line.u64("t").unwrap_or(0)),
                     arb_losses: line.u64("arb_losses").unwrap_or(0),
                     mid: line.str("mid").unwrap_or("-").to_string(),
                     transmitters: line

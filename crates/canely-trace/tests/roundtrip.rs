@@ -84,13 +84,19 @@ fn arb_token() -> impl Strategy<Value = String> {
         // U+D800 (the only range four hex digits can spell besides the
         // rejected surrogates).
         6 => format!("\\u{code:04x}"),
-        7 => "é漢🚍".chars().nth((byte % 3) as usize).unwrap().to_string(),
+        7 => "é漢🚍"
+            .chars()
+            .nth((byte % 3) as usize)
+            .unwrap()
+            .to_string(),
         // ASCII spelled as an escape, in either case: the exporter's
         // own spelling only for a control character in lower case.
         8 => format!("\\u{:04x}", byte % 0x80),
         9 => format!("\\u{:04X}", byte % 0x20),
         // A plain ASCII character that needs no escaping.
-        _ => char::from(0x20 + byte % 0x5e).to_string().replace(['"', '\\'], "x"),
+        _ => char::from(0x20 + byte % 0x5e)
+            .to_string()
+            .replace(['"', '\\'], "x"),
     })
 }
 
@@ -180,7 +186,11 @@ fn only_a_canonical_line_is_copied_verbatim() {
         let line = Line::parse(text).unwrap();
         assert_eq!(line.render(), canonical, "{text}");
         assert_eq!(Line::parse(canonical).unwrap().render(), canonical);
-        assert_eq!(line.u64("t"), text.contains("\"t\":1").then_some(1), "the first `t` wins");
+        assert_eq!(
+            line.u64("t"),
+            text.contains("\"t\":1").then_some(1),
+            "the first `t` wins"
+        );
     }
 }
 
@@ -205,7 +215,6 @@ fn malformed_escapes_are_rejected_like_the_seed() {
         assert!(Line::parse(&doc).is_err(), "new parser accepts {raw:?}");
     }
 }
-
 
 /// New reader and reference agree on one line: the verdict (and where
 /// a refusal points), the `(key, value)` sequence, what a look-up by
@@ -232,7 +241,9 @@ fn assert_same_line(text: &str) -> Result<(), TestCaseError> {
         prop_assert_eq!(
             line.get(key).map(|v| format!("{v:?}")),
             old.get(key).map(|v| format!("{v:?}")),
-            "first `{}` of {:?}", key, text
+            "first `{}` of {:?}",
+            key,
+            text
         );
         prop_assert_eq!(line.u64(key), old.u64(key));
         prop_assert_eq!(line.str(key), old.str(key).map(Cow::Borrowed));
@@ -260,13 +271,21 @@ fn assert_same_document(text: &str) -> Result<(), TestCaseError> {
     // truncated by the reference and is refused now, on its line.
     if let Err(range) = &new {
         if range.error.reason.ends_with(" is out of range") {
-            let line = text.lines().nth(range.line - 1).expect("the named line exists");
+            let line = text
+                .lines()
+                .nth(range.line - 1)
+                .expect("the named line exists");
             // (A line that is also malformed further on was refused
             // by both; the lines before it by neither.)
             if let Ok(old) = reference::Line::parse(line) {
                 prop_assert!(
-                    [old.u64("seg"), old.u64("node")].iter().flatten().any(|&id| id > 255),
-                    "{}: {:?}", range, line
+                    [old.u64("seg"), old.u64("node")]
+                        .iter()
+                        .flatten()
+                        .any(|&id| id > 255),
+                    "{}: {:?}",
+                    range,
+                    line
                 );
             }
             let before: String = text
@@ -348,8 +367,22 @@ fn arb_string_body() -> impl Strategy<Value = String> {
 fn arb_key() -> impl Strategy<Value = String> {
     (0usize..20, arb_string_body()).prop_map(|(pick, body)| {
         const KEYS: &[&str] = &[
-            "t", "seg", "seq", "node", "kind", "cause", "mid", "transmitters", "deliver",
-            "delivered", "suspect", "view", "\\u0074", "kin\\u0064", "a\\/b", "",
+            "t",
+            "seg",
+            "seq",
+            "node",
+            "kind",
+            "cause",
+            "mid",
+            "transmitters",
+            "deliver",
+            "delivered",
+            "suspect",
+            "view",
+            "\\u0074",
+            "kin\\u0064",
+            "a\\/b",
+            "",
         ];
         KEYS.get(pick).map_or(body, |key| key.to_string())
     })
@@ -378,14 +411,24 @@ fn arb_value() -> impl Strategy<Value = String> {
 
 /// What may stand between two tokens: usually nothing.
 fn arb_gap() -> impl Strategy<Value = &'static str> {
-    (0usize..12)
-        .prop_map(|pick| *["", " ", "\t", " \t "].get(pick.saturating_sub(8)).unwrap_or(&""))
+    (0usize..12).prop_map(|pick| {
+        *["", " ", "\t", " \t "]
+            .get(pick.saturating_sub(8))
+            .unwrap_or(&"")
+    })
 }
 
 /// One object: canonical when every gap came out empty and every
 /// escape is the exporter's, padded or foreign-escaped otherwise.
 fn arb_line() -> impl Strategy<Value = String> {
-    let field = (arb_key(), arb_value(), arb_gap(), arb_gap(), arb_gap(), arb_gap());
+    let field = (
+        arb_key(),
+        arb_value(),
+        arb_gap(),
+        arb_gap(),
+        arb_gap(),
+        arb_gap(),
+    );
     (prop::collection::vec(field, 0..7), arb_gap(), arb_gap()).prop_map(|(fields, lead, trail)| {
         let body: Vec<String> = fields
             .into_iter()
@@ -402,7 +445,11 @@ fn arb_line() -> impl Strategy<Value = String> {
 fn arb_record() -> impl Strategy<Value = String> {
     (0u8..8, 0u64..12, 0u64..3, 0u64..4, 0u64..8).prop_map(|(pick, t, seg, seq, node)| {
         let t = t * 250;
-        let seg = if seg == 2 { String::new() } else { format!(",\"seg\":{seg}") };
+        let seg = if seg == 2 {
+            String::new()
+        } else {
+            format!(",\"seg\":{seg}")
+        };
         match pick {
             0 | 1 => format!(
                 "{{\"t\":{t}{seg},\"kind\":\"bus.tx\",\"mid\":\"FDA[0,n{node}]\",\
@@ -429,12 +476,11 @@ fn arb_record() -> impl Strategy<Value = String> {
 /// A document: exporter-shaped records, generated objects and blank
 /// lines, `\n`- or `\r\n`-terminated.
 fn arb_document() -> impl Strategy<Value = String> {
-    let line = (0u8..8, arb_record(), arb_line(), any::<bool>()).prop_map(
-        |(pick, record, line, crlf)| {
+    let line =
+        (0u8..8, arb_record(), arb_line(), any::<bool>()).prop_map(|(pick, record, line, crlf)| {
             let text = if pick == 0 { line } else { record };
             text + if crlf { "\r\n" } else { "\n" }
-        },
-    );
+        });
     prop::collection::vec(line, 0..24).prop_map(|lines| lines.concat())
 }
 

@@ -146,7 +146,9 @@ impl Args {
         let values = self.take(name).unwrap_or_default();
         let event = |v: &String| {
             parse_event(v).ok_or_else(|| {
-                ArgError(format!("--{name} expects NODE@TIME (e.g. 3@250ms), got `{v}`"))
+                ArgError(format!(
+                    "--{name} expects NODE@TIME (e.g. 3@250ms), got `{v}`"
+                ))
             })
         };
         values.iter().map(event).collect()
@@ -184,7 +186,13 @@ mod tests {
     #[test]
     fn parses_command_subcommand_options_flags() {
         let mut args = Args::parse(&argv(&[
-            "baseline", "osek", "--nodes", "16", "--crash", "3@250ms", "--journal",
+            "baseline",
+            "osek",
+            "--nodes",
+            "16",
+            "--crash",
+            "3@250ms",
+            "--journal",
         ]))
         .unwrap();
         assert_eq!(args.command(), "baseline");
@@ -200,9 +208,14 @@ mod tests {
 
     #[test]
     fn repeatable_events() {
-        let mut args =
-            Args::parse(&argv(&["membership", "--crash", "1@10ms", "--crash", "2@20ms"]))
-                .unwrap();
+        let mut args = Args::parse(&argv(&[
+            "membership",
+            "--crash",
+            "1@10ms",
+            "--crash",
+            "2@20ms",
+        ]))
+        .unwrap();
         let events = args.events("crash").unwrap();
         assert_eq!(events.len(), 2);
         assert_eq!(events[1].1, BitTime::new(20_000));

@@ -13,7 +13,10 @@ fn main() -> ExitCode {
         }
     };
     let mut stdout = std::io::stdout().lock();
-    match stdout.write_all(output.as_bytes()).and_then(|()| stdout.flush()) {
+    match stdout
+        .write_all(output.as_bytes())
+        .and_then(|()| stdout.flush())
+    {
         Ok(()) => ExitCode::SUCCESS,
         // The reader went away (`| head`): it has what it wanted.
         Err(error) if error.kind() == ErrorKind::BrokenPipe => ExitCode::SUCCESS,

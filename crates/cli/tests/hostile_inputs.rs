@@ -148,12 +148,26 @@ fn a_zero_traffic_period_is_refused_on_its_line() {
     // Used to reach `TrafficConfig::periodic` and panic (`traffic
     // period must be positive`, exit 101).
     const ZERO: &str = "traffic period must be positive";
-    assert_refused(CAMPAIGN, "traffic.campaign", "nodes 4\ntraffic 0ms\n", 2, ZERO);
+    assert_refused(
+        CAMPAIGN,
+        "traffic.campaign",
+        "nodes 4\ntraffic 0ms\n",
+        2,
+        ZERO,
+    );
     let text = "nodes 4\ntraffic 0 0ms\nuntil 300ms\nsettle 150ms\n";
     assert_refused(RUN, "traffic.canely", text, 2, ZERO);
     assert_refused(REPLAY, "traffic.canely", text, 2, ZERO);
     // On the command line a zero period is how one says "none".
-    let out = run(&argv(&["membership", "--nodes", "3", "--traffic", "0ms", "--until", "100ms"]));
+    let out = run(&argv(&[
+        "membership",
+        "--nodes",
+        "3",
+        "--traffic",
+        "0ms",
+        "--until",
+        "100ms",
+    ]));
     assert!(out.unwrap().contains("CANELy membership"));
 }
 
@@ -229,7 +243,11 @@ fn a_crash_at_zero_is_refused_where_the_oracle_judges() {
     let out = run(&argv(&["run", &file("zero.canely", single)])).unwrap();
     assert!(out.starts_with("scenario: "), "{out}");
     let head = "nodes 4\nsegments 2\nuntil 300ms\n";
-    for tail in ["seg-crash 1 1 0ms\n", "gateway-crash 0 0ms\n", "gateway-crash 1 0ms\n"] {
+    for tail in [
+        "seg-crash 1 1 0ms\n",
+        "gateway-crash 0 0ms\n",
+        "gateway-crash 1 0ms\n",
+    ] {
         let text = format!("{head}{tail}");
         assert_refused(RUN, "zero-fed.canely", &text, 4, NEEDLE);
         assert_refused(REPLAY, "zero-fed.canely", &text, 4, NEEDLE);

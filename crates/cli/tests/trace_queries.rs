@@ -111,7 +111,11 @@ fn checked_in_scenario_traces_round_trip_losslessly() {
         let rendered = model.to_jsonl();
         assert_eq!(rendered, doc, "{name}: parse→render must be lossless");
         let again = canely_trace::TraceModel::parse(&rendered).unwrap();
-        assert_eq!(again.to_jsonl(), rendered, "{name}: render is a fixed point");
+        assert_eq!(
+            again.to_jsonl(),
+            rendered,
+            "{name}: render is a fixed point"
+        );
     }
 }
 
@@ -145,7 +149,10 @@ proptest! {
 
 #[test]
 fn chrome_export_matches_the_checked_in_golden() {
-    let out = run(&argv(&["trace", "--nodes", "2", "--until", "80ms", "--chrome"])).unwrap();
+    let out = run(&argv(&[
+        "trace", "--nodes", "2", "--until", "80ms", "--chrome",
+    ]))
+    .unwrap();
     let golden = include_str!("golden/chrome_2node_80ms.json");
     assert_eq!(
         out, golden,
@@ -209,11 +216,21 @@ fn tq_renders_are_byte_deterministic() {
         assert_eq!(a, b, "tq {sub} differs across invocations");
     }
     let a = run(&argv(&[
-        "tq", "chain", "--scenario", &scenario, "--suspect", "3",
+        "tq",
+        "chain",
+        "--scenario",
+        &scenario,
+        "--suspect",
+        "3",
     ]))
     .unwrap();
     let b = run(&argv(&[
-        "tq", "chain", "--scenario", &scenario, "--suspect", "3",
+        "tq",
+        "chain",
+        "--scenario",
+        &scenario,
+        "--suspect",
+        "3",
     ]))
     .unwrap();
     assert_eq!(a, b, "tq chain differs across invocations");
@@ -225,10 +242,18 @@ fn tq_renders_are_byte_deterministic() {
 /// two files.
 #[test]
 fn small_trace_exports_match_the_goldens() {
-    let flags = ["trace", "--nodes", "4", "--crash", "2@250ms", "--until", "400ms"];
+    let flags = [
+        "trace", "--nodes", "4", "--crash", "2@250ms", "--until", "400ms",
+    ];
     for (format, golden) in [
-        ("--jsonl", include_str!("../../../tests/golden/trace_small.jsonl")),
-        ("--chrome", include_str!("../../../tests/golden/trace_small.chrome.json")),
+        (
+            "--jsonl",
+            include_str!("../../../tests/golden/trace_small.jsonl"),
+        ),
+        (
+            "--chrome",
+            include_str!("../../../tests/golden/trace_small.chrome.json"),
+        ),
     ] {
         let mut args = argv(&flags);
         args.push(format.to_string());
@@ -270,10 +295,22 @@ fn federated_capture_and_every_query_over_it_are_pinned() {
     let model = TraceModel::parse(&doc).unwrap();
     let outputs = [
         ("capture", doc.clone(), 0x1b4d_8c1d_dff7_125c_u64),
-        ("chrome_trace(capture)", canely_trace::chrome_trace(&model), 0x8c80_4584_ce3b_1621),
-        ("tq chain", tq(&["chain", "--suspect", "s1:n2"]), 0xdf4a_70b0_3368_df20),
+        (
+            "chrome_trace(capture)",
+            canely_trace::chrome_trace(&model),
+            0x8c80_4584_ce3b_1621,
+        ),
+        (
+            "tq chain",
+            tq(&["chain", "--suspect", "s1:n2"]),
+            0xdf4a_70b0_3368_df20,
+        ),
         ("tq phases", tq(&["phases"]), 0x2c6c_25ce_03ac_d491),
-        ("tq filter", tq(&["filter", "--seg", "1", "--kind", "view"]), 0x93fa_182e_b2fe_3f7d),
+        (
+            "tq filter",
+            tq(&["filter", "--seg", "1", "--kind", "view"]),
+            0x93fa_182e_b2fe_3f7d,
+        ),
         ("tq summary", tq(&["summary"]), 0xcb0a_6a94_7a6f_98b7),
         ("tq reexport", tq(&["reexport"]), 0x1b4d_8c1d_dff7_125c),
     ];

@@ -30,7 +30,9 @@
 
 use crate::fd::{els_mid, DetectorMetrics, DetectorTimer, FailureDetector, FdAction};
 use crate::obs::{EventSink, ObsTimer, ProtocolEvent};
-use crate::tags::{detector_skew as skew, ping_mid, TimerOwner, PING_DIRECT, PING_REQ, SWIM_HELPERS};
+use crate::tags::{
+    detector_skew as skew, ping_mid, TimerOwner, PING_DIRECT, PING_REQ, SWIM_HELPERS,
+};
 use can_controller::{Ctx, TimerId};
 use can_types::{BitTime, Mid, NodeId, NodeSet, MAX_NODES};
 
@@ -151,8 +153,7 @@ impl SwimDetector {
     /// (lowest eligible node ids) enlisted by a ping-req.
     fn is_helper(&self, me: NodeId, prober: NodeId, target: NodeId) -> bool {
         let eligible = self.monitored - NodeSet::from_iter([prober, target]);
-        eligible.contains(me)
-            && eligible.iter().take(SWIM_HELPERS).any(|n| n == me)
+        eligible.contains(me) && eligible.iter().take(SWIM_HELPERS).any(|n| n == me)
     }
 }
 
@@ -171,7 +172,10 @@ impl FailureDetector for SwimDetector {
         if self.period.is_none() {
             // First period staggered per node rank so the fleet's
             // probe rounds do not tick in lock-step.
-            let tid = ctx.start_alarm(self.th + skew(ctx.me()), TimerOwner::DetectorPeriod.encode());
+            let tid = ctx.start_alarm(
+                self.th + skew(ctx.me()),
+                TimerOwner::DetectorPeriod.encode(),
+            );
             self.period = Some(tid);
         }
     }
@@ -236,14 +240,15 @@ impl FailureDetector for SwimDetector {
                         // Escalate: enlist helpers via ping-req.
                         self.send_ping(ctx, PING_REQ, r);
                         self.arm_probe(ctx, r, ProbePhase::Indirect);
-                        ctx.journal(format_args!(
-                            "FD/swim: no answer from {r} — indirect probe"
-                        ));
+                        ctx.journal(format_args!("FD/swim: no answer from {r} — indirect probe"));
                         None
                     }
                     ProbePhase::Indirect => {
-                        self.obs
-                            .emit(ctx.now(), ctx.me(), ProtocolEvent::SuspectRaised { suspect: r });
+                        self.obs.emit(
+                            ctx.now(),
+                            ctx.me(),
+                            ProtocolEvent::SuspectRaised { suspect: r },
+                        );
                         self.metrics.suspicions.inc();
                         ctx.journal(format_args!(
                             "FD/swim: node {r} silent through indirect probes — suspecting"
@@ -453,7 +458,8 @@ impl FailureDetector for AddPhiDetector {
         if r == ctx.me() {
             ctx.can_rtr_req(els_mid(r));
             self.els_sent += 1;
-            self.obs.emit(ctx.now(), ctx.me(), ProtocolEvent::LifeSignSent);
+            self.obs
+                .emit(ctx.now(), ctx.me(), ProtocolEvent::LifeSignSent);
             self.metrics.lifesigns.inc();
             ctx.journal("FD/add: broadcasting heartbeat life-sign");
             // Unconditional cadence: re-arm immediately rather than
@@ -461,8 +467,11 @@ impl FailureDetector for AddPhiDetector {
             self.arm(ctx, r);
             None
         } else {
-            self.obs
-                .emit(ctx.now(), ctx.me(), ProtocolEvent::SuspectRaised { suspect: r });
+            self.obs.emit(
+                ctx.now(),
+                ctx.me(),
+                ProtocolEvent::SuspectRaised { suspect: r },
+            );
             self.metrics.suspicions.inc();
             ctx.journal(format_args!(
                 "FD/add: node {r} exceeded adaptive timeout — suspecting"
@@ -593,7 +602,9 @@ mod tests {
         assert_eq!(d.els_sent(), 1);
         // The ping also counted as activity of the prober.
         h.ctx(|ctx| d.on_timer(ctx, DetectorTimer::Period));
-        assert!(!h.drain_frames().contains(&ping_mid(PING_DIRECT, n(2), n(1))));
+        assert!(!h
+            .drain_frames()
+            .contains(&ping_mid(PING_DIRECT, n(2), n(1))));
     }
 
     #[test]

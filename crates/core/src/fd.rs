@@ -364,13 +364,17 @@ impl FailureDetector for SurveillanceDetector {
         if r == ctx.me() {
             ctx.can_rtr_req(els_mid(r)); // f08
             self.els_sent += 1;
-            self.obs.emit(ctx.now(), ctx.me(), ProtocolEvent::LifeSignSent);
+            self.obs
+                .emit(ctx.now(), ctx.me(), ProtocolEvent::LifeSignSent);
             self.metrics.lifesigns.inc();
             ctx.journal("FD: broadcasting explicit life-sign");
             None
         } else {
-            self.obs
-                .emit(ctx.now(), ctx.me(), ProtocolEvent::SuspectRaised { suspect: r });
+            self.obs.emit(
+                ctx.now(),
+                ctx.me(),
+                ProtocolEvent::SuspectRaised { suspect: r },
+            );
             self.metrics.suspicions.inc();
             ctx.journal(format_args!("FD: node {r} silent — suspecting"));
             Some(FdAction::Suspect(r)) // f10

@@ -149,8 +149,11 @@ impl Fda {
             );
             ctx.journal(format_args!("FDA: diffusing failure-sign for {r}"));
         }
-        self.obs
-            .emit(ctx.now(), ctx.me(), ProtocolEvent::FdaDelivered { failed: r });
+        self.obs.emit(
+            ctx.now(),
+            ctx.me(),
+            ProtocolEvent::FdaDelivered { failed: r },
+        );
         Some(r)
     }
 

@@ -186,7 +186,8 @@ impl Membership {
             );
         }
         ctx.can_rtr_req(Mid::new(MsgType::Join, 0, ctx.me())); // s02
-        self.obs.emit(ctx.now(), ctx.me(), ProtocolEvent::JoinRequested);
+        self.obs
+            .emit(ctx.now(), ctx.me(), ProtocolEvent::JoinRequested);
         ctx.journal("MSH: join requested");
     }
 
@@ -197,7 +198,8 @@ impl Membership {
             return; // s07 guard: only members leave
         }
         ctx.can_rtr_req(Mid::new(MsgType::Leave, 0, ctx.me())); // s08
-        self.obs.emit(ctx.now(), ctx.me(), ProtocolEvent::LeaveRequested);
+        self.obs
+            .emit(ctx.now(), ctx.me(), ProtocolEvent::LeaveRequested);
         ctx.journal("MSH: leave requested");
     }
 
@@ -234,16 +236,15 @@ impl Membership {
             // s18–s19: no full member answered within the join wait —
             // bootstrap the view from the joining set.
             self.vs = self.vj;
-            self.obs
-                .emit(ctx.now(), me, ProtocolEvent::ViewBootstrapped { view: self.vs });
+            self.obs.emit(
+                ctx.now(),
+                me,
+                ProtocolEvent::ViewBootstrapped { view: self.vs },
+            );
             ctx.journal(format_args!("MSH: bootstrap view {}", self.vs));
         }
         // s21: restart the cycle timer.
-        self.tid = Some(ctx.restart_alarm(
-            self.tid,
-            self.tm,
-            TimerOwner::MembershipCycle.encode(),
-        ));
+        self.tid = Some(ctx.restart_alarm(self.tid, self.tm, TimerOwner::MembershipCycle.encode()));
         self.obs.emit(
             ctx.now(),
             me,
@@ -331,8 +332,11 @@ impl Membership {
     fn view_proc(&mut self, ctx: &mut Ctx<'_>, vw: NodeSet) {
         let next = vw - self.fs; // a01
         if next != self.vs {
-            self.obs
-                .emit(ctx.now(), ctx.me(), ProtocolEvent::ViewInstalled { view: next });
+            self.obs.emit(
+                ctx.now(),
+                ctx.me(),
+                ProtocolEvent::ViewInstalled { view: next },
+            );
         }
         self.vs = next;
         self.fs = NodeSet::EMPTY;

@@ -73,9 +73,7 @@ impl TimerOwner {
     /// Encodes the owner as a timer tag.
     pub fn encode(self) -> u64 {
         match self {
-            TimerOwner::Surveillance(node) => {
-                (KIND_SURVEILLANCE << 56) | node.as_u8() as u64
-            }
+            TimerOwner::Surveillance(node) => (KIND_SURVEILLANCE << 56) | node.as_u8() as u64,
             TimerOwner::RhaTermination => KIND_RHA << 56,
             TimerOwner::MembershipCycle => KIND_MEMBERSHIP << 56,
             TimerOwner::Traffic => KIND_TRAFFIC << 56,

@@ -122,9 +122,7 @@ mod tests {
         let t = TrafficConfig::periodic(BitTime::new(1_000), 8);
         assert_eq!(t.size, 8);
         assert!(std::panic::catch_unwind(|| TrafficConfig::periodic(BitTime::ZERO, 1)).is_err());
-        assert!(
-            std::panic::catch_unwind(|| TrafficConfig::periodic(BitTime::new(1), 9)).is_err()
-        );
+        assert!(std::panic::catch_unwind(|| TrafficConfig::periodic(BitTime::new(1), 9)).is_err());
     }
 
     #[test]

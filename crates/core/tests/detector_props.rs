@@ -101,12 +101,16 @@ impl LegacyFailureDetector {
         if r == ctx.me() {
             ctx.can_rtr_req(Self::els_mid(r)); // f08
             self.els_sent += 1;
-            self.obs.emit(ctx.now(), ctx.me(), ProtocolEvent::LifeSignSent);
+            self.obs
+                .emit(ctx.now(), ctx.me(), ProtocolEvent::LifeSignSent);
             ctx.journal("FD: broadcasting explicit life-sign");
             None
         } else {
-            self.obs
-                .emit(ctx.now(), ctx.me(), ProtocolEvent::SuspectRaised { suspect: r });
+            self.obs.emit(
+                ctx.now(),
+                ctx.me(),
+                ProtocolEvent::SuspectRaised { suspect: r },
+            );
             ctx.journal(format_args!("FD: node {r} silent — suspecting"));
             Some(FdAction::Suspect(r)) // f10
         }

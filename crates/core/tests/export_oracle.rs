@@ -18,15 +18,12 @@ use std::fmt::Write as _;
 /// The single-bus exporter as it stood before PR 24.
 fn oracle_export_jsonl(events: &[TimedEvent], bus: Option<&BusTrace>) -> String {
     // (time, class, sequence) — class 0 = bus, 1 = protocol.
-    let mut lines: Vec<(u64, u8, usize, String)> = Vec::with_capacity(
-        events.len() + bus.map_or(0, BusTrace::len),
-    );
+    let mut lines: Vec<(u64, u8, usize, String)> =
+        Vec::with_capacity(events.len() + bus.map_or(0, BusTrace::len));
     if let Some(trace) = bus {
         for (seq, rec) in trace.iter().enumerate() {
             let mut line = String::with_capacity(160);
-            let mid = rec
-                .mid()
-                .map_or_else(|| "-".to_string(), |m| m.to_string());
+            let mid = rec.mid().map_or_else(|| "-".to_string(), |m| m.to_string());
             let _ = write!(
                 line,
                 "{{\"t\":{},\"kind\":\"bus.tx\",\"mid\":\"{}\",\"frame\":\"{}\",\

@@ -12,9 +12,7 @@
 //!
 //! Run with `cargo run --release -p examples --bin fault_storm`.
 
-use can_bus::{
-    AccepterSpec, BusConfig, FaultEffect, FaultMatcher, FaultPlan, ScriptedFault,
-};
+use can_bus::{AccepterSpec, BusConfig, FaultEffect, FaultMatcher, FaultPlan, ScriptedFault};
 use can_controller::Simulator;
 use can_types::{BitTime, MsgType, NodeId, NodeSet};
 use canely::{CanelyConfig, CanelyStack, TrafficConfig, UpperEvent};
@@ -86,9 +84,11 @@ fn run_storm(seed: u64) -> bool {
         let stack = sim.app::<CanelyStack>(NodeId::new(id));
         agreed &= stack.view() == reference_view;
         for victim in [5u8, 6] {
-            if let Some(&(t, _)) = stack.events().iter().find(
-                |(_, e)| matches!(e, UpperEvent::FailureNotified(r) if r.as_u8() == victim),
-            ) {
+            if let Some(&(t, _)) = stack
+                .events()
+                .iter()
+                .find(|(_, e)| matches!(e, UpperEvent::FailureNotified(r) if r.as_u8() == victim))
+            {
                 latencies.push(t);
             } else {
                 agreed = false;

@@ -35,8 +35,7 @@ fn main() {
     for id in 0..3u8 {
         sim.add_node(
             NodeId::new(id),
-            GroupStack::new(config.clone())
-                .with_group_join_at(CONTROLLERS, BitTime::new(150_000)),
+            GroupStack::new(config.clone()).with_group_join_at(CONTROLLERS, BitTime::new(150_000)),
         );
     }
     // Two sensor nodes (observers of the controller group).

@@ -63,7 +63,10 @@ fn main() {
     println!("cable fault: nodes {{2,3}} severed from {{0,1}} on medium 0, 300-600 ms\n");
 
     let single = run(1);
-    report("single medium — the partition splits the membership:", &single);
+    report(
+        "single medium — the partition splits the membership:",
+        &single,
+    );
     let side_a = single.app::<CanelyStack>(NodeId::new(0)).view();
     let side_b = single.app::<CanelyStack>(NodeId::new(2)).view();
     assert_ne!(side_a, side_b, "split brain expected");

@@ -90,10 +90,7 @@ fn main() {
 
     // Membership converged (nodes 4/5 do not participate — they run
     // only the broadcast protocol).
-    let view = sim
-        .app::<DualStack>(NodeId::new(0))
-        .membership
-        .view();
+    let view = sim.app::<DualStack>(NodeId::new(0)).membership.view();
     println!("membership view of the control group: {view}");
     assert_eq!(view, members);
 
@@ -102,7 +99,10 @@ fn main() {
         .map(|id| &sim.app::<DualStack>(NodeId::new(id)).clock)
         .collect();
     let precision = ensemble_precision(&clocks, sim.now());
-    println!("clock ensemble precision at t={}: {precision} µs", fmt_ms(sim.now()));
+    println!(
+        "clock ensemble precision at t={}: {precision} µs",
+        fmt_ms(sim.now())
+    );
     assert!(precision <= 60, "tens-of-µs figure");
 
     // Both TOTCAN nodes applied the same setpoints in the same order.

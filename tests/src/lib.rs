@@ -91,10 +91,7 @@ pub fn n(id: u8) -> NodeId {
 /// # Panics
 ///
 /// Panics with a diagnostic if two histories conflict.
-pub fn assert_view_sequences_consistent(
-    sim: &can_controller::Simulator,
-    nodes: &[u8],
-) {
+pub fn assert_view_sequences_consistent(sim: &can_controller::Simulator, nodes: &[u8]) {
     use can_types::NodeSet;
     let histories: Vec<(u8, Vec<NodeSet>)> = nodes
         .iter()

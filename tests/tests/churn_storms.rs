@@ -22,7 +22,11 @@ fn join_leave_crash_in_one_cycle() {
         sim.add_node(n(id), stack);
     }
     // A joiner powers on within the same cycle…
-    sim.add_node_at(n(8), CanelyStack::new(config.clone()), BitTime::new(302_000));
+    sim.add_node_at(
+        n(8),
+        CanelyStack::new(config.clone()),
+        BitTime::new(302_000),
+    );
     // …and another member crashes within it too.
     sim.schedule_crash(n(3), BitTime::new(305_000));
     sim.run_until(BitTime::new(800_000));
@@ -64,7 +68,11 @@ fn single_cycle_churn_under_noise() {
             }
             sim.add_node(n(id), stack);
         }
-        sim.add_node_at(n(8), CanelyStack::new(config.clone()), BitTime::new(301_000));
+        sim.add_node_at(
+            n(8),
+            CanelyStack::new(config.clone()),
+            BitTime::new(301_000),
+        );
         sim.schedule_crash(n(3), BitTime::new(304_000));
         sim.run_until(BitTime::new(900_000));
 
@@ -90,10 +98,7 @@ fn cascading_crashes_do_not_stall_the_cycle() {
     }
     // Crash a node roughly every cycle.
     for (k, victim) in [0u8, 1, 2, 3].iter().enumerate() {
-        sim.schedule_crash(
-            n(*victim),
-            BitTime::new(250_000 + k as u64 * 35_000),
-        );
+        sim.schedule_crash(n(*victim), BitTime::new(250_000 + k as u64 * 35_000));
     }
     sim.run_until(BitTime::new(900_000));
     let expected = NodeSet::from_bits(0b11_0000);
@@ -136,7 +141,11 @@ fn identifier_reuse_after_leave() {
     // A *new* node with identifier 9 joins (identifier 3 cannot be
     // reused in-simulation; the point is that the view can grow again
     // after shrinking, with surveillance rebuilt from scratch).
-    sim.add_node_at(n(9), CanelyStack::new(config.clone()), BitTime::new(420_000));
+    sim.add_node_at(
+        n(9),
+        CanelyStack::new(config.clone()),
+        BitTime::new(420_000),
+    );
     sim.run_until(BitTime::new(800_000));
     let expected = NodeSet::first_n(3) | NodeSet::singleton(n(9));
     for id in [0u8, 1, 2, 9] {

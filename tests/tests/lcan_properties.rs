@@ -68,7 +68,9 @@ fn mcan2_corruption_is_detected_not_delivered() {
     assert_eq!(inds, vec![vec![7u8; 8]]);
     // The trace shows the errored attempt.
     assert_eq!(
-        sim.trace().stats(BitTime::ZERO, BitTime::new(10_000)).errors,
+        sim.trace()
+            .stats(BitTime::ZERO, BitTime::new(10_000))
+            .errors,
         1
     );
 }
@@ -89,7 +91,10 @@ fn mcan3_bounded_omission_degree() {
     sim.run_until(BitTime::new(100_000));
     let stats = sim.trace().stats(BitTime::ZERO, BitTime::new(100_000));
     assert_eq!(stats.errors as u32, k, "exactly k omissions then success");
-    assert_eq!(sim.app::<Recorder>(n(1)).indications_of(app_mid(0)).len(), 1);
+    assert_eq!(
+        sim.app::<Recorder>(n(1)).indications_of(app_mid(0)).len(),
+        1
+    );
 }
 
 /// MCAN4 — Bounded transmission delay: a queued frame is transmitted
@@ -121,7 +126,11 @@ fn mcan4_bounded_transmission_delay() {
     assert_eq!(deliveries.len(), 1);
     // Bound: 10 ELS frames (~80 bits each incl. intermission) plus own
     // frame — well under 2 000 bit-times.
-    assert!(deliveries[0] < BitTime::new(2_000), "delay {}", deliveries[0]);
+    assert!(
+        deliveries[0] < BitTime::new(2_000),
+        "delay {}",
+        deliveries[0]
+    );
 }
 
 /// LCAN1 — Validity: a correct node's broadcast is eventually
@@ -135,7 +144,10 @@ fn lcan1_validity_under_noise() {
     sim.add_node(n(0), Recorder::sending(data_frame(0, &[5; 4])));
     sim.add_node(n(1), Recorder::new());
     sim.run_until(BitTime::new(100_000));
-    assert_eq!(sim.app::<Recorder>(n(1)).indications_of(app_mid(0)).len(), 1);
+    assert_eq!(
+        sim.app::<Recorder>(n(1)).indications_of(app_mid(0)).len(),
+        1
+    );
 }
 
 /// LCAN2 caveat — Best-effort agreement: delivery to all correct nodes
@@ -158,8 +170,14 @@ fn lcan2_inconsistency_on_sender_crash() {
     sim.add_node(n(1), Recorder::new());
     sim.add_node(n(2), Recorder::new());
     sim.run_until(BitTime::new(100_000));
-    assert_eq!(sim.app::<Recorder>(n(1)).indications_of(app_mid(0)).len(), 1);
-    assert_eq!(sim.app::<Recorder>(n(2)).indications_of(app_mid(0)).len(), 0);
+    assert_eq!(
+        sim.app::<Recorder>(n(1)).indications_of(app_mid(0)).len(),
+        1
+    );
+    assert_eq!(
+        sim.app::<Recorder>(n(2)).indications_of(app_mid(0)).len(),
+        0
+    );
 }
 
 /// LCAN3 — At-least-once delivery: an inconsistently omitted frame is

@@ -2,9 +2,7 @@
 //! the paper's central claims, exercised across fault campaigns,
 //! churn, and configuration sweeps.
 
-use can_bus::{
-    AccepterSpec, BusConfig, FaultEffect, FaultMatcher, FaultPlan, ScriptedFault,
-};
+use can_bus::{AccepterSpec, BusConfig, FaultEffect, FaultMatcher, FaultPlan, ScriptedFault};
 use can_controller::Simulator;
 use can_types::{BitTime, MsgType, NodeId, NodeSet};
 use canely::{CanelyConfig, CanelyStack, TrafficConfig, UpperEvent};
@@ -56,11 +54,7 @@ fn agreement_over_seeded_fault_campaigns() {
                 .collect::<Vec<_>>()
         );
         let expected = NodeSet::first_n(6) - NodeSet::singleton(n(4));
-        assert_eq!(
-            sim.app::<CanelyStack>(n(0)).view(),
-            expected,
-            "seed {seed}"
-        );
+        assert_eq!(sim.app::<CanelyStack>(n(0)).view(), expected, "seed {seed}");
     }
 }
 
@@ -170,8 +164,7 @@ fn joiner_crash_does_not_poison_view() {
 fn detection_latency_scales_with_heartbeat_period() {
     let mut previous = BitTime::ZERO;
     for th_ms in [5u64, 10, 20] {
-        let config =
-            CanelyConfig::default().with_heartbeat_period(BitTime::new(th_ms * 1_000));
+        let config = CanelyConfig::default().with_heartbeat_period(BitTime::new(th_ms * 1_000));
         let mut sim = Simulator::new(BusConfig::default(), FaultPlan::none());
         build_cluster(&mut sim, 4, &config);
         let crash_at = config.join_wait + config.membership_cycle * 3;
@@ -243,7 +236,10 @@ fn whole_system_determinism() {
         build_cluster(&mut sim, 6, &config);
         sim.schedule_crash(n(5), BitTime::new(280_000));
         sim.run_until(BitTime::new(600_000));
-        let errors = sim.trace().stats(BitTime::ZERO, BitTime::new(600_000)).errors;
+        let errors = sim
+            .trace()
+            .stats(BitTime::ZERO, BitTime::new(600_000))
+            .errors;
         let events: Vec<_> = (0..5u8)
             .map(|id| sim.app::<CanelyStack>(n(id)).events().to_vec())
             .collect();

@@ -51,15 +51,15 @@ fn golden_trace_crash_to_view_change() {
     assert_eq!(
         chain,
         [
-            "node.crashed", // scripted crash marker for node 2
-            "fd.suspect",   // node 0's surveillance timer fires
-            "fda.invoked",  // FD hands the suspect to the FDA
-            "fda.sign.tx",  // node 0 requests the failure sign
-            "fda.sign.rx",  // ... and observes the sign on the bus
+            "node.crashed",  // scripted crash marker for node 2
+            "fd.suspect",    // node 0's surveillance timer fires
+            "fda.invoked",   // FD hands the suspect to the FDA
+            "fda.sign.tx",   // node 0 requests the failure sign
+            "fda.sign.rx",   // ... and observes the sign on the bus
             "fda.delivered", // eager diffusion settles the failure
-            "fd.notified",  // upper layer notified of agreed failure
-            "view.changed", // membership installs the shrunken view
-            "fda.sign.rx",  // late duplicate sign from a peer's diffusion
+            "fd.notified",   // upper layer notified of agreed failure
+            "view.changed",  // membership installs the shrunken view
+            "fda.sign.rx",   // late duplicate sign from a peer's diffusion
         ],
         "unexpected crash-detection chain"
     );
@@ -97,7 +97,10 @@ fn trace_is_time_ordered_with_markers() {
                 .unwrap_or_else(|| panic!("no t in {line}"))
         })
         .collect();
-    assert!(times.windows(2).all(|w| w[0] <= w[1]), "export out of order");
+    assert!(
+        times.windows(2).all(|w| w[0] <= w[1]),
+        "export out of order"
+    );
     assert!(events.iter().all(|e| e.time <= until));
     let crashes: Vec<_> = events
         .iter()

@@ -64,17 +64,21 @@ fn restart_loses_volatile_state() {
         sim.add_node(n(id), CanelyStack::new(config.clone()));
     }
     sim.schedule_crash(n(1), BitTime::new(250_000));
-    sim.schedule_restart(n(1), BitTime::new(600_000), CanelyStack::new(config.clone()));
+    sim.schedule_restart(
+        n(1),
+        BitTime::new(600_000),
+        CanelyStack::new(config.clone()),
+    );
     sim.run_until(BitTime::new(900_000));
     let rebooted = sim.app::<CanelyStack>(n(1));
     // First recorded event after reboot is the membership change that
     // integrated it — nothing from the pre-crash epoch.
     let first = rebooted.events().first().expect("rejoined");
-    assert!(first.0 > BitTime::new(600_000), "stale pre-crash event kept");
-    assert!(matches!(
-        first.1,
-        UpperEvent::MembershipChange { .. }
-    ));
+    assert!(
+        first.0 > BitTime::new(600_000),
+        "stale pre-crash event kept"
+    );
+    assert!(matches!(first.1, UpperEvent::MembershipChange { .. }));
 }
 
 /// Repeated crash/restart cycles of the same node converge every time.
@@ -122,7 +126,11 @@ fn power_cycle_of_live_node() {
     for id in 0..3u8 {
         sim.add_node(n(id), CanelyStack::new(config.clone()));
     }
-    sim.schedule_restart(n(2), BitTime::new(400_000), CanelyStack::new(config.clone()));
+    sim.schedule_restart(
+        n(2),
+        BitTime::new(400_000),
+        CanelyStack::new(config.clone()),
+    );
     sim.run_until(BitTime::new(900_000));
     for id in 0..3u8 {
         assert_eq!(sim.app::<CanelyStack>(n(id)).view(), NodeSet::first_n(3));
@@ -148,8 +156,16 @@ fn lifecycle_view_sequences_consistent() {
         sim.add_node(n(id), stack);
     }
     sim.schedule_crash(n(3), BitTime::new(300_000));
-    sim.schedule_restart(n(3), BitTime::new(700_000), CanelyStack::new(config.clone()));
-    sim.add_node_at(n(9), CanelyStack::new(config.clone()), BitTime::new(900_000));
+    sim.schedule_restart(
+        n(3),
+        BitTime::new(700_000),
+        CanelyStack::new(config.clone()),
+    );
+    sim.add_node_at(
+        n(9),
+        CanelyStack::new(config.clone()),
+        BitTime::new(900_000),
+    );
     sim.run_until(BitTime::new(1_400_000));
 
     let expected = NodeSet::from_bits(0b10_0000_1111);

@@ -23,7 +23,10 @@ impl Stream {
         Mid::new(self.msg_type, 0, n(self.node))
     }
     fn frame(&self) -> Frame {
-        Frame::data(self.mid(), Payload::from_slice(&vec![0x5A; self.payload]).unwrap())
+        Frame::data(
+            self.mid(),
+            Payload::from_slice(&vec![0x5A; self.payload]).unwrap(),
+        )
     }
     fn spec(&self) -> MessageSpec {
         MessageSpec::periodic(self.mid().to_can_id(), self.period, self.payload)

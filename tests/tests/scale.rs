@@ -93,12 +93,20 @@ fn one_second_with_churn() {
     // Churn: two crashes, two late joiners.
     sim.schedule_crash(n(5), BitTime::new(300_000));
     sim.schedule_crash(n(6), BitTime::new(550_000));
-    sim.add_node_at(n(40), CanelyStack::new(config.clone()), BitTime::new(400_000));
-    sim.add_node_at(n(41), CanelyStack::new(config.clone()), BitTime::new(700_000));
+    sim.add_node_at(
+        n(40),
+        CanelyStack::new(config.clone()),
+        BitTime::new(400_000),
+    );
+    sim.add_node_at(
+        n(41),
+        CanelyStack::new(config.clone()),
+        BitTime::new(700_000),
+    );
     sim.run_until(BitTime::new(1_000_000));
 
-    let expected = (NodeSet::first_n(24) - NodeSet::from_bits(0b110_0000))
-        | NodeSet::from_bits(0b11 << 40);
+    let expected =
+        (NodeSet::first_n(24) - NodeSet::from_bits(0b110_0000)) | NodeSet::from_bits(0b11 << 40);
     let survivors: Vec<u8> = (0..24u8).filter(|&id| id != 5 && id != 6).collect();
     for &id in survivors.iter().chain([40u8, 41].iter()) {
         assert_eq!(sim.app::<CanelyStack>(n(id)).view(), expected, "node {id}");

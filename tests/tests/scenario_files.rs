@@ -27,8 +27,7 @@ fn every_checked_in_scenario_passes_its_expectation() {
         }
         seen += 1;
         let text = std::fs::read_to_string(&path).expect("scenario file");
-        let scenario =
-            Scenario::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        let scenario = Scenario::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
         let out = canely_cli::scenario::report(&scenario)
             .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
         assert!(
@@ -37,7 +36,10 @@ fn every_checked_in_scenario_passes_its_expectation() {
             path.display()
         );
     }
-    assert!(seen >= 3, "expected at least 3 scenario files, found {seen}");
+    assert!(
+        seen >= 3,
+        "expected at least 3 scenario files, found {seen}"
+    );
 }
 
 #[test]

@@ -23,7 +23,13 @@ fn arb_scenario() -> impl Strategy<Value = Scenario> {
         .prop_flat_map(|(nodes, seed, traffic_mask)| {
             let victims = prop::collection::vec(0..nodes, 0..=((nodes - 2) as usize).min(3));
             let offsets = prop::collection::vec(0u64..60_000, 3);
-            (Just(nodes), victims, offsets, Just(seed), Just(traffic_mask))
+            (
+                Just(nodes),
+                victims,
+                offsets,
+                Just(seed),
+                Just(traffic_mask),
+            )
         })
         .prop_map(|(nodes, mut victims, crash_offsets, seed, traffic_mask)| {
             victims.sort_unstable();
@@ -88,9 +94,7 @@ fn run_scenario(s: &Scenario) -> Result<(), TestCaseError> {
             let notifications = stack
                 .events()
                 .iter()
-                .filter(
-                    |(_, e)| matches!(e, UpperEvent::FailureNotified(r) if *r == n(victim)),
-                )
+                .filter(|(_, e)| matches!(e, UpperEvent::FailureNotified(r) if *r == n(victim)))
                 .count();
             prop_assert_eq!(
                 notifications,

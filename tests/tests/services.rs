@@ -91,7 +91,11 @@ fn clock_precision_survives_membership_churn() {
     for id in 0..4u8 {
         sim.add_node(n(id), CanelyStack::new(config.clone()));
     }
-    sim.add_node_at(n(7), CanelyStack::new(config.clone()), BitTime::new(400_000));
+    sim.add_node_at(
+        n(7),
+        CanelyStack::new(config.clone()),
+        BitTime::new(400_000),
+    );
     sim.add_node(
         n(10),
         ClockSync::new(ClockConfig::new(clock_members).with_drift_ppm(100)),
@@ -107,10 +111,7 @@ fn clock_precision_survives_membership_churn() {
     sim.schedule_crash(n(2), BitTime::new(500_000));
     sim.run_until(BitTime::new(1_500_000));
 
-    let clocks = [
-        sim.app::<ClockSync>(n(10)),
-        sim.app::<ClockSync>(n(11)),
-    ];
+    let clocks = [sim.app::<ClockSync>(n(10)), sim.app::<ClockSync>(n(11))];
     let precision = ensemble_precision(&clocks, sim.now());
     assert!(precision <= 60, "precision {precision} µs");
     // And membership converged too.

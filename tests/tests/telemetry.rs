@@ -54,13 +54,22 @@ fn stable_exports_are_byte_identical_across_worker_counts() {
     let (_, ref json1, ref prom1, ref reg_json1) = exports[0];
     for (workers, json, prom, reg_json) in &exports[1..] {
         assert_eq!(json, json1, "summary diverged at {workers} workers");
-        assert_eq!(prom, prom1, "stable Prometheus export diverged at {workers} workers");
-        assert_eq!(reg_json, reg_json1, "stable JSON export diverged at {workers} workers");
+        assert_eq!(
+            prom, prom1,
+            "stable Prometheus export diverged at {workers} workers"
+        );
+        assert_eq!(
+            reg_json, reg_json1,
+            "stable JSON export diverged at {workers} workers"
+        );
     }
     // The stable export carries real totals and no wall-clock series.
     assert!(prom1.contains("canely_campaign_runs_total 64"), "{prom1}");
     assert!(prom1.contains("canely_sim_steps_total"), "{prom1}");
-    assert!(prom1.contains("canely_detection_latency_bittimes_bucket"), "{prom1}");
+    assert!(
+        prom1.contains("canely_detection_latency_bittimes_bucket"),
+        "{prom1}"
+    );
     assert!(!prom1.contains("phase_nanos"), "{prom1}");
 }
 
@@ -86,9 +95,14 @@ fn progress_streaming_changes_no_summary_byte() {
             "progress at {workers} workers perturbed the summary"
         );
         let lines = lines.lock().unwrap();
-        let progress: Vec<&String> =
-            lines.iter().filter(|l| l.starts_with("progress:")).collect();
-        assert!(!progress.is_empty(), "no progress lines at {workers} workers");
+        let progress: Vec<&String> = lines
+            .iter()
+            .filter(|l| l.starts_with("progress:"))
+            .collect();
+        assert!(
+            !progress.is_empty(),
+            "no progress lines at {workers} workers"
+        );
         let last = progress.last().unwrap();
         assert!(last.contains("[done]"), "{last}");
         assert!(last.contains("64/64 runs"), "{last}");
@@ -115,15 +129,26 @@ fn profiler_accounts_for_the_campaign_wall_time() {
     let phase_nanos: u64 = SIM_PHASES
         .iter()
         .map(|p| ("canely_sim_phase_nanos_total", *p))
-        .chain(RUN_PHASES.iter().map(|p| ("canely_run_phase_nanos_total", *p)))
+        .chain(
+            RUN_PHASES
+                .iter()
+                .map(|p| ("canely_run_phase_nanos_total", *p)),
+        )
         .map(|(base, phase)| {
             registry
-                .counter(&format!("{base}{{phase=\"{phase}\"}}"), "", Stability::Volatile)
+                .counter(
+                    &format!("{base}{{phase=\"{phase}\"}}"),
+                    "",
+                    Stability::Volatile,
+                )
                 .get()
         })
         .sum();
     assert!(phase_nanos > 0);
-    assert!(phase_nanos <= wall, "profiled {phase_nanos} ns of {wall} ns");
+    assert!(
+        phase_nanos <= wall,
+        "profiled {phase_nanos} ns of {wall} ns"
+    );
     assert!(
         phase_nanos as f64 >= 0.9 * wall as f64,
         "named phases cover {phase_nanos} ns of {wall} ns wall \
