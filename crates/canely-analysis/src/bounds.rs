@@ -139,22 +139,6 @@ impl ProtocolBounds {
         self.detection_latency() + self.membership_change_latency()
     }
 
-    /// Oracle predicate: is an observed crash-detection latency
-    /// admissible? `slack` absorbs effects outside the closed form —
-    /// per-observer timer skew, arbitration queuing behind application
-    /// traffic, and any bus inaccessibility overlapping the detection
-    /// window (the caller adds the scheduled window lengths).
-    pub fn admits_detection_latency(&self, observed: BitTime, slack: BitTime) -> bool {
-        observed <= self.detection_latency() + slack
-    }
-
-    /// Oracle predicate: is an observed crash-to-view-change latency
-    /// admissible (same `slack` semantics as
-    /// [`Self::admits_detection_latency`])?
-    pub fn admits_view_change_latency(&self, observed: BitTime, slack: BitTime) -> bool {
-        observed <= self.view_change_latency() + slack
-    }
-
     /// Default bounds matching `CanelyConfig::default()` at 1 Mbps
     /// with a moderate protocol-class `Tltm`.
     pub fn paper_defaults() -> Self {
@@ -227,17 +211,12 @@ mod tests {
     }
 
     #[test]
-    fn latency_admission_predicates() {
+    fn view_change_bound_is_detection_plus_membership_change() {
         let b = ProtocolBounds::paper_defaults();
-        let d = b.detection_latency();
-        assert!(b.admits_detection_latency(d, BitTime::ZERO));
-        assert!(!b.admits_detection_latency(d + BitTime::new(1), BitTime::ZERO));
-        // Slack shifts the admission boundary by exactly its length.
-        assert!(b.admits_detection_latency(d + BitTime::new(500), BitTime::new(500)));
-        let v = b.view_change_latency();
-        assert_eq!(v, d + b.membership_change_latency());
-        assert!(b.admits_view_change_latency(v, BitTime::ZERO));
-        assert!(!b.admits_view_change_latency(v + BitTime::new(1), BitTime::ZERO));
+        assert_eq!(
+            b.view_change_latency(),
+            b.detection_latency() + b.membership_change_latency()
+        );
     }
 
     #[test]

@@ -32,17 +32,129 @@ pub(crate) const RP_ORACLE: usize = 2;
 /// Fixed bucket bounds (bit-times) for the latency histograms. The
 /// paper's closed-form bounds land in the 10⁴–10⁵ range for default
 /// configurations, so the grid brackets them a decade on either side.
-pub const LATENCY_BUCKETS: &[u64] = &[
+const LATENCY_BUCKETS: &[u64] = &[
     1_000, 2_000, 5_000, 10_000, 20_000, 50_000, 100_000, 200_000, 500_000, 1_000_000,
 ];
 
+/// Registers one counter per phase of a `{phase=…}` family.
+fn phase_family(
+    registry: &Registry,
+    base: &str,
+    help: &'static str,
+    phases: &[&str],
+) -> Vec<Counter> {
+    phases
+        .iter()
+        .map(|phase| {
+            let name = format!("{base}{{phase=\"{phase}\"}}");
+            registry.counter(&name, help, Stability::Volatile)
+        })
+        .collect()
+}
+
+/// The series one simulated world exports: step-loop totals and wall
+/// time, failure-detector counters and the two latency histograms.
+/// `canelyctl metrics --live` exports exactly these; a campaign
+/// worker's [`RunTelemetry`] registers them through this one type too.
+pub struct SimTelemetry {
+    steps: Counter,
+    timer_expiries: Counter,
+    bus_transactions: Counter,
+    lifecycle_events: Counter,
+    /// Wall nanos per simulator phase, indexed like [`SIM_PHASES`].
+    phase_nanos: Vec<Counter>,
+    detection_latency: Hist,
+    view_change_latency: Hist,
+    /// Failure-detector counters, to install into every stack
+    /// (clones share the registry cells).
+    pub detector: DetectorMetrics,
+}
+
+impl SimTelemetry {
+    /// Registers the world's series in `registry`. With a disabled
+    /// registry all handles are inert.
+    pub fn new(registry: &Registry) -> Self {
+        let c = |name: &str, help: &'static str| registry.counter(name, help, Stability::Stable);
+        let hist = |name: &str, help: &'static str| {
+            registry.histogram(name, help, Stability::Stable, LATENCY_BUCKETS)
+        };
+        SimTelemetry {
+            steps: c("canely_sim_steps_total", "Simulator scheduler steps"),
+            timer_expiries: c(
+                "canely_sim_timer_expiries_total",
+                "Timer-wheel expiries delivered",
+            ),
+            bus_transactions: c(
+                "canely_sim_bus_transactions_total",
+                "Bus arbitration rounds resolved",
+            ),
+            lifecycle_events: c(
+                "canely_sim_lifecycle_events_total",
+                "Node lifecycle events (power-on, crash, restart, guardian)",
+            ),
+            phase_nanos: phase_family(
+                registry,
+                "canely_sim_phase_nanos_total",
+                "Wall time in the simulator step loop, by phase",
+                SIM_PHASES,
+            ),
+            detection_latency: hist(
+                "canely_detection_latency_bittimes",
+                "Crash-to-notification latency (bit-times)",
+            ),
+            view_change_latency: hist(
+                "canely_view_change_latency_bittimes",
+                "Crash-to-view-install latency (bit-times)",
+            ),
+            detector: DetectorMetrics {
+                suspicions: c(
+                    "canely_fd_suspicions_total",
+                    "Suspicions raised by the failure detector",
+                ),
+                lifesigns: c(
+                    "canely_fd_lifesigns_total",
+                    "Explicit life-signs / heartbeats sent",
+                ),
+                probes: c("canely_fd_probes_total", "SWIM probes sent"),
+            },
+        }
+    }
+
+    /// Folds one simulator's drained step counters and wall-time
+    /// profile into the registry.
+    pub fn flush_sim(&self, stats: StepStats, profile: &PhaseReport) {
+        self.steps.add(stats.steps);
+        self.timer_expiries.add(stats.timer_expiries);
+        self.bus_transactions.add(stats.bus_transactions);
+        self.lifecycle_events.add(stats.lifecycle_events);
+        for (counter, &nanos) in self.phase_nanos.iter().zip(profile.nanos()) {
+            counter.add(nanos);
+        }
+    }
+
+    /// Records measured latency samples (bit-times, as
+    /// [`canely::obs::latency_samples`] returns them).
+    pub fn record_latency(&self, detection: &[u64], view_change: &[u64]) {
+        for &sample in detection {
+            self.detection_latency.record(sample);
+        }
+        for &sample in view_change {
+            self.view_change_latency.record(sample);
+        }
+    }
+}
+
 /// Every registry handle a campaign worker touches, pre-registered
-/// once per worker so the run hot path never takes the registry lock.
+/// once per worker so the run hot path never takes the registry lock:
+/// the world's [`SimTelemetry`] plus the campaign and federation
+/// counters.
 ///
 /// [`RunTelemetry::disabled`] is the fully disabled telemetry: every
 /// handle is inert and the profiler reads no clock, so un-instrumented
 /// campaigns pay one branch per would-be bump.
 pub struct RunTelemetry {
+    /// The world's own series.
+    pub(crate) sim: SimTelemetry,
     /// Runs executed.
     runs: Counter,
     /// Protocol events emitted across runs.
@@ -53,23 +165,10 @@ pub struct RunTelemetry {
     false_suspicions: Counter,
     /// Physical detector frames (ELS + ping) on the wire.
     detector_frames: Counter,
-    /// Simulator step-loop totals (deterministic).
-    sim_steps: Counter,
-    sim_timer_expiries: Counter,
-    sim_bus_transactions: Counter,
-    sim_lifecycle_events: Counter,
-    /// Crash-to-notification latency samples (bit-times).
-    detection_latency: Hist,
-    /// Crash-to-view-install latency samples (bit-times).
-    view_change_latency: Hist,
-    /// Wall nanos per simulator phase, indexed like [`SIM_PHASES`].
-    sim_phase_nanos: Vec<Counter>,
     /// Wall nanos per worker phase, indexed like [`RUN_PHASES`].
     run_phase_nanos: Vec<Counter>,
-    /// Failure-detector counters, installed into every stack per run.
-    detector: DetectorMetrics,
     /// Federation bridge-pump counters.
-    fed: FedMetrics,
+    pub(crate) fed: FedMetrics,
     /// The worker-side profiler over [`RUN_PHASES`].
     pub(crate) profiler: PhaseProfiler,
 }
@@ -84,21 +183,10 @@ impl RunTelemetry {
     /// handle bundle. With a disabled registry all handles are inert.
     pub fn new(registry: &Registry) -> Self {
         let c = |name: &str, help: &'static str| registry.counter(name, help, Stability::Stable);
-        let phase_family = |base: &str, help: &'static str, phases: &[&str]| {
-            phases
-                .iter()
-                .map(|phase| {
-                    registry.counter(
-                        &format!("{base}{{phase=\"{phase}\"}}"),
-                        help,
-                        Stability::Volatile,
-                    )
-                })
-                .collect()
-        };
         let mut profiler = PhaseProfiler::new(RUN_PHASES);
         profiler.set_enabled(registry.enabled());
         RunTelemetry {
+            sim: SimTelemetry::new(registry),
             runs: c("canely_campaign_runs_total", "Runs executed"),
             events: c(
                 "canely_campaign_events_total",
@@ -116,46 +204,12 @@ impl RunTelemetry {
                 "canely_campaign_detector_frames_total",
                 "Physical detector frames (ELS + ping) on the wire",
             ),
-            sim_steps: c("canely_sim_steps_total", "Simulator scheduler steps"),
-            sim_timer_expiries: c(
-                "canely_sim_timer_expiries_total",
-                "Timer-wheel expiries delivered",
-            ),
-            sim_bus_transactions: c(
-                "canely_sim_bus_transactions_total",
-                "Bus arbitration rounds resolved",
-            ),
-            sim_lifecycle_events: c(
-                "canely_sim_lifecycle_events_total",
-                "Node lifecycle events (power-on, crash, restart, guardian)",
-            ),
-            detection_latency: registry.histogram(
-                "canely_detection_latency_bittimes",
-                "Crash-to-notification latency (bit-times)",
-                Stability::Stable,
-                LATENCY_BUCKETS,
-            ),
-            view_change_latency: registry.histogram(
-                "canely_view_change_latency_bittimes",
-                "Crash-to-view-install latency (bit-times)",
-                Stability::Stable,
-                LATENCY_BUCKETS,
-            ),
-            sim_phase_nanos: phase_family(
-                "canely_sim_phase_nanos_total",
-                "Wall time in the simulator step loop, by phase",
-                SIM_PHASES,
-            ),
             run_phase_nanos: phase_family(
+                registry,
                 "canely_run_phase_nanos_total",
                 "Wall time in the campaign worker outside the step loop, by phase",
                 RUN_PHASES,
             ),
-            detector: DetectorMetrics {
-                suspicions: c("canely_fd_suspicions_total", "Suspicions raised"),
-                lifesigns: c("canely_fd_lifesigns_total", "Life-signs / heartbeats sent"),
-                probes: c("canely_fd_probes_total", "SWIM probes sent"),
-            },
             fed: FedMetrics {
                 quanta: c("canely_fed_pump_quanta_total", "Federation lockstep quanta"),
                 relayed: c(
@@ -201,29 +255,6 @@ impl RunTelemetry {
         self.runs.enabled()
     }
 
-    /// Handles for [`canely::CanelyStack::set_detector_metrics`];
-    /// cloned per stack, all sharing the registry cells.
-    pub fn detector_handles(&self) -> DetectorMetrics {
-        self.detector.clone()
-    }
-
-    /// Handles for [`canely_federation::FederationSim::set_metrics`].
-    pub fn fed_handles(&self) -> FedMetrics {
-        self.fed.clone()
-    }
-
-    /// Folds one simulator's drained step counters and wall-time
-    /// profile into the registry.
-    pub(crate) fn flush_sim(&self, stats: StepStats, profile: &PhaseReport) {
-        self.sim_steps.add(stats.steps);
-        self.sim_timer_expiries.add(stats.timer_expiries);
-        self.sim_bus_transactions.add(stats.bus_transactions);
-        self.sim_lifecycle_events.add(stats.lifecycle_events);
-        for (counter, &nanos) in self.sim_phase_nanos.iter().zip(profile.nanos()) {
-            counter.add(nanos);
-        }
-    }
-
     /// Drains the worker-side profiler into the registry and returns
     /// the report (callers may merge reports across workers).
     pub(crate) fn flush_run_phases(&mut self) -> PhaseReport {
@@ -241,12 +272,8 @@ impl RunTelemetry {
         self.violations.add(outcome.violations.len() as u64);
         self.false_suspicions.add(outcome.false_suspicions);
         self.detector_frames.add(outcome.detector_frames);
-        for &sample in &outcome.detection {
-            self.detection_latency.record(sample);
-        }
-        for &sample in &outcome.view_change {
-            self.view_change_latency.record(sample);
-        }
+        self.sim
+            .record_latency(&outcome.detection, &outcome.view_change);
     }
 }
 
@@ -301,9 +328,9 @@ mod tests {
     fn handles_share_registry_cells() {
         let registry = Registry::new();
         let tel = RunTelemetry::new(&registry);
-        tel.detector_handles().suspicions.inc();
-        tel.fed_handles().relayed.add(2);
-        assert_eq!(tel.detector.suspicions.get(), 1);
+        tel.sim.detector.clone().suspicions.inc();
+        tel.fed.clone().relayed.add(2);
+        assert_eq!(tel.sim.detector.suspicions.get(), 1);
         assert_eq!(tel.fed.relayed.get(), 2);
     }
 }

@@ -44,8 +44,8 @@ impl Registry {
         out
     }
 
-    /// Renders a JSON snapshot: one object per metric keyed by full
-    /// name, carrying kind, help, stability and value. Name-sorted,
+    /// Renders a JSON snapshot: one object per metric carrying its full
+    /// name, kind, stability and value (no help text). Name-sorted,
     /// integer-only — byte-deterministic for equal registry contents.
     pub fn to_json(&self, include_volatile: bool) -> String {
         let mut out = String::from("{\"metrics\":[");

@@ -32,8 +32,7 @@ run cargo build --release --workspace --offline
 run cargo test --workspace --offline -q
 run env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline -q
 run cargo clippy --workspace --all-targets --offline -q -- -D warnings
-# The federation crate is kept rustfmt-clean until the whole workspace is.
-run cargo fmt --check -p canely-federation
+run cargo fmt --all --check
 
 # campaign_gate NAME W1 W2: the checked-in campaign must come back
 # clean from the invariant oracle at W1 workers, byte-identical at W2
