@@ -33,7 +33,7 @@ pub mod fault;
 pub mod medium;
 pub mod trace;
 
-pub use config::{BusConfig, TimingModel};
+pub use config::BusConfig;
 pub use fault::{AccepterSpec, FaultEffect, FaultMatcher, FaultPlan, MediaFault, ScriptedFault};
 pub use medium::{Medium, Transaction, TxOutcome};
 pub use trace::{BusStats, BusTrace, TxRecord};

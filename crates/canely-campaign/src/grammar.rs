@@ -192,10 +192,14 @@ impl Seen {
         self.lines(keyword).last().unwrap_or(self.fallback())
     }
 
-    /// The first directive whose keyword is one of `keywords`.
-    pub fn first_of(&self, keywords: &[&str]) -> Option<(&'static str, usize)> {
-        let mut hits = self.0.iter().filter(|(name, _)| keywords.contains(name));
-        hits.next().copied()
+    /// Every directive whose keyword is one of `keywords`, in file
+    /// order: `(keyword, line)`.
+    pub fn all_of<'s>(
+        &'s self,
+        keywords: &'s [&str],
+    ) -> impl Iterator<Item = (&'static str, usize)> + 's {
+        let hits = self.0.iter().filter(|(name, _)| keywords.contains(name));
+        hits.copied()
     }
 }
 

@@ -83,5 +83,5 @@ pub use runner::{
 };
 pub use scenario::Scenario;
 pub use shootout::{BackendQoS, ShootoutReport};
-pub use spec::{CampaignSpec, FederationSpec, RunSpec};
+pub use spec::{CampaignSpec, Fault, FederationSpec, RunSpec};
 pub use telemetry::{RunTelemetry, SimTelemetry, RUN_PHASES};

@@ -29,7 +29,7 @@
 //! exact verdicts.
 
 use can_types::{BitTime, NodeId, NodeSet};
-use canely::obs::{ProtocolEvent, Retention, TimedEvent};
+use canely::obs::{Downtime, ProtocolEvent, Retention, TimedEvent};
 use canely_federation::InstallRecord;
 use std::collections::HashMap;
 
@@ -190,44 +190,20 @@ pub fn check(input: &OracleInput<'_>) -> Vec<Violation> {
     let mut events: Vec<&TimedEvent> = input.events.iter().collect();
     events.sort_by_key(|e| e.time);
 
-    // Ground truth: down intervals (crash → next restart marker, open
-    // if the node never came back) and first leave request per node. A
-    // `node.restarted` marker closes the interval — the node is live
-    // and re-integrating again, so latency clocks for the preceding
-    // crash stop there.
-    let mut down: HashMap<NodeId, Vec<(BitTime, Option<BitTime>)>> = HashMap::new();
+    // Ground truth: the down intervals — a restart marker ends one, the
+    // node is live and re-integrating again, so latency clocks for the
+    // preceding crash stop there — and the first leave request per
+    // node.
+    let down = Downtime::of(input.events);
     let mut left_at: HashMap<NodeId, BitTime> = HashMap::new();
     for e in &events {
-        match e.event {
-            ProtocolEvent::NodeCrashed => {
-                down.entry(e.node).or_default().push((e.time, None));
-            }
-            ProtocolEvent::NodeRestarted => {
-                if let Some(open) = down
-                    .get_mut(&e.node)
-                    .and_then(|intervals| intervals.last_mut())
-                    .filter(|(_, end)| end.is_none())
-                {
-                    open.1 = Some(e.time);
-                }
-            }
-            ProtocolEvent::LeaveRequested => {
-                left_at.entry(e.node).or_insert(e.time);
-            }
-            _ => {}
+        if matches!(e.event, ProtocolEvent::LeaveRequested) {
+            left_at.entry(e.node).or_insert(e.time);
         }
     }
-    let down_at = |node: NodeId, t: BitTime| {
-        down.get(&node).is_some_and(|intervals| {
-            intervals
-                .iter()
-                .any(|&(tc, end)| tc <= t && end.is_none_or(|te| t < te))
-        })
-    };
     let dead_or_leaving = |node: NodeId, t: BitTime| {
-        down_at(node, t) || left_at.get(&node).is_some_and(|&tl| tl <= t)
+        down.down_at(node, t) || left_at.get(&node).is_some_and(|&tl| tl <= t)
     };
-    let first_crash = |node: NodeId| down.get(&node).and_then(|v| v.first()).map(|&(tc, _)| tc);
 
     let mut violations = Vec::new();
 
@@ -257,7 +233,7 @@ pub fn check(input: &OracleInput<'_>) -> Vec<Violation> {
                     "declared failed"
                 },
                 e.node,
-                first_crash(target).map_or_else(
+                down.first_crash(target).map_or_else(
                     || "never crashed".to_string(),
                     |tc| format!("crashed only at t={tc}")
                 ),
@@ -272,12 +248,13 @@ pub fn check(input: &OracleInput<'_>) -> Vec<Violation> {
     let observers: Vec<NodeId> = input
         .members
         .iter()
-        .filter(|n| !down.contains_key(n) && !left_at.contains_key(n))
+        .filter(|&n| down.first_crash(n).is_none() && !left_at.contains_key(&n))
         .collect();
     let mut crashes: Vec<(BitTime, Option<BitTime>, NodeId)> = down
+        .intervals()
         .iter()
-        .filter(|&(n, _)| input.members.contains(*n))
-        .flat_map(|(&n, intervals)| intervals.iter().map(move |&(tc, end)| (tc, end, n)))
+        .filter(|&&(n, ..)| input.members.contains(n))
+        .map(|&(n, tc, end)| (tc, end, n))
         .collect();
     crashes.sort();
     for &(tc, end, victim) in &crashes {
@@ -397,8 +374,8 @@ pub fn check(input: &OracleInput<'_>) -> Vec<Violation> {
             // up (and, by quiescence, re-integrated): only nodes still
             // down at the horizon leave the expected view.
             let mut expected = input.members;
-            for &n in down.keys() {
-                if down_at(n, input.horizon) {
+            for &(n, ..) in down.intervals() {
+                if down.down_at(n, input.horizon) {
                     expected.remove(n);
                 }
             }

@@ -7,10 +7,10 @@
 //! determinism comes from the spec, not from scheduling or run order.
 
 use crate::oracle::{self, GatewayFinal, GlobalOracleInput, NodeFinal, OracleInput, Violation};
-use crate::spec::{segment_seed, FederationSpec, RunSpec};
+use crate::spec::{segment_seed, Fault, RunSpec};
 use crate::telemetry::{RunTelemetry, RP_OBS, RP_ORACLE, RP_SETUP};
 use can_types::{BitTime, MsgType, NodeId, NodeSet};
-use canely::obs::{latency_samples, ProtocolEvent};
+use canely::obs::{latency_samples, Downtime, ProtocolEvent, TimedEvent};
 use canely_federation::{quorum, FederationConfig, FederationSim};
 
 /// The judged result of one run.
@@ -42,30 +42,15 @@ pub struct RunOutcome {
 }
 
 /// Counts suspicions of nodes that were alive when suspected: a
-/// `SuspectRaised { suspect }` is *false* unless the suspect has a
-/// `NodeCrashed` marker at or before the suspicion with no
-/// `NodeRestarted` in between.
-pub fn false_suspicion_count(events: &[canely::obs::TimedEvent]) -> u64 {
-    events
-        .iter()
-        .filter(|e| {
-            let ProtocolEvent::SuspectRaised { suspect } = e.event else {
-                return false;
-            };
-            let down = events
-                .iter()
-                .filter(|m| m.node == suspect && m.time <= e.time)
-                .filter(|m| {
-                    matches!(
-                        m.event,
-                        ProtocolEvent::NodeCrashed | ProtocolEvent::NodeRestarted
-                    )
-                })
-                .max_by_key(|m| m.time)
-                .is_some_and(|m| matches!(m.event, ProtocolEvent::NodeCrashed));
-            !down
-        })
-        .count() as u64
+/// `SuspectRaised { suspect }` is *false* unless the suspect was
+/// [`Downtime`] then.
+pub fn false_suspicion_count(events: &[TimedEvent]) -> u64 {
+    let down = Downtime::of(events);
+    let false_suspicion = |e: &&TimedEvent| {
+        matches!(e.event, ProtocolEvent::SuspectRaised { suspect }
+            if !down.down_at(suspect, e.time))
+    };
+    events.iter().filter(false_suspicion).count() as u64
 }
 
 /// Builds, runs and judges one simulation in a fresh world.
@@ -91,8 +76,7 @@ pub fn execute(spec: &RunSpec, capture_trace: bool) -> RunOutcome {
 /// hierarchical-membership checks and segment-qualified verdicts.
 pub(crate) fn execute_on(tel: &mut RunTelemetry, spec: &RunSpec, capture: bool) -> RunOutcome {
     tel.profiler.enter(RP_SETUP);
-    let single = FederationSpec::default();
-    let fed_spec = spec.federation.as_ref().unwrap_or(&single);
+    let fed_spec = spec.federation.unwrap_or_default();
     let segments = fed_spec.segments;
     let federated = segments > 1;
     let mut config = FederationConfig::new(spec.config(), segments, spec.nodes)
@@ -114,23 +98,30 @@ pub(crate) fn execute_on(tel: &mut RunTelemetry, spec: &RunSpec, capture: bool) 
         fed.sim_mut(seg).set_profiling(tel.enabled());
     }
     let gateway = fed.gateway();
-    for &(node, at) in &spec.crashes {
-        fed.sim_mut(0).schedule_crash(NodeId::new(node), at);
-    }
-    for &(seg, node, at) in &fed_spec.seg_crashes {
-        fed.sim_mut(seg).schedule_crash(NodeId::new(node), at);
-    }
-    for &(seg, at) in &fed_spec.gateway_crashes {
-        fed.schedule_gateway_crash(seg, at);
-    }
-    for &(seg, at) in &fed_spec.gateway_restarts {
-        fed.schedule_gateway_restart(seg, at);
-    }
-    for &(from, until) in &fed_spec.partitions {
-        fed.schedule_partition(from, until);
-    }
-    for &(from_seg, to_seg, from, until) in &fed_spec.asymmetric {
-        fed.schedule_asymmetric(from_seg, to_seg, from, until);
+    let (mut gateway_losses, mut restarts) = (Vec::new(), Vec::new());
+    for &fault in &spec.faults {
+        match fault {
+            Fault::Crash { seg, node, at } => {
+                fed.sim_mut(seg).schedule_crash(NodeId::new(node), at)
+            }
+            // Each segment's bus fault plan carries the blackouts.
+            Fault::Blackout { .. } => {}
+            Fault::GatewayCrash { seg, at } => {
+                fed.schedule_gateway_crash(seg, at);
+                gateway_losses.push((seg, at));
+            }
+            Fault::GatewayRestart { seg, at } => {
+                fed.schedule_gateway_restart(seg, at);
+                restarts.push((seg, at));
+            }
+            Fault::Partition { from, until } => fed.schedule_partition(from, until),
+            Fault::Asymmetric {
+                from_seg,
+                to_seg,
+                from,
+                until,
+            } => fed.schedule_asymmetric(from_seg, to_seg, from, until),
+        }
     }
     // The step loops' own profilers own the run window; pause the
     // worker-side profiler so no nanosecond is attributed twice.
@@ -146,7 +137,7 @@ pub(crate) fn execute_on(tel: &mut RunTelemetry, spec: &RunSpec, capture: bool) 
             fed.log(seg).record(t, node, ProtocolEvent::NodeCrashed);
         }
     }
-    for &(seg, at) in &fed_spec.gateway_restarts {
+    for &(seg, at) in &restarts {
         fed.log(seg)
             .record(at, gateway, ProtocolEvent::NodeRestarted);
     }
@@ -187,9 +178,7 @@ pub(crate) fn execute_on(tel: &mut RunTelemetry, spec: &RunSpec, capture: bool) 
             }
             // A restarted gateway is back up and, by quiescence,
             // re-integrated: it belongs in the segment's expected view.
-            if fed_spec.gateway_restarts.iter().any(|&(s, _)| s == seg)
-                && sim.alive().contains(gateway)
-            {
+            if restarts.iter().any(|&(s, _)| s == seg) && sim.alive().contains(gateway) {
                 crashed_here.remove(gateway);
             }
             expected_views.push(spec.members() - crashed_here);
@@ -253,7 +242,7 @@ pub(crate) fn execute_on(tel: &mut RunTelemetry, spec: &RunSpec, capture: bool) 
                 expected: &expected_views,
                 quiescent: spec.statically_quiescent(),
                 quorum: quorum(usize::from(segments)),
-                gateway_losses: &fed_spec.gateway_crashes,
+                gateway_losses: &gateway_losses,
                 rejoin_bound: spec.rejoin_bound(),
                 horizon: spec.until,
             }));
@@ -283,6 +272,11 @@ pub(crate) fn execute_on(tel: &mut RunTelemetry, spec: &RunSpec, capture: bool) 
 mod tests {
     use super::*;
     use crate::spec::CampaignSpec;
+
+    const MUTANT_TRIGGER: Fault = Fault::Blackout {
+        from: BitTime::new(90_000),
+        until: BitTime::new(94_000),
+    };
 
     fn base_run() -> RunSpec {
         let spec = CampaignSpec {
@@ -423,14 +417,13 @@ mod tests {
         // 2 gateway-crash budgets × 2 partition lens × 1 seed.
         assert_eq!(runs.len(), 4);
         for run in &runs {
-            let fed = run.federation.as_ref().expect("all combos are federated");
+            assert!(run.federation.is_some(), "all combos are federated");
             let a = execute(run, true);
             assert!(
                 a.violations.is_empty(),
-                "run {} (gateway-crashes {:?}, partitions {:?}): {:?}",
+                "run {} ({:?}): {:?}",
                 run.id,
-                fed.gateway_crashes,
-                fed.partitions,
+                run.faults,
                 a.violations
             );
             assert!(!a.detection.is_empty(), "the crash must be detected");
@@ -465,22 +458,22 @@ mod tests {
         assert!(!runs.is_empty());
         let mut saw_restart = false;
         for run in &runs {
-            let fed = run.federation.as_ref().expect("all combos are federated");
+            assert!(run.federation.is_some(), "all combos are federated");
             let a = execute(run, true);
             assert!(
                 a.violations.is_empty(),
-                "run {} (gateway-crashes {:?}, restarts {:?}): {:?}",
+                "run {} ({:?}): {:?}",
                 run.id,
-                fed.gateway_crashes,
-                fed.gateway_restarts,
+                run.faults,
                 a.violations
             );
             let trace = a.trace_jsonl.as_deref().unwrap();
-            if !fed.gateway_crashes.is_empty() {
+            let has = |pred: fn(&Fault) -> bool| run.faults.iter().any(pred);
+            if has(|f| matches!(f, Fault::GatewayCrash { .. })) {
                 assert!(trace.contains("fed.elect"), "the election must be traced");
                 assert!(trace.contains("fed.rejoin"), "the rejoin must be traced");
             }
-            saw_restart |= !fed.gateway_restarts.is_empty();
+            saw_restart |= has(|f| matches!(f, Fault::GatewayRestart { .. }));
             let b = execute(run, true);
             assert_eq!(a.trace_jsonl, b.trace_jsonl, "failover runs replay exactly");
         }
@@ -491,13 +484,12 @@ mod tests {
     fn weakened_mutant_with_blackout_violates() {
         let mut run = base_run();
         run.weaken_fda = true;
-        run.crashes.clear();
         // A 4 ms steady-state blackout stretches observed life-sign
         // gaps to ~6 ms: inside the correct surveillance margin
         // (Th + tx_delay_bound = 7.5 ms) but past the mutant's
         // truncated one (Th + tx_delay_bound/4 = 5.625 ms), so only
         // the mutant falsely suspects a live node.
-        run.inaccessibility = vec![(BitTime::new(90_000), BitTime::new(94_000))];
+        run.faults = vec![MUTANT_TRIGGER];
         let outcome = execute(&run, false);
         assert!(
             !outcome.violations.is_empty(),
@@ -511,8 +503,7 @@ mod tests {
         // the correct protocol's margins — otherwise the oracle would
         // be flagging the fault load, not the weakness.
         let mut run = base_run();
-        run.crashes.clear();
-        run.inaccessibility = vec![(BitTime::new(90_000), BitTime::new(94_000))];
+        run.faults = vec![MUTANT_TRIGGER];
         let outcome = execute(&run, false);
         assert!(
             outcome.violations.is_empty(),

@@ -32,10 +32,10 @@ use crate::grammar::{
     node_count, node_id, number, parse_duration, probability, relay, segment_count, segment_index,
     traffic_period, window, Doc, Keyword, Line, Seen,
 };
-use crate::spec::{FederationSpec, RunSpec, MIN_JUDGED_NODES};
+use crate::spec::{Fault, FederationSpec, RunSpec, MIN_JUDGED_NODES};
 use can_types::{BitTime, NodeId, NodeSet};
 use canely::DetectorKind;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 /// A parsed `.canely` file (or the equivalent built from CLI flags).
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -56,8 +56,11 @@ pub struct Scenario {
     pub expect_view: Option<NodeSet>,
 }
 
-/// Keywords that only mean something between bridged segments.
-const BRIDGE_FAULTS: [&str; 5] = [
+/// The fault keywords, in the order a run lists them; all but the
+/// first two only mean something between bridged segments.
+const FAULTS: [&str; 7] = [
+    "crash",
+    "inaccessible",
     "seg-crash",
     "gateway-crash",
     "gateway-restart",
@@ -65,8 +68,53 @@ const BRIDGE_FAULTS: [&str; 5] = [
     "asymmetric",
 ];
 
+impl Fault {
+    /// The `.canely` keyword that schedules the fault.
+    pub(crate) fn keyword(&self) -> &'static str {
+        let kind = match self {
+            Fault::Crash { seg: 0, .. } => 0,
+            Fault::Blackout { .. } => 1,
+            Fault::Crash { .. } => 2,
+            Fault::GatewayCrash { .. } => 3,
+            Fault::GatewayRestart { .. } => 4,
+            Fault::Partition { .. } => 5,
+            Fault::Asymmetric { .. } => 6,
+        };
+        FAULTS[kind]
+    }
+}
+
+/// The fault's `.canely` line.
+impl fmt::Display for Fault {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (keyword, t) = (self.keyword(), fmt_duration);
+        match *self {
+            Fault::Crash { seg: 0, node, at } => write!(f, "{keyword} {node} {}", t(at)),
+            Fault::Crash { seg, node, at } => write!(f, "{keyword} {seg} {node} {}", t(at)),
+            Fault::GatewayCrash { seg, at } | Fault::GatewayRestart { seg, at } => {
+                write!(f, "{keyword} {seg} {}", t(at))
+            }
+            Fault::Blackout { from, until } | Fault::Partition { from, until } => {
+                write!(f, "{keyword} {} {}", t(from), t(until))
+            }
+            Fault::Asymmetric {
+                from_seg,
+                to_seg,
+                from,
+                until,
+            } => write!(f, "{keyword} {from_seg} {to_seg} {} {}", t(from), t(until)),
+        }
+    }
+}
+
 fn fed(s: &mut Scenario) -> &mut FederationSpec {
     s.run.federation.get_or_insert_with(FederationSpec::default)
+}
+
+/// The `S AT` arguments of a gateway line.
+fn seg_at(line: &Line<'_>) -> Result<(u8, BitTime), String> {
+    let [seg, at] = line.exactly()?;
+    Ok((segment_index(seg)?, parse_duration(at)?))
 }
 
 fn view(line: &Line<'_>) -> Result<NodeSet, String> {
@@ -101,11 +149,15 @@ pub const KEYWORDS: &[Keyword<Scenario>] = &[
         s.traffic.push((node_id(node)?, traffic_period(period)?));
         Ok(())
     }),
-    kw("crash", "NODE AT", |s, l| l.node_time().map(|v| s.run.crashes.push(v))),
+    kw("crash", "NODE AT", |s, l| {
+        l.node_time().map(|(node, at)| s.run.faults.push(Fault::Crash { seg: 0, node, at }))
+    }),
     kw("join", "NODE AT", |s, l| l.node_time().map(|v| s.joins.push(v))),
     kw("leave", "NODE AT", |s, l| l.node_time().map(|v| s.leaves.push(v))),
     kw("restart", "NODE AT", |s, l| l.node_time().map(|v| s.restarts.push(v))),
-    kw("inaccessible", "FROM UNTIL", |s, l| l.window().map(|v| s.run.inaccessibility.push(v))),
+    kw("inaccessible", "FROM UNTIL", |s, l| {
+        l.window().map(|(from, until)| s.run.faults.push(Fault::Blackout { from, until }))
+    }),
     kw("weaken-fda", "", |s, _| { s.run.weaken_fda = true; Ok(()) }),
     kw("detector", "KEY", |s, l| l.one(&mut s.run.detector, detector)),
     kw("settle", "DUR", |s, l| l.one(&mut s.run.settle, parse_duration)),
@@ -118,28 +170,27 @@ pub const KEYWORDS: &[Keyword<Scenario>] = &[
     kw("relay", "FILTER", |s, l| relay(l).map(|filter| fed(s).relay = filter)),
     kw("seg-crash", "S NODE AT", |s, l| {
         let [seg, node, at] = l.exactly()?;
-        let crash = (segment_index(seg)?, node_id(node)?, parse_duration(at)?);
-        fed(s).seg_crashes.push(crash);
+        let (seg, node, at) = (segment_index(seg)?, node_id(node)?, parse_duration(at)?);
+        if seg == 0 {
+            return Err("seg-crash segment 0: its crashes use plain `crash` lines".into());
+        }
+        s.run.faults.push(Fault::Crash { seg, node, at });
         Ok(())
     }),
     kw("gateway-crash", "S AT", |s, l| {
-        let [seg, at] = l.exactly()?;
-        let crash = (segment_index(seg)?, parse_duration(at)?);
-        fed(s).gateway_crashes.push(crash);
-        Ok(())
+        seg_at(l).map(|(seg, at)| s.run.faults.push(Fault::GatewayCrash { seg, at }))
     }),
     kw("gateway-restart", "S AT", |s, l| {
-        let [seg, at] = l.exactly()?;
-        let restart = (segment_index(seg)?, parse_duration(at)?);
-        fed(s).gateway_restarts.push(restart);
-        Ok(())
+        seg_at(l).map(|(seg, at)| s.run.faults.push(Fault::GatewayRestart { seg, at }))
     }),
-    kw("segment-partition", "FROM UNTIL", |s, l| l.window().map(|v| fed(s).partitions.push(v))),
+    kw("segment-partition", "FROM UNTIL", |s, l| {
+        l.window().map(|(from, until)| s.run.faults.push(Fault::Partition { from, until }))
+    }),
     kw("asymmetric", "FS TS FROM UNTIL", |s, l| {
         let [from_seg, to_seg, from, until] = l.exactly()?;
         let (from, until) = window(from, until)?;
-        let blackout = (segment_index(from_seg)?, segment_index(to_seg)?, from, until);
-        fed(s).asymmetric.push(blackout);
+        let (from_seg, to_seg) = (segment_index(from_seg)?, segment_index(to_seg)?);
+        s.run.faults.push(Fault::Asymmetric { from_seg, to_seg, from, until });
         Ok(())
     }),
 ];
@@ -177,15 +228,27 @@ impl Scenario {
     /// as `(keyword, index among that keyword's entries, node)`.
     pub fn stray_victim(&self) -> Option<(&'static str, usize, u8)> {
         let exists = |node: u8| node < self.run.nodes || self.joins.iter().any(|&(n, _)| n == node);
+        let crash = |f: &Fault| match *f {
+            Fault::Crash { seg: 0, node, at } => Some((node, at)),
+            _ => None,
+        };
+        let crashes: Vec<_> = self.run.faults.iter().filter_map(crash).collect();
         let scripted = [
-            ("crash", &self.run.crashes),
+            ("crash", &crashes),
             ("leave", &self.leaves),
             ("restart", &self.restarts),
         ];
-        scripted.into_iter().find_map(|(keyword, events)| {
+        let stray = scripted.into_iter().find_map(|(keyword, events)| {
             let i = events.iter().position(|&(node, _)| !exists(node))?;
             Some((keyword, i, events[i].0))
-        })
+        });
+        stray
+    }
+
+    /// The run's faults, each with the line that scheduled it.
+    fn fault_lines<'s>(&'s self, seen: &'s Seen) -> impl Iterator<Item = (Fault, usize)> + 's {
+        let lines = seen.all_of(&FAULTS).map(|(_, line)| line);
+        self.run.faults.iter().copied().zip(lines)
     }
 
     /// The checks that need the whole document: `(line, message)` of
@@ -202,11 +265,11 @@ impl Scenario {
             return Err((seen.nth(keyword, i), msg));
         }
         let fed = self.run.federation.take().unwrap_or_default();
-        let segments = fed.segments;
+        let (segments, gateway) = (fed.segments, fed.gateway);
         if segments == 1 {
             // `segments 1` is the plain single bus: the topology words
             // are moot and a bridge fault has nothing to act on.
-            return match seen.first_of(&BRIDGE_FAULTS) {
+            return match seen.all_of(&FAULTS[2..]).next() {
                 Some((keyword, line)) => Err((
                     line,
                     format!("`{keyword}` needs a `segments` line with a value > 1"),
@@ -215,64 +278,43 @@ impl Scenario {
             };
         }
         federated_population(nodes).map_err(|msg| (seen.line("nodes"), msg))?;
-        gateway_in_segment(fed.gateway, nodes).map_err(|msg| (seen.line("gateway"), msg))?;
-        let stray =
-            |keyword: &str, seg: u8| format!("{keyword} segment {seg} outside 0..{segments}");
-        for (i, &(seg, node, _)) in fed.seg_crashes.iter().enumerate() {
-            let msg = if seg == 0 {
-                "seg-crash segment 0: its crashes use plain `crash` lines".to_string()
-            } else if seg >= segments {
-                stray("seg-crash", seg)
-            } else if node >= nodes {
-                format!("seg-crash victim {node} outside a {nodes}-node segment")
-            } else if node == fed.gateway {
-                format!("seg-crash victim {node} is the gateway (use `gateway-crash`)")
-            } else {
-                continue;
-            };
-            return Err((seen.nth("seg-crash", i), msg));
-        }
-        if let Some(i) = fed
-            .gateway_crashes
-            .iter()
-            .position(|&(seg, _)| seg >= segments)
-        {
-            let msg = stray("gateway-crash", fed.gateway_crashes[i].0);
-            return Err((seen.nth("gateway-crash", i), msg));
-        }
-        for (i, &(seg, at)) in fed.gateway_restarts.iter().enumerate() {
-            let msg = if seg >= segments {
-                stray("gateway-restart", seg)
-            } else if !fed
-                .gateway_crashes
-                .iter()
-                .any(|&(s, tc)| s == seg && tc < at)
-            {
-                format!("gateway-restart of segment {seg} has no earlier gateway-crash")
-            } else {
-                continue;
-            };
-            return Err((seen.nth("gateway-restart", i), msg));
-        }
+        gateway_in_segment(gateway, nodes).map_err(|msg| (seen.line("gateway"), msg))?;
         let bridged = fed.topology.bridges(segments);
-        let unbridged = |a: u8, b: u8| !bridged.contains(&(a.min(b), a.max(b)));
-        if let Some(i) = fed
-            .asymmetric
-            .iter()
-            .position(|&(a, b, ..)| unbridged(a, b))
-        {
-            let (from_seg, to_seg, ..) = fed.asymmetric[i];
-            let msg = format!("asymmetric window names unbridged segments {from_seg} {to_seg}");
-            return Err((seen.nth("asymmetric", i), msg));
-        }
-        if let Some(i) = self
-            .run
-            .crashes
-            .iter()
-            .position(|&(node, _)| node == fed.gateway)
-        {
-            let msg = "crash victim is the gateway (use `gateway-crash 0 <time>` instead)";
-            return Err((seen.nth("crash", i), msg.to_string()));
+        let crashed_before = |seg: u8, at: BitTime| {
+            self.run.faults.iter().any(
+                |f| matches!(*f, Fault::GatewayCrash { seg: s, at: tc } if s == seg && tc < at),
+            )
+        };
+        for (fault, line) in self.fault_lines(seen) {
+            let keyword = fault.keyword();
+            let msg = match fault {
+                Fault::Crash { seg, .. }
+                | Fault::GatewayCrash { seg, .. }
+                | Fault::GatewayRestart { seg, .. }
+                    if seg >= segments =>
+                {
+                    format!("{keyword} segment {seg} outside 0..{segments}")
+                }
+                Fault::Crash { seg: 1.., node, .. } if node >= nodes => {
+                    format!("seg-crash victim {node} outside a {nodes}-node segment")
+                }
+                Fault::Crash { seg: 0, node, .. } if node == gateway => {
+                    "crash victim is the gateway (use `gateway-crash 0 <time>` instead)".into()
+                }
+                Fault::Crash { node, .. } if node == gateway => {
+                    format!("seg-crash victim {node} is the gateway (use `gateway-crash`)")
+                }
+                Fault::GatewayRestart { seg, at } if !crashed_before(seg, at) => {
+                    format!("gateway-restart of segment {seg} has no earlier gateway-crash")
+                }
+                Fault::Asymmetric {
+                    from_seg, to_seg, ..
+                } if !bridged.contains(&(from_seg.min(to_seg), from_seg.max(to_seg))) => {
+                    format!("asymmetric window names unbridged segments {from_seg} {to_seg}")
+                }
+                _ => continue,
+            };
+            return Err((line, msg));
         }
         self.run.federation = Some(fed);
         Ok(())
@@ -288,29 +330,18 @@ impl Scenario {
     ///
     /// Returns the diagnostic of the first line outside that subset.
     pub fn judged(mut self, seen: &Seen, doc: &Doc<'_>) -> Result<RunSpec, String> {
-        if let Some((keyword, line)) = seen.first_of(&["join", "leave", "restart"]) {
+        if let Some((keyword, line)) = seen.all_of(&["join", "leave", "restart"]).next() {
             let msg = format_args!("`{keyword}` schedules have no campaign-oracle model");
             return Err(doc.at(line, msg));
         }
         // The oracle judges detection from observers that booted before
         // the crash; a node crashed at 0ms never boots.
-        let single_bus = FederationSpec::default();
-        let fed = self.run.federation.as_ref().unwrap_or(&single_bus);
-        let at_zero = [
-            ("crash", self.run.crashes.iter().position(|c| c.1.is_zero())),
-            (
-                "seg-crash",
-                fed.seg_crashes.iter().position(|c| c.2.is_zero()),
-            ),
-            (
-                "gateway-crash",
-                fed.gateway_crashes.iter().position(|c| c.1.is_zero()),
-            ),
-        ];
-        let lines = at_zero
-            .into_iter()
-            .filter_map(|(kw, i)| Some((seen.nth(kw, i?), kw)));
-        if let Some((line, keyword)) = lines.min() {
+        let at_zero = |&(fault, _): &(Fault, usize)| {
+            matches!(fault, Fault::Crash { .. } | Fault::GatewayCrash { .. })
+                && fault.last().is_zero()
+        };
+        if let Some((fault, line)) = self.fault_lines(seen).find(at_zero) {
+            let keyword = fault.keyword();
             let msg =
                 format_args!("`{keyword}` at 0ms has no campaign-oracle model: crash after boot");
             return Err(doc.at(line, msg));
@@ -364,7 +395,6 @@ impl Scenario {
         let _ = writeln!(out, "inconsistent-degree {}", run.inconsistent_degree);
         let node_events = [
             ("traffic", &self.traffic),
-            ("crash", &run.crashes),
             ("join", &self.joins),
             ("leave", &self.leaves),
             ("restart", &self.restarts),
@@ -374,36 +404,22 @@ impl Scenario {
                 let _ = writeln!(out, "{keyword} {node} {}", fmt_duration(at));
             }
         }
-        let window = |(from, until): (BitTime, BitTime)| {
-            format!("{} {}", fmt_duration(from), fmt_duration(until))
-        };
-        for &blackout in &run.inaccessibility {
-            let _ = writeln!(out, "inaccessible {}", window(blackout));
+        // The bus faults, then the segment shape, then the bridge ones.
+        let (bus, bridged): (Vec<&Fault>, _) = run
+            .faults
+            .iter()
+            .partition(|f| FAULTS[..2].contains(&f.keyword()));
+        for fault in bus {
+            let _ = writeln!(out, "{fault}");
         }
         if let Some(fed) = &run.federation {
             let _ = writeln!(out, "segments {}", fed.segments);
             let _ = writeln!(out, "gateway {}", fed.gateway);
             let _ = writeln!(out, "bridge {}", fed.topology.key());
             let _ = writeln!(out, "relay {}", fmt_relay(fed.relay));
-            for &(seg, node, at) in &fed.seg_crashes {
-                let _ = writeln!(out, "seg-crash {seg} {node} {}", fmt_duration(at));
-            }
-            for &(seg, at) in &fed.gateway_crashes {
-                let _ = writeln!(out, "gateway-crash {seg} {}", fmt_duration(at));
-            }
-            for &(seg, at) in &fed.gateway_restarts {
-                let _ = writeln!(out, "gateway-restart {seg} {}", fmt_duration(at));
-            }
-            for &partition in &fed.partitions {
-                let _ = writeln!(out, "segment-partition {}", window(partition));
-            }
-            for &(from_seg, to_seg, from, until) in &fed.asymmetric {
-                let _ = writeln!(
-                    out,
-                    "asymmetric {from_seg} {to_seg} {}",
-                    window((from, until))
-                );
-            }
+        }
+        for fault in bridged {
+            let _ = writeln!(out, "{fault}");
         }
         if run.weaken_fda {
             let _ = writeln!(out, "weaken-fda");

@@ -1,18 +1,19 @@
 //! Counterexample minimization: greedy delta-debugging over the fault
 //! schedule.
 //!
-//! Given a violating [`RunSpec`], [`minimize`] repeatedly tries
-//! simplifications — dropping a scheduled crash, dropping an
-//! inaccessibility window, zeroing a stochastic rate, silencing the
-//! application traffic, shrinking the population — and keeps each one
-//! that still violates *some* invariant. The per-transmission
-//! independent RNG streams of `can_bus::fault` make this meaningful:
-//! removing one fault leaves every surviving stochastic draw
-//! bit-identical, so the shrink explores the real neighbourhood of the
-//! failure instead of reshuffling it.
+//! Given a violating [`RunSpec`], [`minimize`] repeatedly moves to the
+//! first of its one-step simplifications — dropping a scheduled fault,
+//! zeroing a stochastic rate, silencing the application traffic,
+//! shrinking the population — that still violates *some* invariant.
+//! The per-transmission independent RNG streams of `can_bus::fault`
+//! make this meaningful: removing one fault leaves every surviving
+//! stochastic draw bit-identical, so the shrink explores the real
+//! neighbourhood of the failure instead of reshuffling it.
 //!
-//! The result is a locally minimal reproducer: removing any single
-//! remaining ingredient makes the violation disappear.
+//! Only runs the `.canely` reader accepts are proposed, so every
+//! counterexample is a file `campaign replay` reads back. The result
+//! is a locally minimal reproducer: no remaining simplification still
+//! violates.
 
 use crate::run;
 use crate::spec::RunSpec;
@@ -21,126 +22,46 @@ fn violates(spec: &RunSpec) -> bool {
     !run::execute(spec, false).violations.is_empty()
 }
 
+/// The one-step simplifications of `run`, in the order they are
+/// tried: drop each fault, zero the consistent rate, zero the
+/// inconsistent rate, turn the traffic off, drop the top node. A
+/// candidate is kept only if it differs from `run` and
+/// [`RunSpec::from_scenario`] accepts it — the reader is the one rule
+/// for a valid run.
+fn candidates(run: &RunSpec) -> Vec<RunSpec> {
+    let mut candidates = Vec::new();
+    for i in 0..run.faults.len() {
+        let mut candidate = run.clone();
+        candidate.faults.remove(i);
+        candidates.push(candidate);
+    }
+    let simplifications: [fn(&mut RunSpec); 4] = [
+        |c| c.consistent_rate = 0.0,
+        |c| c.inconsistent_rate = 0.0,
+        |c| c.traffic = None,
+        |c| c.nodes = c.nodes.saturating_sub(1),
+    ];
+    for simplify in simplifications {
+        let mut candidate = run.clone();
+        simplify(&mut candidate);
+        candidates.push(candidate);
+    }
+    candidates.retain(|c| c != run && RunSpec::from_scenario(&c.to_scenario()).is_ok());
+    candidates
+}
+
 /// Greedily minimizes a violating run. Returns the spec unchanged if
 /// it does not violate (nothing to shrink).
 ///
 /// Every candidate is re-executed, so the cost is one simulation per
 /// attempted simplification — a few dozen runs in practice.
 pub fn minimize(spec: &RunSpec) -> RunSpec {
-    if !violates(spec) {
-        return spec.clone();
-    }
     let mut current = spec.clone();
-    loop {
-        let mut progressed = false;
-
-        // Drop scheduled crashes, one at a time.
-        for i in 0..current.crashes.len() {
-            let mut candidate = current.clone();
-            candidate.crashes.remove(i);
-            if violates(&candidate) {
-                current = candidate;
-                progressed = true;
-                break;
-            }
-        }
-        if progressed {
-            continue;
-        }
-
-        // Drop inaccessibility windows, one at a time.
-        for i in 0..current.inaccessibility.len() {
-            let mut candidate = current.clone();
-            candidate.inaccessibility.remove(i);
-            if violates(&candidate) {
-                current = candidate;
-                progressed = true;
-                break;
-            }
-        }
-        if progressed {
-            continue;
-        }
-
-        // Drop bridge-level federation faults, one at a time.
-        if let Some(fed) = &current.federation {
-            let mut candidates: Vec<RunSpec> = Vec::new();
-            for i in 0..fed.seg_crashes.len() {
-                let mut c = current.clone();
-                c.federation.as_mut().unwrap().seg_crashes.remove(i);
-                candidates.push(c);
-            }
-            for i in 0..fed.gateway_crashes.len() {
-                let mut c = current.clone();
-                c.federation.as_mut().unwrap().gateway_crashes.remove(i);
-                candidates.push(c);
-            }
-            for i in 0..fed.gateway_restarts.len() {
-                let mut c = current.clone();
-                c.federation.as_mut().unwrap().gateway_restarts.remove(i);
-                candidates.push(c);
-            }
-            for i in 0..fed.partitions.len() {
-                let mut c = current.clone();
-                c.federation.as_mut().unwrap().partitions.remove(i);
-                candidates.push(c);
-            }
-            for i in 0..fed.asymmetric.len() {
-                let mut c = current.clone();
-                c.federation.as_mut().unwrap().asymmetric.remove(i);
-                candidates.push(c);
-            }
-            for candidate in candidates {
-                if violates(&candidate) {
-                    current = candidate;
-                    progressed = true;
-                    break;
-                }
-            }
-            if progressed {
-                continue;
-            }
-        }
-
-        // Zero the stochastic rates.
-        for zero in [
-            |c: &mut RunSpec| c.consistent_rate = 0.0,
-            |c: &mut RunSpec| c.inconsistent_rate = 0.0,
-        ] {
-            let mut candidate = current.clone();
-            zero(&mut candidate);
-            if candidate != current && violates(&candidate) {
-                current = candidate;
-                progressed = true;
-                break;
-            }
-        }
-        if progressed {
-            continue;
-        }
-
-        // Silence the application traffic (pure life-sign population).
-        if current.traffic.is_some() {
-            let mut candidate = current.clone();
-            candidate.traffic = None;
-            if violates(&candidate) {
-                current = candidate;
-                continue;
-            }
-        }
-
-        // Shrink the population, as long as no crash targets the
-        // node being removed.
-        if current.nodes > 2 && current.crashes.iter().all(|&(n, _)| n < current.nodes - 1) {
-            let mut candidate = current.clone();
-            candidate.nodes -= 1;
-            if violates(&candidate) {
-                current = candidate;
-                continue;
-            }
-        }
-
-        break;
+    if !violates(&current) {
+        return current;
+    }
+    while let Some(next) = candidates(&current).into_iter().find(violates) {
+        current = next;
     }
     current
 }
@@ -148,7 +69,7 @@ pub fn minimize(spec: &RunSpec) -> RunSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::CampaignSpec;
+    use crate::spec::{CampaignSpec, Fault};
     use can_types::BitTime;
 
     #[test]
@@ -172,17 +93,40 @@ mod tests {
         .expand()
         .remove(0);
         run.weaken_fda = true;
-        run.inaccessibility = vec![(BitTime::new(90_000), BitTime::new(94_000))];
+        let blackout = Fault::Blackout {
+            from: BitTime::new(90_000),
+            until: BitTime::new(94_000),
+        };
+        run.faults.push(blackout);
         assert!(!run::execute(&run, false).violations.is_empty());
 
         let minimal = minimize(&run);
         assert!(!run::execute(&minimal, false).violations.is_empty());
-        assert!(minimal.crashes.is_empty(), "crashes are incidental");
         assert_eq!(minimal.consistent_rate, 0.0, "noise is incidental");
         assert_eq!(
-            minimal.inaccessibility.len(),
-            1,
-            "the blackout is the trigger and must survive"
+            minimal.faults,
+            [blackout],
+            "the blackout is the trigger and must survive; crashes are incidental"
+        );
+    }
+
+    #[test]
+    fn candidates_are_runs_the_reader_accepts() {
+        // A two-segment run whose gateway is the top node, with a
+        // restart that needs its crash: neither the population step
+        // nor dropping the crash alone may be proposed.
+        let run = RunSpec::from_scenario(
+            "nodes 4\nsegments 2\ngateway 3\ngateway-crash 1 100ms\n\
+             gateway-restart 1 150ms\nuntil 400ms\nsettle 150ms\n",
+        )
+        .unwrap();
+        let proposed = candidates(&run);
+        assert!(proposed.iter().all(|c| c.nodes == 4), "{proposed:?}");
+        let faults: Vec<_> = proposed.iter().map(|c| c.faults.clone()).collect();
+        assert_eq!(
+            faults,
+            [run.faults[..1].to_vec()],
+            "only the restart may go"
         );
     }
 }

@@ -33,7 +33,7 @@ use crate::grammar::{
     parse_duration, probability, relay, segment_count, traffic_period, Doc, Keyword,
 };
 use can_bus::FaultPlan;
-use can_types::{mix64, BitTime, NodeId, NodeSet, GOLDEN};
+use can_types::{mix64, BitTime, NodeSet, GOLDEN};
 use canely::{CanelyConfig, DetectorKind};
 use canely_analysis::ProtocolBounds;
 use canely_federation::{BridgeKind, RelayFilter, DIGEST_PERIOD, QUANTUM};
@@ -562,10 +562,23 @@ impl CampaignSpec {
         }
         let mut rng = SmallRng::seed_from_u64(key);
 
+        // Every fault lands inside the active phase and after the
+        // population is operational: the campaign studies steady-state
+        // failures, not boot races.
         let lo = operational_from(tm).as_u64();
         let hi = self.until.saturating_sub(self.settle).as_u64();
+        let instant =
+            |rng: &mut SmallRng, hi: u64| BitTime::new(lo + rng.next_u64() % (hi - lo).max(1));
+        let window = |rng: &mut SmallRng, len: BitTime| {
+            let latest = hi.saturating_sub(len.as_u64());
+            let from = BitTime::new(lo + rng.next_u64() % latest.saturating_sub(lo).max(1));
+            (from, from + len)
+        };
         let f = budget.min(u32::from(nodes).saturating_sub(2));
-        let mut crashes = Vec::new();
+        // The draws below keep their order; the schedule is assembled
+        // in the order `.canely` lists faults.
+        let mut crashes: Vec<(u8, BitTime)> = Vec::new();
+        let mut bridged = Vec::new();
         let mut federation = None;
 
         if let Some((segments, gateway_crash, restart_delay, partition_len, asymmetric_len)) = fed {
@@ -574,23 +587,24 @@ impl CampaignSpec {
             // crashes are their own dimension with their own global
             // semantics.
             let mut taken: Vec<(u8, u8)> = Vec::new();
-            let mut seg_crashes = Vec::new();
+            let mut remote_crashes = Vec::new();
             while (taken.len() as u32) < f {
                 let seg = (rng.next_u64() % u64::from(segments)) as u8;
-                let victim = (rng.next_u64() % u64::from(nodes)) as u8;
-                if victim == self.gateway || taken.contains(&(seg, victim)) {
+                let node = (rng.next_u64() % u64::from(nodes)) as u8;
+                if node == self.gateway || taken.contains(&(seg, node)) {
                     continue;
                 }
-                taken.push((seg, victim));
-                let at = BitTime::new(lo + rng.next_u64() % (hi - lo).max(1));
+                taken.push((seg, node));
+                let at = instant(&mut rng, hi);
                 if seg == 0 {
-                    crashes.push((victim, at));
+                    crashes.push((node, at));
                 } else {
-                    seg_crashes.push((seg, victim, at));
+                    remote_crashes.push((at, seg, node));
                 }
             }
-            crashes.sort_by_key(|&(_, at)| (at, 0));
-            seg_crashes.sort_by_key(|&(seg, victim, at)| (at, seg, victim));
+            remote_crashes.sort();
+            let crash = |(at, seg, node)| Fault::Crash { seg, node, at };
+            bridged.extend(remote_crashes.into_iter().map(crash));
 
             // Gateway crashes: that many *distinct* segments lose
             // their representative. With a restart delay, the crash is
@@ -598,39 +612,34 @@ impl CampaignSpec {
             // the active phase (delay 0 leaves the draw unchanged).
             let g = gateway_crash.min(u32::from(segments));
             let hi_gw = hi.saturating_sub(restart_delay.as_u64()).max(lo + 1);
-            let mut gone = Vec::new();
-            let mut gateway_crashes = Vec::new();
-            while (gateway_crashes.len() as u32) < g {
+            let mut lost_gateways: Vec<(u8, BitTime)> = Vec::new();
+            while (lost_gateways.len() as u32) < g {
                 let seg = (rng.next_u64() % u64::from(segments)) as u8;
-                if gone.contains(&seg) {
+                if lost_gateways.iter().any(|&(s, _)| s == seg) {
                     continue;
                 }
-                gone.push(seg);
-                let at = BitTime::new(lo + rng.next_u64() % (hi_gw - lo).max(1));
-                gateway_crashes.push((seg, at));
+                lost_gateways.push((seg, instant(&mut rng, hi_gw)));
             }
-            gateway_crashes.sort_by_key(|&(seg, at)| (at, seg));
-            let gateway_restarts: Vec<(u8, BitTime)> = if restart_delay.is_zero() {
-                Vec::new()
-            } else {
-                gateway_crashes
-                    .iter()
-                    .map(|&(seg, at)| (seg, at + restart_delay))
-                    .collect()
-            };
+            lost_gateways.sort_by_key(|&(seg, at)| (at, seg));
+            let crash = |&(seg, at): &(u8, BitTime)| Fault::GatewayCrash { seg, at };
+            bridged.extend(lost_gateways.iter().map(crash));
+            if !restart_delay.is_zero() {
+                let restart = |&(seg, at): &(u8, BitTime)| Fault::GatewayRestart {
+                    seg,
+                    at: at + restart_delay,
+                };
+                bridged.extend(lost_gateways.iter().map(restart));
+            }
 
-            // One inter-segment partition window, placed after
-            // bootstrap (all bridges, both directions).
-            let mut partitions = Vec::new();
+            // One inter-segment partition window (all bridges, both
+            // directions).
             if !partition_len.is_zero() {
-                let latest = hi.saturating_sub(partition_len.as_u64());
-                let start = lo + rng.next_u64() % latest.saturating_sub(lo).max(1);
-                partitions.push((BitTime::new(start), BitTime::new(start) + partition_len));
+                let (from, until) = window(&mut rng, partition_len);
+                bridged.push(Fault::Partition { from, until });
             }
 
             // One asymmetric window: a random direction of a random
             // bridge goes deaf.
-            let mut asymmetric = Vec::new();
             if !asymmetric_len.is_zero() {
                 let bridges = self.bridge.bridges(segments);
                 let (a, b) = bridges[(rng.next_u64() as usize) % bridges.len()];
@@ -639,14 +648,13 @@ impl CampaignSpec {
                 } else {
                     (b, a)
                 };
-                let latest = hi.saturating_sub(asymmetric_len.as_u64());
-                let start = lo + rng.next_u64() % latest.saturating_sub(lo).max(1);
-                asymmetric.push((
+                let (from, until) = window(&mut rng, asymmetric_len);
+                bridged.push(Fault::Asymmetric {
                     from_seg,
                     to_seg,
-                    BitTime::new(start),
-                    BitTime::new(start) + asymmetric_len,
-                ));
+                    from,
+                    until,
+                });
             }
 
             federation = Some(FederationSpec {
@@ -654,37 +662,29 @@ impl CampaignSpec {
                 gateway: self.gateway,
                 topology: self.bridge,
                 relay: self.relay,
-                seg_crashes,
-                gateway_crashes,
-                gateway_restarts,
-                partitions,
-                asymmetric,
             });
         } else {
-            // Crashes: `f` distinct victims, instants inside the
-            // active phase and after the population is operational —
-            // the campaign studies steady-state failures, not boot
-            // races.
-            let mut victims = NodeSet::EMPTY;
+            // Crashes: `f` distinct victims.
             while (crashes.len() as u32) < f {
-                let victim = NodeId::new((rng.next_u64() % u64::from(nodes)) as u8);
-                if victims.contains(victim) {
+                let node = (rng.next_u64() % u64::from(nodes)) as u8;
+                if crashes.iter().any(|&(n, _)| n == node) {
                     continue;
                 }
-                victims.insert(victim);
-                let at = lo + rng.next_u64() % (hi - lo).max(1);
-                crashes.push((victim.as_u8(), BitTime::new(at)));
+                crashes.push((node, instant(&mut rng, hi)));
             }
-            crashes.sort_by_key(|&(_, at)| (at, 0));
         }
+        crashes.sort_by_key(|&(_, at)| at);
+        let mut faults: Vec<Fault> = crashes
+            .into_iter()
+            .map(|(node, at)| Fault::Crash { seg: 0, node, at })
+            .collect();
 
-        // One inaccessibility window, placed after bootstrap.
-        let mut inaccessibility = Vec::new();
+        // One inaccessibility window.
         if !window_len.is_zero() {
-            let latest = hi.saturating_sub(window_len.as_u64());
-            let start = lo + rng.next_u64() % latest.saturating_sub(lo).max(1);
-            inaccessibility.push((BitTime::new(start), BitTime::new(start) + window_len));
+            let (from, until) = window(&mut rng, window_len);
+            faults.push(Fault::Blackout { from, until });
         }
+        faults.extend(bridged);
 
         RunSpec {
             id,
@@ -700,8 +700,7 @@ impl CampaignSpec {
             omission_degree: self.omission_degree,
             inconsistent_degree: self.inconsistent_degree,
             traffic: self.traffic,
-            crashes,
-            inaccessibility,
+            faults,
             weaken_fda: self.weaken_fda,
             latency_slack: self.latency_slack,
             rejoin_slack: self.rejoin_slack,
@@ -710,12 +709,52 @@ impl CampaignSpec {
     }
 }
 
-/// The federated extension of a run: the segment topology plus the
-/// bridge-level fault schedule. Present iff the run spans more than
-/// one segment; the plain fields of [`RunSpec`] then describe *each*
-/// segment's population, with [`RunSpec::crashes`] applying to
-/// segment 0 and [`FederationSpec::seg_crashes`] to the rest.
-#[derive(Debug, Clone, PartialEq)]
+/// One scheduled disturbance of a run: one variant per fault keyword
+/// of `.canely`, and it displays as its `.canely` line.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fault {
+    /// A fail-silent crash of `node` in segment `seg`: `crash` on
+    /// segment 0, `seg-crash` on the others.
+    Crash { seg: u8, node: u8, at: BitTime },
+    /// Bus inaccessibility during `[from, until)`, on every segment
+    /// (`inaccessible`).
+    Blackout { from: BitTime, until: BitTime },
+    /// A crash of segment `seg`'s configured gateway (`gateway-crash`).
+    GatewayCrash { seg: u8, at: BitTime },
+    /// A power-cycle of segment `seg`'s crashed gateway: it comes back
+    /// as a fresh standby under the elected successor
+    /// (`gateway-restart`).
+    GatewayRestart { seg: u8, at: BitTime },
+    /// Every bridge blocked in both directions during `[from, until)`
+    /// (`segment-partition`).
+    Partition { from: BitTime, until: BitTime },
+    /// The `from_seg → to_seg` direction of one bridge blocked during
+    /// `[from, until)` (`asymmetric`).
+    Asymmetric {
+        from_seg: u8,
+        to_seg: u8,
+        from: BitTime,
+        until: BitTime,
+    },
+}
+
+impl Fault {
+    /// The last instant the fault disturbs the run.
+    pub(crate) fn last(&self) -> BitTime {
+        match *self {
+            Fault::Crash { at, .. }
+            | Fault::GatewayCrash { at, .. }
+            | Fault::GatewayRestart { at, .. } => at,
+            Fault::Blackout { until, .. }
+            | Fault::Partition { until, .. }
+            | Fault::Asymmetric { until, .. } => until,
+        }
+    }
+}
+
+/// The shape of a run that spans more than one segment; the plain
+/// fields of [`RunSpec`] then describe *each* segment's population.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FederationSpec {
     /// Number of segments (≥ 2; 1 only in the default, a plain run).
     pub segments: u8,
@@ -725,37 +764,17 @@ pub struct FederationSpec {
     pub topology: BridgeKind,
     /// Which application frames gateways relay.
     pub relay: RelayFilter,
-    /// Scheduled non-gateway crashes in segments ≥ 1:
-    /// `(segment, node, instant)`.
-    pub seg_crashes: Vec<(u8, u8, BitTime)>,
-    /// Scheduled gateway crashes: `(segment, instant)`.
-    pub gateway_crashes: Vec<(u8, BitTime)>,
-    /// Scheduled gateway restarts: `(segment, instant)` — the crashed
-    /// former gateway powers back up as a fresh standby under the
-    /// elected successor.
-    pub gateway_restarts: Vec<(u8, BitTime)>,
-    /// Inter-segment partitions `[from, until)` — every bridge, both
-    /// directions.
-    pub partitions: Vec<(BitTime, BitTime)>,
-    /// Asymmetric windows `(from_seg, to_seg, from, until)` — one
-    /// direction of one bridge.
-    pub asymmetric: Vec<(u8, u8, BitTime, BitTime)>,
 }
 
 impl Default for FederationSpec {
     /// The single segment a plain run executes in: no bridge, nothing
-    /// to relay, no bridge-level fault.
+    /// to relay.
     fn default() -> Self {
         FederationSpec {
             segments: 1,
             gateway: 0,
             topology: BridgeKind::Ring,
             relay: RelayFilter::None,
-            seg_crashes: Vec::new(),
-            gateway_crashes: Vec::new(),
-            gateway_restarts: Vec::new(),
-            partitions: Vec::new(),
-            asymmetric: Vec::new(),
         }
     }
 }
@@ -790,10 +809,10 @@ pub struct RunSpec {
     pub inconsistent_degree: u32,
     /// Cyclic traffic period on every node, if any.
     pub traffic: Option<BitTime>,
-    /// Scheduled fail-silent crashes `(node, instant)`.
-    pub crashes: Vec<(u8, BitTime)>,
-    /// Bus inaccessibility windows `[from, until)`.
-    pub inaccessibility: Vec<(BitTime, BitTime)>,
+    /// The fault schedule. A run a campaign expands lists its faults
+    /// in the order [`RunSpec::to_scenario`] writes them: segment-0
+    /// crashes, blackouts, then the bridge-level faults.
+    pub faults: Vec<Fault>,
     /// Run against the weakened failure-detection mutant.
     pub weaken_fda: bool,
     /// Oracle slack on latency bounds.
@@ -823,8 +842,7 @@ impl Default for RunSpec {
             omission_degree: 16,
             inconsistent_degree: 2,
             traffic: None,
-            crashes: Vec::new(),
-            inaccessibility: Vec::new(),
+            faults: Vec::new(),
             weaken_fda: false,
             latency_slack: BitTime::new(4_000),
             rejoin_slack: BitTime::new(30_000),
@@ -867,15 +885,17 @@ impl RunSpec {
     /// The bus fault plan of this run, drawing from `seed` (the run
     /// seed on a single bus; a derived one per federated segment).
     pub fn fault_plan(&self, seed: u64) -> FaultPlan {
-        let mut faults = FaultPlan::seeded(seed)
+        let mut plan = FaultPlan::seeded(seed)
             .with_consistent_rate(self.consistent_rate)
             .with_inconsistent_rate(self.inconsistent_rate)
             .with_omission_bound(self.omission_degree, BitTime::new(100_000))
             .with_inconsistent_bound(self.inconsistent_degree);
-        for &(from, until) in &self.inaccessibility {
-            faults.push_inaccessibility(from, until);
+        for fault in &self.faults {
+            if let Fault::Blackout { from, until } = *fault {
+                plan.push_inaccessibility(from, until);
+            }
         }
-        faults
+        plan
     }
 
     /// The closed-form bounds of the *correct* protocol at this run's
@@ -889,23 +909,20 @@ impl RunSpec {
             // Conservative for federated runs: count every crash in
             // the federation even though each lands in one segment —
             // overcounting only loosens the bound.
-            (self.crashes.len()
-                + self
-                    .federation
-                    .as_ref()
-                    .map_or(0, |fed| fed.seg_crashes.len() + fed.gateway_crashes.len()))
-                as u32,
+            self.faults
+                .iter()
+                .filter(|f| matches!(f, Fault::Crash { .. } | Fault::GatewayCrash { .. }))
+                .count() as u32,
         )
     }
 
     /// Total scheduled bus blackout — added to latency bounds, since a
     /// detection window may overlap any of it.
     pub fn total_inaccessibility(&self) -> BitTime {
-        self.inaccessibility
-            .iter()
-            .fold(BitTime::ZERO, |acc, &(from, until)| {
-                acc + until.saturating_sub(from)
-            })
+        self.faults.iter().fold(BitTime::ZERO, |acc, f| match *f {
+            Fault::Blackout { from, until } => acc + until.saturating_sub(from),
+            _ => acc,
+        })
     }
 
     /// The admissible crash-detection latency for this run: the
@@ -939,15 +956,14 @@ impl RunSpec {
             return BitTime::ZERO;
         };
         let round = DIGEST_PERIOD + QUANTUM;
-        let mut bound =
+        let bound =
             self.view_change_bound() + round * (u64::from(fed.segments) + 1) + self.rejoin_slack;
-        for &(from, until) in &fed.partitions {
-            bound += until.saturating_sub(from);
-        }
-        for &(_, _, from, until) in &fed.asymmetric {
-            bound += until.saturating_sub(from);
-        }
-        bound
+        self.faults.iter().fold(bound, |acc, f| match *f {
+            Fault::Partition { from, until } | Fault::Asymmetric { from, until, .. } => {
+                acc + until.saturating_sub(from)
+            }
+            _ => acc,
+        })
     }
 
     /// The initial membership: nodes `0..nodes`.
@@ -965,31 +981,8 @@ impl RunSpec {
     /// Whether every scheduled disturbance ends at least `settle`
     /// before the horizon (end-of-run view checks are then sound).
     pub fn statically_quiescent(&self) -> bool {
-        let mut last = BitTime::ZERO;
-        for &(_, at) in &self.crashes {
-            last = last.max(at);
-        }
-        for &(_, until) in &self.inaccessibility {
-            last = last.max(until);
-        }
-        if let Some(fed) = &self.federation {
-            for &(_, _, at) in &fed.seg_crashes {
-                last = last.max(at);
-            }
-            for &(_, at) in &fed.gateway_crashes {
-                last = last.max(at);
-            }
-            for &(_, at) in &fed.gateway_restarts {
-                last = last.max(at);
-            }
-            for &(_, until) in &fed.partitions {
-                last = last.max(until);
-            }
-            for &(_, _, _, until) in &fed.asymmetric {
-                last = last.max(until);
-            }
-        }
-        last + self.settle <= self.until
+        let last = self.faults.iter().map(Fault::last).max();
+        last.unwrap_or(BitTime::ZERO) + self.settle <= self.until
     }
 }
 
@@ -1019,7 +1012,10 @@ settle 150ms
         assert_eq!(runs.len(), 24);
         for (i, run) in runs.iter().enumerate() {
             assert_eq!(run.id, i);
-            assert_eq!(run.crashes.len(), 1);
+            assert!(matches!(run.faults[0], Fault::Crash { seg: 0, .. }));
+            assert!(run.faults[1..]
+                .iter()
+                .all(|f| matches!(f, Fault::Blackout { .. })));
             assert!(run.statically_quiescent());
         }
     }
@@ -1040,8 +1036,7 @@ settle 150ms
         let narrow = narrowed.expand();
         assert_eq!(wide.len(), narrow.len());
         for (a, b) in wide.iter().zip(&narrow) {
-            assert_eq!(a.crashes, b.crashes);
-            assert_eq!(a.inaccessibility, b.inaccessibility);
+            assert_eq!(a.faults, b.faults);
             assert_eq!(a.seed, b.seed);
         }
     }
@@ -1097,8 +1092,7 @@ settle 150ms
             let alt: Vec<_> = runs.iter().filter(|r| r.detector == kind).collect();
             assert_eq!(surveillance.len(), alt.len());
             for (a, b) in surveillance.iter().zip(&alt) {
-                assert_eq!(a.crashes, b.crashes);
-                assert_eq!(a.inaccessibility, b.inaccessibility);
+                assert_eq!(a.faults, b.faults);
                 assert_eq!(a.seed, b.seed);
             }
         }
@@ -1174,31 +1168,29 @@ settle 150ms
             let fed = run.federation.as_ref().unwrap();
             assert_eq!(fed.segments, 3);
             assert_eq!(fed.relay, RelayFilter::Below(8));
-            // The generic crash budget never hits a gateway.
-            assert!(run.crashes.iter().all(|&(n, _)| n != fed.gateway));
-            assert!(fed
-                .seg_crashes
+            // The generic crash budget spans the whole federation and
+            // never hits a gateway.
+            let crashes: Vec<_> = run
+                .faults
                 .iter()
-                .all(|&(s, n, _)| { (1..fed.segments).contains(&s) && n != fed.gateway }));
-            assert_eq!(
-                run.crashes.len() + fed.seg_crashes.len(),
-                1,
-                "the crash budget spans the whole federation"
-            );
+                .filter_map(|f| match *f {
+                    Fault::Crash { seg, node, .. } => Some((seg, node)),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(crashes.len(), 1);
+            assert!(crashes
+                .iter()
+                .all(|&(s, n)| s < fed.segments && n != fed.gateway));
             assert!(run.statically_quiescent());
         }
+        let any = |pred: fn(&Fault) -> bool| runs.iter().any(|r| r.faults.iter().any(pred));
         assert!(
-            runs.iter().any(|r| r
-                .federation
-                .as_ref()
-                .is_some_and(|f| !f.gateway_crashes.is_empty())),
+            any(|f| matches!(f, Fault::GatewayCrash { .. })),
             "the gateway-crash budget must materialize"
         );
         assert!(
-            runs.iter().any(|r| r
-                .federation
-                .as_ref()
-                .is_some_and(|f| !f.partitions.is_empty())),
+            any(|f| matches!(f, Fault::Partition { .. })),
             "the partition window must materialize"
         );
     }
@@ -1218,8 +1210,7 @@ settle 150ms
         let baseline = base.expand();
         assert_eq!(plain.len(), baseline.len());
         for (a, b) in plain.iter().zip(&baseline) {
-            assert_eq!(a.crashes, b.crashes, "plain schedules must be key-stable");
-            assert_eq!(a.inaccessibility, b.inaccessibility);
+            assert_eq!(a.faults, b.faults, "plain schedules must be key-stable");
             assert_eq!(a.seed, b.seed);
         }
     }
@@ -1287,37 +1278,37 @@ settle 150ms
         let runs = with.expand();
         assert_eq!(runs.len(), 14);
         // Every restart follows its crash by exactly the delay.
-        let restarted: Vec<_> = runs
-            .iter()
-            .filter_map(|r| r.federation.as_ref())
-            .filter(|f| !f.gateway_restarts.is_empty())
-            .collect();
-        assert!(!restarted.is_empty(), "the restart delay must materialize");
-        for fed in &restarted {
-            assert_eq!(fed.gateway_restarts.len(), fed.gateway_crashes.len());
-            for (&(seg, tc), &(rseg, tr)) in fed.gateway_crashes.iter().zip(&fed.gateway_restarts) {
+        let gateway_faults = |r: &RunSpec| {
+            let (mut crashes, mut restarts) = (Vec::new(), Vec::new());
+            for &f in &r.faults {
+                match f {
+                    Fault::GatewayCrash { seg, at } => crashes.push((seg, at)),
+                    Fault::GatewayRestart { seg, at } => restarts.push((seg, at)),
+                    _ => {}
+                }
+            }
+            (crashes, restarts)
+        };
+        let mut restarted = 0;
+        for (crashes, restarts) in runs.iter().map(gateway_faults) {
+            if restarts.is_empty() {
+                continue;
+            }
+            restarted += 1;
+            assert_eq!(restarts.len(), crashes.len());
+            for (&(seg, tc), &(rseg, tr)) in crashes.iter().zip(&restarts) {
                 assert_eq!(seg, rseg);
                 assert_eq!(tr, tc + BitTime::new(40_000));
             }
         }
+        assert!(restarted > 0, "the restart delay must materialize");
         // Adding the dimension must not disturb any pre-existing
         // schedule: every run of the restart-free campaign reappears
         // byte-identically among the delay-0 runs.
-        let zero: Vec<_> = runs
-            .iter()
-            .filter(|r| {
-                r.federation
-                    .as_ref()
-                    .is_none_or(|f| f.gateway_restarts.is_empty())
-            })
-            .collect();
         for old in base.expand() {
             assert!(
-                zero.iter().any(|r| {
-                    r.seed == old.seed
-                        && r.crashes == old.crashes
-                        && r.inaccessibility == old.inaccessibility
-                        && r.federation == old.federation
+                runs.iter().any(|r| {
+                    r.seed == old.seed && r.faults == old.faults && r.federation == old.federation
                 }),
                 "run {} lost its schedule under the new dimension",
                 old.id
@@ -1349,8 +1340,9 @@ settle 150ms
     fn bounds_scale_with_run_parameters() {
         let spec = CampaignSpec::parse(SMOKE).unwrap();
         let runs = spec.expand();
-        let windowed = runs.iter().find(|r| !r.inaccessibility.is_empty()).unwrap();
-        let clean = runs.iter().find(|r| r.inaccessibility.is_empty()).unwrap();
+        let blackout = |r: &&RunSpec| r.faults.iter().any(|f| matches!(f, Fault::Blackout { .. }));
+        let windowed = runs.iter().find(blackout).unwrap();
+        let clean = runs.iter().find(|r| !blackout(r)).unwrap();
         assert_eq!(
             windowed.detection_bound(),
             clean.detection_bound() + windowed.total_inaccessibility()

@@ -9,7 +9,7 @@
 //!   counterexample.
 
 use can_types::BitTime;
-use canely_campaign::{execute, run_campaign, CampaignSpec, RunSpec};
+use canely_campaign::{execute, run_campaign, CampaignSpec, Counterexample, Fault, RunSpec};
 
 #[test]
 fn five_hundred_seeded_runs_on_the_correct_protocol_are_clean() {
@@ -73,16 +73,16 @@ fn weakened_mutant_shrinks_to_a_replayable_counterexample() {
 
     // Minimality: the shrinker strips the incidental fault load.
     assert!(
-        cx.minimal.crashes.len() <= cx.original.crashes.len()
+        cx.minimal.faults.len() <= cx.original.faults.len()
             && cx.minimal.consistent_rate <= cx.original.consistent_rate,
         "minimal spec must not grow: {:?} from {:?}",
         cx.minimal,
         cx.original
     );
-    assert_eq!(
-        cx.minimal.inaccessibility.len(),
-        1,
-        "the blackout is the essential trigger"
+    assert!(
+        matches!(cx.minimal.faults[..], [Fault::Blackout { .. }]),
+        "the blackout is the essential trigger: {:?}",
+        cx.minimal.faults
     );
     assert!(!cx.violations.is_empty());
     assert!(!cx.trace_jsonl.is_empty(), "offending trace ships along");
@@ -119,6 +119,46 @@ fn weakened_mutant_shrinks_to_a_replayable_counterexample() {
     assert!(
         !outcome.violations.is_empty(),
         "replayed counterexample must still violate"
+    );
+}
+
+/// The counterexample of the campaign `text`, checked to be a file the
+/// `.canely` reader accepts and that still violates when replayed.
+fn replayable_counterexample(text: &str) -> Counterexample {
+    let result = run_campaign(&CampaignSpec::parse(text).unwrap(), 2);
+    let cx = result.counterexample.expect("a minimized counterexample");
+    let replayed = RunSpec::from_scenario(&cx.scenario).unwrap_or_else(|e| {
+        panic!(
+            "the reader refuses the counterexample: {e}\n{}",
+            cx.scenario
+        )
+    });
+    assert!(
+        !execute(&replayed, false).violations.is_empty(),
+        "replayed counterexample must still violate:\n{}",
+        cx.scenario
+    );
+    cx
+}
+
+#[test]
+fn a_federated_shrink_keeps_the_gateway_in_the_population() {
+    // Dropping the top node used to propose a 3-node run whose gateway
+    // is node 3, and the campaign panicked building it.
+    let cx = replayable_counterexample(
+        "name gw-top\nnodes 4\nseeds 2..3\ninaccessibility 4ms\nsegments 2\ngateway 3\n\
+         until 400ms\nsettle 150ms\nweaken-fda\n",
+    );
+    assert_eq!(cx.minimal.nodes, 4);
+}
+
+#[test]
+fn a_federated_shrink_keeps_each_gateway_restart_behind_its_crash() {
+    // Dropping the gateway crash used to leave its restart behind, a
+    // counterexample `campaign replay` refused.
+    replayable_counterexample(
+        "name fo\nnodes 4\nseeds 9..10\ninaccessibility 4ms\nsegments 3\ngateway-crash 1\n\
+         gateway-restart 60ms\nuntil 600ms\nsettle 250ms\nweaken-fda\n",
     );
 }
 

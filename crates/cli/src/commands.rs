@@ -9,7 +9,7 @@ use can_types::{BitTime, NodeId, NodeSet};
 use canely::obs::{ObsLog, Snapshot};
 use canely_analysis::{BandwidthModel, InaccessibilityModel, ProtocolBounds, ReliabilityModel};
 use canely_baselines::{CanopenMaster, CanopenSlave, HeartbeatNode, OsekNode, TtpNode};
-use canely_campaign::{grammar, RunSpec, SimTelemetry};
+use canely_campaign::{grammar, Fault, RunSpec, SimTelemetry};
 use canely_groups::{GroupId, GroupStack};
 use canely_metrics::Registry;
 use std::fmt::Write as _;
@@ -38,12 +38,13 @@ fn scenario_from_args(args: &mut Args) -> Result<(Scenario, bool), ArgError> {
     let nodes = args.opt("nodes", base.nodes, &population, |w| {
         grammar::node_count(w, 1)
     })?;
+    let crash = |(node, at)| Fault::Crash { seg: 0, node, at };
     let run = RunSpec {
         nodes,
         tm: args.duration_opt("tm", base.tm)?,
         th: args.duration_opt("th", base.th)?,
         until: args.duration_opt("until", base.until)?,
-        crashes: args.events("crash")?,
+        faults: args.events("crash")?.into_iter().map(crash).collect(),
         consistent_rate: args.opt("error-rate", 0.0, "a probability", grammar::probability)?,
         seed: args.opt("seed", base.seed, "an integer", grammar::number)?,
         ..base
@@ -123,8 +124,10 @@ pub fn groups(args: &mut Args) -> CmdResult {
         }
         sim.add_node(NodeId::new(id), stack);
     }
-    for &(node, at) in &run.crashes {
-        sim.schedule_crash(NodeId::new(node), at);
+    for fault in &run.faults {
+        if let Fault::Crash { node, at, .. } = *fault {
+            sim.schedule_crash(NodeId::new(node), at);
+        }
     }
     sim.run_until(run.until);
 
@@ -742,11 +745,33 @@ fn campaign_report(args: &mut Args) -> CmdResult {
             run.seed,
             run.detector
         );
-        for &(node, at) in &run.crashes {
-            let _ = write!(out, ", crash n{node}@{}", render::ms(at));
-        }
-        for &(from, until) in &run.inaccessibility {
-            let _ = write!(out, ", blackout {}–{}", render::ms(from), render::ms(until));
+        let t = render::ms;
+        let window = |from, until| format!("{}–{}", t(from), t(until));
+        for &fault in &run.faults {
+            let _ = match fault {
+                Fault::Crash { seg: 0, node, at } => write!(out, ", crash n{node}@{}", t(at)),
+                Fault::Crash { seg, node, at } => write!(out, ", crash s{seg}:n{node}@{}", t(at)),
+                Fault::Blackout { from, until } => {
+                    write!(out, ", blackout {}", window(from, until))
+                }
+                Fault::GatewayCrash { seg, at } => write!(out, ", gateway-crash s{seg}@{}", t(at)),
+                Fault::GatewayRestart { seg, at } => {
+                    write!(out, ", gateway-restart s{seg}@{}", t(at))
+                }
+                Fault::Partition { from, until } => {
+                    write!(out, ", partition {}", window(from, until))
+                }
+                Fault::Asymmetric {
+                    from_seg,
+                    to_seg,
+                    from,
+                    until,
+                } => write!(
+                    out,
+                    ", asymmetric s{from_seg}→s{to_seg} {}",
+                    window(from, until)
+                ),
+            };
         }
         let _ = writeln!(
             out,
@@ -767,7 +792,7 @@ pub fn run_file(path: &str) -> CmdResult {
     let text = read_file(path)?;
     let doc = grammar::Doc::named(path, &text);
     let (scenario, seen) = Scenario::read(&doc).map_err(diagnostic)?;
-    let Some(fed) = scenario.run.federation.clone() else {
+    let Some(fed) = scenario.run.federation else {
         return report(&scenario).map_err(fail);
     };
     let run = scenario.judged(&seen, &doc).map_err(diagnostic)?;
@@ -1116,6 +1141,28 @@ mod tests {
         let out = run(&argv(&["campaign", "report", "--spec", &path])).unwrap();
         assert!(out.contains("campaign matrix: 4 runs"), "{out}");
         assert!(out.contains("bounds: detect ≤"), "{out}");
+
+        // A federated row lists every fault of the run, bridge faults
+        // included, in the order the run schedules them.
+        std::fs::write(
+            &spec,
+            "name fed\nnodes 4\nseeds 0..1\ncrash-budget 2\nsegments 3\ngateway-crash 1\n\
+             gateway-restart 40ms\nsegment-partition 20ms\nasymmetric-inaccessibility 10ms\n\
+             inaccessibility 2ms\nuntil 500ms\nsettle 200ms\n",
+        )
+        .unwrap();
+        let out = run(&argv(&["campaign", "report", "--spec", &path])).unwrap();
+        assert_eq!(
+            out.lines().nth(1),
+            Some(
+                "  run   0: 4 nodes, tm 30.00ms, seed 0, detector surveillance, \
+                 crash n2@215.44ms, blackout 224.49ms–226.49ms, crash s2:n2@233.29ms, \
+                 gateway-crash s2@170.49ms, gateway-restart s2@210.49ms, \
+                 partition 247.87ms–267.87ms, asymmetric s1→s0 237.41ms–247.41ms, \
+                 bounds: detect ≤ 13.82ms, view-change ≤ 52.82ms"
+            ),
+            "{out}"
+        );
     }
 
     #[test]

@@ -15,6 +15,7 @@ use can_controller::Simulator;
 use can_types::NodeId;
 use canely::obs::ObsLog;
 use canely::{CanelyStack, DetectorMetrics, ProtocolEvent, TrafficConfig};
+use canely_campaign::Fault;
 pub use canely_campaign::Scenario;
 use std::fmt::Write as _;
 
@@ -57,10 +58,14 @@ pub fn build(
     for &(id, at) in &scenario.joins {
         sim.add_node_at(NodeId::new(id), stack(id), at);
     }
-    for &(id, at) in &run.crashes {
-        sim.schedule_crash(NodeId::new(id), at);
-        if let Some(log) = obs {
-            log.record(at, NodeId::new(id), ProtocolEvent::NodeCrashed);
+    // A single bus has only crashes to schedule: its blackouts are in
+    // the fault plan, and the reader refuses bridge faults.
+    for fault in &run.faults {
+        if let Fault::Crash { node, at, .. } = *fault {
+            sim.schedule_crash(NodeId::new(node), at);
+            if let Some(log) = obs {
+                log.record(at, NodeId::new(node), ProtocolEvent::NodeCrashed);
+            }
         }
     }
     for &(id, at) in &scenario.restarts {

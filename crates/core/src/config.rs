@@ -1,7 +1,7 @@
 //! Protocol parameters (the paper's timing and degree bounds).
 
 use crate::fd::DetectorKind;
-use can_types::{BitRate, BitTime};
+use can_types::BitTime;
 
 /// Configuration of a CANELy node stack.
 ///
@@ -50,20 +50,6 @@ pub struct CanelyConfig {
     /// (the `can-data.nty` mechanism of Sec. 6.3). Disabling it forces
     /// explicit life-signs from every node — an ablation target.
     pub implicit_heartbeats: bool,
-    /// Ablation: also treat JOIN/LEAVE remote frames as activity of
-    /// their issuing node (the paper counts only data frames and ELS).
-    pub activity_from_all_rtr: bool,
-    /// Reconstruction choice: a joining node excluded from the agreed
-    /// view (inconsistent join failure) re-issues its JOIN request on
-    /// the next cycle instead of staying out forever.
-    pub rejoin_on_failed_join: bool,
-    /// Lifecycle of an expelled node (declared failed while running —
-    /// e.g. its fresh incarnation rebooted before the old failure
-    /// settled): start a new incarnation and rejoin after this delay,
-    /// honouring the Sec. 6.4 assumption that reintegration happens "a
-    /// period much higher than Tm" after removal. `None` keeps
-    /// expulsion terminal.
-    pub expulsion_rejoin_delay: Option<BitTime>,
     /// The failure-detector backend (see `docs/DETECTORS.md`). The
     /// default is the paper's surveillance-timer protocol; the
     /// alternatives trade detection latency against bus bandwidth and
@@ -83,25 +69,6 @@ pub struct CanelyConfig {
 }
 
 impl CanelyConfig {
-    /// The evaluation defaults: 1 Mbps figures with `Tm = 30 ms`,
-    /// `Th = 5 ms`, detection latency bound well under "tens of ms".
-    pub fn default_at(rate: BitRate) -> Self {
-        CanelyConfig {
-            heartbeat_period: BitTime::from_ms(5, rate),
-            tx_delay_bound: BitTime::from_us(2_500, rate),
-            membership_cycle: BitTime::from_ms(30, rate),
-            rha_timeout: BitTime::from_ms(5, rate),
-            join_wait: BitTime::from_ms(60, rate),
-            inconsistent_degree: 2,
-            implicit_heartbeats: true,
-            activity_from_all_rtr: false,
-            rejoin_on_failed_join: true,
-            expulsion_rejoin_delay: Some(BitTime::from_ms(240, rate)),
-            detector: DetectorKind::Surveillance,
-            weakened_fda: false,
-        }
-    }
-
     /// Sets `Tm`, the membership cycle period.
     pub fn with_membership_cycle(mut self, tm: BitTime) -> Self {
         self.membership_cycle = tm;
@@ -117,12 +84,6 @@ impl CanelyConfig {
     /// Sets `j`, the inconsistent omission degree bound.
     pub fn with_inconsistent_degree(mut self, j: u32) -> Self {
         self.inconsistent_degree = j;
-        self
-    }
-
-    /// Disables implicit heartbeats (every node then relies on ELS).
-    pub fn without_implicit_heartbeats(mut self) -> Self {
-        self.implicit_heartbeats = false;
         self
     }
 
@@ -196,8 +157,20 @@ impl CanelyConfig {
 }
 
 impl Default for CanelyConfig {
+    /// The evaluation defaults at 1 Mbps: `Tm = 30 ms`, `Th = 5 ms`,
+    /// detection latency bound well under "tens of ms".
     fn default() -> Self {
-        CanelyConfig::default_at(BitRate::MBPS_1)
+        CanelyConfig {
+            heartbeat_period: BitTime::new(5_000),
+            tx_delay_bound: BitTime::new(2_500),
+            membership_cycle: BitTime::new(30_000),
+            rha_timeout: BitTime::new(5_000),
+            join_wait: BitTime::new(60_000),
+            inconsistent_degree: 2,
+            implicit_heartbeats: true,
+            detector: DetectorKind::Surveillance,
+            weakened_fda: false,
+        }
     }
 }
 
@@ -220,12 +193,10 @@ mod tests {
         let cfg = CanelyConfig::default()
             .with_membership_cycle(BitTime::new(90_000))
             .with_heartbeat_period(BitTime::new(9_000))
-            .with_inconsistent_degree(3)
-            .without_implicit_heartbeats();
+            .with_inconsistent_degree(3);
         assert_eq!(cfg.membership_cycle, BitTime::new(90_000));
         assert_eq!(cfg.heartbeat_period, BitTime::new(9_000));
         assert_eq!(cfg.inconsistent_degree, 3);
-        assert!(!cfg.implicit_heartbeats);
     }
 
     #[test]
@@ -271,12 +242,5 @@ mod tests {
             assert!(alt.detection_latency_bound() > base.detection_latency_bound());
             alt.validate().expect("alternative backends must validate");
         }
-    }
-
-    #[test]
-    fn scales_with_bit_rate() {
-        // At 50 kbps a 30 ms cycle is only 1500 bit-times.
-        let slow = CanelyConfig::default_at(BitRate::KBPS_50);
-        assert_eq!(slow.membership_cycle, BitTime::new(1_500));
     }
 }

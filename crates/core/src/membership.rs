@@ -30,8 +30,8 @@
 //!    did not make it into the view survives exactly one further
 //!    settlement before being dropped.
 //! 2. **Failed-join retry**: a joining node excluded from the agreed
-//!    view re-issues its JOIN request (configurable,
-//!    `rejoin_on_failed_join`).
+//!    view re-issues its JOIN request on the next settlement instead
+//!    of staying out forever.
 
 use crate::obs::{EventSink, ObsTimer, ProtocolEvent};
 use crate::rha::SharedSets;
@@ -84,9 +84,6 @@ pub struct Membership {
     tm: BitTime,
     /// `Tjoin-wait`: maximum join wait delay.
     join_wait: BitTime,
-    /// Reconstruction flag: retry JOIN after an inconsistent join
-    /// failure.
-    rejoin_on_failed_join: bool,
     /// `Vs`: the site membership view.
     vs: NodeSet,
     /// `Vj`: nodes in a joining process.
@@ -112,11 +109,10 @@ pub struct Membership {
 
 impl Membership {
     /// Creates a membership entity.
-    pub fn new(tm: BitTime, join_wait: BitTime, rejoin_on_failed_join: bool) -> Self {
+    pub fn new(tm: BitTime, join_wait: BitTime) -> Self {
         Membership {
             tm,
             join_wait,
-            rejoin_on_failed_join,
             vs: NodeSet::EMPTY,
             vj: NodeSet::EMPTY,
             vj_prev: NodeSet::EMPTY,
@@ -270,7 +266,7 @@ impl Membership {
         } else {
             self.view_proc(ctx, self.vs); // s25: idle cycle — skip RHA
         }
-        self.maybe_rejoin(ctx, &mut actions);
+        self.maybe_rejoin(ctx);
         actions
     }
 
@@ -322,7 +318,7 @@ impl Membership {
         }
         self.vl &= self.vs; // a09
 
-        self.maybe_rejoin(ctx, &mut actions);
+        self.maybe_rejoin(ctx);
         ctx.journal(format_args!("MSH: view settled to {}", self.vs));
         actions
     }
@@ -378,16 +374,11 @@ impl Membership {
     }
 
     /// Reconstruction: retry a join that was not settled into the view.
-    fn maybe_rejoin(&mut self, ctx: &mut Ctx<'_>, actions: &mut Vec<MshAction>) {
+    fn maybe_rejoin(&mut self, ctx: &mut Ctx<'_>) {
         let me = ctx.me();
-        if self.rejoin_on_failed_join
-            && self.joining
-            && !self.vs.contains(me)
-            && !self.vj.contains(me)
-        {
+        if self.joining && !self.vs.contains(me) && !self.vj.contains(me) {
             ctx.can_rtr_req(Mid::new(MsgType::Join, 0, me));
             ctx.journal("MSH: re-issuing join request");
-            let _ = actions; // no companion actions needed
         }
     }
 }
@@ -398,7 +389,7 @@ mod tests {
     use can_controller::Rig;
 
     fn msh() -> Membership {
-        Membership::new(BitTime::new(30_000), BitTime::new(60_000), true)
+        Membership::new(BitTime::new(30_000), BitTime::new(60_000))
     }
 
     fn bits(b: u64) -> NodeSet {

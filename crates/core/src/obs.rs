@@ -1146,35 +1146,71 @@ impl Counts {
     }
 }
 
+/// When nodes were down, read off a stream's `node.crashed` /
+/// `node.restarted` markers: a node is down from a crash marker until
+/// its next lifecycle marker (either kind, strictly later), or for
+/// good if none follows.
+///
+/// This is the one down-interval rule: [`latency_samples`], the
+/// campaign oracle and its false-suspicion count all read it.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Downtime(Vec<(NodeId, BitTime, Option<BitTime>)>);
+
+impl Downtime {
+    /// Folds the markers of `events` (in any order).
+    pub fn of(events: &[TimedEvent]) -> Self {
+        let lifecycle = |e: &&TimedEvent| {
+            matches!(
+                e.event,
+                ProtocolEvent::NodeCrashed | ProtocolEvent::NodeRestarted
+            )
+        };
+        let markers: Vec<&TimedEvent> = events.iter().filter(lifecycle).collect();
+        let next = |m: &TimedEvent| {
+            let later = markers
+                .iter()
+                .filter(|n| n.node == m.node && n.time > m.time);
+            later.map(|n| n.time).min()
+        };
+        let crashes = markers
+            .iter()
+            .filter(|m| matches!(m.event, ProtocolEvent::NodeCrashed));
+        Downtime(crashes.map(|m| (m.node, m.time, next(m))).collect())
+    }
+
+    /// One `(node, crash, end)` interval per crash marker, in stream
+    /// order; `end` is `None` when the node stays down.
+    pub fn intervals(&self) -> &[(NodeId, BitTime, Option<BitTime>)] {
+        &self.0
+    }
+
+    /// Whether `node` was down at `t`.
+    pub fn down_at(&self, node: NodeId, t: BitTime) -> bool {
+        let covers = |&(n, from, end): &(NodeId, BitTime, Option<BitTime>)| {
+            n == node && from <= t && end.is_none_or(|end| t < end)
+        };
+        self.0.iter().any(covers)
+    }
+
+    /// `node`'s first crash, if it ever crashed.
+    pub fn first_crash(&self, node: NodeId) -> Option<BitTime> {
+        let crashes = self.0.iter().filter(|&&(n, ..)| n == node);
+        crashes.map(|&(_, at, _)| at).min()
+    }
+}
+
 /// Measured detection and view-change latency samples (bit-times):
-/// for every `node.crashed` marker, each node's first `fd.notified` of
-/// the victim and first `view.installed` excluding it. The victim's
-/// next restart or crash marker closes the window.
+/// for every [`Downtime`] interval, each node's first `fd.notified` of
+/// the victim and first `view.installed` excluding it within the
+/// interval.
 ///
 /// This is the one definition: [`Snapshot`], the campaign's run
 /// outcomes and the live latency histograms all read it.
 pub fn latency_samples(events: &[TimedEvent]) -> (Vec<u64>, Vec<u64>) {
     let mut detection = Vec::new();
     let mut view_change = Vec::new();
-    for marker in events
-        .iter()
-        .filter(|e| matches!(e.event, ProtocolEvent::NodeCrashed))
-    {
-        let victim = marker.node;
-        let at = marker.time;
-        let horizon = events
-            .iter()
-            .filter(|e| {
-                e.node == victim
-                    && e.time > at
-                    && matches!(
-                        e.event,
-                        ProtocolEvent::NodeCrashed | ProtocolEvent::NodeRestarted
-                    )
-            })
-            .map(|e| e.time)
-            .min()
-            .unwrap_or(BitTime::new(u64::MAX));
+    for &(victim, at, end) in Downtime::of(events).intervals() {
+        let horizon = end.unwrap_or(BitTime::new(u64::MAX));
         let mut notified = Vec::new();
         let mut installed = Vec::new();
         for e in events.iter().filter(|e| e.time >= at && e.time < horizon) {

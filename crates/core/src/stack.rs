@@ -31,6 +31,13 @@ use can_types::{BitTime, MsgType, NodeId, NodeSet};
 const SCRIPT_JOIN: u32 = 0;
 const SCRIPT_LEAVE: u32 = 1;
 
+/// How long an expelled node (declared failed while running — e.g. its
+/// fresh incarnation rebooted before the old failure settled) waits
+/// before it rejoins as a new incarnation: 240 ms, honouring the
+/// Sec. 6.4 assumption that reintegration happens "a period much
+/// higher than Tm" after removal.
+const EXPULSION_REJOIN_DELAY: BitTime = BitTime::new(240_000);
+
 /// An upper-layer notification recorded by the stack.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UpperEvent {
@@ -99,11 +106,7 @@ impl CanelyStack {
             fd: config
                 .detector
                 .build(config.heartbeat_period, config.surveillance_margin()),
-            msh: Membership::new(
-                config.membership_cycle,
-                config.join_wait,
-                config.rejoin_on_failed_join,
-            ),
+            msh: Membership::new(config.membership_cycle, config.join_wait),
             traffic: None,
             leave_at: None,
             active: true,
@@ -252,31 +255,22 @@ impl CanelyStack {
                 MshAction::Expelled => {
                     self.fd.stop_all(ctx);
                     self.record(ctx, UpperEvent::Expelled);
-                    if let Some(delay) = self.config.expulsion_rejoin_delay {
-                        // Fresh incarnation: membership and agreement
-                        // state are discarded and a reintegration is
-                        // attempted "a period much higher than Tm"
-                        // later (Sec. 6.4). The FDA duplicate counters
-                        // are deliberately KEPT: they suppress the
-                        // still-circulating failure-sign of the old
-                        // incarnation (resetting them would make this
-                        // node re-diffuse its own failure-sign forever).
-                        self.rha =
-                            Rha::new(self.config.rha_timeout, self.config.inconsistent_degree);
-                        self.msh = Membership::new(
-                            self.config.membership_cycle,
-                            self.config.join_wait,
-                            self.config.rejoin_on_failed_join,
-                        );
-                        // The fresh incarnation keeps emitting into the
-                        // same trace.
-                        self.rha.set_sink(self.obs.clone());
-                        self.msh.set_sink(self.obs.clone());
-                        ctx.start_alarm(delay, TimerOwner::Scripted(SCRIPT_JOIN).encode());
-                        ctx.journal("MSH: expelled — rejoining as a new incarnation");
-                    } else {
-                        self.active = false;
-                    }
+                    // Fresh incarnation: membership and agreement state
+                    // are discarded and a reintegration is attempted
+                    // "a period much higher than Tm" later (Sec. 6.4).
+                    // The FDA duplicate counters are deliberately KEPT:
+                    // they suppress the still-circulating failure-sign
+                    // of the old incarnation (resetting them would make
+                    // this node re-diffuse its own failure-sign forever).
+                    self.rha = Rha::new(self.config.rha_timeout, self.config.inconsistent_degree);
+                    self.msh = Membership::new(self.config.membership_cycle, self.config.join_wait);
+                    // The fresh incarnation keeps emitting into the
+                    // same trace.
+                    self.rha.set_sink(self.obs.clone());
+                    self.msh.set_sink(self.obs.clone());
+                    let rejoin = TimerOwner::Scripted(SCRIPT_JOIN).encode();
+                    ctx.start_alarm(EXPULSION_REJOIN_DELAY, rejoin);
+                    ctx.journal("MSH: expelled — rejoining as a new incarnation");
                 }
             }
         }
@@ -361,9 +355,6 @@ impl Application for CanelyStack {
                         },
                     );
                     self.msh.on_join_ind(mid.node());
-                    if self.config.activity_from_all_rtr {
-                        self.fd.on_activity(ctx, mid.node());
-                    }
                 }
                 MsgType::Leave => {
                     self.obs.emit(
@@ -374,9 +365,6 @@ impl Application for CanelyStack {
                         },
                     );
                     self.msh.on_leave_ind(mid.node());
-                    if self.config.activity_from_all_rtr {
-                        self.fd.on_activity(ctx, mid.node());
-                    }
                 }
                 MsgType::Ping => {
                     // Probe frames of the SWIM-style backend; other

@@ -131,7 +131,7 @@ proptest! {
         ops in prop::collection::vec((0u8..3, arb_node()), 1..40),
     ) {
         let mut h = Rig::new(0);
-        let mut msh = Membership::new(BitTime::new(30_000), BitTime::new(60_000), true);
+        let mut msh = Membership::new(BitTime::new(30_000), BitTime::new(60_000));
         // Install an initial view via a settlement.
         h.ctx(|ctx| {
             msh.on_rha_end(ctx, initial | NodeSet::singleton(NodeId::new(0)));
@@ -171,7 +171,7 @@ proptest! {
         victims in prop::collection::vec(arb_node(), 0..5),
     ) {
         let mut h = Rig::new(0);
-        let mut msh = Membership::new(BitTime::new(30_000), BitTime::new(60_000), true);
+        let mut msh = Membership::new(BitTime::new(30_000), BitTime::new(60_000));
         h.ctx(|ctx| {
             msh.on_rha_end(ctx, NodeSet::ALL);
         });

@@ -234,6 +234,21 @@ refused run "$hostile/traffic.canely"
 refused_on 2 campaign replay --scenario "$hostile/crash-zero.canely"
 refused_on 3 run "$hostile/seg-crash-zero.canely"
 refused_on 3 run "$hostile/gateway-crash-zero.canely"
+# A violating federated campaign shrinks to a counterexample the reader
+# accepts: `campaign run` exits 1 (not 101), and the emitted file
+# replays to a verdict.
+printf 'name gw-top\nnodes 4\nseeds 2..3\ninaccessibility 4ms\nsegments 2\ngateway 3\nuntil 400ms\nsettle 150ms\nweaken-fda\n' \
+    > "$hostile/gw-top.campaign"
+rm -rf "$hostile/gw-top-cx"
+refused campaign run --spec "$hostile/gw-top.campaign" --emit-counterexample "$hostile/gw-top-cx"
+replayed="$(target/release/canelyctl campaign replay --scenario "$hostile/gw-top-cx/counterexample.canely" 2>&1 || true)"
+case "$replayed" in
+*verdict:*) ;;
+*)
+    echo "verify: the gw-top counterexample does not replay to a verdict: $replayed" >&2
+    exit 1
+    ;;
+esac
 
 # Sampling profile smoke: `scripts/profile.sh` (docs/PERF.md,
 # "Measurement notes") must build with frame pointers, sample and

@@ -2,9 +2,7 @@
 //! MAC- and LLC-level properties the paper's protocols are built on
 //! (Figs. 2 and 3 of the paper).
 
-use can_bus::{
-    AccepterSpec, BusConfig, FaultEffect, FaultMatcher, FaultPlan, ScriptedFault, TimingModel,
-};
+use can_bus::{AccepterSpec, BusConfig, FaultEffect, FaultMatcher, FaultPlan, ScriptedFault};
 use can_controller::{DriverEvent, Simulator};
 use can_types::{BitTime, Frame, Mid, MsgType, NodeSet, Payload};
 use integration::{n, Recorder};
@@ -138,7 +136,7 @@ fn mcan4_bounded_transmission_delay() {
 #[test]
 fn lcan1_validity_under_noise() {
     let mut sim = Simulator::new(
-        BusConfig::default().with_timing(TimingModel::WorstCase),
+        BusConfig::default(),
         FaultPlan::seeded(11).with_consistent_rate(0.3),
     );
     sim.add_node(n(0), Recorder::sending(data_frame(0, &[5; 4])));

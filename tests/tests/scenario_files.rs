@@ -6,7 +6,7 @@
 //! boundary must produce no false suspicion and leave the crash of
 //! node 3 detected within the analytical bounds.
 
-use canely_campaign::{RunSpec, Scenario};
+use canely_campaign::{Fault, RunSpec, Scenario};
 
 fn scenario_dir() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../scenarios")
@@ -48,7 +48,11 @@ fn partition_heal_straddles_the_cycle_boundary() {
     // cycle tick (join_wait 70 ms + 2·Tm) — otherwise the scenario no
     // longer tests what its name claims.
     let run = RunSpec::from_scenario(&read("partition_heal.canely")).expect("campaign subset");
-    let &(from, until) = run.inaccessibility.first().expect("a blackout window");
+    let blackout = run.faults.iter().find_map(|f| match *f {
+        Fault::Blackout { from, until } => Some((from, until)),
+        _ => None,
+    });
+    let (from, until) = blackout.expect("a blackout window");
     let join_wait = run.tm * 2 + can_types::BitTime::new(10_000);
     let boundary = join_wait + run.tm * 2;
     assert!(
