@@ -18,6 +18,7 @@ use crate::config::BusConfig;
 use crate::fault::{Disposition, FaultPlan, TxAttempt};
 use crate::trace::{BusTrace, TxRecord};
 use can_types::{BitTime, Frame, NodeId, NodeSet, MAX_NODES};
+use std::ops::Deref;
 
 /// Outcome of a bus transaction.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -36,9 +37,9 @@ pub enum TxOutcome {
     InconsistentError {
         /// Listeners that accepted the frame.
         accepters: NodeSet,
-        /// Transmitters that crash before retransmission (the
+        /// Whether the transmitters crash before retransmission (the
         /// inconsistent-message-omission scenario of LCAN2).
-        sender_crashes: NodeSet,
+        crash_sender: bool,
     },
     /// Two alive nodes offered *different* frames with the same
     /// identifier — a protocol-design violation that real CAN turns
@@ -52,29 +53,22 @@ pub enum TxOutcome {
     AckError,
 }
 
-/// A resolved bus transaction.
+/// A resolved bus transaction: the [`TxRecord`] the trace keeps, plus
+/// the outcome only the driving simulator reads. Derefs to the record.
 #[derive(Debug, Clone)]
 pub struct Transaction {
-    /// Instant transmission began.
-    pub start: BitTime,
-    /// Instant the bus becomes free again (frame, plus error
-    /// signalling on omissions, plus intermission).
-    pub bus_free: BitTime,
-    /// Instant receivers deliver the frame (end of frame proper).
-    pub deliver_at: BitTime,
-    /// Earliest instant any of the transmitters queued this frame
-    /// (profiling: `start - queued_at` is the queueing + arbitration
-    /// delay the frame experienced, retransmissions included).
-    pub queued_at: BitTime,
-    /// Largest number of arbitration rounds any transmitter of this
-    /// frame lost before winning the bus (profiling).
-    pub arb_losses: u32,
-    /// The frame on the wire.
-    pub frame: Frame,
-    /// Nodes that transmitted (clustered transmissions have several).
-    pub transmitters: NodeSet,
+    /// What the trace records.
+    pub record: TxRecord,
     /// What happened.
     pub outcome: TxOutcome,
+}
+
+impl Deref for Transaction {
+    type Target = TxRecord;
+
+    fn deref(&self) -> &TxRecord {
+        &self.record
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -103,12 +97,8 @@ fn ack_backoff(attempts: u32) -> BitTime {
 
 /// Fixed-capacity transmit-offer table indexed by dense [`NodeId`].
 ///
-/// Node identifiers are small (`< MAX_NODES`) and known up front, so
-/// the hot arbitration walk is a bitset scan plus direct slot loads —
-/// no tree rebalancing, no per-offer allocation. Iteration via the
-/// `present` bitset is in ascending identifier order, exactly the
-/// order the previous `BTreeMap<NodeId, Offer>` produced, so the
-/// arbitration outcome (and thus every trace byte) is unchanged.
+/// Node identifiers are small (`< MAX_NODES`), so the arbitration walk
+/// is a bitset scan in ascending node order plus direct slot loads.
 #[derive(Debug)]
 struct OfferTable {
     slots: Box<[Option<Offer>]>,
@@ -260,8 +250,8 @@ impl Medium {
     ///
     /// On success the winning offers are consumed; on an omission they
     /// stay pending with their retry count bumped (automatic
-    /// retransmission, LCAN-level behaviour); transmitters named in
-    /// `sender_crashes` have their offers dropped.
+    /// retransmission, LCAN-level behaviour) — unless the senders crash,
+    /// which drops their offers.
     pub fn resolve(
         &mut self,
         now: BitTime,
@@ -269,182 +259,122 @@ impl Medium {
         faults: &mut FaultPlan,
     ) -> Option<Transaction> {
         self.purge_dead(alive);
-        // Arbitration: lowest identifier among alive, non-suspended
-        // offers wins; ascending-id iteration breaks identifier ties
-        // towards the lowest node, as the ordered map used to.
-        let mut winner_node = None;
+        // One ascending walk over the offers allowed to compete. A
+        // strictly lower identifier wins and restarts the cluster (so
+        // identifier ties go to the lowest node); an equal one joins it,
+        // wire-identical (wired-AND clustering) or colliding. The
+        // cluster's retry count and profiling data fold on the way.
+        let mut eligible = NodeSet::EMPTY;
+        let mut winner: Option<Frame> = None;
+        let (mut transmitters, mut collision) = (NodeSet::EMPTY, false);
+        let (mut attempt, mut queued_at, mut arb_losses) = (0, now, 0);
         for node in self.offers.present().iter() {
             let offer = self.offers.get(node).expect("present offer");
             if offer.not_before > now {
                 continue;
             }
-            if winner_node.is_none_or(|(best, _)| offer.frame.id() < best) {
-                winner_node = Some((offer.frame.id(), node));
-            }
-        }
-        let (_, winner_node) = winner_node?;
-        let winner_frame = self.offers.get(winner_node).expect("present offer").frame;
-
-        // One ascending pass clusters wire-identical offers, detects
-        // id collisions, and aggregates the per-offer profiling data
-        // the transaction carries.
-        let mut transmitters = NodeSet::EMPTY;
-        let mut collision = false;
-        let mut attempt_no = u32::MAX;
-        let mut queued_at = BitTime::new(u64::MAX);
-        let mut arb_losses = 0;
-        for node in self.offers.present().iter() {
-            let offer = self.offers.get(node).expect("present offer");
-            if offer.not_before > now {
-                continue;
-            }
-            if offer.frame.clusters_with(&winner_frame) {
-                transmitters.insert(node);
-            } else if offer.frame.id() == winner_frame.id() {
-                collision = true;
-                transmitters.insert(node);
-            } else {
-                continue;
-            }
-            attempt_no = attempt_no.min(offer.attempts);
-            queued_at = queued_at.min(offer.queued_at);
-            arb_losses = arb_losses.max(offer.arb_losses);
-        }
-        let listeners = alive - transmitters;
-        let duration = self.config.frame_duration(&winner_frame);
-        let attempt_no = if attempt_no == u32::MAX {
-            0
-        } else {
-            attempt_no
-        };
-        let queued_at = if transmitters.is_empty() {
-            now
-        } else {
-            queued_at
-        };
-        // Profiling: every eligible offer that competed in this
-        // arbitration round and lost records the loss.
-        for node in (self.offers.present() - transmitters).iter() {
-            let offer = self.offers.get_mut(node).expect("present offer");
-            if offer.not_before <= now {
-                offer.arb_losses += 1;
-            }
-        }
-
-        let (outcome, deliver_at, bus_free) = if collision {
-            // Bit error surfaces quickly; conservatively charge the
-            // full frame plus error signalling.
-            let free = now + duration + self.config.error_signalling() + self.config.intermission();
-            for node in transmitters.iter() {
-                if let Some(o) = self.offers.get_mut(node) {
-                    o.attempts += 1;
+            eligible.insert(node);
+            match winner {
+                Some(frame) if offer.frame.id() > frame.id() => {}
+                Some(frame) if offer.frame.id() == frame.id() => {
+                    transmitters.insert(node);
+                    collision |= !offer.frame.clusters_with(&frame);
+                    attempt = attempt.min(offer.attempts);
+                    queued_at = queued_at.min(offer.queued_at);
+                    arb_losses = arb_losses.max(offer.arb_losses);
+                }
+                _ => {
+                    winner = Some(offer.frame);
+                    (transmitters, collision) = (NodeSet::singleton(node), false);
+                    (attempt, queued_at, arb_losses) =
+                        (offer.attempts, offer.queued_at, offer.arb_losses);
                 }
             }
-            (TxOutcome::IdCollision, now + duration, free)
+        }
+        let frame = winner?;
+        // Profiling: every eligible offer outside the cluster lost this
+        // arbitration round.
+        for node in (eligible - transmitters).iter() {
+            self.offers.get_mut(node).expect("present offer").arb_losses += 1;
+        }
+
+        let listeners = alive - transmitters;
+        let outcome = if collision {
+            // Real CAN turns the clash into a bit error; the whole frame
+            // is conservatively charged, error signalling included.
+            TxOutcome::IdCollision
         } else {
-            let attempt = TxAttempt {
+            let tx_attempt = TxAttempt {
                 now,
-                frame: &winner_frame,
+                frame: &frame,
                 transmitters,
                 listeners,
-                attempt: attempt_no,
+                attempt,
             };
-            match faults.decide(&attempt) {
+            match faults.decide(&tx_attempt) {
                 Disposition::Deliver => {
                     // Physical reachability: with media faults active,
                     // only nodes connected to the transmitter on some
-                    // medium receive the frame ([17], [22]).
-                    let representative = transmitters
-                        .iter()
-                        .next()
-                        .expect("at least one transmitter");
+                    // medium receive the frame ([17], [22]). With no
+                    // receiver at all the transmitters see an ACK error.
+                    let representative = transmitters.iter().next().expect("a transmitter");
                     let reachable = faults.reachable_from(now, representative, listeners);
                     if reachable.is_empty() && !listeners.is_empty() {
-                        // No receiver at all: the transmitter sees an
-                        // ACK error and retransmits.
-                        let free = now
-                            + duration
-                            + self.config.error_signalling()
-                            + self.config.intermission();
-                        for node in transmitters.iter() {
-                            if let Some(o) = self.offers.get_mut(node) {
-                                o.attempts += 1;
-                                o.not_before = free + ack_backoff(o.attempts);
-                            }
-                        }
-                        (TxOutcome::AckError, now + duration, free)
+                        TxOutcome::AckError
                     } else {
-                        for node in transmitters.iter() {
-                            self.offers.remove(node);
-                        }
-                        let deliver = now + duration;
-                        (
-                            TxOutcome::Delivered {
-                                receivers: transmitters | reachable,
-                            },
-                            deliver,
-                            deliver + self.config.intermission(),
-                        )
-                    }
-                }
-                Disposition::ConsistentOmission => {
-                    for node in transmitters.iter() {
-                        if let Some(o) = self.offers.get_mut(node) {
-                            o.attempts += 1;
+                        TxOutcome::Delivered {
+                            receivers: transmitters | reachable,
                         }
                     }
-                    let free = now
-                        + duration
-                        + self.config.error_signalling()
-                        + self.config.intermission();
-                    (TxOutcome::ConsistentError, now + duration, free)
                 }
+                Disposition::ConsistentOmission => TxOutcome::ConsistentError,
                 Disposition::InconsistentOmission {
                     accepters,
                     crash_sender,
-                } => {
-                    let sender_crashes = if crash_sender {
-                        // Crashed senders never retransmit: drop offers.
-                        for node in transmitters.iter() {
-                            self.offers.remove(node);
-                        }
-                        transmitters
-                    } else {
-                        for node in transmitters.iter() {
-                            if let Some(o) = self.offers.get_mut(node) {
-                                o.attempts += 1;
-                            }
-                        }
-                        NodeSet::EMPTY
-                    };
-                    let free = now
-                        + duration
-                        + self.config.error_signalling()
-                        + self.config.intermission();
-                    (
-                        TxOutcome::InconsistentError {
-                            accepters,
-                            sender_crashes,
-                        },
-                        now + duration,
-                        free,
-                    )
-                }
+                } => TxOutcome::InconsistentError {
+                    accepters,
+                    crash_sender,
+                },
             }
         };
+        let delivered = matches!(outcome, TxOutcome::Delivered { .. });
+        let deliver_at = now + self.config.frame_duration(&frame);
+        let mut bus_free = deliver_at + self.config.intermission();
+        if !delivered {
+            bus_free += self.config.error_signalling();
+        }
 
-        let tx = Transaction {
+        for node in transmitters.iter() {
+            match outcome {
+                // Consumed, or the senders crashed and never retransmit.
+                TxOutcome::Delivered { .. }
+                | TxOutcome::InconsistentError {
+                    crash_sender: true, ..
+                } => {
+                    self.offers.remove(node);
+                }
+                _ => {
+                    let offer = self.offers.get_mut(node).expect("a transmitter's offer");
+                    offer.attempts += 1;
+                    if outcome == TxOutcome::AckError {
+                        offer.not_before = bus_free + ack_backoff(offer.attempts);
+                    }
+                }
+            }
+        }
+
+        let record = TxRecord {
             start: now,
             bus_free,
             deliver_at,
             queued_at,
             arb_losses,
-            frame: winner_frame,
+            frame,
             transmitters,
-            outcome,
+            errored: !delivered,
         };
-        self.trace.push(TxRecord::from_transaction(&tx));
-        Some(tx)
+        self.trace.push(record);
+        Some(Transaction { record, outcome })
     }
 }
 
@@ -578,10 +508,10 @@ mod tests {
         match tx.outcome {
             TxOutcome::InconsistentError {
                 accepters,
-                sender_crashes,
+                crash_sender,
             } => {
                 assert_eq!(accepters, NodeSet::singleton(n(2)));
-                assert_eq!(sender_crashes, NodeSet::singleton(n(0)));
+                assert!(crash_sender);
             }
             ref other => panic!("unexpected {other:?}"),
         }

@@ -6,66 +6,39 @@
 //! site membership protocols* (Fig. 10), obtained by classifying bus
 //! occupancy per message type over a membership cycle.
 
-use crate::medium::{Transaction, TxOutcome};
 use can_types::{BitTime, Frame, Mid, MsgType, NodeSet};
 
-/// A recorded bus transaction.
-#[derive(Debug, Clone)]
+/// A bus transaction as the trace records it (the part of a
+/// [`Transaction`](crate::Transaction) that outlives its dispatch).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TxRecord {
-    /// Transmission start.
+    /// Instant transmission began.
     pub start: BitTime,
-    /// Instant the bus became free again (error signalling and
-    /// intermission included).
+    /// Instant the bus becomes free again (frame, plus error
+    /// signalling on omissions, plus intermission).
     pub bus_free: BitTime,
-    /// Instant receivers delivered the frame (end of frame proper;
+    /// Instant receivers deliver the frame (end of frame proper;
     /// equals the delivery instant seen by the controllers, so causal
     /// references from protocol events resolve against this field).
     pub deliver_at: BitTime,
-    /// Earliest instant any transmitter queued this frame (profiling).
+    /// Earliest instant any of the transmitters queued this frame
+    /// (profiling: `start - queued_at` is the queueing + arbitration
+    /// delay the frame experienced, retransmissions included).
     pub queued_at: BitTime,
     /// Largest number of arbitration rounds any transmitter of this
     /// frame lost before winning the bus (profiling).
     pub arb_losses: u32,
     /// The frame on the wire.
     pub frame: Frame,
-    /// Who transmitted.
+    /// Nodes that transmitted (clustered transmissions have several).
     pub transmitters: NodeSet,
-    /// Whether the frame was delivered (to at least every correct
-    /// listener).
-    pub delivered: bool,
-    /// Whether the transaction ended in an omission (consistent or
-    /// inconsistent) or collision.
+    /// Whether the transaction ended in anything but a delivery: an
+    /// omission (consistent or inconsistent), a collision or an ACK
+    /// error.
     pub errored: bool,
 }
 
 impl TxRecord {
-    /// Builds a record from a resolved transaction.
-    pub fn from_transaction(tx: &Transaction) -> Self {
-        let (delivered, errored) = match &tx.outcome {
-            TxOutcome::Delivered { .. } => (true, false),
-            TxOutcome::ConsistentError => (false, true),
-            TxOutcome::InconsistentError { .. } => (false, true),
-            TxOutcome::IdCollision => (false, true),
-            TxOutcome::AckError => (false, true),
-        };
-        TxRecord {
-            start: tx.start,
-            bus_free: tx.bus_free,
-            deliver_at: tx.deliver_at,
-            queued_at: tx.queued_at,
-            arb_losses: tx.arb_losses,
-            frame: tx.frame,
-            transmitters: tx.transmitters,
-            delivered,
-            errored,
-        }
-    }
-
-    /// Bus occupancy of this transaction in bit-times.
-    pub fn occupancy(&self) -> BitTime {
-        self.bus_free - self.start
-    }
-
     /// The decoded message control field, if the identifier carries one.
     pub fn mid(&self) -> Option<Mid> {
         Mid::from_can_id(self.frame.id())
@@ -139,6 +112,30 @@ impl BusTrace {
         }
         stats
     }
+
+    /// Extracts the inaccessibility episodes: maximal runs of
+    /// consecutive errored transactions. The longest episode is the
+    /// measured counterpart of the analytic `Tina` upper bound
+    /// (Fig. 11: 14–2880 bit-times for CAN, 14–2160 for CANELy).
+    pub fn inaccessibility_episodes(&self) -> Vec<InaccessibilityEpisode> {
+        self.records
+            .chunk_by(|a, b| a.errored == b.errored)
+            .filter(|run| run[0].errored)
+            .map(|run| InaccessibilityEpisode {
+                from: run[0].start,
+                until: run[run.len() - 1].bus_free,
+                omissions: run.len(),
+            })
+            .collect()
+    }
+
+    /// The longest measured inaccessibility, if any omission occurred.
+    pub fn worst_inaccessibility(&self) -> Option<BitTime> {
+        self.inaccessibility_episodes()
+            .iter()
+            .map(InaccessibilityEpisode::duration)
+            .max()
+    }
 }
 
 /// A measured inaccessibility episode: a maximal run of consecutive
@@ -158,48 +155,6 @@ impl InaccessibilityEpisode {
     /// Duration of the episode.
     pub fn duration(&self) -> BitTime {
         self.until - self.from
-    }
-}
-
-impl BusTrace {
-    /// Extracts the inaccessibility episodes: maximal runs of
-    /// consecutive errored transactions. The longest episode is the
-    /// measured counterpart of the analytic `Tina` upper bound
-    /// (Fig. 11: 14–2880 bit-times for CAN, 14–2160 for CANELy).
-    pub fn inaccessibility_episodes(&self) -> Vec<InaccessibilityEpisode> {
-        let mut episodes = Vec::new();
-        let mut current: Option<InaccessibilityEpisode> = None;
-        for rec in &self.records {
-            if rec.errored {
-                match &mut current {
-                    Some(ep) => {
-                        ep.until = rec.bus_free;
-                        ep.omissions += 1;
-                    }
-                    None => {
-                        current = Some(InaccessibilityEpisode {
-                            from: rec.start,
-                            until: rec.bus_free,
-                            omissions: 1,
-                        });
-                    }
-                }
-            } else if let Some(ep) = current.take() {
-                episodes.push(ep);
-            }
-        }
-        if let Some(ep) = current {
-            episodes.push(ep);
-        }
-        episodes
-    }
-
-    /// The longest measured inaccessibility, if any omission occurred.
-    pub fn worst_inaccessibility(&self) -> Option<BitTime> {
-        self.inaccessibility_episodes()
-            .iter()
-            .map(InaccessibilityEpisode::duration)
-            .max()
     }
 }
 
@@ -297,7 +252,6 @@ mod tests {
             arb_losses: 0,
             frame: Frame::remote(Mid::new(t, 0, NodeId::new(1))),
             transmitters: NodeSet::singleton(NodeId::new(1)),
-            delivered: !errored,
             errored,
         }
     }

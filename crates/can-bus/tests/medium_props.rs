@@ -4,9 +4,13 @@
 //! reference implementation of the original (seed) arbitration loop.
 
 use can_bus::fault::{AccepterSpec, FaultEffect, FaultMatcher, ScriptedFault};
-use can_bus::{BusConfig, FaultPlan, MediaFault, Medium, TxOutcome};
+use can_bus::{BusConfig, FaultPlan, MediaFault, Medium, TxOutcome, TxRecord};
 use can_types::{BitTime, CanId, Frame, Mid, MsgType, NodeId, NodeSet, Payload};
 use proptest::prelude::*;
+
+// The trace keeps one record per transaction: it must not outgrow a
+// cache line.
+const _: () = assert!(std::mem::size_of::<TxRecord>() <= 64);
 
 #[derive(Debug, Clone)]
 struct OfferSpec {
@@ -166,9 +170,37 @@ proptest! {
 /// randomized offer/withdraw/crash/resolve schedules and fault plans.
 mod seed_medium {
     use can_bus::fault::{Disposition, FaultPlan, TxAttempt};
-    use can_bus::{BusConfig, Transaction, TxOutcome};
+    use can_bus::{BusConfig, TxRecord};
     use can_types::{BitTime, Frame, NodeId, NodeSet};
     use std::collections::BTreeMap;
+
+    /// The transaction shape the seed returned: every field flat, and
+    /// an inconsistent omission naming the crashing senders.
+    /// [`SeedMedium::resolve`] maps it into today's
+    /// [`can_bus::Transaction`].
+    struct Transaction {
+        start: BitTime,
+        bus_free: BitTime,
+        deliver_at: BitTime,
+        queued_at: BitTime,
+        arb_losses: u32,
+        frame: Frame,
+        transmitters: NodeSet,
+        outcome: TxOutcome,
+    }
+
+    enum TxOutcome {
+        Delivered {
+            receivers: NodeSet,
+        },
+        ConsistentError,
+        InconsistentError {
+            accepters: NodeSet,
+            sender_crashes: NodeSet,
+        },
+        IdCollision,
+        AckError,
+    }
 
     #[derive(Debug, Clone)]
     struct Offer {
@@ -233,7 +265,47 @@ mod seed_medium {
             self.offers.retain(|n, _| alive.contains(*n));
         }
 
+        /// The seed's resolution, mapped into today's transaction
+        /// shape: the record the trace stores plus the outcome.
         pub fn resolve(
+            &mut self,
+            now: BitTime,
+            alive: NodeSet,
+            faults: &mut FaultPlan,
+        ) -> Option<can_bus::Transaction> {
+            use can_bus::TxOutcome as Now;
+            let tx = self.resolve_seed(now, alive, faults)?;
+            let outcome = match tx.outcome {
+                TxOutcome::Delivered { receivers } => Now::Delivered { receivers },
+                TxOutcome::ConsistentError => Now::ConsistentError,
+                TxOutcome::InconsistentError {
+                    accepters,
+                    sender_crashes,
+                } => {
+                    // All transmitters crash, or none does.
+                    assert!(sender_crashes.is_empty() || sender_crashes == tx.transmitters);
+                    Now::InconsistentError {
+                        accepters,
+                        crash_sender: !sender_crashes.is_empty(),
+                    }
+                }
+                TxOutcome::IdCollision => Now::IdCollision,
+                TxOutcome::AckError => Now::AckError,
+            };
+            let record = TxRecord {
+                start: tx.start,
+                bus_free: tx.bus_free,
+                deliver_at: tx.deliver_at,
+                queued_at: tx.queued_at,
+                arb_losses: tx.arb_losses,
+                frame: tx.frame,
+                transmitters: tx.transmitters,
+                errored: !matches!(outcome, Now::Delivered { .. }),
+            };
+            Some(can_bus::Transaction { record, outcome })
+        }
+
+        fn resolve_seed(
             &mut self,
             now: BitTime,
             alive: NodeSet,
@@ -494,97 +566,159 @@ impl FaultSchedule {
     }
 }
 
+/// Differential: the production indexed-table medium and the seed
+/// `BTreeMap` medium, driven through identical offer/withdraw/crash/
+/// resolve schedules under identical fault plans, produce identical
+/// transactions (every field, Debug-level), the trace stores each
+/// returned record, and the pending-offer state is identical at every
+/// step.
+fn medium_matches_seed(cmds: &[Cmd], schedule: &FaultSchedule) -> Result<(), TestCaseError> {
+    let mut real = Medium::new(BusConfig::default());
+    let mut seed = seed_medium::SeedMedium::new(BusConfig::default());
+    let mut real_faults = schedule.build();
+    let mut seed_faults = schedule.build();
+    let mut alive = NodeSet::first_n(16);
+    let mut now = BitTime::ZERO;
+    let mut transactions = 0u64;
+    let resolve = |real: &mut Medium,
+                   seed: &mut seed_medium::SeedMedium,
+                   real_faults: &mut FaultPlan,
+                   seed_faults: &mut FaultPlan,
+                   now: &mut BitTime,
+                   transactions: &mut u64,
+                   alive: NodeSet|
+     -> Result<Option<TxOutcome>, TestCaseError> {
+        let a = real.resolve(*now, alive, real_faults);
+        let b = seed.resolve(*now, alive, seed_faults);
+        prop_assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        // The trace stores exactly the record it returned.
+        if let Some(tx) = &a {
+            prop_assert_eq!(real.trace().iter().last(), Some(&tx.record));
+        }
+        let outcome = a.as_ref().map(|tx| tx.outcome.clone());
+        *now = match a {
+            Some(tx) => {
+                *transactions += 1;
+                tx.bus_free
+            }
+            // Jump past any ACK-error suspension so a backed-off
+            // offer re-enters arbitration instead of deadlocking
+            // the drain below.
+            None => real
+                .next_ready(alive)
+                .map_or(*now + BitTime::new(64), |t| t.max(*now + BitTime::new(64))),
+        };
+        Ok(outcome)
+    };
+    for cmd in cmds {
+        match cmd {
+            Cmd::Offer(via, spec) => {
+                let frame = build(spec);
+                real.offer(now, NodeId::new(*via), frame);
+                seed.offer(now, NodeId::new(*via), frame);
+            }
+            Cmd::Withdraw(node) => {
+                let node = NodeId::new(*node);
+                prop_assert_eq!(real.withdraw(node), seed.withdraw(node));
+            }
+            Cmd::Crash(node) => {
+                alive.remove(NodeId::new(*node));
+            }
+            Cmd::Resolve => {
+                resolve(
+                    &mut real,
+                    &mut seed,
+                    &mut real_faults,
+                    &mut seed_faults,
+                    &mut now,
+                    &mut transactions,
+                    alive,
+                )?;
+            }
+        }
+        prop_assert_eq!(real.next_ready(alive), seed.next_ready(alive));
+        prop_assert_eq!(real.has_offers(alive), seed.has_offers(alive));
+        for id in 0..16 {
+            let node = NodeId::new(id);
+            prop_assert_eq!(real.current_offer(node), seed.current_offer(node));
+        }
+    }
+    // Drain what's left so the retransmission and backoff paths
+    // execute. Same-id different-content collisions are the one
+    // deterministic livelock (both offers retransmit forever), so
+    // the drain abandons — equivalence was already checked.
+    let mut guard = 0;
+    while real.has_offers(alive) || seed.has_offers(alive) {
+        guard += 1;
+        prop_assert!(guard <= 512, "drain must terminate");
+        let outcome = resolve(
+            &mut real,
+            &mut seed,
+            &mut real_faults,
+            &mut seed_faults,
+            &mut now,
+            &mut transactions,
+            alive,
+        )?;
+        if matches!(outcome, Some(TxOutcome::IdCollision)) {
+            break;
+        }
+    }
+    // Every resolved transaction — and nothing else — is traced.
+    prop_assert_eq!(real.trace().len() as u64, transactions);
+    Ok(())
+}
+
+/// Four nodes offering four frames: a remote frame they cluster on,
+/// two data frames under the same identifier that collide with it and
+/// with each other, and one frame that outranks all three — under a
+/// media cut that isolates some of the nodes for the first 20 ms. Where
+/// [`arb_cmd`] draws clusters, collisions and ACK-error suspensions
+/// rarely, here they are the common case.
+fn arb_narrow_cmd() -> impl Strategy<Value = Cmd> {
+    (0u8..12, 0u8..4, 0u8..4).prop_map(|(selector, node, which)| {
+        let spec = OfferSpec {
+            node: 2,
+            type_code: if which == 3 { 1 } else { 24 },
+            reference: 0,
+            remote: which % 3 == 0,
+            payload_byte: which,
+        };
+        match selector {
+            0..=4 => Cmd::Offer(node, spec),
+            5 => Cmd::Withdraw(node),
+            6 => Cmd::Crash(node),
+            _ => Cmd::Resolve,
+        }
+    })
+}
+
+fn arb_narrow_schedule() -> impl Strategy<Value = FaultSchedule> {
+    (arb_schedule(), 1u16..16).prop_map(|(schedule, isolated)| FaultSchedule {
+        media_cut: Some((isolated, 0, 20_000)),
+        ..schedule
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Differential: the production indexed-table medium and the seed
-    /// `BTreeMap` medium, driven through identical randomized
-    /// offer/withdraw/crash/resolve schedules under identical fault
-    /// plans, produce identical transactions (every field, Debug-level)
-    /// and identical pending-offer state at every step.
+    /// [`medium_matches_seed`] over random offers and fault plans.
     #[test]
     fn indexed_medium_matches_btreemap_seed(
         cmds in prop::collection::vec(arb_cmd(), 1..48),
         schedule in arb_schedule(),
     ) {
-        let mut real = Medium::new(BusConfig::default());
-        let mut seed = seed_medium::SeedMedium::new(BusConfig::default());
-        let mut real_faults = schedule.build();
-        let mut seed_faults = schedule.build();
-        let mut alive = NodeSet::first_n(16);
-        let mut now = BitTime::ZERO;
-        let mut transactions = 0u64;
-        let resolve = |real: &mut Medium,
-                           seed: &mut seed_medium::SeedMedium,
-                           real_faults: &mut FaultPlan,
-                           seed_faults: &mut FaultPlan,
-                           now: &mut BitTime,
-                           transactions: &mut u64,
-                           alive: NodeSet|
-         -> Result<Option<TxOutcome>, TestCaseError> {
-            let a = real.resolve(*now, alive, real_faults);
-            let b = seed.resolve(*now, alive, seed_faults);
-            prop_assert_eq!(format!("{a:?}"), format!("{b:?}"));
-            let outcome = a.as_ref().map(|tx| tx.outcome.clone());
-            *now = match a {
-                Some(tx) => {
-                    *transactions += 1;
-                    tx.bus_free
-                }
-                // Jump past any ACK-error suspension so a backed-off
-                // offer re-enters arbitration instead of deadlocking
-                // the drain below.
-                None => real
-                    .next_ready(alive)
-                    .map_or(*now + BitTime::new(64), |t| t.max(*now + BitTime::new(64))),
-            };
-            Ok(outcome)
-        };
-        for cmd in &cmds {
-            match cmd {
-                Cmd::Offer(via, spec) => {
-                    let frame = build(spec);
-                    real.offer(now, NodeId::new(*via), frame);
-                    seed.offer(now, NodeId::new(*via), frame);
-                }
-                Cmd::Withdraw(node) => {
-                    let node = NodeId::new(*node);
-                    prop_assert_eq!(real.withdraw(node), seed.withdraw(node));
-                }
-                Cmd::Crash(node) => {
-                    alive.remove(NodeId::new(*node));
-                }
-                Cmd::Resolve => {
-                    resolve(
-                        &mut real, &mut seed, &mut real_faults, &mut seed_faults,
-                        &mut now, &mut transactions, alive,
-                    )?;
-                }
-            }
-            prop_assert_eq!(real.next_ready(alive), seed.next_ready(alive));
-            prop_assert_eq!(real.has_offers(alive), seed.has_offers(alive));
-            for id in 0..16 {
-                let node = NodeId::new(id);
-                prop_assert_eq!(real.current_offer(node), seed.current_offer(node));
-            }
-        }
-        // Drain what's left so the retransmission and backoff paths
-        // execute. Same-id different-content collisions are the one
-        // deterministic livelock (both offers retransmit forever), so
-        // the drain abandons — equivalence was already checked.
-        let mut guard = 0;
-        while real.has_offers(alive) || seed.has_offers(alive) {
-            guard += 1;
-            prop_assert!(guard <= 512, "drain must terminate");
-            let outcome = resolve(
-                &mut real, &mut seed, &mut real_faults, &mut seed_faults,
-                &mut now, &mut transactions, alive,
-            )?;
-            if matches!(outcome, Some(TxOutcome::IdCollision)) {
-                break;
-            }
-        }
-        // Every resolved transaction — and nothing else — is traced.
-        prop_assert_eq!(real.trace().len() as u64, transactions);
+        medium_matches_seed(&cmds, &schedule)?;
+    }
+
+    /// [`medium_matches_seed`] where clusters, collisions and ACK-error
+    /// back-off are frequent ([`arb_narrow_cmd`]).
+    #[test]
+    fn indexed_medium_matches_seed_on_a_narrow_alphabet(
+        cmds in prop::collection::vec(arb_narrow_cmd(), 1..48),
+        schedule in arb_narrow_schedule(),
+    ) {
+        medium_matches_seed(&cmds, &schedule)?;
     }
 }

@@ -663,9 +663,13 @@ impl Simulator {
             }
             TxOutcome::InconsistentError {
                 accepters,
-                sender_crashes,
+                crash_sender,
             } => {
-                let crashes = *sender_crashes;
+                let crashes = if *crash_sender {
+                    tx.transmitters
+                } else {
+                    NodeSet::EMPTY
+                };
                 self.note_error(tx, crashes);
                 for node in crashes.iter() {
                     self.crash(node);

@@ -126,6 +126,28 @@ impl Args {
         parse(&value).map_err(|why| ArgError(format!("--{name} expects {what} ({why})")))
     }
 
+    /// [`Args::opt`] for a value that must not be zero: a zero is
+    /// refused as `--name expects WHAT (name must be positive)`.
+    pub fn positive_opt<T: Default + PartialEq>(
+        &mut self,
+        name: &str,
+        default: T,
+        what: &str,
+        parse: impl FnOnce(&str) -> Result<T, String>,
+    ) -> Result<T, ArgError> {
+        self.opt(name, default, what, |w| match parse(w)? {
+            zero if zero == T::default() => Err(format!("{name} must be positive")),
+            value => Ok(value),
+        })
+    }
+
+    /// The `--nodes` population, a node count in `1..=MAX_NODES`;
+    /// errors as [`Args::opt`].
+    pub fn nodes_opt(&mut self, default: u8) -> Result<u8, ArgError> {
+        let what = format!("a node count in 1..={}", can_types::MAX_NODES);
+        self.opt("nodes", default, &what, |w| grammar::node_count(w, 1))
+    }
+
     /// A `usize` option with a default; errors as [`Args::opt`].
     pub fn usize_opt(&mut self, name: &str, default: usize) -> Result<usize, ArgError> {
         self.opt(name, default, "an integer", grammar::number)

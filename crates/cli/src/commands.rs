@@ -1,6 +1,6 @@
 //! The CLI commands: scenario construction and execution.
 
-use crate::args::{ArgError, Args};
+use crate::args::{parse_duration, ArgError, Args};
 use crate::render;
 use crate::scenario::{build, report, run_with_obs, Scenario};
 use can_bus::{BusConfig, FaultPlan};
@@ -34,10 +34,7 @@ fn diagnostic(e: String) -> String {
 fn scenario_from_args(args: &mut Args) -> Result<(Scenario, bool), ArgError> {
     // The options default to what an empty `.canely` file describes.
     let base = RunSpec::default();
-    let population = format!("a node count in 1..={}", can_types::MAX_NODES);
-    let nodes = args.opt("nodes", base.nodes, &population, |w| {
-        grammar::node_count(w, 1)
-    })?;
+    let nodes = args.nodes_opt(base.nodes)?;
     let crash = |(node, at)| Fault::Crash { seg: 0, node, at };
     let run = RunSpec {
         nodes,
@@ -156,14 +153,14 @@ pub fn baseline(args: &mut Args) -> CmdResult {
         .subcommand()
         .ok_or("error: baseline requires a protocol (osek|guarding|heartbeat|ttp)")?
         .to_string();
-    let nodes = args.usize_opt("nodes", 8).map_err(fail)? as u8;
+    let nodes = args.nodes_opt(8).map_err(fail)?;
     let until = args
         .duration_opt("until", BitTime::new(3_000_000))
         .map_err(fail)?;
     let crashes = args.events("crash").map_err(fail)?;
 
     let mut sim = Simulator::new(BusConfig::default(), FaultPlan::none());
-    let population = NodeSet::first_n(nodes as usize);
+    let population = NodeSet::first_n(nodes.into());
     match which.as_str() {
         "osek" => {
             for id in 0..nodes {
@@ -292,9 +289,16 @@ pub fn analyze(args: &mut Args) -> CmdResult {
         }
         "bandwidth" => {
             let tm = args
-                .duration_opt("tm", BitTime::new(30_000))
+                .positive_opt(
+                    "tm",
+                    BitTime::new(30_000),
+                    "a duration like 30ms",
+                    parse_duration,
+                )
                 .map_err(fail)?;
-            let requests = args.usize_opt("requests", 20).map_err(fail)? as u32;
+            let requests = args
+                .opt("requests", 20, "a 32-bit count", grammar::number)
+                .map_err(fail)?;
             let model = BandwidthModel::paper_defaults();
             let _ = writeln!(
                 out,
@@ -319,7 +323,7 @@ pub fn analyze(args: &mut Args) -> CmdResult {
         }
         "reliability" => {
             let ber = args
-                .opt("ber", 1e-9, "a number", grammar::number)
+                .opt("ber", 1e-9, "a probability", grammar::probability)
                 .map_err(fail)?;
             let model = ReliabilityModel::paper_operating_point(ber);
             let _ = writeln!(out, "inconsistency-rate estimate at BER {ber}:");
@@ -629,7 +633,9 @@ fn campaign_run(args: &mut Args) -> CmdResult {
     let emit = args.str_opt("emit-counterexample");
     let progress = args.flag("progress");
     let metrics_json = args.flag("metrics-json");
-    let interval = args.usize_opt("progress-interval-ms", 500).map_err(fail)?;
+    let interval = args
+        .positive_opt("progress-interval-ms", 500, "an integer", grammar::number)
+        .map_err(fail)?;
     // Progress and telemetry stream to stderr from a side thread; the
     // summary on stdout is byte-identical with or without them.
     let result = if progress || metrics_json {
@@ -637,7 +643,7 @@ fn campaign_run(args: &mut Args) -> CmdResult {
             workers,
             registry: Registry::new(),
             progress: Some(canely_campaign::ProgressOptions {
-                interval: std::time::Duration::from_millis(interval as u64),
+                interval: std::time::Duration::from_millis(interval),
                 metrics_json,
                 sink: canely_campaign::ProgressSink::Stderr,
             }),

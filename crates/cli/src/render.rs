@@ -74,7 +74,7 @@ pub fn trace_csv(sim: &Simulator) -> String {
             if rec.frame.is_remote() { "rtr" } else { "data" },
             mid,
             rec.transmitters,
-            rec.delivered,
+            !rec.errored,
             rec.errored,
         );
     }

@@ -284,3 +284,52 @@ fn a_reader_that_closes_the_pipe_early_ends_the_run_quietly() {
     assert_eq!(stderr, "", "a closed pipe is not an error to report");
     assert!(output.status.success(), "{:?}", output.status);
 }
+
+#[test]
+fn numeric_flags_are_read_by_the_grammar_scalars() {
+    // `--nodes 65` used to panic in `NodeSet::first_n` (exit 101),
+    // `--nodes 300` to run 44 nodes and `--requests 5000000000` to
+    // report 705032704 requests (`as u8`, `as u32`); `--tm 0ms` printed
+    // `inf%`, `--ber -1` negative probabilities.
+    for (command, flag) in [
+        (&["baseline", "ttp", "--nodes", "65"][..], "--nodes"),
+        (&["baseline", "heartbeat", "--nodes", "70"], "--nodes"),
+        (&["baseline", "osek", "--nodes", "300"], "--nodes"),
+        (&["baseline", "guarding", "--nodes", "0"], "--nodes"),
+        (
+            &["analyze", "bandwidth", "--requests", "5000000000"],
+            "--requests",
+        ),
+        (&["analyze", "bandwidth", "--tm", "0ms"], "--tm"),
+        (&["analyze", "reliability", "--ber", "-1"], "--ber"),
+        (&["analyze", "reliability", "--ber", "1.5"], "--ber"),
+    ] {
+        let err = run(&argv(command)).unwrap_err();
+        assert!(
+            err.starts_with(&format!("error: {flag} expects ")),
+            "{command:?}: {err}"
+        );
+    }
+    let out = run(&argv(&["analyze", "bandwidth", "--requests", "4294967295"])).unwrap();
+    assert!(out.contains("+ 4294967295 join/leave"), "{out}");
+}
+
+#[test]
+fn a_zero_progress_interval_is_refused_not_spun_on() {
+    // `--progress-interval-ms 0` used to busy-spin the progress ticker.
+    let spec = file("progress.campaign", "nodes 4\nuntil 300ms\nsettle 150ms\n");
+    let err = run(&argv(&[
+        "campaign",
+        "run",
+        "--spec",
+        &spec,
+        "--progress",
+        "--progress-interval-ms",
+        "0",
+    ]))
+    .unwrap_err();
+    assert!(
+        err.starts_with("error: --progress-interval-ms expects ") && err.contains("positive"),
+        "{err}"
+    );
+}

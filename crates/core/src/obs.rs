@@ -1007,7 +1007,7 @@ fn write_bus_json(rec: &TxRecord, seg: Option<u8>, out: &mut String) {
         rec.deliver_at.as_u64(),
         rec.queued_at.as_u64(),
         rec.arb_losses,
-        rec.delivered,
+        !rec.errored,
         rec.errored,
     );
 }

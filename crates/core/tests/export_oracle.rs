@@ -37,7 +37,7 @@ fn oracle_export_jsonl(events: &[TimedEvent], bus: Option<&BusTrace>) -> String 
                 rec.deliver_at.as_u64(),
                 rec.queued_at.as_u64(),
                 rec.arb_losses,
-                rec.delivered,
+                !rec.errored,
                 rec.errored,
             );
             lines.push((rec.start.as_u64(), 0, seq, line));
@@ -164,7 +164,6 @@ fn arb_bus() -> impl Strategy<Value = BusTrace> {
                 arb_losses,
                 frame,
                 transmitters: NodeSet::from_bits(transmitters),
-                delivered: shape % 2 == 0,
                 errored: shape % 2 == 1,
             });
         }

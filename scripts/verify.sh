@@ -234,6 +234,11 @@ refused run "$hostile/traffic.canely"
 refused_on 2 campaign replay --scenario "$hostile/crash-zero.canely"
 refused_on 3 run "$hostile/seg-crash-zero.canely"
 refused_on 3 run "$hostile/gateway-crash-zero.canely"
+# Numeric flags go through the grammar scalars: out of range or zero is
+# `error: --flag expects …`, not a panic, a wrapped value or a spin.
+refused baseline ttp --nodes 65
+refused analyze bandwidth --tm 0ms
+refused campaign run --spec scenarios/smoke.campaign --progress --progress-interval-ms 0
 # A violating federated campaign shrinks to a counterexample the reader
 # accepts: `campaign run` exits 1 (not 101), and the emitted file
 # replays to a verdict.
