@@ -2,11 +2,12 @@
 //! global allocator: disabled handles must not allocate at all, and —
 //! stronger — the *enabled* hot path (counter adds, histogram
 //! records) is allocation-free too once the handles exist, so workers
-//! can bump freely from the campaign hot loop.
+//! can bump freely from the campaign hot loop. The same holds for the
+//! phase profiler once it is enabled.
 
 mod common;
 
-use canely_metrics::{Registry, Stability};
+use canely_metrics::{PhaseProfiler, Registry, Stability};
 use common::measured;
 
 #[test]
@@ -48,4 +49,28 @@ fn metric_bumps_never_allocate() {
     assert_eq!(e_counter.get(), 50_000);
     let (_, count, _) = e_hist.snapshot().expect("enabled");
     assert_eq!(count, 100_000);
+}
+
+#[test]
+fn an_enabled_profiler_never_allocates_once_enabled() {
+    const PHASES: &[&str] = &["alpha", "beta", "gamma"];
+    let mut profiler = PhaseProfiler::new(PHASES);
+    let (enabling, _, ()) = measured(|| profiler.set_enabled(true));
+    assert!(enabling > 0, "enabling boxes the recording state");
+    // Long windows (sampled) and short ones (timed span by span).
+    let (clean, _, ()) = measured(|| {
+        for i in 0..100_000 {
+            profiler.enter(i % 3);
+            if i % 5_000 >= 4_990 {
+                profiler.pause();
+            }
+        }
+        profiler.pause();
+    });
+    assert_eq!(
+        clean, 0,
+        "enter / pause on an enabled profiler must not allocate"
+    );
+    let report = profiler.take();
+    assert_eq!(report.entries().iter().sum::<u64>(), 100_000);
 }

@@ -19,6 +19,7 @@ use canely_metrics::Registry;
 use canely_trace::{CampaignAnalytics, PhaseProfile, RunAnalytics, Summary, TraceModel};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::io::Write as _;
 use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -193,14 +194,17 @@ pub enum ProgressSink {
 }
 
 impl ProgressSink {
-    fn emit(&self, line: &str) {
+    /// Writes one line; `false` when the destination is gone (a closed
+    /// stderr pipe), which ends the streaming but not the campaign.
+    fn emit(&self, line: &str) -> bool {
         match self {
-            ProgressSink::Stderr => eprintln!("{line}"),
+            ProgressSink::Stderr => writeln!(std::io::stderr().lock(), "{line}").is_ok(),
             ProgressSink::Collect(lines) => {
                 lines
                     .lock()
                     .expect("progress sink poisoned")
                     .push(line.to_string());
+                true
             }
         }
     }
@@ -458,11 +462,9 @@ fn execute_all_with(
                     if finished && state.completed.load(Ordering::Relaxed) == runs.len() {
                         line.push_str(" [done]");
                     }
-                    progress.sink.emit(&line);
-                    if progress.metrics_json {
-                        progress.sink.emit(&registry.to_json(true));
-                    }
-                    if finished {
+                    let streaming = progress.sink.emit(&line)
+                        && (!progress.metrics_json || progress.sink.emit(&registry.to_json(true)));
+                    if finished || !streaming {
                         return;
                     }
                 }
