@@ -32,7 +32,7 @@ use crate::grammar::{
     node_count, node_id, number, parse_duration, probability, relay, segment_count, segment_index,
     traffic_period, window, Doc, Keyword, Line, Seen,
 };
-use crate::spec::{Fault, FederationSpec, RunSpec, MIN_JUDGED_NODES};
+use crate::spec::{settled_horizon, Fault, FederationSpec, RunSpec, MIN_JUDGED_NODES};
 use can_types::{BitTime, NodeId, NodeSet};
 use canely::DetectorKind;
 use std::fmt::{self, Write as _};
@@ -322,8 +322,9 @@ impl Scenario {
 
     /// The run the campaign oracle judges, or — anchored to the line —
     /// why it cannot model this scenario: `join` / `leave` / `restart`
-    /// have no oracle model, agreement needs two nodes, and cyclic
-    /// traffic is one period on every node or none at all.
+    /// have no oracle model, the horizon must outlast the settle
+    /// margin, agreement needs two nodes, and cyclic traffic is one
+    /// period on every node or none at all.
     /// `expect-view` is ignored; the oracle derives the expectation.
     ///
     /// # Errors
@@ -345,6 +346,9 @@ impl Scenario {
             let msg =
                 format_args!("`{keyword}` at 0ms has no campaign-oracle model: crash after boot");
             return Err(doc.at(line, msg));
+        }
+        if let Err(msg) = settled_horizon(self.run.until, self.run.settle) {
+            return Err(doc.at(seen.line("until"), msg));
         }
         let nodes = self.run.nodes;
         if nodes < MIN_JUDGED_NODES {

@@ -64,6 +64,16 @@ fn operational_from(tm: BitTime) -> BitTime {
     tm * 2 + BitTime::new(20_000)
 }
 
+/// The oracle's horizon rule, for campaigns and judged scenarios
+/// alike: the end-of-run view checks need a settle margin that ends
+/// before the horizon.
+pub(crate) fn settled_horizon(until: BitTime, settle: BitTime) -> Result<(), &'static str> {
+    if until <= settle {
+        return Err("horizon (until) must exceed the settle margin");
+    }
+    Ok(())
+}
+
 /// A declarative fault-injection campaign: the matrix dimensions and
 /// the per-run constants.
 #[derive(Debug, Clone, PartialEq)]
@@ -313,9 +323,7 @@ impl CampaignSpec {
     /// Returns a description of the first violated constraint.
     pub fn validate(&self) -> Result<(), String> {
         self.check_size()?;
-        if self.until <= self.settle {
-            return Err("horizon (until) must exceed the settle margin".into());
-        }
+        settled_horizon(self.until, self.settle)?;
         if self.detectors.is_empty() {
             return Err("expected at least one detector backend".into());
         }

@@ -1,9 +1,10 @@
 //! The behaviour contract, pinned to files: the checked-in campaigns
 //! must reproduce `tests/golden/<name>.summary.json` — the exact
 //! stdout of `canelyctl campaign run --spec scenarios/<name>.campaign
-//! --workers 1 --json` — byte for byte. `scripts/verify.sh` `cmp`s the
-//! same files against the release binary; this test catches a drift
-//! without leaving `cargo test`.
+//! --workers 1 --json` — byte for byte, at one worker and at two (the
+//! engine's promise that the summary does not depend on the worker
+//! count). Each golden holds `"violating_runs":[]`, so a campaign that
+//! stops coming back clean from the oracle fails here too.
 //!
 //! A golden only changes in a PR whose purpose is to change campaign
 //! behaviour; regenerate it with the command above.
@@ -15,12 +16,12 @@ fn repo_file(path: &str) -> String {
     std::fs::read_to_string(&full).unwrap_or_else(|e| panic!("cannot read `{full}`: {e}"))
 }
 
-/// What `campaign run --json` prints: the summary line, then — for a
-/// multi-backend matrix — the shootout line.
-fn summary_document(name: &str) -> String {
+/// What `campaign run --workers W --json` prints: the summary line,
+/// then — for a multi-backend matrix — the shootout line.
+fn summary_document(name: &str, workers: usize) -> String {
     let spec = CampaignSpec::parse(&repo_file(&format!("scenarios/{name}.campaign")))
         .expect("checked-in campaign spec must parse");
-    let result = run_campaign(&spec, 1);
+    let result = run_campaign(&spec, workers);
     let mut out = result.report.to_json();
     out.push('\n');
     if let Some(shootout) = &result.shootout {
@@ -30,17 +31,27 @@ fn summary_document(name: &str) -> String {
     out
 }
 
-#[test]
-fn checked_in_campaigns_reproduce_their_golden_summaries() {
+/// Every checked-in campaign at `workers` against its golden.
+fn assert_goldens_at(workers: usize) {
     for name in ["smoke", "shootout", "failover", "federation"] {
         let golden = repo_file(&format!("tests/golden/{name}.summary.json"));
-        let actual = summary_document(name);
+        let actual = summary_document(name, workers);
         assert!(
             actual == golden,
-            "{name}.campaign diverged from tests/golden/{name}.summary.json \
-             ({} vs {} bytes)",
+            "{name}.campaign at {workers} worker(s) diverged from \
+             tests/golden/{name}.summary.json ({} vs {} bytes)",
             actual.len(),
             golden.len()
         );
     }
+}
+
+#[test]
+fn checked_in_campaigns_reproduce_their_golden_summaries() {
+    assert_goldens_at(1);
+}
+
+#[test]
+fn checked_in_campaigns_reproduce_their_golden_summaries_at_two_workers() {
+    assert_goldens_at(2);
 }

@@ -5,7 +5,8 @@
 //! arrays — with string, boolean and unsigned-integer values only.
 //! Parsing preserves field order and numeric spelling, so a parsed
 //! document re-renders byte-identically: the lossless round-trip
-//! guaranteed by `scripts/verify.sh`.
+//! that `crates/cli/tests/trace_queries.rs` holds every checked-in
+//! scenario's trace to.
 //!
 //! A parsed [`Line`] is a *validated view* of the text it was parsed
 //! from: it holds the slice and nothing else, and every accessor

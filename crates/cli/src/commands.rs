@@ -29,6 +29,12 @@ fn diagnostic(e: String) -> String {
     format!("error: {e}")
 }
 
+/// The `--until` horizon: a duration, and not zero — a run must cover
+/// some bus time for its report to summarise.
+fn until_opt(args: &mut Args, default: BitTime) -> Result<BitTime, ArgError> {
+    args.positive_opt("until", default, "a duration like 30ms", parse_duration)
+}
+
 /// The single-bus scenario the membership-family options describe —
 /// the same model a `.canely` file parses to — plus `--journal`.
 fn scenario_from_args(args: &mut Args) -> Result<(Scenario, bool), ArgError> {
@@ -40,7 +46,7 @@ fn scenario_from_args(args: &mut Args) -> Result<(Scenario, bool), ArgError> {
         nodes,
         tm: args.duration_opt("tm", base.tm)?,
         th: args.duration_opt("th", base.th)?,
-        until: args.duration_opt("until", base.until)?,
+        until: until_opt(args, base.until)?,
         faults: args.events("crash")?.into_iter().map(crash).collect(),
         consistent_rate: args.opt("error-rate", 0.0, "a probability", grammar::probability)?,
         seed: args.opt("seed", base.seed, "an integer", grammar::number)?,
@@ -111,7 +117,19 @@ pub fn membership(args: &mut Args) -> CmdResult {
 /// `canely groups …`
 pub fn groups(args: &mut Args) -> CmdResult {
     let group_joins = args.events("group-join").map_err(fail)?;
-    let (scenario, _) = scenario_from_args(args).map_err(fail)?;
+    let (scenario, journal) = scenario_from_args(args).map_err(fail)?;
+    // The group world boots every node at power-on and drives only
+    // crashes: refuse the membership options it would silently drop.
+    let dropped = [
+        ("join", !scenario.joins.is_empty()),
+        ("leave", !scenario.leaves.is_empty()),
+        ("restart", !scenario.restarts.is_empty()),
+        ("traffic", !scenario.traffic.is_empty()),
+        ("journal", journal),
+    ];
+    if let Some((option, _)) = dropped.iter().find(|&&(_, given)| given) {
+        return Err(format!("error: groups does not model --{option}"));
+    }
     let run = &scenario.run;
     let mut sim = Simulator::new(BusConfig::default(), run.fault_plan(run.seed));
     for id in 0..run.nodes {
@@ -154,10 +172,13 @@ pub fn baseline(args: &mut Args) -> CmdResult {
         .ok_or("error: baseline requires a protocol (osek|guarding|heartbeat|ttp)")?
         .to_string();
     let nodes = args.nodes_opt(8).map_err(fail)?;
-    let until = args
-        .duration_opt("until", BitTime::new(3_000_000))
-        .map_err(fail)?;
+    let until = until_opt(args, BitTime::new(3_000_000)).map_err(fail)?;
     let crashes = args.events("crash").map_err(fail)?;
+    if let Some(&(node, _)) = crashes.iter().find(|&&(node, _)| node >= nodes) {
+        return Err(format!(
+            "error: --crash names node n{node}, outside 0..{nodes}"
+        ));
+    }
 
     let mut sim = Simulator::new(BusConfig::default(), FaultPlan::none());
     let population = NodeSet::first_n(nodes.into());

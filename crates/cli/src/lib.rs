@@ -83,7 +83,8 @@ COMMANDS:
       --journal           print the protocol journal
 
   groups         membership plus a process group
-      (membership options, plus)
+      (membership options but --join, --leave, --restart,
+      --traffic and --journal, plus)
       --group-join NODE@TIME   process joins group 1 (repeatable)
 
   baseline <osek|guarding|heartbeat|ttp>   run a related-work protocol

@@ -60,6 +60,16 @@ fn faults_on_nodes_that_never_exist_are_rejected() {
             );
         }
     }
+    // `baseline` has no joiners: its population is `0..nodes`.
+    for which in ["osek", "guarding", "heartbeat", "ttp"] {
+        let err = run(&argv(&[
+            "baseline", which, "--nodes", "4", "--crash", "9@10ms",
+        ]))
+        .unwrap_err();
+        assert_eq!(err, "error: --crash names node n9, outside 0..4", "{which}");
+    }
+    let text = "nodes 4\ncrash 9 10ms\n";
+    assert_refused(REPLAY, "stray.canely", text, 2, "node 9 is neither");
     // A late joiner is a node of the scenario like any other.
     let out = run(&argv(&[
         "membership",
@@ -130,6 +140,53 @@ fn a_horizon_past_one_simulated_hour_is_refused_not_spun_on() {
         err.starts_with("error: --until") && err.contains("one simulated hour"),
         "{err}"
     );
+}
+
+#[test]
+fn a_horizon_inside_the_settle_margin_is_refused() {
+    // `--until 0ms` used to panic summarising an empty bus window
+    // (exit 101), and `replay` to judge a run that never left its
+    // settle margin (`verdict: clean` at `until 100ms`).
+    for command in [
+        &["membership"][..],
+        &["groups"],
+        &["trace"],
+        &["metrics"],
+        &["baseline", "ttp"],
+    ] {
+        let mut args = argv(command);
+        args.extend(argv(&["--until", "0ms"]));
+        let err = run(&args).unwrap_err();
+        assert!(
+            err.starts_with("error: --until expects ") && err.contains("positive"),
+            "{command:?}: {err}"
+        );
+    }
+    const SETTLE: &str = "horizon (until) must exceed the settle margin";
+    for text in ["nodes 4\nuntil 0ms\n", "nodes 4\nuntil 100ms\n"] {
+        assert_refused(REPLAY, "short.canely", text, 2, SETTLE);
+    }
+    let federated = "nodes 4\nsegments 2\nuntil 150ms\nsettle 150ms\n";
+    assert_refused(RUN, "short-fed.canely", federated, 3, SETTLE);
+}
+
+#[test]
+fn groups_refuses_the_membership_options_it_does_not_model() {
+    // `groups` read these and dropped them: n2 stayed in every view
+    // after `--leave`, a `--restart` left it crashed and a `--join`
+    // printed a report without the joiner.
+    for option in [
+        &["--join", "9@10ms"][..],
+        &["--leave", "2@100ms"],
+        &["--restart", "2@100ms", "--crash", "2@50ms"],
+        &["--traffic", "2ms"],
+        &["--journal"],
+    ] {
+        let mut args = argv(&["groups", "--nodes", "4", "--until", "300ms"]);
+        args.extend(argv(option));
+        let err = run(&args).unwrap_err();
+        assert_eq!(err, format!("error: groups does not model {}", option[0]));
+    }
 }
 
 #[test]

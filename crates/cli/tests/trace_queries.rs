@@ -207,39 +207,39 @@ fn chrome_export_of_a_crash_episode_is_structurally_valid() {
     assert!(phase_span, "crash episode must export phase spans");
 }
 
+/// Every `tq` render over `partition_heal` is byte-deterministic and
+/// says what it is for: the causal chain behind the crash of n3
+/// resolves end to end, the phase table reports headroom against the
+/// bounds, and the summary counts events.
 #[test]
 fn tq_renders_are_byte_deterministic() {
     let scenario = scenario_path("partition_heal.canely");
-    for sub in ["summary", "phases", "reexport"] {
-        let a = run(&argv(&["tq", sub, "--scenario", &scenario])).unwrap();
-        let b = run(&argv(&["tq", sub, "--scenario", &scenario])).unwrap();
-        assert_eq!(a, b, "tq {sub} differs across invocations");
+    for (query, needle) in [
+        (&["summary"][..], "protocol events:"),
+        (&["phases"], "headroom="),
+        (&["reexport"], ""),
+        (
+            &["chain", "--suspect", "3"],
+            "chain complete: view installed without n3",
+        ),
+    ] {
+        let mut args = argv(&["tq", query[0], "--scenario", &scenario]);
+        args.extend(argv(&query[1..]));
+        let out = run(&args).unwrap();
+        assert_eq!(
+            out,
+            run(&args).unwrap(),
+            "tq {query:?} differs across invocations"
+        );
+        assert!(
+            out.contains(needle),
+            "tq {query:?} lacks {needle:?}:\n{out}"
+        );
     }
-    let a = run(&argv(&[
-        "tq",
-        "chain",
-        "--scenario",
-        &scenario,
-        "--suspect",
-        "3",
-    ]))
-    .unwrap();
-    let b = run(&argv(&[
-        "tq",
-        "chain",
-        "--scenario",
-        &scenario,
-        "--suspect",
-        "3",
-    ]))
-    .unwrap();
-    assert_eq!(a, b, "tq chain differs across invocations");
 }
 
 /// The single-bus exporters' bytes on one small crash episode, against
-/// goldens written by the build before the trace path was rewritten
-/// (PR 24); `scripts/verify.sh` holds the release binary to the same
-/// two files.
+/// goldens written by the build before the trace path was rewritten.
 #[test]
 fn small_trace_exports_match_the_goldens() {
     let flags = [
@@ -259,6 +259,30 @@ fn small_trace_exports_match_the_goldens() {
         args.push(format.to_string());
         let out = run(&args).unwrap();
         assert!(out == golden, "trace {format} diverged from its golden");
+    }
+}
+
+/// The one-shot `metrics --live` scrape surface (docs/METRICS.md) on
+/// the same episode, in both exposition formats, byte for byte.
+#[test]
+fn live_metrics_expositions_match_the_goldens() {
+    let flags = [
+        "metrics", "--nodes", "4", "--crash", "2@250ms", "--until", "400ms",
+    ];
+    for (format, golden) in [
+        (
+            &["--live"][..],
+            include_str!("../../../tests/golden/metrics_live.prom"),
+        ),
+        (
+            &["--live", "--json"],
+            include_str!("../../../tests/golden/metrics_live.json"),
+        ),
+    ] {
+        let mut args = argv(&flags);
+        args.extend(argv(format));
+        let out = run(&args).unwrap();
+        assert!(out == golden, "metrics {format:?} diverged from its golden");
     }
 }
 
