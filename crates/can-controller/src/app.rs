@@ -12,24 +12,6 @@ use crate::driver::DriverEvent;
 use crate::timer::{TimerId, TimerWheel};
 use can_types::{BitTime, CanId, Mid, NodeId, Payload};
 use std::any::Any;
-use std::fmt;
-
-/// One line of the simulation journal (human-readable protocol trace).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JournalEntry {
-    /// When it happened.
-    pub time: BitTime,
-    /// The node it happened at.
-    pub node: NodeId,
-    /// What happened.
-    pub text: String,
-}
-
-impl fmt::Display for JournalEntry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "[{:>10} {}] {}", self.time, self.node, self.text)
-    }
-}
 
 /// The execution context handed to an application callback.
 ///
@@ -41,8 +23,6 @@ pub struct Ctx<'a> {
     node: NodeId,
     controller: &'a mut Controller,
     timers: &'a mut TimerWheel,
-    journal: &'a mut Vec<JournalEntry>,
-    journal_enabled: bool,
 }
 
 impl<'a> Ctx<'a> {
@@ -53,16 +33,12 @@ impl<'a> Ctx<'a> {
         node: NodeId,
         controller: &'a mut Controller,
         timers: &'a mut TimerWheel,
-        journal: &'a mut Vec<JournalEntry>,
-        journal_enabled: bool,
     ) -> Self {
         Ctx {
             now,
             node,
             controller,
             timers,
-            journal,
-            journal_enabled,
         }
     }
 
@@ -115,18 +91,6 @@ impl<'a> Ctx<'a> {
     /// `cancel_alarm`: cancels a pending timer.
     pub fn cancel_alarm(&mut self, id: TimerId) -> bool {
         self.timers.cancel(id)
-    }
-
-    /// Appends a line to the simulation journal (no-op unless the
-    /// simulator has journalling enabled).
-    pub fn journal(&mut self, text: impl fmt::Display) {
-        if self.journal_enabled {
-            self.journal.push(JournalEntry {
-                time: self.now,
-                node: self.node,
-                text: text.to_string(),
-            });
-        }
     }
 
     /// Read access to the node's controller (fault-confinement state,
@@ -194,21 +158,9 @@ mod tests {
     }
 
     #[test]
-    fn journal_respects_enable_flag() {
-        let mut rig = Rig::new(0);
-        rig.ctx(|ctx| ctx.journal("dropped"));
-        assert!(rig.journal.is_empty());
-        rig.journal_enabled = true;
-        rig.ctx(|ctx| ctx.journal("kept"));
-        assert_eq!(rig.journal.len(), 1);
-        assert_eq!(rig.journal[0].text, "kept");
-    }
-
-    #[test]
     fn default_callbacks_are_no_ops() {
         let mut probe = Probe;
         let mut rig = Rig::new(0);
-        rig.journal_enabled = true;
         let id = TimerWheel::new().start(NodeId::new(0), BitTime::ZERO, 0);
         rig.ctx(|ctx| {
             probe.on_start(ctx);

@@ -17,7 +17,7 @@
 //! * [`Application`] / [`Ctx`] — the protocol-entity abstraction: a
 //!   state machine driven by driver events and timers, issuing
 //!   `can-data.req`, `can-rtr.req` and `can-abort.req`;
-//! * [`Rig`] — one node's controller, timers, journal and clock, for
+//! * [`Rig`] — one node's controller, timers and clock, for
 //!   driving an entity callback by callback without a simulator;
 //! * [`Simulator`] — the deterministic event loop tying applications,
 //!   controllers, timers, node crashes and the shared [`can_bus::Medium`]
@@ -34,7 +34,7 @@ pub mod rig;
 pub mod sim;
 pub mod timer;
 
-pub use app::{Application, Ctx, JournalEntry};
+pub use app::{Application, Ctx};
 pub use controller::{Controller, FaultConfinement, FaultState};
 pub use driver::DriverEvent;
 pub use guardian::{Guardian, GuardianPolicy};

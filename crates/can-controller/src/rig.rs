@@ -3,15 +3,15 @@
 //! A protocol entity touches its node only through a [`Ctx`]; a
 //! [`Rig`] owns what a [`Ctx`] borrows, so a unit test, a property
 //! test or an exhaustive interleaving check can hand an entity its
-//! callbacks one at a time and look at the controller queue, the timer
-//! wheel and the journal in between.
+//! callbacks one at a time and look at the controller queue and the
+//! timer wheel in between.
 
-use crate::app::{Ctx, JournalEntry};
+use crate::app::Ctx;
 use crate::controller::Controller;
 use crate::timer::TimerWheel;
 use can_types::{BitTime, Mid, NodeId};
 
-/// A controller, a timer wheel, a journal, an identity and a clock the
+/// A controller, a timer wheel, an identity and a clock the
 /// caller sets: everything a [`Ctx`] needs, and nothing that moves on
 /// its own. No bus — frames stay in the transmit queue until
 /// [`Rig::drain_frames`] confirms them — and no dispatcher: the caller
@@ -56,11 +56,6 @@ pub struct Rig {
     pub ctl: Controller,
     /// The node's alarms.
     pub timers: TimerWheel,
-    /// Journal lines written while `journal_enabled` was set.
-    pub journal: Vec<JournalEntry>,
-    /// Whether [`Ctx::journal`] records (off by default, as in a
-    /// simulator).
-    pub journal_enabled: bool,
     /// The instant the next context reports as [`Ctx::now`].
     pub now: BitTime,
     /// The node's identity, reported as [`Ctx::me`].
@@ -77,8 +72,6 @@ impl Rig {
         Rig {
             ctl: Controller::new(),
             timers: TimerWheel::new(),
-            journal: Vec::new(),
-            journal_enabled: false,
             now: BitTime::ZERO,
             me: NodeId::new(me),
         }
@@ -87,14 +80,7 @@ impl Rig {
     /// Runs `f` with a context for this node at `now`, exactly as a
     /// simulator frames an application callback.
     pub fn ctx<R>(&mut self, f: impl FnOnce(&mut Ctx<'_>) -> R) -> R {
-        let mut ctx = Ctx::new(
-            self.now,
-            self.me,
-            &mut self.ctl,
-            &mut self.timers,
-            &mut self.journal,
-            self.journal_enabled,
-        );
+        let mut ctx = Ctx::new(self.now, self.me, &mut self.ctl, &mut self.timers);
         f(&mut ctx)
     }
 

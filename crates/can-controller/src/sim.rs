@@ -17,7 +17,7 @@
 //! simultaneous timers fire in start order, and all randomness lives
 //! in the caller-seeded [`FaultPlan`].
 
-use crate::app::{Application, Ctx, JournalEntry};
+use crate::app::{Application, Ctx};
 use crate::controller::Controller;
 use crate::driver::DriverEvent;
 use crate::guardian::{Guardian, GuardianPolicy};
@@ -119,8 +119,6 @@ pub struct Simulator {
     faults: FaultPlan,
     slots: Vec<Option<Slot>>,
     timers: TimerWheel,
-    journal: Vec<JournalEntry>,
-    journal_enabled: bool,
     now: BitTime,
     bus_free_at: BitTime,
     alive: NodeSet,
@@ -146,8 +144,6 @@ impl Simulator {
             faults,
             slots,
             timers: TimerWheel::new(),
-            journal: Vec::new(),
-            journal_enabled: false,
             now: BitTime::ZERO,
             bus_free_at: BitTime::ZERO,
             alive: NodeSet::EMPTY,
@@ -282,16 +278,6 @@ impl Simulator {
         assert!(at >= self.now, "cannot crash a node in the past");
         self.crash_schedule.push(Reverse((at, node)));
         self.refresh_lifecycle();
-    }
-
-    /// Enables/disables the human-readable protocol journal.
-    pub fn set_journal(&mut self, enabled: bool) {
-        self.journal_enabled = enabled;
-    }
-
-    /// The journal collected so far.
-    pub fn journal(&self) -> &[JournalEntry] {
-        &self.journal
     }
 
     /// The current simulation instant.
@@ -543,13 +529,6 @@ impl Simulator {
         self.timers.cancel_node(node);
         self.medium.withdraw(node);
         self.crash_log.push((self.now, node));
-        if self.journal_enabled {
-            self.journal.push(JournalEntry {
-                time: self.now,
-                node,
-                text: "node crashed (fail-silent)".to_string(),
-            });
-        }
     }
 
     fn restart(&mut self, node: NodeId, app: Box<dyn Application>) {
@@ -567,13 +546,6 @@ impl Simulator {
         slot.app = app;
         slot.crashed = false;
         slot.powered = false;
-        if self.journal_enabled {
-            self.journal.push(JournalEntry {
-                time: self.now,
-                node,
-                text: "node restarted (fresh state)".to_string(),
-            });
-        }
         self.power_on(node);
     }
 
@@ -596,14 +568,7 @@ impl Simulator {
     fn with_app(&mut self, node: NodeId, f: impl FnOnce(&mut dyn Application, &mut Ctx<'_>)) {
         let idx = node.as_usize();
         let slot = self.slots[idx].as_mut().expect("node exists");
-        let mut ctx = Ctx::new(
-            self.now,
-            node,
-            &mut slot.controller,
-            &mut self.timers,
-            &mut self.journal,
-            self.journal_enabled,
-        );
+        let mut ctx = Ctx::new(self.now, node, &mut slot.controller, &mut self.timers);
         f(slot.app.as_mut(), &mut ctx);
         if !slot.controller.synced || slot.guardian.is_some() {
             self.sync_offer(node);
@@ -691,13 +656,6 @@ impl Simulator {
             let state = slot.controller.note_tx_error();
             if matches!(state, crate::controller::FaultState::BusOff) {
                 self.medium.withdraw(node);
-                if self.journal_enabled {
-                    self.journal.push(JournalEntry {
-                        time: self.now,
-                        node,
-                        text: "controller bus-off (weak-fail-silence enforced)".to_string(),
-                    });
-                }
                 continue;
             }
             // Bounded retransmission (inaccessibility control): drop

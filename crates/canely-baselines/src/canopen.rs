@@ -89,7 +89,6 @@ impl CanopenMaster {
         for slave in newly_dead {
             self.slaves.remove(slave);
             self.detected.push((now, slave));
-            ctx.journal(format_args!("CANopen: slave {slave} declared failed"));
         }
         ctx.start_alarm(self.guard_time, TAG_GUARD_TICK);
     }
@@ -254,7 +253,6 @@ impl Application for HeartbeatNode {
             if self.watched.remove(producer) {
                 self.timers.remove(&producer);
                 self.detected.push((ctx.now(), producer));
-                ctx.journal(format_args!("heartbeat: producer {producer} failed"));
             }
         }
     }

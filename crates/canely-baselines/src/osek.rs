@@ -189,11 +189,9 @@ impl Application for OsekNode {
                     // route the token around it.
                     self.config.remove(silent);
                     self.detected.push((ctx.now(), silent));
-                    ctx.journal(format_args!("OSEK: successor {silent} absent"));
                     self.forward_token(ctx);
                 } else if self.config.iter().next() == Some(ctx.me()) {
                     // Token lost elsewhere: the lowest member re-initiates.
-                    ctx.journal("OSEK: token lost, re-initializing ring");
                     self.forward_token(ctx);
                 }
                 self.arm_tmax(ctx);

@@ -143,7 +143,6 @@ impl Application for TtpNode {
                         time: ctx.now(),
                         view: new_view,
                     });
-                    ctx.journal(format_args!("TTP: view change to {new_view}"));
                 }
                 self.heard = NodeSet::EMPTY;
                 ctx.start_alarm(self.round(), TAG_ROUND);

@@ -177,10 +177,6 @@ impl Application for Relcan {
                     ctx.can_data_req(Self::data_mid(key), pending.payload);
                     self.requests += 1;
                     self.fallbacks += 1;
-                    ctx.journal(format_args!(
-                        "RELCAN: no confirm for {}#{} — diffusing",
-                        key.origin, key.seq
-                    ));
                 }
             }
         } else if tag >= TAG_SEND_BASE {

@@ -189,10 +189,6 @@ impl Application for Totcan {
             if self.buffered.remove(&key).is_some() {
                 self.done.insert(key, ());
                 self.discarded.push((ctx.now(), key));
-                ctx.journal(format_args!(
-                    "TOTCAN: discarding {}#{} (no ACCEPT)",
-                    key.origin, key.seq
-                ));
             }
         } else if tag >= TAG_SEND_BASE {
             let idx = (tag - TAG_SEND_BASE) as usize;

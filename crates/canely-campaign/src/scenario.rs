@@ -56,6 +56,17 @@ pub struct Scenario {
     pub expect_view: Option<NodeSet>,
 }
 
+/// Why [`Scenario::lifecycle_defect`] refuses a node's script line.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Defect {
+    /// A `crash`, `leave` or `restart` of a node the scenario never
+    /// creates: neither in `0..nodes` nor a `join`.
+    Stray,
+    /// A second `join`, `leave` or `traffic` for one node: a node powers
+    /// on once, leaves once and runs one traffic period.
+    Repeated,
+}
+
 /// The fault keywords, in the order a run lists them; all but the
 /// first two only mean something between bridged segments.
 const FAULTS: [&str; 7] = [
@@ -223,10 +234,13 @@ impl Scenario {
         Ok((scenario, seen))
     }
 
-    /// The first scripted `crash` / `leave` / `restart` of a node the
-    /// scenario never creates — neither in `0..nodes` nor a `join` —
-    /// as `(keyword, index among that keyword's entries, node)`.
-    pub fn stray_victim(&self) -> Option<(&'static str, usize, u8)> {
+    /// The lifecycle check both readers of a single-bus scenario make
+    /// (a `.canely` file and the CLI's flags): the first node script
+    /// the world could not act on, as `(keyword, index among that
+    /// keyword's entries, node, defect)`. Stray victims come first, then
+    /// repeats; a second `crash` or `restart` is legal (a node may be
+    /// power-cycled again).
+    pub fn lifecycle_defect(&self) -> Option<(&'static str, usize, u8, Defect)> {
         let exists = |node: u8| node < self.run.nodes || self.joins.iter().any(|&(n, _)| n == node);
         let crash = |f: &Fault| match *f {
             Fault::Crash { seg: 0, node, at } => Some((node, at)),
@@ -240,9 +254,23 @@ impl Scenario {
         ];
         let stray = scripted.into_iter().find_map(|(keyword, events)| {
             let i = events.iter().position(|&(node, _)| !exists(node))?;
-            Some((keyword, i, events[i].0))
+            Some((keyword, i, events[i].0, Defect::Stray))
         });
-        stray
+        let once = [
+            ("join", &self.joins),
+            ("leave", &self.leaves),
+            ("traffic", &self.traffic),
+        ];
+        let repeated = || {
+            once.into_iter().find_map(|(keyword, events)| {
+                let mut seen = NodeSet::EMPTY;
+                let i = events
+                    .iter()
+                    .position(|&(node, _)| !seen.insert(NodeId::new(node)))?;
+                Some((keyword, i, events[i].0, Defect::Repeated))
+            })
+        };
+        stray.or_else(repeated)
     }
 
     /// The run's faults, each with the line that scheduled it.
@@ -260,8 +288,11 @@ impl Scenario {
             return Err((seen.line(keyword), format!("invalid configuration: {msg}")));
         }
         let nodes = run.nodes;
-        if let Some((keyword, i, node)) = self.stray_victim() {
-            let msg = format!("node {node} is neither in 0..{nodes} nor a `join`");
+        if let Some((keyword, i, node, defect)) = self.lifecycle_defect() {
+            let msg = match defect {
+                Defect::Stray => format!("node {node} is neither in 0..{nodes} nor a `join`"),
+                Defect::Repeated => format!("node {node} already has a `{keyword}` line"),
+            };
             return Err((seen.nth(keyword, i), msg));
         }
         let fed = self.run.federation.take().unwrap_or_default();
@@ -361,7 +392,8 @@ impl Scenario {
             let uniform = fmt_duration(period);
             let mut covered = NodeSet::EMPTY;
             for (i, &(node, p)) in self.traffic.iter().enumerate() {
-                if p != period || node >= nodes || !covered.insert(NodeId::new(node)) {
+                // `finish` refused a node with two lines.
+                if p != period || node >= nodes {
                     let msg = format_args!(
                         "{ONE_PERIOD}: `traffic {node} {}` is not each of 0..{nodes} \
                          once at {uniform}",
@@ -369,6 +401,7 @@ impl Scenario {
                     );
                     return Err(doc.at(seen.nth("traffic", i), msg));
                 }
+                covered.insert(NodeId::new(node));
             }
             if covered.len() < usize::from(nodes) {
                 let msg = format_args!("{ONE_PERIOD}: only {covered} of 0..{nodes} have a line");

@@ -203,10 +203,6 @@ impl Application for ClockSync {
                         // sync instant equals the master's.
                         self.offset = master_ts - local_ts;
                         self.resyncs += 1;
-                        ctx.journal(format_args!(
-                            "CLOCK: resynced, offset {} bit-times",
-                            self.offset
-                        ));
                     }
                 }
             }
@@ -219,7 +215,6 @@ impl Application for ClockSync {
             TAG_SYNC_ROUND => self.send_sync(ctx),
             TAG_TAKEOVER => {
                 // No SYNC for our staggered timeout: promote ourselves.
-                ctx.journal("CLOCK: master silent — taking over");
                 if let Some(old) = self.sync_timer.take() {
                     ctx.cancel_alarm(old);
                 }

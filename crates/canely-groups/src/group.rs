@@ -155,7 +155,6 @@ impl GroupManager {
             GroupOp::Leave => 2u8,
         };
         ctx.can_data_req(mid, Payload::from_slice(&[op_byte]).expect("one byte"));
-        ctx.journal(format_args!("GRP: announcing {op:?} of {group}"));
     }
 
     /// Handles an arriving `GROUP` announcement (own transmissions

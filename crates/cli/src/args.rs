@@ -44,24 +44,19 @@ impl Args {
         let Some(command) = iter.next() else {
             return err("missing command");
         };
-        let mut subcommand = None;
-        if let Some(next) = iter.peek() {
-            if !next.starts_with("--") {
-                subcommand = Some(iter.next().expect("peeked").clone());
-            }
-        }
+        let subcommand = iter.next_if(|a| !a.starts_with("--")).cloned();
         let mut options: HashMap<String, Vec<String>> = HashMap::new();
         let mut flags = Vec::new();
         while let Some(arg) = iter.next() {
             let Some(name) = arg.strip_prefix("--") else {
                 return err(format!("unexpected positional argument `{arg}`"));
             };
-            match iter.peek() {
-                Some(value) if !value.starts_with("--") => {
-                    let value = iter.next().expect("peeked").clone();
-                    options.entry(name.to_string()).or_default().push(value);
-                }
-                _ => flags.push(name.to_string()),
+            match iter.next_if(|a| !a.starts_with("--")) {
+                Some(value) => options
+                    .entry(name.to_string())
+                    .or_default()
+                    .push(value.clone()),
+                None => flags.push(name.to_string()),
             }
         }
         Ok(Args {
@@ -103,8 +98,7 @@ impl Args {
     /// A free-form string option (e.g. a file path); `None` when the
     /// option was not given.
     pub fn str_opt(&mut self, name: &str) -> Option<String> {
-        self.take(name)
-            .map(|values| values.last().expect("non-empty").clone())
+        self.take(name).and_then(|mut values| values.pop())
     }
 
     /// Option `name` read by one of the grammar's scalar parsers, or
@@ -208,13 +202,7 @@ mod tests {
     #[test]
     fn parses_command_subcommand_options_flags() {
         let mut args = Args::parse(&argv(&[
-            "baseline",
-            "osek",
-            "--nodes",
-            "16",
-            "--crash",
-            "3@250ms",
-            "--journal",
+            "baseline", "osek", "--nodes", "16", "--crash", "3@250ms", "--csv",
         ]))
         .unwrap();
         assert_eq!(args.command(), "baseline");
@@ -224,7 +212,7 @@ mod tests {
             args.events("crash").unwrap(),
             vec![(3, BitTime::new(250_000))]
         );
-        assert!(args.flag("journal"));
+        assert!(args.flag("csv"));
         assert!(args.reject_unused().is_ok());
     }
 
@@ -279,6 +267,6 @@ mod tests {
             args.duration_opt("tm", BitTime::new(30_000)).unwrap(),
             BitTime::new(30_000)
         );
-        assert!(!args.flag("journal"));
+        assert!(!args.flag("csv"));
     }
 }

@@ -9,7 +9,7 @@ use can_types::{BitTime, NodeId, NodeSet};
 use canely::obs::{ObsLog, Snapshot};
 use canely_analysis::{BandwidthModel, InaccessibilityModel, ProtocolBounds, ReliabilityModel};
 use canely_baselines::{CanopenMaster, CanopenSlave, HeartbeatNode, OsekNode, TtpNode};
-use canely_campaign::{grammar, Fault, RunSpec, SimTelemetry};
+use canely_campaign::{grammar, scenario::Defect, Fault, RunSpec, SimTelemetry};
 use canely_groups::{GroupId, GroupStack};
 use canely_metrics::Registry;
 use std::fmt::Write as _;
@@ -36,8 +36,8 @@ fn until_opt(args: &mut Args, default: BitTime) -> Result<BitTime, ArgError> {
 }
 
 /// The single-bus scenario the membership-family options describe —
-/// the same model a `.canely` file parses to — plus `--journal`.
-fn scenario_from_args(args: &mut Args) -> Result<(Scenario, bool), ArgError> {
+/// the same model a `.canely` file parses to.
+fn scenario_from_args(args: &mut Args) -> Result<Scenario, ArgError> {
     // The options default to what an empty `.canely` file describes.
     let base = RunSpec::default();
     let nodes = args.nodes_opt(base.nodes)?;
@@ -71,21 +71,35 @@ fn scenario_from_args(args: &mut Args) -> Result<(Scenario, bool), ArgError> {
         restarts: args.events("restart")?,
         expect_view: None,
     };
-    // A scripted fault can only hit a node the scenario creates.
-    if let Some((option, _, node)) = scenario.stray_victim() {
-        return Err(ArgError(format!(
-            "--{option} names node n{node}, neither in 0..{nodes} nor a --join"
-        )));
+    // A scripted fault can only hit a node the scenario creates, and a
+    // node joins and leaves once.
+    if let Some((option, _, node, defect)) = scenario.lifecycle_defect() {
+        return Err(ArgError(match defect {
+            Defect::Stray => {
+                format!("--{option} names node n{node}, neither in 0..{nodes} nor a --join")
+            }
+            Defect::Repeated => format!("--{option} names node n{node} twice"),
+        }));
     }
-    Ok((scenario, args.flag("journal")))
+    Ok(scenario)
+}
+
+/// Refuses the first `--option` event of a node outside `0..nodes`, for
+/// the commands whose population is fixed (no joiners).
+fn within(option: &str, events: &[(u8, BitTime)], nodes: u8) -> Result<(), String> {
+    match events.iter().find(|&&(node, _)| node >= nodes) {
+        Some(&(node, _)) => Err(format!(
+            "error: --{option} names node n{node}, outside 0..{nodes}"
+        )),
+        None => Ok(()),
+    }
 }
 
 /// `canely membership …`
 pub fn membership(args: &mut Args) -> CmdResult {
-    let (scenario, journal) = scenario_from_args(args).map_err(fail)?;
+    let scenario = scenario_from_args(args).map_err(fail)?;
     let run = &scenario.run;
     let mut sim = build(&scenario, None, None);
-    sim.set_journal(journal);
     sim.run_until(run.until);
 
     let mut out = String::new();
@@ -108,16 +122,13 @@ pub fn membership(args: &mut Args) -> CmdResult {
         }
     }
     render::bus_summary(&mut out, &sim, BitTime::ZERO, run.until);
-    if journal {
-        render::journal(&mut out, &sim);
-    }
     Ok(out)
 }
 
 /// `canely groups …`
 pub fn groups(args: &mut Args) -> CmdResult {
     let group_joins = args.events("group-join").map_err(fail)?;
-    let (scenario, journal) = scenario_from_args(args).map_err(fail)?;
+    let scenario = scenario_from_args(args).map_err(fail)?;
     // The group world boots every node at power-on and drives only
     // crashes: refuse the membership options it would silently drop.
     let dropped = [
@@ -125,12 +136,12 @@ pub fn groups(args: &mut Args) -> CmdResult {
         ("leave", !scenario.leaves.is_empty()),
         ("restart", !scenario.restarts.is_empty()),
         ("traffic", !scenario.traffic.is_empty()),
-        ("journal", journal),
     ];
     if let Some((option, _)) = dropped.iter().find(|&&(_, given)| given) {
         return Err(format!("error: groups does not model --{option}"));
     }
     let run = &scenario.run;
+    within("group-join", &group_joins, run.nodes)?;
     let mut sim = Simulator::new(BusConfig::default(), run.fault_plan(run.seed));
     for id in 0..run.nodes {
         let mut stack = GroupStack::new(run.config());
@@ -174,11 +185,7 @@ pub fn baseline(args: &mut Args) -> CmdResult {
     let nodes = args.nodes_opt(8).map_err(fail)?;
     let until = until_opt(args, BitTime::new(3_000_000)).map_err(fail)?;
     let crashes = args.events("crash").map_err(fail)?;
-    if let Some(&(node, _)) = crashes.iter().find(|&&(node, _)| node >= nodes) {
-        return Err(format!(
-            "error: --crash names node n{node}, outside 0..{nodes}"
-        ));
-    }
+    within("crash", &crashes, nodes)?;
 
     let mut sim = Simulator::new(BusConfig::default(), FaultPlan::none());
     let population = NodeSet::first_n(nodes.into());
@@ -406,7 +413,7 @@ pub fn trace(args: &mut Args) -> CmdResult {
     if usize::from(csv) + usize::from(jsonl) + usize::from(chrome) > 1 {
         return Err("error: --csv, --jsonl and --chrome are mutually exclusive".into());
     }
-    let (scenario, _) = scenario_from_args(args).map_err(fail)?;
+    let scenario = scenario_from_args(args).map_err(fail)?;
     let until = scenario.run.until;
     if jsonl || chrome {
         // Merged protocol + bus trace, one JSON object per line (see
@@ -455,7 +462,7 @@ pub fn metrics(args: &mut Args) -> CmdResult {
     let live = args.flag("live");
     let json = args.flag("json");
     let profile = args.flag("profile");
-    let (scenario, _) = scenario_from_args(args).map_err(fail)?;
+    let scenario = scenario_from_args(args).map_err(fail)?;
     let run = &scenario.run;
     let log = ObsLog::new();
     let registry = if live {

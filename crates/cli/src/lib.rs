@@ -3,7 +3,7 @@
 //! The CLI exposes the simulation stack without writing Rust:
 //!
 //! ```text
-//! canelyctl membership --nodes 8 --crash 3@250ms --tm 30ms --journal
+//! canelyctl membership --nodes 8 --crash 3@250ms --tm 30ms
 //! canelyctl baseline osek --nodes 16 --crash 15@2000ms
 //! canelyctl analyze inaccessibility
 //! canelyctl analyze reliability --ber 1e-9
@@ -80,11 +80,13 @@ COMMANDS:
       --seed N            fault-injection seed             [default 0]
       --traffic DUR       cyclic traffic period for all nodes (implicit
                           heartbeats); omit for explicit life-signs
-      --journal           print the protocol journal
+      (each node's protocol events, crash and restart markers:
+      canelyctl trace --jsonl … > t.jsonl, then
+      canelyctl tq filter --trace t.jsonl --node N [--kind fd])
 
   groups         membership plus a process group
-      (membership options but --join, --leave, --restart,
-      --traffic and --journal, plus)
+      (membership options but --join, --leave, --restart and
+      --traffic, plus)
       --group-join NODE@TIME   process joins group 1 (repeatable)
 
   baseline <osek|guarding|heartbeat|ttp>   run a related-work protocol

@@ -17,7 +17,8 @@ pub fn pct(x: f64) -> String {
     format!("{:.2}%", x * 100.0)
 }
 
-/// Renders the upper-layer event history of one CANELy node.
+/// Renders the upper-layer event history of one CANELy node, and
+/// whether its controller ended the run bus-off.
 pub fn stack_history(out: &mut String, sim: &Simulator, node: NodeId) {
     let stack = sim.app::<CanelyStack>(node);
     let _ = writeln!(out, "node {node}: final view {}", stack.view());
@@ -31,6 +32,9 @@ pub fn stack_history(out: &mut String, sim: &Simulator, node: NodeId) {
             UpperEvent::Expelled => "expelled from the membership".to_string(),
         };
         let _ = writeln!(out, "  [{:>10}] {line}", ms(t));
+    }
+    if sim.controller(node).is_bus_off() {
+        let _ = writeln!(out, "  controller bus-off");
     }
 }
 
@@ -50,14 +54,6 @@ pub fn bus_summary(out: &mut String, sim: &Simulator, from: BitTime, to: BitTime
             "worst inaccessibility episode: {} bit-times",
             worst.as_u64()
         );
-    }
-}
-
-/// Renders the protocol journal.
-pub fn journal(out: &mut String, sim: &Simulator) {
-    let _ = writeln!(out, "--- protocol journal ---");
-    for entry in sim.journal() {
-        let _ = writeln!(out, "{entry}");
     }
 }
 

@@ -240,7 +240,6 @@ impl FailureDetector for SwimDetector {
                         // Escalate: enlist helpers via ping-req.
                         self.send_ping(ctx, PING_REQ, r);
                         self.arm_probe(ctx, r, ProbePhase::Indirect);
-                        ctx.journal(format_args!("FD/swim: no answer from {r} — indirect probe"));
                         None
                     }
                     ProbePhase::Indirect => {
@@ -250,9 +249,6 @@ impl FailureDetector for SwimDetector {
                             ProtocolEvent::SuspectRaised { suspect: r },
                         );
                         self.metrics.suspicions.inc();
-                        ctx.journal(format_args!(
-                            "FD/swim: node {r} silent through indirect probes — suspecting"
-                        ));
                         Some(FdAction::Suspect(r))
                     }
                 }
@@ -461,7 +457,6 @@ impl FailureDetector for AddPhiDetector {
             self.obs
                 .emit(ctx.now(), ctx.me(), ProtocolEvent::LifeSignSent);
             self.metrics.lifesigns.inc();
-            ctx.journal("FD/add: broadcasting heartbeat life-sign");
             // Unconditional cadence: re-arm immediately rather than
             // waiting for the life-sign to echo back.
             self.arm(ctx, r);
@@ -473,9 +468,6 @@ impl FailureDetector for AddPhiDetector {
                 ProtocolEvent::SuspectRaised { suspect: r },
             );
             self.metrics.suspicions.inc();
-            ctx.journal(format_args!(
-                "FD/add: node {r} exceeded adaptive timeout — suspecting"
-            ));
             Some(FdAction::Suspect(r))
         }
     }

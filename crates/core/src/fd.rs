@@ -367,7 +367,6 @@ impl FailureDetector for SurveillanceDetector {
             self.obs
                 .emit(ctx.now(), ctx.me(), ProtocolEvent::LifeSignSent);
             self.metrics.lifesigns.inc();
-            ctx.journal("FD: broadcasting explicit life-sign");
             None
         } else {
             self.obs.emit(
@@ -376,7 +375,6 @@ impl FailureDetector for SurveillanceDetector {
                 ProtocolEvent::SuspectRaised { suspect: r },
             );
             self.metrics.suspicions.inc();
-            ctx.journal(format_args!("FD: node {r} silent — suspecting"));
             Some(FdAction::Suspect(r)) // f10
         }
     }

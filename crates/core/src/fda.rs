@@ -102,7 +102,6 @@ impl Fda {
                     diffusion: false,
                 },
             );
-            ctx.journal(format_args!("FDA: failure-sign transmit request for {r}"));
         }
     }
 
@@ -147,7 +146,6 @@ impl Fda {
                     diffusion: true,
                 },
             );
-            ctx.journal(format_args!("FDA: diffusing failure-sign for {r}"));
         }
         self.obs.emit(
             ctx.now(),

@@ -184,7 +184,6 @@ impl Membership {
         ctx.can_rtr_req(Mid::new(MsgType::Join, 0, ctx.me())); // s02
         self.obs
             .emit(ctx.now(), ctx.me(), ProtocolEvent::JoinRequested);
-        ctx.journal("MSH: join requested");
     }
 
     /// `msh-can.req(LEAVE)` (lines s07–s09): request withdrawal of the
@@ -196,7 +195,6 @@ impl Membership {
         ctx.can_rtr_req(Mid::new(MsgType::Leave, 0, ctx.me())); // s08
         self.obs
             .emit(ctx.now(), ctx.me(), ProtocolEvent::LeaveRequested);
-        ctx.journal("MSH: leave requested");
     }
 
     /// Arrival of a JOIN remote frame (lines s04–s06).
@@ -216,7 +214,6 @@ impl Membership {
             return Vec::new();
         }
         self.fs.insert(r); // s14
-        ctx.journal(format_args!("MSH: failure of {r} notified"));
         self.chg_nty(ctx, self.vs - self.fs, NodeSet::singleton(r)) // s15
     }
 
@@ -237,7 +234,6 @@ impl Membership {
                 me,
                 ProtocolEvent::ViewBootstrapped { view: self.vs },
             );
-            ctx.journal(format_args!("MSH: bootstrap view {}", self.vs));
         }
         // s21: restart the cycle timer.
         self.tid = Some(ctx.restart_alarm(self.tid, self.tm, TimerOwner::MembershipCycle.encode()));
@@ -319,7 +315,6 @@ impl Membership {
         self.vl &= self.vs; // a09
 
         self.maybe_rejoin(ctx);
-        ctx.journal(format_args!("MSH: view settled to {}", self.vs));
         actions
     }
 
@@ -348,7 +343,6 @@ impl Membership {
                 ctx.cancel_alarm(tid);
             }
             self.out_of_service = true;
-            ctx.journal("MSH: expelled from the membership");
             vec![MshAction::Expelled]
         } else if view.contains(me) || self.vs.contains(me) {
             // a11–a12: full member — deliver the change upstairs.
@@ -360,7 +354,6 @@ impl Membership {
             }
             self.out_of_service = true;
             self.vl.remove(me);
-            ctx.journal("MSH: leave completed");
             vec![
                 MshAction::Notify {
                     view,
@@ -378,7 +371,6 @@ impl Membership {
         let me = ctx.me();
         if self.joining && !self.vs.contains(me) && !self.vj.contains(me) {
             ctx.can_rtr_req(Mid::new(MsgType::Join, 0, me));
-            ctx.journal("MSH: re-issuing join request");
         }
     }
 }

@@ -154,7 +154,6 @@ impl Rha {
             },
         );
         self.broadcast_current(ctx); // a07
-        ctx.journal(format_args!("RHA: started, proposing {}", self.v_rhv));
         RhaNotification::Init // a08
     }
 
@@ -210,7 +209,6 @@ impl Rha {
                 ProtocolEvent::RhaNarrowed { vector: self.v_rhv },
             );
             self.broadcast_current(ctx); // r07
-            ctx.journal(format_args!("RHA: narrowed to {}", self.v_rhv));
         } else if self.ndup.get(&self.v_rhv).copied().unwrap_or(0) >= self.j {
             // r08–r09: enough copies of our value circulate already.
             ctx.can_abort_req(Self::rhv_mid(ctx.me(), self.v_rhv));
@@ -239,7 +237,6 @@ impl Rha {
         self.v_rhv = NodeSet::EMPTY; // r17
         self.ndup.clear(); // new execution starts fresh
         self.sends = 0;
-        ctx.journal(format_args!("RHA: ended with {vector}"));
         RhaNotification::End(vector) // r15
     }
 }

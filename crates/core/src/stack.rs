@@ -270,7 +270,6 @@ impl CanelyStack {
                     self.msh.set_sink(self.obs.clone());
                     let rejoin = TimerOwner::Scripted(SCRIPT_JOIN).encode();
                     ctx.start_alarm(EXPULSION_REJOIN_DELAY, rejoin);
-                    ctx.journal("MSH: expelled — rejoining as a new incarnation");
                 }
             }
         }
@@ -373,12 +372,9 @@ impl Application for CanelyStack {
                 }
                 _ => {}
             },
-            DriverEvent::DataCnf { .. } | DriverEvent::RtrCnf { .. } => {}
-            DriverEvent::TxFailInd { mid } => {
-                ctx.journal(format_args!(
-                    "transmit request {mid} dropped by retry limit"
-                ));
-            }
+            DriverEvent::DataCnf { .. }
+            | DriverEvent::RtrCnf { .. }
+            | DriverEvent::TxFailInd { .. } => {}
         }
     }
 
@@ -844,7 +840,7 @@ mod tests {
         cluster(&mut sim, 3);
         sim.run_until(SETTLED);
         // No sink installed: the default path must not have grown any
-        // observable state (events are only in the per-stack journal).
+        // observable state (events are only in the per-stack `events()`).
         for id in 0..3 {
             assert!(!sim.app::<CanelyStack>(n(id)).obs.is_enabled());
         }

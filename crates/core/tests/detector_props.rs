@@ -103,7 +103,6 @@ impl LegacyFailureDetector {
             self.els_sent += 1;
             self.obs
                 .emit(ctx.now(), ctx.me(), ProtocolEvent::LifeSignSent);
-            ctx.journal("FD: broadcasting explicit life-sign");
             None
         } else {
             self.obs.emit(
@@ -111,7 +110,6 @@ impl LegacyFailureDetector {
                 ctx.me(),
                 ProtocolEvent::SuspectRaised { suspect: r },
             );
-            ctx.journal(format_args!("FD: node {r} silent — suspecting"));
             Some(FdAction::Suspect(r)) // f10
         }
     }
