@@ -1,8 +1,8 @@
 //! The deterministic simulation loop.
 //!
 //! [`Simulator`] owns the shared [`Medium`], one [`Controller`] and
-//! one [`Application`] per node, the timer wheel and the crash
-//! schedule, and advances simulated time event by event:
+//! one [`Application`] per node, the timer wheel and the lifecycle
+//! agenda, and advances simulated time event by event:
 //!
 //! 1. node power-ons, node crashes and timer expiries fire at their
 //!    scheduled instants;
@@ -26,8 +26,6 @@ use can_bus::{BusConfig, FaultPlan, Medium, Transaction, TxOutcome};
 use can_types::{BitTime, Frame, FrameKind, Mid, NodeId, NodeSet, MAX_NODES};
 use canely_metrics::{PhaseProfiler, PhaseReport};
 use std::any::Any;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// The phases the simulator's self-profiler attributes wall time to,
 /// in index order: event scheduling (finding the next event),
@@ -69,14 +67,26 @@ fn downcast_mut<T: 'static>(app: &mut dyn Application) -> &mut T {
     app.downcast_mut().expect("application type mismatch")
 }
 
-/// Lifecycle instants per node, earliest first.
-type Schedule = BinaryHeap<Reverse<(BitTime, NodeId)>>;
+/// A scheduled change to a node's life. The declaration order is the
+/// order of events due at one instant.
+enum Lifecycle {
+    PowerOn,
+    Crash,
+    /// A power-cycle booting this application on a fresh controller.
+    Restart(Box<dyn Application>),
+    /// A guardian's budget is back: re-offer the node's queue head.
+    GuardianWake,
+}
+
+/// An agenda entry's key: its instant, the rank of its [`Lifecycle`]
+/// kind, its node, then its scheduling sequence number (so restarts
+/// of one node at one instant fire in the order they were scheduled).
+type Due = (BitTime, u8, NodeId, u64);
 
 struct Slot {
     controller: Controller,
     app: Box<dyn Application>,
     guardian: Option<Guardian>,
-    powered: bool,
     crashed: bool,
 }
 
@@ -122,13 +132,10 @@ pub struct Simulator {
     now: BitTime,
     bus_free_at: BitTime,
     alive: NodeSet,
-    crash_schedule: Schedule,
-    poweron_schedule: Schedule,
-    guardian_wake: Schedule,
-    restart_schedule: Vec<(BitTime, NodeId, Box<dyn Application>)>,
-    /// The earliest instant of the four schedules above, refreshed
-    /// whenever one of them is pushed or popped.
-    lifecycle_at: Option<BitTime>,
+    /// Every pending lifecycle event, latest first: the next one due is
+    /// the last entry.
+    agenda: Vec<(Due, Lifecycle)>,
+    scheduled: u64,
     crash_log: Vec<(BitTime, NodeId)>,
     profiler: PhaseProfiler,
     stats: StepStats,
@@ -147,11 +154,8 @@ impl Simulator {
             now: BitTime::ZERO,
             bus_free_at: BitTime::ZERO,
             alive: NodeSet::EMPTY,
-            crash_schedule: BinaryHeap::new(),
-            poweron_schedule: BinaryHeap::new(),
-            guardian_wake: BinaryHeap::new(),
-            restart_schedule: Vec::new(),
-            lifecycle_at: None,
+            agenda: Vec::new(),
+            scheduled: 0,
             crash_log: Vec::new(),
             profiler: PhaseProfiler::new(SIM_PHASES),
             stats: StepStats::default(),
@@ -190,17 +194,20 @@ impl Simulator {
     pub fn schedule_restart(&mut self, node: NodeId, at: BitTime, app: impl Application + 'static) {
         assert!(at >= self.now, "cannot restart a node in the past");
         self.slot(node); // panics unless the node was added
-        self.restart_schedule.push((at, node, Box::new(app)));
-        self.restart_schedule.sort_by_key(|&(t, n, _)| (t, n));
-        self.refresh_lifecycle();
+        self.schedule(at, node, Lifecycle::Restart(Box::new(app)));
     }
 
-    fn refresh_lifecycle(&mut self) {
-        let first = |schedule: &Schedule| schedule.peek().map(|Reverse((t, _))| *t);
-        let (poweron, crash) = (first(&self.poweron_schedule), first(&self.crash_schedule));
-        let restart = self.restart_schedule.first().map(|&(t, _, _)| t);
-        let wake = first(&self.guardian_wake);
-        self.lifecycle_at = [poweron, crash, restart, wake].into_iter().flatten().min();
+    fn schedule(&mut self, at: BitTime, node: NodeId, event: Lifecycle) {
+        let rank = match event {
+            Lifecycle::PowerOn => 0,
+            Lifecycle::Crash => 1,
+            Lifecycle::Restart(_) => 2,
+            Lifecycle::GuardianWake => 3,
+        };
+        let due = (at, rank, node, self.scheduled);
+        self.scheduled += 1;
+        let i = self.agenda.partition_point(|&(d, _)| d > due);
+        self.agenda.insert(i, (due, event));
     }
 
     /// Installs a babbling-idiot bus guardian on `node` (extension
@@ -262,11 +269,9 @@ impl Simulator {
             controller: Controller::new(),
             app: Box::new(app),
             guardian: None,
-            powered: false,
             crashed: false,
         });
-        self.poweron_schedule.push(Reverse((start, node)));
-        self.refresh_lifecycle();
+        self.schedule(start, node, Lifecycle::PowerOn);
     }
 
     /// Schedules a fail-silent crash of `node` at `at`.
@@ -276,8 +281,7 @@ impl Simulator {
     /// Panics if `at` is in the past.
     pub fn schedule_crash(&mut self, node: NodeId, at: BitTime) {
         assert!(at >= self.now, "cannot crash a node in the past");
-        self.crash_schedule.push(Reverse((at, node)));
-        self.refresh_lifecycle();
+        self.schedule(at, node, Lifecycle::Crash);
     }
 
     /// The current simulation instant.
@@ -388,9 +392,10 @@ impl Simulator {
     pub fn run_until(&mut self, deadline: BitTime) {
         loop {
             self.profiler.enter(PH_SCHED);
+            let next_lifecycle = self.agenda.last().map(|&((t, ..), _)| t);
             let next_timer = self.timers.next_deadline();
             let next_bus = self.next_bus_start();
-            let next = [self.lifecycle_at, next_timer, next_bus]
+            let next = [next_lifecycle, next_timer, next_bus]
                 .into_iter()
                 .flatten()
                 .min();
@@ -406,12 +411,8 @@ impl Simulator {
 
             // Priority at equal instants: power-on, crash, restart,
             // guardian wake, timer, bus.
-            if self.lifecycle_at == Some(t) {
-                self.profiler.enter(PH_LIFECYCLE);
-                self.stats.lifecycle_events += 1;
-                self.now = self.now.max(t);
-                self.fire_lifecycle(t);
-                self.refresh_lifecycle();
+            if next_lifecycle == Some(t) {
+                self.fire(self.agenda.len() - 1);
             } else if next_timer == Some(t) && next_bus.is_none_or(|b| t <= b) {
                 self.profiler.enter(PH_TIMER);
                 self.now = self.now.max(t);
@@ -441,27 +442,17 @@ impl Simulator {
         }
     }
 
-    /// Fires the lifecycle event due at `t`, the first of power-on,
-    /// crash, restart and guardian wake. (`lifecycle_at` is stale until
-    /// the caller refreshes it; nothing reads it in between.)
-    fn fire_lifecycle(&mut self, t: BitTime) {
-        let due = |schedule: &Schedule| schedule.peek().is_some_and(|Reverse((at, _))| *at == t);
-        if due(&self.poweron_schedule) {
-            let Reverse((_, node)) = self.poweron_schedule.pop().expect("peeked");
-            self.power_on(node);
-        } else if due(&self.crash_schedule) {
-            let Reverse((_, node)) = self.crash_schedule.pop().expect("peeked");
-            self.crash(node);
-        } else if self
-            .restart_schedule
-            .first()
-            .is_some_and(|&(at, _, _)| at == t)
-        {
-            let (_, node, app) = self.restart_schedule.remove(0);
-            self.restart(node, app);
-        } else {
-            let Reverse((_, node)) = self.guardian_wake.pop().expect("the wake is due");
-            self.sync_offer(node);
+    /// Fires (and removes) agenda entry `i`.
+    fn fire(&mut self, i: usize) {
+        self.profiler.enter(PH_LIFECYCLE);
+        self.stats.lifecycle_events += 1;
+        let ((at, _, node, _), event) = self.agenda.remove(i);
+        self.now = self.now.max(at);
+        match event {
+            Lifecycle::PowerOn => self.power_on(node),
+            Lifecycle::Crash => self.crash(node),
+            Lifecycle::Restart(app) => self.restart(node, app),
+            Lifecycle::GuardianWake => self.sync_offer(node),
         }
     }
 
@@ -480,16 +471,12 @@ impl Simulator {
     /// (they belong to the interval covered by an in-flight frame).
     fn interleave_until(&mut self, until: BitTime) {
         loop {
-            let next_crash = self.crash_schedule.peek().map(|Reverse((t, _))| *t);
+            let crash = (self.agenda.iter()).rposition(|(_, e)| matches!(e, Lifecycle::Crash));
+            let next_crash = crash.map(|i| (i, self.agenda[i].0 .0));
             let next_timer = self.timers.next_deadline();
             match (next_crash, next_timer) {
-                (Some(tc), _) if tc < until && next_timer.is_none_or(|tt| tc <= tt) => {
-                    self.profiler.enter(PH_LIFECYCLE);
-                    self.stats.lifecycle_events += 1;
-                    self.now = self.now.max(tc);
-                    let Reverse((_, node)) = self.crash_schedule.pop().expect("peeked");
-                    self.refresh_lifecycle();
-                    self.crash(node);
+                (Some((i, tc)), _) if tc < until && next_timer.is_none_or(|tt| tc <= tt) => {
+                    self.fire(i);
                     self.profiler.enter(PH_ARB);
                 }
                 (_, Some(tt)) if tt < until => {
@@ -504,13 +491,8 @@ impl Simulator {
     }
 
     fn power_on(&mut self, node: NodeId) {
-        let idx = node.as_usize();
-        {
-            let slot = self.slots[idx].as_mut().expect("scheduled node exists");
-            if slot.crashed || slot.powered {
-                return;
-            }
-            slot.powered = true;
+        if self.slot(node).crashed || self.alive.contains(node) {
+            return;
         }
         self.alive.insert(node);
         self.with_app(node, |app, ctx| app.on_start(ctx));
@@ -532,20 +514,10 @@ impl Simulator {
     }
 
     fn restart(&mut self, node: NodeId, app: Box<dyn Application>) {
-        let idx = node.as_usize();
-        let Some(slot) = self.slots[idx].as_mut() else {
-            return;
-        };
-        if !slot.crashed {
-            // Power-cycling a live node: crash it first (fail-silent),
-            // then boot the replacement.
-            self.crash(node);
-        }
-        let slot = self.slots[idx].as_mut().expect("checked above");
-        slot.controller = Controller::new();
-        slot.app = app;
-        slot.crashed = false;
-        slot.powered = false;
+        // Power-cycling a live node crashes it first (fail-silent).
+        self.crash(node);
+        let slot = self.slot_mut(node);
+        (slot.controller, slot.app, slot.crashed) = (Controller::new(), app, false);
         self.power_on(node);
     }
 
@@ -590,8 +562,7 @@ impl Simulator {
         if let (Some(_), Some(guardian)) = (head, slot.guardian.as_mut()) {
             if let Err(free_at) = guardian.admit(self.now) {
                 self.medium.withdraw(node);
-                self.guardian_wake.push(Reverse((free_at, node)));
-                self.refresh_lifecycle();
+                self.schedule(free_at, node, Lifecycle::GuardianWake);
                 return;
             }
         }
@@ -1146,6 +1117,39 @@ mod tests {
         // An earlier/equal deadline must be a no-op, not a rewind.
         sim.run_until(BitTime::new(60));
         assert_eq!(sim.now(), after_first, "clock must be monotonic");
+    }
+
+    #[test]
+    fn lifecycle_events_at_one_instant_fire_by_kind_node_and_schedule_order() {
+        let tagged = |tag| Recorder {
+            timer_at_start: Some((BitTime::new(1_000), tag)),
+            ..Recorder::default()
+        };
+        let mut sim = Simulator::new(BusConfig::default(), FaultPlan::none());
+        (1..5).for_each(|id| sim.add_node(n(id), Recorder::default()));
+        sim.run_until(BitTime::new(50));
+        // Scheduled in the reverse of the firing order: kinds rank
+        // power-on 0, crash 1, restart 2, guardian wake 3.
+        let t = BitTime::new(100);
+        sim.schedule(t, n(3), Lifecycle::GuardianWake);
+        sim.schedule_restart(n(4), t, tagged(40));
+        sim.schedule_restart(n(4), t, tagged(41));
+        sim.schedule_restart(n(2), t, tagged(20));
+        sim.schedule_crash(n(1), t);
+        sim.add_node_at(n(0), Recorder::default(), t);
+        let order = sim
+            .agenda
+            .iter()
+            .rev()
+            .map(|&((_, rank, node, _), _)| (rank, node.as_u8()));
+        assert!(order.eq([(0, 0), (1, 1), (2, 2), (2, 4), (2, 4), (3, 3)]));
+        sim.run_until(t);
+        // The crash of n1 precedes the crash halves of the power-cycles,
+        // and the restart scheduled last boots last.
+        assert_eq!(sim.crash_times(), [1, 2, 4, 4].map(|id| (t, n(id))));
+        assert_eq!(sim.app::<Recorder>(n(4)).timer_at_start.unwrap().1, 41);
+        assert_eq!(sim.alive(), NodeSet::first_n(5) - NodeSet::singleton(n(1)));
+        assert_eq!(sim.take_step_stats().lifecycle_events, 4 + 6);
     }
 
     #[test]

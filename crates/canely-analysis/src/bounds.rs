@@ -24,7 +24,7 @@ pub struct ProtocolBounds {
     /// `Tm`: membership cycle period.
     pub membership_cycle: BitTime,
     /// `Trha`: RHA termination timeout.
-    pub rha_timeout: BitTime,
+    pub trha: BitTime,
     /// `j`: inconsistent omission degree.
     pub inconsistent_degree: u32,
     /// `f`: maximum crash failures per interval of reference.
@@ -84,7 +84,7 @@ impl ProtocolBounds {
     /// join/leave: the request waits for the next cycle boundary (up
     /// to `Tm`), then one RHA execution settles it (`Trha`).
     pub fn membership_change_latency(&self) -> BitTime {
-        self.membership_cycle + self.rha_timeout
+        self.membership_cycle + self.trha
     }
 
     /// Dimensioning rule: the minimum heartbeat period `Th` that keeps
@@ -116,7 +116,7 @@ impl ProtocolBounds {
     pub fn for_params(
         heartbeat_period: BitTime,
         membership_cycle: BitTime,
-        rha_timeout: BitTime,
+        trha: BitTime,
         inconsistent_degree: u32,
         max_crash_faults: u32,
     ) -> Self {
@@ -124,7 +124,7 @@ impl ProtocolBounds {
             heartbeat_period,
             tltm: BitTime::new(340),
             membership_cycle,
-            rha_timeout,
+            trha,
             inconsistent_degree,
             max_crash_faults,
         }
@@ -146,7 +146,7 @@ impl ProtocolBounds {
             heartbeat_period: BitTime::new(5_000),
             tltm: BitTime::new(340),
             membership_cycle: BitTime::new(30_000),
-            rha_timeout: BitTime::new(5_000),
+            trha: BitTime::new(5_000),
             inconsistent_degree: 2,
             max_crash_faults: 4,
         }

@@ -257,6 +257,23 @@ pub fn check(input: &OracleInput<'_>) -> Vec<Violation> {
         .map(|&(n, tc, end)| (tc, end, n))
         .collect();
     crashes.sort();
+    // Both latency rules: the first matching event at an observer in
+    // the window — an fd.notified(victim) for detection, a view without
+    // the victim for view change — is a violation if it is too late,
+    // and so is none once the window outlasts the bound.
+    let answers = |invariant, event, victim| match event {
+        ProtocolEvent::FailureNotified { failed } => {
+            invariant == InvariantKind::DetectionLatency && failed == victim
+        }
+        ProtocolEvent::ViewInstalled { view } | ProtocolEvent::ViewChanged { view, .. } => {
+            invariant == InvariantKind::ViewChangeLatency && !view.contains(victim)
+        }
+        _ => false,
+    };
+    let rules = [
+        (InvariantKind::DetectionLatency, input.detection_bound),
+        (InvariantKind::ViewChangeLatency, input.view_change_bound),
+    ];
     for &(tc, end, victim) in &crashes {
         // Latency clocks start when both the crash has happened and
         // the detectors are armed; a restart of the victim closes the
@@ -265,87 +282,42 @@ pub fn check(input: &OracleInput<'_>) -> Vec<Violation> {
         let t0 = tc.max(input.operational_from);
         let window_end = end.unwrap_or(input.horizon);
         for &o in &observers {
-            // Detection: first fd.notified(victim) at o after the crash.
-            let notified = events.iter().find(|e| {
-                e.node == o
-                    && e.time >= tc
-                    && e.time < window_end
-                    && matches!(e.event,
-                        ProtocolEvent::FailureNotified { failed } if failed == victim)
-            });
-            match notified {
-                Some(e) => {
-                    let latency = e.time.saturating_sub(t0);
-                    if latency > input.detection_bound {
-                        violations.push(Violation {
-                            invariant: InvariantKind::DetectionLatency,
-                            node: Some(o),
-                            time: Some(e.time),
-                            detail: format!(
-                                "crash of {victim} at t={tc} notified after {latency} \
-                                 (bound {})",
-                                input.detection_bound
-                            ),
-                        });
-                    }
+            for (invariant, bound) in rules {
+                let found = events.iter().find(|e| {
+                    e.node == o
+                        && e.time >= tc
+                        && e.time < window_end
+                        && answers(invariant, e.event, victim)
+                });
+                let time = found.map(|e| e.time);
+                let latency = time.unwrap_or(window_end).saturating_sub(t0);
+                if latency <= bound {
+                    continue;
                 }
-                None => {
-                    if window_end.saturating_sub(t0) > input.detection_bound {
-                        violations.push(Violation {
-                            invariant: InvariantKind::DetectionLatency,
-                            node: Some(o),
-                            time: None,
-                            detail: format!(
-                                "crash of {victim} at t={tc} never notified \
-                                 (bound {} expired before the horizon)",
-                                input.detection_bound
-                            ),
-                        });
-                    }
-                }
-            }
-            // View change: first installed/changed view excluding the
-            // victim at o after the crash.
-            let removed = events.iter().find(|e| {
-                e.node == o
-                    && e.time >= tc
-                    && e.time < window_end
-                    && match e.event {
-                        ProtocolEvent::ViewInstalled { view }
-                        | ProtocolEvent::ViewChanged { view, .. } => !view.contains(victim),
-                        _ => false,
-                    }
-            });
-            match removed {
-                Some(e) => {
-                    let latency = e.time.saturating_sub(t0);
-                    if latency > input.view_change_bound {
-                        violations.push(Violation {
-                            invariant: InvariantKind::ViewChangeLatency,
-                            node: Some(o),
-                            time: Some(e.time),
-                            detail: format!(
-                                "view excluding {victim} (crashed t={tc}) installed \
-                                 after {latency} (bound {})",
-                                input.view_change_bound
-                            ),
-                        });
-                    }
-                }
-                None => {
-                    if window_end.saturating_sub(t0) > input.view_change_bound {
-                        violations.push(Violation {
-                            invariant: InvariantKind::ViewChangeLatency,
-                            node: Some(o),
-                            time: None,
-                            detail: format!(
-                                "no view excluding {victim} (crashed t={tc}) installed \
-                                 (bound {} expired before the horizon)",
-                                input.view_change_bound
-                            ),
-                        });
-                    }
-                }
+                let detail = match (invariant, time) {
+                    (InvariantKind::DetectionLatency, Some(_)) => format!(
+                        "crash of {victim} at t={tc} notified after {latency} \
+                         (bound {bound})"
+                    ),
+                    (InvariantKind::DetectionLatency, None) => format!(
+                        "crash of {victim} at t={tc} never notified \
+                         (bound {bound} expired before the horizon)"
+                    ),
+                    (_, Some(_)) => format!(
+                        "view excluding {victim} (crashed t={tc}) installed \
+                         after {latency} (bound {bound})"
+                    ),
+                    (_, None) => format!(
+                        "no view excluding {victim} (crashed t={tc}) installed \
+                         (bound {bound} expired before the horizon)"
+                    ),
+                };
+                violations.push(Violation {
+                    invariant,
+                    node: Some(o),
+                    time,
+                    detail,
+                });
             }
         }
     }

@@ -486,8 +486,8 @@ mod tests {
         run.weaken_fda = true;
         // A 4 ms steady-state blackout stretches observed life-sign
         // gaps to ~6 ms: inside the correct surveillance margin
-        // (Th + tx_delay_bound = 7.5 ms) but past the mutant's
-        // truncated one (Th + tx_delay_bound/4 = 5.625 ms), so only
+        // (Th + Ttd = 7.5 ms) but past the mutant's truncated one
+        // (Th + Ttd/4 = 5.625 ms), so only
         // the mutant falsely suspects a live node.
         run.faults = vec![MUTANT_TRIGGER];
         let outcome = execute(&run, false);

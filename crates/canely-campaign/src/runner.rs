@@ -65,11 +65,12 @@ impl CampaignReport {
     /// count, wall time), so two invocations of the same spec compare
     /// byte-for-byte.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
+        let mut out = String::from("{\"campaign\":\"");
+        canely_trace::json::escape_into(&self.name, &mut out);
         let _ = write!(
             out,
-            "{{\"campaign\":\"{}\",\"runs\":{},\"events\":{},\"violating_runs\":[",
-            self.name, self.runs, self.events
+            "\",\"runs\":{},\"events\":{},\"violating_runs\":[",
+            self.runs, self.events
         );
         for (i, (id, violations)) in self.violating.iter().enumerate() {
             if i > 0 {

@@ -59,8 +59,8 @@ pub struct Scenario {
 /// Why [`Scenario::lifecycle_defect`] refuses a node's script line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Defect {
-    /// A `crash`, `leave` or `restart` of a node the scenario never
-    /// creates: neither in `0..nodes` nor a `join`.
+    /// A `crash`, `leave`, `restart` or `traffic` line for a node the
+    /// scenario never creates: neither in `0..nodes` nor a `join`.
     Stray,
     /// A second `join`, `leave` or `traffic` for one node: a node powers
     /// on once, leaves once and runs one traffic period.
@@ -251,6 +251,7 @@ impl Scenario {
             ("crash", &crashes),
             ("leave", &self.leaves),
             ("restart", &self.restarts),
+            ("traffic", &self.traffic),
         ];
         let stray = scripted.into_iter().find_map(|(keyword, events)| {
             let i = events.iter().position(|&(node, _)| !exists(node))?;
@@ -392,8 +393,8 @@ impl Scenario {
             let uniform = fmt_duration(period);
             let mut covered = NodeSet::EMPTY;
             for (i, &(node, p)) in self.traffic.iter().enumerate() {
-                // `finish` refused a node with two lines.
-                if p != period || node >= nodes {
+                // `finish` refused stray and repeated nodes; no `join` gets here.
+                if p != period {
                     let msg = format_args!(
                         "{ONE_PERIOD}: `traffic {node} {}` is not each of 0..{nodes} \
                          once at {uniform}",

@@ -34,7 +34,7 @@ use crate::grammar::{
 };
 use can_bus::FaultPlan;
 use can_types::{mix64, BitTime, NodeSet, GOLDEN};
-use canely::{CanelyConfig, DetectorKind};
+use canely::{CanelyConfig, DetectorKind, RHA_TIMEOUT, TX_DELAY_BOUND};
 use canely_analysis::ProtocolBounds;
 use canely_federation::{BridgeKind, RelayFilter, DIGEST_PERIOD, QUANTUM};
 use rand::rngs::SmallRng;
@@ -912,7 +912,7 @@ impl RunSpec {
         ProtocolBounds::for_params(
             self.th,
             self.tm,
-            CanelyConfig::default().rha_timeout,
+            RHA_TIMEOUT,
             self.inconsistent_degree,
             // Conservative for federated runs: count every crash in
             // the federation even though each lands in one segment —
@@ -939,9 +939,10 @@ impl RunSpec {
     /// [`DetectorKind::extra_detection_margin`]), the scheduled
     /// blackout and the oracle slack.
     pub fn detection_bound(&self) -> BitTime {
-        let ttd = CanelyConfig::default().tx_delay_bound;
         self.bounds().detection_latency()
-            + self.detector.extra_detection_margin(self.th, ttd)
+            + self
+                .detector
+                .extra_detection_margin(self.th, TX_DELAY_BOUND)
             + self.total_inaccessibility()
             + self.latency_slack
     }

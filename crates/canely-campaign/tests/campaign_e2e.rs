@@ -12,6 +12,14 @@ use can_types::BitTime;
 use canely_campaign::{execute, run_campaign, CampaignSpec, Counterexample, Fault, RunSpec};
 
 #[test]
+fn the_summary_escapes_a_quote_in_the_campaign_name() {
+    // The name used to be written unescaped: `{"campaign":"a"b",…}`.
+    let spec = CampaignSpec::parse("name a\"b\nseeds 0..1\nuntil 300ms\nsettle 150ms\n").unwrap();
+    let json = run_campaign(&spec, 1).report.to_json();
+    assert!(json.starts_with(r#"{"campaign":"a\"b","runs":"#), "{json}");
+}
+
+#[test]
 fn five_hundred_seeded_runs_on_the_correct_protocol_are_clean() {
     // 2 populations × 2 error rates × 2 crash budgets × 63 seeds
     // = 504 runs.

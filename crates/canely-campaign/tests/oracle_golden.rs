@@ -142,7 +142,10 @@ fn late_detection_is_flagged_at_the_late_observer_only() {
     let v = &verdicts[0];
     assert_eq!(v.invariant, InvariantKind::DetectionLatency);
     assert_eq!(v.node, Some(n(1)), "late observer is blamed");
-    assert!(v.detail.contains("after 25000"), "{}", v.detail);
+    assert_eq!(
+        v.detail,
+        "crash of n2 at t=100000bt notified after 25000bt (bound 12000bt)"
+    );
 }
 
 #[test]
@@ -177,7 +180,10 @@ fn never_notified_crash_is_flagged_without_a_timestamp() {
     assert_eq!(v.invariant, InvariantKind::DetectionLatency);
     assert_eq!(v.node, Some(n(1)));
     assert_eq!(v.time, None, "no point-like instant for an absence");
-    assert!(v.detail.contains("never notified"), "{}", v.detail);
+    assert_eq!(
+        v.detail,
+        "crash of n2 at t=100000bt never notified (bound 12000bt expired before the horizon)"
+    );
 }
 
 #[test]
@@ -196,6 +202,14 @@ fn missing_view_change_is_flagged_per_observer() {
         .filter(|v| v.invariant == InvariantKind::ViewChangeLatency)
         .collect();
     assert_eq!(view_lat.len(), 2, "{verdicts:?}");
+    for (v, observer) in view_lat.iter().zip([0, 1]) {
+        assert_eq!((v.node, v.time), (Some(n(observer)), None));
+        assert_eq!(
+            v.detail,
+            "no view excluding n2 (crashed t=100000bt) installed \
+             (bound 50000bt expired before the horizon)"
+        );
+    }
     // The stale finals additionally break validity (view ≠ members −
     // crashed) at both correct nodes.
     let validity = verdicts
@@ -203,6 +217,33 @@ fn missing_view_change_is_flagged_per_observer() {
         .filter(|v| v.invariant == InvariantKind::ViewValidity)
         .count();
     assert_eq!(validity, 2, "{verdicts:?}");
+}
+
+#[test]
+fn late_view_change_is_flagged_with_its_latency() {
+    let view = NodeSet::first_n(3).difference(NodeSet::singleton(n(2)));
+    let changed = ProtocolEvent::ViewChanged {
+        view,
+        failed: NodeSet::singleton(n(2)),
+    };
+    let events = vec![
+        ev(100_000, 2, ProtocolEvent::NodeCrashed),
+        ev(108_000, 0, ProtocolEvent::FailureNotified { failed: n(2) }),
+        ev(108_000, 1, ProtocolEvent::FailureNotified { failed: n(2) }),
+        // Observer 0 is on time; observer 1 installs past the bound.
+        ev(130_000, 0, changed),
+        ev(170_000, 1, changed),
+    ];
+    let finals = finals(&[(0, view), (1, view)]);
+    let verdicts = check(&base(&events, &finals));
+    assert_eq!(verdicts.len(), 1, "{verdicts:?}");
+    let v = &verdicts[0];
+    assert_eq!(v.invariant, InvariantKind::ViewChangeLatency);
+    assert_eq!((v.node, v.time), (Some(n(1)), Some(t(170_000))));
+    assert_eq!(
+        v.detail,
+        "view excluding n2 (crashed t=100000bt) installed after 70000bt (bound 50000bt)"
+    );
 }
 
 #[test]

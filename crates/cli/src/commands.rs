@@ -189,13 +189,26 @@ pub fn baseline(args: &mut Args) -> CmdResult {
 
     let mut sim = Simulator::new(BusConfig::default(), FaultPlan::none());
     let population = NodeSet::first_n(nodes.into());
-    match which.as_str() {
+    // Each protocol adds its nodes and names its report.
+    let report: fn(&Simulator, &mut String) = match which.as_str() {
         "osek" => {
             for id in 0..nodes {
                 sim.add_node(
                     NodeId::new(id),
                     OsekNode::new(BitTime::new(50_000), BitTime::new(260_000), population),
                 );
+            }
+            |sim, out| {
+                for node in sim.alive().iter() {
+                    let app = sim.app::<OsekNode>(node);
+                    let _ = writeln!(
+                        out,
+                        "node {node}: config {} ({} ring messages, {} detections)",
+                        app.config(),
+                        app.ring_messages_sent(),
+                        app.detected().len()
+                    );
+                }
             }
         }
         "guarding" => {
@@ -210,6 +223,13 @@ pub fn baseline(args: &mut Args) -> CmdResult {
             for id in 1..nodes {
                 sim.add_node(NodeId::new(id), CanopenSlave::new());
             }
+            |sim, out| {
+                let master = sim.app::<CanopenMaster>(NodeId::new(0));
+                let _ = writeln!(out, "master polls: {}", master.polls());
+                for &(t, who) in master.detected() {
+                    let _ = writeln!(out, "detected failure of {who} at {}", render::ms(t));
+                }
+            }
         }
         "heartbeat" => {
             for id in 0..nodes {
@@ -219,14 +239,26 @@ pub fn baseline(args: &mut Args) -> CmdResult {
                     HeartbeatNode::new(Some(BitTime::new(100_000)), BitTime::new(150_000), watched),
                 );
             }
+            |sim, out| {
+                for node in sim.alive().iter() {
+                    for &(t, who) in sim.app::<HeartbeatNode>(node).detected() {
+                        let _ = writeln!(out, "node {node}: detected {who} at {}", render::ms(t));
+                    }
+                }
+            }
         }
         "ttp" => {
             for id in 0..nodes {
                 sim.add_node(NodeId::new(id), TtpNode::new(BitTime::new(500), population));
             }
+            |sim, out| {
+                for node in sim.alive().iter() {
+                    let _ = writeln!(out, "node {node}: view {}", sim.app::<TtpNode>(node).view());
+                }
+            }
         }
         other => return Err(format!("error: unknown baseline `{other}`")),
-    }
+    };
     for &(node, at) in &crashes {
         sim.schedule_crash(NodeId::new(node), at);
     }
@@ -238,54 +270,7 @@ pub fn baseline(args: &mut Args) -> CmdResult {
         "baseline `{which}`: {nodes} nodes, horizon {}",
         render::ms(until)
     );
-    match which.as_str() {
-        "osek" => {
-            for id in 0..nodes {
-                let node = NodeId::new(id);
-                if !sim.alive().contains(node) {
-                    continue;
-                }
-                let app = sim.app::<OsekNode>(node);
-                let _ = writeln!(
-                    out,
-                    "node {node}: config {} ({} ring messages, {} detections)",
-                    app.config(),
-                    app.ring_messages_sent(),
-                    app.detected().len()
-                );
-            }
-        }
-        "guarding" => {
-            let master = sim.app::<CanopenMaster>(NodeId::new(0));
-            let _ = writeln!(out, "master polls: {}", master.polls());
-            for &(t, who) in master.detected() {
-                let _ = writeln!(out, "detected failure of {who} at {}", render::ms(t));
-            }
-        }
-        "heartbeat" => {
-            for id in 0..nodes {
-                let node = NodeId::new(id);
-                if !sim.alive().contains(node) {
-                    continue;
-                }
-                let app = sim.app::<HeartbeatNode>(node);
-                for &(t, who) in app.detected() {
-                    let _ = writeln!(out, "node {node}: detected {who} at {}", render::ms(t));
-                }
-            }
-        }
-        "ttp" => {
-            for id in 0..nodes {
-                let node = NodeId::new(id);
-                if !sim.alive().contains(node) {
-                    continue;
-                }
-                let app = sim.app::<TtpNode>(node);
-                let _ = writeln!(out, "node {node}: view {}", app.view());
-            }
-        }
-        _ => unreachable!("validated above"),
-    }
+    report(&sim, &mut out);
     render::bus_summary(&mut out, &sim, BitTime::ZERO, until);
     Ok(out)
 }
@@ -461,6 +446,9 @@ pub fn trace(args: &mut Args) -> CmdResult {
 pub fn metrics(args: &mut Args) -> CmdResult {
     let live = args.flag("live");
     let json = args.flag("json");
+    if json && !live {
+        return Err("error: --json needs --live".into());
+    }
     let profile = args.flag("profile");
     let scenario = scenario_from_args(args).map_err(fail)?;
     let run = &scenario.run;

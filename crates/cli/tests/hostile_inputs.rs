@@ -51,6 +51,8 @@ fn refused_documents_name_their_line() {
     let rows: &[Refusal] = &[
         // A fault on a node the scenario never creates.
         ("stray.canely", "nodes 4\ncrash 9 10ms\n", &[REPLAY], 2, "node 9 is neither"),
+        // Traffic for such a node used to be silently dropped.
+        ("stray.canely", "nodes 4\ntraffic 9 2ms\nuntil 300ms\n", &[RUN, REPLAY, TQ], 2, "node 9 is neither in 0..4 nor a `join`"),
         // 18446744073709552 ms × 1000 wraps u64 to a 0.38 ms horizon.
         ("wrap.canely", "nodes 4\nuntil 18446744073709552ms\n", &[RUN, REPLAY], 2, "duration overflows"),
         ("wrap.campaign", "nodes 4\nuntil 18446744073709552ms\n", &[CAMPAIGN], 2, "duration overflows"),
@@ -297,6 +299,17 @@ fn groups_refuses_the_membership_options_it_does_not_model() {
     ]))
     .unwrap_err();
     assert_eq!(err, "error: unknown flag --journal");
+}
+
+#[test]
+fn metrics_json_without_live_is_refused() {
+    // `--json` used to be dropped without `--live`: the plain report
+    // printed and the run exited 0.
+    let err = run(&argv(&[
+        "metrics", "--nodes", "3", "--until", "100ms", "--json",
+    ]))
+    .unwrap_err();
+    assert_eq!(err, "error: --json needs --live");
 }
 
 #[test]

@@ -3,16 +3,22 @@
 use crate::fd::DetectorKind;
 use can_types::BitTime;
 
+/// `Ttd = Tltm + Tina`: the network message transmission delay bound
+/// (MCAN4) added to remote surveillance timers, at 1 Mbps.
+pub const TX_DELAY_BOUND: BitTime = BitTime::new(2_500);
+
+/// `Trha`: the RHA maximum termination time, at 1 Mbps.
+pub const RHA_TIMEOUT: BitTime = BitTime::new(5_000);
+
 /// Configuration of a CANELy node stack.
 ///
-/// Field names follow the paper's parameter glossary:
+/// Field names follow the paper's parameter glossary (`Ttd` and `Trha`
+/// are the constants [`TX_DELAY_BOUND`] and [`RHA_TIMEOUT`]):
 ///
 /// | Field | Paper | Meaning |
 /// |---|---|---|
 /// | `heartbeat_period` | `Th` | max interval between consecutive life-sign transmit requests |
-/// | `tx_delay_bound` | `Ttd = Tltm + Tina` | bounded frame transmission delay (MCAN4) |
 /// | `membership_cycle` | `Tm` | membership cycle period |
-/// | `rha_timeout` | `Trha` | RHA maximum termination time |
 /// | `join_wait` | `Tjoin-wait` | maximum join wait delay (footnote: much longer than `Tm`) |
 /// | `inconsistent_degree` | `j` | bounded inconsistent omission degree (LCAN4) |
 ///
@@ -22,25 +28,20 @@ use can_types::BitTime;
 /// # Examples
 ///
 /// ```
-/// use canely::CanelyConfig;
+/// use canely::{CanelyConfig, TX_DELAY_BOUND};
 /// use can_types::BitTime;
 ///
 /// let cfg = CanelyConfig::default().with_membership_cycle(BitTime::new(50_000));
 /// assert_eq!(cfg.membership_cycle, BitTime::new(50_000));
 /// // Detection latency bound: Th + Ttd.
-/// assert_eq!(cfg.detection_latency_bound(), cfg.heartbeat_period + cfg.tx_delay_bound);
+/// assert_eq!(cfg.detection_latency_bound(), cfg.heartbeat_period + TX_DELAY_BOUND);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CanelyConfig {
     /// `Th`: the heartbeat (life-sign) period.
     pub heartbeat_period: BitTime,
-    /// `Ttd`: network message transmission delay bound added to remote
-    /// surveillance timers (`Tltm + Tina`).
-    pub tx_delay_bound: BitTime,
     /// `Tm`: the membership cycle period.
     pub membership_cycle: BitTime,
-    /// `Trha`: RHA maximum termination time.
-    pub rha_timeout: BitTime,
     /// `Tjoin-wait`: maximum join wait delay at a non-integrated node.
     pub join_wait: BitTime,
     /// `j`: the inconsistent omission degree bound used by RHA's
@@ -108,9 +109,9 @@ impl CanelyConfig {
     /// bus inaccessibility is forgotten).
     pub fn surveillance_margin(&self) -> BitTime {
         if self.weakened_fda {
-            BitTime::new(self.tx_delay_bound.as_u64() / 4)
+            BitTime::new(TX_DELAY_BOUND.as_u64() / 4)
         } else {
-            self.tx_delay_bound
+            TX_DELAY_BOUND
         }
     }
 
@@ -123,10 +124,10 @@ impl CanelyConfig {
     /// [`DetectorKind::extra_detection_margin`]).
     pub fn detection_latency_bound(&self) -> BitTime {
         self.heartbeat_period
-            + self.tx_delay_bound
+            + TX_DELAY_BOUND
             + self
                 .detector
-                .extra_detection_margin(self.heartbeat_period, self.tx_delay_bound)
+                .extra_detection_margin(self.heartbeat_period, TX_DELAY_BOUND)
     }
 
     /// Validates parameter coherence.
@@ -143,13 +144,10 @@ impl CanelyConfig {
         if self.membership_cycle.is_zero() {
             return Err("membership cycle (Tm) must be positive".into());
         }
-        if self.rha_timeout.is_zero() {
-            return Err("RHA timeout (Trha) must be positive".into());
-        }
         if self.join_wait <= self.membership_cycle {
             return Err("join wait (Tjoin-wait) must exceed the membership cycle (Tm)".into());
         }
-        if self.rha_timeout >= self.membership_cycle {
+        if RHA_TIMEOUT >= self.membership_cycle {
             return Err("RHA timeout (Trha) must be below the membership cycle (Tm)".into());
         }
         Ok(())
@@ -162,9 +160,7 @@ impl Default for CanelyConfig {
     fn default() -> Self {
         CanelyConfig {
             heartbeat_period: BitTime::new(5_000),
-            tx_delay_bound: BitTime::new(2_500),
             membership_cycle: BitTime::new(30_000),
-            rha_timeout: BitTime::new(5_000),
             join_wait: BitTime::new(60_000),
             inconsistent_degree: 2,
             implicit_heartbeats: true,
@@ -221,12 +217,12 @@ mod tests {
     fn weakened_mutant_shrinks_surveillance_margin() {
         let correct = CanelyConfig::default();
         let broken = CanelyConfig::default().with_weakened_fda();
-        assert_eq!(correct.surveillance_margin(), correct.tx_delay_bound);
+        assert_eq!(correct.surveillance_margin(), TX_DELAY_BOUND);
         // The mutant's margin covers Tltm-scale queuing but not the
         // CANELy inaccessibility bound Tina = 2160 bit-times.
         assert_eq!(
             broken.surveillance_margin(),
-            BitTime::new(correct.tx_delay_bound.as_u64() / 4)
+            BitTime::new(TX_DELAY_BOUND.as_u64() / 4)
         );
         assert!(broken.surveillance_margin() < BitTime::new(2_160));
         // Still a valid configuration: the mutant must run, not panic.

@@ -27,7 +27,7 @@
 //! implements.
 
 use crate::obs::{EventSink, ObsTimer, ProtocolEvent};
-use crate::tags::TimerOwner;
+use crate::tags::{detector_skew, TimerOwner};
 use can_controller::{Ctx, TimerId};
 use can_types::{BitTime, Mid, NodeId, NodeSet, MAX_NODES};
 
@@ -282,17 +282,14 @@ impl SurveillanceDetector {
         let duration = if r == ctx.me() {
             self.th // a02
         } else {
-            // a04, plus a deterministic per-observer skew: real nodes
-            // have independent oscillators, so surveillance timers
+            // a04, plus the per-observer skew: surveillance timers
             // armed by the same frame delivery do not expire in
-            // lock-step. The spacing (512 bit-times per rank) exceeds
-            // a worst-case frame plus error signalling, so the first
-            // detector's failure-sign reaches — and cancels — every
-            // later observer before it fires. (Perfectly simultaneous
-            // expiry would make all observers transmit the sign in one
-            // cluster, leaving no same-side receiver to acknowledge it
-            // under a partition.)
-            self.th + self.ttd + BitTime::new(u64::from(ctx.me().as_u8()) * 512)
+            // lock-step, so the first detector's failure-sign reaches —
+            // and cancels — every later observer before it fires.
+            // (Perfectly simultaneous expiry would make all observers
+            // transmit the sign in one cluster, leaving no same-side
+            // receiver to acknowledge it under a partition.)
+            self.th + self.ttd + detector_skew(ctx.me())
         };
         let tid = &mut self.timers[r.as_usize()];
         *tid = Some(ctx.restart_alarm(*tid, duration, TimerOwner::Surveillance(r).encode()));

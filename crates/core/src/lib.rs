@@ -84,7 +84,7 @@ pub mod stack;
 pub mod tags;
 pub mod traffic;
 
-pub use config::CanelyConfig;
+pub use config::{CanelyConfig, RHA_TIMEOUT, TX_DELAY_BOUND};
 pub use detectors::{AddPhiDetector, SwimDetector};
 pub use fd::{
     DetectorKind, DetectorMetrics, DetectorTimer, FailureDetector, FdAction, SurveillanceDetector,

@@ -17,7 +17,7 @@
 //! records every upper-layer notification with its timestamp for
 //! post-run analysis.
 
-use crate::config::CanelyConfig;
+use crate::config::{CanelyConfig, RHA_TIMEOUT};
 use crate::fd::{DetectorTimer, FailureDetector, FdAction};
 use crate::fda::Fda;
 use crate::membership::{Membership, MembershipEvent, MshAction};
@@ -102,7 +102,7 @@ impl CanelyStack {
         fda.set_eager_diffusion(!config.weakened_fda);
         CanelyStack {
             fda,
-            rha: Rha::new(config.rha_timeout, config.inconsistent_degree),
+            rha: Rha::new(RHA_TIMEOUT, config.inconsistent_degree),
             fd: config
                 .detector
                 .build(config.heartbeat_period, config.surveillance_margin()),
@@ -262,7 +262,7 @@ impl CanelyStack {
                     // they suppress the still-circulating failure-sign
                     // of the old incarnation (resetting them would make
                     // this node re-diffuse its own failure-sign forever).
-                    self.rha = Rha::new(self.config.rha_timeout, self.config.inconsistent_degree);
+                    self.rha = Rha::new(RHA_TIMEOUT, self.config.inconsistent_degree);
                     self.msh = Membership::new(self.config.membership_cycle, self.config.join_wait);
                     // The fresh incarnation keeps emitting into the
                     // same trace.

@@ -5,7 +5,7 @@
 use can_bus::{BusConfig, FaultPlan};
 use can_controller::Simulator;
 use can_types::{BitTime, MsgType};
-use canely::{CanelyConfig, CanelyStack, UpperEvent};
+use canely::{CanelyConfig, CanelyStack, UpperEvent, RHA_TIMEOUT};
 use canely_analysis::ProtocolBounds;
 use integration::n;
 
@@ -14,7 +14,7 @@ fn bounds_for(config: &CanelyConfig) -> ProtocolBounds {
         heartbeat_period: config.heartbeat_period,
         tltm: BitTime::new(340),
         membership_cycle: config.membership_cycle,
-        rha_timeout: config.rha_timeout,
+        trha: RHA_TIMEOUT,
         inconsistent_degree: config.inconsistent_degree,
         max_crash_faults: 4,
     }
