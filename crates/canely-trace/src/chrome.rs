@@ -16,7 +16,7 @@
 
 use std::fmt::Write as _;
 
-use crate::json::{escape_into, Value};
+use crate::json::{escape_into, Scalar};
 use crate::model::TraceModel;
 use crate::phases::PhaseProfile;
 
@@ -134,7 +134,9 @@ pub fn chrome_trace(model: &TraceModel<'_>) -> String {
         }
         let args = out.len();
         let mut cause = None;
-        for (key, value) in model.line_of(event).fields() {
+        let mut fields = model.line_of(event).fields();
+        while let Some((key, value)) = fields.field() {
+            let key = key.decode();
             match key.as_ref() {
                 "cause" => cause = cause.or(Some(value)),
                 "t" | "seq" | "node" | "kind" => {}
@@ -142,18 +144,18 @@ pub fn chrome_trace(model: &TraceModel<'_>) -> String {
                     out.push_str(if out.len() > args { ",\"" } else { "\"" });
                     out.push_str(&key);
                     out.push_str("\":\"");
-                    escape_into(&value.into_display(), &mut out);
+                    escape_into(&value.display(), &mut out);
                     out.push('"');
                 }
             }
         }
-        if let Some(Value::Str(cause)) = cause {
+        if let Some(cause) = cause.and_then(Scalar::text) {
             out.push_str(if out.len() > args {
                 ",\"cause\":\""
             } else {
                 "\"cause\":\""
             });
-            out.push_str(&cause);
+            out.push_str(&cause.decode());
             out.push('"');
         }
         out.push_str("}}");

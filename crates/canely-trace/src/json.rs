@@ -8,14 +8,19 @@
 //! that `crates/cli/tests/trace_queries.rs` holds every checked-in
 //! scenario's trace to.
 //!
+//! One scanner reads every line: the walk behind [`Fields`] validates
+//! the text in a single pass and meets each field as slices of it — a
+//! key or a string value as the bytes between its quotes, a number as
+//! its spelling plus the `u64` its digits made while they were scanned.
+//! Blanks, escapes and signed, decimal or overlong numbers are slow
+//! branches of that walk. Only a string that actually holds an escape
+//! is decoded, into an owned buffer, and only when it is asked for; the
+//! schema exporter escapes nothing but quotes, backslashes and control
+//! characters, so in practice every field borrows.
+//!
 //! A parsed [`Line`] is a *validated view* of the text it was parsed
 //! from: it holds the slice and nothing else, and every accessor
-//! re-walks it with the one scanner ([`Fields`]) that validated it.
-//! Keys, numbers and escape-free strings come back as borrowed slices
-//! of the input (the schema exporter only escapes quotes, backslashes
-//! and control characters, so in practice every field borrows); only a
-//! string that actually contains escapes is decoded into an owned
-//! buffer, when it is asked for.
+//! re-walks it.
 
 use std::borrow::Cow;
 use std::fmt::Write as _;
@@ -36,14 +41,6 @@ pub enum Value<'a> {
 }
 
 impl<'a> Value<'a> {
-    /// The value as an unsigned integer, if it is one.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Value::Num(raw) => raw.parse().ok(),
-            _ => None,
-        }
-    }
-
     /// The value as a string slice, if it is a string.
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -124,6 +121,104 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// A string as the walk met it: the text between its quotes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Text<'a> {
+    raw: &'a str,
+    /// Whether `raw` holds an escape; if not, it is the string itself.
+    escaped: bool,
+}
+
+impl<'a> Text<'a> {
+    /// The string: `raw` itself, or `raw` decoded by the walk that
+    /// validated it when it holds an escape.
+    #[inline(always)]
+    pub(crate) fn decode(self) -> Cow<'a, str> {
+        if self.escaped {
+            Cow::Owned(self.unescape())
+        } else {
+            Cow::Borrowed(self.raw)
+        }
+    }
+
+    #[cold]
+    fn unescape(self) -> String {
+        let mut out = String::with_capacity(self.raw.len());
+        // Validated when the line was parsed: the walk cannot fail.
+        let _ = Fields::new(self.raw).content(Some(&mut out));
+        out
+    }
+
+    /// Whether the string is `name`.
+    pub(crate) fn is(self, name: &str) -> bool {
+        self.decode() == name
+    }
+}
+
+/// A value as the walk met it: its spelling, its shape and, for a
+/// number, the integer its digits made.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Scalar<'a> {
+    /// A number's or boolean's spelling, a string's text between its
+    /// quotes.
+    raw: &'a str,
+    shape: Shape,
+    /// A number's value, if its spelling is an unsigned integer that
+    /// fits a `u64`.
+    int: Option<u64>,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Shape {
+    Num,
+    Bool,
+    /// A string, and whether it holds an escape.
+    Str(bool),
+}
+
+impl<'a> Scalar<'a> {
+    /// The value as an unsigned integer, if it is one.
+    #[inline(always)]
+    pub(crate) fn u64(self) -> Option<u64> {
+        self.int
+    }
+
+    /// The value as a boolean, if it is one.
+    #[inline(always)]
+    pub(crate) fn bool(self) -> Option<bool> {
+        (self.shape == Shape::Bool).then_some(self.raw == "true")
+    }
+
+    /// The value as a string, if it is one.
+    #[inline(always)]
+    pub(crate) fn text(self) -> Option<Text<'a>> {
+        match self.shape {
+            Shape::Str(escaped) => Some(Text {
+                raw: self.raw,
+                escaped,
+            }),
+            _ => None,
+        }
+    }
+
+    /// The value as display text: a number's spelling, `true` /
+    /// `false`, a string's content.
+    pub(crate) fn display(self) -> Cow<'a, str> {
+        match self.text() {
+            Some(text) => text.decode(),
+            None => Cow::Borrowed(self.raw),
+        }
+    }
+
+    fn value(self) -> Value<'a> {
+        match self.shape {
+            Shape::Num => Value::Num(self.raw),
+            Shape::Bool => Value::Bool(self.raw == "true"),
+            Shape::Str(_) => Value::Str(self.display()),
+        }
+    }
+}
+
 /// One parsed trace line: a validated view of its text. Accessors
 /// walk the fields lazily, in document order; the first field of a
 /// name wins.
@@ -144,27 +239,9 @@ impl<'a> Line<'a> {
     /// Returns a [`ParseError`] on malformed input or on nesting
     /// (objects and arrays are outside the trace schema).
     pub fn parse(text: &'a str) -> Result<Line<'a>, ParseError> {
-        Line::parse_with(text, |_, _, _| Ok(()))
-    }
-
-    /// [`Line::parse`], handing each field (and the byte offset just
-    /// past its value) to `visit` as the validating scan meets it, so
-    /// a caller that wants some of the fields pays for one pass.
-    pub(crate) fn parse_with(
-        text: &'a str,
-        mut visit: impl FnMut(&str, Value<'a>, usize) -> Result<(), ParseError>,
-    ) -> Result<Line<'a>, ParseError> {
-        let mut fields = Fields::new(text);
-        while let Some((key, value)) = fields.next() {
-            visit(&key, value, fields.pos)?;
-        }
-        match fields.error {
-            Some(error) => Err(error),
-            None => Ok(Line {
-                text,
-                canonical: fields.canonical,
-            }),
-        }
+        let mut walk = Fields::new(text);
+        while walk.field().is_some() {}
+        walk.finish()
     }
 
     /// The text the line was parsed from.
@@ -177,27 +254,33 @@ impl<'a> Line<'a> {
         Fields::new(self.text)
     }
 
+    /// The first value of `name` as the walk meets it: no other field
+    /// is decoded on the way.
+    fn scalar(&self, name: &str) -> Option<Scalar<'a>> {
+        let mut walk = self.fields();
+        std::iter::from_fn(|| walk.field())
+            .find(|(key, _)| key.is(name))
+            .map(|(_, value)| value)
+    }
+
     /// The value of a field, if present.
     pub fn get(&self, name: &str) -> Option<Value<'a>> {
-        self.fields().find(|(k, _)| k == name).map(|(_, v)| v)
+        self.scalar(name).map(Scalar::value)
     }
 
     /// An unsigned-integer field.
     pub fn u64(&self, name: &str) -> Option<u64> {
-        self.get(name)?.as_u64()
+        self.scalar(name)?.u64()
     }
 
     /// A string field (borrowed unless the value contained escapes).
     pub fn str(&self, name: &str) -> Option<Cow<'a, str>> {
-        match self.get(name)? {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
+        Some(self.scalar(name)?.text()?.decode())
     }
 
     /// A boolean field.
     pub fn bool(&self, name: &str) -> Option<bool> {
-        self.get(name)?.as_bool()
+        self.scalar(name)?.bool()
     }
 
     /// The variant-specific fields — everything except the envelope
@@ -240,10 +323,9 @@ impl<'a> Line<'a> {
 }
 
 /// The scanner behind [`Line`]: yields `(key, value)` pairs in
-/// document order, leaving `pos` just past each value. It ends at the
-/// closing brace or at the first defect, which [`Line::parse`] — that
-/// drives it to the end once — then finds in `error`; over a `Line` it
-/// cannot fail.
+/// document order. Its walk ends at the closing brace or at the first
+/// defect, which [`Line::parse`] — that drives it to the end once —
+/// then reports; over a `Line` it cannot fail.
 #[derive(Debug, Clone)]
 pub struct Fields<'a> {
     text: &'a str,
@@ -256,8 +338,27 @@ pub struct Fields<'a> {
 impl<'a> Iterator for Fields<'a> {
     type Item = (Cow<'a, str>, Value<'a>);
 
-    #[inline]
     fn next(&mut self) -> Option<Self::Item> {
+        let (key, value) = self.field()?;
+        Some((key.decode(), value.value()))
+    }
+}
+
+impl<'a> Fields<'a> {
+    pub(crate) fn new(text: &'a str) -> Self {
+        Fields {
+            text,
+            pos: 0,
+            canonical: true,
+            done: false,
+            error: None,
+        }
+    }
+
+    /// The walk: the next field, its key and value as the text spells
+    /// them, leaving the walk just past the value.
+    #[inline(always)]
+    pub(crate) fn field(&mut self) -> Option<(Text<'a>, Scalar<'a>)> {
         if self.done {
             return None;
         }
@@ -285,21 +386,27 @@ impl<'a> Iterator for Fields<'a> {
         let value = self.value()?;
         Some((key, value))
     }
-}
 
-impl<'a> Fields<'a> {
-    fn new(text: &'a str) -> Self {
-        Fields {
-            text,
-            pos: 0,
-            canonical: true,
-            done: false,
-            error: None,
+    /// Where the walk stands: just past the last value it met.
+    pub(crate) fn at(&self) -> usize {
+        self.pos
+    }
+
+    /// The line, once [`Fields::field`] has returned `None`: validated
+    /// to its end, or refused at its first defect.
+    pub(crate) fn finish(self) -> Result<Line<'a>, ParseError> {
+        match self.error {
+            Some(error) => Err(error),
+            None => Ok(Line {
+                text: self.text,
+                canonical: self.canonical,
+            }),
         }
     }
 
-    /// Ends the scan at a defect: `None` for the caller's `?`.
+    /// Ends the walk at a defect: `None` for the caller's `?`.
     #[cold]
+    #[inline(always)]
     fn fail<T>(&mut self, reason: impl Into<String>) -> Option<T> {
         self.done = true;
         self.error = Some(ParseError {
@@ -309,11 +416,13 @@ impl<'a> Fields<'a> {
         None
     }
 
+    #[inline(always)]
     fn peek(&self) -> Option<u8> {
         self.text.as_bytes().get(self.pos).copied()
     }
 
     /// Skips blanks; the exporter writes none.
+    #[inline(always)]
     fn skip_ws(&mut self) {
         while self.peek().is_some_and(|b| matches!(b, b' ' | b'\t')) {
             self.pos += 1;
@@ -321,6 +430,7 @@ impl<'a> Fields<'a> {
         }
     }
 
+    #[inline(always)]
     fn expect(&mut self, byte: u8) -> Option<()> {
         if self.peek() != Some(byte) {
             self.skip_ws();
@@ -332,134 +442,193 @@ impl<'a> Fields<'a> {
         Some(())
     }
 
-    #[inline]
-    fn value(&mut self) -> Option<Value<'a>> {
+    #[inline(always)]
+    fn value(&mut self) -> Option<Scalar<'a>> {
         self.skip_ws();
         match self.peek() {
-            Some(b'"') => Some(Value::Str(self.string()?)),
-            Some(b't') => self.keyword("true", Value::Bool(true)),
-            Some(b'f') => self.keyword("false", Value::Bool(false)),
-            Some(b'{') | Some(b'[') => self.fail("nested values are outside the flat trace schema"),
-            Some(b) if b.is_ascii_digit() || b == b'-' => {
-                let rest = &self.text.as_bytes()[self.pos..];
-                let len = rest
-                    .iter()
-                    .position(|b| {
-                        !(b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'))
-                    })
-                    .unwrap_or(rest.len());
-                let start = self.pos;
-                self.pos += len;
-                Some(Value::Num(&self.text[start..self.pos]))
+            Some(b'"') => {
+                let Text { raw, escaped } = self.string()?;
+                Some(Scalar {
+                    raw,
+                    shape: Shape::Str(escaped),
+                    int: None,
+                })
             }
+            Some(b) if b.is_ascii_digit() || b == b'-' => Some(self.number()),
+            Some(b't') => self.keyword("true"),
+            Some(b'f') => self.keyword("false"),
+            Some(b'{') | Some(b'[') => self.fail("nested values are outside the flat trace schema"),
             _ => self.fail("expected a value"),
         }
     }
 
-    fn keyword(&mut self, word: &str, value: Value<'a>) -> Option<Value<'a>> {
+    /// A number, from its first byte (a digit or `-`): its digits
+    /// become a `u64` as they are scanned. A sign, a fraction, an
+    /// exponent or a value past `u64::MAX` is kept as spelled, with no
+    /// integer.
+    #[inline(always)]
+    fn number(&mut self) -> Scalar<'a> {
+        let bytes = self.text.as_bytes();
+        let start = self.pos;
+        let mut n = 0u64;
+        while let Some(digit) = bytes.get(self.pos).map(|b| b.wrapping_sub(b'0')) {
+            if digit > 9 {
+                break;
+            }
+            n = n.wrapping_mul(10).wrapping_add(u64::from(digit));
+            self.pos += 1;
+        }
+        let mut n = Some(n);
+        if self.pos - start > 19 {
+            n = bytes[start..self.pos].iter().try_fold(0u64, |n, &b| {
+                n.checked_mul(10)?.checked_add(u64::from(b - b'0'))
+            });
+        }
+        let odd = |b: &u8| matches!(b, b'-' | b'+' | b'.' | b'e' | b'E');
+        if self.pos == start || bytes.get(self.pos).is_some_and(odd) {
+            n = None;
+            while bytes
+                .get(self.pos)
+                .is_some_and(|b| b.is_ascii_digit() || odd(b))
+            {
+                self.pos += 1;
+            }
+        }
+        Scalar {
+            raw: &self.text[start..self.pos],
+            shape: Shape::Num,
+            int: n,
+        }
+    }
+
+    fn keyword(&mut self, word: &'static str) -> Option<Scalar<'a>> {
         if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
-            Some(value)
+            Some(Scalar {
+                raw: word,
+                shape: Shape::Bool,
+                int: None,
+            })
         } else {
             self.fail(format!("expected `{word}`"))
+        }
+    }
+
+    /// A string, from its opening quote to just past its closing one.
+    #[inline(always)]
+    fn string(&mut self) -> Option<Text<'a>> {
+        self.expect(b'"')?;
+        let start = self.pos;
+        let escaped = self.content(None)?;
+        if self.peek() != Some(b'"') {
+            return self.fail("unterminated string");
+        }
+        // Slice bounds sit on ASCII quote bytes: valid `str` boundaries.
+        let raw = &self.text[start..self.pos];
+        self.pos += 1;
+        Some(Text { raw, escaped })
+    }
+
+    /// Walks a string's content up to its closing quote (or the end of
+    /// the text), checking each escape, and decodes it into `out` if
+    /// given. Returns whether the content holds an escape.
+    #[inline(always)]
+    fn content(&mut self, mut out: Option<&mut String>) -> Option<bool> {
+        let mut escaped = false;
+        loop {
+            let run = self.pos;
+            self.plain_run();
+            if let Some(out) = out.as_deref_mut() {
+                out.push_str(&self.text[run..self.pos]);
+            }
+            if self.peek() != Some(b'\\') {
+                return Some(escaped);
+            }
+            escaped = true;
+            let c = self.escape()?;
+            if let Some(out) = out.as_deref_mut() {
+                out.push(c);
+            }
         }
     }
 
     /// Advances to the next quote or backslash (or the end), noting a
     /// raw control character on the way: the exporter would have
     /// escaped it.
+    #[inline(always)]
     fn plain_run(&mut self) {
+        const ONES: u64 = 0x0101_0101_0101_0101;
+        const HIGH: u64 = 0x8080_8080_8080_8080;
         let bytes = self.text.as_bytes();
-        while let Some(stop) = bytes[self.pos..]
-            .iter()
-            .position(|&b| b < 0x20 || b == b'"' || b == b'\\')
-        {
-            self.pos += stop;
-            if bytes[self.pos] >= 0x20 {
-                return;
-            }
-            self.canonical = false;
-            self.pos += 1;
-        }
-        self.pos = bytes.len();
-    }
-
-    #[inline]
-    fn string(&mut self) -> Option<Cow<'a, str>> {
-        self.expect(b'"')?;
-        let start = self.pos;
-        // Fast path: escape-free content is returned as a borrowed
-        // slice of the input (slice bounds always sit on ASCII
-        // quote/backslash bytes, so they are valid `str` boundaries).
-        self.plain_run();
-        match self.peek() {
-            None => self.fail("unterminated string"),
-            Some(b'"') => {
-                let s = &self.text[start..self.pos];
-                self.pos += 1;
-                Some(Cow::Borrowed(s))
-            }
-            Some(_) => self.unescape(start).map(Cow::Owned),
-        }
-    }
-
-    /// The slow path of [`Fields::string`] (a `\` was hit at `pos`):
-    /// decodes into an owned buffer, copying plain runs wholesale
-    /// between escapes.
-    #[cold]
-    fn unescape(&mut self, start: usize) -> Option<String> {
-        let mut out = String::with_capacity(self.pos - start + 16);
-        out.push_str(&self.text[start..self.pos]);
         loop {
-            match self.peek() {
-                None => return self.fail("unterminated string"),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Some(out);
+            // Eight bytes at a time: the high bit of a byte is set in
+            // `stops` where the byte is a quote, a backslash or below
+            // 0x20. A borrow only carries upwards, so the lowest set
+            // bit marks the first such byte.
+            if let Some(word) = bytes.get(self.pos..self.pos + 8) {
+                let v = u64::from_le_bytes(word.try_into().expect("eight bytes"));
+                let zero = |x: u64| x.wrapping_sub(ONES) & !x;
+                let below_space = v.wrapping_sub(ONES * 0x20) & !v;
+                let stops = (zero(v ^ (ONES * u64::from(b'"')))
+                    | zero(v ^ (ONES * u64::from(b'\\')))
+                    | below_space)
+                    & HIGH;
+                if stops == 0 {
+                    self.pos += 8;
+                    continue;
                 }
-                Some(b'\\') => {
+                self.pos += stops.trailing_zeros() as usize / 8;
+            } else {
+                while bytes
+                    .get(self.pos)
+                    .is_some_and(|&b| b >= 0x20 && b != b'"' && b != b'\\')
+                {
                     self.pos += 1;
-                    let escape = self.peek();
-                    self.canonical &= matches!(escape, Some(b'"' | b'\\' | b'u'));
-                    match escape {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'u') => {
-                            let hex = self.text.as_bytes().get(self.pos + 1..self.pos + 5);
-                            let decoded = hex
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .and_then(char::from_u32);
-                            match decoded {
-                                Some(c) => {
-                                    // The exporter spells only control
-                                    // characters this way: `\u00` and
-                                    // two lower-case digits.
-                                    self.canonical &= c < ' '
-                                        && hex.is_some_and(|h| {
-                                            h.starts_with(b"00") && !h[3].is_ascii_uppercase()
-                                        });
-                                    out.push(c);
-                                    self.pos += 4;
-                                }
-                                None => return self.fail("bad \\u escape"),
-                            }
-                        }
-                        _ => return self.fail("bad escape"),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    let run = self.pos;
-                    self.plain_run();
-                    out.push_str(&self.text[run..self.pos]);
                 }
             }
+            match bytes.get(self.pos) {
+                Some(&b) if b < 0x20 => {
+                    self.canonical = false;
+                    self.pos += 1;
+                }
+                _ => return,
+            }
         }
+    }
+
+    /// Reads the escape whose backslash is at `pos` and steps past it,
+    /// noting one the exporter would not have written: it spells only
+    /// `\"`, `\\` and a control character's lower-case `\u00xx`.
+    #[cold]
+    fn escape(&mut self) -> Option<char> {
+        self.pos += 1;
+        let escape = self.peek();
+        self.canonical &= matches!(escape, Some(b'"' | b'\\' | b'u'));
+        let c = match escape {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'n') => '\n',
+            Some(b't') => '\t',
+            Some(b'r') => '\r',
+            Some(b'u') => {
+                let hex = self.text.as_bytes().get(self.pos + 1..self.pos + 5);
+                let decoded = hex
+                    .and_then(|h| std::str::from_utf8(h).ok())
+                    .and_then(|h| u32::from_str_radix(h, 16).ok())
+                    .and_then(char::from_u32);
+                let Some(c) = decoded else {
+                    return self.fail("bad \\u escape");
+                };
+                self.canonical &= c < ' '
+                    && hex.is_some_and(|h| h.starts_with(b"00") && !h[3].is_ascii_uppercase());
+                self.pos += 4;
+                c
+            }
+            _ => return self.fail("bad escape"),
+        };
+        self.pos += 1;
+        Some(c)
     }
 }
 
@@ -557,5 +726,58 @@ mod tests {
             "escaped backslash then q"
         );
         assert!(Line::parse("{\"a\":\"bad\\u12\"}").is_err());
+    }
+
+    #[test]
+    fn a_string_stops_at_its_first_quote_backslash_or_control_byte() {
+        // The plain run reads eight bytes at a time: put each stop byte
+        // at every offset of the first words, after one- to four-byte
+        // characters.
+        for lead in ["", "é", "漢", "🚍"] {
+            for offset in 0..20 {
+                let head = format!("{lead}{}", "x".repeat(offset));
+                for (stop, decoded, rendered) in [
+                    ("\\\"", "\"", "\\\""),
+                    ("\\\\", "\\", "\\\\"),
+                    ("\t", "\t", "\\u0009"),
+                    ("\u{1f}", "\u{1f}", "\\u001f"),
+                ] {
+                    let text = format!("{{\"a\":\"{head}{stop}yz\"}}");
+                    let line = Line::parse(&text).unwrap();
+                    let value = format!("{head}{decoded}yz");
+                    assert_eq!(line.str("a").as_deref(), Some(value.as_str()), "{text}");
+                    assert_eq!(line.render(), format!("{{\"a\":\"{head}{rendered}yz\"}}"));
+                }
+                let cut = format!("{{\"a\":\"{head}\"x\"}}");
+                let error = Line::parse(&cut).unwrap_err();
+                assert_eq!(
+                    (error.reason.as_str(), error.at),
+                    ("expected `,` or `}`", 7 + head.len())
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn digits_make_a_u64_only_when_the_spelling_is_one() {
+        for (spelling, n) in [
+            ("0", Some(0)),
+            ("007", Some(7)),
+            ("18446744073709551615", Some(u64::MAX)),
+            ("18446744073709551616", None),
+            ("123456789012345678901234", None),
+            ("-3", None),
+            ("-", None),
+            ("1.5", None),
+            ("2e3", None),
+            ("12-3", None),
+        ] {
+            let text = format!("{{\"n\":{spelling}}}");
+            let line = Line::parse(&text).unwrap();
+            assert_eq!(line.u64("n"), n, "{spelling}");
+            assert_eq!(line.u64("n"), spelling.parse().ok(), "{spelling}");
+            assert_eq!(line.get("n"), Some(Value::Num(spelling)));
+            assert_eq!(line.render(), text);
+        }
     }
 }

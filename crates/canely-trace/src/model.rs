@@ -9,8 +9,9 @@
 //! line when a query asks for it.
 
 use std::borrow::Cow;
+use std::sync::OnceLock;
 
-use crate::json::{Line, ParseError, Value};
+use crate::json::{Fields, Line, ParseError, Scalar, Text};
 
 /// A cause reference, as spelled in the `cause` field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -122,12 +123,26 @@ pub struct TraceModel<'a> {
     // The two cause-reference look-ups, sorted: `((seg, seq), event)`
     // and, of the delivered transactions, `((seg, deliver), tx)`.
     // References are segment-local: each segment's log has its own
-    // sequence space and its own bus timeline.
-    by_seq: Vec<(CauseKey, usize)>,
-    by_deliver: Vec<(CauseKey, usize)>,
+    // sequence space and its own bus timeline. Each is built when a
+    // cause is first resolved: a summary, a phase profile, a Chrome
+    // export or a re-export resolves none.
+    by_seq: OnceLock<Vec<(CauseKey, usize)>>,
+    by_deliver: OnceLock<Vec<(CauseKey, usize)>>,
 }
 
 type CauseKey = (Option<u8>, u64);
+
+/// A cause look-up over `entries`. An entry carries its record's
+/// index, so a stable sort orders them as an unstable one would, and
+/// it is linear on the runs an export writes: seqs and deliveries
+/// ascend, bar a crash marker's seq.
+fn look_up(entries: impl Iterator<Item = (CauseKey, usize)>) -> Vec<(CauseKey, usize)> {
+    let mut index: Vec<_> = entries.collect();
+    if !index.is_sorted() {
+        index.sort();
+    }
+    index
+}
 
 /// The record a sorted `index` holds for `key`: of several, the last
 /// in the document.
@@ -186,28 +201,112 @@ pub fn parse_node_set(text: &str) -> Vec<u8> {
         .collect()
 }
 
-/// The slot of an envelope key — the fields [`TraceModel::parse`] reads
-/// into a record; every other field stays in its line and is read on
-/// demand.
+/// The envelope of one line: of each key a record is built from, the
+/// first value, kept if it has the type the record reads (a mistyped
+/// one reads as absent). Every other field stays in its line and is
+/// read on demand.
+#[derive(Default)]
+struct Envelope<'a> {
+    /// One bit per key met so far: the first field of a name wins.
+    seen: u16,
+    t: Option<u64>,
+    seg: Option<u64>,
+    seq: Option<u64>,
+    node: Option<u64>,
+    bus_free: Option<u64>,
+    deliver: Option<u64>,
+    queued: Option<u64>,
+    arb_losses: Option<u64>,
+    kind: Option<Text<'a>>,
+    cause: Option<Text<'a>>,
+    mid: Option<Text<'a>>,
+    transmitters: Option<Text<'a>>,
+    delivered: Option<bool>,
+    errored: Option<bool>,
+    /// Where the values of `t` and `queued` end: what the refusal of a
+    /// transmission points at.
+    t_at: usize,
+    queued_at: usize,
+}
+
+/// Fills `slot` from the first field of its name only, `bit` marking
+/// the name met; true if this was that field.
 #[inline(always)]
-fn envelope_slot(name: &str) -> Option<usize> {
-    Some(match name {
-        "t" => 0,
-        "seg" => 1,
-        "seq" => 2,
-        "node" => 3,
-        "kind" => 4,
-        "cause" => 5,
-        "bus_free" => 6,
-        "deliver" => 7,
-        "queued" => 8,
-        "arb_losses" => 9,
-        "mid" => 10,
-        "transmitters" => 11,
-        "delivered" => 12,
-        "errored" => 13,
-        _ => return None,
-    })
+fn first<T>(seen: &mut u16, bit: u16, slot: &mut Option<T>, value: Option<T>) -> bool {
+    let fresh = *seen & bit == 0;
+    if fresh {
+        *seen |= bit;
+        *slot = value;
+    }
+    fresh
+}
+
+/// Refuses a segment or node id that does not fit the model's byte.
+fn byte_id(name: &str, id: Option<u64>, at: usize) -> Result<(), ParseError> {
+    match id {
+        Some(n @ 256..) => Err(ParseError {
+            reason: format!("{name} {n} is out of range"),
+            at,
+        }),
+        _ => Ok(()),
+    }
+}
+
+impl<'a> Envelope<'a> {
+    /// Takes one field as the walk meets it; its value ends at byte
+    /// `at`.
+    #[inline(always)]
+    fn take(&mut self, key: Text<'a>, value: Scalar<'a>, at: usize) -> Result<(), ParseError> {
+        let seen = &mut self.seen;
+        let (num, text, flag) = (value.u64(), value.text(), value.bool());
+        match &*key.decode() {
+            "t" if first(seen, 1, &mut self.t, num) => self.t_at = at,
+            "seg" if first(seen, 1 << 1, &mut self.seg, num) => return byte_id("seg", num, at),
+            "seq" => _ = first(seen, 1 << 2, &mut self.seq, num),
+            "node" if first(seen, 1 << 3, &mut self.node, num) => return byte_id("node", num, at),
+            "kind" => _ = first(seen, 1 << 4, &mut self.kind, text),
+            "cause" => _ = first(seen, 1 << 5, &mut self.cause, text),
+            "bus_free" => _ = first(seen, 1 << 6, &mut self.bus_free, num),
+            "deliver" => _ = first(seen, 1 << 7, &mut self.deliver, num),
+            "queued" if first(seen, 1 << 8, &mut self.queued, num) => self.queued_at = at,
+            "arb_losses" => _ = first(seen, 1 << 9, &mut self.arb_losses, num),
+            "mid" => _ = first(seen, 1 << 10, &mut self.mid, text),
+            "transmitters" => _ = first(seen, 1 << 11, &mut self.transmitters, text),
+            "delivered" => _ = first(seen, 1 << 12, &mut self.delivered, flag),
+            "errored" => _ = first(seen, 1 << 13, &mut self.errored, flag),
+            _ => {}
+        }
+        Ok(())
+    }
+
+    /// Refuses a transmission no export writes, and would give a phase
+    /// profile a negative duration: one queued after it started, or
+    /// one that starts while its segment's bus is still busy with the
+    /// one before (each segment has one serialized bus). `idle` holds,
+    /// per segment, the instant its bus last went idle.
+    fn check_transmission(&self, tx: &BusTx<'_>, idle: &mut [u64; 257]) -> Result<(), ParseError> {
+        if tx.queued > tx.start {
+            return Err(ParseError {
+                reason: format!(
+                    "queued {} is after the transmission start {}",
+                    tx.queued, tx.start
+                ),
+                at: self.queued_at,
+            });
+        }
+        let idle = &mut idle[tx.seg.map_or(0, |s| usize::from(s) + 1)];
+        if tx.start < *idle {
+            return Err(ParseError {
+                reason: format!(
+                    "transmission at {} overlaps the one before, busy until {}",
+                    tx.start, *idle
+                ),
+                at: self.t_at,
+            });
+        }
+        *idle = (*idle).max(tx.bus_free);
+        Ok(())
+    }
 }
 
 impl<'a> TraceModel<'a> {
@@ -217,55 +316,38 @@ impl<'a> TraceModel<'a> {
     ///
     /// Returns the first malformed line.
     pub fn parse(text: &'a str) -> Result<TraceModel<'a>, TraceError> {
-        // Sized once: a record is a line, and no line that carries an
-        // instant is shorter than `{"t":1}` and its newline.
-        let newlines = text.matches('\n').count();
-        let records = (newlines + 1).min(text.len() / 8 + 1);
+        // Sized once from the length, no newline count: the exporter's
+        // lines average over 100 bytes, so an export fills `lines` and
+        // `events` without regrowing them.
+        let records = text.len() / 100 + 1;
         let mut model = TraceModel {
             lines: Vec::with_capacity(records),
             bus: Vec::new(),
             events: Vec::with_capacity(records),
-            by_seq: Vec::with_capacity(records),
-            by_deliver: Vec::new(),
+            by_seq: OnceLock::new(),
+            by_deliver: OnceLock::new(),
         };
+        let mut idle = [0; 257];
         for (lineno, raw) in text.lines().enumerate() {
             if raw.trim().is_empty() {
                 continue;
             }
-            // One pass validates the line and keeps the first value of
-            // each envelope key for the record under construction.
-            let mut envelope: [Option<Value<'a>>; 14] = Default::default();
-            let line = Line::parse_with(raw, |name, value, at| {
-                let Some(slot) = envelope_slot(name).filter(|&slot| envelope[slot].is_none())
-                else {
-                    return Ok(());
-                };
-                if let ("seg" | "node", Some(n @ 256..)) = (name, value.as_u64()) {
-                    return Err(ParseError {
-                        reason: format!("{name} {n} is out of range"),
-                        at,
-                    });
-                }
-                envelope[slot] = Some(value);
-                Ok(())
-            })
-            .map_err(|error| TraceError {
+            let refuse = |error| TraceError {
                 line: lineno + 1,
                 error,
-            })?;
-            let field = |name| envelope[envelope_slot(name).expect("an envelope key")].as_ref();
-            let num = |name| field(name).and_then(Value::as_u64);
-            let flag = |name| field(name).and_then(Value::as_bool);
-            let string = |name| match field(name) {
-                Some(Value::Str(s)) => Some(s.clone()),
-                _ => None,
             };
+            // One walk validates the line and fills the envelope.
+            let mut walk = Fields::new(raw);
+            let mut envelope = Envelope::default();
+            while let Some((key, value)) = walk.field() {
+                envelope.take(key, value, walk.at()).map_err(refuse)?;
+            }
+            let line = walk.finish().map_err(refuse)?;
             let index = model.lines.len();
-            let seg = num("seg").map(|s| s as u8); // in range: checked above
-            let t = num("t").unwrap_or(0);
-            let kind = string("kind");
-            if kind.as_deref() == Some("bus.tx") {
-                let bus_free = num("bus_free").unwrap_or(0);
+            let seg = envelope.seg.map(|s| s as u8); // in range: checked above
+            let t = envelope.t.unwrap_or(0);
+            if envelope.kind.is_some_and(|kind| kind.is("bus.tx")) {
+                let bus_free = envelope.bus_free.unwrap_or(0);
                 let tx = BusTx {
                     line: index,
                     seg,
@@ -273,40 +355,37 @@ impl<'a> TraceModel<'a> {
                     bus_free,
                     // Pre-profiling traces lack the deliver/queued
                     // fields; fall back to the closest older notion.
-                    deliver: num("deliver").unwrap_or(bus_free),
-                    queued: num("queued").unwrap_or(t),
-                    arb_losses: num("arb_losses").unwrap_or(0),
-                    mid: string("mid").unwrap_or(Cow::Borrowed("-")),
-                    transmitters: string("transmitters")
-                        .map(|set| parse_node_set(&set))
+                    deliver: envelope.deliver.unwrap_or(bus_free),
+                    queued: envelope.queued.unwrap_or(t),
+                    arb_losses: envelope.arb_losses.unwrap_or(0),
+                    mid: envelope.mid.map_or(Cow::Borrowed("-"), Text::decode),
+                    transmitters: envelope
+                        .transmitters
+                        .map(|set| parse_node_set(&set.decode()))
                         .unwrap_or_default(),
-                    delivered: flag("delivered").unwrap_or(false),
-                    errored: flag("errored").unwrap_or(false),
+                    delivered: envelope.delivered.unwrap_or(false),
+                    errored: envelope.errored.unwrap_or(false),
                 };
-                if tx.delivered {
-                    model.by_deliver.push(((seg, tx.deliver), model.bus.len()));
-                }
+                envelope
+                    .check_transmission(&tx, &mut idle)
+                    .map_err(refuse)?;
                 model.bus.push(tx);
             } else {
                 let event = Event {
                     line: index,
                     seg,
                     t,
-                    seq: num("seq"),
-                    node: num("node").unwrap_or(0) as u8, // likewise
-                    kind: kind.unwrap_or(Cow::Borrowed("")),
-                    cause: string("cause").and_then(|cause| CauseRef::parse(&cause)),
+                    seq: envelope.seq,
+                    node: envelope.node.unwrap_or(0) as u8, // likewise
+                    kind: envelope.kind.map_or(Cow::Borrowed(""), Text::decode),
+                    cause: envelope
+                        .cause
+                        .and_then(|cause| CauseRef::parse(&cause.decode())),
                 };
-                if let Some(seq) = event.seq {
-                    model.by_seq.push(((seg, seq), model.events.len()));
-                }
                 model.events.push(event);
             }
             model.lines.push(line);
         }
-        // An export is all but sorted this way already.
-        model.by_seq.sort_unstable();
-        model.by_deliver.sort_unstable();
         Ok(model)
     }
 
@@ -336,7 +415,15 @@ impl<'a> TraceModel<'a> {
 
     /// The event with log sequence number `seq` on segment `seg`.
     pub fn event_by_seq_in(&self, seg: Option<u8>, seq: u64) -> Option<&Event<'a>> {
-        last_of(&self.by_seq, (seg, seq)).map(|i| &self.events[i])
+        let index = self.by_seq.get_or_init(|| {
+            look_up(
+                self.events
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(i, e)| Some(((e.seg, e.seq?), i))),
+            )
+        });
+        last_of(index, (seg, seq)).map(|i| &self.events[i])
     }
 
     /// The delivered bus transaction with delivery instant `deliver`
@@ -348,7 +435,11 @@ impl<'a> TraceModel<'a> {
     /// The delivered bus transaction with delivery instant `deliver`
     /// on segment `seg`.
     pub fn bus_by_deliver_in(&self, seg: Option<u8>, deliver: u64) -> Option<&BusTx<'a>> {
-        last_of(&self.by_deliver, (seg, deliver)).map(|i| &self.bus[i])
+        let index = self.by_deliver.get_or_init(|| {
+            let delivered = self.bus.iter().enumerate().filter(|(_, tx)| tx.delivered);
+            look_up(delivered.map(|(i, tx)| ((tx.seg, tx.deliver), i)))
+        });
+        last_of(index, (seg, deliver)).map(|i| &self.bus[i])
     }
 
     /// Resolves an event's causal parent, if it has one and the
@@ -386,10 +477,12 @@ impl<'a> TraceModel<'a> {
             .max_by_key(|e| (e.t, e.seq))
     }
 
-    /// Total bus-busy time overlapping the half-open window `[a, b)`.
-    pub fn busy_between(&self, a: u64, b: u64) -> u64 {
+    /// Total time the bus of segment `seg` was busy in the half-open
+    /// window `[a, b)`.
+    pub fn busy_between(&self, seg: Option<u8>, a: u64, b: u64) -> u64 {
         self.bus
             .iter()
+            .filter(|tx| tx.seg == seg)
             .map(|tx| tx.bus_free.min(b).saturating_sub(tx.start.max(a)))
             .sum()
     }
@@ -490,9 +583,10 @@ mod tests {
     #[test]
     fn busy_time_clips_to_the_window() {
         let model = TraceModel::parse(DOC).unwrap();
-        assert_eq!(model.busy_between(0, 100), 58);
-        assert_eq!(model.busy_between(10, 20), 10);
-        assert_eq!(model.busy_between(60, 100), 0);
+        assert_eq!(model.busy_between(None, 0, 100), 58);
+        assert_eq!(model.busy_between(None, 10, 20), 10);
+        assert_eq!(model.busy_between(None, 60, 100), 0);
+        assert_eq!(model.busy_between(Some(0), 0, 100), 0);
     }
 
     #[test]

@@ -158,8 +158,11 @@ fn profile_one(model: &TraceModel<'_>, suspect: u8, crashed_at: u64, horizon: u6
         tx.delivered && tx.msg_type() == "FDA" && tx.subject() == Some(suspect) && window(tx.start)
     });
     if let Some(tx) = frame {
+        // The reader refuses a frame queued after its start and a
+        // segment whose transmissions overlap, so the frame's own bus
+        // was busy for at most the whole wait.
         let wait = tx.start - tx.queued;
-        let busy = model.busy_between(tx.queued, tx.start);
+        let busy = model.busy_between(tx.seg, tx.queued, tx.start);
         d.samples.push(("queuing", wait - busy));
         d.samples.push(("arbitration", busy));
         d.spans.push(PhaseSpan {
@@ -200,20 +203,31 @@ fn profile_one(model: &TraceModel<'_>, suspect: u8, crashed_at: u64, horizon: u6
                 && model.line_of(e).u64("failed") == Some(u64::from(suspect))
         })
         .collect();
+    // The events an observer's phases end at, in document order: each
+    // observer searches these instead of the whole trace.
+    let ends: Vec<&crate::model::Event<'_>> = model
+        .events
+        .iter()
+        .filter(|e| {
+            e.t < horizon
+                && matches!(
+                    e.kind.as_ref(),
+                    "rha.started" | "rha.settled" | "view.installed" | "view.bootstrap"
+                )
+        })
+        .collect();
     for notified in observers {
         let node = notified.node;
         d.detection.push(notified.t - crashed_at);
         let at = |kind: &str, from: u64| {
-            model
-                .events
-                .iter()
-                .find(|e| e.kind == kind && e.node == node && e.t >= from && e.t < horizon)
+            ends.iter()
+                .copied()
+                .find(|e| e.kind == kind && e.node == node && e.t >= from)
         };
-        let installed = model.events.iter().find(|e| {
+        let installed = ends.iter().copied().find(|e| {
             (e.kind == "view.installed" || e.kind == "view.bootstrap")
                 && e.node == node
                 && e.t >= notified.t
-                && e.t < horizon
                 && model
                     .line_of(e)
                     .str("view")
@@ -336,6 +350,22 @@ mod tests {
         for span in spans {
             assert!(span.start <= span.end, "{span:?}");
         }
+    }
+
+    #[test]
+    fn a_sign_waits_only_on_its_own_segments_bus() {
+        // Segment 1's failure sign queues at 6000 and starts at 6100,
+        // behind a life-sign on its own bus for 60 bit-times; segment
+        // 0's bus is busy for the whole wait, which is not the sign's.
+        let doc = "\
+{\"t\":1000,\"seg\":1,\"seq\":0,\"node\":2,\"kind\":\"node.crashed\"}\n\
+{\"t\":6000,\"seg\":0,\"kind\":\"bus.tx\",\"mid\":\"ELS[0,n1]\",\"transmitters\":\"{1}\",\"bus_free\":6100,\"queued\":6000,\"delivered\":true}\n\
+{\"t\":6010,\"seg\":1,\"kind\":\"bus.tx\",\"mid\":\"ELS[0,n1]\",\"transmitters\":\"{1}\",\"bus_free\":6070,\"queued\":6010,\"delivered\":true}\n\
+{\"t\":6100,\"seg\":1,\"kind\":\"bus.tx\",\"mid\":\"FDA[0,n2]\",\"transmitters\":\"{0}\",\"bus_free\":6160,\"deliver\":6155,\"queued\":6000,\"delivered\":true}\n";
+        let model = TraceModel::parse(doc).unwrap();
+        let d = &PhaseProfile::of(&model).detections[0];
+        assert_eq!(sample(d, "arbitration"), vec![60]);
+        assert_eq!(sample(d, "queuing"), vec![40]);
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! truncated exports, non-UTF-8, absurd nesting and records with
 //! duplicated or missing schema keys all come back from
 //! [`TraceModel::parse`] as a model or as a `line N: …` message — and
-//! a model built from a hostile document still profiles.
+//! a model built from a hostile document still profiles, crashes and
+//! their failure signs included.
 
 use canely_trace::{PhaseProfile, TraceModel};
 use proptest::prelude::*;
@@ -33,6 +34,7 @@ const FIELDS: &[&str] = &[
     "\"kind\":\"bus.tx\"",
     "\"kind\":\"fd.suspect\"",
     "\"kind\":\"view.installed\"",
+    "\"kind\":\"node.crashed\"",
     "\"kind\":7",
     "\"seq\":3",
     "\"seq\":-3",
@@ -57,11 +59,38 @@ const FIELDS: &[&str] = &[
     "\"view\":\"{0,1\"",
 ];
 
+/// Whole records of a crash and its failure sign, for the profile to
+/// decompose: node 2 crashes at 1000 and its sign, queued at 1000,
+/// starts at 1200 — or claims to be queued at 5000, after it started;
+/// and two transmissions that overlap inside the sign's wait, so the
+/// bus was busy for longer than the wait lasted.
+const RECORDS: &[&str] = &[
+    CRASH,
+    SIGN,
+    LATE_SIGN,
+    OVERLAPPING_SPANS,
+    "{\"t\":6155,\"seq\":1,\"node\":0,\"kind\":\"fda.delivered\",\"failed\":2}",
+];
+const CRASH: &str = "{\"t\":1000,\"seq\":0,\"node\":2,\"kind\":\"node.crashed\"}";
+const SIGN: &str = "{\"t\":1200,\"kind\":\"bus.tx\",\"mid\":\"FDA[0,n2]\",\"transmitters\":\"{0}\",\"bus_free\":1260,\"deliver\":1255,\"queued\":1000,\"delivered\":true}";
+const LATE_SIGN: &str = "{\"t\":1200,\"kind\":\"bus.tx\",\"mid\":\"FDA[0,n2]\",\"transmitters\":\"{0}\",\"bus_free\":1260,\"deliver\":1255,\"queued\":5000,\"delivered\":true}";
+const OVERLAPPING_SPANS: &str = "\
+{\"t\":1000,\"kind\":\"bus.tx\",\"mid\":\"ELS[0,n1]\",\"transmitters\":\"{1}\",\"bus_free\":1150,\"delivered\":true}
+{\"t\":1050,\"kind\":\"bus.tx\",\"mid\":\"ELS[0,n3]\",\"transmitters\":\"{3}\",\"bus_free\":1190,\"delivered\":true}";
+
+/// A record of schema fields, or one of the whole [`RECORDS`].
 fn arb_record() -> impl Strategy<Value = String> {
-    prop::collection::vec(0..FIELDS.len(), 0..10).prop_map(|picks| {
-        let fields: Vec<&str> = picks.into_iter().map(|i| FIELDS[i]).collect();
-        format!("{{{}}}", fields.join(","))
-    })
+    (
+        prop::collection::vec(0..FIELDS.len(), 0..10),
+        0..2 * RECORDS.len(),
+    )
+        .prop_map(|(picks, whole)| match RECORDS.get(whole) {
+            Some(record) => record.to_string(),
+            None => {
+                let fields: Vec<&str> = picks.into_iter().map(|i| FIELDS[i]).collect();
+                format!("{{{}}}", fields.join(","))
+            }
+        })
 }
 
 proptest! {
@@ -116,6 +145,26 @@ fn out_of_range_ids_are_refused_not_truncated() {
         let doc =
             format!("{{\"t\":0,\"seg\":255,\"node\":255,\"kind\":\"node.crashed\"}}\n{record}\n");
         let error = TraceModel::parse(&doc).expect_err(record);
+        assert_eq!(error.to_string(), message);
+    }
+}
+
+/// The two transmissions no export writes, which gave a profiled
+/// failure sign a negative wait or a bus busier than the wait, are
+/// refused on their line.
+#[test]
+fn a_sign_queued_late_or_waiting_on_overlaps_is_refused() {
+    for (doc, message) in [
+        (
+            format!("{CRASH}\n{LATE_SIGN}\n"),
+            "line 2: queued 5000 is after the transmission start 1200 (at byte 109)",
+        ),
+        (
+            format!("{CRASH}\n{OVERLAPPING_SPANS}\n{SIGN}\n"),
+            "line 3: transmission at 1050 overlaps the one before, busy until 1150 (at byte 9)",
+        ),
+    ] {
+        let error = TraceModel::parse(&doc).expect_err(&doc);
         assert_eq!(error.to_string(), message);
     }
 }

@@ -267,7 +267,7 @@ fn assert_same_line(text: &str) -> Result<(), TestCaseError> {
 /// each event's cause resolves to, and the line a refusal names.
 fn assert_same_document(text: &str) -> Result<(), TestCaseError> {
     let new = TraceModel::parse(text);
-    // The one intended difference: a `seg` or `node` above 255 was
+    // The intended differences: a `seg` or `node` above 255 was
     // truncated by the reference and is refused now, on its line.
     if let Err(range) = &new {
         if range.error.reason.ends_with(" is out of range") {
@@ -288,14 +288,25 @@ fn assert_same_document(text: &str) -> Result<(), TestCaseError> {
                     line
                 );
             }
-            let before: String = text
-                .lines()
-                .take(range.line - 1)
-                .map(|l| format!("{l}\n"))
-                .collect();
-            prop_assert!(reference::Model::parse(&before).is_ok(), "{:?}", before);
-            return Ok(());
+            return assert_same_document(&before(text, range.line));
         }
+    }
+    // So is a transmission no export writes, which the reference read.
+    if let Some((line, reason, key)) = unserialized(text) {
+        let Err(refusal) = &new else {
+            return Err(TestCaseError::fail(format!(
+                "line {line} ({reason}) is read: {text:?}"
+            )));
+        };
+        prop_assert_eq!(
+            (refusal.line, &refusal.error.reason),
+            (line, &reason),
+            "{:?}",
+            text
+        );
+        let refused = text.lines().nth(line - 1).expect("the named line exists");
+        assert_value_ends_at(refused, key, refusal.error.at)?;
+        return assert_same_document(&before(text, line));
     }
     let (model, old) = match (new, reference::Model::parse(text)) {
         (Ok(model), Ok(old)) => (model, old),
@@ -357,6 +368,64 @@ fn assert_same_document(text: &str) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+/// The lines of `text` before its `line`-th, each `\n`-terminated.
+fn before(text: &str, line: usize) -> String {
+    text.lines()
+        .take(line - 1)
+        .map(|l| format!("{l}\n"))
+        .collect()
+}
+
+/// Where the reader refuses a transmission the reference reads: the
+/// first one queued after its start or starting before its segment's
+/// bus went idle, as its line, the reason and the field whose value
+/// the refusal points past. Found from the reference's reading of each
+/// line; `None` if a line it refuses comes first.
+fn unserialized(text: &str) -> Option<(usize, String, &'static str)> {
+    let mut idle = std::collections::HashMap::new();
+    for (i, raw) in text.lines().enumerate() {
+        if raw.trim().is_empty() {
+            continue;
+        }
+        let line = reference::Line::parse(raw).ok()?;
+        if line.str("kind") != Some("bus.tx") {
+            continue;
+        }
+        let start = line.u64("t").unwrap_or(0);
+        let queued = line.u64("queued").unwrap_or(start);
+        if queued > start {
+            let reason = format!("queued {queued} is after the transmission start {start}");
+            return Some((i + 1, reason, "queued"));
+        }
+        let idle = idle.entry(line.u64("seg")).or_insert(0);
+        if start < *idle {
+            let reason =
+                format!("transmission at {start} overlaps the one before, busy until {idle}");
+            return Some((i + 1, reason, "t"));
+        }
+        *idle = (*idle).max(line.u64("bus_free").unwrap_or(0));
+    }
+    None
+}
+
+/// `at` is the byte just past the value of `line`'s first `key` field
+/// (0 if it has none): the line cut there and closed reads as an object
+/// whose last field is that first `key`.
+fn assert_value_ends_at(line: &str, key: &str, at: usize) -> Result<(), TestCaseError> {
+    let old = reference::Line::parse(line).expect("the refused line is read");
+    if old.get(key).is_none() {
+        prop_assert_eq!(at, 0, "{:?}", line);
+        return Ok(());
+    }
+    let closed = format!("{}}}", &line[..at]);
+    let head = reference::Line::parse(&closed)
+        .map_err(|e| TestCaseError::fail(format!("{e} in {:?} cut at {at}", line)))?;
+    let keys: Vec<&str> = head.fields.iter().map(|(k, _)| k.as_ref()).collect();
+    prop_assert_eq!(keys.last(), Some(&key), "{:?} cut at {}", line, at);
+    prop_assert_eq!(keys.iter().filter(|&&k| k == key).count(), 1);
+    Ok(())
+}
+
 /// The raw text of a JSON string body, escapes and all.
 fn arb_string_body() -> impl Strategy<Value = String> {
     prop::collection::vec(arb_token(), 0..6).prop_map(|tokens| tokens.concat())
@@ -391,7 +460,7 @@ fn arb_key() -> impl Strategy<Value = String> {
 /// A value as spelled in a line: every scalar shape the grammar takes,
 /// and nesting, which it refuses.
 fn arb_value() -> impl Strategy<Value = String> {
-    (0u8..16, any::<u64>(), arb_string_body()).prop_map(|(pick, n, body)| match pick {
+    (0u8..18, any::<u64>(), arb_string_body()).prop_map(|(pick, n, body)| match pick {
         0 => "true".to_string(),
         1 => "false".to_string(),
         2 => n.to_string(),
@@ -405,6 +474,9 @@ fn arb_value() -> impl Strategy<Value = String> {
         10 => "[1]".to_string(),
         11 => "tru".to_string(),
         12 => "\"x\ty\"".to_string(),
+        // Past 19 digits: a `u64` or, mostly, past its range.
+        13 => format!("{n}{}", n % 1000),
+        14 => format!("1844674407370955161{}", n % 10),
         _ => format!("\"{body}\""),
     })
 }
@@ -438,50 +510,170 @@ fn arb_line() -> impl Strategy<Value = String> {
     })
 }
 
+/// The draw behind one exporter-shaped record: its shape, instant,
+/// segment, sequence number and node.
+type RecordDraw = (u8, u64, u64, u64, u64);
+
+fn arb_record_draw() -> impl Strategy<Value = RecordDraw> {
+    (0u8..8, 0u64..12, 0u64..3, 0u64..4, 0u64..8)
+}
+
 /// One record in the exporter's own shape (or a blank line), with
 /// in-range ids drawn from so few instants and sequence numbers that
 /// documents of them repeat keys, record them out of order and
-/// resolve causes across lines.
-fn arb_record() -> impl Strategy<Value = String> {
-    (0u8..8, 0u64..12, 0u64..3, 0u64..4, 0u64..8).prop_map(|(pick, t, seg, seq, node)| {
-        let t = t * 250;
-        let seg = if seg == 2 {
-            String::new()
-        } else {
-            format!(",\"seg\":{seg}")
-        };
-        match pick {
-            0 | 1 => format!(
-                "{{\"t\":{t}{seg},\"kind\":\"bus.tx\",\"mid\":\"FDA[0,n{node}]\",\
+/// resolve causes across lines. A transmission is delivered at its
+/// drawn instant; it starts and is queued at `start_queued`, or at that
+/// instant.
+fn exporter_record(
+    (pick, t, seg, seq, node): RecordDraw,
+    start_queued: Option<(u64, u64)>,
+) -> String {
+    let t = t * 250;
+    let seg = if seg == 2 {
+        String::new()
+    } else {
+        format!(",\"seg\":{seg}")
+    };
+    match pick {
+        0 | 1 => {
+            let (start, queued) = start_queued.unwrap_or((t, t));
+            format!(
+                "{{\"t\":{start}{seg},\"kind\":\"bus.tx\",\"mid\":\"FDA[0,n{node}]\",\
                  \"transmitters\":\"{{{node},{seq}}}\",\"bus_free\":{},\"deliver\":{t},\
-                 \"queued\":{t},\"arb_losses\":0,\"delivered\":{},\"errored\":false}}",
-                t + 60,
+                 \"queued\":{queued},\"arb_losses\":0,\"delivered\":{},\"errored\":false}}",
+                start + 60,
                 node != 0
-            ),
-            2..=4 => format!(
-                "{{\"t\":{t}{seg},\"seq\":{seq},\"node\":{node},\"kind\":\"fd.suspect\",\
-                 \"suspect\":{seq},\"cause\":\"event:{}\"}}",
-                (seq + 1) % 4
-            ),
-            5 | 6 => format!(
-                "{{\"t\":{t}{seg},\"seq\":{seq},\"node\":{node},\"kind\":\"fd.lifesign.rx\",\
-                 \"of\":{seq},\"cause\":\"bus:{}\"}}",
-                (node % 4) * 250
-            ),
-            _ => String::new(),
+            )
         }
+        2..=4 => format!(
+            "{{\"t\":{t}{seg},\"seq\":{seq},\"node\":{node},\"kind\":\"fd.suspect\",\
+             \"suspect\":{seq},\"cause\":\"event:{}\"}}",
+            (seq + 1) % 4
+        ),
+        5 | 6 => format!(
+            "{{\"t\":{t}{seg},\"seq\":{seq},\"node\":{node},\"kind\":\"fd.lifesign.rx\",\
+             \"of\":{seq},\"cause\":\"bus:{}\"}}",
+            (node % 4) * 250
+        ),
+        _ => String::new(),
+    }
+}
+
+fn arb_record() -> impl Strategy<Value = String> {
+    arb_record_draw().prop_map(|draw| exporter_record(draw, None))
+}
+
+/// A field for an envelope key, to stand first in a record that has
+/// its own field of that name: the key plain or escaped, its value of
+/// the wrong type, signed, decimal, of over 19 digits or out of range.
+fn arb_envelope_field() -> impl Strategy<Value = String> {
+    const KEYS: &[&str] = &[
+        "t",
+        "seg",
+        "seq",
+        "node",
+        "kind",
+        "cause",
+        "bus_free",
+        "deliver",
+        "queued",
+        "arb_losses",
+        "mid",
+        "transmitters",
+        "delivered",
+        "errored",
+    ];
+    const VALUES: &[&str] = &[
+        "-5",
+        "-0",
+        "1.5",
+        "2e3",
+        "7E+1",
+        "18446744073709551615",
+        "18446744073709551616",
+        "123456789012345678901234567890",
+        "0000000000000000000000250",
+        "300",
+        "255",
+        "7",
+        "true",
+        "false",
+        "\"bus.tx\"",
+        "\"b\\u0075s.tx\"",
+        "\"fd.suspect\"",
+        "\"7\"",
+        "\"bus:250\"",
+        "\"event:1\"",
+        "\"{1,2}\"",
+    ];
+    (0..KEYS.len(), 0u8..3, 0..VALUES.len()).prop_map(|(key, spelling, value)| {
+        let key = KEYS[key];
+        let (head, tail) = key.split_at(1);
+        let key = match spelling {
+            0 => key.to_string(),
+            1 => format!("\\u{:04x}{tail}", head.as_bytes()[0]),
+            _ => format!("\\u{:04X}{tail}", head.as_bytes()[0]),
+        };
+        format!("\"{key}\":{}", VALUES[value])
     })
 }
 
-/// A document: exporter-shaped records, generated objects and blank
-/// lines, `\n`- or `\r\n`-terminated.
+/// A line that holds nothing but white space (`str::trim`'s: Unicode's).
+fn arb_blank() -> impl Strategy<Value = &'static str> {
+    (0usize..8).prop_map(|pick| {
+        [
+            " ",
+            "\t",
+            " \t ",
+            "\r",
+            "\u{b}\u{c}",
+            "\u{a0}",
+            "\u{3000}",
+            "",
+        ][pick]
+    })
+}
+
+/// A document: exporter-shaped records with their transmissions in
+/// start order (now and then one that overlaps the transmission before
+/// it, or is queued after its start), some led by a hostile field for
+/// an envelope key; generated objects; blank and white-space lines;
+/// each `\n`- or `\r\n`-terminated.
 fn arb_document() -> impl Strategy<Value = String> {
-    let line =
-        (0u8..8, arb_record(), arb_line(), any::<bool>()).prop_map(|(pick, record, line, crlf)| {
-            let text = if pick == 0 { line } else { record };
-            text + if crlf { "\r\n" } else { "\n" }
-        });
-    prop::collection::vec(line, 0..24).prop_map(|lines| lines.concat())
+    let line = (
+        0u8..24,
+        arb_record_draw(),
+        arb_line(),
+        arb_envelope_field(),
+        arb_blank(),
+        any::<bool>(),
+    );
+    prop::collection::vec(line, 0..24).prop_map(|lines| {
+        let (mut clock, mut last_start) = (0, 0);
+        let mut doc = String::new();
+        for (pick, draw, line, hostile, blank, crlf) in lines {
+            clock += 250;
+            let start_queued = match pick {
+                2 => (last_start + 30, last_start + 30),
+                3 => (clock, clock + 5),
+                _ => (clock, clock - 20),
+            };
+            let record = exporter_record(draw, Some(start_queued));
+            if draw.0 <= 1 {
+                last_start = start_queued.0;
+            }
+            match pick {
+                0 => doc.push_str(&line),
+                1 => doc.push_str(blank),
+                4..=7 if !record.is_empty() => {
+                    doc.push_str(&format!("{{{hostile},{}", &record[1..]));
+                }
+                _ => doc.push_str(&record),
+            }
+            doc.push_str(if crlf { "\r\n" } else { "\n" });
+        }
+        doc
+    })
 }
 
 /// `text` cut at byte `cut` (to the next character boundary).

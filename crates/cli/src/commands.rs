@@ -406,9 +406,12 @@ pub fn trace(args: &mut Args) -> CmdResult {
     let until = scenario.run.until;
     if jsonl || chrome {
         // Merged protocol + bus trace, one JSON object per line (see
-        // docs/TRACE_SCHEMA.md).
-        let (sim, log) = run_with_obs(&scenario);
-        let doc = log.export_jsonl(Some(sim.trace()));
+        // docs/TRACE_SCHEMA.md). The world and its log are dropped
+        // once exported: the Chrome export reads the document back.
+        let doc = {
+            let (sim, log) = run_with_obs(&scenario);
+            log.export_jsonl(Some(sim.trace()))
+        };
         if chrome {
             // Chrome/Perfetto trace-event JSON: per-node instant
             // tracks, bus frame spans and derived phase spans.
