@@ -15,8 +15,11 @@
 //!   over half of an everyday campaign;
 //! * a trace is bytes in one buffer: capturing a run allocates for its
 //!   documents, not per event; reading one back builds an index over
-//!   the text, not an object per field; the renderers write into one
-//!   buffer of about the right size.
+//!   the text, not an object per field; the renderers' `String` forms
+//!   write into one buffer of about the right size;
+//! * a trace is written as it renders: the exporter, the Chrome
+//!   renderer and the re-export writing into a sink request a constant,
+//!   the same at twice the horizon, not the document.
 
 mod common;
 
@@ -28,8 +31,9 @@ use canely::{
     CanelyConfig, CanelyStack, EventSink, FailureDetector, ProtocolEvent, SurveillanceDetector,
     TrafficConfig,
 };
-use canely_campaign::{execute, CampaignSpec, RunSpec};
-use canely_trace::{chrome_trace, TraceModel};
+use canely_campaign::{execute, CampaignSpec, Fault, RunSpec};
+use canely_federation::{FederationConfig, FederationSim};
+use canely_trace::{chrome_trace, write_chrome_trace, TraceModel};
 use common::measured;
 
 #[test]
@@ -227,21 +231,50 @@ fn exact_frame_duration_allocates_nothing() {
     assert!(total > BitTime::ZERO);
 }
 
-/// A capture of the `trace-query` workload's shape (8 nodes, 2 ms
-/// traffic, a crash, 0.5 % omissions, 1.5 s): ≈ 5.4 MB, ≈ 42 k lines,
-/// seven in eight of them `timer.armed`.
-fn trace_query_capture() -> String {
+/// The `trace-query` workload's scenario (8 nodes, 2 ms traffic, a
+/// crash, 0.5 % omissions) up to `until`.
+fn trace_query_spec(until: &str) -> RunSpec {
     let traffic: String = (0..8).map(|node| format!("traffic {node} 2ms\n")).collect();
-    let spec = RunSpec::from_scenario(&format!(
-        "nodes 8\n{traffic}crash 7 160ms\nerror-rate 0.005\nseed 0\nuntil 1500ms\nsettle 150ms\n"
+    RunSpec::from_scenario(&format!(
+        "nodes 8\n{traffic}crash 7 160ms\nerror-rate 0.005\nseed 0\nuntil {until}\nsettle 150ms\n"
     ))
-    .expect("the capture scenario is in the judged subset");
-    execute(&spec, true).trace_jsonl.expect("capture was on")
+    .expect("the capture scenario is in the judged subset")
+}
+
+/// A capture of the `trace-query` workload's shape at `until`: at
+/// 1.5 s ≈ 5.4 MB, ≈ 42 k lines, seven in eight of them `timer.armed`.
+fn trace_query_capture(until: &str) -> String {
+    execute(&trace_query_spec(until), true)
+        .trace_jsonl
+        .expect("capture was on")
+}
+
+/// The world behind [`trace_query_capture`], kept after the run: one
+/// segment, its crash marker recorded as `execute` records it.
+fn trace_query_world(until: &str) -> FederationSim {
+    let spec = trace_query_spec(until);
+    let config = FederationConfig::new(spec.config(), 1, spec.nodes);
+    let mut fed = FederationSim::new(
+        &config,
+        spec.traffic,
+        |_| spec.seed,
+        |seed| spec.fault_plan(seed),
+    );
+    for &fault in &spec.faults {
+        if let Fault::Crash { node, at, .. } = fault {
+            fed.sim_mut(0).schedule_crash(NodeId::new(node), at);
+        }
+    }
+    fed.run_until(spec.until);
+    for &(t, node) in fed.sim(0).crash_times() {
+        fed.log(0).record(t, node, ProtocolEvent::NodeCrashed);
+    }
+    fed
 }
 
 #[test]
 fn reading_a_trace_builds_an_index_not_an_object_per_field() {
-    let doc = trace_query_capture();
+    let doc = trace_query_capture("1500ms");
     assert!(
         doc.len() > 4 << 20 && doc.lines().count() > 30_000,
         "{} B",
@@ -287,6 +320,47 @@ fn reading_a_trace_builds_an_index_not_an_object_per_field() {
         "to_jsonl requested {bytes} B for a {} B result",
         jsonl.len()
     );
+}
+
+#[test]
+fn writing_a_trace_into_a_sink_requests_a_constant_not_the_document() {
+    // What any render may ask for besides its own output: line and
+    // event buffers, the merge's heap of stretches, the phase profile.
+    // 416 B (export) and 3 793 B (Chrome and re-export) at either
+    // horizon when the gate was set; rendering into a whole-document
+    // buffer asked for 6.5 MB (Chrome) and 5.4 MB (re-export) at 1.5 s,
+    // and the exporter's sort keys and their merge scratch for 2 MB.
+    const RENDER: u64 = 256 << 10;
+    for until in ["1500ms", "3000ms"] {
+        let fed = trace_query_world(until);
+        let doc = fed.export_jsonl();
+        assert_eq!(
+            doc,
+            trace_query_capture(until),
+            "the world is the capture's"
+        );
+        let segment = [(fed.log(0), Some(fed.sim(0).trace()))];
+        let (_, bytes, written) =
+            measured(|| canely::obs::export_segments_jsonl(&segment, &mut std::io::sink()));
+        written.unwrap();
+        assert!(
+            bytes <= RENDER,
+            "exporting {} B at {until} requested {bytes} B",
+            doc.len()
+        );
+
+        let model = TraceModel::parse(&doc).unwrap();
+        let (_, bytes, written) = measured(|| {
+            write_chrome_trace(&model, &mut std::io::sink())?;
+            model.write_jsonl(&mut std::io::sink())
+        });
+        written.unwrap();
+        assert!(
+            bytes <= RENDER,
+            "Chrome and re-export of {} B at {until} requested {bytes} B",
+            doc.len()
+        );
+    }
 }
 
 #[test]

@@ -231,11 +231,10 @@ impl MsgType {
             MsgType::Fda | MsgType::Els | MsgType::Join | MsgType::Leave | MsgType::Ping
         )
     }
-}
 
-impl fmt::Display for MsgType {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let name = match self {
+    /// The type's name, as a mid renders it (`FDA`, `RHA`, …).
+    pub const fn name(self) -> &'static str {
+        match self {
             MsgType::Fda => "FDA",
             MsgType::Rha => "RHA",
             MsgType::Els => "ELS",
@@ -257,8 +256,13 @@ impl fmt::Display for MsgType {
             MsgType::Ping => "PING",
             MsgType::Digest => "DIGEST",
             MsgType::AppData => "DATA",
-        };
-        f.write_str(name)
+        }
+    }
+}
+
+impl fmt::Display for MsgType {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
     }
 }
 

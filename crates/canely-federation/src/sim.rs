@@ -521,7 +521,7 @@ impl FederationSim {
             .zip(&self.sims)
             .map(|(log, sim)| (log, Some(sim.trace())))
             .collect();
-        canely::obs::export_segments_jsonl(&segments)
+        canely::obs::export_segments_string(&segments)
     }
 }
 

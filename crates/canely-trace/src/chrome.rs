@@ -14,25 +14,17 @@
 //! nominal 1 Mbit/s of the simulated bus one bit-time is exactly one
 //! microsecond, so values pass through unscaled.
 
-use std::fmt::Write as _;
+use std::io::{self, Write};
 
-use crate::json::{escape_into, Scalar};
+use crate::json::{escape_bytes, Scalar};
 use crate::model::TraceModel;
 use crate::phases::PhaseProfile;
-
-/// Starts the next trace event: the separator after the previous one.
-fn next_event(out: &mut String, first: &mut bool) {
-    if !*first {
-        out.push_str(",\n");
-    }
-    *first = false;
-}
 
 /// Appends `label` and `n` in decimal: an instant is two numbers
 /// between fixed labels, and `write!` spends more on its way to the
 /// digits than on them.
-fn push_num(out: &mut String, label: &str, mut n: u64) {
-    out.push_str(label);
+fn push_num(out: &mut Vec<u8>, label: &str, mut n: u64) {
+    out.extend_from_slice(label.as_bytes());
     let mut digits = [b'0'; 20];
     let mut at = digits.len();
     loop {
@@ -43,144 +35,205 @@ fn push_num(out: &mut String, label: &str, mut n: u64) {
             break;
         }
     }
-    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+    out.extend_from_slice(&digits[at..]);
 }
 
-fn meta(out: &mut String, first: &mut bool, pid: u64, tid: u64, kind: &str, name: &str) {
-    next_event(out, first);
-    let _ = write!(
-        out,
-        "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"name\":\"{kind}\",\"args\":{{\"name\":\""
-    );
-    escape_into(name, out);
-    out.push_str("\"}}");
+/// Appends each part in turn.
+fn push_all(out: &mut Vec<u8>, parts: &[&str]) {
+    for part in parts {
+        out.extend_from_slice(part.as_bytes());
+    }
+}
+
+/// The trace events, written one at a time: each is rendered into one
+/// reused buffer, after the separator from the one before, and written
+/// whole.
+struct Events<'o, W: ?Sized> {
+    out: &'o mut W,
+    buf: Vec<u8>,
+    first: bool,
+}
+
+impl<W: Write + ?Sized> Events<'_, W> {
+    /// The buffer to render the next event into.
+    fn next(&mut self) -> &mut Vec<u8> {
+        self.buf.clear();
+        if !std::mem::take(&mut self.first) {
+            self.buf.extend_from_slice(b",\n");
+        }
+        &mut self.buf
+    }
+
+    /// Writes the event rendered since [`Events::next`].
+    fn write(&mut self) -> io::Result<()> {
+        self.out.write_all(&self.buf)
+    }
+
+    /// A process (`tid` 0, `kind` `process_name`) or thread naming
+    /// event: `name`, then `number` if given.
+    fn meta(
+        &mut self,
+        pid: u64,
+        tid: u64,
+        kind: &str,
+        name: &str,
+        number: Option<u8>,
+    ) -> io::Result<()> {
+        let buf = self.next();
+        push_num(buf, "{\"ph\":\"M\",\"pid\":", pid);
+        push_num(buf, ",\"tid\":", tid);
+        push_all(
+            buf,
+            &[",\"name\":\"", kind, "\",\"args\":{\"name\":\"", name],
+        );
+        if let Some(number) = number {
+            push_num(buf, "", number.into());
+        }
+        buf.extend_from_slice(b"\"}}");
+        self.write()
+    }
 }
 
 /// Renders the trace (plus its phase profile) as a Chrome trace-event
-/// JSON document. Deterministic: equal traces render byte-identically.
+/// JSON document into a `String` reserved at about its size:
+/// [`write_chrome_trace`].
 pub fn chrome_trace(model: &TraceModel<'_>) -> String {
-    let profile = PhaseProfile::of(model);
-    let mut nodes: Vec<u8> = model.events.iter().map(|e| e.node).collect();
-    for tx in &model.bus {
-        nodes.extend(&tx.transmitters);
-    }
-    nodes.sort_unstable();
-    nodes.dedup();
-
-    // The bulk records render straight into the one buffer, sized up
-    // front: a record comes out as its line plus a fixed frame.
+    // A record comes out as its line plus a fixed frame.
     let source: usize = model.lines.iter().map(|line| line.text().len() + 64).sum();
-    let mut out = String::with_capacity(source + 4096);
-    out.push_str("{\"traceEvents\":[\n");
-    let mut first = true;
+    let mut out = Vec::with_capacity(source + 4096);
+    write_chrome_trace(model, &mut out).expect("a `Vec` takes every write");
+    String::from_utf8(out).expect("a rendering is made of `str` pieces")
+}
+
+/// Writes the trace (plus its phase profile) to `out` as a Chrome
+/// trace-event JSON document, one event at a time. Deterministic:
+/// equal traces render byte-identically.
+///
+/// # Errors
+///
+/// The first error `out` returns.
+pub fn write_chrome_trace<W: Write + ?Sized>(
+    model: &TraceModel<'_>,
+    out: &mut W,
+) -> io::Result<()> {
+    let profile = PhaseProfile::of(model);
+    let mut seen = [false; 256];
+    for node in model.events.iter().map(|e| e.node) {
+        seen[usize::from(node)] = true;
+    }
+    for tx in &model.bus {
+        for &node in &tx.transmitters {
+            seen[usize::from(node)] = true;
+        }
+    }
+    out.write_all(b"{\"traceEvents\":[\n")?;
+    let mut events = Events {
+        out,
+        buf: Vec::with_capacity(512),
+        first: true,
+    };
 
     // Process/thread naming metadata.
-    meta(&mut out, &mut first, 0, 0, "process_name", "bus");
-    meta(&mut out, &mut first, 0, 0, "thread_name", "frames");
-    meta(&mut out, &mut first, 0, 1, "thread_name", "phases");
-    for &node in &nodes {
+    events.meta(0, 0, "process_name", "bus", None)?;
+    events.meta(0, 0, "thread_name", "frames", None)?;
+    events.meta(0, 1, "thread_name", "phases", None)?;
+    for node in (0..=u8::MAX).filter(|&node| seen[usize::from(node)]) {
         let pid = u64::from(node) + 1;
-        meta(
-            &mut out,
-            &mut first,
-            pid,
-            0,
-            "process_name",
-            &format!("node {node}"),
-        );
-        meta(&mut out, &mut first, pid, 0, "thread_name", "events");
-        meta(&mut out, &mut first, pid, 1, "thread_name", "phases");
+        events.meta(pid, 0, "process_name", "node ", Some(node))?;
+        events.meta(pid, 0, "thread_name", "events", None)?;
+        events.meta(pid, 1, "thread_name", "phases", None)?;
     }
 
     // Bus transactions: complete spans on the bus track.
     for tx in &model.bus {
-        next_event(&mut out, &mut first);
-        let _ = write!(
-            out,
-            "{{\"ph\":\"X\",\"pid\":0,\"tid\":0,\"ts\":{},\"dur\":{},\"name\":\"",
-            tx.start,
-            tx.bus_free.saturating_sub(tx.start),
+        let buf = events.next();
+        push_num(buf, "{\"ph\":\"X\",\"pid\":0,\"tid\":0,\"ts\":", tx.start);
+        push_num(buf, ",\"dur\":", tx.bus_free.saturating_sub(tx.start));
+        buf.extend_from_slice(b",\"name\":\"");
+        escape_bytes(&tx.mid, buf);
+        push_num(buf, "\",\"cat\":\"bus\",\"args\":{\"queued\":", tx.queued);
+        push_num(buf, ",\"deliver\":", tx.deliver);
+        push_num(buf, ",\"arb_losses\":", tx.arb_losses);
+        push_all(
+            buf,
+            &[
+                ",\"delivered\":",
+                if tx.delivered { "true" } else { "false" },
+            ],
         );
-        escape_into(&tx.mid, &mut out);
-        let _ = write!(
-            out,
-            "\",\"cat\":\"bus\",\"args\":{{\
-             \"queued\":{},\"deliver\":{},\"arb_losses\":{},\
-             \"delivered\":{},\"errored\":{}}}}}",
-            tx.queued, tx.deliver, tx.arb_losses, tx.delivered, tx.errored
+        push_all(
+            buf,
+            &[
+                ",\"errored\":",
+                if tx.errored { "true" } else { "false" },
+                "}}",
+            ],
         );
+        events.write()?;
     }
 
     // Protocol events: instants on their node's event track, the
     // variant-specific fields as string arguments and the cause last.
     for event in &model.events {
-        next_event(&mut out, &mut first);
+        let buf = events.next();
         let cat = event.kind.split('.').next().unwrap_or("event");
-        push_num(
-            &mut out,
-            "{\"ph\":\"i\",\"pid\":",
-            u64::from(event.node) + 1,
+        push_num(buf, "{\"ph\":\"i\",\"pid\":", u64::from(event.node) + 1);
+        push_num(buf, ",\"tid\":0,\"ts\":", event.t);
+        push_all(
+            buf,
+            &[
+                ",\"s\":\"t\",\"name\":\"",
+                &event.kind,
+                "\",\"cat\":\"",
+                cat,
+                "\",\"args\":{",
+            ],
         );
-        push_num(&mut out, ",\"tid\":0,\"ts\":", event.t);
-        let name: &str = &event.kind;
-        for part in [
-            ",\"s\":\"t\",\"name\":\"",
-            name,
-            "\",\"cat\":\"",
-            cat,
-            "\",\"args\":{",
-        ] {
-            out.push_str(part);
-        }
-        let args = out.len();
+        let args = buf.len();
+        let line = model.line_of(event);
         let mut cause = None;
-        let mut fields = model.line_of(event).fields();
+        let mut fields = line.fields();
         while let Some((key, value)) = fields.field() {
             let key = key.decode();
             match key.as_ref() {
                 "cause" => cause = cause.or(Some(value)),
                 "t" | "seq" | "node" | "kind" => {}
                 _ => {
-                    out.push_str(if out.len() > args { ",\"" } else { "\"" });
-                    out.push_str(&key);
-                    out.push_str("\":\"");
-                    escape_into(&value.display(), &mut out);
-                    out.push('"');
+                    let open = if buf.len() > args { ",\"" } else { "\"" };
+                    push_all(buf, &[open, &key, "\":\""]);
+                    value.escape_display(line.canonical(), buf);
+                    buf.push(b'"');
                 }
             }
         }
         if let Some(cause) = cause.and_then(Scalar::text) {
-            out.push_str(if out.len() > args {
+            let open = if buf.len() > args {
                 ",\"cause\":\""
             } else {
                 "\"cause\":\""
-            });
-            out.push_str(&cause.decode());
-            out.push('"');
+            };
+            push_all(buf, &[open, &cause.decode(), "\""]);
         }
-        out.push_str("}}");
+        buf.extend_from_slice(b"}}");
+        events.write()?;
     }
 
     // Detection phases: spans on the owner's phase track.
     for detection in &profile.detections {
         for span in &detection.spans {
-            next_event(&mut out, &mut first);
+            let buf = events.next();
             let pid = span.node.map_or(0, |n| u64::from(n) + 1);
-            let _ = write!(
-                out,
-                "{{\"ph\":\"X\",\"pid\":{pid},\"tid\":1,\"ts\":{},\"dur\":{},\
-                 \"name\":\"{}\",\"cat\":\"phase\",\
-                 \"args\":{{\"suspect\":\"n{}\"}}}}",
-                span.start,
-                span.end - span.start,
-                span.name,
-                detection.suspect
-            );
+            push_num(buf, "{\"ph\":\"X\",\"pid\":", pid);
+            push_num(buf, ",\"tid\":1,\"ts\":", span.start);
+            push_num(buf, ",\"dur\":", span.end - span.start);
+            push_all(buf, &[",\"name\":\"", span.name, "\",\"cat\":\"phase\""]);
+            push_num(buf, ",\"args\":{\"suspect\":\"n", detection.suspect.into());
+            buf.extend_from_slice(b"\"}}");
+            events.write()?;
         }
     }
 
-    out.push_str("\n],\"displayTimeUnit\":\"ms\"}\n");
-    out
+    events.out.write_all(b"\n],\"displayTimeUnit\":\"ms\"}\n")
 }
 
 #[cfg(test)]

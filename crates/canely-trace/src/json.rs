@@ -8,8 +8,8 @@
 //! that `crates/cli/tests/trace_queries.rs` holds every checked-in
 //! scenario's trace to.
 //!
-//! One scanner reads every line: the walk behind [`Fields`] validates
-//! the text in a single pass and meets each field as slices of it — a
+//! One scanner reads every line: its walk validates the text in a
+//! single pass and meets each field as slices of it — a
 //! key or a string value as the bytes between its quotes, a number as
 //! its spelling plus the `u64` its digits made while they were scanned.
 //! Blanks, escapes and signed, decimal or overlong numbers are slow
@@ -23,7 +23,6 @@
 //! re-walks it.
 
 use std::borrow::Cow;
-use std::fmt::Write as _;
 
 /// A JSON scalar as it appears in a trace line, borrowing from the
 /// parsed input where possible.
@@ -40,67 +39,46 @@ pub enum Value<'a> {
     Str(Cow<'a, str>),
 }
 
-impl<'a> Value<'a> {
-    /// The value as a string slice, if it is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value as a boolean, if it is one.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// The value as display text: a number's spelling, `true` /
-    /// `false`, a string's content.
-    pub fn into_display(self) -> Cow<'a, str> {
-        match self {
-            Value::Num(raw) => Cow::Borrowed(raw),
-            Value::Bool(b) => Cow::Borrowed(if b { "true" } else { "false" }),
-            Value::Str(s) => s,
-        }
-    }
-
-    fn render(&self, out: &mut String) {
-        match self {
-            Value::Num(raw) => out.push_str(raw),
-            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Value::Str(s) => {
-                out.push('"');
-                escape_into(s, out);
-                out.push('"');
-            }
-        }
-    }
+/// Appends `s` with the canonical escaping of the trace exporter
+/// (quote, backslash and control characters only).
+pub fn escape_into(s: &str, out: &mut String) {
+    escaped(s, |part| out.push_str(part));
 }
 
-/// Appends `s` with the canonical escaping of the trace exporter
-/// (quote, backslash and control characters only). Runs of plain
-/// characters are appended in one copy instead of char by char.
-pub fn escape_into(s: &str, out: &mut String) {
+/// [`escape_into`] a byte buffer.
+pub(crate) fn escape_bytes(s: &str, out: &mut Vec<u8>) {
+    escaped(s, |part| out.extend_from_slice(part.as_bytes()));
+}
+
+/// Hands `s`, canonically escaped, to `push` in parts: runs of plain
+/// characters go in one piece instead of char by char.
+fn escaped(s: &str, mut push: impl FnMut(&str)) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
     let bytes = s.as_bytes();
     let mut plain = 0;
     for (i, &b) in bytes.iter().enumerate() {
         if b != b'"' && b != b'\\' && b >= 0x20 {
             continue;
         }
-        out.push_str(&s[plain..i]);
+        push(&s[plain..i]);
         match b {
-            b'"' => out.push_str("\\\""),
-            b'\\' => out.push_str("\\\\"),
+            b'"' => push("\\\""),
+            b'\\' => push("\\\\"),
             c => {
-                let _ = write!(out, "\\u{:04x}", c);
+                let code = [
+                    b'\\',
+                    b'u',
+                    b'0',
+                    b'0',
+                    HEX[usize::from(c >> 4)],
+                    HEX[usize::from(c & 15)],
+                ];
+                push(std::str::from_utf8(&code).expect("an ASCII escape"));
             }
         }
         plain = i + 1;
     }
-    out.push_str(&s[plain..]);
+    push(&s[plain..]);
 }
 
 /// A parse failure, with a human-readable reason and the byte offset
@@ -210,11 +188,33 @@ impl<'a> Scalar<'a> {
         }
     }
 
+    /// Appends the display text, escaped as a JSON string's content.
+    /// On a canonical line (see [`Line::canonical`]) a string's text is
+    /// that escaping already, and every value goes out as spelled.
+    pub(crate) fn escape_display(self, canonical: bool, out: &mut Vec<u8>) {
+        match self.text() {
+            Some(text) if !canonical => escape_bytes(&text.decode(), out),
+            _ => out.extend_from_slice(self.raw.as_bytes()),
+        }
+    }
+
     fn value(self) -> Value<'a> {
         match self.shape {
             Shape::Num => Value::Num(self.raw),
             Shape::Bool => Value::Bool(self.raw == "true"),
             Shape::Str(_) => Value::Str(self.display()),
+        }
+    }
+
+    /// Appends the canonical JSON spelling.
+    fn render(self, out: &mut Vec<u8>) {
+        match self.text() {
+            Some(text) => {
+                out.push(b'"');
+                escape_bytes(&text.decode(), out);
+                out.push(b'"');
+            }
+            None => out.extend_from_slice(self.raw.as_bytes()),
         }
     }
 }
@@ -249,8 +249,15 @@ impl<'a> Line<'a> {
         self.text
     }
 
-    /// The fields, in document order.
-    pub fn fields(&self) -> Fields<'a> {
+    /// Whether the text is already the canonical rendering: no blank
+    /// skipped between tokens, every escape in the exporter's spelling
+    /// and no raw control character inside a string.
+    pub(crate) fn canonical(&self) -> bool {
+        self.canonical
+    }
+
+    /// The walk over the fields, in document order.
+    pub(crate) fn fields(&self) -> Fields<'a> {
         Fields::new(self.text)
     }
 
@@ -287,61 +294,56 @@ impl<'a> Line<'a> {
     /// (`t`, `seq`, `node`, `kind`, `cause`) — rendered as display
     /// strings for human-oriented output.
     pub fn display_fields(&self) -> impl Iterator<Item = (Cow<'a, str>, Cow<'a, str>)> {
-        self.fields()
-            .filter(|(k, _)| !matches!(k.as_ref(), "t" | "seq" | "node" | "kind" | "cause"))
-            .map(|(k, v)| (k, v.into_display()))
+        let mut walk = self.fields();
+        std::iter::from_fn(move || walk.field())
+            .map(|(key, value)| (key.decode(), value))
+            .filter(|(key, _)| !matches!(key.as_ref(), "t" | "seq" | "node" | "kind" | "cause"))
+            .map(|(key, value)| (key, value.display()))
     }
 
     /// Renders the line back to its canonical JSON spelling (no
     /// trailing newline).
     pub fn render(&self) -> String {
-        let mut out = String::with_capacity(self.text.len());
+        let mut out = Vec::with_capacity(self.text.len());
         self.render_into(&mut out);
-        out
+        String::from_utf8(out).expect("a rendering is made of `str` pieces")
     }
 
     /// Appends the canonical JSON spelling to `out`: the text itself
     /// where the scan proved it canonical, a re-rendering of its
     /// fields otherwise.
-    pub fn render_into(&self, out: &mut String) {
+    pub fn render_into(&self, out: &mut Vec<u8>) {
         if self.canonical {
-            out.push_str(self.text);
+            out.extend_from_slice(self.text.as_bytes());
             return;
         }
-        out.push('{');
-        for (i, (key, value)) in self.fields().enumerate() {
-            if i > 0 {
-                out.push(',');
+        out.push(b'{');
+        let mut walk = self.fields();
+        let mut first = true;
+        while let Some((key, value)) = walk.field() {
+            if !std::mem::take(&mut first) {
+                out.push(b',');
             }
-            out.push('"');
-            escape_into(&key, out);
-            out.push_str("\":");
+            out.push(b'"');
+            escape_bytes(&key.decode(), out);
+            out.extend_from_slice(b"\":");
             value.render(out);
         }
-        out.push('}');
+        out.push(b'}');
     }
 }
 
-/// The scanner behind [`Line`]: yields `(key, value)` pairs in
-/// document order. Its walk ends at the closing brace or at the first
-/// defect, which [`Line::parse`] — that drives it to the end once —
-/// then reports; over a `Line` it cannot fail.
+/// The scanner behind [`Line`]: meets the `(key, value)` pairs in
+/// document order ([`Fields::field`]). Its walk ends at the closing
+/// brace or at the first defect, which [`Line::parse`] — that drives it
+/// to the end once — then reports; over a `Line` it cannot fail.
 #[derive(Debug, Clone)]
-pub struct Fields<'a> {
+pub(crate) struct Fields<'a> {
     text: &'a str,
     pos: usize,
     canonical: bool,
     done: bool,
     error: Option<ParseError>,
-}
-
-impl<'a> Iterator for Fields<'a> {
-    type Item = (Cow<'a, str>, Value<'a>);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let (key, value) = self.field()?;
-        Some((key.decode(), value.value()))
-    }
 }
 
 impl<'a> Fields<'a> {
@@ -667,7 +669,9 @@ mod tests {
     fn escape_free_fields_borrow_from_the_input() {
         let text = "{\"t\":1,\"kind\":\"fd.suspect\",\"note\":\"plain\"}";
         let line = Line::parse(text).unwrap();
-        for (key, _) in line.fields() {
+        let mut walk = line.fields();
+        while let Some((key, _)) = walk.field() {
+            let key = key.decode();
             assert!(matches!(key, Cow::Borrowed(_)), "key {key:?} allocated");
         }
         assert!(matches!(

@@ -9,6 +9,7 @@
 //! line when a query asks for it.
 
 use std::borrow::Cow;
+use std::io::{self, Write};
 use std::sync::OnceLock;
 
 use crate::json::{Fields, Line, ParseError, Scalar, Text};
@@ -389,17 +390,33 @@ impl<'a> TraceModel<'a> {
         Ok(model)
     }
 
-    /// Re-renders the document (one canonical JSON object per line,
-    /// trailing newline) — byte-identical to a canonical export, and
-    /// of its length: one output buffer, reserved once.
+    /// Re-renders the document into a `String` reserved once at the
+    /// document's length: [`TraceModel::write_jsonl`].
     pub fn to_jsonl(&self) -> String {
         let bytes: usize = self.lines.iter().map(|line| line.text().len() + 1).sum();
-        let mut out = String::with_capacity(bytes);
+        let mut out = Vec::with_capacity(bytes);
+        self.write_jsonl(&mut out)
+            .expect("a `Vec` takes every write");
+        String::from_utf8(out).expect("a rendering is made of `str` pieces")
+    }
+
+    /// Writes the document to `out`, one canonical JSON object per line
+    /// with a trailing newline — byte-identical to a canonical export.
+    /// A canonical line goes out as its text; a line the exporter would
+    /// have spelled otherwise is re-rendered into one reused buffer.
+    ///
+    /// # Errors
+    ///
+    /// The first error `out` returns.
+    pub fn write_jsonl<W: Write + ?Sized>(&self, out: &mut W) -> io::Result<()> {
+        let mut buf = Vec::new();
         for line in &self.lines {
-            line.render_into(&mut out);
-            out.push('\n');
+            buf.clear();
+            line.render_into(&mut buf);
+            buf.push(b'\n');
+            out.write_all(&buf)?;
         }
-        out
+        Ok(())
     }
 
     /// The backing [`Line`] of an event (for variant-specific fields).

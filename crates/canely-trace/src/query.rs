@@ -3,6 +3,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::io::{self, Write};
 
 use crate::chain::{chain_for_in, suspicions};
 use crate::model::{seg_node, TraceModel};
@@ -28,10 +29,18 @@ pub struct Filter {
     pub until: Option<u64>,
 }
 
-/// Re-renders the records matching `filter`, one canonical JSON line
-/// each, in document order.
-pub fn filter(model: &TraceModel<'_>, filter: &Filter) -> String {
-    let mut out = String::new();
+/// Writes the records matching `filter` to `out`, one canonical JSON
+/// line each, in document order.
+///
+/// # Errors
+///
+/// The first error `out` returns.
+pub fn filter<W: Write + ?Sized>(
+    model: &TraceModel<'_>,
+    filter: &Filter,
+    out: &mut W,
+) -> io::Result<()> {
+    let mut buf = Vec::new();
     for line in &model.lines {
         let t = line.u64("t").unwrap_or(0);
         if filter.since.is_some_and(|s| t < s) || filter.until.is_some_and(|u| t >= u) {
@@ -61,18 +70,21 @@ pub fn filter(model: &TraceModel<'_>, filter: &Filter) -> String {
             }
         }
         if let Some(view) = &filter.view {
-            let mentions = line.fields().any(|(k, v)| {
-                matches!(k.as_ref(), "view" | "vector" | "proposal")
-                    && v.as_str() == Some(view.as_str())
+            let mut walk = line.fields();
+            let mentions = std::iter::from_fn(|| walk.field()).any(|(key, value)| {
+                matches!(key.decode().as_ref(), "view" | "vector" | "proposal")
+                    && value.text().is_some_and(|text| text.is(view))
             });
             if !mentions {
                 continue;
             }
         }
-        line.render_into(&mut out);
-        out.push('\n');
+        buf.clear();
+        line.render_into(&mut buf);
+        buf.push(b'\n');
+        out.write_all(&buf)?;
     }
-    out
+    Ok(())
 }
 
 /// Renders kind counts and bus occupancy statistics.
@@ -246,6 +258,13 @@ pub fn render_phases(
 mod tests {
     use super::*;
 
+    /// [`filter`] into a `String`.
+    fn filtered(model: &TraceModel<'_>, keep: &Filter) -> String {
+        let mut out = Vec::new();
+        filter(model, keep, &mut out).unwrap();
+        String::from_utf8(out).unwrap()
+    }
+
     const DOC: &str = "\
 {\"t\":0,\"kind\":\"bus.tx\",\"mid\":\"ELS[0,n2]\",\"frame\":\"rtr\",\"transmitters\":\"{2}\",\"bus_free\":58,\"deliver\":55,\"queued\":0,\"arb_losses\":0,\"delivered\":true,\"errored\":false}\n\
 {\"t\":55,\"seq\":0,\"node\":0,\"kind\":\"fd.lifesign.rx\",\"of\":2,\"cause\":\"bus:55\"}\n\
@@ -254,9 +273,9 @@ mod tests {
     #[test]
     fn filters_compose_and_preserve_bytes() {
         let model = TraceModel::parse(DOC).unwrap();
-        let all = filter(&model, &Filter::default());
+        let all = filtered(&model, &Filter::default());
         assert_eq!(all, DOC, "no filter = lossless re-render");
-        let only_node2 = filter(
+        let only_node2 = filtered(
             &model,
             &Filter {
                 node: Some(2),
@@ -268,7 +287,7 @@ mod tests {
             1,
             "transmitter match:\n{only_node2}"
         );
-        let only_rha = filter(
+        let only_rha = filtered(
             &model,
             &Filter {
                 kind: Some("rha".to_string()),
@@ -277,7 +296,7 @@ mod tests {
         );
         assert!(only_rha.contains("rha.started"));
         assert_eq!(only_rha.lines().count(), 1);
-        let view = filter(
+        let view = filtered(
             &model,
             &Filter {
                 view: Some("{0,1}".to_string()),
@@ -285,7 +304,7 @@ mod tests {
             },
         );
         assert_eq!(view.lines().count(), 1);
-        let window = filter(
+        let window = filtered(
             &model,
             &Filter {
                 since: Some(56),
@@ -319,7 +338,7 @@ mod tests {
 {\"t\":10,\"seg\":0,\"seq\":0,\"node\":1,\"kind\":\"fd.suspect\",\"suspect\":2}\n\
 {\"t\":20,\"seg\":1,\"seq\":0,\"node\":1,\"kind\":\"fd.suspect\",\"suspect\":3}\n";
         let model = TraceModel::parse(doc).unwrap();
-        let only_seg1 = filter(
+        let only_seg1 = filtered(
             &model,
             &Filter {
                 seg: Some(1),

@@ -3,6 +3,7 @@
 use crate::args::{parse_duration, ArgError, Args};
 use crate::render;
 use crate::scenario::{build, report, run_with_obs, Scenario};
+use crate::{Failure, Sink};
 use can_bus::{BusConfig, FaultPlan};
 use can_controller::Simulator;
 use can_types::{BitTime, NodeId, NodeSet};
@@ -14,7 +15,8 @@ use canely_groups::{GroupId, GroupStack};
 use canely_metrics::Registry;
 use std::fmt::Write as _;
 
-type CmdResult = Result<String, String>;
+/// What a command ends in: its output written to the sink, or why not.
+type CmdResult = Result<(), Failure>;
 
 fn fail(e: ArgError) -> String {
     e.to_string()
@@ -100,7 +102,7 @@ fn within(option: &str, events: &[(u8, BitTime)], nodes: u8) -> Result<(), Strin
 }
 
 /// `canely membership …`
-pub fn membership(args: &mut Args) -> CmdResult {
+pub fn membership(args: &mut Args, sink: Sink) -> CmdResult {
     let scenario = scenario_from_args(args).map_err(fail)?;
     let run = &scenario.run;
     let mut sim = build(&scenario, None, None);
@@ -126,11 +128,11 @@ pub fn membership(args: &mut Args) -> CmdResult {
         }
     }
     render::bus_summary(&mut out, &sim, BitTime::ZERO, run.until);
-    Ok(out)
+    sink.text(args, &out)
 }
 
 /// `canely groups …`
-pub fn groups(args: &mut Args) -> CmdResult {
+pub fn groups(args: &mut Args, sink: Sink) -> CmdResult {
     let group_joins = args.events("group-join").map_err(fail)?;
     let scenario = scenario_from_args(args).map_err(fail)?;
     // The group world boots every node at power-on and drives only
@@ -142,7 +144,7 @@ pub fn groups(args: &mut Args) -> CmdResult {
         ("traffic", !scenario.traffic.is_empty()),
     ];
     if let Some((option, _)) = dropped.iter().find(|&&(_, given)| given) {
-        return Err(format!("error: groups does not model --{option}"));
+        return Err(format!("error: groups does not model --{option}").into());
     }
     let run = &scenario.run;
     within("group-join", &group_joins, run.nodes)?;
@@ -177,11 +179,11 @@ pub fn groups(args: &mut Args) -> CmdResult {
             stack.group_view(GroupId::new(1)),
         );
     }
-    Ok(out)
+    sink.text(args, &out)
 }
 
 /// `canely baseline <osek|guarding|heartbeat|ttp> …`
-pub fn baseline(args: &mut Args) -> CmdResult {
+pub fn baseline(args: &mut Args, sink: Sink) -> CmdResult {
     let which = args
         .subcommand()
         .ok_or("error: baseline requires a protocol (osek|guarding|heartbeat|ttp)")?
@@ -261,7 +263,7 @@ pub fn baseline(args: &mut Args) -> CmdResult {
                 }
             }
         }
-        other => return Err(format!("error: unknown baseline `{other}`")),
+        other => return Err(format!("error: unknown baseline `{other}`").into()),
     };
     for &(node, at) in &crashes {
         sim.schedule_crash(NodeId::new(node), at);
@@ -276,11 +278,11 @@ pub fn baseline(args: &mut Args) -> CmdResult {
     );
     report(&sim, &mut out);
     render::bus_summary(&mut out, &sim, BitTime::ZERO, until);
-    Ok(out)
+    sink.text(args, &out)
 }
 
 /// `canely analyze <inaccessibility|bandwidth|reliability|bounds> …`
-pub fn analyze(args: &mut Args) -> CmdResult {
+pub fn analyze(args: &mut Args, sink: Sink) -> CmdResult {
     let which = args
         .subcommand()
         .ok_or("error: analyze requires a model (inaccessibility|bandwidth|reliability|bounds)")?
@@ -389,13 +391,13 @@ pub fn analyze(args: &mut Args) -> CmdResult {
                 render::ms(bounds.membership_change_latency())
             );
         }
-        other => return Err(format!("error: unknown analysis `{other}`")),
+        other => return Err(format!("error: unknown analysis `{other}`").into()),
     }
-    Ok(out)
+    sink.text(args, &out)
 }
 
 /// `canely trace …`
-pub fn trace(args: &mut Args) -> CmdResult {
+pub fn trace(args: &mut Args, sink: Sink) -> CmdResult {
     let csv = args.flag("csv");
     let jsonl = args.flag("jsonl");
     let chrome = args.flag("chrome");
@@ -404,26 +406,30 @@ pub fn trace(args: &mut Args) -> CmdResult {
     }
     let scenario = scenario_from_args(args).map_err(fail)?;
     let until = scenario.run.until;
-    if jsonl || chrome {
+    if jsonl {
         // Merged protocol + bus trace, one JSON object per line (see
-        // docs/TRACE_SCHEMA.md). The world and its log are dropped
-        // once exported: the Chrome export reads the document back.
+        // docs/TRACE_SCHEMA.md), written record by record.
+        let (sim, log) = run_with_obs(&scenario);
+        log.write_jsonl(Some(sim.trace()), sink.open(args)?)?;
+        return Ok(());
+    }
+    if chrome {
+        // Chrome/Perfetto trace-event JSON: per-node instant tracks,
+        // bus frame spans and derived phase spans. The world and its
+        // log are dropped once exported: the Chrome export reads the
+        // document back.
         let doc = {
             let (sim, log) = run_with_obs(&scenario);
             log.export_jsonl(Some(sim.trace()))
         };
-        if chrome {
-            // Chrome/Perfetto trace-event JSON: per-node instant
-            // tracks, bus frame spans and derived phase spans.
-            let model = canely_trace::TraceModel::parse(&doc).map_err(|e| format!("error: {e}"))?;
-            return Ok(canely_trace::chrome_trace(&model));
-        }
-        return Ok(doc);
+        let model = canely_trace::TraceModel::parse(&doc).map_err(|e| format!("error: {e}"))?;
+        canely_trace::write_chrome_trace(&model, sink.open(args)?)?;
+        return Ok(());
     }
     let mut sim = build(&scenario, None, None);
     sim.run_until(until);
     if csv {
-        return Ok(render::trace_csv(&sim));
+        return sink.text(args, &render::trace_csv(&sim));
     }
     let mut out = String::new();
     for rec in sim.trace().iter() {
@@ -438,7 +444,7 @@ pub fn trace(args: &mut Args) -> CmdResult {
         );
     }
     render::bus_summary(&mut out, &sim, BitTime::ZERO, until);
-    Ok(out)
+    sink.text(args, &out)
 }
 
 /// `canely metrics …` — runs a membership scenario with the
@@ -450,7 +456,7 @@ pub fn trace(args: &mut Args) -> CmdResult {
 /// (Prometheus text, or one JSON object with `--json`): the scrape
 /// surface for an external collector. `--profile` attributes the
 /// simulator's wall time to its step-loop phases.
-pub fn metrics(args: &mut Args) -> CmdResult {
+pub fn metrics(args: &mut Args, sink: Sink) -> CmdResult {
     let live = args.flag("live");
     let json = args.flag("json");
     if json && !live {
@@ -482,13 +488,14 @@ pub fn metrics(args: &mut Args) -> CmdResult {
         // The scrape surface is the *stable* export: byte-identical
         // for a given scenario and seed. `--profile` adds the
         // wall-clock phase series.
-        return Ok(if json {
+        let out = if json {
             let mut out = registry.to_json(profile);
             out.push('\n');
             out
         } else {
             registry.to_prometheus(profile)
-        });
+        };
+        return sink.text(args, &out);
     }
 
     let mut out = String::new();
@@ -506,7 +513,7 @@ pub fn metrics(args: &mut Args) -> CmdResult {
         let _ = writeln!(out, "simulator wall-time profile:");
         out.push_str(&sim.take_profile().render());
     }
-    Ok(out)
+    sink.text(args, &out)
 }
 
 /// Sources the JSONL document behind a `tq` query: a pre-recorded
@@ -560,7 +567,7 @@ fn seg_node_opt(args: &mut Args, name: &str) -> Result<Option<(Option<u8>, u8)>,
 /// causal trace: explain a suspicion's full causal chain, profile
 /// phase-level latency against the analytic bounds, filter records, or
 /// round-trip the document.
-pub fn tq(args: &mut Args) -> CmdResult {
+pub fn tq(args: &mut Args, sink: Sink) -> CmdResult {
     let sub = args
         .subcommand()
         .ok_or("error: tq requires a subcommand: chain | phases | filter | summary | reexport")?
@@ -582,8 +589,9 @@ pub fn tq(args: &mut Args) -> CmdResult {
                 }
                 None => None,
             };
-            canely_trace::query::render_chain(&model, seg, suspect, observer)
-                .map_err(|e| format!("error: {e}"))
+            let chain = canely_trace::query::render_chain(&model, seg, suspect, observer)
+                .map_err(|e| format!("error: {e}"))?;
+            sink.text(args, &chain)
         }
         "phases" => {
             // Default bounds come from the paper's operating point;
@@ -598,11 +606,12 @@ pub fn tq(args: &mut Args) -> CmdResult {
                     bounds.detection_latency() + bounds.membership_change_latency(),
                 )
                 .map_err(fail)?;
-            Ok(canely_trace::query::render_phases(
+            let phases = canely_trace::query::render_phases(
                 &model,
                 detection.as_u64(),
                 view_change.as_u64(),
-            ))
+            );
+            sink.text(args, &phases)
         }
         "filter" => {
             let window = |t: BitTime| (!t.is_zero()).then(|| t.as_u64());
@@ -620,24 +629,29 @@ pub fn tq(args: &mut Args) -> CmdResult {
                     since: window(args.duration_opt("since", BitTime::ZERO).map_err(fail)?),
                     until: window(args.duration_opt("until", BitTime::ZERO).map_err(fail)?),
                 };
-            Ok(canely_trace::query::filter(&model, &filter))
+            Ok(canely_trace::query::filter(
+                &model,
+                &filter,
+                sink.open(args)?,
+            )?)
         }
-        "summary" => Ok(canely_trace::query::summary(&model)),
-        "reexport" => Ok(model.to_jsonl()),
+        "summary" => sink.text(args, &canely_trace::query::summary(&model)),
+        "reexport" => Ok(model.write_jsonl(sink.open(args)?)?),
         other => Err(format!(
             "error: unknown tq subcommand `{other}` (chain | phases | filter | summary | reexport)"
-        )),
+        )
+        .into()),
     }
 }
 
 /// `canelyctl campaign <run|report|replay>` — deterministic parallel
 /// fault-injection campaigns driven by `.campaign` specs (see the
 /// `canely-campaign` crate).
-pub fn campaign(args: &mut Args) -> CmdResult {
+pub fn campaign(args: &mut Args, sink: Sink) -> CmdResult {
     match args.subcommand() {
-        Some("run") => campaign_run(args),
-        Some("report") => campaign_report(args),
-        Some("replay") => campaign_replay(args),
+        Some("run") => campaign_run(args, sink),
+        Some("report") => campaign_report(args, sink),
+        Some("replay") => campaign_replay(args, sink),
         _ => Err("error: campaign requires a subcommand: run | report | replay".into()),
     }
 }
@@ -649,7 +663,7 @@ fn campaign_spec(args: &mut Args) -> Result<canely_campaign::CampaignSpec, Strin
     canely_campaign::CampaignSpec::parse_named(&path, &read_file(&path)?).map_err(diagnostic)
 }
 
-fn campaign_run(args: &mut Args) -> CmdResult {
+fn campaign_run(args: &mut Args, sink: Sink) -> CmdResult {
     let spec = campaign_spec(args)?;
     let workers = args.usize_opt("workers", 4).map_err(fail)?;
     let json = args.flag("json");
@@ -725,26 +739,27 @@ fn campaign_run(args: &mut Args) -> CmdResult {
     // Mirror `run`'s expect-view contract: a violating campaign exits
     // nonzero so the command can gate CI directly.
     if result.report.clean() {
-        Ok(out)
+        sink.text(args, &out)
     } else {
-        Err(out.trim_end().to_string())
+        Err(out.trim_end().into())
     }
 }
 
-fn campaign_report(args: &mut Args) -> CmdResult {
+fn campaign_report(args: &mut Args, sink: Sink) -> CmdResult {
     let spec = campaign_spec(args)?;
     if args.flag("analytics") {
         // Execute the matrix with full trace capture and report
         // phase-latency histograms plus measured-vs-bound headroom.
         let workers = args.usize_opt("workers", 4).map_err(fail)?;
         let analytics = canely_campaign::run_campaign_analytics(&spec, workers);
-        return Ok(if args.flag("json") {
+        let out = if args.flag("json") {
             let mut out = analytics.to_json();
             out.push('\n');
             out
         } else {
             analytics.to_markdown()
-        });
+        };
+        return sink.text(args, &out);
     }
     let runs = spec.expand();
     let mut out = String::new();
@@ -809,7 +824,7 @@ fn campaign_report(args: &mut Args) -> CmdResult {
             render::ms(run.view_change_bound()),
         );
     }
-    Ok(out)
+    sink.text(args, &out)
 }
 
 /// `canelyctl run FILE` — executes a scenario file. A single bus runs
@@ -817,12 +832,16 @@ fn campaign_report(args: &mut Args) -> CmdResult {
 /// above 1 needs bridged buses, which the campaign engine's executor
 /// owns, so those files are judged by the invariant oracle —
 /// including global-view agreement across the gateways.
-pub fn run_file(path: &str) -> CmdResult {
-    let text = read_file(path)?;
-    let doc = grammar::Doc::named(path, &text);
+pub fn run_file(args: &mut Args, sink: Sink) -> CmdResult {
+    let path = args
+        .subcommand()
+        .ok_or("error: run requires a scenario file path")?
+        .to_string();
+    let text = read_file(&path)?;
+    let doc = grammar::Doc::named(&path, &text);
     let (scenario, seen) = Scenario::read(&doc).map_err(diagnostic)?;
     let Some(fed) = scenario.run.federation else {
-        return report(&scenario).map_err(fail);
+        return sink.text(args, &report(&scenario).map_err(fail)?);
     };
     let run = scenario.judged(&seen, &doc).map_err(diagnostic)?;
     let header = format!(
@@ -834,12 +853,13 @@ pub fn run_file(path: &str) -> CmdResult {
         render::ms(run.tm),
         run.seed,
     );
-    verdict(header, &run, " (including global-view agreement)")
+    let out = verdict(header, &run, " (including global-view agreement)")?;
+    sink.text(args, &out)
 }
 
 /// Judges `run` under the invariant oracle and appends the verdict to
 /// its report `out`; a violating run makes the command fail.
-fn verdict(mut out: String, run: &RunSpec, scope: &str) -> CmdResult {
+fn verdict(mut out: String, run: &RunSpec, scope: &str) -> Result<String, String> {
     let outcome = canely_campaign::execute(run, false);
     if outcome.violations.is_empty() {
         let _ = writeln!(out, "verdict: clean — every invariant held{scope}");
@@ -853,7 +873,7 @@ fn verdict(mut out: String, run: &RunSpec, scope: &str) -> CmdResult {
     }
 }
 
-fn campaign_replay(args: &mut Args) -> CmdResult {
+fn campaign_replay(args: &mut Args, sink: Sink) -> CmdResult {
     let path = args
         .str_opt("scenario")
         .ok_or("error: --scenario <file.canely> is required")?;
@@ -871,7 +891,8 @@ fn campaign_replay(args: &mut Args) -> CmdResult {
             ""
         },
     );
-    verdict(header, &run, "")
+    let out = verdict(header, &run, "")?;
+    sink.text(args, &out)
 }
 
 #[cfg(test)]

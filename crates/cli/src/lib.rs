@@ -21,41 +21,55 @@
 
 pub mod args;
 pub mod commands;
+mod output;
 pub mod render;
 pub mod scenario;
 
 pub use args::{ArgError, Args};
+pub use output::{Failure, Sink};
 
-/// Entry point shared by the binary and the tests: parses `argv`
-/// (without the program name) and runs the selected command, returning
-/// the rendered output.
+use std::io::Write;
+
+/// Entry point of the binary: parses `argv` (without the program name)
+/// and runs the selected command, which writes its output to `out`.
 ///
 /// # Errors
 ///
-/// Returns a usage/diagnostic message on malformed arguments.
-pub fn run(argv: &[String]) -> Result<String, String> {
+/// A usage or diagnostic message on malformed arguments, before any
+/// byte is written; or the write `out` refused.
+pub fn run_into(argv: &[String], out: &mut dyn Write) -> Result<(), Failure> {
     let mut args = Args::parse(argv).map_err(|e| format!("{e}\n\n{}", usage()))?;
     let command = args.command().to_string();
-    let output = match command.as_str() {
-        "membership" => commands::membership(&mut args),
-        "groups" => commands::groups(&mut args),
-        "baseline" => commands::baseline(&mut args),
-        "analyze" => commands::analyze(&mut args),
-        "trace" => commands::trace(&mut args),
-        "tq" => commands::tq(&mut args),
-        "metrics" => commands::metrics(&mut args),
-        "campaign" => commands::campaign(&mut args),
-        "run" => {
-            let path = args
-                .subcommand()
-                .ok_or("error: run requires a scenario file path")?;
-            commands::run_file(path)
-        }
-        "help" | "--help" | "-h" => return Ok(usage()),
-        other => return Err(format!("unknown command `{other}`\n\n{}", usage())),
-    }?;
-    args.reject_unused()?;
-    Ok(output)
+    if matches!(command.as_str(), "help" | "--help" | "-h") {
+        return Ok(out.write_all(usage().as_bytes())?);
+    }
+    let sink = Sink::new(out);
+    match command.as_str() {
+        "membership" => commands::membership(&mut args, sink),
+        "groups" => commands::groups(&mut args, sink),
+        "baseline" => commands::baseline(&mut args, sink),
+        "analyze" => commands::analyze(&mut args, sink),
+        "trace" => commands::trace(&mut args, sink),
+        "tq" => commands::tq(&mut args, sink),
+        "metrics" => commands::metrics(&mut args, sink),
+        "campaign" => commands::campaign(&mut args, sink),
+        "run" => commands::run_file(&mut args, sink),
+        other => Err(format!("unknown command `{other}`\n\n{}", usage()).into()),
+    }
+}
+
+/// [`run_into`] a buffer: the output as text, as the tests read it.
+///
+/// # Errors
+///
+/// The usage or diagnostic message.
+pub fn run(argv: &[String]) -> Result<String, String> {
+    let mut out = Vec::new();
+    match run_into(argv, &mut out) {
+        Ok(()) => Ok(String::from_utf8(out).expect("every command writes text")),
+        Err(Failure::Message(message)) => Err(message),
+        Err(Failure::Write(error)) => Err(format!("error: writing output: {error}")),
+    }
 }
 
 /// The usage text.

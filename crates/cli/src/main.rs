@@ -1,26 +1,23 @@
 //! The `canely` binary: scenario runner for the CANELy stack.
 
-use std::io::{ErrorKind, Write};
+use canely_cli::Failure;
+use std::io::{BufWriter, ErrorKind, Write};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let output = match canely_cli::run(&argv) {
-        Ok(output) => output,
-        Err(message) => {
-            eprintln!("{message}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut stdout = std::io::stdout().lock();
-    match stdout
-        .write_all(output.as_bytes())
-        .and_then(|()| stdout.flush())
-    {
+    // Every command writes through this one buffer as it renders.
+    let mut stdout = BufWriter::with_capacity(1 << 16, std::io::stdout().lock());
+    let done = canely_cli::run_into(&argv, &mut stdout).and_then(|()| Ok(stdout.flush()?));
+    match done {
         Ok(()) => ExitCode::SUCCESS,
+        Err(Failure::Message(message)) => {
+            eprintln!("{message}");
+            ExitCode::FAILURE
+        }
         // The reader went away (`| head`): it has what it wanted.
-        Err(error) if error.kind() == ErrorKind::BrokenPipe => ExitCode::SUCCESS,
-        Err(error) => {
+        Err(Failure::Write(error)) if error.kind() == ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(Failure::Write(error)) => {
             eprintln!("error: writing to stdout: {error}");
             ExitCode::FAILURE
         }

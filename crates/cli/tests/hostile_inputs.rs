@@ -401,29 +401,107 @@ fn a_node_joins_and_leaves_once_under_the_flags() {
     }
 }
 
+/// The binary, run with `args` and stdout going to `stdout`.
+fn canelyctl(args: &[&str], stdout: impl Into<std::process::Stdio>) -> std::process::Child {
+    use std::process::{Command, Stdio};
+    Command::new(env!("CARGO_BIN_EXE_canelyctl"))
+        .args(args)
+        .stdout(stdout)
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap()
+}
+
+/// A JSONL trace document written by the library to a scratch file
+/// named `name`, for `tq --trace`.
+fn recorded_trace(name: &str) -> String {
+    let jsonl = run(&argv(&[
+        "trace", "--nodes", "4", "--crash", "2@250ms", "--until", "400ms", "--jsonl",
+    ]))
+    .unwrap();
+    file(name, &jsonl)
+}
+
 #[test]
 fn a_reader_that_closes_the_pipe_early_ends_the_run_quietly() {
     // `canelyctl trace … --jsonl | head -n 1` used to panic (`failed
-    // printing to stdout: Broken pipe`, exit 101): the document is a
-    // few pipe buffers long and `head` is gone after the first.
+    // printing to stdout: Broken pipe`, exit 101). Each output is many
+    // pipe buffers long and streams as it renders, so `head` is gone
+    // while the command is still rendering.
     use std::io::{BufRead, BufReader};
-    use std::process::{Command, Stdio};
-    let mut child = Command::new(env!("CARGO_BIN_EXE_canelyctl"))
-        .args(["trace", "--nodes", "4", "--until", "400ms", "--jsonl"])
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .unwrap();
-    let mut stdout = BufReader::with_capacity(256, child.stdout.take().unwrap());
-    let mut first = String::new();
-    stdout.read_line(&mut first).unwrap();
-    assert!(first.starts_with("{\"t\":0,"), "{first}");
-    drop(stdout);
-    let output = child.wait_with_output().unwrap();
+    use std::process::Stdio;
+    let trace = recorded_trace("closed-pipe.trace.jsonl");
+    for (args, head) in [
+        (
+            &["trace", "--nodes", "4", "--until", "400ms", "--jsonl"][..],
+            "{\"t\":0,",
+        ),
+        (
+            &["trace", "--nodes", "4", "--until", "400ms", "--chrome"],
+            "{\"traceEvents\":[",
+        ),
+        (&["tq", "reexport", "--trace", &trace], "{\"t\":0,"),
+    ] {
+        let mut child = canelyctl(args, Stdio::piped());
+        let mut stdout = BufReader::with_capacity(256, child.stdout.take().unwrap());
+        let mut first = String::new();
+        stdout.read_line(&mut first).unwrap();
+        assert!(first.starts_with(head), "{args:?}: {first}");
+        drop(stdout);
+        let output = child.wait_with_output().unwrap();
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert_eq!(
+            stderr, "",
+            "{args:?}: a closed pipe is not an error to report"
+        );
+        assert!(output.status.success(), "{args:?}: {:?}", output.status);
+    }
+}
+
+#[test]
+fn every_argument_check_runs_before_the_first_byte_is_written() {
+    // The output streams as it renders, so an argument no command read
+    // must be refused before the render starts, not after it.
+    use std::process::Stdio;
+    let trace = recorded_trace("unused-argument.trace.jsonl");
+    for (args, message) in [
+        (
+            &[
+                "trace", "--nodes", "3", "--until", "50ms", "--jsonl", "--bogus", "1",
+            ][..],
+            "error: unknown option --bogus\n",
+        ),
+        (
+            &["trace", "--chrome", "--csv"],
+            "error: --csv, --jsonl and --chrome are mutually exclusive\n",
+        ),
+        (
+            &["tq", "reexport", "--trace", &trace, "--bogus"],
+            "error: unknown flag --bogus\n",
+        ),
+    ] {
+        let output = canelyctl(args, Stdio::piped()).wait_with_output().unwrap();
+        assert_eq!(output.status.code(), Some(1), "{args:?}");
+        assert_eq!(String::from_utf8_lossy(&output.stderr), message, "{args:?}");
+        assert!(output.stdout.is_empty(), "{args:?} wrote before refusing");
+    }
+}
+
+#[test]
+fn a_full_disk_is_an_error_naming_stdout() {
+    let Ok(full) = std::fs::OpenOptions::new().write(true).open("/dev/full") else {
+        return; // no `/dev/full` on this platform
+    };
+    let args = ["trace", "--nodes", "4", "--until", "400ms", "--jsonl"];
+    let output = canelyctl(&args, full).wait_with_output().unwrap();
     let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(!stderr.contains("panicked"), "{stderr}");
-    assert_eq!(stderr, "", "a closed pipe is not an error to report");
-    assert!(output.status.success(), "{:?}", output.status);
+    assert_eq!(output.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.starts_with("error: writing to stdout: No space left on device"),
+        "{stderr}"
+    );
+    assert_eq!(stderr.lines().count(), 1, "one diagnostic: {stderr}");
 }
 
 #[test]

@@ -262,6 +262,49 @@ fn small_trace_exports_match_the_goldens() {
     }
 }
 
+/// The same goldens on the path users run: the binary's stdout, written
+/// as it renders, byte for byte — and `tq reexport` of the JSONL golden
+/// reproduces it.
+#[test]
+fn the_binary_streams_the_goldens_byte_for_byte() {
+    use std::process::Command;
+    let canelyctl = |args: &[&str]| {
+        let output = Command::new(env!("CARGO_BIN_EXE_canelyctl"))
+            .args(args)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            output.status.success() && stderr.is_empty(),
+            "{args:?}: {stderr}"
+        );
+        output.stdout
+    };
+    let flags = [
+        "trace", "--nodes", "4", "--crash", "2@250ms", "--until", "400ms",
+    ];
+    let jsonl = include_str!("../../../tests/golden/trace_small.jsonl");
+    let chrome = include_str!("../../../tests/golden/trace_small.chrome.json");
+    for (format, golden) in [("--jsonl", jsonl), ("--chrome", chrome)] {
+        let mut args = flags.to_vec();
+        args.push(format);
+        let out = canelyctl(&args);
+        assert!(
+            out == golden.as_bytes(),
+            "trace {format} diverged from its golden"
+        );
+    }
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/golden/trace_small.jsonl"
+    );
+    let out = canelyctl(&["tq", "reexport", "--trace", path]);
+    assert!(
+        out == jsonl.as_bytes(),
+        "tq reexport of the golden diverged from it"
+    );
+}
+
 /// The one-shot `metrics --live` scrape surface (docs/METRICS.md) on
 /// the same episode, in both exposition formats, byte for byte.
 #[test]

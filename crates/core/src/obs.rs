@@ -18,9 +18,10 @@
 //! * [`ObsLog`] / [`EventSink`] — the shared log and the per-entity
 //!   handle. All nodes of a simulation share **one** log, so a single
 //!   export captures the whole run.
-//! * [`ObsLog::export_jsonl`] — renders the protocol events, merged
-//!   with the bus-level [`BusTrace`], as one time-ordered
-//!   JSON-Lines document (schema: `docs/TRACE_SCHEMA.md`).
+//! * [`ObsLog::write_jsonl`] — writes the protocol events, merged
+//!   with the bus-level [`BusTrace`], to an `io::Write` as one
+//!   time-ordered JSON-Lines document (schema: `docs/TRACE_SCHEMA.md`),
+//!   record by record; [`ObsLog::export_jsonl`] is its `String` form.
 //! * [`Snapshot`] — metrics derived by folding over the event log:
 //!   per-node and global event counts by kind plus latency histograms
 //!   (failure-detection and view-change latency, both from
@@ -34,7 +35,9 @@
 use can_bus::{BusStats, BusTrace, TxRecord};
 use can_types::{BitTime, Mid, NodeId, NodeSet, MAX_NODES};
 use std::cell::{Cell, RefCell};
-use std::fmt::Write as _;
+use std::cmp::Reverse;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
+use std::io::{self, Write};
 use std::rc::Rc;
 
 /// Protocol timers visible in the trace (the application-traffic and
@@ -425,71 +428,63 @@ impl ProtocolEvent {
 
     /// Appends the variant-specific JSON fields (each preceded by a
     /// comma) to a JSON object under construction.
-    fn write_json_fields(&self, out: &mut String) {
+    fn write_json_fields(&self, out: &mut Vec<u8>) {
         match *self {
             ProtocolEvent::TimerArmed { timer, deadline } => {
-                let _ = write!(out, ",\"timer\":\"{timer}\"");
+                timer.push_field(out);
                 push_field(out, ",\"deadline\":", deadline.as_u64());
             }
-            ProtocolEvent::TimerExpired { timer } => {
-                let _ = write!(out, ",\"timer\":\"{timer}\"");
-            }
-            ProtocolEvent::LifeSignObserved { of } => {
-                let _ = write!(out, ",\"of\":{}", of.as_u8());
-            }
-            ProtocolEvent::SuspectRaised { suspect } => {
-                let _ = write!(out, ",\"suspect\":{}", suspect.as_u8());
-            }
+            ProtocolEvent::TimerExpired { timer } => timer.push_field(out),
+            ProtocolEvent::LifeSignObserved { of } => push_node(out, ",\"of\":", of),
+            ProtocolEvent::SuspectRaised { suspect } => push_node(out, ",\"suspect\":", suspect),
             ProtocolEvent::FailureNotified { failed }
             | ProtocolEvent::FdaInvoked { failed }
-            | ProtocolEvent::FdaDelivered { failed } => {
-                let _ = write!(out, ",\"failed\":{}", failed.as_u8());
-            }
+            | ProtocolEvent::FdaDelivered { failed } => push_node(out, ",\"failed\":", failed),
             ProtocolEvent::FdaSignSent { failed, diffusion } => {
-                let _ = write!(
-                    out,
-                    ",\"failed\":{},\"diffusion\":{diffusion}",
-                    failed.as_u8()
-                );
+                push_node(out, ",\"failed\":", failed);
+                push_bool(out, ",\"diffusion\":", diffusion);
             }
             ProtocolEvent::FdaSignReceived { failed, duplicate } => {
-                let _ = write!(
-                    out,
-                    ",\"failed\":{},\"duplicate\":{duplicate}",
-                    failed.as_u8()
-                );
+                push_node(out, ",\"failed\":", failed);
+                push_bool(out, ",\"duplicate\":", duplicate);
             }
             ProtocolEvent::RhaStarted {
                 proposal,
                 full_member,
             } => {
-                let _ = write!(
-                    out,
-                    ",\"proposal\":\"{proposal}\",\"full_member\":{full_member}"
-                );
+                push_set(out, ",\"proposal\":\"", proposal);
+                push_bool(out, "\",\"full_member\":", full_member);
             }
             ProtocolEvent::RhvSent { vector }
             | ProtocolEvent::RhaNarrowed { vector }
             | ProtocolEvent::RhaQuenched { vector } => {
-                let _ = write!(out, ",\"vector\":\"{vector}\"");
+                push_set(out, ",\"vector\":\"", vector);
+                out.push(b'"');
             }
             ProtocolEvent::RhvReceived { from, vector } => {
-                let _ = write!(out, ",\"from\":{},\"vector\":\"{vector}\"", from.as_u8());
+                push_node(out, ",\"from\":", from);
+                push_set(out, ",\"vector\":\"", vector);
+                out.push(b'"');
             }
             ProtocolEvent::RhaSettled { vector, broadcasts } => {
-                let _ = write!(out, ",\"vector\":\"{vector}\",\"broadcasts\":{broadcasts}");
+                push_set(out, ",\"vector\":\"", vector);
+                push_field(out, "\",\"broadcasts\":", broadcasts.into());
             }
             ProtocolEvent::JoinObserved { subject } | ProtocolEvent::LeaveObserved { subject } => {
-                let _ = write!(out, ",\"subject\":{}", subject.as_u8());
+                push_node(out, ",\"subject\":", subject);
             }
             ProtocolEvent::CycleStarted { index, idle } => {
-                let _ = write!(out, ",\"index\":{index},\"idle\":{idle}");
+                push_field(out, ",\"index\":", index);
+                push_bool(out, ",\"idle\":", idle);
             }
             ProtocolEvent::ViewBootstrapped { view } | ProtocolEvent::ViewInstalled { view } => {
-                let _ = write!(out, ",\"view\":\"{view}\"");
+                push_set(out, ",\"view\":\"", view);
+                out.push(b'"');
             }
             ProtocolEvent::ViewChanged { view, failed } => {
-                let _ = write!(out, ",\"view\":\"{view}\",\"failed\":\"{failed}\"");
+                push_set(out, ",\"view\":\"", view);
+                push_set(out, "\",\"failed\":\"", failed);
+                out.push(b'"');
             }
             ProtocolEvent::FedDigest {
                 reporter,
@@ -497,29 +492,34 @@ impl ProtocolEvent {
                 epoch,
                 view,
             } => {
-                let _ = write!(
-                    out,
-                    ",\"reporter\":{reporter},\"subject\":{subject},\"epoch\":{epoch},\"view\":\"{view}\""
-                );
+                push_field(out, ",\"reporter\":", reporter.into());
+                push_field(out, ",\"subject\":", subject.into());
+                push_field(out, ",\"epoch\":", epoch.into());
+                push_set(out, ",\"view\":\"", view);
+                out.push(b'"');
             }
             ProtocolEvent::FedInstall {
                 subject,
                 epoch,
                 view,
             } => {
-                let _ = write!(
-                    out,
-                    ",\"subject\":{subject},\"epoch\":{epoch},\"view\":\"{view}\""
-                );
+                push_field(out, ",\"subject\":", subject.into());
+                push_field(out, ",\"epoch\":", epoch.into());
+                push_set(out, ",\"view\":\"", view);
+                out.push(b'"');
             }
             ProtocolEvent::FedRelay { mid, from_seg } => {
-                let _ = write!(out, ",\"mid\":\"{mid}\",\"from_seg\":{from_seg}");
+                out.extend_from_slice(b",\"mid\":\"");
+                push_mid(out, mid);
+                push_field(out, "\",\"from_seg\":", from_seg.into());
             }
             ProtocolEvent::FedElect { leader, epoch } => {
-                let _ = write!(out, ",\"leader\":{},\"epoch\":{epoch}", leader.as_u8());
+                push_node(out, ",\"leader\":", leader);
+                push_field(out, ",\"epoch\":", epoch.into());
             }
             ProtocolEvent::FedRejoin { subject, epoch } => {
-                let _ = write!(out, ",\"subject\":{subject},\"epoch\":{epoch}");
+                push_field(out, ",\"subject\":", subject.into());
+                push_field(out, ",\"epoch\":", epoch.into());
             }
             ProtocolEvent::LifeSignSent
             | ProtocolEvent::JoinRequested
@@ -563,16 +563,16 @@ pub enum Cause {
 impl Cause {
     /// Appends the `cause` JSON field (preceded by a comma) — nothing
     /// for [`Cause::Boot`], which is encoded as field absence.
-    fn write_json_field(&self, out: &mut String) {
+    fn write_json_field(&self, out: &mut Vec<u8>) {
         match *self {
             Cause::Boot => {}
             Cause::Bus { deliver_at } => {
                 push_field(out, ",\"cause\":\"bus:", deliver_at.as_u64());
-                out.push('"');
+                out.push(b'"');
             }
             Cause::Event { seq } => {
                 push_field(out, ",\"cause\":\"event:", seq);
-                out.push('"');
+                out.push(b'"');
             }
         }
     }
@@ -611,14 +611,14 @@ impl TimedEvent {
     /// Renders the event as one JSONL object, including its log
     /// sequence number (the target of `event:<seq>` cause references).
     pub fn to_json_seq(&self, seq: Option<u64>) -> String {
-        let mut out = String::with_capacity(128);
+        let mut out = Vec::with_capacity(128);
         self.write_json_seq(None, seq, &mut out);
-        out
+        ascii(out)
     }
 
     /// Appends the event as one JSONL object, with its segment tag and
     /// log sequence number where given.
-    fn write_json_seq(&self, seg: Option<u8>, seq: Option<u64>, out: &mut String) {
+    fn write_json_seq(&self, seg: Option<u8>, seq: Option<u64>, out: &mut Vec<u8>) {
         push_field(out, "{\"t\":", self.time.as_u64());
         if let Some(seg) = seg {
             push_field(out, ",\"seg\":", seg.into());
@@ -626,21 +626,41 @@ impl TimedEvent {
         if let Some(seq) = seq {
             push_field(out, ",\"seq\":", seq);
         }
-        push_field(out, ",\"node\":", self.node.as_u8().into());
-        out.push_str(",\"kind\":\"");
-        out.push_str(self.event.kind());
-        out.push('"');
+        push_node(out, ",\"node\":", self.node);
+        out.extend_from_slice(b",\"kind\":\"");
+        out.extend_from_slice(self.event.kind().as_bytes());
+        out.push(b'"');
         self.event.write_json_fields(out);
         self.cause.write_json_field(out);
-        out.push('}');
+        out.push(b'}');
     }
 }
 
-/// Appends `label` and `n` in decimal. Seven lines in eight of a trace
-/// are numbers between fixed labels, and `write!` spends more on its
-/// way to the digits than on them.
-fn push_field(out: &mut String, label: &str, mut n: u64) {
-    out.push_str(label);
+impl ObsTimer {
+    /// Appends the `timer` JSON field (preceded by a comma): the
+    /// timer's [`Display`](std::fmt::Display) spelling, as a string.
+    fn push_field(self, out: &mut Vec<u8>) {
+        match self {
+            ObsTimer::Surveillance(r) => {
+                push_node(out, ",\"timer\":\"surveillance:", r);
+                out.push(b'"');
+            }
+            ObsTimer::RhaTermination => out.extend_from_slice(b",\"timer\":\"rha-termination\""),
+            ObsTimer::MembershipCycle => {
+                out.extend_from_slice(b",\"timer\":\"membership-cycle\"");
+            }
+        }
+    }
+}
+
+// The exporter spells every line from the byte helpers below: seven
+// lines in eight of a trace are numbers and node sets between fixed
+// labels, and `write!` spends more on its way to the digits than on
+// them.
+
+/// Appends `label` and `n` in decimal.
+fn push_field(out: &mut Vec<u8>, label: &str, mut n: u64) {
+    out.extend_from_slice(label.as_bytes());
     let mut digits = [b'0'; 20];
     let mut at = digits.len();
     loop {
@@ -651,7 +671,59 @@ fn push_field(out: &mut String, label: &str, mut n: u64) {
             break;
         }
     }
-    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+    out.extend_from_slice(&digits[at..]);
+}
+
+/// Appends `label` and a node's number.
+fn push_node(out: &mut Vec<u8>, label: &str, node: NodeId) {
+    push_field(out, label, node.as_u8().into());
+}
+
+/// Appends `label` and `true` / `false`.
+fn push_bool(out: &mut Vec<u8>, label: &str, b: bool) {
+    out.extend_from_slice(label.as_bytes());
+    out.extend_from_slice(if b { b"true" } else { b"false" });
+}
+
+/// Appends `label` and a node set as its `Display` spells it: `{0,2,5}`.
+fn push_set(out: &mut Vec<u8>, label: &str, set: NodeSet) {
+    out.extend_from_slice(label.as_bytes());
+    out.push(b'{');
+    for (i, node) in set.iter().enumerate() {
+        push_node(out, if i == 0 { "" } else { "," }, node);
+    }
+    out.push(b'}');
+}
+
+/// Appends a mid as its `Display` spells it (`FDA[0,n3]`), as a JSON
+/// string's content.
+fn push_mid(out: &mut Vec<u8>, mid: Mid) {
+    push_escaped(out, mid.msg_type().name());
+    push_field(out, "[", mid.reference().into());
+    push_node(out, ",n", mid.node());
+    out.push(b']');
+}
+
+/// Appends `s` escaped as what a JSON string must (quote, backslash,
+/// control characters).
+fn push_escaped(out: &mut Vec<u8>, s: &str) {
+    for &b in s.as_bytes() {
+        match b {
+            b'"' => out.extend_from_slice(b"\\\""),
+            b'\\' => out.extend_from_slice(b"\\\\"),
+            c if c < 0x20 => {
+                const HEX: &[u8; 16] = b"0123456789abcdef";
+                out.extend_from_slice(b"\\u00");
+                out.extend_from_slice(&[HEX[usize::from(c >> 4)], HEX[usize::from(c & 15)]]);
+            }
+            c => out.push(c),
+        }
+    }
+}
+
+/// The text of a rendered line or document: the exporter writes ASCII.
+fn ascii(bytes: Vec<u8>) -> String {
+    String::from_utf8(bytes).expect("the trace exporter writes ASCII")
 }
 
 /// A set of event kinds: which emitted events a log stores (see
@@ -901,21 +973,56 @@ impl ObsLog {
     }
 
     /// Renders the log — merged with a bus trace, if given — as one
-    /// time-ordered JSONL document (see [`export_segments_jsonl`]).
+    /// time-ordered JSONL document: [`ObsLog::write_jsonl`] into a
+    /// `String`.
     ///
     /// # Panics
     ///
-    /// If the log does not store every kind ([`ObsLog::retaining`]): it
-    /// holds no complete trace, and the stored events' positions are
-    /// not their sequence numbers.
+    /// As [`export_segments_jsonl`].
     pub fn export_jsonl(&self, bus: Option<&BusTrace>) -> String {
-        export_segments_jsonl(&[(self, bus)])
+        export_segments_string(&[(self, bus)])
+    }
+
+    /// Writes the log — merged with a bus trace, if given — to `out` as
+    /// one time-ordered JSONL document (see [`export_segments_jsonl`]).
+    ///
+    /// # Errors
+    ///
+    /// The first error `out` returns.
+    ///
+    /// # Panics
+    ///
+    /// As [`export_segments_jsonl`].
+    pub fn write_jsonl<W: Write + ?Sized>(
+        &self,
+        bus: Option<&BusTrace>,
+        out: &mut W,
+    ) -> io::Result<()> {
+        export_segments_jsonl(&[(self, bus)], out)
     }
 }
 
-/// Renders the logs and (optionally) bus transaction traces of one or
-/// more bus segments as one merged JSON-Lines document, one object per
-/// line, sorted by time.
+/// [`export_segments_jsonl`] into a `String`, reserved up front from
+/// what the records of either class come to (a `timer.armed` is ~120
+/// bytes, a `bus.tx` ~190).
+///
+/// # Panics
+///
+/// As [`export_segments_jsonl`].
+pub fn export_segments_string(segments: &[(&ObsLog, Option<&BusTrace>)]) -> String {
+    let events: usize = segments.iter().map(|(log, _)| log.len()).sum();
+    let txs: usize = segments
+        .iter()
+        .flat_map(|(_, bus)| bus.map(BusTrace::len))
+        .sum();
+    let mut out = Vec::with_capacity(events * 144 + txs * 208);
+    export_segments_jsonl(segments, &mut out).expect("a `Vec` takes every write");
+    ascii(out)
+}
+
+/// Writes the logs and (optionally) bus transaction traces of one or
+/// more bus segments to `out` as one merged JSON-Lines document, one
+/// object per line, sorted by time.
 ///
 /// Ordering guarantees (documented in `docs/TRACE_SCHEMA.md`):
 /// primary key is the event instant `t`; at equal instants bus
@@ -926,12 +1033,23 @@ impl ObsLog {
 /// equal instant sort by segment first. The output is deterministic:
 /// two identical runs produce byte-identical documents.
 ///
+/// Each record is rendered into one reused line buffer and written as
+/// it comes: the document is never held, and the merge holds a heap
+/// entry per time-ordered stretch of records, not a key per record.
+///
+/// # Errors
+///
+/// The first error `out` returns; the records before it are written.
+///
 /// # Panics
 ///
 /// If a log does not store every kind ([`ObsLog::retaining`]): it
 /// holds no complete trace, and the stored events' positions are not
 /// their sequence numbers.
-pub fn export_segments_jsonl(segments: &[(&ObsLog, Option<&BusTrace>)]) -> String {
+pub fn export_segments_jsonl<W: Write + ?Sized>(
+    segments: &[(&ObsLog, Option<&BusTrace>)],
+    out: &mut W,
+) -> io::Result<()> {
     let logs: Vec<_> = segments
         .iter()
         .map(|(log, _)| {
@@ -946,88 +1064,81 @@ pub fn export_segments_jsonl(segments: &[(&ObsLog, Option<&BusTrace>)]) -> Strin
         .iter()
         .map(|(_, bus)| bus.map_or(&[][..], |trace| trace.iter().as_slice()))
         .collect();
-    // (time, segment, class, index) — class 0 = bus, 1 = protocol: a
-    // total order, so nothing is assumed of the order records were
-    // made in. As a rule each class of each segment is in time order
-    // already, and the stable sort merges such runs in one pass.
-    let events: usize = logs.iter().map(|log| log.events.len()).sum();
-    let txs: usize = buses.iter().map(|bus| bus.len()).sum();
-    let mut keys: Vec<(u64, u8, u8, usize)> = Vec::with_capacity(events + txs);
+    // Record `index` of class `class` (0 = bus, 1 = protocol) of
+    // segment `seg` sorts by the key (time, segment, class, index): a
+    // total order, so nothing is assumed of the order records were made
+    // in. As a rule each class of each segment is one stretch in time
+    // order (a harness marker recorded after the run starts another),
+    // and a heap of the stretches' next records — each stretch sorted
+    // by that key already — merges them into the key's order.
+    let time = |seg: u8, class: u8, index: usize| -> u64 {
+        let seg = usize::from(seg);
+        if class == 0 {
+            buses[seg][index].start.as_u64()
+        } else {
+            logs[seg].events[index].time.as_u64()
+        }
+    };
+    let mut heads = BinaryHeap::new();
     for (seg, (log, bus)) in logs.iter().zip(&buses).enumerate() {
         let seg = u8::try_from(seg).expect("segments are indexed by a byte");
-        keys.extend(
-            bus.iter()
-                .enumerate()
-                .map(|(i, rec)| (rec.start.as_u64(), seg, 0, i)),
-        );
-        keys.extend(
-            log.events
-                .iter()
-                .enumerate()
-                .map(|(i, e)| (e.time.as_u64(), seg, 1, i)),
-        );
-    }
-    keys.sort();
-    // Each record is written once, in key order, straight into the
-    // document, sized up front from what the records of either class
-    // come to (a `timer.armed` is ~120 bytes, a `bus.tx` ~190).
-    let mut out = String::with_capacity(events * 144 + txs * 208);
-    for (_, seg, class, index) in keys {
-        let tag = (segments.len() > 1).then_some(seg);
-        if class == 0 {
-            write_bus_json(&buses[usize::from(seg)][index], tag, &mut out);
-        } else {
-            logs[usize::from(seg)].events[index].write_json_seq(tag, Some(index as u64), &mut out);
+        for (class, len) in [(0, bus.len()), (1, log.events.len())] {
+            let mut start = 0;
+            for end in 1..=len {
+                if end == len || time(seg, class, end) < time(seg, class, end - 1) {
+                    heads.push(Reverse((time(seg, class, start), seg, class, start, end)));
+                    start = end;
+                }
+            }
         }
-        out.push('\n');
     }
-    out
+    let tagged = segments.len() > 1;
+    let mut line = Vec::with_capacity(256);
+    while let Some(mut head) = heads.peek_mut() {
+        let Reverse((_, seg, class, index, end)) = *head;
+        if index + 1 < end {
+            *head = Reverse((time(seg, class, index + 1), seg, class, index + 1, end));
+        } else {
+            PeekMut::pop(head);
+        }
+        line.clear();
+        let tag = tagged.then_some(seg);
+        let seg = usize::from(seg);
+        if class == 0 {
+            write_bus_json(&buses[seg][index], tag, &mut line);
+        } else {
+            logs[seg].events[index].write_json_seq(tag, Some(index as u64), &mut line);
+        }
+        line.push(b'\n');
+        out.write_all(&line)?;
+    }
+    Ok(())
 }
 
 /// Appends one `bus.tx` record as a JSONL object.
-fn write_bus_json(rec: &TxRecord, seg: Option<u8>, out: &mut String) {
-    let _ = write!(out, "{{\"t\":{}", rec.start.as_u64());
+fn write_bus_json(rec: &TxRecord, seg: Option<u8>, out: &mut Vec<u8>) {
+    push_field(out, "{\"t\":", rec.start.as_u64());
     if let Some(seg) = seg {
-        let _ = write!(out, ",\"seg\":{seg}");
+        push_field(out, ",\"seg\":", seg.into());
     }
-    out.push_str(",\"kind\":\"bus.tx\",\"mid\":\"");
+    out.extend_from_slice(b",\"kind\":\"bus.tx\",\"mid\":\"");
     match rec.mid() {
-        Some(mid) => {
-            let _ = write!(Escaped(out), "{mid}");
-        }
-        None => out.push('-'),
+        Some(mid) => push_mid(out, mid),
+        None => out.push(b'-'),
     }
-    let _ = write!(
-        out,
-        "\",\"frame\":\"{}\",\"transmitters\":\"{}\",\"bus_free\":{},\"deliver\":{},\
-         \"queued\":{},\"arb_losses\":{},\"delivered\":{},\"errored\":{}}}",
-        if rec.frame.is_remote() { "rtr" } else { "data" },
-        rec.transmitters,
-        rec.bus_free.as_u64(),
-        rec.deliver_at.as_u64(),
-        rec.queued_at.as_u64(),
-        rec.arb_losses,
-        !rec.errored,
-        rec.errored,
-    );
-}
-
-/// Writes through to a `String`, escaping what a JSON string must
-/// (quote, backslash, control characters).
-struct Escaped<'a>(&'a mut String);
-
-impl std::fmt::Write for Escaped<'_> {
-    fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        for c in s.chars() {
-            match c {
-                '"' => self.0.push_str("\\\""),
-                '\\' => self.0.push_str("\\\\"),
-                c if (c as u32) < 0x20 => write!(self.0, "\\u{:04x}", c as u32)?,
-                c => self.0.push(c),
-            }
-        }
-        Ok(())
-    }
+    out.extend_from_slice(if rec.frame.is_remote() {
+        b"\",\"frame\":\"rtr"
+    } else {
+        b"\",\"frame\":\"data"
+    });
+    push_set(out, "\",\"transmitters\":\"", rec.transmitters);
+    push_field(out, "\",\"bus_free\":", rec.bus_free.as_u64());
+    push_field(out, ",\"deliver\":", rec.deliver_at.as_u64());
+    push_field(out, ",\"queued\":", rec.queued_at.as_u64());
+    push_field(out, ",\"arb_losses\":", rec.arb_losses.into());
+    push_bool(out, ",\"delivered\":", !rec.errored);
+    push_bool(out, ",\"errored\":", rec.errored);
+    out.push(b'}');
 }
 
 /// A simple sample-keeping histogram over `u64` values (latencies in
@@ -1570,9 +1681,9 @@ mod tests {
 
     #[test]
     fn json_escape_controls_and_quotes() {
-        let mut out = String::new();
-        Escaped(&mut out).write_str("a\"b\\c\nd").unwrap();
-        assert_eq!(out, "a\\\"b\\\\c\\u000ad");
+        let mut out = Vec::new();
+        push_escaped(&mut out, "a\"b\\c\nd\u{1f}");
+        assert_eq!(ascii(out), "a\\\"b\\\\c\\u000ad\\u001f");
     }
 
     /// A marker-rich stream exercising every window rule of

@@ -1,16 +1,17 @@
-//! The JSONL exporter against the exporters it replaced, both kept
-//! verbatim here as oracles: the single-bus one that built a `String`
-//! per record and sorted `(t, class, seq, String)` tuples, and the
-//! federation one that exported each segment to text, re-read `t` from
-//! every line, spliced a `seg` tag in and sorted the tagged copies.
-//! The renderer that writes each record once, in key order, must
-//! produce their bytes — also for inputs a simulator never makes:
-//! equal instants across classes and segments, events recorded out of
-//! time order, frames whose identifier decodes to no mid.
+//! The JSONL exporter against the exporters it replaced, kept verbatim
+//! here as oracles: the single-bus one that built a `String` per record
+//! and sorted `(t, class, seq, String)` tuples, the federation one that
+//! exported each segment to text, re-read `t` from every line, spliced
+//! a `seg` tag in and sorted the tagged copies, and the `write!`-based
+//! spelling of a protocol event's line. The byte renderer that merges
+//! time-ordered stretches of records and writes each once must produce
+//! their bytes — also for inputs a simulator never makes: equal
+//! instants across classes and segments, events recorded out of time
+//! order, frames whose identifier decodes to no mid, any field value.
 
 use can_bus::{BusTrace, TxRecord};
 use can_types::{BitTime, CanId, Frame, Mid, MsgType, NodeId, NodeSet, Payload};
-use canely::obs::{export_segments_jsonl, Cause, ObsLog, TimedEvent};
+use canely::obs::{export_segments_string, Cause, ObsLog, ObsTimer, TimedEvent};
 use canely::ProtocolEvent;
 use proptest::prelude::*;
 use std::fmt::Write as _;
@@ -113,6 +114,249 @@ fn oracle_export_segments(segments: &[(Vec<TimedEvent>, BusTrace)]) -> String {
     out
 }
 
+/// A protocol event's line as `write!` spelled it before the exporter
+/// rendered bytes.
+fn oracle_event_json(e: &TimedEvent, seq: u64) -> String {
+    let mut out = format!(
+        "{{\"t\":{},\"seq\":{seq},\"node\":{},\"kind\":\"{}\"",
+        e.time.as_u64(),
+        e.node.as_u8(),
+        e.event.kind()
+    );
+    let _ = match e.event {
+        ProtocolEvent::TimerArmed { timer, deadline } => write!(
+            out,
+            ",\"timer\":\"{timer}\",\"deadline\":{}",
+            deadline.as_u64()
+        ),
+        ProtocolEvent::TimerExpired { timer } => write!(out, ",\"timer\":\"{timer}\""),
+        ProtocolEvent::LifeSignObserved { of } => write!(out, ",\"of\":{}", of.as_u8()),
+        ProtocolEvent::SuspectRaised { suspect } => {
+            write!(out, ",\"suspect\":{}", suspect.as_u8())
+        }
+        ProtocolEvent::FailureNotified { failed }
+        | ProtocolEvent::FdaInvoked { failed }
+        | ProtocolEvent::FdaDelivered { failed } => write!(out, ",\"failed\":{}", failed.as_u8()),
+        ProtocolEvent::FdaSignSent { failed, diffusion } => write!(
+            out,
+            ",\"failed\":{},\"diffusion\":{diffusion}",
+            failed.as_u8()
+        ),
+        ProtocolEvent::FdaSignReceived { failed, duplicate } => write!(
+            out,
+            ",\"failed\":{},\"duplicate\":{duplicate}",
+            failed.as_u8()
+        ),
+        ProtocolEvent::RhaStarted {
+            proposal,
+            full_member,
+        } => write!(
+            out,
+            ",\"proposal\":\"{proposal}\",\"full_member\":{full_member}"
+        ),
+        ProtocolEvent::RhvSent { vector }
+        | ProtocolEvent::RhaNarrowed { vector }
+        | ProtocolEvent::RhaQuenched { vector } => write!(out, ",\"vector\":\"{vector}\""),
+        ProtocolEvent::RhvReceived { from, vector } => {
+            write!(out, ",\"from\":{},\"vector\":\"{vector}\"", from.as_u8())
+        }
+        ProtocolEvent::RhaSettled { vector, broadcasts } => {
+            write!(out, ",\"vector\":\"{vector}\",\"broadcasts\":{broadcasts}")
+        }
+        ProtocolEvent::JoinObserved { subject } | ProtocolEvent::LeaveObserved { subject } => {
+            write!(out, ",\"subject\":{}", subject.as_u8())
+        }
+        ProtocolEvent::CycleStarted { index, idle } => {
+            write!(out, ",\"index\":{index},\"idle\":{idle}")
+        }
+        ProtocolEvent::ViewBootstrapped { view } | ProtocolEvent::ViewInstalled { view } => {
+            write!(out, ",\"view\":\"{view}\"")
+        }
+        ProtocolEvent::ViewChanged { view, failed } => {
+            write!(out, ",\"view\":\"{view}\",\"failed\":\"{failed}\"")
+        }
+        ProtocolEvent::FedDigest {
+            reporter,
+            subject,
+            epoch,
+            view,
+        } => write!(
+            out,
+            ",\"reporter\":{reporter},\"subject\":{subject},\"epoch\":{epoch},\"view\":\"{view}\""
+        ),
+        ProtocolEvent::FedInstall {
+            subject,
+            epoch,
+            view,
+        } => write!(
+            out,
+            ",\"subject\":{subject},\"epoch\":{epoch},\"view\":\"{view}\""
+        ),
+        ProtocolEvent::FedRelay { mid, from_seg } => {
+            write!(out, ",\"mid\":\"{mid}\",\"from_seg\":{from_seg}")
+        }
+        ProtocolEvent::FedElect { leader, epoch } => {
+            write!(out, ",\"leader\":{},\"epoch\":{epoch}", leader.as_u8())
+        }
+        ProtocolEvent::FedRejoin { subject, epoch } => {
+            write!(out, ",\"subject\":{subject},\"epoch\":{epoch}")
+        }
+        ProtocolEvent::LifeSignSent
+        | ProtocolEvent::JoinRequested
+        | ProtocolEvent::LeaveRequested
+        | ProtocolEvent::Expelled
+        | ProtocolEvent::LeftService
+        | ProtocolEvent::NodeCrashed
+        | ProtocolEvent::NodeRestarted => Ok(()),
+    };
+    let _ = match e.cause {
+        Cause::Boot => Ok(()),
+        Cause::Bus { deliver_at } => write!(out, ",\"cause\":\"bus:{}\"", deliver_at.as_u64()),
+        Cause::Event { seq } => write!(out, ",\"cause\":\"event:{seq}\""),
+    };
+    out.push('}');
+    out
+}
+
+/// Every event kind with every field drawn over its whole range: node
+/// ids, sets, counters, flags, timers and mids.
+fn arb_event() -> impl Strategy<Value = ProtocolEvent> {
+    let kinds = ProtocolEvent::one_of_each().len();
+    (
+        0..kinds,
+        (0u8..64, any::<u8>(), any::<u32>(), any::<u64>()),
+        (any::<u64>(), any::<u64>(), any::<bool>(), 0u8..3),
+        (0usize..21, any::<u16>()),
+    )
+        .prop_map(
+            move |(kind, (node, byte, word, long), (set, other, flag, timer), (ty, reference))| {
+                let (node, view, failed) = (
+                    NodeId::new(node),
+                    NodeSet::from_bits(set),
+                    NodeSet::from_bits(other),
+                );
+                let timer = match timer {
+                    0 => ObsTimer::Surveillance(node),
+                    1 => ObsTimer::RhaTermination,
+                    _ => ObsTimer::MembershipCycle,
+                };
+                let types = [
+                    MsgType::Fda,
+                    MsgType::Rha,
+                    MsgType::Els,
+                    MsgType::Join,
+                    MsgType::Leave,
+                    MsgType::ClockSync,
+                    MsgType::ClockFollowUp,
+                    MsgType::Edcan,
+                    MsgType::Relcan,
+                    MsgType::RelcanConfirm,
+                    MsgType::Totcan,
+                    MsgType::TotcanAccept,
+                    MsgType::NodeGuard,
+                    MsgType::Heartbeat,
+                    MsgType::OsekRing,
+                    MsgType::OsekAlive,
+                    MsgType::TtpSlot,
+                    MsgType::Group,
+                    MsgType::Ping,
+                    MsgType::Digest,
+                    MsgType::AppData,
+                ];
+                let mid = Mid::new(types[ty], reference, node);
+                // Each variant of `one_of_each`, refilled from the draw.
+                match ProtocolEvent::one_of_each()[kind] {
+                    ProtocolEvent::TimerArmed { .. } => ProtocolEvent::TimerArmed {
+                        timer,
+                        deadline: BitTime::new(long),
+                    },
+                    ProtocolEvent::TimerExpired { .. } => ProtocolEvent::TimerExpired { timer },
+                    ProtocolEvent::LifeSignObserved { .. } => {
+                        ProtocolEvent::LifeSignObserved { of: node }
+                    }
+                    ProtocolEvent::SuspectRaised { .. } => {
+                        ProtocolEvent::SuspectRaised { suspect: node }
+                    }
+                    ProtocolEvent::FailureNotified { .. } => {
+                        ProtocolEvent::FailureNotified { failed: node }
+                    }
+                    ProtocolEvent::FdaInvoked { .. } => ProtocolEvent::FdaInvoked { failed: node },
+                    ProtocolEvent::FdaDelivered { .. } => {
+                        ProtocolEvent::FdaDelivered { failed: node }
+                    }
+                    ProtocolEvent::FdaSignSent { .. } => ProtocolEvent::FdaSignSent {
+                        failed: node,
+                        diffusion: flag,
+                    },
+                    ProtocolEvent::FdaSignReceived { .. } => ProtocolEvent::FdaSignReceived {
+                        failed: node,
+                        duplicate: flag,
+                    },
+                    ProtocolEvent::RhaStarted { .. } => ProtocolEvent::RhaStarted {
+                        proposal: view,
+                        full_member: flag,
+                    },
+                    ProtocolEvent::RhvSent { .. } => ProtocolEvent::RhvSent { vector: view },
+                    ProtocolEvent::RhaNarrowed { .. } => {
+                        ProtocolEvent::RhaNarrowed { vector: view }
+                    }
+                    ProtocolEvent::RhaQuenched { .. } => {
+                        ProtocolEvent::RhaQuenched { vector: view }
+                    }
+                    ProtocolEvent::RhvReceived { .. } => ProtocolEvent::RhvReceived {
+                        from: node,
+                        vector: view,
+                    },
+                    ProtocolEvent::RhaSettled { .. } => ProtocolEvent::RhaSettled {
+                        vector: view,
+                        broadcasts: word,
+                    },
+                    ProtocolEvent::JoinObserved { .. } => {
+                        ProtocolEvent::JoinObserved { subject: node }
+                    }
+                    ProtocolEvent::LeaveObserved { .. } => {
+                        ProtocolEvent::LeaveObserved { subject: node }
+                    }
+                    ProtocolEvent::CycleStarted { .. } => ProtocolEvent::CycleStarted {
+                        index: long,
+                        idle: flag,
+                    },
+                    ProtocolEvent::ViewBootstrapped { .. } => {
+                        ProtocolEvent::ViewBootstrapped { view }
+                    }
+                    ProtocolEvent::ViewInstalled { .. } => ProtocolEvent::ViewInstalled { view },
+                    ProtocolEvent::ViewChanged { .. } => {
+                        ProtocolEvent::ViewChanged { view, failed }
+                    }
+                    ProtocolEvent::FedDigest { .. } => ProtocolEvent::FedDigest {
+                        reporter: byte,
+                        subject: node.as_u8(),
+                        epoch: word,
+                        view,
+                    },
+                    ProtocolEvent::FedInstall { .. } => ProtocolEvent::FedInstall {
+                        subject: byte,
+                        epoch: word,
+                        view,
+                    },
+                    ProtocolEvent::FedRelay { .. } => ProtocolEvent::FedRelay {
+                        mid,
+                        from_seg: byte,
+                    },
+                    ProtocolEvent::FedElect { .. } => ProtocolEvent::FedElect {
+                        leader: node,
+                        epoch: word,
+                    },
+                    ProtocolEvent::FedRejoin { .. } => ProtocolEvent::FedRejoin {
+                        subject: byte,
+                        epoch: word,
+                    },
+                    fieldless => fieldless,
+                }
+            },
+        )
+}
+
 /// A soup of every event kind: instants drawn from a narrow range (so
 /// that they collide, within a class and across classes) in no order,
 /// every cause form.
@@ -213,8 +457,29 @@ proptest! {
             .zip(&segments)
             .map(|(log, (_, bus))| (log, Some(bus)))
             .collect();
-        let merged = export_segments_jsonl(&pairs);
+        let merged = export_segments_string(&pairs);
         prop_assert_eq!(&merged, &oracle_export_segments(&recorded));
         prop_assert_eq!(merged.contains("\"seg\":"), segments.len() > 1 && !merged.is_empty());
+    }
+
+    /// The byte renderer spells every kind's line as `write!` did, for
+    /// any field values and every cause form.
+    #[test]
+    fn event_lines_match_the_fmt_renderer(
+        event in arb_event(),
+        line in (any::<u64>(), 0u8..64, any::<u64>(), 0u8..3, any::<u64>()),
+    ) {
+        let (t, node, seq, cause, reference) = line;
+        let event = TimedEvent {
+            time: BitTime::new(t),
+            node: NodeId::new(node),
+            event,
+            cause: match cause {
+                0 => Cause::Boot,
+                1 => Cause::Bus { deliver_at: BitTime::new(reference) },
+                _ => Cause::Event { seq: reference },
+            },
+        };
+        prop_assert_eq!(event.to_json_seq(Some(seq)), oracle_event_json(&event, seq));
     }
 }

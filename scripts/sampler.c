@@ -13,7 +13,9 @@
  *     load bias), looks each up in the `nm -C -n --defined-only` table
  *     named by SAMPLER_SYMS, and writes the top SAMPLER_TOP symbols by
  *     self time (the sampled instruction) and by inclusive time (the
- *     symbol anywhere on the chain) to SAMPLER_OUT.
+ *     symbol anywhere on the chain) to SAMPLER_OUT, then one line of
+ *     the process's getrusage(RUSAGE_SELF): peak RSS, minor and major
+ *     faults, CPU time — read before the symbol table is loaded.
  *
  * x86-64 Linux only. Build: cc -O2 -shared -fPIC -o sampler.so sampler.c
  */
@@ -24,6 +26,7 @@
 #include <stdio.h>
 #include <stdlib.h>
 #include <string.h>
+#include <sys/resource.h>
 #include <sys/time.h>
 #include <ucontext.h>
 
@@ -188,6 +191,14 @@ static void table(FILE *out, struct symbol **order, size_t top, size_t samples, 
     }
 }
 
+/* The process's own cost, as wait4 would report it to a parent. */
+static void usage_line(FILE *out, const struct rusage *ru) {
+    double cpu_ms = 1e3 * (ru->ru_utime.tv_sec + ru->ru_stime.tv_sec)
+                    + 1e-3 * (ru->ru_utime.tv_usec + ru->ru_stime.tv_usec);
+    fprintf(out, "process: peak RSS %.2f MiB, %ld minor faults, %ld major faults, cpu %.1f ms\n",
+            ru->ru_maxrss / 1024.0, ru->ru_minflt, ru->ru_majflt, cpu_ms);
+}
+
 __attribute__((destructor)) static void sampler_stop(void) {
     if (!frames) {
         return;
@@ -195,6 +206,8 @@ __attribute__((destructor)) static void sampler_stop(void) {
     struct itimerval off = {{0, 0}, {0, 0}};
     setitimer(ITIMER_REAL, &off, NULL);
     signal(SIGALRM, SIG_IGN);
+    struct rusage ru;
+    getrusage(RUSAGE_SELF, &ru);
     const char *syms = getenv("SAMPLER_SYMS");
     FILE *out = fopen(getenv("SAMPLER_OUT"), "w");
     if (!out || !syms || read_symbols(syms) != 0) {
@@ -222,7 +235,8 @@ __attribute__((destructor)) static void sampler_stop(void) {
     size_t top = top_env ? strtoull(top_env, NULL, 10) : 10;
     struct symbol **order = malloc((nsymbols + 1) * sizeof *order);
     if (!order || samples == 0) {
-        fprintf(out, "no samples\n");
+        fprintf(out, "no samples\n\n");
+        usage_line(out, &ru);
         fclose(out);
         return;
     }
@@ -232,5 +246,7 @@ __attribute__((destructor)) static void sampler_stop(void) {
     table(out, order, top, samples, 1);
     fprintf(out, "\n");
     table(out, order, top, samples, 0);
+    fprintf(out, "\n");
+    usage_line(out, &ru);
     fclose(out);
 }

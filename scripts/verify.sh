@@ -28,7 +28,8 @@ run cargo fmt --all --check
 
 # Sampling profile smoke: `scripts/profile.sh` (docs/PERF.md,
 # "Measurement notes") must build with frame pointers, sample and
-# symbolise in one command — its tables name the step loop.
+# symbolise in one command — its tables name the step loop, and its
+# last line is the process's peak RSS, faults and CPU time.
 echo "==> sampling profile smoke"
 if command -v cc > /dev/null 2>&1 && command -v nm > /dev/null 2>&1 \
     && [ "$(uname -m)" = x86_64 ]; then
@@ -41,6 +42,12 @@ if command -v cc > /dev/null 2>&1 && command -v nm > /dev/null 2>&1 \
         exit 1
         ;;
     esac
+    if ! printf '%s\n' "$profile" | tail -n 1 \
+        | grep -Eq '^process: peak RSS [0-9.]+ MiB, [0-9]+ minor faults, [0-9]+ major faults, cpu [0-9.]+ ms$'; then
+        echo "verify: the sampling profile does not end with the process's peak RSS and faults:" >&2
+        echo "$profile" >&2
+        exit 1
+    fi
 else
     echo "    skipped: the sampler needs cc, nm and an x86-64 host"
 fi
