@@ -53,6 +53,15 @@ pub fn false_suspicion_count(events: &[TimedEvent]) -> u64 {
     events.iter().filter(false_suspicion).count() as u64
 }
 
+/// The last crash any of `fed`'s `segments` logged, scheduled or
+/// caused by a fault: each segment's crash log is in time order.
+fn last_crash(fed: &FederationSim, segments: u8) -> Option<BitTime> {
+    (0..segments)
+        .filter_map(|seg| fed.sim(seg).crash_times().last())
+        .map(|&(t, _)| t)
+        .max()
+}
+
 /// Builds, runs and judges one simulation in a fresh world.
 ///
 /// With `capture_trace` the full JSONL document (bus transactions
@@ -142,6 +151,8 @@ pub(crate) fn execute_on(tel: &mut RunTelemetry, spec: &RunSpec, capture: bool) 
             .record(at, gateway, ProtocolEvent::NodeRestarted);
     }
 
+    let quiescent = spec.quiescent_after(last_crash(&fed, segments));
+
     let mut outcome = RunOutcome {
         id: spec.id,
         violations: Vec::new(),
@@ -213,7 +224,7 @@ pub(crate) fn execute_on(tel: &mut RunTelemetry, spec: &RunSpec, capture: bool) 
             finals: &finals,
             horizon: spec.until,
             members: spec.members(),
-            quiescent: spec.statically_quiescent(),
+            quiescent,
             operational_from: spec.operational_from(),
             detection_bound: spec.detection_bound(),
             view_change_bound: spec.view_change_bound(),
@@ -240,7 +251,7 @@ pub(crate) fn execute_on(tel: &mut RunTelemetry, spec: &RunSpec, capture: bool) 
             .extend(oracle::check_global(&GlobalOracleInput {
                 gateways: &gateway_finals,
                 expected: &expected_views,
-                quiescent: spec.statically_quiescent(),
+                quiescent,
                 quorum: quorum(usize::from(segments)),
                 gateway_losses: &gateway_losses,
                 rejoin_bound: spec.rejoin_bound(),
@@ -510,5 +521,48 @@ mod tests {
             "violations: {:?}",
             outcome.violations
         );
+    }
+
+    #[test]
+    fn a_crash_a_fault_caused_inside_the_settle_margin_is_not_quiescent() {
+        // An inconsistent omission whose sender crashes before it
+        // retransmits is on no schedule: the schedule reads quiescent,
+        // the crash log must not.
+        use can_bus::{AccepterSpec, FaultEffect, FaultMatcher, ScriptedFault};
+        let run = RunSpec {
+            faults: Vec::new(),
+            ..base_run()
+        };
+        let late = run.until - run.settle / 2;
+        let config = FederationConfig::new(run.config(), 1, run.nodes);
+        let plan = |seed| {
+            let mut plan = run.fault_plan(seed);
+            plan.push_scripted(ScriptedFault {
+                matcher: FaultMatcher {
+                    not_before: late,
+                    ..FaultMatcher::any()
+                },
+                effect: FaultEffect::InconsistentOmission {
+                    accepters: AccepterSpec::RandomSubset,
+                    crash_sender: true,
+                },
+                count: 1,
+            });
+            plan
+        };
+        let mut fed = FederationSim::new(
+            &config,
+            run.traffic,
+            |seg| segment_seed(run.seed, seg),
+            plan,
+        );
+        fed.run_until(run.until);
+
+        let crash = last_crash(&fed, 1).expect("the omission crashed its sender");
+        assert!(late <= crash && run.until < crash + run.settle, "{crash}");
+        assert!(run.quiescent_after(None), "no fault is scheduled");
+        assert!(!run.quiescent_after(Some(crash)));
+        // The same crash a settle margin before the horizon is settled.
+        assert!(run.quiescent_after(Some(run.until - run.settle)));
     }
 }

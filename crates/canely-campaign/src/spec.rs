@@ -987,10 +987,14 @@ impl RunSpec {
         operational_from(self.tm)
     }
 
-    /// Whether every scheduled disturbance ends at least `settle`
-    /// before the horizon (end-of-run view checks are then sound).
-    pub fn statically_quiescent(&self) -> bool {
-        let last = self.faults.iter().map(Fault::last).max();
+    /// Whether the run is quiescent at its horizon — end-of-run view
+    /// checks are sound only then: `settle` separates `until` from the
+    /// last scheduled fault and from `last_crash`, the last crash the
+    /// world logged. A crash that a bus fault caused (an inconsistent
+    /// omission whose sender crashes) is on no schedule, so only the
+    /// world's crash log knows it; `None` asks about the schedule alone.
+    pub fn quiescent_after(&self, last_crash: Option<BitTime>) -> bool {
+        let last = self.faults.iter().map(Fault::last).chain(last_crash).max();
         last.unwrap_or(BitTime::ZERO) + self.settle <= self.until
     }
 }
@@ -1025,7 +1029,7 @@ settle 150ms
             assert!(run.faults[1..]
                 .iter()
                 .all(|f| matches!(f, Fault::Blackout { .. })));
-            assert!(run.statically_quiescent());
+            assert!(run.quiescent_after(None));
         }
     }
 
@@ -1191,7 +1195,7 @@ settle 150ms
             assert!(crashes
                 .iter()
                 .all(|&(s, n)| s < fed.segments && n != fed.gateway));
-            assert!(run.statically_quiescent());
+            assert!(run.quiescent_after(None));
         }
         let any = |pred: fn(&Fault) -> bool| runs.iter().any(|r| r.faults.iter().any(pred));
         assert!(

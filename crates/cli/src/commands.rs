@@ -32,7 +32,8 @@ fn diagnostic(e: String) -> String {
 }
 
 /// The `--until` horizon: a duration, and not zero — a run must cover
-/// some bus time for its report to summarise.
+/// some bus time for its report to summarise, and a `tq filter` window
+/// that ends at zero keeps nothing.
 fn until_opt(args: &mut Args, default: BitTime) -> Result<BitTime, ArgError> {
     args.positive_opt("until", default, "a duration like 30ms", parse_duration)
 }
@@ -614,6 +615,16 @@ pub fn tq(args: &mut Args, sink: Sink) -> CmdResult {
             sink.text(args, &phases)
         }
         "filter" => {
+            // A window keeps `since <= t < until`: an explicit `--until
+            // 0ms`, or an `--until` not after `--since`, keeps nothing.
+            let since = args.duration_opt("since", BitTime::ZERO).map_err(fail)?;
+            let until = until_opt(args, BitTime::ZERO).map_err(fail)?;
+            if !until.is_zero() && until <= since {
+                return Err(format!(
+                    "error: --until {until} is not after --since {since}: the window is empty"
+                )
+                .into());
+            }
             let window = |t: BitTime| (!t.is_zero()).then(|| t.as_u64());
             let filter =
                 canely_trace::query::Filter {
@@ -626,8 +637,8 @@ pub fn tq(args: &mut Args, sink: Sink) -> CmdResult {
                     node: node_opt(args, "node")?,
                     kind: args.str_opt("kind"),
                     view: args.str_opt("view"),
-                    since: window(args.duration_opt("since", BitTime::ZERO).map_err(fail)?),
-                    until: window(args.duration_opt("until", BitTime::ZERO).map_err(fail)?),
+                    since: window(since),
+                    until: window(until),
                 };
             Ok(canely_trace::query::filter(
                 &model,

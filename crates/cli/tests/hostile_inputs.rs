@@ -279,6 +279,40 @@ fn a_horizon_inside_the_settle_margin_is_refused() {
 }
 
 #[test]
+fn a_filter_window_that_keeps_nothing_is_refused_on_its_flag() {
+    // `tq filter --until 0ms` read as "no bound", and a window whose
+    // end is not after its start printed nothing and exited 0.
+    let trace = recorded_trace("empty-window.trace.jsonl");
+    for (window, message) in [
+        (
+            &["--until", "0ms"][..],
+            "error: --until expects a duration like 30ms (until must be positive)",
+        ),
+        (
+            &["--since", "10ms", "--until", "5ms"],
+            "error: --until 5000bt is not after --since 10000bt: the window is empty",
+        ),
+        (
+            &["--since", "10ms", "--until", "10ms"],
+            "error: --until 10000bt is not after --since 10000bt: the window is empty",
+        ),
+    ] {
+        let mut args = argv(&["tq", "filter", "--trace", &trace]);
+        args.extend(argv(window));
+        assert_eq!(run(&args).unwrap_err(), message, "{window:?}");
+    }
+    // The crash at 250 ms opens a window that is not empty.
+    let kept = run(&argv(&[
+        "tq", "filter", "--trace", &trace, "--since", "250ms", "--until", "260ms",
+    ]))
+    .unwrap();
+    assert!(
+        kept.starts_with("{\"t\":250000,\"seq\":0,\"node\":2,\"kind\":\"node.crashed\"}\n"),
+        "{kept}"
+    );
+}
+
+#[test]
 fn groups_refuses_the_membership_options_it_does_not_model() {
     // `groups` read these and dropped them: n2 stayed in every view
     // after `--leave`, a `--restart` left it crashed and a `--join`

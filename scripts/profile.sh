@@ -7,7 +7,9 @@
 # tree's target/release), preloads scripts/sampler.c into it — a 4 kHz
 # SIGALRM frame-pointer sampler — and symbolises the samples against
 # `nm -C -n`. Profile one worker (`--workers 1`): the sampled thread is
-# then the whole program.
+# then the whole program. The report's first line is the
+# `[profile.release]` the binary was built with: profiles of builds
+# that inline differently compare only as a whole.
 #
 # Usage: scripts/profile.sh [-n TOP] CANELYCTL-ARGS...
 #   e.g. scripts/profile.sh campaign run --spec scenarios/federation.campaign --workers 1
@@ -41,4 +43,8 @@ nm -C -n --defined-only "$out/release/canelyctl" > "$out/sampler/canelyctl.syms"
 SAMPLER_OUT="$out/sampler/report.txt" SAMPLER_SYMS="$out/sampler/canelyctl.syms" \
     SAMPLER_TOP="$top" LD_PRELOAD="$out/sampler/sampler.so" \
     "$out/release/canelyctl" "$@" > /dev/null
+settings="$(awk '/^\[/ { on = $0 == "[profile.release]"; next }
+    on && /=/ { sub(/ *#.*/, ""); printf "%s%s", sep, $0; sep = ", " }' Cargo.toml)"
+overrides="$(env | grep '^CARGO_PROFILE_RELEASE_' | sort | tr '\n' ' ')"
+echo "profile.release: ${settings:-cargo defaults}${overrides:+; env ${overrides% }}; RUSTFLAGS -C force-frame-pointers=yes"
 cat "$out/sampler/report.txt"
