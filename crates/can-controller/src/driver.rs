@@ -103,6 +103,34 @@ impl fmt::Display for DriverEvent {
     }
 }
 
+/// The first-copy rule of eager diffusion (EDCAN, FDA, TOTCAN's ACCEPT,
+/// group announcements), which rests on indications including own
+/// transmissions: per message, copies seen (`ndup`) and own transmit
+/// requests issued (`nreq`). Only the first copy is delivered, and it
+/// is rediffused only if no request was issued before it.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct FirstCopy {
+    /// Copies received.
+    pub ndup: u32,
+    /// Own transmit requests issued.
+    pub nreq: u32,
+}
+
+impl FirstCopy {
+    /// Counts an own transmit request: whether it is the first.
+    pub fn request(&mut self) -> bool {
+        self.nreq += 1;
+        self.nreq == 1
+    }
+
+    /// Counts an arriving copy: `None` for a duplicate, else whether to
+    /// rediffuse it (counted as a [`FirstCopy::request`]).
+    pub fn copy(&mut self) -> Option<bool> {
+        self.ndup += 1;
+        (self.ndup == 1).then(|| self.request())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

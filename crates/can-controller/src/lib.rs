@@ -36,7 +36,7 @@ pub mod timer;
 
 pub use app::{Application, Ctx};
 pub use controller::{Controller, FaultConfinement, FaultState};
-pub use driver::DriverEvent;
+pub use driver::{DriverEvent, FirstCopy};
 pub use guardian::{Guardian, GuardianPolicy};
 pub use rig::Rig;
 pub use sim::{Simulator, StepStats, SIM_PHASES};

@@ -15,22 +15,16 @@
 //! reaches everyone (LCAN1/LCAN2 applied to the copy).
 
 use crate::common::{Delivery, MsgKey, ScheduledSend};
-use can_controller::{Application, Ctx, DriverEvent, TimerId};
+use can_controller::{Application, Ctx, DriverEvent, FirstCopy, TimerId};
 use can_types::{Mid, MsgType, Payload};
 use std::collections::HashMap;
 
 const TAG_SEND_BASE: u64 = 0x1000;
 
-#[derive(Debug, Default, Clone, Copy)]
-struct MsgState {
-    ndup: u32,
-    nreq: u32,
-}
-
 /// The EDCAN protocol entity (one per node).
 #[derive(Debug, Default)]
 pub struct Edcan {
-    state: HashMap<MsgKey, MsgState>,
+    state: HashMap<MsgKey, FirstCopy>,
     deliveries: Vec<Delivery>,
     schedule: Vec<ScheduledSend>,
     next_seq: u16,
@@ -67,19 +61,16 @@ impl Edcan {
     pub fn broadcast(&mut self, ctx: &mut Ctx<'_>, payload: Payload) -> MsgKey {
         let key = MsgKey::new(ctx.me(), self.next_seq);
         self.next_seq = self.next_seq.wrapping_add(1);
-        let st = self.state.entry(key).or_default();
-        st.nreq += 1;
+        self.state.entry(key).or_default().request();
         ctx.can_data_req(Self::mid(key), payload);
         self.requests += 1;
         key
     }
 
     fn on_copy(&mut self, ctx: &mut Ctx<'_>, key: MsgKey, payload: &Payload) {
-        let st = self.state.entry(key).or_default();
-        st.ndup += 1;
-        if st.ndup != 1 {
+        let Some(rediffuse) = self.state.entry(key).or_default().copy() else {
             return; // duplicate
-        }
+        };
         self.deliveries.push(Delivery {
             time: ctx.now(),
             key,
@@ -87,8 +78,7 @@ impl Edcan {
         });
         // Eager diffusion: rediffuse unless we already requested an
         // equivalent transmission.
-        st.nreq += 1;
-        if st.nreq == 1 {
+        if rediffuse {
             ctx.can_data_req(Self::mid(key), *payload);
             self.requests += 1;
         }

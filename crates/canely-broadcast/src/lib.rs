@@ -23,8 +23,10 @@
 //!   never arrives is discarded by everyone. All correct nodes deliver
 //!   the same messages in the same order.
 //!
-//! The [`common`] module holds the shared machinery (message keys,
-//! duplicate tracking, scheduled sends). The membership stack's FDA —
+//! The [`common`] module holds the shared pieces (message keys,
+//! deliveries, scheduled sends). The first-copy rule of EDCAN and of
+//! TOTCAN's ACCEPT is `can_controller::FirstCopy`, shared with the
+//! membership stack's FDA and the group manager. FDA —
 //! the eager-diffusion specialization living in the `canely` crate —
 //! is instrumented with structured `fda.*` trace events; see
 //! `docs/TRACE_SCHEMA.md` at the repository root for how a diffusion

@@ -19,7 +19,7 @@
 //!   or nobody does).
 
 use crate::common::{Delivery, MsgKey, ScheduledSend};
-use can_controller::{Application, Ctx, DriverEvent, TimerId};
+use can_controller::{Application, Ctx, DriverEvent, FirstCopy, TimerId};
 use can_types::{BitTime, Mid, MsgType, Payload};
 use std::collections::HashMap;
 
@@ -43,12 +43,6 @@ struct Buffered {
     abort_timer: TimerId,
 }
 
-#[derive(Debug, Default, Clone, Copy)]
-struct AcceptState {
-    ndup: u32,
-    nreq: u32,
-}
-
 /// The TOTCAN protocol entity (one per node).
 #[derive(Debug)]
 pub struct Totcan {
@@ -58,7 +52,7 @@ pub struct Totcan {
     schedule: Vec<ScheduledSend>,
     next_seq: u16,
     buffered: HashMap<MsgKey, Buffered>,
-    accepts: HashMap<MsgKey, AcceptState>,
+    accepts: HashMap<MsgKey, FirstCopy>,
     /// Messages already settled (delivered or discarded): late
     /// duplicate DATA copies must not be re-buffered.
     done: HashMap<MsgKey, ()>,
@@ -119,11 +113,9 @@ impl Totcan {
     }
 
     fn on_accept_copy(&mut self, ctx: &mut Ctx<'_>, key: MsgKey) {
-        let st = self.accepts.entry(key).or_default();
-        st.ndup += 1;
-        if st.ndup != 1 {
+        let Some(rediffuse) = self.accepts.entry(key).or_default().copy() else {
             return;
-        }
+        };
         // First ACCEPT copy: deliver the buffered message and join the
         // diffusion of the ACCEPT (clustered remote frames).
         if let Some(buffered) = self.buffered.remove(&key) {
@@ -135,8 +127,7 @@ impl Totcan {
                 payload: buffered.payload,
             });
         }
-        st.nreq += 1;
-        if st.nreq == 1 {
+        if rediffuse {
             ctx.can_rtr_req(Self::accept_mid(key));
         }
     }
@@ -169,9 +160,7 @@ impl Application for Totcan {
             DriverEvent::DataCnf { mid } if mid.msg_type() == MsgType::Totcan => {
                 // Our DATA is on the bus everywhere: sign the ACCEPT.
                 let key = MsgKey::new(mid.node(), mid.reference());
-                let st = self.accepts.entry(key).or_default();
-                st.nreq += 1;
-                if st.nreq == 1 {
+                if self.accepts.entry(key).or_default().request() {
                     ctx.can_rtr_req(Self::accept_mid(key));
                 }
             }

@@ -1,6 +1,6 @@
 //! Group identifiers, announcements and the per-node group manager.
 
-use can_controller::Ctx;
+use can_controller::{Ctx, FirstCopy};
 use can_types::{BitTime, Mid, MsgType, NodeId, NodeSet, Payload};
 use std::collections::HashMap;
 use std::fmt;
@@ -73,8 +73,7 @@ pub struct GroupManager {
     /// Groups the local process has joined.
     local: Vec<GroupId>,
     /// Eager-diffusion duplicate/request counters per announcement mid.
-    ndup: HashMap<Mid, u32>,
-    nreq: HashMap<Mid, u32>,
+    copies: HashMap<Mid, FirstCopy>,
     /// Per-announcer sequence counter (distinguishes repeated joins).
     /// The wire encoding carries 10 bits, so the counter wraps after
     /// 1024 announcements by one node; a wrapped identifier collides
@@ -149,7 +148,7 @@ impl GroupManager {
     fn announce(&mut self, ctx: &mut Ctx<'_>, op: GroupOp, group: GroupId) {
         let mid = Self::announce_mid(ctx.me(), op, group, self.seq);
         self.seq = self.seq.wrapping_add(1) & 0x3FF;
-        *self.nreq.entry(mid).or_default() += 1;
+        self.copies.entry(mid).or_default().request();
         let op_byte = match op {
             GroupOp::Join => 1u8,
             GroupOp::Leave => 2u8,
@@ -161,16 +160,12 @@ impl GroupManager {
     /// included): deliver-once plus eager rediffusion.
     pub fn on_data_ind(&mut self, ctx: &mut Ctx<'_>, mid: Mid, payload: &Payload) {
         debug_assert_eq!(mid.msg_type(), MsgType::Group);
-        let dup = self.ndup.entry(mid).or_default();
-        *dup += 1;
-        if *dup != 1 {
+        let Some(rediffuse) = self.copies.entry(mid).or_default().copy() else {
             return;
-        }
+        };
         // Join the diffusion unless we already requested this exact
         // announcement.
-        let req = self.nreq.entry(mid).or_default();
-        *req += 1;
-        if *req == 1 {
+        if rediffuse {
             ctx.can_data_req(mid, *payload);
         }
         // Apply the operation.

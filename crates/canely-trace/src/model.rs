@@ -181,15 +181,26 @@ pub fn seg_node(seg: Option<u8>, node: u8) -> String {
     }
 }
 
+/// Parses a segment or node id: decimal digits after at most one
+/// `prefix` letter, so `3` or `n3` for `'n'`, but not `nn3`, `+3` or
+/// `n3:`.
+pub fn parse_id(text: &str, prefix: char) -> Option<u8> {
+    let digits = text.strip_prefix(prefix).unwrap_or(text);
+    if !digits.bytes().all(|b| b.is_ascii_digit()) {
+        return None;
+    }
+    digits.parse().ok()
+}
+
 /// Parses a (possibly segment-qualified) node reference: `n3` or `3`
 /// → `(None, 3)`, `s1:n3` → `(Some(1), 3)`.
 pub fn parse_seg_node(text: &str) -> Option<(Option<u8>, u8)> {
-    if let Some((seg, node)) = text.split_once(':') {
-        let seg = seg.strip_prefix('s')?.parse().ok()?;
-        let node = node.trim_start_matches('n').parse().ok()?;
-        Some((Some(seg), node))
-    } else {
-        text.trim_start_matches('n').parse().ok().map(|n| (None, n))
+    match text.split_once(':') {
+        Some((seg, node)) if seg.starts_with('s') => {
+            Some((Some(parse_id(seg, 's')?), parse_id(node, 'n')?))
+        }
+        Some(_) => None,
+        None => Some((None, parse_id(text, 'n')?)),
     }
 }
 
@@ -621,6 +632,11 @@ mod tests {
         assert_eq!(parse_seg_node("s1:n3"), Some((Some(1), 3)));
         assert_eq!(parse_seg_node("s1:3"), Some((Some(1), 3)));
         assert_eq!(parse_seg_node("x1:n3"), None);
+        for hostile in ["nn3", "ss1:n3", "s1:nn3", "1:n3", "+3", "n", "s1:n3:n4", ""] {
+            assert_eq!(parse_seg_node(hostile), None, "{hostile}");
+        }
+        assert_eq!(parse_id("s2", 's'), Some(2));
+        assert_eq!(parse_id("ss2", 's'), None);
     }
 
     #[test]

@@ -142,9 +142,10 @@ impl Args {
         self.opt("nodes", default, &what, |w| grammar::node_count(w, 1))
     }
 
-    /// A `usize` option with a default; errors as [`Args::opt`].
-    pub fn usize_opt(&mut self, name: &str, default: usize) -> Result<usize, ArgError> {
-        self.opt(name, default, "an integer", grammar::number)
+    /// The `--workers` count, at least one (default 4); errors as
+    /// [`Args::positive_opt`].
+    pub fn workers_opt(&mut self) -> Result<usize, ArgError> {
+        self.positive_opt("workers", 4, "a worker count", grammar::number)
     }
 
     /// A duration option (`30ms`, `2500us`, or raw bit-times, up to one
@@ -207,7 +208,7 @@ mod tests {
         .unwrap();
         assert_eq!(args.command(), "baseline");
         assert_eq!(args.subcommand(), Some("osek"));
-        assert_eq!(args.usize_opt("nodes", 4).unwrap(), 16);
+        assert_eq!(args.nodes_opt(4).unwrap(), 16);
         assert_eq!(
             args.events("crash").unwrap(),
             vec![(3, BitTime::new(250_000))]
@@ -250,7 +251,7 @@ mod tests {
     #[test]
     fn unknown_options_surface() {
         let mut args = Args::parse(&argv(&["membership", "--typo", "7"])).unwrap();
-        let _ = args.usize_opt("nodes", 4);
+        let _ = args.nodes_opt(4);
         assert!(args.reject_unused().is_err());
     }
 
@@ -262,7 +263,7 @@ mod tests {
     #[test]
     fn defaults_apply() {
         let mut args = Args::parse(&argv(&["membership"])).unwrap();
-        assert_eq!(args.usize_opt("nodes", 4).unwrap(), 4);
+        assert_eq!(args.nodes_opt(4).unwrap(), 4);
         assert_eq!(
             args.duration_opt("tm", BitTime::new(30_000)).unwrap(),
             BitTime::new(30_000)

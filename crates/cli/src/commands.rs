@@ -541,15 +541,14 @@ fn tq_source(args: &mut Args) -> Result<String, String> {
     }
 }
 
-/// Parses an optional `--name N` / `--name nN` node-id option.
-fn node_opt(args: &mut Args, name: &str) -> Result<Option<u8>, String> {
+/// Parses an optional id option of one part, `--node 3` / `--node n3`
+/// (`prefix` `n`) or `--seg 1` / `--seg s1` (`prefix` `s`).
+fn id_opt(args: &mut Args, name: &str, prefix: char, what: &str) -> Result<Option<u8>, String> {
     match args.str_opt(name) {
         None => Ok(None),
-        Some(s) => s
-            .trim_start_matches('n')
-            .parse::<u8>()
+        Some(s) => canely_trace::parse_id(&s, prefix)
             .map(Some)
-            .map_err(|_| format!("error: --{name} expects a node id, got `{s}`")),
+            .ok_or_else(|| format!("error: --{name} expects a {what} id, got `{s}`")),
     }
 }
 
@@ -626,20 +625,14 @@ pub fn tq(args: &mut Args, sink: Sink) -> CmdResult {
                 .into());
             }
             let window = |t: BitTime| (!t.is_zero()).then(|| t.as_u64());
-            let filter =
-                canely_trace::query::Filter {
-                    seg: match args.str_opt("seg") {
-                        None => None,
-                        Some(s) => Some(s.trim_start_matches('s').parse::<u8>().map_err(|_| {
-                            format!("error: --seg expects a segment id, got `{s}`")
-                        })?),
-                    },
-                    node: node_opt(args, "node")?,
-                    kind: args.str_opt("kind"),
-                    view: args.str_opt("view"),
-                    since: window(since),
-                    until: window(until),
-                };
+            let filter = canely_trace::query::Filter {
+                seg: id_opt(args, "seg", 's', "segment")?,
+                node: id_opt(args, "node", 'n', "node")?,
+                kind: args.str_opt("kind"),
+                view: args.str_opt("view"),
+                since: window(since),
+                until: window(until),
+            };
             Ok(canely_trace::query::filter(
                 &model,
                 &filter,
@@ -676,7 +669,7 @@ fn campaign_spec(args: &mut Args) -> Result<canely_campaign::CampaignSpec, Strin
 
 fn campaign_run(args: &mut Args, sink: Sink) -> CmdResult {
     let spec = campaign_spec(args)?;
-    let workers = args.usize_opt("workers", 4).map_err(fail)?;
+    let workers = args.workers_opt().map_err(fail)?;
     let json = args.flag("json");
     let emit = args.str_opt("emit-counterexample");
     let progress = args.flag("progress");
@@ -761,7 +754,7 @@ fn campaign_report(args: &mut Args, sink: Sink) -> CmdResult {
     if args.flag("analytics") {
         // Execute the matrix with full trace capture and report
         // phase-latency histograms plus measured-vs-bound headroom.
-        let workers = args.usize_opt("workers", 4).map_err(fail)?;
+        let workers = args.workers_opt().map_err(fail)?;
         let analytics = canely_campaign::run_campaign_analytics(&spec, workers);
         let out = if args.flag("json") {
             let mut out = analytics.to_json();

@@ -544,7 +544,9 @@ fn numeric_flags_are_read_by_the_grammar_scalars() {
     // `--nodes 300` to run 44 nodes and `--requests 5000000000` to
     // report 705032704 requests (`as u8`, `as u32`); `--tm 0ms` printed
     // `inf%`, `--ber -1` negative probabilities; `--traffic 1us` queued
-    // frames faster than the bus drains them and ran until killed.
+    // frames faster than the bus drains them and ran until killed;
+    // `--workers 0` silently ran one worker.
+    let spec = file("workers.campaign", "nodes 4\nuntil 300ms\nsettle 150ms\n");
     for (command, flag) in [
         (&["baseline", "ttp", "--nodes", "65"][..], "--nodes"),
         (&["baseline", "heartbeat", "--nodes", "70"], "--nodes"),
@@ -558,6 +560,22 @@ fn numeric_flags_are_read_by_the_grammar_scalars() {
         (&["analyze", "reliability", "--ber", "-1"], "--ber"),
         (&["analyze", "reliability", "--ber", "1.5"], "--ber"),
         (&["membership", "--traffic", "1us"], "--traffic"),
+        (
+            &["campaign", "run", "--spec", &spec, "--workers", "0"],
+            "--workers",
+        ),
+        (
+            &[
+                "campaign",
+                "report",
+                "--analytics",
+                "--spec",
+                &spec,
+                "--workers",
+                "0",
+            ],
+            "--workers",
+        ),
     ] {
         let err = run(&argv(command)).unwrap_err();
         assert!(
@@ -587,4 +605,35 @@ fn a_zero_progress_interval_is_refused_not_spun_on() {
         err.starts_with("error: --progress-interval-ms expects ") && err.contains("positive"),
         "{err}"
     );
+}
+
+#[test]
+fn node_and_segment_ids_take_one_prefix() {
+    // A node or segment prefix was trimmed as often as it repeated, so
+    // `nnn7` read as n7 and `ss0` as s0.
+    let trace = recorded_trace("ids.trace.jsonl");
+    let tq = |sub| vec!["tq", sub, "--trace", trace.as_str()];
+    let mut observer = tq("chain");
+    observer.extend(["--suspect", "2"]);
+    for (mut command, option, value) in [
+        (tq("chain"), "--suspect", "nnn7"),
+        (tq("chain"), "--suspect", "ss1:n7"),
+        (tq("chain"), "--suspect", "s1:nn7"),
+        (observer, "--observer", "+1"),
+        (tq("filter"), "--node", "nnn7"),
+        (tq("filter"), "--node", "s1:n7"),
+        (tq("filter"), "--seg", "ss0"),
+        (tq("filter"), "--seg", "s0:n1"),
+    ] {
+        command.extend([option, value]);
+        let err = run(&argv(&command)).unwrap_err();
+        assert!(
+            err.starts_with(&format!("error: {option} expects ")),
+            "{command:?}: {err}"
+        );
+    }
+    // One prefix, or none, is still an id.
+    let node = |id| run(&argv(&["tq", "filter", "--trace", &trace, "--node", id])).unwrap();
+    assert_eq!(node("n2"), node("2"));
+    assert!(node("2").contains("\"kind\":\"node.crashed\""));
 }

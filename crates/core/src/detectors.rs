@@ -3,11 +3,11 @@
 //!
 //! The paper's surveillance-timer protocol
 //! ([`crate::SurveillanceDetector`]) is one point in the failure
-//! detection design space. This module adds two classic alternatives
-//! so the campaign engine can measure the trade-offs under identical
-//! fault matrices (see `docs/DETECTORS.md` for the shootout):
+//! detection design space. Two classic alternatives let the campaign
+//! engine measure the trade-offs under identical fault matrices (see
+//! `docs/DETECTORS.md` for the shootout):
 //!
-//! * [`SwimDetector`] — SWIM-style round-based probing with indirect
+//! * [`SwimDetector`] (this module) — SWIM-style round-based probing with indirect
 //!   pings (Das, Gupta & Motivala, DSN 2002): silence triggers a
 //!   direct ping; an unanswered ping escalates to a *ping-req* that
 //!   enlists helper nodes before the target is suspected. On a
@@ -15,18 +15,18 @@
 //!   against *inconsistent omissions* — a helper that received the
 //!   life-sign the prober missed re-probes the target, giving it
 //!   another chance to answer before suspicion.
-//! * [`AddPhiDetector`] — an ADD-channel-style eventually-perfect
-//!   (◇P) heartbeat detector with adaptive timeouts (after Kumar &
-//!   Welch): unconditional periodic life-signs, and per-node timeouts
-//!   that stretch with the worst observed inter-arrival gap (bounded
-//!   by twice the static floor, which keeps detection latency
-//!   bounded).
+//! * [`crate::SurveillanceDetector::adaptive`] — an ADD-channel-style
+//!   eventually-perfect (◇P) heartbeat detector (after Kumar & Welch):
+//!   the paper's surveillance timers with unconditional periodic
+//!   life-signs, and per-node timeouts that stretch with the worst
+//!   observed inter-arrival gap (bounded by twice the static floor,
+//!   which keeps detection latency bounded).
 //!
-//! Both backends reuse the stack's existing plumbing: per-node timers
-//! carry the [`TimerOwner::Surveillance`] tag (so causal timer
-//! tracing works unchanged), probe rounds tick on
-//! [`TimerOwner::DetectorPeriod`], and the probe wire protocol rides
-//! on [`can_types::MsgType::Ping`] remote frames.
+//! SWIM reuses the stack's existing plumbing: per-node timers carry
+//! the [`TimerOwner::Surveillance`] tag (so causal timer tracing works
+//! unchanged), probe rounds tick on [`TimerOwner::DetectorPeriod`],
+//! and the probe wire protocol rides on [`can_types::MsgType::Ping`]
+//! remote frames.
 
 use crate::fd::{els_mid, DetectorMetrics, DetectorTimer, FailureDetector, FdAction};
 use crate::obs::{EventSink, ObsTimer, ProtocolEvent};
@@ -310,182 +310,6 @@ impl FailureDetector for SwimDetector {
     }
 }
 
-/// ADD-channel-style ◇P heartbeat detector with adaptive timeouts
-/// (after Kumar & Welch).
-///
-/// The local node broadcasts an **unconditional** life-sign every
-/// `Th` — implicit heartbeats never suppress it, modelling a
-/// dedicated heartbeat stream over an ADD channel. For each remote
-/// node the timeout adapts to the channel actually observed: it is
-/// the worst inter-arrival gap seen so far plus `Ttd`, clamped
-/// between the static floor `Th + Ttd` (never *more* suspicious than
-/// the surveillance detector) and twice that floor (so detection
-/// latency stays bounded — the ◇P promise is made *eventually
-/// perfect within a bound* rather than merely eventual).
-///
-/// QoS profile: the steadiest bandwidth consumer of the three
-/// backends (one ELS per node per `Th`, traffic or not), in exchange
-/// for a detector that self-tunes its false-suspicion margin to
-/// observed jitter.
-#[derive(Debug)]
-pub struct AddPhiDetector {
-    /// `Th`: heartbeat period.
-    th: BitTime,
-    /// `Ttd`: transmission-delay margin.
-    ttd: BitTime,
-    /// Armed per-node timers (local heartbeat + remote timeouts).
-    timers: [Option<TimerId>; MAX_NODES],
-    /// Last observed activity per monitored remote node.
-    last_heard: [BitTime; MAX_NODES],
-    /// Worst observed inter-arrival gap per monitored remote node.
-    max_gap: [BitTime; MAX_NODES],
-    /// The set of nodes this detector watches.
-    monitored: NodeSet,
-    /// Life-signs issued.
-    els_sent: u64,
-    /// Structured-event sink (disabled by default).
-    obs: EventSink,
-    /// Live-telemetry counters (disabled by default).
-    metrics: DetectorMetrics,
-}
-
-impl AddPhiDetector {
-    /// Creates a detector with heartbeat period `th` and
-    /// transmission-delay margin `ttd`.
-    pub fn new(th: BitTime, ttd: BitTime) -> Self {
-        AddPhiDetector {
-            th,
-            ttd,
-            timers: [None; MAX_NODES],
-            last_heard: [BitTime::ZERO; MAX_NODES],
-            max_gap: [BitTime::ZERO; MAX_NODES],
-            monitored: NodeSet::EMPTY,
-            els_sent: 0,
-            obs: EventSink::disabled(),
-            metrics: DetectorMetrics::default(),
-        }
-    }
-
-    /// The current adaptive timeout for remote node `r`:
-    /// `clamp(worst observed gap + Ttd, Th + Ttd, 2·(Th + Ttd))`.
-    pub fn timeout_for(&self, r: NodeId) -> BitTime {
-        let floor = self.th + self.ttd;
-        let adaptive = self.max_gap[r.as_usize()] + self.ttd;
-        adaptive.max(floor).min(floor * 2)
-    }
-
-    fn arm(&mut self, ctx: &mut Ctx<'_>, r: NodeId) {
-        let duration = if r == ctx.me() {
-            self.th
-        } else {
-            self.timeout_for(r) + skew(ctx.me())
-        };
-        let tid = &mut self.timers[r.as_usize()];
-        *tid = Some(ctx.restart_alarm(*tid, duration, TimerOwner::Surveillance(r).encode()));
-        self.obs.emit(
-            ctx.now(),
-            ctx.me(),
-            ProtocolEvent::TimerArmed {
-                timer: ObsTimer::Surveillance(r),
-                deadline: ctx.now() + duration,
-            },
-        );
-    }
-
-    /// Stops watching `r`: cancels its timer and forgets the gaps
-    /// observed so far.
-    fn release(&mut self, ctx: &mut Ctx<'_>, r: NodeId) {
-        self.monitored.remove(r);
-        self.max_gap[r.as_usize()] = BitTime::ZERO;
-        if let Some(tid) = self.timers[r.as_usize()].take() {
-            ctx.cancel_alarm(tid);
-        }
-    }
-}
-
-impl FailureDetector for AddPhiDetector {
-    fn set_sink(&mut self, sink: EventSink) {
-        self.obs = sink;
-    }
-
-    fn set_metrics(&mut self, metrics: DetectorMetrics) {
-        self.metrics = metrics;
-    }
-
-    fn start(&mut self, ctx: &mut Ctx<'_>, r: NodeId) {
-        self.monitored.insert(r);
-        self.last_heard[r.as_usize()] = ctx.now();
-        self.max_gap[r.as_usize()] = BitTime::ZERO;
-        self.arm(ctx, r);
-    }
-
-    fn stop(&mut self, ctx: &mut Ctx<'_>, r: NodeId) {
-        self.release(ctx, r);
-    }
-
-    fn stop_all(&mut self, ctx: &mut Ctx<'_>) {
-        for r in self.monitored {
-            self.release(ctx, r);
-        }
-    }
-
-    fn on_activity(&mut self, ctx: &mut Ctx<'_>, r: NodeId) {
-        if !self.monitored.contains(r) || r == ctx.me() {
-            // The local heartbeat is unconditional: own activity never
-            // postpones it.
-            return;
-        }
-        let now = ctx.now();
-        let gap = now.saturating_sub(self.last_heard[r.as_usize()]);
-        self.last_heard[r.as_usize()] = now;
-        let worst = &mut self.max_gap[r.as_usize()];
-        *worst = (*worst).max(gap);
-        self.arm(ctx, r);
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, timer: DetectorTimer) -> Option<FdAction> {
-        let DetectorTimer::Node(r) = timer else {
-            return None; // no period tick in this backend
-        };
-        if !self.monitored.contains(r) {
-            return None;
-        }
-        self.timers[r.as_usize()] = None;
-        if r == ctx.me() {
-            ctx.can_rtr_req(els_mid(r));
-            self.els_sent += 1;
-            self.obs
-                .emit(ctx.now(), ctx.me(), ProtocolEvent::LifeSignSent);
-            self.metrics.lifesigns.inc();
-            // Unconditional cadence: re-arm immediately rather than
-            // waiting for the life-sign to echo back.
-            self.arm(ctx, r);
-            None
-        } else {
-            self.obs.emit(
-                ctx.now(),
-                ctx.me(),
-                ProtocolEvent::SuspectRaised { suspect: r },
-            );
-            self.metrics.suspicions.inc();
-            Some(FdAction::Suspect(r))
-        }
-    }
-
-    fn on_fda_nty(&mut self, ctx: &mut Ctx<'_>, r: NodeId) -> FdAction {
-        self.release(ctx, r);
-        FdAction::Notify(r)
-    }
-
-    fn monitored(&self) -> NodeSet {
-        self.monitored
-    }
-
-    fn els_sent(&self) -> u64 {
-        self.els_sent
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -498,8 +322,8 @@ mod tests {
         SwimDetector::new(TH, TTD)
     }
 
-    fn add_phi() -> AddPhiDetector {
-        AddPhiDetector::new(TH, TTD)
+    fn add_phi() -> crate::SurveillanceDetector {
+        crate::SurveillanceDetector::adaptive(TH, TTD)
     }
 
     fn n(id: u8) -> NodeId {

@@ -3,8 +3,9 @@
 //!
 //! The stack talks to failure detection exclusively through the
 //! [`FailureDetector`] trait, so the surveillance protocol of the
-//! paper is one *backend* among several (see [`crate::detectors`] for
-//! the SWIM-style and ADD-channel ◇P alternatives, and
+//! paper is one *backend* among several (see
+//! [`SurveillanceDetector::adaptive`] for the ADD-channel ◇P variant,
+//! [`crate::detectors`] for the SWIM-style alternative, and
 //! `docs/DETECTORS.md` for the contract and a measured comparison).
 //!
 //! The default backend, [`SurveillanceDetector`], keeps one
@@ -166,7 +167,7 @@ pub enum DetectorKind {
     /// ([`crate::detectors::SwimDetector`]).
     Swim,
     /// ADD-channel-style ◇P heartbeats with adaptive timeouts
-    /// ([`crate::detectors::AddPhiDetector`], after Kumar & Welch).
+    /// ([`SurveillanceDetector::adaptive`], after Kumar & Welch).
     AddPhi,
 }
 
@@ -204,7 +205,7 @@ impl DetectorKind {
         match self {
             DetectorKind::Surveillance => Box::new(SurveillanceDetector::new(th, ttd)),
             DetectorKind::Swim => Box::new(crate::detectors::SwimDetector::new(th, ttd)),
-            DetectorKind::AddPhi => Box::new(crate::detectors::AddPhiDetector::new(th, ttd)),
+            DetectorKind::AddPhi => Box::new(SurveillanceDetector::adaptive(th, ttd)),
         }
     }
 
@@ -238,6 +239,17 @@ impl std::fmt::Display for DetectorKind {
 /// The paper's failure detection protocol entity (Fig. 8): one
 /// surveillance timer per monitored node, restarted by implicit and
 /// explicit life-signs. The default [`FailureDetector`] backend.
+///
+/// [`SurveillanceDetector::adaptive`] is the ADD-channel ◇P backend
+/// (after Kumar & Welch) on the same timers, with two changes. The
+/// local life-sign is **unconditional**: own activity never postpones
+/// it and it re-arms as soon as it is sent, modelling a dedicated
+/// heartbeat stream over an ADD channel. A remote timeout adapts to the
+/// channel actually observed ([`SurveillanceDetector::timeout_for`]).
+/// That makes the ◇P mode the steadiest bandwidth consumer of the
+/// three backends (one ELS per node per `Th`, traffic or not), in
+/// exchange for a false-suspicion margin that self-tunes to observed
+/// jitter.
 #[derive(Debug)]
 pub struct SurveillanceDetector {
     /// `Th`: heartbeat period (local timer duration).
@@ -254,6 +266,9 @@ pub struct SurveillanceDetector {
     obs: EventSink,
     /// Live-telemetry counters (disabled by default).
     metrics: DetectorMetrics,
+    /// ◇P only: per node, the last activity heard and the worst gap
+    /// between two activities since `START`.
+    gaps: Option<Box<[(BitTime, BitTime); MAX_NODES]>>,
 }
 
 impl SurveillanceDetector {
@@ -268,6 +283,30 @@ impl SurveillanceDetector {
             els_sent: 0,
             obs: EventSink::disabled(),
             metrics: DetectorMetrics::default(),
+            gaps: None,
+        }
+    }
+
+    /// Creates the ADD-channel ◇P detector: unconditional local
+    /// life-signs every `th`, and adaptive remote timeouts.
+    pub fn adaptive(th: BitTime, ttd: BitTime) -> Self {
+        let gaps = Box::new([(BitTime::ZERO, BitTime::ZERO); MAX_NODES]);
+        SurveillanceDetector {
+            gaps: Some(gaps),
+            ..SurveillanceDetector::new(th, ttd)
+        }
+    }
+
+    /// The timeout of remote node `r` before the observer's skew:
+    /// `Th + Ttd`, or for the ◇P detector `clamp(worst observed gap +
+    /// Ttd, Th + Ttd, 2·(Th + Ttd))` — never *more* suspicious than the
+    /// paper's, and bounded, so the ◇P promise is made *eventually
+    /// perfect within a bound* rather than merely eventual.
+    pub fn timeout_for(&self, r: NodeId) -> BitTime {
+        let floor = self.th + self.ttd;
+        match &self.gaps {
+            None => floor,
+            Some(gaps) => (gaps[r.as_usize()].1 + self.ttd).max(floor).min(floor * 2),
         }
     }
 
@@ -277,7 +316,8 @@ impl SurveillanceDetector {
     }
 
     /// `fd-alarm-start(r)` (lines a00–a06): (re)arms the surveillance
-    /// timer — `Th` for the local node, `Th + Ttd` for remote nodes.
+    /// timer — `Th` for the local node, [`Self::timeout_for`] (`Th +
+    /// Ttd`) for remote nodes.
     fn arm(&mut self, ctx: &mut Ctx<'_>, r: NodeId) {
         let duration = if r == ctx.me() {
             self.th // a02
@@ -289,7 +329,7 @@ impl SurveillanceDetector {
             // (Perfectly simultaneous expiry would make all observers
             // transmit the sign in one cluster, leaving no same-side
             // receiver to acknowledge it under a partition.)
-            self.th + self.ttd + detector_skew(ctx.me())
+            self.timeout_for(r) + detector_skew(ctx.me())
         };
         let tid = &mut self.timers[r.as_usize()];
         *tid = Some(ctx.restart_alarm(*tid, duration, TimerOwner::Surveillance(r).encode()));
@@ -323,6 +363,9 @@ impl FailureDetector for SurveillanceDetector {
     /// `fd-can.req(START, r)` (Fig. 8, lines f00–f02).
     fn start(&mut self, ctx: &mut Ctx<'_>, r: NodeId) {
         self.monitored.insert(r);
+        if let Some(gaps) = &mut self.gaps {
+            gaps[r.as_usize()] = (ctx.now(), BitTime::ZERO); // ◇P: a new watch forgets old gaps
+        }
         self.arm(ctx, r); // f01
     }
 
@@ -341,15 +384,24 @@ impl FailureDetector for SurveillanceDetector {
 
     /// Restarts the surveillance timer of `r` (lines f03–f05).
     fn on_activity(&mut self, ctx: &mut Ctx<'_>, r: NodeId) {
-        if self.monitored.contains(r) {
-            self.arm(ctx, r); // f04
+        if !self.monitored.contains(r) {
+            return;
         }
+        if let Some(gaps) = &mut self.gaps {
+            if r == ctx.me() {
+                return; // ◇P: own activity never postpones the life-sign
+            }
+            let (last, worst) = &mut gaps[r.as_usize()];
+            *worst = (*worst).max(ctx.now().saturating_sub(*last));
+            *last = ctx.now();
+        }
+        self.arm(ctx, r); // f04
     }
 
     /// A surveillance timer expired (lines f06–f12). For the local
     /// node an explicit life-sign is broadcast (its own reception will
-    /// restart the timer); for a remote node the caller must invoke
-    /// FDA.
+    /// restart the timer; the ◇P detector re-arms at once instead);
+    /// for a remote node the caller must invoke FDA.
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, timer: DetectorTimer) -> Option<FdAction> {
         let DetectorTimer::Node(r) = timer else {
             return None; // the paper detector has no period tick
@@ -364,6 +416,9 @@ impl FailureDetector for SurveillanceDetector {
             self.obs
                 .emit(ctx.now(), ctx.me(), ProtocolEvent::LifeSignSent);
             self.metrics.lifesigns.inc();
+            if self.gaps.is_some() {
+                self.arm(ctx, r); // ◇P: unconditional cadence
+            }
             None
         } else {
             self.obs.emit(

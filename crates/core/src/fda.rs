@@ -15,24 +15,16 @@
 //! single physical frame** on the wired-AND bus, so agreement
 //! typically costs just one extra frame.
 //!
-//! State is two counters per message identifier, exactly as in the
-//! pseudo-code:
+//! State is two counters per message identifier
+//! ([`can_controller::FirstCopy`]), exactly as in the pseudo-code:
 //!
 //! * `fs_ndup(mid)` — failure-sign duplicates seen;
 //! * `fs_nreq(mid)` — own transmit requests issued.
 
 use crate::obs::{EventSink, ProtocolEvent};
-use can_controller::Ctx;
+use can_controller::{Ctx, FirstCopy};
 use can_types::{Mid, MsgType, NodeId};
 use std::collections::HashMap;
-
-#[derive(Debug, Clone, Copy, Default)]
-struct FdaState {
-    /// `fs_ndup(mid)`: number of failure-sign duplicates received.
-    ndup: u32,
-    /// `fs_nreq(mid)`: number of own transmit requests issued.
-    nreq: u32,
-}
 
 /// The FDA micro-protocol entity of one node.
 ///
@@ -41,7 +33,7 @@ struct FdaState {
 /// returns the `fda-can.nty` deliveries due to the layer above.
 #[derive(Debug)]
 pub struct Fda {
-    state: HashMap<NodeId, FdaState>,
+    state: HashMap<NodeId, FirstCopy>,
     obs: EventSink,
     eager_diffusion: bool,
 }
@@ -90,9 +82,7 @@ impl Fda {
     pub fn invoke(&mut self, ctx: &mut Ctx<'_>, r: NodeId) {
         self.obs
             .emit(ctx.now(), ctx.me(), ProtocolEvent::FdaInvoked { failed: r });
-        let st = self.state.entry(r).or_default();
-        st.nreq += 1;
-        if st.nreq == 1 {
+        if self.state.entry(r).or_default().request() {
             ctx.can_rtr_req(Self::failure_sign_mid(r)); // s03
             self.obs.emit(
                 ctx.now(),
@@ -111,9 +101,8 @@ impl Fda {
     pub fn on_rtr_ind(&mut self, ctx: &mut Ctx<'_>, mid: Mid) -> Option<NodeId> {
         debug_assert_eq!(mid.msg_type(), MsgType::Fda);
         let r = mid.node();
-        let st = self.state.entry(r).or_default();
-        st.ndup += 1; // r01
-        if st.ndup != 1 {
+        let Some(first_request) = self.state.entry(r).or_default().copy() else {
+            // r01: a duplicate, already handled
             self.obs.emit(
                 ctx.now(),
                 ctx.me(),
@@ -122,12 +111,11 @@ impl Fda {
                     duplicate: true,
                 },
             );
-            return None; // duplicate: already handled
-        }
+            return None;
+        };
         // First copy: deliver upstairs (r03) and, in the absence of an
         // equivalent transmit request, join the diffusion (r04–r07).
-        st.nreq += 1;
-        let diffuse = st.nreq == 1 && self.eager_diffusion;
+        let diffuse = first_request && self.eager_diffusion;
         self.obs.emit(
             ctx.now(),
             ctx.me(),

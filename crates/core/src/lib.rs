@@ -33,9 +33,10 @@
 //!   surveillance-timer protocol (Fig. 8) as the default backend
 //!   ([`SurveillanceDetector`]: per-node surveillance timers, implicit
 //!   heartbeats from normal traffic via `can-data.nty`, explicit
-//!   life-signs (ELS) only when needed). The [`detectors`] module adds
-//!   a SWIM-style probing backend and an ADD-channel ◇P adaptive
-//!   heartbeat backend, selected via [`DetectorKind`] — see
+//!   life-signs (ELS) only when needed). The same type in its
+//!   [`SurveillanceDetector::adaptive`] mode is an ADD-channel ◇P
+//!   adaptive heartbeat backend, and the [`detectors`] module adds a
+//!   SWIM-style probing backend, selected via [`DetectorKind`] — see
 //!   `docs/DETECTORS.md` for the contract and a measured QoS shootout.
 //! * [`Membership`] — the site membership protocol (Fig. 9):
 //!   membership cycle, join/leave handling, view agreement.
@@ -85,7 +86,7 @@ pub mod tags;
 pub mod traffic;
 
 pub use config::{CanelyConfig, RHA_TIMEOUT, TX_DELAY_BOUND};
-pub use detectors::{AddPhiDetector, SwimDetector};
+pub use detectors::SwimDetector;
 pub use fd::{
     DetectorKind, DetectorMetrics, DetectorTimer, FailureDetector, FdAction, SurveillanceDetector,
 };

@@ -79,4 +79,17 @@ if [ "$fanout_ms" -gt $((serial_ms + serial_ms / 4 + 50)) ]; then
     exit 1
 fi
 
+# The line budget of ROADMAP.md's consolidation checklist: the lines
+# of `crates/*/src` before each file's first top-level `#[cfg(test)]`,
+# and every line under `scripts/` and of the `.rs` files of `examples/`.
+echo "==> line count"
+src="$(find crates/*/src -name '*.rs' | sort | xargs awk '
+    FNR == 1 { skip = 0 }
+    /^#\[cfg\(test\)\]/ { skip = 1 }
+    !skip { n++ }
+    END { print n + 0 }')"
+scripts="$(cat scripts/* | wc -l)"
+examples="$(find examples -name '*.rs' | xargs cat | wc -l)"
+echo "    crates/*/src (non-test) $src, scripts/ $scripts, examples/ $examples," \
+    "total $((src + scripts + examples))"
 echo "==> verify: all green"
