@@ -79,7 +79,7 @@ pub use oracle::{
 pub use run::{execute, RunOutcome};
 pub use runner::{
     run_campaign, run_campaign_analytics, run_campaign_with, CampaignOptions, CampaignReport,
-    CampaignResult, Counterexample, ProgressOptions, ProgressSink, RunLatency,
+    CampaignResult, Counterexample, ProgressOptions, ProgressSink, RunLatency, MAX_WORKERS,
 };
 pub use scenario::Scenario;
 pub use shootout::{BackendQoS, ShootoutReport};

@@ -235,6 +235,10 @@ impl Default for ProgressOptions {
     }
 }
 
+/// The most worker threads a campaign runs on: a larger count is
+/// clamped to it, and `--workers` refuses one.
+pub const MAX_WORKERS: usize = 64;
+
 /// Knobs for [`run_campaign_with`] beyond the spec itself. None of
 /// them can change the campaign summary: telemetry counters mirror
 /// quantities the summary already derives deterministically, and
@@ -406,8 +410,8 @@ impl ProgressState {
 /// Executes every run, fanning out over `options.workers` threads,
 /// and returns the outcomes in matrix order.
 ///
-/// `workers` is clamped to the run count (spawning idle threads for a
-/// tiny matrix only buys startup latency). Every worker runs the same
+/// `workers` is clamped to [`MAX_WORKERS`] and to the run count
+/// (spawning idle threads for a tiny matrix only buys startup latency). Every worker runs the same
 /// claim loop — take the next index from a shared counter, execute
 /// that run, keep the `(index, outcome)` pair — with its
 /// [`RunTelemetry`] handles registered once as the only state it keeps
@@ -421,7 +425,7 @@ fn execute_all_with(
     options: &CampaignOptions,
     capture_trace: bool,
 ) -> Vec<RunOutcome> {
-    let workers = options.workers.clamp(1, 64).min(runs.len().max(1));
+    let workers = options.workers.clamp(1, MAX_WORKERS).min(runs.len().max(1));
     let cursor = AtomicUsize::new(0);
     let state = ProgressState::new(workers);
     let timing = options.progress.is_some();

@@ -9,7 +9,9 @@
 //! gateway additionally walks the bridge hop: the `fed.relay` record
 //! names the segment the frame originated on.
 
-use crate::model::{parse_node_set, seg_node, BusTx, Event, Parent, TraceModel};
+use crate::model::{
+    msg_type, parse_node_set, seg_node, subject, BusTx, CauseRef, Event, Parent, TraceModel,
+};
 
 /// One step of a causal chain.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -42,11 +44,7 @@ pub struct SuspicionChain {
     pub complete: bool,
 }
 
-/// Maximum backward-walk depth: defends against malformed traces with
-/// cause cycles (the real schema is acyclic — causes point backwards).
-const MAX_BACK_STEPS: usize = 16;
-
-fn event_step(model: &TraceModel<'_>, event: &Event<'_>) -> ChainStep {
+fn event_step(model: &TraceModel<'_>, event: &Event) -> ChainStep {
     let mut detail = String::new();
     for (key, value) in model.line_of(event).display_fields() {
         detail.push_str(&format!("{key}={value} "));
@@ -54,19 +52,19 @@ fn event_step(model: &TraceModel<'_>, event: &Event<'_>) -> ChainStep {
     ChainStep {
         t: event.t,
         node: Some(event.node),
-        label: event.kind.to_string(),
+        label: model.kind_of(event).to_string(),
         detail: detail.trim_end().to_string(),
     }
 }
 
-fn bus_step(tx: &BusTx<'_>, note: &str) -> ChainStep {
+fn bus_step(model: &TraceModel<'_>, tx: &BusTx, note: &str) -> ChainStep {
     ChainStep {
         t: tx.start,
         node: None,
         label: "bus.tx".to_string(),
         detail: format!(
             "{} queued={} start={} deliver={} arb_losses={}{}{}",
-            tx.mid,
+            model.mid(tx),
             tx.queued,
             tx.start,
             tx.deliver,
@@ -81,14 +79,12 @@ fn bus_step(tx: &BusTx<'_>, note: &str) -> ChainStep {
 /// `(segment, suspect, observer, instant)`.
 pub fn suspicions(model: &TraceModel<'_>) -> Vec<(Option<u8>, u8, u8, u64)> {
     model
-        .events
-        .iter()
-        .filter(|e| e.kind == "fd.suspect")
+        .of_kind("fd.suspect")
         .filter_map(|e| {
             model
                 .line_of(e)
                 .u64("suspect")
-                .map(|s| (e.seg, s as u8, e.node, e.t))
+                .map(|s| (e.seg(), s as u8, e.node, e.t))
         })
         .collect()
 }
@@ -108,18 +104,17 @@ pub fn chain_for(
 /// The `fed.relay` record behind a relayed frame: the gateway's
 /// injection event on the same segment, for the same mid, at or
 /// before the transmission start.
-fn relay_of<'m, 'a>(model: &'m TraceModel<'a>, tx: &BusTx<'_>) -> Option<&'m Event<'a>> {
+fn relay_of<'m>(model: &'m TraceModel<'_>, tx: &BusTx) -> Option<&'m Event> {
+    let (mid, transmitters) = (model.mid(tx), model.transmitters(tx));
     model
-        .events
-        .iter()
+        .of_kind("fed.relay")
         .filter(|e| {
-            e.kind == "fed.relay"
-                && e.seg == tx.seg
+            e.seg() == tx.seg()
                 && e.t <= tx.start
-                && tx.transmitters.contains(&e.node)
-                && model.line_of(e).str("mid").as_deref() == Some(tx.mid.as_ref())
+                && transmitters.contains(&e.node)
+                && model.line_of(e).str("mid").as_deref() == Some(mid.as_ref())
         })
-        .max_by_key(|e| (e.t, e.seq))
+        .max_by_key(|e| (e.t, e.seq()))
 }
 
 /// Reconstructs the chain for the first suspicion of `suspect` on
@@ -132,15 +127,14 @@ pub fn chain_for_in(
     suspect: u8,
     observer: Option<u8>,
 ) -> Option<SuspicionChain> {
-    let suspicion = model.events.iter().find(|e| {
-        e.kind == "fd.suspect"
-            && model.line_of(e).u64("suspect") == Some(u64::from(suspect))
-            && (seg.is_none() || e.seg == seg)
+    let suspicion = model.of_kind("fd.suspect").find(|e| {
+        model.line_of(e).u64("suspect") == Some(u64::from(suspect))
+            && (seg.is_none() || e.seg() == seg)
             && observer.is_none_or(|o| e.node == o)
     })?;
     let observer = suspicion.node;
     // All further correlation is local to the suspicion's segment.
-    let home = suspicion.seg;
+    let home = suspicion.seg();
     let mut chain = SuspicionChain {
         seg: home,
         suspect,
@@ -151,23 +145,24 @@ pub fn chain_for_in(
     };
 
     // Backward: suspicion → expiry → arming → triggering delivery —
-    // and across the bridge when a gateway injected that frame.
+    // and across the bridge when a gateway injected that frame. The
+    // walk ends: the reader refuses a cause that does not precede its
+    // event, so each parent event has a lower seq than its child.
     let mut backward = vec![event_step(model, suspicion)];
     let mut cursor = Some(suspicion);
-    for _ in 0..MAX_BACK_STEPS {
-        let Some(event) = cursor else { break };
+    while let Some(event) = cursor {
         match model.parent(event) {
             Some(Parent::Event(parent)) => {
                 backward.push(event_step(model, parent));
                 cursor = Some(parent);
             }
             Some(Parent::Bus(tx)) => {
-                let note = if tx.transmitters.contains(&suspect) {
+                let note = if model.transmitters(tx).contains(&suspect) {
                     format!("last activity of {} on the bus", seg_node(home, suspect))
                 } else {
                     String::new()
                 };
-                backward.push(bus_step(tx, &note));
+                backward.push(bus_step(model, tx, &note));
                 // Gateway hop: a relayed frame was injected by the
                 // segment's gateway; surface the bridge crossing.
                 if let Some(relay) = relay_of(model, tx) {
@@ -190,9 +185,8 @@ pub fn chain_for_in(
     // observer's own records and the diffused frame's deliveries.
     let after = |kind: &str, from: u64, node: u8| {
         let needs_failed = matches!(kind, "fda.invoked" | "fda.sign.tx" | "fd.notified");
-        model.events.iter().find(|e| {
-            e.kind == kind
-                && e.seg == home
+        model.of_kind(kind).find(|e| {
+            e.seg() == home
                 && e.node == node
                 && e.t >= from
                 && (!needs_failed || model.line_of(e).u64("failed") == Some(u64::from(suspect)))
@@ -206,22 +200,20 @@ pub fn chain_for_in(
         }
     }
     let frame = model.bus.iter().find(|tx| {
-        tx.delivered
-            && tx.seg == home
-            && tx.msg_type() == "FDA"
-            && tx.subject() == Some(suspect)
+        let mid = model.mid(tx);
+        tx.delivered()
+            && tx.seg() == home
+            && msg_type(&mid) == "FDA"
+            && subject(&mid) == Some(suspect)
             && tx.start >= from
     });
     if let Some(tx) = frame {
-        chain.steps.push(bus_step(tx, "failure-sign diffusion"));
+        chain
+            .steps
+            .push(bus_step(model, tx, "failure-sign diffusion"));
         let delivered_at: Vec<String> = model
-            .events
-            .iter()
-            .filter(|e| {
-                e.kind == "fda.delivered"
-                    && e.seg == tx.seg
-                    && e.cause == Some(crate::model::CauseRef::Bus(tx.deliver))
-            })
+            .of_kind("fda.delivered")
+            .filter(|e| e.seg() == tx.seg() && e.cause() == Some(CauseRef::Bus(tx.deliver)))
             .map(|e| format!("n{}", e.node))
             .collect();
         if !delivered_at.is_empty() {
@@ -244,15 +236,16 @@ pub fn chain_for_in(
             from = e.t;
         }
     }
+    let installs = [model.kind("view.installed"), model.kind("view.bootstrap")];
     let install = model.events.iter().find(|e| {
-        (e.kind == "view.installed" || e.kind == "view.bootstrap")
-            && e.seg == home
+        installs.contains(&Some(e.kind()))
+            && e.seg() == home
             && e.node == observer
             && e.t >= from
             && model
                 .line_of(e)
                 .str("view")
-                .is_some_and(|v| !parse_node_set(&v).contains(&suspect))
+                .is_some_and(|v| parse_node_set(&v).is_ok_and(|view| !view.contains(&suspect)))
     });
     if let Some(e) = install {
         chain.steps.push(event_step(model, e));
@@ -262,18 +255,16 @@ pub fn chain_for_in(
         // standby promotes itself (`fed.elect` names the expelled
         // leader) and its re-announced view reaches the global stable
         // cut (`fed.rejoin`).
-        let elect = model.events.iter().find(|e| {
-            e.kind == "fed.elect"
-                && e.seg == home
+        let elect = model.of_kind("fed.elect").find(|e| {
+            e.seg() == home
                 && e.t >= suspicion.t
                 && model.line_of(e).u64("leader") == Some(u64::from(suspect))
         });
         if let Some(elect) = elect {
             chain.steps.push(event_step(model, elect));
             let rejoin = model
-                .events
-                .iter()
-                .find(|e| e.kind == "fed.rejoin" && e.seg == home && e.t >= elect.t);
+                .of_kind("fed.rejoin")
+                .find(|e| e.seg() == home && e.t >= elect.t);
             if let Some(rejoin) = rejoin {
                 chain.steps.push(event_step(model, rejoin));
             }

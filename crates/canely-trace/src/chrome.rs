@@ -122,7 +122,7 @@ pub fn write_chrome_trace<W: Write + ?Sized>(
         seen[usize::from(node)] = true;
     }
     for tx in &model.bus {
-        for &node in &tx.transmitters {
+        for &node in model.transmitters(tx) {
             seen[usize::from(node)] = true;
         }
     }
@@ -150,7 +150,7 @@ pub fn write_chrome_trace<W: Write + ?Sized>(
         push_num(buf, "{\"ph\":\"X\",\"pid\":0,\"tid\":0,\"ts\":", tx.start);
         push_num(buf, ",\"dur\":", tx.bus_free.saturating_sub(tx.start));
         buf.extend_from_slice(b",\"name\":\"");
-        escape_bytes(&tx.mid, buf);
+        escape_bytes(&model.mid(tx), buf);
         push_num(buf, "\",\"cat\":\"bus\",\"args\":{\"queued\":", tx.queued);
         push_num(buf, ",\"deliver\":", tx.deliver);
         push_num(buf, ",\"arb_losses\":", tx.arb_losses);
@@ -158,14 +158,14 @@ pub fn write_chrome_trace<W: Write + ?Sized>(
             buf,
             &[
                 ",\"delivered\":",
-                if tx.delivered { "true" } else { "false" },
+                if tx.delivered() { "true" } else { "false" },
             ],
         );
         push_all(
             buf,
             &[
                 ",\"errored\":",
-                if tx.errored { "true" } else { "false" },
+                if tx.errored() { "true" } else { "false" },
                 "}}",
             ],
         );
@@ -176,14 +176,15 @@ pub fn write_chrome_trace<W: Write + ?Sized>(
     // variant-specific fields as string arguments and the cause last.
     for event in &model.events {
         let buf = events.next();
-        let cat = event.kind.split('.').next().unwrap_or("event");
+        let kind = model.kind_of(event);
+        let cat = kind.split('.').next().unwrap_or("event");
         push_num(buf, "{\"ph\":\"i\",\"pid\":", u64::from(event.node) + 1);
         push_num(buf, ",\"tid\":0,\"ts\":", event.t);
         push_all(
             buf,
             &[
                 ",\"s\":\"t\",\"name\":\"",
-                &event.kind,
+                kind,
                 "\",\"cat\":\"",
                 cat,
                 "\",\"args\":{",

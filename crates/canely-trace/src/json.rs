@@ -102,9 +102,9 @@ impl std::error::Error for ParseError {}
 /// A string as the walk met it: the text between its quotes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Text<'a> {
-    raw: &'a str,
+    pub(crate) raw: &'a str,
     /// Whether `raw` holds an escape; if not, it is the string itself.
-    escaped: bool,
+    pub(crate) escaped: bool,
 }
 
 impl<'a> Text<'a> {
@@ -244,6 +244,12 @@ impl<'a> Line<'a> {
         walk.finish()
     }
 
+    /// A line the walk has already validated: `canonical` is what that
+    /// walk found.
+    pub(crate) fn validated(text: &'a str, canonical: bool) -> Line<'a> {
+        Line { text, canonical }
+    }
+
     /// The text the line was parsed from.
     pub fn text(&self) -> &'a str {
         self.text
@@ -337,6 +343,10 @@ impl<'a> Line<'a> {
 /// document order ([`Fields::field`]). Its walk ends at the closing
 /// brace or at the first defect, which [`Line::parse`] — that drives it
 /// to the end once — then reports; over a `Line` it cannot fail.
+///
+/// A walk over a document ([`Fields::in_document`]) reads the line its
+/// text starts with: a `\n`, or a `\r\n`, ends the line as the end of
+/// the text ends it, and everything a defect names lies inside it.
 #[derive(Debug, Clone)]
 pub(crate) struct Fields<'a> {
     text: &'a str,
@@ -344,6 +354,10 @@ pub(crate) struct Fields<'a> {
     canonical: bool,
     done: bool,
     error: Option<ParseError>,
+    /// Whether a newline ends the line (else it is a control byte).
+    document: bool,
+    /// Where the line ends, once the walk has read its closing brace.
+    end: usize,
 }
 
 impl<'a> Fields<'a> {
@@ -354,6 +368,17 @@ impl<'a> Fields<'a> {
             canonical: true,
             done: false,
             error: None,
+            document: false,
+            end: 0,
+        }
+    }
+
+    /// The walk over the line `text` starts with, the rest of a
+    /// document.
+    pub(crate) fn in_document(text: &'a str) -> Self {
+        Fields {
+            document: true,
+            ..Fields::new(text)
         }
     }
 
@@ -373,9 +398,10 @@ impl<'a> Fields<'a> {
             Some(b'}') => {
                 self.pos += 1;
                 self.skip_ws();
-                if self.pos != self.text.len() {
+                if self.pos != self.text.len() && self.newline_at(self.pos) == 0 {
                     return self.fail("trailing characters after object");
                 }
+                self.end = self.pos;
                 self.done = true;
                 return None;
             }
@@ -394,13 +420,30 @@ impl<'a> Fields<'a> {
         self.pos
     }
 
+    /// Where the next line starts: past the newline that ends a
+    /// document's line read to its end.
+    pub(crate) fn next_line(&self) -> usize {
+        self.end + self.newline_at(self.end)
+    }
+
+    /// The length of the newline at `at`: 1 for `\n`, 2 for `\r\n`, 0
+    /// for anything else or outside a document.
+    #[inline(always)]
+    fn newline_at(&self, at: usize) -> usize {
+        match self.text.as_bytes().get(at..at + 2) {
+            _ if !self.document => 0,
+            Some([b'\r', b'\n']) => 2,
+            _ => usize::from(self.text.as_bytes().get(at) == Some(&b'\n')),
+        }
+    }
+
     /// The line, once [`Fields::field`] has returned `None`: validated
     /// to its end, or refused at its first defect.
     pub(crate) fn finish(self) -> Result<Line<'a>, ParseError> {
         match self.error {
             Some(error) => Err(error),
             None => Ok(Line {
-                text: self.text,
+                text: &self.text[..self.end],
                 canonical: self.canonical,
             }),
         }
@@ -554,9 +597,9 @@ impl<'a> Fields<'a> {
         }
     }
 
-    /// Advances to the next quote or backslash (or the end), noting a
-    /// raw control character on the way: the exporter would have
-    /// escaped it.
+    /// Advances to the next quote or backslash (or the end of the
+    /// line), noting a raw control character on the way: the exporter
+    /// would have escaped it.
     #[inline(always)]
     fn plain_run(&mut self) {
         const ONES: u64 = 0x0101_0101_0101_0101;
@@ -589,7 +632,7 @@ impl<'a> Fields<'a> {
                 }
             }
             match bytes.get(self.pos) {
-                Some(&b) if b < 0x20 => {
+                Some(&b) if b < 0x20 && self.newline_at(self.pos) == 0 => {
                     self.canonical = false;
                     self.pos += 1;
                 }

@@ -38,6 +38,8 @@ pub mod stats;
 pub use analytics::{CampaignAnalytics, RunAnalytics};
 pub use chain::{chain_for, chain_for_in, suspicions, SuspicionChain};
 pub use chrome::{chrome_trace, write_chrome_trace};
-pub use model::{parse_id, parse_seg_node, seg_node, BusTx, CauseRef, Event, Parent, TraceModel};
+pub use model::{
+    parse_id, parse_seg_node, seg_node, BusTx, CauseRef, Event, Kind, Lines, Parent, TraceModel,
+};
 pub use phases::{PhaseProfile, PHASE_NAMES};
 pub use stats::{Histogram, Summary};

@@ -16,7 +16,7 @@
 //! - **agreement** — RHA start until the reception histories settle.
 //! - **install** — agreement settled until the new view is installed.
 
-use crate::model::{parse_node_set, TraceModel};
+use crate::model::{msg_type, parse_node_set, subject, Event, TraceModel};
 use crate::stats::Summary;
 
 /// The phase names, in pipeline order.
@@ -73,9 +73,7 @@ impl PhaseProfile {
     /// Profiles every `node.crashed` marker in the trace.
     pub fn of(model: &TraceModel<'_>) -> PhaseProfile {
         let crashes: Vec<(u64, u8)> = model
-            .events
-            .iter()
-            .filter(|e| e.kind == "node.crashed")
+            .of_kind("node.crashed")
             .map(|e| (e.t, e.node))
             .collect();
         let detections = crashes
@@ -138,11 +136,9 @@ fn profile_one(model: &TraceModel<'_>, suspect: u8, crashed_at: u64, horizon: u6
     let window = |t: u64| t >= crashed_at && t < horizon;
 
     // Surveillance: crash → first suspicion of this node, anywhere.
-    let suspicion = model.events.iter().find(|e| {
-        e.kind == "fd.suspect"
-            && window(e.t)
-            && model.line_of(e).u64("suspect") == Some(u64::from(suspect))
-    });
+    let suspicion = model
+        .of_kind("fd.suspect")
+        .find(|e| window(e.t) && model.line_of(e).u64("suspect") == Some(u64::from(suspect)));
     if let Some(sus) = suspicion {
         d.samples.push(("surveillance", sus.t - crashed_at));
         d.spans.push(PhaseSpan {
@@ -155,14 +151,18 @@ fn profile_one(model: &TraceModel<'_>, suspect: u8, crashed_at: u64, horizon: u6
 
     // The failure-sign transmission that diffuses the suspicion.
     let frame = model.bus.iter().find(|tx| {
-        tx.delivered && tx.msg_type() == "FDA" && tx.subject() == Some(suspect) && window(tx.start)
+        let mid = model.mid(tx);
+        tx.delivered()
+            && msg_type(&mid) == "FDA"
+            && subject(&mid) == Some(suspect)
+            && window(tx.start)
     });
     if let Some(tx) = frame {
         // The reader refuses a frame queued after its start and a
         // segment whose transmissions overlap, so the frame's own bus
         // was busy for at most the whole wait.
         let wait = tx.start - tx.queued;
-        let busy = model.busy_between(tx.seg, tx.queued, tx.start);
+        let busy = model.busy_between(tx.seg(), tx.queued, tx.start);
         d.samples.push(("queuing", wait - busy));
         d.samples.push(("arbitration", busy));
         d.spans.push(PhaseSpan {
@@ -172,11 +172,9 @@ fn profile_one(model: &TraceModel<'_>, suspect: u8, crashed_at: u64, horizon: u6
             end: tx.start,
         });
         let last_delivery = model
-            .events
-            .iter()
+            .of_kind("fda.delivered")
             .filter(|e| {
-                e.kind == "fda.delivered"
-                    && e.t >= tx.start
+                e.t >= tx.start
                     && e.t < horizon
                     && model.line_of(e).u64("failed") == Some(u64::from(suspect))
             })
@@ -194,49 +192,48 @@ fn profile_one(model: &TraceModel<'_>, suspect: u8, crashed_at: u64, horizon: u6
     }
 
     // Agreement-side phases, per observer.
-    let observers: Vec<&crate::model::Event<'_>> = model
-        .events
-        .iter()
-        .filter(|e| {
-            e.kind == "fd.notified"
-                && window(e.t)
-                && model.line_of(e).u64("failed") == Some(u64::from(suspect))
-        })
+    let observers: Vec<&Event> = model
+        .of_kind("fd.notified")
+        .filter(|e| window(e.t) && model.line_of(e).u64("failed") == Some(u64::from(suspect)))
         .collect();
     // The events an observer's phases end at, in document order: each
     // observer searches these instead of the whole trace.
-    let ends: Vec<&crate::model::Event<'_>> = model
+    let [rha_started, rha_settled, installs, bootstraps] = [
+        "rha.started",
+        "rha.settled",
+        "view.installed",
+        "view.bootstrap",
+    ]
+    .map(|kind| model.kind(kind));
+    let ends: Vec<&Event> = model
         .events
         .iter()
         .filter(|e| {
             e.t < horizon
-                && matches!(
-                    e.kind.as_ref(),
-                    "rha.started" | "rha.settled" | "view.installed" | "view.bootstrap"
-                )
+                && [rha_started, rha_settled, installs, bootstraps].contains(&Some(e.kind()))
         })
         .collect();
     for notified in observers {
         let node = notified.node;
         d.detection.push(notified.t - crashed_at);
-        let at = |kind: &str, from: u64| {
+        let at = |kind, from: u64| {
             ends.iter()
                 .copied()
-                .find(|e| e.kind == kind && e.node == node && e.t >= from)
+                .find(|e| Some(e.kind()) == kind && e.node == node && e.t >= from)
         };
         let installed = ends.iter().copied().find(|e| {
-            (e.kind == "view.installed" || e.kind == "view.bootstrap")
+            [installs, bootstraps].contains(&Some(e.kind()))
                 && e.node == node
                 && e.t >= notified.t
                 && model
                     .line_of(e)
                     .str("view")
-                    .is_some_and(|v| !parse_node_set(&v).contains(&suspect))
+                    .is_some_and(|v| parse_node_set(&v).is_ok_and(|view| !view.contains(&suspect)))
         });
         if let Some(install) = installed {
             d.view_change.push(install.t - crashed_at);
         }
-        if let Some(started) = at("rha.started", notified.t) {
+        if let Some(started) = at(rha_started, notified.t) {
             d.samples.push(("cycle-wait", started.t - notified.t));
             d.spans.push(PhaseSpan {
                 node: Some(node),
@@ -244,7 +241,7 @@ fn profile_one(model: &TraceModel<'_>, suspect: u8, crashed_at: u64, horizon: u6
                 start: notified.t,
                 end: started.t,
             });
-            let Some(settled) = at("rha.settled", started.t) else {
+            let Some(settled) = at(rha_settled, started.t) else {
                 continue;
             };
             d.samples.push(("agreement", settled.t - started.t));

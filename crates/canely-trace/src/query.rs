@@ -41,7 +41,7 @@ pub fn filter<W: Write + ?Sized>(
     out: &mut W,
 ) -> io::Result<()> {
     let mut buf = Vec::new();
-    for line in &model.lines {
+    for line in model.lines.iter() {
         let t = line.u64("t").unwrap_or(0);
         if filter.since.is_some_and(|s| t < s) || filter.until.is_some_and(|u| t >= u) {
             continue;
@@ -62,9 +62,9 @@ pub fn filter<W: Write + ?Sized>(
         }
         if let Some(node) = filter.node {
             let of_node = line.u64("node") == Some(u64::from(node))
-                || line
-                    .str("transmitters")
-                    .is_some_and(|t| crate::model::parse_node_set(&t).contains(&node));
+                || line.str("transmitters").is_some_and(|t| {
+                    crate::model::parse_node_set(&t).is_ok_and(|set| set.contains(&node))
+                });
             if !of_node {
                 continue;
             }
@@ -91,7 +91,7 @@ pub fn filter<W: Write + ?Sized>(
 pub fn summary(model: &TraceModel<'_>) -> String {
     let mut counts: BTreeMap<&str, u64> = BTreeMap::new();
     for event in &model.events {
-        *counts.entry(event.kind.as_ref()).or_default() += 1;
+        *counts.entry(model.kind_of(event)).or_default() += 1;
     }
     let mut out = String::from("trace summary\n");
     // Federated traces announce their segment count; single-segment
@@ -99,8 +99,8 @@ pub fn summary(model: &TraceModel<'_>) -> String {
     let segments: std::collections::BTreeSet<u8> = model
         .bus
         .iter()
-        .filter_map(|tx| tx.seg)
-        .chain(model.events.iter().filter_map(|e| e.seg))
+        .filter_map(|tx| tx.seg())
+        .chain(model.events.iter().filter_map(|e| e.seg()))
         .collect();
     if !segments.is_empty() {
         let _ = writeln!(out, "  segments: {}", segments.len());
@@ -109,8 +109,8 @@ pub fn summary(model: &TraceModel<'_>) -> String {
     for (kind, count) in &counts {
         let _ = writeln!(out, "    {kind:<16} {count}");
     }
-    let delivered = model.bus.iter().filter(|tx| tx.delivered).count();
-    let errored = model.bus.iter().filter(|tx| tx.errored).count();
+    let delivered = model.bus.iter().filter(|tx| tx.delivered()).count();
+    let errored = model.bus.iter().filter(|tx| tx.errored()).count();
     let _ = writeln!(
         out,
         "  bus: {} transactions, {delivered} delivered, {errored} errored",

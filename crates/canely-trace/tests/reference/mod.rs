@@ -7,8 +7,9 @@
 
 #![allow(dead_code, missing_docs)]
 
+use super::seed_node_set::parse_node_set;
 use canely_trace::json::escape_into;
-use canely_trace::model::{parse_node_set, CauseRef};
+use canely_trace::model::CauseRef;
 use std::borrow::Cow;
 use std::collections::HashMap;
 

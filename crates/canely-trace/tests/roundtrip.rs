@@ -7,7 +7,8 @@
 //!   copy-on-escape slow path.
 //! * `reference` is the eager reader — a `Vec` of `(key, value)` pairs
 //!   per line, a model built from look-ups on it — that the lazy,
-//!   index-only one replaced.
+//!   index-only one replaced, with `seed_node_set`, the lenient node-set
+//!   reader it read transmitters with.
 //!
 //! The tests pin the current reader to their observable behaviour:
 //! same decoded text, same accept/reject verdict at the same byte,
@@ -16,8 +17,21 @@
 
 mod reference;
 
+/// The node-set reader the reference used, verbatim: it dropped a
+/// member it could not read and trimmed any number of braces.
+mod seed_node_set {
+    /// Parses a `{0,2,5}`-style node-set rendering into sorted node ids.
+    pub fn parse_node_set(text: &str) -> Vec<u8> {
+        text.trim_start_matches('{')
+            .trim_end_matches('}')
+            .split(',')
+            .filter_map(|part| part.trim().parse().ok())
+            .collect()
+    }
+}
+
 use canely_trace::json::{escape_into, Line};
-use canely_trace::{Parent, TraceModel};
+use canely_trace::{CauseRef, Parent, TraceModel};
 use proptest::prelude::*;
 use std::borrow::Cow;
 
@@ -288,8 +302,8 @@ fn assert_same_document(text: &str) -> Result<(), TestCaseError> {
             return assert_same_document(&before(text, range.line));
         }
     }
-    // So is a transmission no export writes, which the reference read.
-    if let Some((line, reason, key)) = unserialized(text) {
+    // So is a record no export writes, which the reference read.
+    if let Some((line, reason, key)) = unwritten(text) {
         let Err(refusal) = &new else {
             return Err(TestCaseError::fail(format!(
                 "line {line} ({reason}) is read: {text:?}"
@@ -325,17 +339,17 @@ fn assert_same_document(text: &str) -> Result<(), TestCaseError> {
         .bus
         .iter()
         .map(|tx| reference::BusTx {
-            line: tx.line,
-            seg: tx.seg,
+            line: tx.line(),
+            seg: tx.seg(),
             start: tx.start,
             bus_free: tx.bus_free,
             deliver: tx.deliver,
             queued: tx.queued,
             arb_losses: tx.arb_losses,
-            mid: tx.mid.to_string(),
-            transmitters: tx.transmitters.clone(),
-            delivered: tx.delivered,
-            errored: tx.errored,
+            mid: model.mid(tx).into_owned(),
+            transmitters: model.transmitters(tx).to_vec(),
+            delivered: tx.delivered(),
+            errored: tx.errored(),
         })
         .collect();
     prop_assert_eq!(&bus, &old.bus, "{:?}", text);
@@ -343,20 +357,20 @@ fn assert_same_document(text: &str) -> Result<(), TestCaseError> {
         .events
         .iter()
         .map(|e| reference::Event {
-            line: e.line,
-            seg: e.seg,
+            line: e.line(),
+            seg: e.seg(),
             t: e.t,
-            seq: e.seq,
+            seq: e.seq(),
             node: e.node,
-            kind: e.kind.to_string(),
-            cause: e.cause,
+            kind: model.kind_of(e).to_string(),
+            cause: e.cause(),
         })
         .collect();
     prop_assert_eq!(&events, &old.events, "{:?}", text);
     for (event, old_event) in model.events.iter().zip(&old.events) {
         let parent = model.parent(event).map(|parent| match parent {
-            Parent::Bus(tx) => reference::Parent::Bus(tx.line),
-            Parent::Event(e) => reference::Parent::Event(e.line),
+            Parent::Bus(tx) => reference::Parent::Bus(tx.line()),
+            Parent::Event(e) => reference::Parent::Event(e.line()),
         });
         prop_assert_eq!(parent, old.parent(old_event), "{:?}", text);
     }
@@ -373,12 +387,15 @@ fn before(text: &str, line: usize) -> String {
         .collect()
 }
 
-/// Where the reader refuses a transmission the reference reads: the
-/// first one queued after its start or starting before its segment's
-/// bus went idle, as its line, the reason and the field whose value
-/// the refusal points past. Found from the reference's reading of each
-/// line; `None` if a line it refuses comes first.
-fn unserialized(text: &str) -> Option<(usize, String, &'static str)> {
+/// Where the reader refuses a record the reference reads: the first
+/// transmission whose transmitters are not one braced set of ids, that
+/// is queued after its start or that starts before its segment's bus
+/// went idle, or the first event whose cause does not precede it (an
+/// `event:S` cause with S at or past its own seq, a `bus:D` one with D
+/// after its instant). As its line, the reason and the field whose
+/// value the refusal points past. Found from the reference's reading
+/// of each line; `None` if a line it refuses comes first.
+fn unwritten(text: &str) -> Option<(usize, String, &'static str)> {
     let mut idle = std::collections::HashMap::new();
     for (i, raw) in text.lines().enumerate() {
         if raw.trim().is_empty() {
@@ -386,7 +403,20 @@ fn unserialized(text: &str) -> Option<(usize, String, &'static str)> {
         }
         let line = reference::Line::parse(raw).ok()?;
         if line.str("kind") != Some("bus.tx") {
-            continue;
+            let t = line.u64("t").unwrap_or(0);
+            let reason = match (line.str("cause").and_then(CauseRef::parse), line.u64("seq")) {
+                (Some(CauseRef::Event(s)), Some(seq)) if s >= seq => {
+                    format!("cause event:{s} does not precede the event's seq {seq}")
+                }
+                (Some(CauseRef::Bus(d)), _) if d > t => {
+                    format!("cause bus:{d} is after the event's instant {t}")
+                }
+                _ => continue,
+            };
+            return Some((i + 1, reason, "cause"));
+        }
+        if let Some(defect) = line.str("transmitters").and_then(set_defect) {
+            return Some((i + 1, format!("transmitters {defect}"), "transmitters"));
         }
         let start = line.u64("t").unwrap_or(0);
         let queued = line.u64("queued").unwrap_or(start);
@@ -403,6 +433,20 @@ fn unserialized(text: &str) -> Option<(usize, String, &'static str)> {
         *idle = (*idle).max(line.u64("bus_free").unwrap_or(0));
     }
     None
+}
+
+/// What makes `set` other than exactly one pair of braces around zero
+/// or more comma-separated decimal ids 0–255: the first member that is
+/// not one, or the whole text.
+fn set_defect(set: &str) -> Option<String> {
+    let Some(members) = set.strip_prefix('{').and_then(|s| s.strip_suffix('}')) else {
+        return Some(format!("`{set}` is not a `{{…}}` node set"));
+    };
+    let id = |m: &str| m.bytes().all(|b| b.is_ascii_digit()) && m.parse::<u8>().is_ok();
+    (!members.is_empty())
+        .then(|| members.split(',').find(|m| !id(m)))
+        .flatten()
+        .map(|m| format!("`{set}`: member `{m}` is not a node id 0–255"))
 }
 
 /// `at` is the byte just past the value of `line`'s first `key` field
@@ -520,10 +564,12 @@ fn arb_record_draw() -> impl Strategy<Value = RecordDraw> {
 /// documents of them repeat keys, record them out of order and
 /// resolve causes across lines. A transmission is delivered at its
 /// drawn instant; it starts and is queued at `start_queued`, or at that
-/// instant.
+/// instant. An event's cause precedes it, unless `late` asks for one
+/// that does not.
 fn exporter_record(
     (pick, t, seg, seq, node): RecordDraw,
     start_queued: Option<(u64, u64)>,
+    late: bool,
 ) -> String {
     let t = t * 250;
     let seg = if seg == 2 {
@@ -542,22 +588,32 @@ fn exporter_record(
                 node != 0
             )
         }
+        // Numbered from 1, so that an earlier seq exists.
         2..=4 => format!(
-            "{{\"t\":{t}{seg},\"seq\":{seq},\"node\":{node},\"kind\":\"fd.suspect\",\
+            "{{\"t\":{t}{seg},\"seq\":{},\"node\":{node},\"kind\":\"fd.suspect\",\
              \"suspect\":{seq},\"cause\":\"event:{}\"}}",
-            (seq + 1) % 4
+            seq + 1,
+            if late {
+                seq + 1 + node % 2
+            } else {
+                (seq + node) % (seq + 1)
+            }
         ),
         5 | 6 => format!(
             "{{\"t\":{t}{seg},\"seq\":{seq},\"node\":{node},\"kind\":\"fd.lifesign.rx\",\
              \"of\":{seq},\"cause\":\"bus:{}\"}}",
-            (node % 4) * 250
+            if late {
+                t + 250
+            } else {
+                t.saturating_sub((node % 4) * 250)
+            }
         ),
         _ => String::new(),
     }
 }
 
 fn arb_record() -> impl Strategy<Value = String> {
-    arb_record_draw().prop_map(|draw| exporter_record(draw, None))
+    arb_record_draw().prop_map(|draw| exporter_record(draw, None, false))
 }
 
 /// A field for an envelope key, to stand first in a record that has
@@ -602,6 +658,9 @@ fn arb_envelope_field() -> impl Strategy<Value = String> {
         "\"bus:250\"",
         "\"event:1\"",
         "\"{1,2}\"",
+        "\"{2,300}\"",
+        "\"{{1}}\"",
+        "\"{1, 2}\"",
     ];
     (0..KEYS.len(), 0u8..3, 0..VALUES.len()).prop_map(|(key, spelling, value)| {
         let key = KEYS[key];
@@ -633,29 +692,30 @@ fn arb_blank() -> impl Strategy<Value = &'static str> {
 
 /// A document: exporter-shaped records with their transmissions in
 /// start order (now and then one that overlaps the transmission before
-/// it, or is queued after its start), some led by a hostile field for
-/// an envelope key; generated objects; blank and white-space lines;
-/// each `\n`- or `\r\n`-terminated.
+/// it, or is queued after its start) and their events after their
+/// causes (now and then not), some led by a hostile field for an
+/// envelope key, some cut short (inside a string, say); generated
+/// objects; blank and white-space lines; each `\n`- or
+/// `\r\n`-terminated.
 fn arb_document() -> impl Strategy<Value = String> {
     let line = (
         0u8..24,
         arb_record_draw(),
         arb_line(),
         arb_envelope_field(),
-        arb_blank(),
-        any::<bool>(),
+        (arb_blank(), any::<bool>(), any::<prop::sample::Index>()),
     );
     prop::collection::vec(line, 0..24).prop_map(|lines| {
         let (mut clock, mut last_start) = (0, 0);
         let mut doc = String::new();
-        for (pick, draw, line, hostile, blank, crlf) in lines {
+        for (pick, draw, line, hostile, (blank, crlf, cut)) in lines {
             clock += 250;
             let start_queued = match pick {
                 2 => (last_start + 30, last_start + 30),
                 3 => (clock, clock + 5),
                 _ => (clock, clock - 20),
             };
-            let record = exporter_record(draw, Some(start_queued));
+            let record = exporter_record(draw, Some(start_queued), pick == 8);
             if draw.0 <= 1 {
                 last_start = start_queued.0;
             }
@@ -665,6 +725,7 @@ fn arb_document() -> impl Strategy<Value = String> {
                 4..=7 if !record.is_empty() => {
                     doc.push_str(&format!("{{{hostile},{}", &record[1..]));
                 }
+                9 => doc.push_str(truncated(&record, cut)),
                 _ => doc.push_str(&record),
             }
             doc.push_str(if crlf { "\r\n" } else { "\n" });

@@ -142,10 +142,15 @@ impl Args {
         self.opt("nodes", default, &what, |w| grammar::node_count(w, 1))
     }
 
-    /// The `--workers` count, at least one (default 4); errors as
-    /// [`Args::positive_opt`].
+    /// The `--workers` count, in `1..=MAX_WORKERS` (default 4); errors
+    /// as [`Args::positive_opt`].
     pub fn workers_opt(&mut self) -> Result<usize, ArgError> {
-        self.positive_opt("workers", 4, "a worker count", grammar::number)
+        let max = canely_campaign::MAX_WORKERS;
+        let what = format!("a worker count in 1..={max}");
+        self.positive_opt("workers", 4, &what, |w| match grammar::number(w)? {
+            n if n > max => Err(format!("at most {max} workers")),
+            n => Ok(n),
+        })
     }
 
     /// A duration option (`30ms`, `2500us`, or raw bit-times, up to one

@@ -545,7 +545,7 @@ fn numeric_flags_are_read_by_the_grammar_scalars() {
     // report 705032704 requests (`as u8`, `as u32`); `--tm 0ms` printed
     // `inf%`, `--ber -1` negative probabilities; `--traffic 1us` queued
     // frames faster than the bus drains them and ran until killed;
-    // `--workers 0` silently ran one worker.
+    // `--workers 0` silently ran one worker and `--workers 100` 64.
     let spec = file("workers.campaign", "nodes 4\nuntil 300ms\nsettle 150ms\n");
     for (command, flag) in [
         (&["baseline", "ttp", "--nodes", "65"][..], "--nodes"),
@@ -562,6 +562,10 @@ fn numeric_flags_are_read_by_the_grammar_scalars() {
         (&["membership", "--traffic", "1us"], "--traffic"),
         (
             &["campaign", "run", "--spec", &spec, "--workers", "0"],
+            "--workers",
+        ),
+        (
+            &["campaign", "run", "--spec", &spec, "--workers", "100"],
             "--workers",
         ),
         (
@@ -585,6 +589,86 @@ fn numeric_flags_are_read_by_the_grammar_scalars() {
     }
     let out = run(&argv(&["analyze", "bandwidth", "--requests", "4294967295"])).unwrap();
     assert!(out.contains("+ 4294967295 join/leave"), "{out}");
+    // The ceiling is named; it is refused before any worker starts.
+    let err = run(&argv(&[
+        "campaign",
+        "run",
+        "--spec",
+        &spec,
+        "--workers",
+        "65",
+    ]))
+    .unwrap_err();
+    assert_eq!(
+        err,
+        "error: --workers expects a worker count in 1..=64 (at most 64 workers)"
+    );
+}
+
+#[test]
+fn a_trace_no_export_writes_is_refused_on_its_line() {
+    // A cause must precede its event and a transmitter set must read
+    // whole. Two events caused by each other printed each other
+    // alternately for 18 lines of `tq chain`, a self-cause printed the
+    // suspicion twice, a cause at a later instant was printed as the
+    // cause, and `{2,300}` read as `{2}`, `{{2}}` as `{2}`.
+    const SUSPECT: &str = "\"node\":0,\"kind\":\"fd.suspect\",\"suspect\":1";
+    let rows: &[(&str, String, usize, &str)] = &[
+        (
+            "cycle.jsonl",
+            format!(
+                "{{\"t\":5,\"seq\":1,{SUSPECT},\"cause\":\"event:2\"}}\n\
+                 {{\"t\":5,\"seq\":2,\"node\":0,\"kind\":\"timer.expired\",\"cause\":\"event:1\"}}\n"
+            ),
+            1,
+            "cause event:2 does not precede the event's seq 1",
+        ),
+        (
+            "self.jsonl",
+            format!("{{\"t\":5,\"seq\":3,{SUSPECT},\"cause\":\"event:3\"}}\n"),
+            1,
+            "cause event:3 does not precede the event's seq 3",
+        ),
+        (
+            "later.jsonl",
+            format!(
+                "{{\"t\":9,\"seq\":1,\"node\":0,\"kind\":\"timer.expired\"}}\n\
+                 {{\"t\":5,\"seq\":0,{SUSPECT},\"cause\":\"event:1\"}}\n"
+            ),
+            2,
+            "cause event:1 does not precede the event's seq 0",
+        ),
+        (
+            "later-bus.jsonl",
+            format!("\n{{\"t\":5,\"seq\":0,{SUSPECT},\"cause\":\"bus:9\"}}\n"),
+            2,
+            "cause bus:9 is after the event's instant 5",
+        ),
+        (
+            "members.jsonl",
+            "{\"t\":0,\"kind\":\"bus.tx\",\"transmitters\":\"{2,300}\"}\n".to_string(),
+            1,
+            "transmitters `{2,300}`: member `300` is not a node id 0–255",
+        ),
+        (
+            "braces.jsonl",
+            "{\"t\":0,\"kind\":\"bus.tx\",\"transmitters\":\"{{2}}\"}\n".to_string(),
+            1,
+            "transmitters `{{2}}`: member `{2}` is not a node id 0–255",
+        ),
+    ];
+    for (name, text, line, needle) in rows {
+        let path = file(name, text);
+        for sub in [&["chain", "--suspect", "1"][..], &["summary"]] {
+            let mut args = argv(&["tq", "--trace", &path]);
+            args.splice(1..1, argv(sub));
+            let err = run(&args).expect_err(text);
+            assert!(
+                err.starts_with(&format!("error: line {line}: {needle} (at byte ")),
+                "{args:?}: {err}"
+            );
+        }
+    }
 }
 
 #[test]

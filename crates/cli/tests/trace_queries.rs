@@ -38,21 +38,21 @@ fn assert_causally_complete(doc: &str) {
     let mut restarts: std::collections::HashSet<(u8, u64)> = std::collections::HashSet::new();
     for event in &model.events {
         first_seen.entry(event.node).or_insert(event.t);
-        if event.kind == "node.restarted" {
+        if model.kind_of(event) == "node.restarted" {
             restarts.insert((event.node, event.t));
         }
     }
     let mut bus_refs = 0usize;
     let mut event_refs = 0usize;
     for event in &model.events {
-        match event.cause {
+        match event.cause() {
             Some(cause) => {
                 let parent = model.parent(event);
                 assert!(
                     parent.is_some(),
                     "unresolvable cause {:?} on {} at t={}",
                     cause,
-                    event.kind,
+                    model.kind_of(event),
                     event.t
                 );
                 match cause {
@@ -67,13 +67,13 @@ fn assert_causally_complete(doc: &str) {
                 // Crash/restart markers and scheduled leaves are
                 // external stimuli: nothing on the bus causes them.
                 let external = matches!(
-                    event.kind.as_ref(),
+                    model.kind_of(event),
                     "node.crashed" | "node.restarted" | "msh.leave.tx"
                 );
                 assert!(
                     boot || external,
                     "non-boot event without a cause: {} of n{} at t={}",
-                    event.kind,
+                    model.kind_of(event),
                     event.node,
                     event.t
                 );

@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # Full verification gate: the release build, the tier-1 tests, docs,
-# lints, and the two checks a test cannot make — the sampling-profile
-# smoke (external tools) and the worker-scaling gate (wall time).
+# lints, and the checks a test cannot make — the sampling-profile and
+# alternator smokes (external tools) and the worker-scaling gate (wall
+# time).
 # Every behaviour check — goldens, hostile inputs, scenario files,
 # exporters, examples — is a test that `cargo test` runs.
 #
@@ -50,6 +51,24 @@ if command -v cc > /dev/null 2>&1 && command -v nm > /dev/null 2>&1 \
     fi
 else
     echo "    skipped: the sampler needs cc, nm and an x86-64 host"
+fi
+
+# Alternator smoke: `scripts/alternate.sh` (docs/PERF.md, "Measurement
+# notes") must run a workload's command lines under its `wait4` reader
+# and tabulate them; one binary on both sides writes the same bytes.
+echo "==> alternator smoke"
+if command -v cc > /dev/null 2>&1; then
+    table="$(scripts/alternate.sh target/release/canelyctl target/release/canelyctl trace-query 0 1)"
+    case "$table" in
+    *'operation      peak_rss_mib'*'outputs: identical in the last round') ;;
+    *)
+        echo "verify: the alternator did not tabulate one trace-query operation:" >&2
+        echo "$table" >&2
+        exit 1
+        ;;
+    esac
+else
+    echo "    skipped: the wait4 reader needs cc"
 fi
 
 # Campaign scaling gate: fanning the same matrix out to 8 workers must
