@@ -5,11 +5,13 @@
 //!   all, while an enabled sink visibly allocates for the backing log;
 //! * a campaign run nobody exports must not materialise its trace: it
 //!   requests a fraction of the bytes the same run requests with
-//!   capture on;
+//!   capture on, and the same bytes at twice the horizon, because its
+//!   bus keeps one window's counts, not a record per transaction;
 //! * re-arming a surveillance timer on a warm wheel is a store, and a
 //!   warm wheel's starts, re-arms, re-keys, cascades and pops reuse its
 //!   pooled entries; a warm traffic-loaded world steps without the
-//!   allocator;
+//!   allocator, and so does a summarizing one past the point where a
+//!   recording trace regrows;
 //! * a frame's exact wire duration is arithmetic: the bus asks for it
 //!   once per transaction, and building the bit stream to answer cost
 //!   over half of an everyday campaign;
@@ -96,16 +98,25 @@ fn disabled_sink_is_allocation_free() {
     assert_eq!(log.len(), 100_000);
 }
 
-#[test]
-fn uncaptured_run_does_not_materialise_its_trace() {
+/// The checked-in federation campaign's richest run (4 segments × 32
+/// nodes, a gateway crash and a partition), with its horizon at
+/// `ms` milliseconds.
+fn federation_run(ms: u64) -> RunSpec {
     let path = format!(
         "{}/../../scenarios/federation.campaign",
         env!("CARGO_MANIFEST_DIR")
     );
     let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("`{path}`: {e}"));
+    let text = text.replace("until 600ms", &format!("until {ms}ms"));
     let spec = CampaignSpec::parse(&text).expect("checked-in campaign spec must parse");
     let run = spec.expand().pop().expect("the campaign has runs");
+    assert_eq!(run.until, BitTime::new(ms * 1_000), "the horizon moved");
+    run
+}
 
+#[test]
+fn uncaptured_run_does_not_materialise_its_trace() {
+    let run = federation_run(600);
     let (_, lean_bytes, lean) = measured(|| execute(&run, false));
     let (_, full_bytes, full) = measured(|| execute(&run, true));
     assert_eq!(lean.events, full.events);
@@ -113,12 +124,28 @@ fn uncaptured_run_does_not_materialise_its_trace() {
         lean_bytes * 4 < full_bytes,
         "a run nobody reads requested {lean_bytes} B, a captured one {full_bytes} B"
     );
-    // Twice what 4 segments × 32 nodes × 600 ms measured when the
-    // gate was set (10 250 240 B; over 200 MiB while every event was
-    // stored either way).
+    // About twice what 4 segments × 32 nodes × 600 ms measured when the
+    // gate was set (3 383 408 B). Storing every event either way made it
+    // over 200 MiB; keeping every bus record when only one window's
+    // counts are read, 7 508 912 B.
     assert!(
-        lean_bytes < 20 << 20,
+        lean_bytes < 7 << 20,
         "a run nobody reads requested {lean_bytes} B"
+    );
+}
+
+#[test]
+fn a_run_nobody_reads_requests_the_same_at_twice_the_horizon() {
+    let (short, long) = (federation_run(600), federation_run(1_200));
+    let (_, short_bytes, _) = measured(|| execute(&short, false));
+    let (_, long_bytes, _) = measured(|| execute(&long, false));
+    // 3 383 408 B at 600 ms and 3 402 888 B at 1 200 ms when the gate
+    // was set: the few judged events the longer run adds. Keeping every
+    // bus record made it 7 508 912 B and 11 788 232 B, 4.3 MB more.
+    const SLACK: u64 = 64 << 10;
+    assert!(
+        long_bytes <= short_bytes + SLACK,
+        "a run nobody reads requested {short_bytes} B at 600 ms, {long_bytes} B at 1 200 ms"
     );
 }
 
@@ -204,6 +231,28 @@ fn a_warm_traffic_loaded_world_allocates_nothing() {
     let frames = sim.trace().len() - before;
     assert!(frames >= 100, "{frames} transactions");
     // A payload built as a `Vec` made it one allocation per frame.
+    assert_eq!(
+        allocations, 0,
+        "{allocations} allocations for {frames} transactions"
+    );
+}
+
+#[test]
+fn a_warm_summarizing_world_allocates_nothing() {
+    let until = BitTime::new(800_000);
+    let mut sim = Simulator::new(BusConfig::default(), FaultPlan::none());
+    sim.summarize_bus(BitTime::ZERO, until);
+    for id in 0..4 {
+        let traffic = TrafficConfig::staggered(BitTime::new(2_000), id);
+        let stack = CanelyStack::new(CanelyConfig::default()).with_traffic(traffic);
+        sim.add_node(NodeId::new(id), stack);
+    }
+    sim.run_until(BitTime::new(300_000));
+    // Half a second past the warm-up: a recording trace regrows past
+    // its 1 024th record on the way; a summarizing one has no vector.
+    let (allocations, _, ()) = measured(|| sim.run_until(until));
+    let frames = sim.trace().stats(BitTime::ZERO, until).transactions;
+    assert!(frames > 1_024, "{frames} transactions");
     assert_eq!(
         allocations, 0,
         "{allocations} allocations for {frames} transactions"

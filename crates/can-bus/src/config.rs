@@ -59,9 +59,12 @@ const SETS: usize = 1 << 10;
 
 std::thread_local! {
     /// The frames a thread has sized: `SETS` × `WAYS` (a miss evicts the
-    /// oldest way) × `key` with the length in its low 16 bits, 64 KiB.
-    static MEMO: [[Cell<[u64; 2]>; WAYS]; SETS] =
-        const { [const { [const { Cell::new([0; 2]) }; WAYS] }; SETS] };
+    /// oldest way) × `key` with the length in its low 16 bits, 64 KiB,
+    /// allocated on the thread's first lookup.
+    static MEMO: Box<[[Cell<[u64; 2]>; WAYS]; SETS]> = vec![Default::default(); SETS]
+        .into_boxed_slice()
+        .try_into()
+        .expect("SETS sets");
 }
 
 /// Everything [`Frame::duration_exact`] reads, packed — the payload,

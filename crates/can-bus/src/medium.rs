@@ -245,6 +245,12 @@ impl Medium {
         &self.trace
     }
 
+    /// Makes the trace keep only the statistics of `[from, to)`
+    /// ([`BusTrace::summarize`]).
+    pub fn summarize_trace(&mut self, from: BitTime, to: BitTime) {
+        self.trace.summarize(from, to);
+    }
+
     /// Resolves one transaction starting at `now`, or `None` if no
     /// alive node has a pending offer.
     ///

@@ -1,10 +1,15 @@
 //! Bus transaction tracing and bandwidth accounting.
 //!
-//! Every resolved transaction is recorded; the trace is the ground
-//! truth from which the measured curves of the evaluation are
-//! computed — most importantly the *CAN bandwidth utilization by the
-//! site membership protocols* (Fig. 10), obtained by classifying bus
-//! occupancy per message type over a membership cycle.
+//! The trace is the ground truth from which the measured curves of the
+//! evaluation are computed — most importantly the *CAN bandwidth
+//! utilization by the site membership protocols* (Fig. 10), obtained
+//! by classifying bus occupancy per message type over a membership
+//! cycle. A trace either *records* every transaction (the default) or
+//! *summarizes* one window, folding each into that window's
+//! [`BusStats`] and keeping none; its owner chooses before the first
+//! transaction ([`BusTrace::summarize`]), as a campaign run that does
+//! not capture does. A summarizing trace answers only
+//! [`BusTrace::stats`] for its window and panics on any other question.
 
 use can_types::{BitTime, Frame, Mid, MsgType, NodeSet};
 
@@ -45,20 +50,44 @@ impl TxRecord {
     }
 }
 
-/// The complete, ordered record of bus activity.
+/// The ordered record of bus activity, or one window's summary of it
+/// (see the module docs).
 #[derive(Debug, Clone, Default)]
 pub struct BusTrace {
     records: Vec<TxRecord>,
+    /// The window being summarized instead of recorded.
+    summary: Option<BusStats>,
 }
 
 impl BusTrace {
-    /// An empty trace.
+    /// An empty recording trace.
     pub fn new() -> Self {
         BusTrace::default()
     }
 
-    /// Appends a record (transactions arrive in time order).
+    /// Makes the trace summarize `[from, to)`: every later transaction
+    /// is folded into that window's [`BusStats`] and none is kept.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `to <= from`, or if the trace already holds a record
+    /// or a summary: the mode is chosen before the first transaction.
+    pub fn summarize(&mut self, from: BitTime, to: BitTime) {
+        assert!(from < to, "stats window must be non-empty");
+        assert!(
+            self.records.is_empty() && self.summary.is_none(),
+            "a bus trace chooses to summarize before its first transaction"
+        );
+        self.summary = Some(BusStats::new(from, to));
+    }
+
+    /// Appends a record (transactions arrive in time order), or folds
+    /// it into the summary.
     pub fn push(&mut self, record: TxRecord) {
+        if let Some(stats) = &mut self.summary {
+            stats.add(&record);
+            return;
+        }
         debug_assert!(
             self.records
                 .last()
@@ -68,47 +97,50 @@ impl BusTrace {
         self.records.push(record);
     }
 
-    /// Number of recorded transactions.
+    /// The records, which only a recording trace has.
+    fn records(&self) -> &[TxRecord] {
+        assert!(
+            self.summary.is_none(),
+            "a summarizing bus trace keeps no records"
+        );
+        &self.records
+    }
+
+    /// Number of recorded transactions (a summarizing trace panics).
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.records().len()
     }
 
-    /// Whether the trace is empty.
+    /// Whether the trace is empty (a summarizing trace panics).
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.records().is_empty()
     }
 
-    /// Iterates over the records in time order.
+    /// Iterates over the records in time order (a summarizing trace panics).
     pub fn iter(&self) -> std::slice::Iter<'_, TxRecord> {
-        self.records.iter()
+        self.records().iter()
     }
 
     /// Computes aggregate statistics over the window `[from, to)`.
     ///
     /// # Panics
     ///
-    /// Panics if `to <= from`.
+    /// Panics if `to <= from`, or on a summarizing trace if the window
+    /// is not the one it summarizes.
     pub fn stats(&self, from: BitTime, to: BitTime) -> BusStats {
         assert!(from < to, "stats window must be non-empty");
+        if let Some(stats) = &self.summary {
+            assert!(
+                (stats.from, stats.to) == (from, to),
+                "a summarizing bus trace holds only the stats of [{}, {}), not [{from}, {to})",
+                stats.from,
+                stats.to
+            );
+            return stats.clone();
+        }
         let mut stats = BusStats::new(from, to);
         for rec in &self.records {
-            // Clip occupancy to the window.
-            let begin = rec.start.max(from);
-            let end = rec.bus_free.min(to);
-            if begin >= end {
-                continue;
-            }
-            let occupancy = end - begin;
-            stats.busy += occupancy;
-            stats.transactions += 1;
-            if rec.errored {
-                stats.errors += 1;
-            }
-            if let Some(mid) = rec.mid() {
-                let slot = &mut stats.per_type[mid.msg_type().code() as usize];
-                slot.frames += 1;
-                slot.busy += occupancy;
-            }
+            stats.add(rec);
         }
         stats
     }
@@ -116,9 +148,10 @@ impl BusTrace {
     /// Extracts the inaccessibility episodes: maximal runs of
     /// consecutive errored transactions. The longest episode is the
     /// measured counterpart of the analytic `Tina` upper bound
-    /// (Fig. 11: 14–2880 bit-times for CAN, 14–2160 for CANELy).
+    /// (Fig. 11: 14–2880 bit-times for CAN, 14–2160 for CANELy). A
+    /// summarizing trace panics.
     pub fn inaccessibility_episodes(&self) -> Vec<InaccessibilityEpisode> {
-        self.records
+        self.records()
             .chunk_by(|a, b| a.errored == b.errored)
             .filter(|run| run[0].errored)
             .map(|run| InaccessibilityEpisode {
@@ -129,7 +162,8 @@ impl BusTrace {
             .collect()
     }
 
-    /// The longest measured inaccessibility, if any omission occurred.
+    /// The longest measured inaccessibility, if any omission occurred
+    /// (a summarizing trace panics).
     pub fn worst_inaccessibility(&self) -> Option<BitTime> {
         self.inaccessibility_episodes()
             .iter()
@@ -176,7 +210,7 @@ pub struct TypeStats {
 }
 
 /// Aggregate bus statistics over a window.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BusStats {
     /// Window start.
     pub from: BitTime,
@@ -201,6 +235,27 @@ impl BusStats {
             transactions: 0,
             errors: 0,
             per_type: [TypeStats::default(); 32],
+        }
+    }
+
+    /// Folds one transaction in: its occupancy clipped to the window,
+    /// if any is left, counts towards the totals and its type's bucket.
+    fn add(&mut self, rec: &TxRecord) {
+        let begin = rec.start.max(self.from);
+        let end = rec.bus_free.min(self.to);
+        if begin >= end {
+            return;
+        }
+        let occupancy = end - begin;
+        self.busy += occupancy;
+        self.transactions += 1;
+        if rec.errored {
+            self.errors += 1;
+        }
+        if let Some(mid) = rec.mid() {
+            let slot = &mut self.per_type[mid.msg_type().code() as usize];
+            slot.frames += 1;
+            slot.busy += occupancy;
         }
     }
 

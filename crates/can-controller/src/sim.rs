@@ -299,6 +299,13 @@ impl Simulator {
         self.medium.trace()
     }
 
+    /// Makes the bus keep only the statistics of `[from, to)`, for a run
+    /// whose records nobody reads ([`can_bus::BusTrace::summarize`]:
+    /// before the first transaction).
+    pub fn summarize_bus(&mut self, from: BitTime, to: BitTime) {
+        self.medium.summarize_trace(from, to);
+    }
+
     /// Every crash that occurred, in order: scheduled crashes,
     /// fault-induced sender crashes (inconsistent omissions with
     /// `crash_sender`), and the implicit crash half of power-cycling a

@@ -104,7 +104,12 @@ pub(crate) fn execute_on(tel: &mut RunTelemetry, spec: &RunSpec, capture: bool) 
     fed.set_metrics(tel.fed.clone());
     fed.set_detector_metrics(tel.sim.detector.clone());
     for seg in 0..segments {
-        fed.sim_mut(seg).set_profiling(tel.enabled());
+        let sim = fed.sim_mut(seg);
+        sim.set_profiling(tel.enabled());
+        if !capture {
+            // The outcome reads one window of the bus, not its records.
+            sim.summarize_bus(BitTime::ZERO, spec.until);
+        }
     }
     let gateway = fed.gateway();
     let (mut gateway_losses, mut restarts) = (Vec::new(), Vec::new());

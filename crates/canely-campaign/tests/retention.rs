@@ -6,7 +6,7 @@ use can_types::{BitTime, NodeId, NodeSet};
 use canely::obs::{latency_samples, ProtocolEvent, TimedEvent};
 use canely_campaign::oracle::{self, NodeFinal, OracleInput};
 use canely_campaign::run::false_suspicion_count;
-use canely_campaign::{execute, CampaignSpec, RunSpec};
+use canely_campaign::{execute, CampaignSpec, RunOutcome, RunSpec};
 use proptest::prelude::*;
 
 fn checked_in_runs(name: &str) -> Vec<RunSpec> {
@@ -33,13 +33,29 @@ fn captured_and_uncaptured_runs_are_judged_alike() {
         let lean = execute(run, false);
         let full = execute(run, true);
         let context = format!("run {} ({} nodes, seed {})", run.id, run.nodes, run.seed);
-        assert_eq!(lean.violations, full.violations, "{context}");
-        assert_eq!(lean.events, full.events, "{context}");
-        assert_eq!(lean.detection, full.detection, "{context}");
-        assert_eq!(lean.view_change, full.view_change, "{context}");
-        assert_eq!(lean.false_suspicions, full.false_suspicions, "{context}");
-        assert_eq!(lean.detector_frames, full.detector_frames, "{context}");
-        assert_eq!(lean.detector_busy, full.detector_busy, "{context}");
+        // Every field but the capture itself, named so that a new one
+        // cannot be left out. The uncaptured run's bus kept no records:
+        // its detector counts were folded as the transactions resolved.
+        let RunOutcome {
+            id,
+            violations,
+            events,
+            detection,
+            view_change,
+            false_suspicions,
+            detector_frames,
+            detector_busy,
+            trace_jsonl,
+        } = lean;
+        assert_eq!(id, full.id, "{context}");
+        assert_eq!(violations, full.violations, "{context}");
+        assert_eq!(events, full.events, "{context}");
+        assert_eq!(detection, full.detection, "{context}");
+        assert_eq!(view_change, full.view_change, "{context}");
+        assert_eq!(false_suspicions, full.false_suspicions, "{context}");
+        assert_eq!(detector_frames, full.detector_frames, "{context}");
+        assert_eq!(detector_busy, full.detector_busy, "{context}");
+        assert_eq!(trace_jsonl, None, "{context}");
         let protocol_lines = full
             .trace_jsonl
             .expect("captured")

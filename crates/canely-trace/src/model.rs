@@ -252,40 +252,35 @@ pub struct TraceModel<'a> {
     // its own sequence space and its own bus timeline. Each is built
     // when a cause is first resolved: a summary, a phase profile, a
     // Chrome export or a re-export resolves none.
-    by_seq: OnceLock<Vec<Entry>>,
-    by_deliver: OnceLock<Vec<Entry>>,
+    by_seq: OnceLock<Vec<u32>>,
+    by_deliver: OnceLock<Vec<u32>>,
 }
 
-/// One entry of a cause look-up, 16 bytes: a record's segment, its key
-/// (a seq or a delivery instant) and its index. Entries order by
-/// segment, key, then index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct Entry {
-    seg: Option<u8>,
-    key: u64,
-    index: u32,
-}
+/// A record's cause key: its segment and its seq or delivery instant.
+type Key = (Option<u8>, u64);
 
-/// A cause look-up over `entries`. An entry carries its record's
-/// index, so a stable sort orders them as an unstable one would, and
-/// it is linear on the runs an export writes: seqs and deliveries
-/// ascend, bar a crash marker's seq.
-fn look_up(entries: impl Iterator<Item = Entry>) -> Vec<Entry> {
-    let mut index: Vec<_> = entries.collect();
-    if !index.is_sorted() {
-        index.sort();
+/// A cause look-up: the indices of `records`, 4 bytes each, ordered by
+/// the `key` of the record they index, then by index. The order is
+/// total, so a stable sort gives what an unstable one would, and it is
+/// linear on the runs an export writes: seqs and deliveries ascend,
+/// bar a crash marker's seq.
+fn look_up(records: impl Iterator<Item = u32>, key: impl Fn(usize) -> Key) -> Vec<u32> {
+    let mut index: Vec<u32> = records.collect();
+    let order = |&i: &u32| (key(i as usize), i);
+    if !index.is_sorted_by_key(order) {
+        index.sort_by_key(order);
     }
     index
 }
 
-/// The record a sorted `index` holds for `(seg, key)`: of several, the
+/// The record a sorted `index` holds for `target`: of several, the
 /// last in the document.
-fn last_of(index: &[Entry], seg: Option<u8>, key: u64) -> Option<usize> {
-    let end = index.partition_point(|e| (e.seg, e.key) <= (seg, key));
+fn last_of(index: &[u32], key: impl Fn(usize) -> Key, target: Key) -> Option<usize> {
+    let end = index.partition_point(|&i| key(i as usize) <= target);
     index[..end]
         .last()
-        .filter(|e| (e.seg, e.key) == (seg, key))
-        .map(|e| e.index as usize)
+        .map(|&i| i as usize)
+        .filter(|&i| key(i) == target)
 }
 
 /// The kinds of a model's events, each held once. A kind met again is
@@ -816,16 +811,12 @@ impl<'a> TraceModel<'a> {
 
     /// The event with log sequence number `seq` on segment `seg`.
     pub fn event_by_seq_in(&self, seg: Option<u8>, seq: u64) -> Option<&Event> {
+        let key = |i: usize| (self.events[i].seg(), self.events[i].seq);
         let index = self.by_seq.get_or_init(|| {
-            look_up(self.events.iter().zip(0..).filter_map(|(e, index)| {
-                Some(Entry {
-                    seg: e.seg(),
-                    key: e.seq()?,
-                    index,
-                })
-            }))
+            let sequenced = (0..).zip(&self.events).filter(|(_, e)| e.seq().is_some());
+            look_up(sequenced.map(|(i, _)| i), key)
         });
-        last_of(index, seg, seq).map(|i| &self.events[i])
+        last_of(index, key, (seg, seq)).map(|i| &self.events[i])
     }
 
     /// The delivered bus transaction with delivery instant `deliver`
@@ -837,15 +828,12 @@ impl<'a> TraceModel<'a> {
     /// The delivered bus transaction with delivery instant `deliver`
     /// on segment `seg`.
     pub fn bus_by_deliver_in(&self, seg: Option<u8>, deliver: u64) -> Option<&BusTx> {
+        let key = |i: usize| (self.bus[i].seg(), self.bus[i].deliver);
         let index = self.by_deliver.get_or_init(|| {
-            let delivered = self.bus.iter().zip(0..).filter(|(tx, _)| tx.delivered());
-            look_up(delivered.map(|(tx, index)| Entry {
-                seg: tx.seg(),
-                key: tx.deliver,
-                index,
-            }))
+            let delivered = (0..).zip(&self.bus).filter(|(_, tx)| tx.delivered());
+            look_up(delivered.map(|(i, _)| i), key)
         });
-        last_of(index, seg, deliver).map(|i| &self.bus[i])
+        last_of(index, key, (seg, deliver)).map(|i| &self.bus[i])
     }
 
     /// Resolves an event's causal parent, if it has one and the
@@ -935,7 +923,6 @@ mod tests {
     #[test]
     fn records_are_fixed_size_and_own_no_heap_memory() {
         assert!(std::mem::size_of::<Event>() <= 32);
-        assert!(std::mem::size_of::<Entry>() <= 16);
         assert!(!std::mem::needs_drop::<Event>());
         assert!(!std::mem::needs_drop::<BusTx>());
     }
@@ -1175,6 +1162,39 @@ mod tests {
         }
         assert_eq!(parse_id("s2", 's'), Some(2));
         assert_eq!(parse_id("ss2", 's'), None);
+    }
+
+    #[test]
+    fn a_cause_resolves_to_the_last_record_with_its_key() {
+        // A crash marker's seq (9) runs ahead of its neighbours' and seq
+        // 1 is written twice: a seq resolves to the last event in the
+        // document that carries it.
+        let doc = "\
+{\"t\":0,\"kind\":\"bus.tx\",\"mid\":\"ELS[0,n2]\",\"frame\":\"rtr\",\"transmitters\":\"{2}\",\"bus_free\":58,\"deliver\":55,\"queued\":0,\"arb_losses\":0,\"delivered\":true,\"errored\":false}\n\
+{\"t\":60,\"kind\":\"bus.tx\",\"mid\":\"ELS[0,n3]\",\"frame\":\"rtr\",\"transmitters\":\"{3}\",\"bus_free\":118,\"deliver\":115,\"queued\":60,\"arb_losses\":0,\"delivered\":true,\"errored\":false}\n\
+{\"t\":10,\"seq\":0,\"node\":2,\"kind\":\"fd.lifesign.tx\"}\n\
+{\"t\":20,\"seq\":9,\"node\":3,\"kind\":\"node.crashed\"}\n\
+{\"t\":30,\"seq\":1,\"node\":0,\"kind\":\"fd.lifesign.rx\",\"of\":2}\n\
+{\"t\":40,\"seq\":1,\"node\":1,\"kind\":\"fd.lifesign.rx\",\"of\":2}\n\
+{\"t\":50,\"seq\":2,\"node\":1,\"kind\":\"fd.suspect\",\"suspect\":3}\n";
+        let model = TraceModel::parse(doc).unwrap();
+        let node_of = |seq| model.event_by_seq(seq).map(|e| (e.t, e.node));
+        assert_eq!(node_of(0), Some((10, 2)));
+        assert_eq!(node_of(1), Some((40, 1)), "the later of two seq 1");
+        assert_eq!(node_of(2), Some((50, 1)));
+        assert_eq!(node_of(9), Some((20, 3)), "the crash marker");
+        for absent in [3, 8, 10] {
+            assert_eq!(node_of(absent), None, "seq {absent}");
+        }
+        assert_eq!(model.event_by_seq_in(Some(0), 1).map(|e| e.t), None);
+        let sender = |deliver| {
+            model
+                .bus_by_deliver(deliver)
+                .map(|tx| model.transmitters(tx))
+        };
+        assert_eq!(sender(55), Some(&[2][..]));
+        assert_eq!(sender(115), Some(&[3][..]));
+        assert_eq!(sender(58), None);
     }
 
     #[test]

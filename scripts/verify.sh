@@ -1,8 +1,8 @@
 #!/usr/bin/env sh
 # Full verification gate: the release build, the tier-1 tests, docs,
 # lints, and the checks a test cannot make — the sampling-profile and
-# alternator smokes (external tools) and the worker-scaling gate (wall
-# time).
+# alternator smokes (external tools), the horizon gate (process peak
+# RSS) and the worker-scaling gate (wall time).
 # Every behaviour check — goldens, hostile inputs, scenario files,
 # exporters, examples — is a test that `cargo test` runs.
 #
@@ -67,6 +67,35 @@ if command -v cc > /dev/null 2>&1; then
         exit 1
         ;;
     esac
+else
+    echo "    skipped: the wait4 reader needs cc"
+fi
+
+# Horizon gate: a campaign run nobody captures keeps its bus as one
+# window's counts and its log as the judged events, so its memory is set
+# by its nodes, not by how long it runs. The federation campaign (4
+# segments × 32 nodes) at 600 ms and at four times that must peak within
+# 0.5 MiB of each other; keeping every bus record grew the longer run's
+# peak by 6.3 MiB. Process peak RSS is the measure, which no test sees.
+echo "==> campaign horizon gate"
+if command -v cc > /dev/null 2>&1; then
+    work="$(mktemp -d)"
+    trap 'rm -rf "$work"' EXIT
+    cc -O2 -o "$work/wait4" scripts/wait4.c
+    peak_kib() {
+        sed "s/^until 600ms\$/until $1/" scenarios/federation.campaign > "$work/$1.campaign"
+        "$work/wait4" "$work/$1.report" target/release/canelyctl campaign run \
+            --spec "$work/$1.campaign" --workers 1 --json > /dev/null
+        read -r _ _ rss _ _ < "$work/$1.report"
+        echo "$rss"
+    }
+    short_kib="$(peak_kib 600ms)"
+    long_kib="$(peak_kib 2400ms)"
+    echo "    peak RSS: 600 ms ${short_kib} KiB, 2400 ms ${long_kib} KiB"
+    if [ "$long_kib" -gt $((short_kib + 512)) ]; then
+        echo "verify: an uncaptured run's peak grows with its horizon (${short_kib} -> ${long_kib} KiB)" >&2
+        exit 1
+    fi
 else
     echo "    skipped: the wait4 reader needs cc"
 fi
